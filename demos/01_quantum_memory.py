@@ -13,7 +13,6 @@ from qlam.statevector import (
     apply_ry_kernel,
     new_zero_state,
     norm,
-    probabilities,
 )
 
 
@@ -25,13 +24,13 @@ def main():
     # A pi rotation on qubit 0 flips it: the population moves from index
     # 0b000 to index 0b001, confirming qubit 0 is the low bit.
     apply_ry_kernel(state.amplitudes, 3, 0, np.pi)
-    probs = probabilities(state)
+    probs = np.abs(state.amplitudes) ** 2
     print("after RY(pi) on qubit 0, probability mass sits at index",
           int(np.argmax(probs)))
 
     # CNOT with control 0 copies the flip onto qubit 2: index 0b101.
     apply_cnot_kernel(state.amplitudes, 3, 0, 2)
-    probs = probabilities(state)
+    probs = np.abs(state.amplitudes) ** 2
     print("after CNOT(0 -> 2), probability mass sits at index",
           int(np.argmax(probs)))
 

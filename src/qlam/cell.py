@@ -13,6 +13,11 @@ The classifier consumes the last `t_keep` readout vectors (default 1,
 "the final readout"), concatenated oldest first.  The quantum memory is
 a single 2**n amplitude vector regardless of sequence length; the trace
 never stores per-token states.
+
+`evolve` is the only loop over timesteps and drives the gate-plan engine
+(`circuits.build_step_plan` / `apply_plan_kernel`); `run` reads the pool
+out through `measure`.  `forward`, `final_logits`, the adjoint gradients
+and the parameter-shift oracle in `gradients` are all views of `run`.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import AnsatzConfig, CircuitParams, step
+from .circuits import AnsatzConfig, apply_plan_kernel, build_step_plan
 from .errors import ConfigError, NumericError, ShapeError, ValidationError
 from .observables import (
     Observable,
@@ -103,10 +108,6 @@ class QlamParams:
             raise ShapeError(f"parameter dict is missing {sorted(missing)}")
         return cls(**{k: np.asarray(arrays[k], dtype=np.float64) for k in cls._KEYS})
 
-    @property
-    def circuit(self) -> CircuitParams:
-        return CircuitParams(self.theta)
-
     def copy(self) -> "QlamParams":
         return QlamParams(**{k: getattr(self, k).copy() for k in self._KEYS})
 
@@ -158,8 +159,9 @@ def init_qlam_params(rng: np.random.Generator, cfg: CellConfig) -> QlamParams:
     )
 
 
-def embed_token(token: float, params: QlamParams) -> np.ndarray:
-    return params.embed_w * token + params.embed_b
+def embed_token(tokens, params: QlamParams) -> np.ndarray:
+    """e_t = embed_w * x_t + embed_b; a vector of T tokens gives (T, n_qubits)."""
+    return np.multiply.outer(tokens, params.embed_w) + params.embed_b
 
 
 def query(token_embedding: np.ndarray, params: QlamParams) -> np.ndarray:
@@ -231,6 +233,95 @@ def readout_features(readouts: np.ndarray, t_keep: int) -> np.ndarray:
     return readouts[readouts.shape[0] - t_keep:].reshape(-1)
 
 
+def measure(psi: StateVector, pool: list[PauliString], shot: ShotConfig,
+            sample_index: int, t: int) -> np.ndarray:
+    """Pool expectations of `psi`: exact, or in sampled mode the mean of
+    shots_per_term simulated shots per term, drawn from the stream of
+    (seed, sample_index, t, term) with t the 0-based timestep.  Heads
+    reuse the same outcomes, as they would on hardware reading one
+    measurement register."""
+    exps = pool_expectations(psi, pool)
+    if shot.mode == "sampled":
+        exps = np.array([
+            sample_term_mean(
+                e, shot.shots_per_term, shot_stream(shot.rng_seed, sample_index, t, i),
+            )
+            for i, e in enumerate(exps)
+        ])
+    return exps
+
+
+def evolve(amps: np.ndarray, emb: np.ndarray, cfg: CellConfig, theta: np.ndarray,
+           steps, shifted=None):
+    """The one loop over timesteps.  For each 1-based t in `steps`, apply
+    the step plan with embedding emb[t - 1] to `amps` in place, then
+    yield t.  `shifted=(t, theta_t)` runs step t with angles theta_t."""
+    plan = build_step_plan(cfg.ansatz)
+    for t in steps:
+        angles = shifted[1] if shifted is not None and t == shifted[0] else theta
+        apply_plan_kernel(amps, cfg.n_qubits, plan, emb[t - 1], angles)
+        if not np.all(np.isfinite(amps)):
+            raise NumericError(f"non-finite amplitudes at timestep {t}")
+        yield t
+
+
+@dataclass
+class Run:
+    """One pass of the recurrence.  Rows of `exps` and `readouts` are the
+    1-based steps first..T; `checkpoints` maps a step to a copy of the
+    amplitudes after it."""
+
+    tokens: np.ndarray      # (T,), validated
+    embeddings: np.ndarray  # (T, n_qubits)
+    first: int
+    exps: np.ndarray        # (T - first + 1, pool_size)
+    readouts: np.ndarray    # (T - first + 1, n_heads)
+    state: StateVector
+    checkpoints: dict[int, np.ndarray]
+
+
+def run(
+    tokens,
+    params: QlamParams,
+    cfg: CellConfig,
+    keep: int | None = None,
+    shot: ShotConfig = ShotConfig(),
+    *,
+    sample_index: int = 0,
+    shifted=None,
+    checkpoint_every: int | None = None,
+) -> Run:
+    """Validate, embed every token, evolve the memory from |0...0> and
+    read it out at the last `keep` steps (every step when None).
+
+    Forward, logits, gradients and the parameter-shift oracle are all
+    views of this pass.  With `checkpoint_every=K` the amplitudes at step
+    0 and at every K-th step are kept for the adjoint recompute.
+    """
+    x = validate_tokens(tokens, cfg.clamp_tokens)
+    params.validate(cfg)
+    T = x.shape[0]
+    keep = T if keep is None else keep
+    if keep > T:
+        raise ShapeError(f"sequence of length {T} is shorter than t_keep={keep}")
+    first = T - keep + 1
+    emb = embed_token(x, params)
+    pool = cfg.pool
+    psi = new_zero_state(cfg.n_qubits)
+    amps = psi.amplitudes
+    checkpoints = {0: amps.copy()} if checkpoint_every else {}
+    exps = np.empty((keep, len(pool)))
+    readouts = np.empty((keep, cfg.n_heads))
+    for t in evolve(amps, emb, cfg, params.theta, range(1, T + 1), shifted):
+        if checkpoint_every and t % checkpoint_every == 0:
+            checkpoints[t] = amps.copy()
+        if t >= first:
+            exps[t - first] = measure(psi, pool, shot, sample_index, t - 1)
+            gammas = all_head_gammas(query(emb[t - 1], params), params)
+            readouts[t - first] = gammas @ exps[t - first]
+    return Run(x, emb, first, exps, readouts, psi, checkpoints)
+
+
 def forward(
     tokens,
     params: QlamParams,
@@ -239,37 +330,11 @@ def forward(
     *,
     sample_index: int = 0,
 ) -> ReadoutTrace:
-    """Run the full causal recurrence and classify.
-
-    In sampled mode every pool term is measured once per step with
-    shots_per_term simulated shots; heads reuse the same outcomes, as
-    they would on hardware reading one measurement register.
-    """
-    x = validate_tokens(tokens, cfg.clamp_tokens)
-    params.validate(cfg)
-    pool = cfg.pool
-    ansatz = cfg.ansatz
-    circuit = params.circuit
-    psi = new_zero_state(cfg.n_qubits)
-    readouts = np.empty((x.shape[0], cfg.n_heads))
-    for t, x_t in enumerate(x):
-        e_t = embed_token(float(x_t), params)
-        step(psi, e_t, ansatz, circuit)
-        q_t = query(e_t, params)
-        gammas = all_head_gammas(q_t, params)
-        exps = pool_expectations(psi, pool)
-        if shot.mode == "sampled":
-            exps = np.array([
-                sample_term_mean(
-                    e, shot.shots_per_term,
-                    shot_stream(shot.rng_seed, sample_index, t, i),
-                )
-                for i, e in enumerate(exps)
-            ])
-        readouts[t] = gammas @ exps
-    features = readout_features(readouts, cfg.t_keep)
+    """Run the full causal recurrence, reading out every step, and classify."""
+    r = run(tokens, params, cfg, None, shot, sample_index=sample_index)
+    features = readout_features(r.readouts, cfg.t_keep)
     logits = params.cls_w @ features + params.cls_b
-    return ReadoutTrace(readouts, features, logits, psi)
+    return ReadoutTrace(r.readouts, features, logits, r.state)
 
 
 def final_logits(
@@ -286,37 +351,8 @@ def final_logits(
     this path because measuring the pool at every step roughly doubles
     the cost of a forward pass.
     """
-    x = validate_tokens(tokens, cfg.clamp_tokens)
-    params.validate(cfg)
-    pool = cfg.pool
-    ansatz = cfg.ansatz
-    circuit = params.circuit
-    psi = new_zero_state(cfg.n_qubits)
-    first_kept = x.shape[0] - cfg.t_keep
-    if first_kept < 0:
-        raise ShapeError(
-            f"sequence of length {x.shape[0]} is shorter than t_keep={cfg.t_keep}"
-        )
-    readouts = np.empty((cfg.t_keep, cfg.n_heads))
-    for t, x_t in enumerate(x):
-        e_t = embed_token(float(x_t), params)
-        step(psi, e_t, ansatz, circuit)
-        if t < first_kept:
-            continue
-        q_t = query(e_t, params)
-        gammas = all_head_gammas(q_t, params)
-        exps = pool_expectations(psi, pool)
-        if shot.mode == "sampled":
-            exps = np.array([
-                sample_term_mean(
-                    e, shot.shots_per_term,
-                    shot_stream(shot.rng_seed, sample_index, t, i),
-                )
-                for i, e in enumerate(exps)
-            ])
-        readouts[t - first_kept] = gammas @ exps
-    features = readouts.reshape(-1)
-    return params.cls_w @ features + params.cls_b
+    r = run(tokens, params, cfg, cfg.t_keep, shot, sample_index=sample_index)
+    return params.cls_w @ r.readouts.reshape(-1) + params.cls_b
 
 
 def predict(tokens, params: QlamParams, cfg: CellConfig) -> int:

@@ -14,6 +14,7 @@ never unpickles anything.
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import asdict
 from pathlib import Path
 
@@ -50,19 +51,25 @@ def load_checkpoint(path) -> tuple[QlamParams, CellConfig, dict]:
     path = Path(path)
     if not path.is_file():
         raise DataError(f"checkpoint {path} does not exist")
-    with np.load(path, allow_pickle=False) as archive:
-        if "__version__" not in archive:
-            raise DataError(f"{path} is not a model checkpoint (no version member)")
-        version = int(archive["__version__"])
-        if version != CHECKPOINT_VERSION:
-            raise DataError(
-                f"checkpoint version {version} unsupported (expected {CHECKPOINT_VERSION})"
-            )
-        cfg = CellConfig(**_json_load(archive["__config__"]))
-        extra = _json_load(archive["__extra__"])
-        arrays = {
-            name: archive[name] for name in archive.files if not name.startswith("__")
-        }
-    params = QlamParams.from_dict(arrays)
+    try:
+        with np.load(path, allow_pickle=False) as archive:
+            members = {name: archive[name] for name in archive.files}
+    except (EOFError, ValueError, zipfile.BadZipFile) as exc:
+        raise DataError(f"{path} is not a readable checkpoint: {exc}") from exc
+    if "__version__" not in members:
+        raise DataError(f"{path} is not a model checkpoint (no version member)")
+    version = int(members["__version__"])
+    if version != CHECKPOINT_VERSION:
+        raise DataError(
+            f"checkpoint version {version} unsupported (expected {CHECKPOINT_VERSION})"
+        )
+    try:
+        cfg = CellConfig(**_json_load(members["__config__"]))
+        extra = _json_load(members["__extra__"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path} holds no valid cell config: {exc}") from exc
+    params = QlamParams.from_dict(
+        {name: arr for name, arr in members.items() if not name.startswith("__")}
+    )
     params.validate(cfg)
     return params, cfg, extra

@@ -5,8 +5,11 @@ A step applies the encoding unitary first, then the trainable ansatz:
 the raw embedding value on each qubit.  Each ansatz layer is RY and RZ
 on every qubit followed by a CNOT entangler.
 
-The gate sequence is also exposed as an explicit plan (`build_step_plan`)
-so reverse-mode differentiation can replay it backward gate by gate.
+The gate sequence exists once, as an explicit plan (`build_step_plan`)
+run by one engine (`apply_plan_kernel`).  `apply_encoding`,
+`apply_ansatz` and `step` run slices of that plan on a StateVector; the
+recurrence (`cell.evolve`) runs the whole plan per token, and
+reverse-mode differentiation replays it backward gate by gate.
 """
 
 from __future__ import annotations
@@ -59,9 +62,6 @@ class CircuitParams:
     [..., 0] and RZ at [..., 1]."""
 
     theta: np.ndarray
-
-    def layered(self, cfg: AnsatzConfig) -> np.ndarray:
-        return self.theta.reshape(cfg.n_layers, cfg.n_qubits, 2)
 
 
 def check_circuit_params(cfg: AnsatzConfig, params: CircuitParams) -> None:
@@ -116,10 +116,11 @@ def apply_plan_kernel(
     amps: np.ndarray,
     n_qubits: int,
     plan: list[PlanEntry],
-    embedding: np.ndarray,
-    theta: np.ndarray,
+    embedding: Optional[np.ndarray],
+    theta: Optional[np.ndarray],
 ) -> None:
-    """Apply a gate plan in place to amplitude array(s)."""
+    """Apply a gate plan in place to amplitude array(s); an angle source
+    that no slot of the plan reads may be None."""
     for kind, a, b, slot in plan:
         if kind == "ry":
             apply_ry_kernel(amps, n_qubits, a, slot_angle(slot, embedding, theta))
@@ -138,8 +139,9 @@ def apply_encoding(state: StateVector, embedding) -> StateVector:
         )
     if not np.all(np.isfinite(e)):
         raise NumericError("embedding values must be finite")
-    for j in range(state.n_qubits):
-        apply_ry_kernel(state.amplitudes, state.n_qubits, j, float(e[j]))
+    n = state.n_qubits
+    # the first n plan entries are the encoding; none of them reads theta
+    apply_plan_kernel(state.amplitudes, n, build_step_plan(AnsatzConfig(n))[:n], e, None)
     return state
 
 
@@ -150,14 +152,9 @@ def apply_ansatz(state: StateVector, cfg: AnsatzConfig, params: CircuitParams) -
             f"ansatz is for {cfg.n_qubits} qubits, state has {state.n_qubits}"
         )
     check_circuit_params(cfg, params)
-    layered = params.layered(cfg)
-    amps = state.amplitudes
-    for layer in range(cfg.n_layers):
-        for j in range(cfg.n_qubits):
-            apply_ry_kernel(amps, state.n_qubits, j, float(layered[layer, j, 0]))
-            apply_rz_kernel(amps, state.n_qubits, j, float(layered[layer, j, 1]))
-        for control, target in entangler_pairs(cfg):
-            apply_cnot_kernel(amps, state.n_qubits, control, target)
+    # the plan after its n encoding entries reads theta only
+    ansatz = build_step_plan(cfg)[cfg.n_qubits:]
+    apply_plan_kernel(state.amplitudes, cfg.n_qubits, ansatz, None, params.theta)
     return state
 
 

@@ -22,25 +22,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cell import (
-    CellConfig,
-    QlamParams,
-    all_head_gammas,
-    readout_features,
-    validate_tokens,
-)
-from .circuits import apply_plan_kernel, build_step_plan, slot_angle
+from .cell import CellConfig, QlamParams, Run, evolve, readout_features, run
+from .circuits import build_step_plan, slot_angle
 from .data import SequenceSample
 from .errors import NumericError, ShapeError
 from .nn import grad_like, softmax_cross_entropy
-from .observables import apply_pauli_string, pool_expectations
+from .observables import apply_pauli_string
 from .statevector import (
-    StateVector,
     apply_cnot_kernel,
     apply_pauli_kernel,
     apply_ry_kernel,
     apply_rz_kernel,
-    new_zero_state,
 )
 
 CHECKPOINT_INTERVAL = 32
@@ -57,32 +49,7 @@ class GradBundle:
     logits: np.ndarray
 
 
-def _embedding(x_t: float, params: QlamParams) -> np.ndarray:
-    return params.embed_w * x_t + params.embed_b
-
-
-def _forward_states(x, params, cfg, plan, keep_steps):
-    """Run the recurrence once; checkpoint amplitudes every K steps and
-    keep pool expectations at the requested (1-based) steps."""
-    n = cfg.n_qubits
-    pool = cfg.pool
-    psi = new_zero_state(n)
-    amps = psi.amplitudes
-    checkpoints = {0: amps.copy()}
-    exps_by_t: dict[int, np.ndarray] = {}
-    theta = params.theta
-    for t in range(1, x.shape[0] + 1):
-        apply_plan_kernel(amps, n, plan, _embedding(x[t - 1], params), theta)
-        if not np.all(np.isfinite(amps)):
-            raise NumericError(f"non-finite amplitudes at timestep {t}")
-        if t % CHECKPOINT_INTERVAL == 0:
-            checkpoints[t] = amps.copy()
-        if t in keep_steps:
-            exps_by_t[t] = pool_expectations(psi, pool)
-    return psi, checkpoints, exps_by_t
-
-
-def _decoder_backward(w_rows_by_t, x, params, exps_by_t, grads):
+def _decoder_backward(w_rows_by_t, r: Run, params, grads):
     """Backprop the readout weights through decoder, query, and embedding.
 
     Returns the per-step injection coefficients c_t[i] = sum_h w_t[h]
@@ -90,13 +57,13 @@ def _decoder_backward(w_rows_by_t, x, params, exps_by_t, grads):
     """
     c_by_t: dict[int, np.ndarray] = {}
     for t, w_row in w_rows_by_t.items():
-        x_t = x[t - 1]
-        e_t = _embedding(x_t, params)
+        x_t = r.tokens[t - 1]
+        e_t = r.embeddings[t - 1]
         q_t = params.w_q @ e_t
         hidden = np.tanh(params.dec_w1 @ q_t + params.dec_b1)
         gammas = np.einsum("hps,hs->hp", params.dec_w2, hidden) + params.dec_b2
         c_by_t[t] = w_row @ gammas
-        dgam = np.outer(w_row, exps_by_t[t])
+        dgam = np.outer(w_row, r.exps[t - r.first])
         grads["dec_w2"] += np.einsum("hp,hs->hps", dgam, hidden)
         grads["dec_b2"] += dgam
         dhidden = np.einsum("hps,hp->hs", params.dec_w2, dgam)
@@ -111,7 +78,7 @@ def _decoder_backward(w_rows_by_t, x, params, exps_by_t, grads):
     return c_by_t
 
 
-def _quantum_backward(x, params, cfg, plan, checkpoints, c_by_t, grads):
+def _quantum_backward(r: Run, params, cfg, c_by_t, grads):
     """Adjoint walk from step T back to 1, window by window.
 
     Each window is recomputed forward from its checkpoint, then consumed
@@ -125,14 +92,13 @@ def _quantum_backward(x, params, cfg, plan, checkpoints, c_by_t, grads):
     theta = params.theta
     lam = np.zeros(dim, dtype=np.complex128)
     pair = np.empty((2, dim), dtype=np.complex128)
-    reversed_plan = list(reversed(plan))
-    win_end = x.shape[0]
+    reversed_plan = list(reversed(build_step_plan(cfg.ansatz)))
+    win_end = r.tokens.shape[0]
     while win_end > 0:
         win_start = ((win_end - 1) // CHECKPOINT_INTERVAL) * CHECKPOINT_INTERVAL
         seg = np.empty((win_end - win_start, dim), dtype=np.complex128)
-        amps = checkpoints[win_start].copy()
-        for t in range(win_start + 1, win_end + 1):
-            apply_plan_kernel(amps, n, plan, _embedding(x[t - 1], params), theta)
+        amps = r.checkpoints[win_start].copy()
+        for t in evolve(amps, r.embeddings, cfg, theta, range(win_start + 1, win_end + 1)):
             seg[t - win_start - 1] = amps
         for t in range(win_end, win_start, -1):
             psi_t = seg[t - win_start - 1]
@@ -143,8 +109,7 @@ def _quantum_backward(x, params, cfg, plan, checkpoints, c_by_t, grads):
                         lam += c_i * apply_pauli_string(psi_t, n, pool[i])
             pair[0] = psi_t
             pair[1] = lam
-            x_t = x[t - 1]
-            e_t = _embedding(x_t, params)
+            e_t = r.embeddings[t - 1]
             denc = np.zeros(n)
             for kind, a, b, slot in reversed_plan:
                 if slot is None:
@@ -164,12 +129,15 @@ def _quantum_backward(x, params, cfg, plan, checkpoints, c_by_t, grads):
                 else:
                     apply_rz_kernel(pair, n, a, -angle)
             lam = pair[1].copy()
-            grads["embed_w"] += denc * x_t
+            grads["embed_w"] += denc * r.tokens[t - 1]
             grads["embed_b"] += denc
         win_end = win_start
 
 
-def _check_finite_grads(grads):
+def _backward(r: Run, w_rows_by_t, params, cfg, grads):
+    """Adjoint of the readouts weighted by w_rows_by_t, added into grads."""
+    c_by_t = _decoder_backward(w_rows_by_t, r, params, grads)
+    _quantum_backward(r, params, cfg, c_by_t, grads)
     for key, g in grads.items():
         if not np.all(np.isfinite(g)):
             raise NumericError(f"non-finite gradient in {key}")
@@ -182,20 +150,8 @@ def loss_and_grad(sample: SequenceSample, params: QlamParams, cfg: CellConfig) -
     Matches `forward` followed by `softmax_cross_entropy` bit for bit on
     the loss, but skips readouts at steps the classifier never sees.
     """
-    x = validate_tokens(sample.tokens, cfg.clamp_tokens)
-    params.validate(cfg)
-    T = x.shape[0]
-    if T < cfg.t_keep:
-        raise ShapeError(f"sequence of length {T} is shorter than t_keep={cfg.t_keep}")
-    plan = build_step_plan(cfg.ansatz)
-    kept_steps = list(range(T - cfg.t_keep + 1, T + 1))
-    _, checkpoints, exps_by_t = _forward_states(x, params, cfg, plan, set(kept_steps))
-
-    readouts = np.empty((cfg.t_keep, cfg.n_heads))
-    for row, t in enumerate(kept_steps):
-        q_t = params.w_q @ _embedding(x[t - 1], params)
-        readouts[row] = all_head_gammas(q_t, params) @ exps_by_t[t]
-    features = readout_features(readouts, cfg.t_keep)
+    r = run(sample.tokens, params, cfg, cfg.t_keep, checkpoint_every=CHECKPOINT_INTERVAL)
+    features = r.readouts.reshape(-1)
     logits = params.cls_w @ features + params.cls_b
     loss, dlogits = softmax_cross_entropy(logits, sample.label)
 
@@ -203,10 +159,7 @@ def loss_and_grad(sample: SequenceSample, params: QlamParams, cfg: CellConfig) -
     grads["cls_w"] = np.outer(dlogits, features)
     grads["cls_b"] = dlogits
     dfeatures = (params.cls_w.T @ dlogits).reshape(cfg.t_keep, cfg.n_heads)
-    w_rows_by_t = {t: dfeatures[row] for row, t in enumerate(kept_steps)}
-    c_by_t = _decoder_backward(w_rows_by_t, x, params, exps_by_t, grads)
-    _quantum_backward(x, params, cfg, plan, checkpoints, c_by_t, grads)
-    _check_finite_grads(grads)
+    _backward(r, {r.first + row: w for row, w in enumerate(dfeatures)}, params, cfg, grads)
     return GradBundle(loss, grads, logits)
 
 
@@ -220,27 +173,16 @@ def weighted_readout_grads(
     zero because J never touches the classifier.  Main use: oracle
     cross-checks against parameter-shift and finite differences.
     """
-    x = validate_tokens(tokens, cfg.clamp_tokens)
-    params.validate(cfg)
+    r = run(tokens, params, cfg, checkpoint_every=CHECKPOINT_INTERVAL)
     w = np.asarray(weights, dtype=np.float64)
-    if w.shape != (x.shape[0], cfg.n_heads):
-        raise ShapeError(
-            f"weights have shape {w.shape}, expected ({x.shape[0]}, {cfg.n_heads})"
-        )
-    plan = build_step_plan(cfg.ansatz)
-    kept_steps = [t for t in range(1, x.shape[0] + 1) if np.any(w[t - 1] != 0.0)]
-    _, checkpoints, exps_by_t = _forward_states(x, params, cfg, plan, set(kept_steps))
-
+    if w.shape != r.readouts.shape:
+        raise ShapeError(f"weights have shape {w.shape}, expected {r.readouts.shape}")
+    w_rows_by_t = {t: w[t - 1] for t in range(1, len(w) + 1) if np.any(w[t - 1] != 0.0)}
     value = 0.0
-    for t in kept_steps:
-        q_t = params.w_q @ _embedding(x[t - 1], params)
-        value += float(w[t - 1] @ (all_head_gammas(q_t, params) @ exps_by_t[t]))
-
+    for t, w_row in w_rows_by_t.items():
+        value += float(w_row @ r.readouts[t - 1])
     grads = grad_like(params.as_dict())
-    w_rows_by_t = {t: w[t - 1] for t in kept_steps}
-    c_by_t = _decoder_backward(w_rows_by_t, x, params, exps_by_t, grads)
-    _quantum_backward(x, params, cfg, plan, checkpoints, c_by_t, grads)
-    _check_finite_grads(grads)
+    _backward(r, w_rows_by_t, params, cfg, grads)
     return value, grads
 
 
@@ -256,22 +198,9 @@ def readouts_with_occurrence_shift(
 ) -> np.ndarray:
     """(T, n_heads) exact readouts with theta[theta_index] shifted by
     delta at step `shift_step` (1-based) only."""
-    x = validate_tokens(tokens, cfg.clamp_tokens)
-    params.validate(cfg)
-    pool = cfg.pool
-    plan = build_step_plan(cfg.ansatz)
-    theta = params.theta
-    shifted = theta.copy()
+    shifted = params.theta.copy()
     shifted[theta_index] += delta
-    psi = new_zero_state(cfg.n_qubits)
-    readouts = np.empty((x.shape[0], cfg.n_heads))
-    for t in range(1, x.shape[0] + 1):
-        e_t = _embedding(x[t - 1], params)
-        theta_t = shifted if t == shift_step else theta
-        apply_plan_kernel(psi.amplitudes, cfg.n_qubits, plan, e_t, theta_t)
-        q_t = params.w_q @ e_t
-        readouts[t - 1] = all_head_gammas(q_t, params) @ pool_expectations(psi, pool)
-    return readouts
+    return run(tokens, params, cfg, shifted=(shift_step, shifted)).readouts
 
 
 def readout_param_shift(
@@ -293,8 +222,8 @@ def param_shift_grad(
 ) -> float:
     """Loss gradient for one circuit angle: per-readout shift rule chained
     through the classifier and loss at the unshifted point."""
-    x = validate_tokens(sample.tokens, cfg.clamp_tokens)
-    unshifted = readouts_with_occurrence_shift(x, params, cfg, theta_index, 0, 0.0)
+    r = run(sample.tokens, params, cfg)
+    x, unshifted = r.tokens, r.readouts
     features = readout_features(unshifted, cfg.t_keep)
     logits = params.cls_w @ features + params.cls_b
     _, dlogits = softmax_cross_entropy(logits, sample.label)

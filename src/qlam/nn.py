@@ -164,8 +164,9 @@ def _elman_run(tokens, params):
 
 def elman_loss_and_grad(
     tokens, label: int, params: dict[str, np.ndarray]
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Cross-entropy loss and full backprop-through-time gradients."""
+) -> tuple[float, dict[str, np.ndarray], np.ndarray]:
+    """Cross-entropy loss, full backprop-through-time gradients, and the
+    logits they were taken at."""
     x = np.asarray(tokens, dtype=np.float64)
     logits, hs = _elman_run(x, params)
     loss, dlogits = softmax_cross_entropy(logits, label)
@@ -180,4 +181,4 @@ def elman_loss_and_grad(
         grads["b_in"] += du
         grads["w_rec"] += np.outer(du, hs[t])
         dh = params["w_rec"].T @ du
-    return loss, grads
+    return loss, grads, logits

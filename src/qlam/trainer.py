@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +50,17 @@ from .observables import ShotConfig
 METRICS_COLUMNS = ("epoch", "split", "loss", "accuracy", "lr", "seed", "fold")
 TIMING_COLUMNS = ("epoch", "wall_seconds")
 
+# TrainConfig fields that decide the train/test split; a checkpoint
+# records them so evaluation can refuse a split it was trained on
+SPLIT_FIELDS = (
+    "dataset", "seed", "fold", "split_mode", "n_folds", "test_fraction",
+    "train_subsample", "test_subsample",
+)
+
+# TrainConfig annotation (without "| None") -> accepted value types;
+# out_dir and data_dir may also be path objects
+_FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": (str, os.PathLike)}
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -79,6 +92,13 @@ class TrainConfig:
     workers: int = 1
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kind, _, optional = f.type.partition(" | ")
+            if value is None and optional:
+                continue
+            if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[kind]):
+                raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
         if self.dataset not in DATASET_NAMES:
             raise ConfigError(
                 f"unknown dataset {self.dataset!r}; choose from {DATASET_NAMES}"
@@ -101,6 +121,8 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be >= 1, got {value}")
         if self.base_lr <= 0:
             raise ConfigError(f"base_lr must be positive, got {self.base_lr}")
+        if not self.clip_norm > 0:
+            raise ConfigError(f"clip_norm must be positive, got {self.clip_norm}")
         self.cell_config()
 
     @property
@@ -391,9 +413,7 @@ def train(config: TrainConfig, bundle: DatasetBundle | None = None) -> TrainResu
         _append_timing(timing_path, epoch, wall)
 
     save_checkpoint(checkpoint_path, params, cell_cfg, {
-        "dataset": config.dataset,
-        "seed": config.seed,
-        "fold": config.fold,
+        **{name: getattr(config, name) for name in SPLIT_FIELDS},
         "epochs": epochs,
         "final_test_accuracy": last_test.accuracy,
     })
@@ -404,11 +424,21 @@ def train(config: TrainConfig, bundle: DatasetBundle | None = None) -> TrainResu
 
 
 def evaluate(checkpoint_path, config: TrainConfig, bundle: DatasetBundle | None = None) -> float:
-    """Accuracy of a saved model on this config's test split."""
+    """Accuracy of a saved model on this config's test split.
+
+    Refuses a config whose split settings differ from the ones the model
+    was trained with, since its "test" split would hold training samples.
+    """
     from .checkpoint import load_checkpoint
 
     config.validate()
-    params, cell_cfg, _ = load_checkpoint(checkpoint_path)
+    params, cell_cfg, extra = load_checkpoint(checkpoint_path)
+    for name in SPLIT_FIELDS:
+        if name in extra and extra[name] != getattr(config, name):
+            raise ConfigError(
+                f"checkpoint was trained with {name}={extra[name]!r}, "
+                f"the config has {name}={getattr(config, name)!r}"
+            )
     if bundle is None:
         bundle = load_dataset(config.dataset, config.data_dir)
     _, test_set = resolve_splits(config, bundle)
@@ -483,8 +513,7 @@ def train_elman(
             batch = [train_set[i] for i in order[start:start + config.batch_size]]
             total = grad_like(params)
             for sample in batch:
-                loss, grads = elman_loss_and_grad(sample.tokens, sample.label, params)
-                logits = elman_forward(sample.tokens, params)
+                _, grads, logits = elman_loss_and_grad(sample.tokens, sample.label, params)
                 if int(np.argmax(logits)) == sample.label:
                     correct += 1
                 for key in total:

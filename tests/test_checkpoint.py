@@ -122,3 +122,28 @@ def test_extra_survives_json_round_trip(tmp_path):
     save_checkpoint(tmp_path / "m.npz", params, cfg, extra)
     _, _, got = load_checkpoint(tmp_path / "m.npz")
     assert got == extra
+
+
+def test_unknown_config_key_is_data_error(tmp_path):
+    cfg = small_cfg()
+    params = init_qlam_params(np.random.default_rng(8), cfg)
+    path = tmp_path / "m.npz"
+    save_checkpoint(path, params, cfg)
+    with np.load(path) as archive:
+        members = {name: archive[name] for name in archive.files}
+    config = {**json.loads(members["__config__"].tobytes()), "n_qbits": 2}
+    members["__config__"] = np.frombuffer(json.dumps(config).encode(), dtype=np.uint8)
+    np.savez(path, **members)
+    with pytest.raises(DataError):
+        load_checkpoint(path)
+
+
+def test_truncated_archive_is_data_error(tmp_path):
+    cfg = small_cfg()
+    params = init_qlam_params(np.random.default_rng(9), cfg)
+    path = tmp_path / "m.npz"
+    save_checkpoint(path, params, cfg)
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) // 2])
+    with pytest.raises(DataError):
+        load_checkpoint(path)

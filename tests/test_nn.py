@@ -192,7 +192,7 @@ def test_elman_gradients_match_fd():
     params = init_elman(rng, 5, 3)
     tokens = rng.random(16)
     label = 1
-    _, grads = elman_loss_and_grad(tokens, label, params)
+    _, grads, _ = elman_loss_and_grad(tokens, label, params)
     for key, arr in params.items():
         flat = arr.reshape(-1)
         gflat = grads[key].reshape(-1)
@@ -201,7 +201,7 @@ def test_elman_gradients_match_fd():
 
             def f(v, flat=flat, i=i, orig=orig):
                 flat[i] = v
-                loss, _ = elman_loss_and_grad(tokens, label, params)
+                loss, _, _ = elman_loss_and_grad(tokens, label, params)
                 flat[i] = orig
                 return loss
 
@@ -230,7 +230,7 @@ def test_separable_toy_loss_decreases_monotonically():
         total = grad_like(params)
         loss_sum = 0.0
         for x, label in zip(xs, labels):
-            loss, grads = elman_loss_and_grad(np.array([x, x]), int(label), params)
+            loss, grads, _ = elman_loss_and_grad(np.array([x, x]), int(label), params)
             loss_sum += loss
             for key in total:
                 total[key] += grads[key]

@@ -73,6 +73,26 @@ def test_config_validation():
             tiny_config(**kwargs).validate()
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [dict(epochs="ten"), dict(clip_norm=-1.0), dict(clip_norm=0.0)],
+    ids=["epochs-str", "clip-negative", "clip-zero"],
+)
+def test_config_rejects_bad_type_and_nonpositive_clip(kwargs):
+    # a negative clip_norm flips every gradient, zero erases them
+    with pytest.raises(ConfigError):
+        tiny_config(**kwargs).validate()
+
+
+def test_config_file_with_wrong_type_exits_as_config_error(tmp_path, capsys):
+    from qlam.cli import EXIT_CODES, main
+
+    path = tmp_path / "run.json"
+    path.write_text('{"epochs": "ten"}')
+    assert main(["train", "--config", str(path)]) == EXIT_CODES["config"]
+    assert "epochs" in capsys.readouterr().err
+
+
 def test_resolved_epochs_defaults():
     assert tiny_config(epochs=None).resolved_epochs == 30
     assert tiny_config(epochs=None, dataset="scifar10").resolved_epochs == 50
@@ -242,6 +262,15 @@ def test_evaluate_reproduces_logged_accuracy(tmp_path):
     cfg = tiny_config(out_dir=str(tmp_path))
     result = train(cfg, bundle)
     acc = evaluate(result.checkpoint_path, cfg, bundle)
+    assert acc == result.final_test.accuracy
+
+
+def test_evaluate_refuses_a_split_other_than_the_training_one(tmp_path):
+    bundle = synthetic_bundle()
+    result = train(tiny_config(out_dir=str(tmp_path), seed=3), bundle)
+    with pytest.raises(ConfigError, match="seed"):
+        evaluate(result.checkpoint_path, tiny_config(out_dir=str(tmp_path)), bundle)
+    acc = evaluate(result.checkpoint_path, tiny_config(out_dir=str(tmp_path), seed=3), bundle)
     assert acc == result.final_test.accuracy
 
 
