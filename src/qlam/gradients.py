@@ -8,9 +8,16 @@ angle ``a`` of a gate ``exp(-i a P/2)`` contributes
     dJ/da = Im <lam| P |k>.
 
 Readout terms inject ``lam += sum_i c_i P_i |psi_t>`` at their timestep,
-with c_i the classical weight on pool expectation i.  States needed on
-the way back are recomputed from checkpoints taken every K steps, so
-memory stays O(K * 2**n + T/K * 2**n) for any sequence length.
+with c_i the classical weight on pool expectation i.  Only two loops run
+step by step: the forward ket recurrence (`cell.run`, recomputed here one
+checkpoint window at a time) and the adjoint recurrence
+``lam <- U_t^H (lam + inj_t)``.  The decoder backward runs once over all
+kept steps; the injections, and the per-angle walk over stacked
+(ket, adjoint) pairs, run once per sub-block of a window (Jones & Gacon,
+arXiv:2009.02823).  Memory is the T/K checkpoints, one window of K
+recomputed states and a walk stack of at most max(2**n, WALK_AMPLITUDES)
+(ket, adjoint) pairs: O(K * 2**n + T/K * 2**n) for any sequence length,
+with K = CHECKPOINT_INTERVAL.
 
 Parameter-shift and finite differences exist as oracles only; both are
 exact for expectation readouts but far more expensive.
@@ -22,22 +29,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cell import CellConfig, QlamParams, Run, evolve, readout_features, run
-from .circuits import build_step_plan, slot_angle
+from .cell import CHECKPOINT_INTERVAL, CellConfig, QlamParams, Run, readout_features, run
+from .circuits import Steps, build_step_plan
 from .data import SequenceSample
 from .errors import NumericError, ShapeError
 from .nn import grad_like, softmax_cross_entropy
-from .observables import apply_pauli_string
-from .statevector import (
-    apply_cnot_kernel,
-    apply_pauli_kernel,
-    apply_ry_kernel,
-    apply_rz_kernel,
-)
+from .observables import pool_table
+from .statevector import apply_cnot_kernel, apply_ry_kernel, apply_rz_kernel
 
-CHECKPOINT_INTERVAL = 32
+# The per-angle walk advances at most this many (ket, adjoint) amplitude
+# pairs at once, so a window is walked in sub-blocks of
+# max(1, WALK_AMPLITUDES >> n) steps.  On large registers that is one
+# step, where the walk does no more work than a per-step adjoint.
+WALK_AMPLITUDES = 1 << 12
 
-_GENERATOR = {"ry": "Y", "rz": "Z"}
+# Im <lam|Z|k> = Im<lam_0|k_0> - Im<lam_1|k_1> over the halves of the qubit.
+_Z_HALVES = np.array([1.0, -1.0])
 
 
 @dataclass
@@ -49,95 +56,122 @@ class GradBundle:
     logits: np.ndarray
 
 
-def _decoder_backward(w_rows_by_t, r: Run, params, grads):
-    """Backprop the readout weights through decoder, query, and embedding.
+def _decoder_backward(w: np.ndarray, r: Run, params, grads) -> np.ndarray:
+    """Backprop readout weights w (one row per kept step) through decoder,
+    query and embedding, over every kept step at once.
 
-    Returns the per-step injection coefficients c_t[i] = sum_h w_t[h]
-    gamma_t[h, i] for the quantum half of the backward pass.
+    Returns the injection coefficients c[t, i] = sum_h w[t, h] gamma_t[h, i]
+    for the quantum half of the backward pass.
     """
-    c_by_t: dict[int, np.ndarray] = {}
-    for t, w_row in w_rows_by_t.items():
-        x_t = r.tokens[t - 1]
-        e_t = r.embeddings[t - 1]
-        q_t = params.w_q @ e_t
-        hidden = np.tanh(params.dec_w1 @ q_t + params.dec_b1)
-        gammas = np.einsum("hps,hs->hp", params.dec_w2, hidden) + params.dec_b2
-        c_by_t[t] = w_row @ gammas
-        dgam = np.outer(w_row, r.exps[t - r.first])
-        grads["dec_w2"] += np.einsum("hp,hs->hps", dgam, hidden)
-        grads["dec_b2"] += dgam
-        dhidden = np.einsum("hps,hp->hs", params.dec_w2, dgam)
-        du = dhidden * (1.0 - hidden * hidden)
-        grads["dec_w1"] += np.einsum("hs,q->hsq", du, q_t)
-        grads["dec_b1"] += du
-        dq = np.einsum("hsq,hs->q", params.dec_w1, du)
-        grads["w_q"] += np.outer(dq, e_t)
-        de = params.w_q.T @ dq
-        grads["embed_w"] += de * x_t
-        grads["embed_b"] += de
-    return c_by_t
+    x, e = r.tokens[r.first - 1:], r.embeddings[r.first - 1:]
+    hidden = r.hidden
+    dgam = w[:, :, None] * r.exps[:, None, :]
+    grads["dec_w2"] += np.einsum("thp,ths->hps", dgam, hidden)
+    grads["dec_b2"] += dgam.sum(axis=0)
+    du = np.einsum("hps,thp->ths", params.dec_w2, dgam)
+    du -= np.einsum("ths,ths,ths->ths", du, hidden, hidden)  # tanh' = 1 - hidden**2
+    grads["dec_w1"] += np.einsum("ths,tq->hsq", du, r.queries)
+    grads["dec_b1"] += du.sum(axis=0)
+    dq = np.einsum("hsq,ths->tq", params.dec_w1, du)
+    grads["w_q"] += np.einsum("tq,tn->qn", dq, e)
+    de = dq @ params.w_q
+    grads["embed_w"] += np.einsum("tn,t->n", de, x)
+    grads["embed_b"] += de.sum(axis=0)
+    return np.einsum("th,thp->tp", w, r.gammas)
 
 
-def _quantum_backward(r: Run, params, cfg, c_by_t, grads):
+def _angle_derivatives(pair: np.ndarray, n: int, kind: str, qubit: int) -> np.ndarray:
+    """Im <lam_s| G |k_s> for every row s of a (2, S, 2**n) stack of kets
+    pair[0] and adjoints pair[1], G = Y for an RY gate and Z for RZ."""
+    rows, hi = pair.shape[1], 1 << (n - 1 - qubit)
+    if kind == "ry":
+        # Re<lam_1|k_0> - Re<lam_0|k_1> on the float view, where each half
+        # of the qubit is 2 << qubit reals of (re, im) pairs
+        f = pair.view(np.float64).reshape(2, rows, hi, 2, 2 << qubit)
+        k, lam = f[0], f[1]
+        return (np.einsum("shl,shl->s", lam[:, :, 1], k[:, :, 0])
+                - np.einsum("shl,shl->s", lam[:, :, 0], k[:, :, 1]))
+    k, lam = pair[0].view(np.float64), pair[1].view(np.float64)
+    im = lam[:, 0::2] * k[:, 1::2]  # Im(conj(lam) k) per amplitude
+    im -= lam[:, 1::2] * k[:, 0::2]
+    return np.einsum("shbl,b->s", im.reshape(rows, hi, 2, 1 << qubit), _Z_HALVES)
+
+
+def _walk(pair: np.ndarray, n: int, reversed_plan, emb: np.ndarray, theta: np.ndarray,
+          dtheta: np.ndarray) -> np.ndarray:
+    """Rewind a (2, S, 2**n) stack of (ket, adjoint) pairs, one row per
+    step, through the gates of a step, accumulating every shared angle's
+    derivative into dtheta.  emb holds the S steps' embeddings; returns
+    the (S, n) derivatives with respect to them."""
+    denc = np.empty_like(emb)
+    for kind, a, b, slot in reversed_plan:
+        if slot is None:
+            apply_cnot_kernel(pair, n, a, b)
+            continue
+        g = _angle_derivatives(pair, n, kind, a)
+        source, index = slot
+        if source == "theta":
+            dtheta[index] += g.sum()
+            angle = theta[index]
+        else:
+            denc[:, index] = g
+            angle = emb[:, index]
+        if kind == "ry":
+            apply_ry_kernel(pair, n, a, -angle)
+        else:
+            apply_rz_kernel(pair, n, a, -angle)
+    return denc
+
+
+def _quantum_backward(r: Run, params, cfg, c: np.ndarray, grads) -> None:
     """Adjoint walk from step T back to 1, window by window.
 
     Each window is recomputed forward from its checkpoint, then consumed
-    backward: inject readout adjoints, then rewind the step's gates while
-    accumulating per-angle derivatives.  The ket is reset from the stored
-    state at every step, so inverse-gate drift never crosses a step.
+    backward in sub-blocks.  The adjoint recurrence stores lam + inj_t for
+    every step of a sub-block; one walk over the stacked (ket, adjoint)
+    pairs then takes every step's per-angle derivatives, and its adjoint
+    row of the sub-block's first step is the next lam.  The ket of each
+    step is the recomputed state, so inverse-gate drift never crosses a
+    step.
     """
     n = cfg.n_qubits
-    dim = 1 << n
-    pool = cfg.pool
+    T = r.tokens.shape[0]
+    table = pool_table(cfg.pool)
     theta = params.theta
-    lam = np.zeros(dim, dtype=np.complex128)
-    pair = np.empty((2, dim), dtype=np.complex128)
-    reversed_plan = list(reversed(build_step_plan(cfg.ansatz)))
-    win_end = r.tokens.shape[0]
-    while win_end > 0:
-        win_start = ((win_end - 1) // CHECKPOINT_INTERVAL) * CHECKPOINT_INTERVAL
-        seg = np.empty((win_end - win_start, dim), dtype=np.complex128)
-        amps = r.checkpoints[win_start].copy()
-        for t in evolve(amps, r.embeddings, cfg, theta, range(win_start + 1, win_end + 1)):
-            seg[t - win_start - 1] = amps
-        for t in range(win_end, win_start, -1):
-            psi_t = seg[t - win_start - 1]
-            c = c_by_t.get(t)
-            if c is not None:
-                for i, c_i in enumerate(c):
-                    if c_i != 0.0:
-                        lam += c_i * apply_pauli_string(psi_t, n, pool[i])
-            pair[0] = psi_t
-            pair[1] = lam
-            e_t = r.embeddings[t - 1]
-            denc = np.zeros(n)
-            for kind, a, b, slot in reversed_plan:
-                if slot is None:
-                    apply_cnot_kernel(pair, n, a, b)
-                    continue
-                # pair[0] is the ket just after this gate
-                pk = pair[0].copy()
-                apply_pauli_kernel(pk, n, _GENERATOR[kind], a)
-                g = np.vdot(pair[1], pk).imag
-                if slot[0] == "theta":
-                    grads["theta"][slot[1]] += g
-                else:
-                    denc[slot[1]] += g
-                angle = slot_angle(slot, e_t, theta)
-                if kind == "ry":
-                    apply_ry_kernel(pair, n, a, -angle)
-                else:
-                    apply_rz_kernel(pair, n, a, -angle)
-            lam = pair[1].copy()
-            grads["embed_w"] += denc * r.tokens[t - 1]
-            grads["embed_b"] += denc
-        win_end = win_start
+    steps = Steps(cfg.ansatz, theta, r.embeddings)
+    reversed_plan = build_step_plan(cfg.ansatz)[::-1]
+    sub = max(1, min(CHECKPOINT_INTERVAL, WALK_AMPLITUDES >> n))
+    lam = np.zeros(1 << n, dtype=np.complex128)
+    denc = np.empty((T, n))
+    last_window = ((T - 1) // CHECKPOINT_INTERVAL) * CHECKPOINT_INTERVAL
+    for win_start in range(last_window, -1, -CHECKPOINT_INTERVAL):
+        win_end = min(win_start + CHECKPOINT_INTERVAL, T)
+        seg = steps.evolve(r.checkpoints[win_start].copy(), win_start, win_end)
+        for stop in range(win_end, win_start, -sub):
+            start = max(win_start, stop - sub)
+            pair = np.empty((2, stop - start, 1 << n), dtype=np.complex128)
+            pair[0] = seg[start - win_start:stop - win_start]
+            lo = min(max(start, r.first - 1), stop)  # steps lo+1..stop inject readouts
+            if lo < stop:
+                inj = table.apply(pair[0, lo - start:], c[lo - r.first + 1:stop - r.first + 1])
+            for t in range(stop, start, -1):
+                if t > lo:
+                    lam += inj[t - lo - 1]
+                pair[1, t - start - 1] = lam
+                if t > start + 1:
+                    lam = steps.rewind(lam, t)
+            denc[start:stop] = _walk(pair, n, reversed_plan, r.embeddings[start:stop],
+                                     theta, grads["theta"])
+            lam = pair[1, 0].copy()
+        del seg, pair  # release the window before the next one is allocated
+    grads["embed_w"] += np.einsum("tn,t->n", denc, r.tokens)
+    grads["embed_b"] += denc.sum(axis=0)
 
 
-def _backward(r: Run, w_rows_by_t, params, cfg, grads):
-    """Adjoint of the readouts weighted by w_rows_by_t, added into grads."""
-    c_by_t = _decoder_backward(w_rows_by_t, r, params, grads)
-    _quantum_backward(r, params, cfg, c_by_t, grads)
+def _backward(r: Run, w: np.ndarray, params, cfg, grads) -> None:
+    """Adjoint of the kept readouts weighted by w, added into grads."""
+    c = _decoder_backward(w, r, params, grads)
+    _quantum_backward(r, params, cfg, c, grads)
     for key, g in grads.items():
         if not np.all(np.isfinite(g)):
             raise NumericError(f"non-finite gradient in {key}")
@@ -150,7 +184,7 @@ def loss_and_grad(sample: SequenceSample, params: QlamParams, cfg: CellConfig) -
     Matches `forward` followed by `softmax_cross_entropy` bit for bit on
     the loss, but skips readouts at steps the classifier never sees.
     """
-    r = run(sample.tokens, params, cfg, cfg.t_keep, checkpoint_every=CHECKPOINT_INTERVAL)
+    r = run(sample.tokens, params, cfg, cfg.t_keep, checkpoints=True)
     features = r.readouts.reshape(-1)
     logits = params.cls_w @ features + params.cls_b
     loss, dlogits = softmax_cross_entropy(logits, sample.label)
@@ -159,7 +193,7 @@ def loss_and_grad(sample: SequenceSample, params: QlamParams, cfg: CellConfig) -
     grads["cls_w"] = np.outer(dlogits, features)
     grads["cls_b"] = dlogits
     dfeatures = (params.cls_w.T @ dlogits).reshape(cfg.t_keep, cfg.n_heads)
-    _backward(r, {r.first + row: w for row, w in enumerate(dfeatures)}, params, cfg, grads)
+    _backward(r, dfeatures, params, cfg, grads)
     return GradBundle(loss, grads, logits)
 
 
@@ -173,16 +207,13 @@ def weighted_readout_grads(
     zero because J never touches the classifier.  Main use: oracle
     cross-checks against parameter-shift and finite differences.
     """
-    r = run(tokens, params, cfg, checkpoint_every=CHECKPOINT_INTERVAL)
+    r = run(tokens, params, cfg, checkpoints=True)
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != r.readouts.shape:
         raise ShapeError(f"weights have shape {w.shape}, expected {r.readouts.shape}")
-    w_rows_by_t = {t: w[t - 1] for t in range(1, len(w) + 1) if np.any(w[t - 1] != 0.0)}
-    value = 0.0
-    for t, w_row in w_rows_by_t.items():
-        value += float(w_row @ r.readouts[t - 1])
+    value = float(np.einsum("th,th->", w, r.readouts))
     grads = grad_like(params.as_dict())
-    _backward(r, w_rows_by_t, params, cfg, grads)
+    _backward(r, w, params, cfg, grads)
     return value, grads
 
 

@@ -3,9 +3,9 @@
 A readout observable is a real-weighted sum of Pauli strings
 ``O = sum_i gamma_i P_i``.  Real weights on Hermitian terms make ``O``
 Hermitian, so every expectation value is real and the readout has valid
-measurement semantics.  Expectations are evaluated term by term without
-building the ``2**n x 2**n`` matrix: each ``P_i`` is applied to a copy of
-the state and contracted with the original.
+measurement semantics.  Expectations never build the ``2**n x 2**n``
+matrix: `PauliTable` holds each string as a sign row and an index flip,
+and evaluates or applies a whole pool on a stack of states at once.
 
 Shot sampling uses one counter-based Philox stream per
 ``(seed, sample, timestep, term)`` coordinate, so parallel evaluation of
@@ -14,13 +14,14 @@ different samples or timesteps can never perturb each other's draws.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
 
 from .errors import ConfigError, NumericError, ShapeError
-from .statevector import StateVector, apply_pauli_kernel
+from .statevector import StateVector
 
 _PAULI_CHARS = frozenset("IXYZ")
 
@@ -47,13 +48,110 @@ class PauliString:
         return self.labels
 
 
+# Weights of the (re, im) axis that turn sum_c a_c b_(1-c) into Im(conj(a) b).
+_IM_WEIGHTS = np.array([1.0, -1.0])
+
+
+class PauliTable:
+    """Sign rows and index flips of a list of Pauli strings on one register.
+
+    With f the qubits a string acts on with X or Y and z those with Z or
+    Y, the string is ``(P psi)[j] = (-i)**#Y * (-1)**|j & z| * psi[j ^ f]``.
+    Strings with f = 0 (only I and Z) share one real sign table, so their
+    expectations on a stack of states are one contraction with |psi|^2.
+    Every other string flips the bits of f: a reversed-axis view of the
+    state reshaped to one axis per qubit, times its sign row and phase.
+    Both methods take a (S, 2**n) stack of states, one per row.
+    """
+
+    def __init__(self, labels: tuple[str, ...]):
+        n = len(labels[0])
+        self.n_qubits = n
+        self.size = len(labels)
+        bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1  # bits[i, q]: qubit q of i
+
+        def sign_row(on: list[bool]) -> np.ndarray:
+            return 1.0 - 2.0 * (bits[:, on].sum(axis=1) & 1)
+
+        diag, signs = [], []
+        # (term, flipped axes of the per-qubit view, sign row or None, phase)
+        self.flips: list[tuple[int, tuple, np.ndarray | None, complex]] = []
+        for k, label in enumerate(labels):
+            z = [ch in "ZY" for ch in label]
+            if not any(ch in "XY" for ch in label):
+                diag.append(k)
+                signs.append(sign_row(z))
+                continue
+            # qubit axis a of the per-qubit view is qubit n - 1 - a
+            flip = tuple(slice(None, None, -1) if label[n - 1 - a] in "XY" else slice(None)
+                         for a in range(n))
+            sign = sign_row(z).reshape((2,) * n) if any(z) else None
+            self.flips.append((k, flip, sign, (-1j) ** label.count("Y")))
+        self.diag = diag
+        self.signs = np.array(signs).reshape(len(diag), 1 << n)
+
+    def _qubit_view(self, amps: np.ndarray) -> np.ndarray:
+        return amps.reshape((amps.shape[0],) + (2,) * self.n_qubits)
+
+    def expectations(self, states: np.ndarray) -> np.ndarray:
+        """(S, len(labels)) real expectations <psi_s|P_k|psi_s>.
+
+        Every entry is reduced on its own row and term only, so it does
+        not depend on which other states or strings share the call."""
+        states = np.ascontiguousarray(states)
+        n = self.n_qubits
+        out = np.empty((states.shape[0], self.size))
+        w = states.view(np.float64)
+        if self.diag:
+            pairs = w.reshape(states.shape[0], -1, 2)
+            probs = np.einsum("sdc,sdc->sd", pairs, pairs)
+            out[:, self.diag] = np.einsum("sd,kd->sk", probs, self.signs)
+        w = w.reshape((states.shape[0],) + (2,) * n + (2,))
+        axes, c = list(range(1, n + 1)), n + 1
+        for k, flip, sign, phase in self.flips:
+            # Re(phase * <psi| sign * flipped psi>): phase 1 or -i gives +Re
+            # or +Im of the inner product, phase -1 or i their negatives
+            imag = phase.real == 0.0
+            flipped = w[(slice(None),) + flip + (slice(None, None, -1) if imag else slice(None),)]
+            ops = [w, [0, *axes, c], flipped, [0, *axes, c]]
+            if sign is not None:
+                ops += [sign, axes]
+            if imag:
+                ops += [_IM_WEIGHTS, [c]]
+            value = np.einsum(*ops, [0])
+            out[:, k] = -value if phase.real - phase.imag < 0.0 else value
+        return out
+
+    def apply(self, states: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+        """(S, 2**n) stack of sum_k coeffs[s, k] P_k |psi_s>, as a new array."""
+        out = states * np.einsum("sk,kd->sd", coeffs[:, self.diag], self.signs)
+        view, src = self._qubit_view(out), self._qubit_view(states)
+        lead = (-1,) + (1,) * self.n_qubits
+        for k, flip, sign, phase in self.flips:
+            term = src[(slice(None),) + flip]
+            if sign is not None:
+                term = term * sign
+            coeff = coeffs[:, k] if phase == 1 else coeffs[:, k] * phase
+            view += coeff.reshape(lead) * term
+        return out
+
+
+@functools.lru_cache(maxsize=64)
+def pauli_table(labels: tuple[str, ...]) -> PauliTable:
+    """Tables of a tuple of Pauli labels, built on first use and cached."""
+    return PauliTable(labels)
+
+
+def pool_table(pool: list[PauliString]) -> PauliTable:
+    """The cached tables of a pool; the step engine reads every pool through them."""
+    return pauli_table(tuple(p.labels for p in pool))
+
+
 def apply_pauli_string(amps: np.ndarray, n_qubits: int, pauli: PauliString) -> np.ndarray:
     """Return ``P @ amps`` as a new array (last axis = basis index)."""
-    out = amps.copy()
-    for qubit, label in enumerate(pauli.labels):
-        if label != "I":
-            apply_pauli_kernel(out, n_qubits, label, qubit)
-    return out
+    stack = amps.reshape(-1, 1 << n_qubits)
+    out = pool_table([pauli]).apply(stack, np.ones((stack.shape[0], 1)))
+    return out.reshape(amps.shape)
 
 
 def pauli_expectation(state: StateVector, pauli: PauliString) -> float:
@@ -62,8 +160,7 @@ def pauli_expectation(state: StateVector, pauli: PauliString) -> float:
         raise ShapeError(
             f"Pauli string has {pauli.n_qubits} qubits, state has {state.n_qubits}"
         )
-    transformed = apply_pauli_string(state.amplitudes, state.n_qubits, pauli)
-    return float(np.vdot(state.amplitudes, transformed).real)
+    return float(pool_expectations(state, [pauli])[0])
 
 
 @dataclass(frozen=True)
@@ -117,7 +214,7 @@ def pool_expectations(state: StateVector, pool: list[PauliString]) -> np.ndarray
     weighting them classically is algebraically identical to evaluating
     each observable separately.
     """
-    return np.array([pauli_expectation(state, p) for p in pool])
+    return pool_table(pool).expectations(state.amplitudes[None])[0]
 
 
 # ---------------------------------------------------------------------------

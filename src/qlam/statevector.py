@@ -93,23 +93,38 @@ def apply_1q_kernel(amps: np.ndarray, n_qubits: int, matrix: np.ndarray, target:
     v[:, :, 1, :] = m10 * a + m11 * b
 
 
-def apply_ry_kernel(amps: np.ndarray, n_qubits: int, target: int, angle: float) -> None:
-    """RY(a) = [[cos(a/2), -sin(a/2)], [sin(a/2), cos(a/2)]], real rotation."""
-    c = math.cos(0.5 * angle)
-    s = math.sin(0.5 * angle)
-    v = amps.reshape(-1, 1 << (n_qubits - 1 - target), 2, 1 << target)
-    a = v[:, :, 0, :].copy()
-    b = v[:, :, 1, :]
-    v[:, :, 0, :] = c * a - s * b
-    v[:, :, 1, :] = s * a + c * b
+def apply_ry_kernel(amps: np.ndarray, n_qubits: int, target: int, angle) -> None:
+    """RY(a) = [[cos(a/2), -sin(a/2)], [sin(a/2), cos(a/2)]], real rotation.
+
+    ``angle`` is a float, or an array of one angle per row of the leading
+    axes of ``amps`` (broadcast against them, so only the basis axis is
+    reshaped)."""
+    if isinstance(angle, np.ndarray):
+        half = 0.5 * angle[..., None, None]
+        c, s = np.cos(half), np.sin(half)
+    else:
+        c = math.cos(0.5 * angle)
+        s = math.sin(0.5 * angle)
+    v = amps.reshape(amps.shape[:-1] + (1 << (n_qubits - 1 - target), 2, 1 << target))
+    a = v[..., 0, :].copy()
+    b = v[..., 1, :]
+    v[..., 0, :] = c * a - s * b
+    v[..., 1, :] = s * a + c * b
 
 
-def apply_rz_kernel(amps: np.ndarray, n_qubits: int, target: int, angle: float) -> None:
-    """RZ(a) = diag(e^{-ia/2}, e^{+ia/2}); diagonal, touches no cross terms."""
-    half = 0.5 * angle
-    v = amps.reshape(-1, 1 << (n_qubits - 1 - target), 2, 1 << target)
-    v[:, :, 0, :] *= complex(math.cos(half), -math.sin(half))
-    v[:, :, 1, :] *= complex(math.cos(half), math.sin(half))
+def apply_rz_kernel(amps: np.ndarray, n_qubits: int, target: int, angle) -> None:
+    """RZ(a) = diag(e^{-ia/2}, e^{+ia/2}); diagonal, touches no cross terms.
+    ``angle`` is a float or one angle per leading row, as for RY."""
+    if isinstance(angle, np.ndarray):
+        up = np.exp(0.5j * angle)[..., None, None]
+        down = up.conj()
+    else:
+        half = 0.5 * angle
+        down = complex(math.cos(half), -math.sin(half))
+        up = complex(math.cos(half), math.sin(half))
+    v = amps.reshape(amps.shape[:-1] + (1 << (n_qubits - 1 - target), 2, 1 << target))
+    v[..., 0, :] *= down
+    v[..., 1, :] *= up
 
 
 def apply_cnot_kernel(amps: np.ndarray, n_qubits: int, control: int, target: int) -> None:
