@@ -1,6 +1,7 @@
 """Statevector memory basics.
 
-Builds a small register, applies rotation and entangling kernels by hand,
+Builds a small register (a plain array of 2**n complex amplitudes),
+applies the rotation and entangling kernels of the step plan by hand,
 and shows that every operation preserves the state norm exactly as a
 unitary must. Also demonstrates the basis convention: qubit 0 is the
 least significant bit of the basis index.
@@ -8,40 +9,35 @@ least significant bit of the basis index.
 
 import numpy as np
 
-from qlam.statevector import (
-    apply_cnot_kernel,
-    apply_ry_kernel,
-    new_zero_state,
-    norm,
-)
+from qlam.statevector import apply_cnot_kernel, apply_ry_kernel, new_zero_state
 
 
 def main():
     state = new_zero_state(3)
     print("fresh |000> register, 8 amplitudes:")
-    print(" ", np.round(state.amplitudes, 3))
+    print(" ", np.round(state, 3))
 
     # A pi rotation on qubit 0 flips it: the population moves from index
     # 0b000 to index 0b001, confirming qubit 0 is the low bit.
-    apply_ry_kernel(state.amplitudes, 3, 0, np.pi)
-    probs = np.abs(state.amplitudes) ** 2
+    apply_ry_kernel(state, 3, 0, np.pi)
+    probs = np.abs(state) ** 2
     print("after RY(pi) on qubit 0, probability mass sits at index",
           int(np.argmax(probs)))
 
     # CNOT with control 0 copies the flip onto qubit 2: index 0b101.
-    apply_cnot_kernel(state.amplitudes, 3, 0, 2)
-    probs = np.abs(state.amplitudes) ** 2
+    apply_cnot_kernel(state, 3, 0, 2)
+    probs = np.abs(state) ** 2
     print("after CNOT(0 -> 2), probability mass sits at index",
           int(np.argmax(probs)))
 
     # Norm is preserved through a long random gate stream.
     rng = np.random.default_rng(7)
     for _ in range(5000):
-        apply_ry_kernel(state.amplitudes, 3, int(rng.integers(3)),
+        apply_ry_kernel(state, 3, int(rng.integers(3)),
                         float(rng.uniform(-np.pi, np.pi)))
         c, t = rng.choice(3, size=2, replace=False)
-        apply_cnot_kernel(state.amplitudes, 3, int(c), int(t))
-    drift = abs(norm(state) - 1.0)
+        apply_cnot_kernel(state, 3, int(c), int(t))
+    drift = abs(np.linalg.norm(state) - 1.0)
     print(f"norm drift after 10000 random gates: {drift:.2e}")
     assert drift < 1e-12
 

@@ -2,16 +2,17 @@
 
 The readout side of the model: a classical decoder turns a query vector
 into real coefficients over a fixed Pauli pool, and the head's value is
-the expectation of that Hermitian combination. This script prints the
+the expectation of that Hermitian combination: its coefficients dotted
+with the pool's expectations. This script prints the
 pool, decodes observables for a few random queries, and checks
 Hermiticity and the mixing bound |<O>| <= sum |gamma_i|.
 """
 
 import numpy as np
 
-from qlam.cell import CellConfig, all_head_gammas, init_qlam_params
-from qlam.observables import build_observable, expectation_exact
-from qlam.statevector import new_zero_state, apply_ry_kernel
+from qlam.cell import CellConfig, decoder, init_qlam_params
+from qlam.observables import pool_table
+from qlam.statevector import apply_ry_kernel, new_zero_state
 
 
 def dense(labels, n):
@@ -39,18 +40,18 @@ def main():
 
     state = new_zero_state(cfg.n_qubits)
     for q in range(cfg.n_qubits):
-        apply_ry_kernel(state.amplitudes, cfg.n_qubits, q,
-                        float(rng.uniform(0, np.pi)))
+        apply_ry_kernel(state, cfg.n_qubits, q, float(rng.uniform(0, np.pi)))
+    # the pool expectations are shared by every head and query
+    exps = pool_table(cfg.pool).expectations(state[None])[0]
 
     for trial in range(3):
         q_vec = rng.normal(size=cfg.d_query)
-        gammas = all_head_gammas(q_vec, params)
+        gammas = decoder(q_vec, params)[1]
         for head in range(cfg.n_heads):
             matrix = sum(g * dense(t.labels, cfg.n_qubits)
                          for g, t in zip(gammas[head], cfg.pool))
             defect = np.abs(matrix - matrix.conj().T).max()
-            obs = build_observable(gammas[head], cfg.pool)
-            value = expectation_exact(state, obs)
+            value = gammas[head] @ exps
             bound = np.abs(gammas[head]).sum()
             print(f"query {trial} head {head}: readout {value:+.4f}, "
                   f"|gamma|_1 bound {bound:.4f}, "

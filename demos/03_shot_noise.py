@@ -8,14 +8,8 @@ falling like 1/sqrt(shots). The shot stream is counter-based, so any
 
 import numpy as np
 
-from qlam.observables import (
-    ShotConfig,
-    build_observable,
-    default_pauli_pool,
-    expectation_exact,
-    expectation_sampled,
-    sampling_std,
-)
+from qlam.cell import measure
+from qlam.observables import ShotConfig, default_pauli_pool, pool_table
 from qlam.statevector import apply_ry_kernel, new_zero_state
 
 
@@ -24,12 +18,18 @@ def main():
     n = 2
     state = new_zero_state(n)
     for q in range(n):
-        apply_ry_kernel(state.amplitudes, n, q, float(rng.uniform(0, np.pi)))
+        apply_ry_kernel(state, n, q, float(rng.uniform(0, np.pi)))
 
     pool = default_pauli_pool(n)
-    obs = build_observable(rng.normal(size=len(pool)), pool)
-    exact = expectation_exact(state, obs)
+    table = pool_table(pool)
+    gammas = rng.normal(size=len(pool))
+    exps = table.expectations(state[None])[0]
+    exact = gammas @ exps
     print(f"exact readout: {exact:+.6f}")
+
+    def sampled(cfg, sample_index):
+        # m-shot means of every pool term at timestep 0, weighted
+        return gammas @ measure(state[None], table, cfg, sample_index, 0)[0]
 
     reps = 200
     print(f"{'shots':>7} {'mean of {0} reps'.format(reps):>18} "
@@ -37,11 +37,9 @@ def main():
     stds, shots_axis = [], (100, 1000, 10_000)
     for m in shots_axis:
         cfg = ShotConfig(mode="sampled", shots_per_term=m, rng_seed=9)
-        draws = np.array([
-            expectation_sampled(state, obs, cfg, sample_index=r)
-            for r in range(reps)
-        ])
-        predicted = sampling_std(state, obs, m)
+        draws = np.array([sampled(cfg, r) for r in range(reps)])
+        # sqrt(sum_i gamma_i^2 (1 - <P_i>^2) / m)
+        predicted = np.sqrt(np.sum(gammas**2 * (1.0 - exps**2)) / m)
         print(f"{m:>7} {draws.mean():>18.6f} {draws.std(ddof=1):>13.6f} "
               f"{predicted:>14.6f}")
         assert abs(draws.mean() - exact) < 5 * predicted / np.sqrt(reps)
@@ -53,9 +51,9 @@ def main():
     # Same seed and indices give the same draw; a different sample index
     # gives an independent one.
     cfg = ShotConfig(mode="sampled", shots_per_term=500, rng_seed=9)
-    a = expectation_sampled(state, obs, cfg, sample_index=0)
-    b = expectation_sampled(state, obs, cfg, sample_index=0)
-    c = expectation_sampled(state, obs, cfg, sample_index=1)
+    a = sampled(cfg, 0)
+    b = sampled(cfg, 0)
+    c = sampled(cfg, 1)
     print(f"replayed draw: {a:+.6f} == {b:+.6f}, fresh index: {c:+.6f}")
     assert a == b and a != c
 

@@ -9,8 +9,8 @@ token t changes readouts at steps >= t only.
 import numpy as np
 
 from qlam.cell import CellConfig, embed_token, forward, init_qlam_params
-from qlam.circuits import CircuitParams, step
-from qlam.statevector import new_zero_state, norm
+from qlam.circuits import Steps
+from qlam.statevector import new_zero_state
 
 
 def main():
@@ -26,13 +26,13 @@ def main():
         print("  ", np.round(row, 4))
     print("logits:", np.round(result.logits, 4))
 
-    # Unitarity at depth: drive one register for 3000 steps.
+    # Unitarity at depth: drive one register for 3000 steps through the
+    # step engine of the recurrence.
     state = new_zero_state(cfg.n_qubits)
-    circuit = CircuitParams(params.theta)
-    for tok in rng.uniform(0.0, 1.0, 3000):
-        step(state, embed_token(float(tok), params), cfg.ansatz, circuit)
+    embeddings = embed_token(rng.uniform(0.0, 1.0, 3000), params)
+    Steps(cfg.ansatz, params.theta, embeddings).evolve(state, 0, 3000, 3000)
     print(f"norm drift after 3000 recurrent steps: "
-          f"{abs(norm(state) - 1.0):.2e}")
+          f"{abs(np.linalg.norm(state) - 1.0):.2e}")
 
     # Causality: perturb one token in the middle and compare readouts.
     edited = tokens.copy()

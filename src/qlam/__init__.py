@@ -11,15 +11,13 @@ from .cell import (
     CellConfig,
     QlamParams,
     ReadoutTrace,
-    decode_observable,
     final_logits,
     forward,
     init_qlam_params,
     predict,
-    query,
 )
 from .checkpoint import load_checkpoint, save_checkpoint
-from .circuits import AnsatzConfig, CircuitParams, apply_ansatz, apply_encoding, step
+from .circuits import AnsatzConfig
 from .data import (
     DatasetBundle,
     FoldPlan,
@@ -41,17 +39,8 @@ from .errors import (
 )
 from .gradients import GradBundle, loss_and_grad, param_shift_grad
 from .nn import adam_step, cosine_lr, softmax_cross_entropy
-from .observables import (
-    Observable,
-    PauliString,
-    ShotConfig,
-    build_observable,
-    default_pauli_pool,
-    expectation_exact,
-    expectation_sampled,
-    pauli_expectation,
-)
-from .statevector import StateVector, new_zero_state, norm
+from .observables import PauliString, ShotConfig, default_pauli_pool
+from .statevector import new_zero_state
 from .trainer import (
     MetricsRow,
     TrainConfig,
@@ -65,16 +54,13 @@ from .trainer import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnsatzConfig", "CellConfig", "CircuitParams", "ConfigError", "DataError",
-    "DatasetBundle", "FoldPlan", "GradBundle", "MetricsRow", "NumericError",
-    "Observable", "ParseError", "PauliString", "QlamError", "QlamParams",
-    "ReadoutTrace", "SequenceSample", "ShapeError", "ShotConfig", "StateVector",
-    "TrainConfig", "TrainResult", "ValidationError", "adam_step", "apply_ansatz",
-    "apply_encoding", "build_observable", "cosine_lr", "decode_observable",
-    "default_pauli_pool", "evaluate", "expectation_exact", "expectation_sampled",
-    "final_logits", "forward", "init_qlam_params", "load_checkpoint",
-    "load_cifar10_bin", "load_dataset", "load_idx", "loss_and_grad", "make_folds",
-    "new_zero_state", "norm", "param_shift_grad", "pauli_expectation", "predict",
-    "query", "read_metrics", "run_folds", "save_checkpoint",
-    "softmax_cross_entropy", "step", "to_sequence", "train",
+    "AnsatzConfig", "CellConfig", "ConfigError", "DataError", "DatasetBundle",
+    "FoldPlan", "GradBundle", "MetricsRow", "NumericError", "ParseError",
+    "PauliString", "QlamError", "QlamParams", "ReadoutTrace", "SequenceSample",
+    "ShapeError", "ShotConfig", "TrainConfig", "TrainResult", "ValidationError",
+    "adam_step", "cosine_lr", "default_pauli_pool", "evaluate", "final_logits",
+    "forward", "init_qlam_params", "load_checkpoint", "load_cifar10_bin",
+    "load_dataset", "load_idx", "loss_and_grad", "make_folds", "new_zero_state",
+    "param_shift_grad", "predict", "read_metrics", "run_folds", "save_checkpoint",
+    "softmax_cross_entropy", "to_sequence", "train",
 ]

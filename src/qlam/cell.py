@@ -19,10 +19,12 @@ of `CHECKPOINT_INTERVAL` steps at a time through `circuits.Steps` (dense
 matrices on small registers, the strided gate plan on large ones); only
 that advance is sequential.  Everything else runs once per
 block or once per sequence on stacked arrays: pool expectations of the
-block's states through the `observables.PauliTable` of the pool, and the
-query and decoder of every kept step.  `forward`, `final_logits`, the
-adjoint gradients and the parameter-shift oracle in `gradients` are all
-views of `run`; the adjoint rewinds the same `Steps`.
+block's states through `measure` (exact, or shot-sampled), and the
+query and `decoder` of every kept step.  A head's readout is its weight
+row dotted with the pool expectations; no observable object is built.
+`forward`, `final_logits`, the adjoint gradients and the parameter-shift
+oracle in `gradients` are all views of `run`; the adjoint rewinds the
+same `Steps`.  The memory is a plain (2**n,) complex array throughout.
 """
 
 from __future__ import annotations
@@ -34,17 +36,15 @@ import numpy as np
 from .circuits import AnsatzConfig, Steps
 from .errors import ConfigError, NumericError, ShapeError, ValidationError
 from .observables import (
-    Observable,
     PauliString,
     PauliTable,
     ShotConfig,
-    build_observable,
     default_pauli_pool,
     pool_table,
     sample_term_mean,
     shot_stream,
 )
-from .statevector import StateVector, new_zero_state
+from .statevector import new_zero_state
 
 # The recurrence runs in blocks of this many steps, aligned at multiples
 # of it.  With checkpoints, the state at every block boundary is kept, so
@@ -175,22 +175,6 @@ def embed_token(tokens, params: QlamParams) -> np.ndarray:
     return np.multiply.outer(tokens, params.embed_w) + params.embed_b
 
 
-def query(token_embedding: np.ndarray, params: QlamParams) -> np.ndarray:
-    """q_t = W_Q e_t, a pure linear map with no bias."""
-    e = np.asarray(token_embedding, dtype=np.float64)
-    if e.shape != (params.w_q.shape[1],):
-        raise ShapeError(
-            f"embedding has shape {e.shape}, query map expects ({params.w_q.shape[1]},)"
-        )
-    return params.w_q @ e
-
-
-def decoder_gammas(q: np.ndarray, head: int, params: QlamParams) -> np.ndarray:
-    """Observable weights for one head: two-layer tanh perceptron of the query."""
-    hidden = np.tanh(params.dec_w1[head] @ q + params.dec_b1[head])
-    return params.dec_w2[head] @ hidden + params.dec_b2[head]
-
-
 def decoder(q: np.ndarray, params: QlamParams) -> tuple[np.ndarray, np.ndarray]:
     """Every head's tanh layer (..., n_heads, decoder_hidden) and observable
     weights (..., n_heads, pool_size) for queries of shape (..., d_query)."""
@@ -200,23 +184,6 @@ def decoder(q: np.ndarray, params: QlamParams) -> tuple[np.ndarray, np.ndarray]:
     gammas = np.einsum("hps,...hs->...hp", params.dec_w2, hidden)
     gammas += params.dec_b2
     return hidden, gammas
-
-
-def all_head_gammas(q: np.ndarray, params: QlamParams) -> np.ndarray:
-    """(n_heads, pool_size) weight matrix; heads share the query."""
-    return decoder(q, params)[1]
-
-
-def decode_observable(
-    q: np.ndarray, head: int, params: QlamParams, pool: list[PauliString]
-) -> Observable:
-    """Hermitian observable conditioned on the query: sum_i gamma_i(q) P_i."""
-    gammas = decoder_gammas(q, head, params)
-    if len(gammas) != len(pool):
-        raise ShapeError(
-            f"decoder emits {len(gammas)} weights but the pool has {len(pool)} strings"
-        )
-    return build_observable(gammas, pool)
 
 
 def validate_tokens(tokens, clamp: bool) -> np.ndarray:
@@ -242,7 +209,7 @@ class ReadoutTrace:
     readouts: np.ndarray  # (T, n_heads)
     features: np.ndarray  # (t_keep * n_heads,)
     logits: np.ndarray    # (n_classes,)
-    final_state: StateVector
+    final_state: np.ndarray  # (2**n_qubits,) amplitudes
 
 
 def readout_features(readouts: np.ndarray, t_keep: int) -> np.ndarray:
@@ -286,7 +253,7 @@ class Run:
     gammas: np.ndarray      # (T - first + 1, n_heads, pool_size)
     exps: np.ndarray        # (T - first + 1, pool_size)
     readouts: np.ndarray    # (T - first + 1, n_heads)
-    state: StateVector
+    state: np.ndarray       # (2**n_qubits,) amplitudes after step T
     checkpoints: dict[int, np.ndarray]
 
 
@@ -328,15 +295,14 @@ def run(
     table = pool_table(cfg.pool)
     steps = Steps(cfg.ansatz, params.theta, emb, shifted)
     psi = new_zero_state(cfg.n_qubits)
-    amps = psi.amplitudes
-    kept = {0: amps.copy()} if checkpoints else {}
+    kept = {0: psi.copy()} if checkpoints else {}
     exps = np.empty((keep, table.size))
     for start in range(0, T, CHECKPOINT_INTERVAL):
         stop = min(start + CHECKPOINT_INTERVAL, T)
         lo = min(max(start, first - 1), stop)  # 0-based index of the block's first kept step
-        states = steps.evolve(amps, start, stop, lo)
+        states = steps.evolve(psi, start, stop, lo)
         if checkpoints and stop % CHECKPOINT_INTERVAL == 0:
-            kept[stop] = amps.copy()
+            kept[stop] = psi.copy()
         if lo < stop:
             exps[lo - first + 1:stop - first + 1] = measure(states, table, shot, sample_index, lo)
         del states  # release the block before the next one is allocated

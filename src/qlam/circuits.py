@@ -3,16 +3,19 @@
 A step applies the encoding unitary first, then the trainable ansatz:
 ``psi <- U_var(theta) U_enc(e_t) psi``.  Encoding is RY angle rotation of
 the raw embedding value on each qubit.  Each ansatz layer is RY and RZ
-on every qubit followed by a CNOT entangler.
+on every qubit followed by a CNOT entangler.  ``theta`` is a flat angle
+vector, viewed as (n_layers, n_qubits, 2) with RY at [..., 0] and RZ at
+[..., 1].
 
-The gate sequence exists once, as an explicit plan (`build_step_plan`)
-run by one engine (`apply_plan_kernel`).  `apply_encoding`,
-`apply_ansatz` and `step` run slices of that plan on a StateVector, and
-reverse-mode differentiation replays it backward gate by gate.  The
-recurrence advances and rewinds whole steps through `Steps`: on small
-registers a step is the dense ansatz matrix (the plan run on the
-identity) times the Kronecker-factored encoding; larger registers run the
-plan per step.
+The gate sequence exists once, as an explicit plan (`build_step_plan`):
+its first n_qubits entries are the encoding and the rest the ansatz.
+There are two step engines.  `apply_plan_kernel` runs a plan, or one of
+those slices, gate by gate on amplitude arrays with the strided
+kernels, and reverse-mode differentiation replays it backward.  `Steps`
+advances and rewinds the recurrence a block of steps at a time: on
+small registers a step is the dense ansatz matrix (the plan run on the
+identity) times the Kronecker-factored encoding; larger registers run
+the plan per step.
 """
 
 from __future__ import annotations
@@ -22,14 +25,8 @@ from typing import Literal, Optional
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, ShapeError
-from .statevector import (
-    MAX_QUBITS,
-    StateVector,
-    apply_cnot_kernel,
-    apply_ry_kernel,
-    apply_rz_kernel,
-)
+from .errors import ConfigError, NumericError
+from .statevector import MAX_QUBITS, apply_cnot_kernel, apply_ry_kernel, apply_rz_kernel
 
 # Registers of at most this many qubits apply and rewind a step through
 # the dense U_var(theta) and Kronecker-factored encodings (`Steps`);
@@ -63,25 +60,6 @@ class AnsatzConfig:
     @property
     def n_params(self) -> int:
         return self.n_layers * 2 * self.n_qubits
-
-
-@dataclass(frozen=True)
-class CircuitParams:
-    """Flat angle vector; viewed as (n_layers, n_qubits, 2) with RY at
-    [..., 0] and RZ at [..., 1]."""
-
-    theta: np.ndarray
-
-
-def check_circuit_params(cfg: AnsatzConfig, params: CircuitParams) -> None:
-    theta = params.theta
-    if theta.ndim != 1 or theta.shape[0] != cfg.n_params:
-        raise ShapeError(
-            f"theta has shape {theta.shape}, expected ({cfg.n_params},) "
-            f"for {cfg.n_layers} layers on {cfg.n_qubits} qubits"
-        )
-    if not np.all(np.isfinite(theta)):
-        raise NumericError("circuit angles must be finite")
 
 
 def entangler_pairs(cfg: AnsatzConfig) -> list[tuple[int, int]]:
@@ -137,40 +115,6 @@ def apply_plan_kernel(
             apply_rz_kernel(amps, n_qubits, a, slot_angle(slot, embedding, theta))
         else:
             apply_cnot_kernel(amps, n_qubits, a, b)
-
-
-def apply_encoding(state: StateVector, embedding) -> StateVector:
-    """RY(embedding[j]) on each qubit j, in place; returns the state."""
-    e = np.asarray(embedding, dtype=np.float64)
-    if e.shape != (state.n_qubits,):
-        raise ShapeError(
-            f"embedding has shape {e.shape}, expected ({state.n_qubits},)"
-        )
-    if not np.all(np.isfinite(e)):
-        raise NumericError("embedding values must be finite")
-    n = state.n_qubits
-    # the first n plan entries are the encoding; none of them reads theta
-    apply_plan_kernel(state.amplitudes, n, build_step_plan(AnsatzConfig(n))[:n], e, None)
-    return state
-
-
-def apply_ansatz(state: StateVector, cfg: AnsatzConfig, params: CircuitParams) -> StateVector:
-    """Trainable layers: RY then RZ per qubit, then the CNOT entangler."""
-    if cfg.n_qubits != state.n_qubits:
-        raise ShapeError(
-            f"ansatz is for {cfg.n_qubits} qubits, state has {state.n_qubits}"
-        )
-    check_circuit_params(cfg, params)
-    # the plan after its n encoding entries reads theta only
-    ansatz = build_step_plan(cfg)[cfg.n_qubits:]
-    apply_plan_kernel(state.amplitudes, cfg.n_qubits, ansatz, None, params.theta)
-    return state
-
-
-def step(state: StateVector, embedding, cfg: AnsatzConfig, params: CircuitParams) -> StateVector:
-    """One recurrence step: encoding acts first, then the ansatz."""
-    apply_encoding(state, embedding)
-    return apply_ansatz(state, cfg, params)
 
 
 def ansatz_matrix(cfg: AnsatzConfig, theta: np.ndarray) -> np.ndarray:

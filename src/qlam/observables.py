@@ -1,15 +1,20 @@
-"""Pauli-string observables, exact expectation values and shot sampling.
+"""Pauli strings, their exact expectation values, and shot sampling.
 
 A readout observable is a real-weighted sum of Pauli strings
 ``O = sum_i gamma_i P_i``.  Real weights on Hermitian terms make ``O``
 Hermitian, so every expectation value is real and the readout has valid
-measurement semantics.  Expectations never build the ``2**n x 2**n``
-matrix: `PauliTable` holds each string as a sign row and an index flip,
-and evaluates or applies a whole pool on a stack of states at once.
+measurement semantics.  There is no observable object: the weights stay
+a vector and ``<O> = gammas @ <P>``, with the per-string expectations
+``<P>`` from `PauliTable`.  The tables never build the ``2**n x 2**n``
+matrix: each string is a sign row and an index flip, and a whole pool is
+evaluated or applied on a stack of states at once.
 
-Shot sampling uses one counter-based Philox stream per
+Shot sampling averages m simulated +-1 outcomes per string
+(`sample_term_mean`), drawn from one counter-based Philox stream per
 ``(seed, sample, timestep, term)`` coordinate, so parallel evaluation of
 different samples or timesteps can never perturb each other's draws.
+`cell.measure` runs it over a stack of states; the m-shot estimate of
+``<O>`` has variance ``sum_i gamma_i^2 (1 - <P_i>^2) / m``.
 """
 
 from __future__ import annotations
@@ -20,8 +25,7 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, ShapeError
-from .statevector import StateVector
+from .errors import ConfigError
 
 _PAULI_CHARS = frozenset("IXYZ")
 
@@ -147,76 +151,6 @@ def pool_table(pool: list[PauliString]) -> PauliTable:
     return pauli_table(tuple(p.labels for p in pool))
 
 
-def apply_pauli_string(amps: np.ndarray, n_qubits: int, pauli: PauliString) -> np.ndarray:
-    """Return ``P @ amps`` as a new array (last axis = basis index)."""
-    stack = amps.reshape(-1, 1 << n_qubits)
-    out = pool_table([pauli]).apply(stack, np.ones((stack.shape[0], 1)))
-    return out.reshape(amps.shape)
-
-
-def pauli_expectation(state: StateVector, pauli: PauliString) -> float:
-    """<psi|P|psi>, a real number in [-1, +1]."""
-    if pauli.n_qubits != state.n_qubits:
-        raise ShapeError(
-            f"Pauli string has {pauli.n_qubits} qubits, state has {state.n_qubits}"
-        )
-    return float(pool_expectations(state, [pauli])[0])
-
-
-@dataclass(frozen=True)
-class Observable:
-    """Hermitian observable ``sum_i gammas[i] * paulis[i]``."""
-
-    gammas: np.ndarray
-    paulis: tuple[PauliString, ...]
-    n_qubits: int
-
-    @property
-    def terms(self) -> list[tuple[float, PauliString]]:
-        return [(float(g), p) for g, p in zip(self.gammas, self.paulis)]
-
-
-def build_observable(gammas, pauli_set: list[PauliString]) -> Observable:
-    """Combine real weights and Pauli strings into a Hermitian observable."""
-    g = np.asarray(gammas, dtype=np.float64)
-    if g.ndim != 1 or len(g) != len(pauli_set):
-        raise ShapeError(
-            f"got {g.shape[0] if g.ndim == 1 else g.shape} weights for {len(pauli_set)} Pauli strings"
-        )
-    if not np.all(np.isfinite(g)):
-        raise NumericError("observable weights must be finite")
-    if not pauli_set:
-        raise ShapeError("observable needs at least one term")
-    n = pauli_set[0].n_qubits
-    for p in pauli_set:
-        if p.n_qubits != n:
-            raise ShapeError("all Pauli strings in an observable must share n_qubits")
-    return Observable(g, tuple(pauli_set), n)
-
-
-def expectation_exact(state: StateVector, obs: Observable) -> float:
-    """<psi|O|psi> = sum_i gamma_i <psi|P_i|psi>."""
-    if obs.n_qubits != state.n_qubits:
-        raise ShapeError(
-            f"observable has {obs.n_qubits} qubits, state has {state.n_qubits}"
-        )
-    total = 0.0
-    for g, p in zip(obs.gammas, obs.paulis):
-        total += g * pauli_expectation(state, p)
-    return total
-
-
-def pool_expectations(state: StateVector, pool: list[PauliString]) -> np.ndarray:
-    """Vector of <psi|P_i|psi> over a shared Pauli pool.
-
-    The recurrence readout evaluates many observables built over one pool
-    against the same state; computing the per-term expectations once and
-    weighting them classically is algebraically identical to evaluating
-    each observable separately.
-    """
-    return pool_table(pool).expectations(state.amplitudes[None])[0]
-
-
 # ---------------------------------------------------------------------------
 # Shot sampling.
 # ---------------------------------------------------------------------------
@@ -260,43 +194,6 @@ def sample_term_mean(
     p_plus = min(max(0.5 * (1.0 + expectation), 0.0), 1.0)
     n_plus = int(np.count_nonzero(rng.random(m) < p_plus))
     return (2 * n_plus - m) / m
-
-
-def expectation_sampled(
-    state: StateVector,
-    obs: Observable,
-    cfg: ShotConfig,
-    *,
-    sample_index: int = 0,
-    timestep: int = 0,
-) -> float:
-    """m-shot estimate of <psi|O|psi>; unbiased, deterministic given the seed.
-
-    Each term is measured in its own eigenbasis: m independent +-1
-    outcomes with ``P(+1) = (1 + <P_i>)/2``, averaged, then weighted by
-    gamma_i.  The estimator variance is ``sum_i gamma_i^2 (1 - <P_i>^2) / m``.
-    """
-    if cfg.mode != "sampled":
-        raise ConfigError("expectation_sampled requires ShotConfig(mode='sampled')")
-    if obs.n_qubits != state.n_qubits:
-        raise ShapeError(
-            f"observable has {obs.n_qubits} qubits, state has {state.n_qubits}"
-        )
-    total = 0.0
-    for i, (g, p) in enumerate(zip(obs.gammas, obs.paulis)):
-        exact = pauli_expectation(state, p)
-        rng = shot_stream(cfg.rng_seed, sample_index, timestep, i)
-        total += g * sample_term_mean(exact, cfg.shots_per_term, rng)
-    return total
-
-
-def sampling_std(state: StateVector, obs: Observable, m: int) -> float:
-    """Predicted standard deviation of the m-shot estimator."""
-    var = 0.0
-    for g, p in zip(obs.gammas, obs.paulis):
-        e = pauli_expectation(state, p)
-        var += g * g * (1.0 - e * e) / m
-    return float(np.sqrt(max(var, 0.0)))
 
 
 # ---------------------------------------------------------------------------

@@ -119,11 +119,12 @@ class TrainConfig:
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ConfigError(f"{name} must be >= 1, got {value}")
-        if self.base_lr <= 0:
-            raise ConfigError(f"base_lr must be positive, got {self.base_lr}")
+        if not (math.isfinite(self.base_lr) and self.base_lr > 0):
+            raise ConfigError(f"base_lr must be positive and finite, got {self.base_lr}")
         if not self.clip_norm > 0:
             raise ConfigError(f"clip_norm must be positive, got {self.clip_norm}")
         self.cell_config()
+        self.shot_config()
 
     @property
     def resolved_epochs(self) -> int:

@@ -24,12 +24,8 @@ from oracles import (
     rel_err,
 )
 
-from qlam.cell import (
-    CellConfig,
-    all_head_gammas,
-    init_qlam_params,
-)
-from qlam.circuits import AnsatzConfig, CircuitParams, step
+from qlam.cell import CellConfig, decoder, init_qlam_params, measure
+from qlam.circuits import AnsatzConfig, Steps
 from qlam.data import (
     CIFAR_RECORD_BYTES,
     DatasetBundle,
@@ -44,14 +40,8 @@ from qlam.data import (
 )
 from qlam.errors import ParseError, QlamError
 from qlam.gradients import loss_and_grad, readout_param_shift, weighted_readout_grads
-from qlam.observables import (
-    ShotConfig,
-    build_observable,
-    default_pauli_pool,
-    expectation_exact,
-    expectation_sampled,
-)
-from qlam.statevector import new_zero_state, norm
+from qlam.observables import ShotConfig, default_pauli_pool, pool_table
+from qlam.statevector import new_zero_state
 from qlam.trainer import TrainConfig, train, train_elman
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -74,7 +64,7 @@ def mnist_bundle(name):
 def random_state(rng, n):
     amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     state = new_zero_state(n)
-    state.amplitudes[:] = amps / np.linalg.norm(amps)
+    state[:] = amps / np.linalg.norm(amps)
     return state
 
 
@@ -95,18 +85,14 @@ def test_criterion_01_desk_scale_scope_is_stated():
 # ---------------------------------------------------------------------------
 
 def test_criterion_02_unitarity_at_depth():
+    # the block step engine of the recurrence (dense at n = 4)
     cfg = AnsatzConfig(n_qubits=4)
     rng = np.random.default_rng(2)
-    params = CircuitParams(rng.uniform(-np.pi, np.pi, cfg.n_params))
-    state = new_zero_state(4)
-    for _ in range(10_000):
-        step(state, rng.uniform(0.0, 1.0, 4), cfg, params)
-    assert abs(norm(state) - 1.0) < 1e-9
-
-    state = new_zero_state(4)
-    for _ in range(3072):
-        step(state, rng.uniform(0.0, 1.0, 4), cfg, params)
-    assert abs(norm(state) - 1.0) < 1e-9
+    theta = rng.uniform(-np.pi, np.pi, cfg.n_params)
+    for depth in (10_000, 3072):
+        state = new_zero_state(4)
+        Steps(cfg, theta, rng.uniform(0.0, 1.0, (depth, 4))).evolve(state, 0, depth, depth)
+        assert abs(np.linalg.norm(state) - 1.0) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +109,7 @@ def test_criterion_03_observables_hermitian():
         )
         params = init_qlam_params(rng, cfg)
         q = rng.normal(size=cfg.d_query)
-        gammas = all_head_gammas(q, params)
+        gammas = decoder(q, params)[1]
         labels = [p.labels for p in cfg.pool]
         for head in range(cfg.n_heads):
             dense = dense_observable_matrix(gammas[head], labels)
@@ -146,17 +132,18 @@ def test_criterion_04_dense_oracle_100_instances():
         theta = rng.uniform(-np.pi, np.pi, cfg.n_params)
         embedding = rng.uniform(-np.pi, np.pi, n)
         state = random_state(rng, n)
-        before = state.amplitudes.copy()
-        step(state, embedding, cfg, CircuitParams(theta))
+        before = state.copy()
+        steps = Steps(cfg, theta, embedding[None])
+        assert steps.dense
+        steps.evolve(state, 0, 1)
         dense = dense_step_matrix(cfg, theta, embedding)
-        assert np.abs(state.amplitudes - dense @ before).max() < 1e-10
+        assert np.abs(state - dense @ before).max() < 1e-10
 
         pool = default_pauli_pool(n)
         gammas = rng.normal(size=len(pool))
-        obs = build_observable(gammas, pool)
-        got = expectation_exact(state, obs)
+        got = gammas @ pool_table(pool).expectations(state[None])[0]
         want = dense_expectation(
-            state.amplitudes, dense_observable_matrix(gammas, [p.labels for p in pool])
+            state, dense_observable_matrix(gammas, [p.labels for p in pool])
         )
         assert abs(got - want) < 1e-10
 
@@ -169,8 +156,10 @@ def test_criterion_05_shot_scaling_slope():
     rng = np.random.default_rng(5)
     state = random_state(rng, 2)
     pool = default_pauli_pool(2)
-    obs = build_observable(rng.normal(size=len(pool)), pool)
-    exact = expectation_exact(state, obs)
+    gammas = rng.normal(size=len(pool))
+    table = pool_table(pool)
+    exps = table.expectations(state[None])[0]
+    exact = gammas @ exps
 
     reps = 300
     m_values = (100, 1000, 10_000)
@@ -178,11 +167,9 @@ def test_criterion_05_shot_scaling_slope():
     for m in m_values:
         cfg = ShotConfig(mode="sampled", shots_per_term=m, rng_seed=55)
         draws = np.array([
-            expectation_sampled(state, obs, cfg, sample_index=r) for r in range(reps)
+            gammas @ measure(state[None], table, cfg, r, 0)[0] for r in range(reps)
         ])
-        from qlam.observables import sampling_std
-
-        predicted = sampling_std(state, obs, m)
+        predicted = np.sqrt(np.sum(gammas**2 * (1.0 - exps**2)) / m)
         assert abs(draws.mean() - exact) < 4.0 * predicted / np.sqrt(reps), (
             f"biased at m={m}: mean {draws.mean()} vs exact {exact}"
         )

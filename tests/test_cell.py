@@ -15,21 +15,18 @@ from qlam.cell import (
     CellConfig,
     QlamParams,
     ReadoutTrace,
-    all_head_gammas,
-    decode_observable,
-    decoder_gammas,
+    decoder,
     embed_token,
     final_logits,
     forward,
     init_qlam_params,
     predict,
-    query,
     readout_features,
+    run,
     validate_tokens,
 )
 from qlam.errors import ConfigError, NumericError, ShapeError, ValidationError
-from qlam.observables import ShotConfig, sampling_std
-from qlam.statevector import norm
+from qlam.observables import ShotConfig
 
 
 def small_cfg(**kwargs):
@@ -85,16 +82,19 @@ def test_init_angle_scale():
 
 
 def test_query_identity_and_linearity():
+    # the run's queries are W_Q e_t of each kept step
     cfg = small_cfg(d_query=2)
     params = make_params(cfg)
+    tokens = np.array([0.0, 0.4, 1.0])
     params.w_q = np.eye(2)
-    e = np.array([0.3, -0.7])
-    assert_allclose(query(e, params), e, atol=1e-15)
-    assert_allclose(query(np.zeros(2), params), np.zeros(2), atol=1e-15)
+    r = run(tokens, params, cfg)
+    assert_allclose(r.queries, r.embeddings, atol=1e-15)
+    params.embed_w[:] = 0.0
+    params.embed_b[:] = 0.0
+    assert_allclose(run(tokens, params, cfg).queries, np.zeros((3, 2)), atol=1e-15)
+    params = make_params(cfg)
     params.w_q = 2 * np.eye(2)
-    assert_allclose(query(e, params), 2 * e, atol=1e-15)
-    with pytest.raises(ShapeError):
-        query(np.zeros(3), params)
+    assert_allclose(run(tokens, params, cfg).queries, 2 * r.embeddings, atol=1e-15)
 
 
 def test_decoder_matches_straight_line_reimplementation():
@@ -102,14 +102,16 @@ def test_decoder_matches_straight_line_reimplementation():
     params = make_params(cfg, 7)
     rng = np.random.default_rng(9)
     q = rng.normal(size=cfg.d_query)
+    _, stacked = decoder(q, params)
     for head in range(cfg.n_heads):
-        got = decoder_gammas(q, head, params)
         hidden = np.tanh(params.dec_w1[head] @ q + params.dec_b1[head])
         expected = params.dec_w2[head] @ hidden + params.dec_b2[head]
-        assert_allclose(got, expected, atol=1e-12)
-    stacked = all_head_gammas(q, params)
-    for head in range(cfg.n_heads):
-        assert_allclose(stacked[head], decoder_gammas(q, head, params), atol=1e-15)
+        assert_allclose(stacked[head], expected, atol=1e-12)
+    # a stack of queries decodes row by row
+    qs = rng.normal(size=(4, cfg.d_query))
+    rows = decoder(qs, params)[1]
+    for row, q_row in zip(rows, qs):
+        assert_allclose(row, decoder(q_row, params)[1], atol=1e-15)
 
 
 def test_decode_observable_zero_decoder():
@@ -119,25 +121,19 @@ def test_decode_observable_zero_decoder():
     params.dec_b1[:] = 0
     params.dec_w2[:] = 0
     params.dec_b2[:] = 0
-    obs = decode_observable(np.ones(cfg.d_query), 0, params, cfg.pool)
-    assert np.all(obs.gammas == 0.0)
+    gammas = decoder(np.ones(cfg.d_query), params)[1]
+    assert np.all(gammas == 0.0)
 
 
 def test_decode_observable_hermitian_dense():
     cfg = small_cfg()
     params = make_params(cfg, 21)
     rng = np.random.default_rng(5)
+    labels = [p.labels for p in cfg.pool]
     for _ in range(10):
-        obs = decode_observable(rng.normal(size=cfg.d_query), 1, params, cfg.pool)
-        dense = dense_observable_matrix(obs.gammas, [p.labels for p in obs.paulis])
+        gammas = decoder(rng.normal(size=cfg.d_query), params)[1][1]
+        dense = dense_observable_matrix(gammas, labels)
         assert np.abs(dense - dense.conj().T).max() < 1e-14
-
-
-def test_decode_observable_pool_mismatch():
-    cfg = small_cfg()
-    params = make_params(cfg)
-    with pytest.raises(ShapeError):
-        decode_observable(np.zeros(cfg.d_query), 0, params, cfg.pool[:-1])
 
 
 def test_forward_all_zero_path():
@@ -183,7 +179,7 @@ def test_forward_norm_stays_one():
     params = make_params(cfg, 60)
     tokens = np.random.default_rng(61).random(500)
     trace = forward(tokens, params, cfg)
-    assert abs(norm(trace.final_state) - 1.0) < 1e-9
+    assert abs(np.linalg.norm(trace.final_state) - 1.0) < 1e-9
 
 
 @settings(max_examples=25, deadline=None)
@@ -196,7 +192,7 @@ def test_readout_bound_property(seed, t):
     trace = forward(tokens, params, cfg)
     for step_idx, x_t in enumerate(tokens):
         e_t = embed_token(float(x_t), params)
-        gammas = all_head_gammas(query(e_t, params), params)
+        gammas = decoder(params.w_q @ e_t, params)[1]
         bound = np.abs(gammas).sum(axis=1)
         assert np.all(np.abs(trace.readouts[step_idx]) <= bound + 1e-12)
 
@@ -209,7 +205,7 @@ def test_trace_holds_no_per_token_state_cache():
     names = {f.name for f in dataclasses.fields(ReadoutTrace)}
     assert names == {"readouts", "features", "logits", "final_state"}
     # the only stored quantum state is the final 2**n amplitude vector
-    assert trace.final_state.amplitudes.shape == (1 << cfg.n_qubits,)
+    assert trace.final_state.shape == (1 << cfg.n_qubits,)
     assert trace.readouts.shape == (t_long, cfg.n_heads)
 
 
@@ -223,14 +219,11 @@ def test_shot_consistency_large_m():
         tokens, params, cfg, ShotConfig(mode="sampled", shots_per_term=m, rng_seed=1)
     )
     gap = np.abs(sampled.readouts - exact.readouts).max()
-    # bound the gap by 3x the largest per-readout predicted std
-    worst_std = 0.0
-    for t, x_t in enumerate(tokens):
-        e_t = embed_token(float(x_t), params)
-        for h in range(cfg.n_heads):
-            obs = decode_observable(query(e_t, params), h, params, cfg.pool)
-            state_t = forward(tokens[: t + 1], params, cfg).final_state
-            worst_std = max(worst_std, sampling_std(state_t, obs, m))
+    # bound the gap by 3x the largest per-readout predicted std,
+    # sqrt(sum_i gamma_i^2 (1 - <P_i>^2) / m) with the exact <P_i>
+    r = run(tokens, params, cfg)
+    var = np.einsum("thp,tp->th", r.gammas**2, 1.0 - r.exps**2) / m
+    worst_std = np.sqrt(var).max()
     assert gap < 3.0 * worst_std
 
 

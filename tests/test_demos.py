@@ -1,9 +1,10 @@
 """The demos that need no dataset run to completion as scripts.
 
-They are the only callers of the public step API (`circuits.step`,
-`apply_encoding`, `cell.embed_token`) outside the tests, so running them
-guards that API.  Demo 06 trains on the digits preset, which needs
-scikit-learn, and is left out.
+They call the engine directly (the gate kernels, `circuits.Steps`,
+`observables.pool_table`, `cell.decoder`, `cell.measure`,
+`cell.embed_token`), so running them guards that API outside the tests.
+Demo 06 trains on the digits preset, which needs scikit-learn, and is
+left out.
 """
 
 import os

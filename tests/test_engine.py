@@ -15,7 +15,7 @@ from qlam.circuits import DENSE_MAX_QUBITS, AnsatzConfig, Steps
 from qlam.data import SequenceSample
 from qlam.errors import NumericError
 from qlam.gradients import loss_and_grad, param_shift_grad
-from qlam.observables import PauliString, apply_pauli_string, default_pauli_pool, pauli_table
+from qlam.observables import default_pauli_pool, pauli_table
 
 # the smallest register that runs the strided gate plan
 STRIDED_N = DENSE_MAX_QUBITS + 1
@@ -101,12 +101,13 @@ def test_pool_table_terms_match_dense_pauli_strings(n_qubits):
 def test_y_bearing_string_matches_dense():
     label = "XYZIY"
     dim = 1 << len(label)
-    got = apply_pauli_string(np.eye(dim, dtype=np.complex128), len(label), PauliString(label))
+    table = pauli_table((label,))
+    got = table.apply(np.eye(dim, dtype=np.complex128), np.ones((dim, 1)))
     assert_array_equal(got.T, dense_pauli_string(label))
     rng = np.random.default_rng(3)
     states = rng.normal(size=(4, dim)) + 1j * rng.normal(size=(4, dim))
     want = [np.vdot(s, dense_pauli_string(label) @ s).real for s in states]
-    assert_allclose(pauli_table((label,)).expectations(states)[:, 0], want, atol=1e-12)
+    assert_allclose(table.expectations(states)[:, 0], want, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
-"""Pauli observables, exact expectations, and the shot estimator."""
+"""Pauli strings, exact expectations through the Pauli tables, and the
+shot estimator of `cell.measure`.  An observable's value is its weights
+dotted with the pool expectations."""
 
 import numpy as np
 import pytest
@@ -8,28 +10,24 @@ from numpy.testing import assert_allclose
 
 from oracles import dense_observable_matrix, dense_pauli_string
 
-from qlam.errors import ConfigError, NumericError, ShapeError
+from qlam.cell import measure
+from qlam.errors import ConfigError
 from qlam.observables import (
-    Observable,
     PauliString,
     ShotConfig,
-    build_observable,
     default_pauli_pool,
-    expectation_exact,
-    expectation_sampled,
-    pauli_expectation,
-    pool_expectations,
+    pauli_table,
+    pool_table,
     sample_term_mean,
-    sampling_std,
     shot_stream,
 )
-from qlam.statevector import StateVector, new_zero_state
+from qlam.statevector import new_zero_state
 
 
 def random_state(n_qubits, seed):
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=1 << n_qubits) + 1j * rng.normal(size=1 << n_qubits)
-    return StateVector(n_qubits, amps / np.linalg.norm(amps))
+    return amps / np.linalg.norm(amps)
 
 
 def test_pauli_string_validation():
@@ -44,14 +42,16 @@ def test_pauli_string_validation():
 
 def test_eigenstate_expectations():
     zero = new_zero_state(1)
-    assert pauli_expectation(zero, PauliString("Z")) == pytest.approx(1.0)
-    one = StateVector(1, np.array([0, 1], dtype=np.complex128))
-    assert pauli_expectation(one, PauliString("Z")) == pytest.approx(-1.0)
-    plus = StateVector(1, np.array([1, 1], dtype=np.complex128) / np.sqrt(2))
-    assert pauli_expectation(plus, PauliString("X")) == pytest.approx(1.0)
-    assert pauli_expectation(plus, PauliString("Z")) == pytest.approx(0.0, abs=1e-15)
-    y_plus = StateVector(1, np.array([1, 1j], dtype=np.complex128) / np.sqrt(2))
-    assert pauli_expectation(y_plus, PauliString("Y")) == pytest.approx(1.0)
+    one = np.array([0, 1], dtype=np.complex128)
+    plus = np.array([1, 1], dtype=np.complex128) / np.sqrt(2)
+    y_plus = np.array([1, 1j], dtype=np.complex128) / np.sqrt(2)
+    # rows: |0>, |1>, |+>, |+i>; columns: Z, X, Y
+    exps = pauli_table(("Z", "X", "Y")).expectations(np.stack([zero, one, plus, y_plus]))
+    assert exps[0, 0] == pytest.approx(1.0)
+    assert exps[1, 0] == pytest.approx(-1.0)
+    assert exps[2, 1] == pytest.approx(1.0)
+    assert exps[2, 0] == pytest.approx(0.0, abs=1e-15)
+    assert exps[3, 2] == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("n_qubits", [1, 2, 3, 4])
@@ -60,9 +60,9 @@ def test_pauli_expectation_matches_dense(n_qubits):
     for trial in range(10):
         labels = "".join(rng.choice(list("IXYZ"), size=n_qubits))
         state = random_state(n_qubits, 31 * n_qubits + trial)
-        got = pauli_expectation(state, PauliString(labels))
+        got = pauli_table((labels,)).expectations(state[None])[0, 0]
         dense = dense_pauli_string(labels)
-        expected = np.real(np.conj(state.amplitudes) @ dense @ state.amplitudes)
+        expected = np.real(np.conj(state) @ dense @ state)
         assert_allclose(got, expected, atol=1e-12)
 
 
@@ -71,23 +71,8 @@ def test_pauli_expectation_matches_dense(n_qubits):
 def test_pauli_expectation_bounded(seed, term):
     state = random_state(3, seed)
     pool = default_pauli_pool(3)
-    value = pauli_expectation(state, pool[term % len(pool)])
+    value = pool_table([pool[term % len(pool)]]).expectations(state[None])[0, 0]
     assert -1.0 - 1e-12 <= value <= 1.0 + 1e-12
-
-
-def test_build_observable_validation():
-    pool = default_pauli_pool(2)
-    obs = build_observable(np.ones(len(pool)), pool)
-    assert obs.n_qubits == 2
-    assert len(obs.terms) == len(pool)
-    with pytest.raises(ShapeError):
-        build_observable(np.ones(3), pool)
-    with pytest.raises(NumericError):
-        build_observable([np.nan] * len(pool), pool)
-    with pytest.raises(ShapeError):
-        build_observable([], [])
-    with pytest.raises(ShapeError):
-        build_observable([1.0, 1.0], [PauliString("Z"), PauliString("ZZ")])
 
 
 def test_expectation_exact_matches_dense():
@@ -95,11 +80,11 @@ def test_expectation_exact_matches_dense():
     for n_qubits in (1, 2, 3, 4):
         pool = default_pauli_pool(n_qubits)
         gammas = rng.normal(size=len(pool))
-        obs = build_observable(gammas, pool)
         state = random_state(n_qubits, 900 + n_qubits)
         dense = dense_observable_matrix(gammas, [p.labels for p in pool])
-        expected = np.real(np.conj(state.amplitudes) @ dense @ state.amplitudes)
-        assert_allclose(expectation_exact(state, obs), expected, atol=1e-12)
+        expected = np.real(np.conj(state) @ dense @ state)
+        got = gammas @ pool_table(pool).expectations(state[None])[0]
+        assert_allclose(got, expected, atol=1e-12)
 
 
 def test_observable_dense_matrix_is_hermitian():
@@ -109,15 +94,6 @@ def test_observable_dense_matrix_is_hermitian():
         gammas = rng.normal(size=len(pool))
         dense = dense_observable_matrix(gammas, [p.labels for p in pool])
         assert np.abs(dense - dense.conj().T).max() < 1e-14
-
-
-def test_qubit_count_mismatch_rejected():
-    state = new_zero_state(2)
-    with pytest.raises(ShapeError):
-        pauli_expectation(state, PauliString("Z"))
-    obs = build_observable([1.0], [PauliString("ZZZ")])
-    with pytest.raises(ShapeError):
-        expectation_exact(state, obs)
 
 
 def test_default_pool_sizes_and_order():
@@ -133,11 +109,12 @@ def test_default_pool_sizes_and_order():
 
 
 def test_pool_expectations_match_loop():
+    # the pool's table agrees bit for bit with one-term tables
     state = random_state(3, 123)
     pool = default_pauli_pool(3)
-    vec = pool_expectations(state, pool)
+    vec = pool_table(pool).expectations(state[None])[0]
     for i, pauli in enumerate(pool):
-        assert vec[i] == pauli_expectation(state, pauli)
+        assert vec[i] == pool_table([pauli]).expectations(state[None])[0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -153,21 +130,20 @@ def test_shot_config_validation():
         ShotConfig(mode="sampled", shots_per_term=0)
 
 
-def test_sampled_requires_sampled_mode():
-    state = new_zero_state(2)
-    obs = build_observable(np.ones(5), default_pauli_pool(2))
-    with pytest.raises(ConfigError):
-        expectation_sampled(state, obs, ShotConfig(mode="exact"))
+def sampled_value(state, gammas, pool, cfg, sample_index, timestep=0):
+    """gammas @ the m-shot pool means of one state at one timestep."""
+    return gammas @ measure(state[None], pool_table(pool), cfg, sample_index, timestep)[0]
 
 
 def test_sampled_deterministic_given_seed():
     state = random_state(2, 4)
-    obs = build_observable([0.5, -0.3, 0.2, 0.1, 0.7], default_pauli_pool(2))
+    gammas = np.array([0.5, -0.3, 0.2, 0.1, 0.7])
+    pool = default_pauli_pool(2)
     cfg = ShotConfig(mode="sampled", shots_per_term=500, rng_seed=9)
-    a = expectation_sampled(state, obs, cfg, sample_index=3, timestep=7)
-    b = expectation_sampled(state, obs, cfg, sample_index=3, timestep=7)
+    a = sampled_value(state, gammas, pool, cfg, 3, 7)
+    b = sampled_value(state, gammas, pool, cfg, 3, 7)
     assert a == b
-    c = expectation_sampled(state, obs, cfg, sample_index=4, timestep=7)
+    c = sampled_value(state, gammas, pool, cfg, 4, 7)
     assert a != c
 
 
@@ -191,14 +167,12 @@ def test_sampled_estimator_unbiased():
     state = random_state(2, 55)
     pool = default_pauli_pool(2)
     gammas = np.array([0.4, -0.2, 0.3, 0.15, -0.5])
-    obs = build_observable(gammas, pool)
-    exact = expectation_exact(state, obs)
+    exps = pool_table(pool).expectations(state[None])[0]
+    exact = gammas @ exps
     cfg = ShotConfig(mode="sampled", shots_per_term=200, rng_seed=17)
     reps = 400
-    estimates = [
-        expectation_sampled(state, obs, cfg, sample_index=i) for i in range(reps)
-    ]
-    predicted = sampling_std(state, obs, 200)
+    estimates = [sampled_value(state, gammas, pool, cfg, i) for i in range(reps)]
+    predicted = np.sqrt(np.sum(gammas**2 * (1.0 - exps**2)) / 200)
     # the mean of unbiased estimates sits within 4 standard errors
     assert abs(np.mean(estimates) - exact) < 4 * predicted / np.sqrt(reps)
 
@@ -206,12 +180,11 @@ def test_sampled_estimator_unbiased():
 def test_sampling_std_matches_empirical():
     state = random_state(2, 21)
     pool = default_pauli_pool(2)
-    obs = build_observable([0.6, -0.4, 0.2, 0.3, 0.1], pool)
+    gammas = np.array([0.6, -0.4, 0.2, 0.3, 0.1])
+    exps = pool_table(pool).expectations(state[None])[0]
     m = 100
     cfg = ShotConfig(mode="sampled", shots_per_term=m, rng_seed=5)
-    estimates = [
-        expectation_sampled(state, obs, cfg, sample_index=i) for i in range(600)
-    ]
-    predicted = sampling_std(state, obs, m)
+    estimates = [sampled_value(state, gammas, pool, cfg, i) for i in range(600)]
+    predicted = np.sqrt(np.sum(gammas**2 * (1.0 - exps**2)) / m)
     empirical = np.std(estimates)
     assert 0.75 * predicted < empirical < 1.25 * predicted

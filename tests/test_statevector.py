@@ -1,4 +1,5 @@
-"""Statevector kernels against dense Kronecker oracles."""
+"""The zero state and the gate kernels against dense Kronecker oracles;
+single Pauli strings through one-term Pauli tables."""
 
 import numpy as np
 import pytest
@@ -8,22 +9,14 @@ from numpy.testing import assert_allclose
 
 from oracles import dense_1q, dense_cnot, dense_pauli_string, dense_ry, dense_rz
 
-from qlam.errors import ConfigError, NumericError
+from qlam.errors import ConfigError
+from qlam.observables import pauli_table
 from qlam.statevector import (
-    Gate1Q,
     MAX_QUBITS,
-    StateVector,
-    apply_1q_kernel,
-    apply_cnot,
     apply_cnot_kernel,
-    apply_gate_1q,
-    apply_pauli_kernel,
-    apply_ry,
     apply_ry_kernel,
-    apply_rz,
     apply_rz_kernel,
     new_zero_state,
-    norm,
 )
 
 
@@ -37,8 +30,8 @@ def test_zero_state_is_basis_zero():
     state = new_zero_state(3)
     expected = np.zeros(8, dtype=np.complex128)
     expected[0] = 1.0
-    assert np.array_equal(state.amplitudes, expected)
-    assert norm(state) == 1.0
+    assert np.array_equal(state, expected)
+    assert np.linalg.norm(state) == 1.0
 
 
 @pytest.mark.parametrize("n_qubits", [0, -1, MAX_QUBITS + 1])
@@ -50,23 +43,22 @@ def test_zero_state_rejects_bad_sizes(n_qubits):
 def test_ry_convention_quarter_turn():
     # RY(pi/2)|0> = (|0> + |1>)/sqrt(2), both amplitudes positive real
     state = new_zero_state(1)
-    apply_ry(state, 0, np.pi / 2)
-    assert_allclose(state.amplitudes, [1 / np.sqrt(2), 1 / np.sqrt(2)], atol=1e-15)
+    apply_ry_kernel(state, 1, 0, np.pi / 2)
+    assert_allclose(state, [1 / np.sqrt(2), 1 / np.sqrt(2)], atol=1e-15)
 
 
 def test_ry_convention_half_turn_flips():
     state = new_zero_state(1)
-    apply_ry(state, 0, np.pi)
-    assert_allclose(state.amplitudes, [0.0, 1.0], atol=1e-15)
+    apply_ry_kernel(state, 1, 0, np.pi)
+    assert_allclose(state, [0.0, 1.0], atol=1e-15)
 
 
 def test_rz_convention_phases():
     # RZ(a) = diag(exp(-ia/2), exp(+ia/2))
-    amps = np.array([0.6, 0.8], dtype=np.complex128)
-    state = StateVector(1, amps.copy())
-    apply_rz(state, 0, 0.5)
-    assert_allclose(state.amplitudes[0], 0.6 * np.exp(-0.25j), atol=1e-15)
-    assert_allclose(state.amplitudes[1], 0.8 * np.exp(+0.25j), atol=1e-15)
+    state = np.array([0.6, 0.8], dtype=np.complex128)
+    apply_rz_kernel(state, 1, 0, 0.5)
+    assert_allclose(state[0], 0.6 * np.exp(-0.25j), atol=1e-15)
+    assert_allclose(state[1], 0.8 * np.exp(+0.25j), atol=1e-15)
 
 
 @pytest.mark.parametrize("n_qubits", [1, 2, 3, 4])
@@ -103,22 +95,11 @@ def test_cnot_kernel_matches_dense_all_pairs(n_qubits):
 def test_pauli_kernel_matches_dense(label, n_qubits):
     for target in range(n_qubits):
         amps = random_state(n_qubits, ord(label) + target)
-        got = amps.copy()
-        apply_pauli_kernel(got, n_qubits, label, target)
         chars = ["I"] * n_qubits
         chars[target] = label
+        got = pauli_table(("".join(chars),)).apply(amps[None], np.ones((1, 1)))[0]
         expected = dense_pauli_string("".join(chars)) @ amps
         assert_allclose(got, expected, atol=1e-15)
-
-
-def test_general_1q_kernel_matches_dense():
-    rng = np.random.default_rng(9)
-    matrix = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    for target in range(3):
-        amps = random_state(3, 50 + target)
-        got = amps.copy()
-        apply_1q_kernel(got, 3, matrix, target)
-        assert_allclose(got, dense_1q(matrix, target, 3) @ amps, atol=1e-13)
 
 
 def test_kernels_broadcast_over_leading_axes():
@@ -143,10 +124,9 @@ def test_kernels_broadcast_over_leading_axes():
 )
 def test_rotations_preserve_norm(n_qubits, target, angle, seed):
     amps = random_state(n_qubits, seed)
-    state = StateVector(n_qubits, amps)
-    apply_ry(state, target % n_qubits, angle)
-    apply_rz(state, target % n_qubits, angle / 2)
-    assert abs(norm(state) - 1.0) < 1e-12
+    apply_ry_kernel(amps, n_qubits, target % n_qubits, angle)
+    apply_rz_kernel(amps, n_qubits, target % n_qubits, angle / 2)
+    assert abs(np.linalg.norm(amps) - 1.0) < 1e-12
 
 
 def test_gate_application_is_deterministic():
@@ -157,48 +137,3 @@ def test_gate_application_is_deterministic():
         apply_rz_kernel(amps, 3, 2, -1.2)
         apply_cnot_kernel(amps, 3, 1, 0)
     assert np.array_equal(a, b)
-
-
-def test_bad_target_raises_index_error():
-    state = new_zero_state(2)
-    with pytest.raises(IndexError):
-        apply_ry(state, 2, 0.1)
-    with pytest.raises(IndexError):
-        apply_ry(state, -1, 0.1)
-
-
-def test_cnot_same_control_target_rejected():
-    state = new_zero_state(2)
-    with pytest.raises(ConfigError):
-        apply_cnot(state, 1, 1)
-
-
-def test_non_finite_angle_rejected():
-    state = new_zero_state(1)
-    with pytest.raises(NumericError):
-        apply_ry(state, 0, float("nan"))
-    with pytest.raises(NumericError):
-        apply_rz(state, 0, float("inf"))
-
-
-def test_gate1q_unitary_check():
-    ry = Gate1Q(dense_ry(0.4))
-    ry.check_unitary()
-    with pytest.raises(ConfigError):
-        Gate1Q(np.array([[1.0, 0.0], [0.0, 2.0]], dtype=np.complex128)).check_unitary()
-
-
-def test_apply_gate_1q_matches_ry():
-    state_a = new_zero_state(2)
-    state_b = new_zero_state(2)
-    apply_gate_1q(state_a, Gate1Q(dense_ry(0.9)), 1)
-    apply_ry(state_b, 1, 0.9)
-    assert_allclose(state_a.amplitudes, state_b.amplitudes, atol=1e-15)
-
-
-def test_copy_is_independent():
-    state = new_zero_state(2)
-    clone = state.copy()
-    apply_ry(state, 0, 1.0)
-    assert clone.amplitudes[0] == 1.0
-    assert state.amplitudes[0] != 1.0

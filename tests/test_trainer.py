@@ -65,6 +65,9 @@ def test_config_validation():
         dict(fold=-1),
         dict(train_subsample=0),
         dict(base_lr=0.0),
+        dict(base_lr=float("nan")),
+        dict(base_lr=float("inf")),
+        dict(shot_mode="sampled", shots_per_term=0),
         dict(n_qubits=0),
         dict(entangler="star"),
     ]
@@ -91,6 +94,26 @@ def test_config_file_with_wrong_type_exits_as_config_error(tmp_path, capsys):
     path.write_text('{"epochs": "ten"}')
     assert main(["train", "--config", str(path)]) == EXIT_CODES["config"]
     assert "epochs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, name",
+    [('{"base_lr": NaN}', "base_lr"), ('{"base_lr": Infinity}', "base_lr"),
+     ('{"shot_mode": "sampled", "shots_per_term": 0}', "shots_per_term")],
+    ids=["lr-nan", "lr-inf", "zero-shots"],
+)
+def test_config_file_with_bad_value_exits_before_data_loads(tmp_path, capsys, monkeypatch, text, name):
+    import qlam.trainer
+    from qlam.cli import EXIT_CODES, main
+
+    def no_data(*args, **kwargs):
+        raise AssertionError("data loaded before the config was validated")
+
+    monkeypatch.setattr(qlam.trainer, "load_dataset", no_data)
+    path = tmp_path / "run.json"
+    path.write_text(text)
+    assert main(["train", "--config", str(path)]) == EXIT_CODES["config"]
+    assert name in capsys.readouterr().err
 
 
 def test_resolved_epochs_defaults():
