@@ -15,16 +15,16 @@ a single 2**n amplitude vector regardless of sequence length; the trace
 never stores per-token states.
 
 `run` is the one pass of the recurrence.  It advances the memory a block
-of `CHECKPOINT_INTERVAL` steps at a time through `circuits.Steps` (dense
-matrices on small registers, the strided gate plan on large ones); only
-that advance is sequential.  Everything else runs once per
-block or once per sequence on stacked arrays: pool expectations of the
-block's states through `measure` (exact, or shot-sampled), and the
-query and `decoder` of every kept step.  A head's readout is its weight
-row dotted with the pool expectations; no observable object is built.
-`forward`, `final_logits`, the adjoint gradients and the parameter-shift
-oracle in `gradients` are all views of `run`; the adjoint rewinds the
-same `Steps`.  The memory is a plain (2**n,) complex array throughout.
+of `CHECKPOINT_INTERVAL` steps at a time through `circuits.Steps`, the
+one step engine at every register size; only that advance is
+sequential.  Everything else runs once per block or once per sequence on
+stacked arrays: pool expectations of the block's states through
+`measure` (exact, or shot-sampled), and the query and `decoder` of every
+kept step.  A head's readout is its weight row dotted with the pool
+expectations; no observable object is built.  `forward`,
+`final_logits`, the adjoint gradients and the parameter-shift oracle in
+`gradients` are all views of `run`; the adjoint rewinds the same
+`Steps`.  The memory is a plain (2**n,) complex array throughout.
 """
 
 from __future__ import annotations
@@ -287,13 +287,10 @@ def run(
     first = T - keep + 1
     with np.errstate(over="ignore", invalid="ignore"):
         emb = embed_token(x, params)
-    finite = np.isfinite(emb).all(axis=1)
-    if not finite.all():
-        raise NumericError(f"non-finite embedding at timestep {int(np.argmin(finite)) + 1}")
+    steps = Steps(cfg.ansatz, params.theta, emb, shifted)  # rejects a non-finite embedding
     q = np.einsum("qn,tn->tq", params.w_q, emb[first - 1:])
     hidden, gammas = decoder(q, params)
     table = pool_table(cfg.pool)
-    steps = Steps(cfg.ansatz, params.theta, emb, shifted)
     psi = new_zero_state(cfg.n_qubits)
     kept = {0: psi.copy()} if checkpoints else {}
     exps = np.empty((keep, table.size))
@@ -337,9 +334,9 @@ def final_logits(
 
     Identical result to `forward(...).logits`, bit for bit; the evaluation
     loop uses this path.  Readouts run batched per block, so in exact
-    mode skipping them saves up to about a third of a forward pass
-    (n = 4 and 12 at T = 256); in sampled mode each skipped step also
-    saves its shot draws.
+    mode skipping them saves about 35% of a forward pass at n = 4 and
+    40% at n = 12 (default cell, T = 256); in sampled mode each skipped
+    step also saves its shot draws.
     """
     r = run(tokens, params, cfg, cfg.t_keep, shot, sample_index=sample_index)
     return params.cls_w @ r.readouts.reshape(-1) + params.cls_b

@@ -7,15 +7,18 @@ on every qubit followed by a CNOT entangler.  ``theta`` is a flat angle
 vector, viewed as (n_layers, n_qubits, 2) with RY at [..., 0] and RZ at
 [..., 1].
 
-The gate sequence exists once, as an explicit plan (`build_step_plan`):
+`Steps` is the step engine at every register size: it advances the
+recurrence, rewinds it for the adjoint and reduces (ket, adjoint) pairs
+to the per-qubit cross operators the angle derivatives read.  A layer's
+rotations are a tensor product, so with the state viewed as a
+2**high x 2**low matrix they are two small matrix products; the
+encoding folds into layer 0, and the CNOT entangler is one index gather.
+
+The gate sequence also exists as an explicit plan (`build_step_plan`):
 its first n_qubits entries are the encoding and the rest the ansatz.
-There are two step engines.  `apply_plan_kernel` runs a plan, or one of
-those slices, gate by gate on amplitude arrays with the strided
-kernels, and reverse-mode differentiation replays it backward.  `Steps`
-advances and rewinds the recurrence a block of steps at a time: on
-small registers a step is the dense ansatz matrix (the plan run on the
-identity) times the Kronecker-factored encoding; larger registers run
-the plan per step.
+`apply_plan_kernel` runs a plan, or one of those slices, gate by gate on
+amplitude arrays with the strided kernels: the reference the engine is
+tested against.
 """
 
 from __future__ import annotations
@@ -28,11 +31,10 @@ import numpy as np
 from .errors import ConfigError, NumericError
 from .statevector import MAX_QUBITS, apply_cnot_kernel, apply_ry_kernel, apply_rz_kernel
 
-# Registers of at most this many qubits apply and rewind a step through
-# the dense U_var(theta) and Kronecker-factored encodings (`Steps`);
-# larger ones run the strided gate plan.  Timed per sample at T = 64, the
-# dense step is faster up to n = 8 and slower from n = 9 on.
-DENSE_MAX_QUBITS = 8
+# `Steps` builds layer-0 factors, and the adjoint walks (ket, adjoint)
+# pairs, for at most max(1, WALK_AMPLITUDES >> n) steps at a time, which
+# bounds the memory a call holds beside the states of its block.
+WALK_AMPLITUDES = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -92,13 +94,6 @@ def build_step_plan(cfg: AnsatzConfig) -> list[PlanEntry]:
     return plan
 
 
-def slot_angle(slot: tuple[str, int], embedding: np.ndarray, theta: np.ndarray) -> float:
-    kind, index = slot
-    if kind == "enc":
-        return float(embedding[index])
-    return float(theta[index])
-
-
 def apply_plan_kernel(
     amps: np.ndarray,
     n_qubits: int,
@@ -109,94 +104,122 @@ def apply_plan_kernel(
     """Apply a gate plan in place to amplitude array(s); an angle source
     that no slot of the plan reads may be None."""
     for kind, a, b, slot in plan:
-        if kind == "ry":
-            apply_ry_kernel(amps, n_qubits, a, slot_angle(slot, embedding, theta))
-        elif kind == "rz":
-            apply_rz_kernel(amps, n_qubits, a, slot_angle(slot, embedding, theta))
-        else:
+        if kind == "cnot":
             apply_cnot_kernel(amps, n_qubits, a, b)
+            continue
+        source, index = slot
+        angle = float((embedding if source == "enc" else theta)[index])
+        (apply_ry_kernel if kind == "ry" else apply_rz_kernel)(amps, n_qubits, a, angle)
 
 
-def ansatz_matrix(cfg: AnsatzConfig, theta: np.ndarray) -> np.ndarray:
-    """Dense U_var(theta): the ansatz part of the step plan run on the identity."""
-    n = cfg.n_qubits
-    rows = np.eye(1 << n, dtype=np.complex128)
-    # the kernels act on the last axis, so row i becomes U e_i, column i of U
-    apply_plan_kernel(rows, n, build_step_plan(cfg)[n:], None, theta)
-    return rows.T
-
-
-def encoding_matrices(embeddings: np.ndarray) -> np.ndarray:
-    """(L, 2**m, 2**m) real kron_j RY(e[j]) for every row e of an (L, m)
-    block, column 0 the last, least significant Kronecker factor (m = 0
-    gives 1 x 1 identities)."""
-    half = 0.5 * np.asarray(embeddings, dtype=np.float64)
-    c, s = np.cos(half), np.sin(half)
-    ry = np.stack([np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=-2)
-    out = np.ones((half.shape[0], 1, 1))
-    for j in range(half.shape[1] - 1, -1, -1):
-        d = 2 * out.shape[1]
-        out = (out[:, :, None, :, None] * ry[:, j, None, :, None, :]).reshape(-1, d, d)
+def kron_qubits(u: np.ndarray) -> np.ndarray:
+    """(..., 2**m, 2**m) Kronecker products of (..., m, 2, 2) per-qubit
+    matrices, qubit 0 the last, least significant factor (m = 0 gives
+    1 x 1 identities)."""
+    out = np.ones(u.shape[:-3] + (1, 1), dtype=u.dtype)
+    for j in range(u.shape[-3]):
+        d = 2 * out.shape[-1]
+        out = (u[..., j, :, None, :, None] * out[..., None, :, None, :]).reshape(out.shape[:-2] + (d, d))
     return out
 
 
+def layer_rotations(cfg: AnsatzConfig, theta: np.ndarray) -> np.ndarray:
+    """(n_layers, n_qubits, 2, 2) per-qubit matrices RZ(b) RY(a) of every
+    ansatz layer."""
+    half = 0.5 * np.asarray(theta, dtype=np.float64).reshape(cfg.n_layers, cfg.n_qubits, 2)
+    c, s = np.cos(half[..., 0]), np.sin(half[..., 0])
+    down = np.exp(-1j * half[..., 1])  # RZ(b) scales row 0 by e^{-ib/2}, row 1 by its conjugate
+    up = down.conj()
+    return np.stack([np.stack([down * c, -down * s], -1), np.stack([up * s, up * c], -1)], -2)
+
+
+def times_ry(u: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """u RY(e) for per-qubit matrices u (..., m, 2, 2), given c = cos(e/2)
+    and s = sin(e/2) of shape (..., m)."""
+    c, s = c[..., None], s[..., None]
+    return np.stack([u[..., 0] * c + u[..., 1] * s, u[..., 1] * c - u[..., 0] * s], -1)
+
+
 class Steps:
-    """The recurrence steps of one sequence, advanced and rewound a block
-    of consecutive steps at a time.
+    """The recurrence steps of one sequence: advanced, and rewound for the
+    adjoint, a run of consecutive steps at a time.
 
     Step t is M_t = U_var(theta) U_enc(e_t), with e_t = embeddings[t - 1].
-    On registers of at most DENSE_MAX_QUBITS qubits, U_var is one dense
-    matrix (`ansatz_matrix`) and U_enc = kron_j RY(e_t[j]) = A_t (x) B_t
-    splits into the Kronecker products of the high and the low half of the
-    qubits, built for a whole block at once.  With the state reshaped to
-    X (2**high x 2**low), a step is U_var vec(A_t X B_t^T): three small
-    matrix products instead of one gate call per plan entry.  Larger
-    registers run the strided gate plan per step.
-    `shifted=(t, theta_t)` runs step t with angles theta_t.
+    Each ansatz layer l is a rotation layer A_l (x) B_l, the Kronecker
+    products of its per-qubit matrices over the high and the low half of
+    the qubits, then the entangler.  With the state viewed as X
+    (2**high x 2**low) a rotation layer is A_l X B_l^T, its inverse
+    A_l^H X conj(B_l), and the entangler one index gather.  A layer is
+    held as the pair (A_l, B_l^T).  Layer 0 also carries the encoding, as
+    the per-qubit products RZ(b) RY(a) RY(e_t[j]); its factors differ per
+    step and are built for at most `block` steps at a time (`layer0`).
+    The other layers' factors are built once.  `shifted=(t, theta_t)` runs
+    step t with angles theta_t.  Non-finite angles or embeddings raise
+    NumericError.
     """
 
     def __init__(self, cfg: AnsatzConfig, theta: np.ndarray, embeddings: np.ndarray,
                  shifted=None):
-        self.n = cfg.n_qubits
-        self.plan = build_step_plan(cfg)
-        self.theta, self.embeddings, self.shifted = theta, embeddings, shifted
-        self.dense = self.n <= DENSE_MAX_QUBITS
-        self.start = 0
-        if self.dense:
-            self.low = self.n // 2
-            self.shape = (1 << (self.n - self.low), 1 << self.low)
-            # U_var by step (None: every unshifted step) and its adjoint
-            self.u = {None: ansatz_matrix(cfg, theta)}
-            if shifted is not None:
-                self.u[shifted[0]] = ansatz_matrix(cfg, shifted[1])
-            self.u_h = {t: np.ascontiguousarray(u.conj().T) for t, u in self.u.items()}
+        angle_sets = {None: theta} if shifted is None else {None: theta, shifted[0]: shifted[1]}
+        if not all(np.isfinite(angles).all() for angles in angle_sets.values()):
+            raise NumericError("non-finite circuit angles")
+        finite = np.isfinite(embeddings).all(axis=1)
+        if not finite.all():
+            raise NumericError(f"non-finite embedding at timestep {int(np.argmin(finite)) + 1}")
+        n = self.n = cfg.n_qubits
+        self.low = n // 2
+        self.shape = (1 << (n - self.low), 1 << self.low)
+        self.block = max(1, WALK_AMPLITUDES >> n)
+        self.embeddings = embeddings
+        gather = np.arange(1 << n)
+        for control, target in entangler_pairs(cfg):
+            apply_cnot_kernel(gather, n, control, target)
+        # index arrays shaped like X: a gather of the flat amplitudes
+        # returns the next X, a scatter the previous one
+        self.gather, self.scatter = gather.reshape(self.shape), np.argsort(gather).reshape(self.shape)
+        # per angle set (None: every unshifted step), layer 0's per-qubit
+        # matrices and the (A_l, B_l^T) of the later layers
+        self.first_layer, self.later_layers = {}, {}
+        for key, angles in angle_sets.items():
+            u = layer_rotations(cfg, angles)
+            self.first_layer[key] = u[0]
+            self.later_layers[key] = list(zip(kron_qubits(u[1:, self.low:]),
+                                              kron_qubits(u[1:, :self.low].swapaxes(-1, -2))))
 
-    def angles(self, t: int) -> np.ndarray:
-        shifted = self.shifted
-        return shifted[1] if shifted is not None and t == shifted[0] else self.theta
+    def layer0(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        """Stacked layer-0 factors A_0 (S, 2**high, 2**high) and B_0^T
+        (S, 2**low, 2**low) of steps start+1..stop.  The encoding is
+        multiplied in as a matrix, not added to the RY angle: a finite
+        theta + e_t can overflow."""
+        c, s = np.cos(0.5 * self.embeddings[start:stop]), np.sin(0.5 * self.embeddings[start:stop])
+        u = times_ry(self.first_layer[None], c, s)
+        for t in self.first_layer.keys() - {None}:  # the shifted step
+            if start < t <= stop:
+                i = t - start - 1
+                u[i] = times_ry(self.first_layer[t], c[i], s[i])
+        return kron_qubits(u[:, self.low:]), kron_qubits(u[:, :self.low].swapaxes(-1, -2))
+
+    def layers(self, t: int, a0: np.ndarray, b0t: np.ndarray) -> list:
+        """(A_l, B_l^T) of every layer of step t, given its layer-0 factors."""
+        return [(a0, b0t)] + self.later_layers.get(t, self.later_layers[None])
 
     def evolve(self, psi: np.ndarray, start: int, stop: int, first: int | None = None) -> np.ndarray:
         """Advance psi in place through steps start+1..stop (1-based) and
         return the (stop - first, 2**n) states after steps first+1..stop
-        (first defaults to start).  The block stays loaded for `rewind`."""
+        (first defaults to start)."""
         first = start if first is None else first
-        self.start = start
         states = np.empty((stop - first, psi.shape[-1]), dtype=np.complex128)
-        if self.dense:
-            block = self.embeddings[start:stop]
-            self.high_enc = encoding_matrices(block[:, self.low:]).astype(np.complex128)
-            self.low_enc = encoding_matrices(block[:, :self.low]).astype(np.complex128)
-            prev, spare = psi, np.empty_like(psi)
-            for t, a, b in zip(range(start + 1, stop + 1), self.high_enc, self.low_enc):
-                mixed = (a @ prev.reshape(self.shape) @ b.T).reshape(-1)
-                out = states[t - first - 1] if t > first else spare
-                prev = np.matmul(self.u.get(t, self.u[None]), mixed, out=out)
-            psi[:] = prev
-        else:
-            for t in range(start + 1, stop + 1):
-                apply_plan_kernel(psi, self.n, self.plan, self.embeddings[t - 1], self.angles(t))
+        views = states.reshape((-1,) + self.shape)
+        x = psi.reshape(self.shape)
+        for lo in range(start, stop, self.block):
+            hi = min(lo + self.block, stop)
+            a0, b0t = self.layer0(lo, hi)
+            for t in range(lo + 1, hi + 1):
+                for a, bt in self.layers(t, a0[t - lo - 1], b0t[t - lo - 1]):
+                    x = a.dot(x).dot(bt).reshape(-1)[self.gather]
                 if t > first:
-                    states[t - first - 1] = psi
+                    views[t - first - 1] = x
+        psi[:] = x.reshape(-1)
         finite = np.isfinite(states).all(axis=1)
         if not finite.all():
             raise NumericError(
@@ -206,18 +229,30 @@ class Steps:
             raise NumericError(f"non-finite amplitudes by timestep {stop}")
         return states
 
-    def rewind(self, lam: np.ndarray, t: int) -> np.ndarray:
-        """U_t^H lam for a step t of the loaded block (in place when strided)."""
-        if self.dense:
-            i = t - self.start - 1
-            mixed = self.u_h.get(t, self.u_h[None]) @ lam
-            return (self.high_enc[i].T @ mixed.reshape(self.shape) @ self.low_enc[i]).reshape(-1)
-        embedding, theta = self.embeddings[t - 1], self.angles(t)
-        for kind, a, b, slot in reversed(self.plan):
-            if kind == "cnot":
-                apply_cnot_kernel(lam, self.n, a, b)
-            elif kind == "ry":
-                apply_ry_kernel(lam, self.n, a, -slot_angle(slot, embedding, theta))
-            else:
-                apply_rz_kernel(lam, self.n, a, -slot_angle(slot, embedding, theta))
-        return lam
+    def unrotate(self, x: np.ndarray, a: np.ndarray, bt: np.ndarray) -> np.ndarray:
+        """The inverse A^H X conj(B) of a rotation layer (A, B^T), for X
+        views x (..., 2**high, 2**low); stacked factors broadcast against
+        the leading axes of x."""
+        return a.conj().swapaxes(-1, -2) @ x @ bt.conj().swapaxes(-1, -2)
+
+    def rewind(self, x: np.ndarray, t: int, a0: np.ndarray, b0t: np.ndarray) -> np.ndarray:
+        """M_t^H x for a (2**n,) vector x, given step t's layer-0 factors."""
+        for a, bt in reversed(self.layers(t, a0, b0t)):
+            x = self.unrotate(x.reshape(-1)[self.scatter], a, bt)
+        return x.reshape(-1)
+
+    def cross(self, kets: np.ndarray, adjoints: np.ndarray) -> np.ndarray:
+        """(S, n, 2, 2) reduced cross operators rho_j = Tr_{not j} |k><l| of
+        every qubit j, for S rows of kets k and adjoints l: a partial trace
+        of the Gram matrix K L^H of the X views for a high qubit, of
+        K^T conj(L) for a low one."""
+        k = kets.reshape((-1,) + self.shape)
+        lc = adjoints.conj().reshape(k.shape)
+        grams = (k.swapaxes(-1, -2) @ lc, k @ lc.swapaxes(-1, -2))
+        rho = np.empty((k.shape[0], self.n, 2, 2), dtype=np.complex128)
+        for j in range(self.n):
+            high = j >= self.low
+            bit, width = (j - self.low, self.n - self.low) if high else (j, self.low)
+            u, d = 1 << (width - 1 - bit), 1 << bit
+            rho[:, j] = np.einsum("suadubd->sab", grams[high].reshape(-1, u, 2, d, u, 2, d))
+        return rho

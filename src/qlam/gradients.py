@@ -1,23 +1,28 @@
 """End-to-end differentiation of the hybrid model.
 
-Production path: reverse-mode adjoint through the statevector.  Walking
-the gate sequence backward with the pair (k, lam), where k is the ket
-just after the current gate and lam the accumulated cost adjoint, each
-angle ``a`` of a gate ``exp(-i a P/2)`` contributes
+Production path: reverse-mode adjoint through the statevector (Jones &
+Gacon, arXiv:2009.02823).  Walking a step backward layer by layer with
+the pair (K, L), where K is the ket just after a rotation layer and L
+the accumulated cost adjoint there, an angle ``a`` of a gate
+``exp(-i a P/2)`` on qubit j contributes
 
-    dJ/da = Im <lam| P |k>.
+    dJ/da = Im <L| P |K> = Im tr(P rho_j),   rho_j = Tr_{not j} |K><L|,
+
+since the layer's gates on other qubits commute with P.  One 2x2 cross
+operator per qubit (`circuits.Steps.cross`) thus gives every angle of a
+layer, and the encoding angles of a step are its layer-0 RY terms.
 
 Readout terms inject ``lam += sum_i c_i P_i |psi_t>`` at their timestep,
 with c_i the classical weight on pool expectation i.  Only two loops run
 step by step: the forward ket recurrence (`cell.run`, recomputed here one
 checkpoint window at a time) and the adjoint recurrence
 ``lam <- U_t^H (lam + inj_t)``.  The decoder backward runs once over all
-kept steps; the injections, and the per-angle walk over stacked
-(ket, adjoint) pairs, run once per sub-block of a window (Jones & Gacon,
-arXiv:2009.02823).  Memory is the T/K checkpoints, one window of K
-recomputed states and a walk stack of at most max(2**n, WALK_AMPLITUDES)
-(ket, adjoint) pairs: O(K * 2**n + T/K * 2**n) for any sequence length,
-with K = CHECKPOINT_INTERVAL.
+kept steps; the injections, and the layer walk over stacked
+(ket, adjoint) pairs, run once per sub-block of a window.  Memory is the
+T/K checkpoints, one window of K recomputed states and a walk stack of
+at most max(2**n, circuits.WALK_AMPLITUDES) (ket, adjoint) pairs:
+O(K * 2**n + T/K * 2**n) for any sequence length, with
+K = CHECKPOINT_INTERVAL.
 
 Parameter-shift and finite differences exist as oracles only; both are
 exact for expectation readouts but far more expensive.
@@ -30,21 +35,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cell import CHECKPOINT_INTERVAL, CellConfig, QlamParams, Run, readout_features, run
-from .circuits import Steps, build_step_plan
+from .circuits import Steps
 from .data import SequenceSample
 from .errors import NumericError, ShapeError
 from .nn import grad_like, softmax_cross_entropy
 from .observables import pool_table
-from .statevector import apply_cnot_kernel, apply_ry_kernel, apply_rz_kernel
-
-# The per-angle walk advances at most this many (ket, adjoint) amplitude
-# pairs at once, so a window is walked in sub-blocks of
-# max(1, WALK_AMPLITUDES >> n) steps.  On large registers that is one
-# step, where the walk does no more work than a per-step adjoint.
-WALK_AMPLITUDES = 1 << 12
-
-# Im <lam|Z|k> = Im<lam_0|k_0> - Im<lam_1|k_1> over the halves of the qubit.
-_Z_HALVES = np.array([1.0, -1.0])
 
 
 @dataclass
@@ -80,75 +75,34 @@ def _decoder_backward(w: np.ndarray, r: Run, params, grads) -> np.ndarray:
     return np.einsum("th,thp->tp", w, r.gammas)
 
 
-def _angle_derivatives(pair: np.ndarray, n: int, kind: str, qubit: int) -> np.ndarray:
-    """Im <lam_s| G |k_s> for every row s of a (2, S, 2**n) stack of kets
-    pair[0] and adjoints pair[1], G = Y for an RY gate and Z for RZ."""
-    rows, hi = pair.shape[1], 1 << (n - 1 - qubit)
-    if kind == "ry":
-        # Re<lam_1|k_0> - Re<lam_0|k_1> on the float view, where each half
-        # of the qubit is 2 << qubit reals of (re, im) pairs
-        f = pair.view(np.float64).reshape(2, rows, hi, 2, 2 << qubit)
-        k, lam = f[0], f[1]
-        return (np.einsum("shl,shl->s", lam[:, :, 1], k[:, :, 0])
-                - np.einsum("shl,shl->s", lam[:, :, 0], k[:, :, 1]))
-    k, lam = pair[0].view(np.float64), pair[1].view(np.float64)
-    im = lam[:, 0::2] * k[:, 1::2]  # Im(conj(lam) k) per amplitude
-    im -= lam[:, 1::2] * k[:, 0::2]
-    return np.einsum("shbl,b->s", im.reshape(rows, hi, 2, 1 << qubit), _Z_HALVES)
-
-
-def _walk(pair: np.ndarray, n: int, reversed_plan, emb: np.ndarray, theta: np.ndarray,
-          dtheta: np.ndarray) -> np.ndarray:
-    """Rewind a (2, S, 2**n) stack of (ket, adjoint) pairs, one row per
-    step, through the gates of a step, accumulating every shared angle's
-    derivative into dtheta.  emb holds the S steps' embeddings; returns
-    the (S, n) derivatives with respect to them."""
-    denc = np.empty_like(emb)
-    for kind, a, b, slot in reversed_plan:
-        if slot is None:
-            apply_cnot_kernel(pair, n, a, b)
-            continue
-        g = _angle_derivatives(pair, n, kind, a)
-        source, index = slot
-        if source == "theta":
-            dtheta[index] += g.sum()
-            angle = theta[index]
-        else:
-            denc[:, index] = g
-            angle = emb[:, index]
-        if kind == "ry":
-            apply_ry_kernel(pair, n, a, -angle)
-        else:
-            apply_rz_kernel(pair, n, a, -angle)
-    return denc
-
-
 def _quantum_backward(r: Run, params, cfg, c: np.ndarray, grads) -> None:
     """Adjoint walk from step T back to 1, window by window.
 
     Each window is recomputed forward from its checkpoint, then consumed
-    backward in sub-blocks.  The adjoint recurrence stores lam + inj_t for
-    every step of a sub-block; one walk over the stacked (ket, adjoint)
-    pairs then takes every step's per-angle derivatives, and its adjoint
-    row of the sub-block's first step is the next lam.  The ket of each
-    step is the recomputed state, so inverse-gate drift never crosses a
-    step.
+    backward in sub-blocks of `Steps.block` steps.  The adjoint recurrence
+    stores lam + inj_t for every step of a sub-block.  One walk over the
+    stacked (ket, adjoint) pairs, layer by layer, then reads every step's
+    angle derivatives from the per-qubit cross operators rho_j just after
+    each rotation layer; the adjoint row of the sub-block's first step,
+    rewound through the whole step, is the next lam.  The ket of each step
+    is the recomputed state, so inverse-gate drift never crosses a step.
     """
     n = cfg.n_qubits
     T = r.tokens.shape[0]
     table = pool_table(cfg.pool)
-    theta = params.theta
-    steps = Steps(cfg.ansatz, theta, r.embeddings)
-    reversed_plan = build_step_plan(cfg.ansatz)[::-1]
-    sub = max(1, min(CHECKPOINT_INTERVAL, WALK_AMPLITUDES >> n))
+    steps = Steps(cfg.ansatz, params.theta, r.embeddings)
+    rz = params.theta.reshape(cfg.n_layers, n, 2)[..., 1]
+    cos_rz, sin_rz = np.cos(rz), np.sin(rz)
+    dtheta = grads["theta"].reshape(cfg.n_layers, n, 2)
     lam = np.zeros(1 << n, dtype=np.complex128)
     denc = np.empty((T, n))
     last_window = ((T - 1) // CHECKPOINT_INTERVAL) * CHECKPOINT_INTERVAL
     for win_start in range(last_window, -1, -CHECKPOINT_INTERVAL):
         win_end = min(win_start + CHECKPOINT_INTERVAL, T)
         seg = steps.evolve(r.checkpoints[win_start].copy(), win_start, win_end)
-        for stop in range(win_end, win_start, -sub):
-            start = max(win_start, stop - sub)
+        for stop in range(win_end, win_start, -steps.block):
+            start = max(win_start, stop - steps.block)
+            a0, b0t = steps.layer0(start, stop)
             pair = np.empty((2, stop - start, 1 << n), dtype=np.complex128)
             pair[0] = seg[start - win_start:stop - win_start]
             lo = min(max(start, r.first - 1), stop)  # steps lo+1..stop inject readouts
@@ -159,10 +113,24 @@ def _quantum_backward(r: Run, params, cfg, c: np.ndarray, grads) -> None:
                     lam += inj[t - lo - 1]
                 pair[1, t - start - 1] = lam
                 if t > start + 1:
-                    lam = steps.rewind(lam, t)
-            denc[start:stop] = _walk(pair, n, reversed_plan, r.embeddings[start:stop],
-                                     theta, grads["theta"])
-            lam = pair[1, 0].copy()
+                    lam = steps.rewind(lam, t, a0[t - start - 1], b0t[t - start - 1])
+            later = steps.later_layers[None]
+            for layer in range(cfg.n_layers - 1, -1, -1):
+                pair = pair.reshape(2, stop - start, -1)[..., steps.scatter]
+                # for U_j = RZ(b) RY(a): dJ/db = Im tr(Z rho_j), and dJ/da =
+                # Im tr(RZ(b) Y RZ(b)^H rho_j) = cos(b) Im tr(Y rho_j) -
+                # sin(b) Im tr(X rho_j); layer 0's encoding RY(e_t) shares
+                # the RY axis, so dJ/de_t = dJ/da at step t
+                rho = steps.cross(pair[0], pair[1])
+                im_y = (rho[..., 0, 1] - rho[..., 1, 0]).real
+                im_x = (rho[..., 0, 1] + rho[..., 1, 0]).imag
+                da = cos_rz[layer] * im_y - sin_rz[layer] * im_x
+                dtheta[layer, :, 0] += da.sum(axis=0)
+                dtheta[layer, :, 1] += (rho[..., 0, 0] - rho[..., 1, 1]).imag.sum(axis=0)
+                if layer:
+                    pair = steps.unrotate(pair, *later[layer - 1])
+            denc[start:stop] = da
+            lam = steps.unrotate(pair[1, 0], a0[0], b0t[0]).reshape(-1)
         del seg, pair  # release the window before the next one is allocated
     grads["embed_w"] += np.einsum("tn,t->n", denc, r.tokens)
     grads["embed_b"] += denc.sum(axis=0)

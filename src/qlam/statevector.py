@@ -9,8 +9,9 @@ The RY, RZ and CNOT kernels never materialize a ``2**n x 2**n`` matrix:
 a single-qubit gate on qubit ``t`` reshapes the amplitude array to
 ``(..., 2**(n-1-t), 2, 2**t)`` and mixes the two slices of the middle
 axis.  They accept arrays with arbitrary leading axes, so a stack of
-kets and adjoint vectors advances in one call.  `circuits` runs them
-through the step plan.
+kets advances in one call.  `circuits.apply_plan_kernel` runs them
+through the step plan: the gate-by-gate reference for the step engine.
+A non-finite angle raises NumericError.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 
 MAX_QUBITS = 12
 
@@ -40,18 +41,16 @@ def new_zero_state(n_qubits: int) -> np.ndarray:
 # the operation is applied in place along that axis.
 # ---------------------------------------------------------------------------
 
-def apply_ry_kernel(amps: np.ndarray, n_qubits: int, target: int, angle) -> None:
-    """RY(a) = [[cos(a/2), -sin(a/2)], [sin(a/2), cos(a/2)]], real rotation.
+def _half_angle(angle: float) -> float:
+    if not math.isfinite(angle):
+        raise NumericError(f"non-finite rotation angle {angle}")
+    return 0.5 * angle
 
-    ``angle`` is a float, or an array of one angle per row of the leading
-    axes of ``amps`` (broadcast against them, so only the basis axis is
-    reshaped)."""
-    if isinstance(angle, np.ndarray):
-        half = 0.5 * angle[..., None, None]
-        c, s = np.cos(half), np.sin(half)
-    else:
-        c = math.cos(0.5 * angle)
-        s = math.sin(0.5 * angle)
+
+def apply_ry_kernel(amps: np.ndarray, n_qubits: int, target: int, angle: float) -> None:
+    """RY(a) = [[cos(a/2), -sin(a/2)], [sin(a/2), cos(a/2)]], real rotation."""
+    half = _half_angle(angle)
+    c, s = math.cos(half), math.sin(half)
     v = amps.reshape(amps.shape[:-1] + (1 << (n_qubits - 1 - target), 2, 1 << target))
     a = v[..., 0, :].copy()
     b = v[..., 1, :]
@@ -59,19 +58,13 @@ def apply_ry_kernel(amps: np.ndarray, n_qubits: int, target: int, angle) -> None
     v[..., 1, :] = s * a + c * b
 
 
-def apply_rz_kernel(amps: np.ndarray, n_qubits: int, target: int, angle) -> None:
-    """RZ(a) = diag(e^{-ia/2}, e^{+ia/2}); diagonal, touches no cross terms.
-    ``angle`` is a float or one angle per leading row, as for RY."""
-    if isinstance(angle, np.ndarray):
-        up = np.exp(0.5j * angle)[..., None, None]
-        down = up.conj()
-    else:
-        half = 0.5 * angle
-        down = complex(math.cos(half), -math.sin(half))
-        up = complex(math.cos(half), math.sin(half))
+def apply_rz_kernel(amps: np.ndarray, n_qubits: int, target: int, angle: float) -> None:
+    """RZ(a) = diag(e^{-ia/2}, e^{+ia/2}); diagonal, touches no cross terms."""
+    half = _half_angle(angle)
+    down = complex(math.cos(half), -math.sin(half))
     v = amps.reshape(amps.shape[:-1] + (1 << (n_qubits - 1 - target), 2, 1 << target))
     v[..., 0, :] *= down
-    v[..., 1, :] *= up
+    v[..., 1, :] *= down.conjugate()
 
 
 def apply_cnot_kernel(amps: np.ndarray, n_qubits: int, control: int, target: int) -> None:

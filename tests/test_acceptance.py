@@ -85,7 +85,7 @@ def test_criterion_01_desk_scale_scope_is_stated():
 # ---------------------------------------------------------------------------
 
 def test_criterion_02_unitarity_at_depth():
-    # the block step engine of the recurrence (dense at n = 4)
+    # the factored step engine of the recurrence
     cfg = AnsatzConfig(n_qubits=4)
     rng = np.random.default_rng(2)
     theta = rng.uniform(-np.pi, np.pi, cfg.n_params)
@@ -133,9 +133,7 @@ def test_criterion_04_dense_oracle_100_instances():
         embedding = rng.uniform(-np.pi, np.pi, n)
         state = random_state(rng, n)
         before = state.copy()
-        steps = Steps(cfg, theta, embedding[None])
-        assert steps.dense
-        steps.evolve(state, 0, 1)
+        Steps(cfg, theta, embedding[None]).evolve(state, 0, 1)
         dense = dense_step_matrix(cfg, theta, embedding)
         assert np.abs(state - dense @ before).max() < 1e-10
 

@@ -1,6 +1,6 @@
-"""The block step engine and the Pauli tables against the dense oracles,
-and every view of the recurrence on both sides of the dense/strided
-threshold."""
+"""The factored step engine and the Pauli tables against the dense
+oracles and the gate-by-gate plan, and every view of the recurrence on
+registers with equal and unequal qubit halves."""
 
 import warnings
 
@@ -8,17 +8,27 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from oracles import dense_pauli_string, dense_step_matrix
+from oracles import central_diff, dense_pauli_string, dense_step_matrix, rel_err
 
-from qlam.cell import CHECKPOINT_INTERVAL, CellConfig, final_logits, forward, init_qlam_params
-from qlam.circuits import DENSE_MAX_QUBITS, AnsatzConfig, Steps
+from qlam.cell import (
+    CHECKPOINT_INTERVAL,
+    CellConfig,
+    decoder,
+    embed_token,
+    final_logits,
+    forward,
+    init_qlam_params,
+)
+from qlam.circuits import AnsatzConfig, Steps, apply_plan_kernel, build_step_plan
 from qlam.data import SequenceSample
 from qlam.errors import NumericError
 from qlam.gradients import loss_and_grad, param_shift_grad
-from qlam.observables import default_pauli_pool, pauli_table
+from qlam.nn import softmax_cross_entropy
+from qlam.observables import default_pauli_pool, pauli_table, pool_table
+from qlam.statevector import apply_ry_kernel, apply_rz_kernel, new_zero_state
 
-# the smallest register that runs the strided gate plan
-STRIDED_N = DENSE_MAX_QUBITS + 1
+# an odd register: unequal high (5 qubits) and low (4 qubits) halves
+STRIDED_N = 9
 
 
 def basis_images(dim, apply):
@@ -32,11 +42,11 @@ def basis_images(dim, apply):
 
 
 # ---------------------------------------------------------------------------
-# Dense steps.
+# Steps.
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("entangler", ["ring", "linear"])
-@pytest.mark.parametrize("n_qubits", range(1, DENSE_MAX_QUBITS + 1))
+@pytest.mark.parametrize("n_qubits", range(1, 11))
 def test_dense_steps_match_dense_step_matrix(n_qubits, entangler):
     cfg = AnsatzConfig(n_qubits, 2, entangler)
     rng = np.random.default_rng(100 + n_qubits)
@@ -44,7 +54,6 @@ def test_dense_steps_match_dense_step_matrix(n_qubits, entangler):
     theta_2 = rng.uniform(-np.pi, np.pi, cfg.n_params)
     emb = rng.uniform(-2.0, 2.0, (2, n_qubits))
     steps = Steps(cfg, theta, emb, shifted=(2, theta_2))
-    assert steps.dense
     dim = 1 << n_qubits
 
     def advance(t):
@@ -56,20 +65,27 @@ def test_dense_steps_match_dense_step_matrix(n_qubits, entangler):
     for t, angles in ((1, theta), (2, theta_2)):
         want = dense_step_matrix(cfg, angles, emb[t - 1])
         assert_allclose(basis_images(dim, advance(t)), want, atol=1e-12)
-        # the block of step t is loaded, so rewind applies its adjoint
-        assert_allclose(basis_images(dim, lambda e: steps.rewind(e, t)), want.conj().T,
-                        atol=1e-12)
+        a0, b0t = steps.layer0(t - 1, t)
+        assert_allclose(basis_images(dim, lambda e: steps.rewind(e, t, a0[0], b0t[0])),
+                        want.conj().T, atol=1e-12)
 
 
-def test_strided_rewind_inverts_a_step():
-    n = STRIDED_N
-    cfg = AnsatzConfig(n, 1, "ring")
-    rng = np.random.default_rng(7)
-    steps = Steps(cfg, rng.uniform(-np.pi, np.pi, cfg.n_params), rng.uniform(-2, 2, (3, n)))
-    assert not steps.dense
-    psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-    states = steps.evolve(psi.copy(), 0, 3)
-    assert_allclose(steps.rewind(states[2].copy(), 3), states[1], atol=1e-12)
+@pytest.mark.parametrize("n_qubits", [1, 2, 3, 5, STRIDED_N])
+def test_cross_operators_match_partial_traces(n_qubits):
+    steps = Steps(AnsatzConfig(n_qubits, 1), np.zeros(2 * n_qubits), np.zeros((1, n_qubits)))
+    rng = np.random.default_rng(120 + n_qubits)
+    dim = 1 << n_qubits
+    kets, adjoints = (rng.normal(size=(3, dim)) + 1j * rng.normal(size=(3, dim)) for _ in range(2))
+    rho = steps.cross(kets, adjoints)
+    for s in range(3):
+        for j in range(n_qubits):
+            # rho_j[a, b] sums k[i] conj(l[i']) over index pairs that agree
+            # on every bit but bit j, which is a in i and b in i'
+            want = np.zeros((2, 2), dtype=np.complex128)
+            for i in range(dim):
+                for b in range(2):
+                    want[(i >> j) & 1, b] += kets[s, i] * adjoints[s, (i & ~(1 << j)) | (b << j)].conj()
+            assert_allclose(rho[s, j], want, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +127,7 @@ def test_y_bearing_string_matches_dense():
 
 
 # ---------------------------------------------------------------------------
-# Views of the recurrence on both paths.
+# Views of the recurrence, and the engine's numerics.
 # ---------------------------------------------------------------------------
 
 def small_cfg(n_qubits, **kwargs):
@@ -120,30 +136,122 @@ def small_cfg(n_qubits, **kwargs):
     return CellConfig(**defaults)
 
 
-@pytest.mark.parametrize("n_qubits", [4, STRIDED_N])
-def test_logits_bitwise_across_views_and_windows(n_qubits):
+@pytest.mark.parametrize("n_qubits, T, t_keep", [
     # T = 65 crosses two checkpoint windows, and t_keep = 40 starts the
     # kept readouts inside the first one
-    cfg = small_cfg(n_qubits, t_keep=40)
+    pytest.param(4, 2 * CHECKPOINT_INTERVAL + 1, 40, id="4"),
+    pytest.param(STRIDED_N, 2 * CHECKPOINT_INTERVAL + 1, 40, id=str(STRIDED_N)),
+    pytest.param(12, CHECKPOINT_INTERVAL + 1, 8, id="12"),
+])
+def test_logits_bitwise_across_views_and_windows(n_qubits, T, t_keep):
+    cfg = small_cfg(n_qubits, t_keep=t_keep)
     params = init_qlam_params(np.random.default_rng(60 + n_qubits), cfg)
     rng = np.random.default_rng(61)
-    sample = SequenceSample(rng.uniform(0.0, 1.0, 2 * CHECKPOINT_INTERVAL + 1), 1)
+    sample = SequenceSample(rng.uniform(0.0, 1.0, T), 1)
     trace = forward(sample.tokens, params, cfg)
     assert_array_equal(final_logits(sample.tokens, params, cfg), trace.logits)
     assert_array_equal(loss_and_grad(sample, params, cfg).logits, trace.logits)
 
 
-@pytest.mark.parametrize("n_qubits, n_layers, indices", [(4, 2, (0, 9)), (STRIDED_N, 1, (3,))])
-def test_loss_and_grad_matches_param_shift_across_windows(n_qubits, n_layers, indices):
+@pytest.mark.parametrize("n_qubits, n_layers, indices, T", [
+    pytest.param(4, 2, (0, 9), 2 * CHECKPOINT_INTERVAL + 1, id="4-2-indices0"),
+    pytest.param(STRIDED_N, 1, (3,), 2 * CHECKPOINT_INTERVAL + 1, id=f"{STRIDED_N}-1-indices1"),
+    # a high-half RY angle of layer 0 and a low-half RZ angle of layer 1
+    pytest.param(12, 2, (16, 31), CHECKPOINT_INTERVAL + 1, id="12-2-indices2"),
+])
+def test_loss_and_grad_matches_param_shift_across_windows(n_qubits, n_layers, indices, T):
     cfg = small_cfg(n_qubits, n_layers=n_layers, t_keep=2)
     params = init_qlam_params(np.random.default_rng(70 + n_qubits), cfg)
     params.theta[:] = np.random.default_rng(71).uniform(-np.pi, np.pi, params.theta.shape)
     rng = np.random.default_rng(72)
-    sample = SequenceSample(rng.uniform(0.0, 1.0, 2 * CHECKPOINT_INTERVAL + 1), 2)
+    sample = SequenceSample(rng.uniform(0.0, 1.0, T), 2)
     bundle = loss_and_grad(sample, params, cfg)
     for i in indices:
         shift = param_shift_grad(sample, params, cfg, i)
         assert abs(bundle.grads["theta"][i] - shift) < 1e-9, f"theta[{i}]"
+
+
+@pytest.mark.parametrize("n_qubits", [STRIDED_N, 12])
+def test_encoding_grads_match_central_differences(n_qubits):
+    # the encoding angles have no shift-rule oracle: their derivatives are
+    # the per-step RY terms of layer 0, which also carries theta
+    cfg = small_cfg(n_qubits, t_keep=2)
+    params = init_qlam_params(np.random.default_rng(110 + n_qubits), cfg)
+    rng = np.random.default_rng(111)
+    params.theta[:] = rng.uniform(-np.pi, np.pi, params.theta.shape)
+    sample = SequenceSample(rng.uniform(0.0, 1.0, CHECKPOINT_INTERVAL + 1), 1)
+    grads = loss_and_grad(sample, params, cfg).grads
+    for key in ("embed_w", "embed_b"):
+        arr = getattr(params, key)
+        for j in range(n_qubits):
+            orig = arr[j]
+
+            def loss_at(value):
+                arr[j] = value
+                return softmax_cross_entropy(final_logits(sample.tokens, params, cfg),
+                                             sample.label)[0]
+
+            fd = central_diff(loss_at, orig)
+            arr[j] = orig
+            assert rel_err(grads[key][j], fd, floor=1e-6) < 2e-5, f"{key}[{j}]"
+
+
+def plan_logits(tokens, params, cfg):
+    """`final_logits` with every step run gate by gate through the plan."""
+    emb = embed_token(np.asarray(tokens, dtype=np.float64), params)
+    plan, table = build_step_plan(cfg.ansatz), pool_table(cfg.pool)
+    psi = new_zero_state(cfg.n_qubits)
+    exps = []
+    for t, e in enumerate(emb, 1):
+        apply_plan_kernel(psi, cfg.n_qubits, plan, e, params.theta)
+        if t > len(emb) - cfg.t_keep:
+            exps.append(table.expectations(psi[None])[0])
+    gammas = decoder(np.einsum("qn,tn->tq", params.w_q, emb[len(emb) - cfg.t_keep:]), params)[1]
+    readouts = np.einsum("thp,tp->th", gammas, np.array(exps))
+    return params.cls_w @ readouts.reshape(-1) + params.cls_b
+
+
+@pytest.mark.parametrize("n_qubits", [4, STRIDED_N])
+def test_huge_finite_angles_stay_finite(n_qubits):
+    # theta[0] + e_t[0] = 2e308 overflows: the encoding must fold into
+    # layer 0 as a product of rotations, not as a sum of angles
+    cfg = small_cfg(n_qubits, n_layers=1, t_keep=2)
+    params = init_qlam_params(np.random.default_rng(90), cfg)
+    params.theta[0] = params.embed_b[0] = 1e308
+    params.embed_w[0] = 0.0
+    sample = SequenceSample(np.random.default_rng(91).uniform(0.0, 1.0, 6), 1)
+    want = plan_logits(sample.tokens, params, cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        logits = final_logits(sample.tokens, params, cfg)
+        bundle = loss_and_grad(sample, params, cfg)
+    assert_allclose(logits, want, rtol=0, atol=1e-12)
+    assert_allclose(bundle.logits, want, rtol=0, atol=1e-12)
+    assert abs(bundle.loss - softmax_cross_entropy(want, sample.label)[0]) < 1e-12
+    for key, g in bundle.grads.items():
+        assert np.isfinite(g).all(), key
+
+
+@pytest.mark.parametrize("n_qubits", [4, STRIDED_N])
+def test_non_finite_angles_raise_numeric_error(n_qubits):
+    cfg = AnsatzConfig(n_qubits, 1)
+    zeros, emb = np.zeros(cfg.n_params), np.zeros((2, n_qubits))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (np.inf, -np.inf, np.nan):
+            theta = zeros.copy()
+            theta[1] = bad
+            with pytest.raises(NumericError, match="angles"):
+                Steps(cfg, theta, emb)
+            with pytest.raises(NumericError, match="angles"):
+                Steps(cfg, zeros, emb, shifted=(2, theta))
+            bad_emb = emb.copy()
+            bad_emb[1, n_qubits - 1] = bad
+            with pytest.raises(NumericError, match="timestep 2"):
+                Steps(cfg, zeros, bad_emb)
+            for kernel in (apply_ry_kernel, apply_rz_kernel):
+                with pytest.raises(NumericError, match="angle"):
+                    kernel(new_zero_state(n_qubits), n_qubits, n_qubits - 1, bad)
 
 
 @pytest.mark.parametrize("n_qubits", [4, STRIDED_N])
