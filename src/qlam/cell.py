@@ -41,8 +41,7 @@ from .observables import (
     ShotConfig,
     default_pauli_pool,
     pool_table,
-    sample_term_mean,
-    shot_stream,
+    sample_means,
 )
 from .statevector import new_zero_state
 
@@ -226,16 +225,13 @@ def measure(states: np.ndarray, table: PauliTable, shot: ShotConfig,
     """(S, pool_size) pool expectations of a stack of states at 0-based
     timesteps t0, t0+1, ...: exact, or in sampled mode the mean of
     shots_per_term simulated shots per term, drawn from the stream of
-    (seed, sample_index, t, term).  Heads reuse the same outcomes, as they
-    would on hardware reading one measurement register."""
+    (seed, sample_index, t, term).  One Philox generator serves the whole
+    call, re-pointed at each (t, term) counter (`observables.sample_means`).
+    Heads reuse the same outcomes, as they would on hardware reading one
+    measurement register."""
     exps = table.expectations(states)
     if shot.mode == "sampled":
-        for row, t in zip(exps, range(t0, t0 + len(exps))):
-            row[:] = [
-                sample_term_mean(e, shot.shots_per_term,
-                                 shot_stream(shot.rng_seed, sample_index, t, i))
-                for i, e in enumerate(row)
-            ]
+        return sample_means(exps, shot.shots_per_term, shot.rng_seed, sample_index, t0)
     return exps
 
 

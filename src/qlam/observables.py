@@ -9,12 +9,15 @@ a vector and ``<O> = gammas @ <P>``, with the per-string expectations
 matrix: each string is a sign row and an index flip, and a whole pool is
 evaluated or applied on a stack of states at once.
 
-Shot sampling averages m simulated +-1 outcomes per string
-(`sample_term_mean`), drawn from one counter-based Philox stream per
-``(seed, sample, timestep, term)`` coordinate, so parallel evaluation of
-different samples or timesteps can never perturb each other's draws.
-`cell.measure` runs it over a stack of states; the m-shot estimate of
-``<O>`` has variance ``sum_i gamma_i^2 (1 - <P_i>^2) / m``.
+Shot sampling averages m simulated +-1 outcomes per string, drawn from
+counter-based Philox streams (Salmon et al., SC'11): the key is
+``(seed, sample)`` and the counter starts at ``(timestep, term)``, so
+parallel evaluation of different samples or timesteps can never perturb
+each other's draws.  `shot_stream` and `sample_term_mean` are the
+one-coordinate reference; `sample_means`, which `cell.measure` calls,
+draws a whole stack of coordinates from one generator re-pointed at each
+coordinate's counter, with the same outcomes bit for bit.  The m-shot
+estimate of ``<O>`` has variance ``sum_i gamma_i^2 (1 - <P_i>^2) / m``.
 """
 
 from __future__ import annotations
@@ -166,6 +169,10 @@ class ShotConfig:
     def __post_init__(self):
         if self.mode not in ("exact", "sampled"):
             raise ConfigError(f"shot mode must be 'exact' or 'sampled', got {self.mode!r}")
+        for name in ("shots_per_term", "rng_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name} must be an int, got {value!r}")
         if self.mode == "sampled" and self.shots_per_term < 1:
             raise ConfigError(
                 f"shots_per_term must be >= 1 in sampled mode, got {self.shots_per_term}"
@@ -175,16 +182,23 @@ class ShotConfig:
 _U64 = 0xFFFFFFFFFFFFFFFF
 
 
-def shot_stream(seed: int, sample_index: int, timestep: int, term_index: int) -> np.random.Generator:
-    """Philox stream for one (seed, sample, timestep, term) coordinate.
+def stream_key(seed: int, sample_index: int) -> np.ndarray:
+    """Philox key of every shot stream of one sample: (seed, sample_index)."""
+    return np.array([seed & _U64, sample_index & _U64], dtype=np.uint64)
 
-    Stream derivation: key = (seed, sample_index); the 256-bit counter
-    starts at ``timestep * 2**192 + term_index * 2**128``.  Draws advance
-    the low counter words, so distinct coordinates can never overlap.
-    """
-    key = np.array([seed & _U64, sample_index & _U64], dtype=np.uint64)
-    counter = np.array([0, 0, term_index & _U64, timestep & _U64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(counter=counter, key=key))
+
+def stream_counter(timestep: int, term_index: int) -> np.ndarray:
+    """Start of the (timestep, term) stream's 256-bit Philox counter,
+    ``timestep * 2**192 + term_index * 2**128``.  Draws advance the low
+    words, so distinct coordinates can never overlap."""
+    return np.array([0, 0, term_index & _U64, timestep & _U64], dtype=np.uint64)
+
+
+def shot_stream(seed: int, sample_index: int, timestep: int, term_index: int) -> np.random.Generator:
+    """Philox stream for one (seed, sample, timestep, term) coordinate."""
+    bits = np.random.Philox(counter=stream_counter(timestep, term_index),
+                            key=stream_key(seed, sample_index))
+    return np.random.Generator(bits)
 
 
 def sample_term_mean(
@@ -193,6 +207,31 @@ def sample_term_mean(
     """Average of m simulated +-1 measurement outcomes with mean ``expectation``."""
     p_plus = min(max(0.5 * (1.0 + expectation), 0.0), 1.0)
     n_plus = int(np.count_nonzero(rng.random(m) < p_plus))
+    return (2 * n_plus - m) / m
+
+
+def sample_means(exps: np.ndarray, m: int, seed: int, sample_index: int, t0: int) -> np.ndarray:
+    """(S, P) m-shot means of (S, P) expectations at timesteps t0, t0+1, ...
+
+    Bit for bit ``sample_term_mean(exps[s, k], m, shot_stream(seed,
+    sample_index, t0 + s, k))``, from one generator for the whole stack:
+    each coordinate assigns it the state of a new `shot_stream`, whose
+    counter is the coordinate's start and whose 4-word output buffer is
+    spent, then draws into one reused buffer of m doubles.
+    """
+    bits = np.random.Philox(key=stream_key(seed, sample_index))
+    gen = np.random.Generator(bits)
+    state = bits.state  # never read back, so it stays a fresh stream's state
+    state["buffer_pos"] = 4  # spent: the first draw generates from the counter
+    draws = np.empty(m)
+    p_plus = np.clip(0.5 * (1.0 + exps), 0.0, 1.0)
+    n_plus = np.empty(exps.shape, dtype=np.int64)
+    for s, t in enumerate(range(t0, t0 + exps.shape[0])):
+        for k in range(exps.shape[1]):
+            state["state"]["counter"] = stream_counter(t, k)
+            bits.state = state
+            gen.random(out=draws)
+            n_plus[s, k] = np.count_nonzero(draws < p_plus[s, k])
     return (2 * n_plus - m) / m
 
 

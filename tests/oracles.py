@@ -39,12 +39,17 @@ def dense_1q(matrix: np.ndarray, target: int, n_qubits: int) -> np.ndarray:
     return out
 
 
+def cnot_image(i, control: int, target: int):
+    """Basis index (int or integer array) that CNOT maps i to: the target
+    bit flips where the control bit is set.  The map is its own inverse."""
+    return i ^ (((i >> control) & 1) << target)
+
+
 def dense_cnot(control: int, target: int, n_qubits: int) -> np.ndarray:
     dim = 1 << n_qubits
     out = np.zeros((dim, dim), dtype=np.complex128)
     for i in range(dim):
-        j = i ^ (1 << target) if (i >> control) & 1 else i
-        out[j, i] = 1.0
+        out[cnot_image(i, control, target), i] = 1.0
     return out
 
 
@@ -55,25 +60,41 @@ def dense_pauli_string(labels: str) -> np.ndarray:
     return out
 
 
+def apply_dense_1q(matrix: np.ndarray, target: int, u: np.ndarray) -> np.ndarray:
+    """``dense_1q(matrix, target, n) @ u`` for a (2**n, cols) u, as a
+    contraction on the target's axis of the row index split (high, bit, low)."""
+    dim, cols = u.shape
+    view = u.reshape(dim >> (target + 1), 2, 1 << target, cols)
+    return np.einsum("ab,hblc->halc", matrix, view).reshape(dim, cols)
+
+
+def apply_dense_cnot(control: int, target: int, u: np.ndarray) -> np.ndarray:
+    """``dense_cnot(control, target, n) @ u``: a permutation of u's rows,
+    gathered through `cnot_image` (its own inverse)."""
+    return u[cnot_image(np.arange(u.shape[0]), control, target)]
+
+
 def dense_step_matrix(cfg, theta: np.ndarray, embedding: np.ndarray) -> np.ndarray:
     """Full 2**n x 2**n matrix of one recurrence step: encoding RY on each
-    qubit, then per layer RY/RZ per qubit and the CNOT entangler."""
+    qubit, then per layer RY/RZ per qubit and the CNOT entangler.  Each
+    gate is applied to the running product as the contraction or row
+    gather that equals multiplying by its `dense_1q` / `dense_cnot` matrix."""
     n = cfg.n_qubits
     u = np.eye(1 << n, dtype=np.complex128)
     for j in range(n):
-        u = dense_1q(dense_ry(embedding[j]), j, n) @ u
+        u = apply_dense_1q(dense_ry(embedding[j]), j, u)
     layered = np.asarray(theta, dtype=np.float64).reshape(cfg.n_layers, n, 2)
     for layer in range(cfg.n_layers):
         for j in range(n):
-            u = dense_1q(dense_ry(layered[layer, j, 0]), j, n) @ u
-            u = dense_1q(dense_rz(layered[layer, j, 1]), j, n) @ u
+            u = apply_dense_1q(dense_ry(layered[layer, j, 0]), j, u)
+            u = apply_dense_1q(dense_rz(layered[layer, j, 1]), j, u)
         if n > 1:
             if cfg.entangler == "ring":
                 pairs = [(j, (j + 1) % n) for j in range(n)]
             else:
                 pairs = [(j, j + 1) for j in range(n - 1)]
             for control, target in pairs:
-                u = dense_cnot(control, target, n) @ u
+                u = apply_dense_cnot(control, target, u)
     return u
 
 

@@ -2,8 +2,10 @@
 subcommand runs on the digits preset (those two need scikit-learn)."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -182,9 +184,13 @@ def test_folds_end_to_end(tmp_path, capsys):
 
 
 def test_console_entry_help():
+    # the subprocess does not see pytest's `pythonpath`, so pass src on
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
     proc = subprocess.run(
         [sys.executable, "-m", "qlam.cli", "train", "--help"],
-        capture_output=True, text=True, timeout=60,
+        capture_output=True, text=True, timeout=60, env=env,
     )
     assert proc.returncode == 0
     assert "--shots" in proc.stdout

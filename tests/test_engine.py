@@ -8,7 +8,16 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from oracles import central_diff, dense_pauli_string, dense_step_matrix, rel_err
+from oracles import (
+    central_diff,
+    dense_1q,
+    dense_cnot,
+    dense_pauli_string,
+    dense_ry,
+    dense_rz,
+    dense_step_matrix,
+    rel_err,
+)
 
 from qlam.cell import (
     CHECKPOINT_INTERVAL,
@@ -44,6 +53,30 @@ def basis_images(dim, apply):
 # ---------------------------------------------------------------------------
 # Steps.
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("entangler", ["ring", "linear"])
+@pytest.mark.parametrize("n_qubits", range(1, 6))
+def test_dense_step_matrix_matches_gate_matrix_products(n_qubits, entangler):
+    # the oracle's per-gate contractions and row gathers against the
+    # product of the full dense_1q / dense_cnot matrices
+    cfg = AnsatzConfig(n_qubits, 2, entangler)
+    rng = np.random.default_rng(90 + n_qubits)
+    theta = rng.uniform(-np.pi, np.pi, cfg.n_params)
+    emb = rng.uniform(-2.0, 2.0, n_qubits)
+    layered = theta.reshape(cfg.n_layers, n_qubits, 2)
+    u = np.eye(1 << n_qubits, dtype=np.complex128)
+    for j in range(n_qubits):
+        u = dense_1q(dense_ry(emb[j]), j, n_qubits) @ u
+    for layer in range(cfg.n_layers):
+        for j in range(n_qubits):
+            u = dense_1q(dense_ry(layered[layer, j, 0]), j, n_qubits) @ u
+            u = dense_1q(dense_rz(layered[layer, j, 1]), j, n_qubits) @ u
+        if n_qubits > 1:
+            ring = [(j, (j + 1) % n_qubits) for j in range(n_qubits)]
+            for control, target in ring if entangler == "ring" else ring[:-1]:
+                u = dense_cnot(control, target, n_qubits) @ u
+    assert_allclose(dense_step_matrix(cfg, theta, emb), u, atol=1e-13)
+
 
 @pytest.mark.parametrize("entangler", ["ring", "linear"])
 @pytest.mark.parametrize("n_qubits", range(1, 11))

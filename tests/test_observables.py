@@ -18,6 +18,7 @@ from qlam.observables import (
     default_pauli_pool,
     pauli_table,
     pool_table,
+    sample_means,
     sample_term_mean,
     shot_stream,
 )
@@ -130,6 +131,14 @@ def test_shot_config_validation():
         ShotConfig(mode="sampled", shots_per_term=0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("shots_per_term", 2.5), ("shots_per_term", True), ("rng_seed", 1.5), ("rng_seed", True),
+])
+def test_shot_config_rejects_non_int_fields(field, value):
+    with pytest.raises(ConfigError, match=field):
+        ShotConfig(mode="sampled", **{field: value})
+
+
 def sampled_value(state, gammas, pool, cfg, sample_index, timestep=0):
     """gammas @ the m-shot pool means of one state at one timestep."""
     return gammas @ measure(state[None], pool_table(pool), cfg, sample_index, timestep)[0]
@@ -153,6 +162,40 @@ def test_shot_streams_are_independent():
     for coords in [(0, 2, 3, 4), (1, 3, 3, 4), (1, 2, 4, 4), (1, 2, 3, 5)]:
         other = shot_stream(*coords).random(8)
         assert not np.array_equal(base, other)
+
+
+def reference_means(exps, m, seed, sample_index, t0):
+    """Per-coordinate means, each from a freshly built `shot_stream`."""
+    return np.array([
+        [sample_term_mean(e, m, shot_stream(seed, sample_index, t0 + s, k))
+         for k, e in enumerate(row)]
+        for s, row in enumerate(exps)
+    ])
+
+
+# +-1, one rounding step inside and past them, and interior values
+EDGE_EXPS = np.array([
+    [1.0, np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0), 0.0, 0.3],
+    [-1.0, np.nextafter(-1.0, -2.0), np.nextafter(-1.0, 0.0), -0.0, -0.7],
+])
+
+
+@pytest.mark.parametrize("t0", [0, 33, 2**40])
+@pytest.mark.parametrize("sample_index", [0, 2**64 - 1])
+@pytest.mark.parametrize("m", [1, 3, 5, 1023, 1024])
+def test_sampled_measure_matches_per_coordinate_streams(m, sample_index, t0):
+    # one re-pointed generator per call reproduces every coordinate's own
+    # stream, also when m is not a multiple of Philox's 4-draw block
+    pool = default_pauli_pool(2)
+    table = pool_table(pool)
+    basis = np.eye(4, dtype=np.complex128)
+    states = np.stack([basis[0], basis[3], random_state(2, 7), random_state(2, 8)])
+    shot = ShotConfig(mode="sampled", shots_per_term=m, rng_seed=11)
+    got = measure(states, table, shot, sample_index, t0)
+    want = reference_means(table.expectations(states), m, 11, sample_index, t0)
+    assert np.array_equal(got, want)
+    got = sample_means(EDGE_EXPS, m, 11, sample_index, t0)
+    assert np.array_equal(got, reference_means(EDGE_EXPS, m, 11, sample_index, t0))
 
 
 def test_sample_term_mean_extremes():
