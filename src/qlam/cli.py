@@ -64,7 +64,10 @@ def _add_override_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--n-folds", type=int, dest="n_folds")
     parser.add_argument("--train-subsample", type=int, dest="train_subsample")
     parser.add_argument("--test-subsample", type=int, dest="test_subsample")
-    parser.add_argument("--workers", type=int, help="gradient worker threads")
+    parser.add_argument(
+        "--workers", type=int,
+        help="threads for the per-sample gradient and evaluation passes",
+    )
     parser.add_argument("--out-dir", dest="out_dir", help="run output directory")
     parser.add_argument(
         "--data-dir", dest="data_dir",

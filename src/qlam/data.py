@@ -33,14 +33,6 @@ class SequenceSample:
     tokens: np.ndarray
     label: int
 
-    def validate(self) -> None:
-        if self.tokens.ndim != 1 or self.tokens.shape[0] < 1:
-            raise ShapeError(f"tokens must be a non-empty vector, got {self.tokens.shape}")
-        if self.tokens.min() < 0.0 or self.tokens.max() > 1.0:
-            raise DataError("tokens outside [0, 1]")
-        if self.label < 0:
-            raise DataError(f"negative label {self.label}")
-
 
 # ---------------------------------------------------------------------------
 # IDX container (big-endian magic, big-endian dims, raw uint8 payload).

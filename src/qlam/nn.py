@@ -6,11 +6,15 @@ clipping, and checkpointing can treat every model uniformly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, NumericError, ShapeError
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 def init_affine(rng: np.random.Generator, out_dim: int, in_dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -49,9 +53,6 @@ class AdamState:
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def for_params(cls, params: dict[str, np.ndarray]) -> "AdamState":
@@ -74,7 +75,7 @@ def adam_step(
         )
     state.step += 1
     t = state.step
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     for key, p in params.items():
         g = grads[key]
         if g.shape != p.shape:
@@ -87,7 +88,7 @@ def adam_step(
         v += (1.0 - b2) * g * g
         m_hat = m / (1.0 - b1**t)
         v_hat = v / (1.0 - b2**t)
-        p -= lr_t * m_hat / (np.sqrt(v_hat) + state.eps)
+        p -= lr_t * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def cosine_lr(epoch: int, total_epochs: int, base_lr: float) -> float:

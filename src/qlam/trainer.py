@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .cell import CellConfig, QlamParams, final_logits, init_qlam_params
-from .checkpoint import save_checkpoint
+from .checkpoint import load_checkpoint, save_checkpoint
 from .data import (
     DATASET_NAMES,
     DatasetBundle,
@@ -274,8 +274,35 @@ def resolve_splits(
 
 
 # ---------------------------------------------------------------------------
-# Batched gradients and evaluation.
+# Batched passes, the epoch loop, and training.
 # ---------------------------------------------------------------------------
+
+def _ordered_map(fn, items: list, workers: int) -> list:
+    """[fn(item) for item in items] on up to `workers` threads, in input
+    order; the threads overlap where numpy releases the GIL."""
+    if workers > 1 and len(items) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
+
+
+def _mean_gradients(samples, per_sample, params: dict[str, np.ndarray], workers: int):
+    """Mean of per_sample(sample) -> GradBundle over a batch, reduced in
+    sample order; returns (mean grads, mean loss, number correct)."""
+    total = grad_like(params)
+    loss_sum = 0.0
+    correct = 0
+    for sample, bundle in zip(samples, _ordered_map(per_sample, samples, workers)):
+        for key in total:
+            total[key] += bundle.grads[key]
+        loss_sum += bundle.loss
+        if int(np.argmax(bundle.logits)) == sample.label:
+            correct += 1
+    scale = 1.0 / len(samples)
+    for key in total:
+        total[key] *= scale
+    return total, loss_sum * scale, correct
+
 
 def batch_gradients(
     samples: list[SequenceSample],
@@ -289,26 +316,24 @@ def batch_gradients(
     results in order, so the outcome is identical for any worker count.
     Returns (mean grads, mean loss, number correct).
     """
-    if workers > 1 and len(samples) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            bundles = list(pool.map(
-                lambda s: loss_and_grad(s, params, cfg), samples
-            ))
-    else:
-        bundles = [loss_and_grad(s, params, cfg) for s in samples]
-    total = grad_like(params.as_dict())
+    return _mean_gradients(
+        samples, lambda s: loss_and_grad(s, params, cfg), params.as_dict(), workers
+    )
+
+
+def _score(samples: list[SequenceSample], logits_of, workers: int) -> tuple[float, float]:
+    """(mean loss, accuracy) of logits_of(index, sample) over a sample list."""
+    if not samples:
+        raise ConfigError("cannot evaluate on an empty sample list")
+    rows = _ordered_map(lambda item: logits_of(*item), list(enumerate(samples)), workers)
     loss_sum = 0.0
     correct = 0
-    for sample, bundle in zip(samples, bundles):
-        for key in total:
-            total[key] += bundle.grads[key]
-        loss_sum += bundle.loss
-        if int(np.argmax(bundle.logits)) == sample.label:
+    for sample, logits in zip(samples, rows):
+        loss, _ = softmax_cross_entropy(logits, sample.label)
+        loss_sum += loss
+        if int(np.argmax(logits)) == sample.label:
             correct += 1
-    scale = 1.0 / len(samples)
-    for key in total:
-        total[key] *= scale
-    return total, loss_sum * scale, correct
+    return loss_sum / len(samples), correct / len(samples)
 
 
 def evaluate_samples(
@@ -319,40 +344,15 @@ def evaluate_samples(
     workers: int = 1,
 ) -> tuple[float, float]:
     """(mean loss, accuracy) over a sample list, exact or sampled mode."""
-    if not samples:
-        raise ConfigError("cannot evaluate on an empty sample list")
-
-    def one(item):
-        index, sample = item
-        return final_logits(sample.tokens, params, cfg, shot, sample_index=index)
-
-    indexed = list(enumerate(samples))
-    if workers > 1 and len(samples) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            logit_rows = list(pool.map(one, indexed))
-    else:
-        logit_rows = [one(item) for item in indexed]
-    loss_sum = 0.0
-    correct = 0
-    for sample, logits in zip(samples, logit_rows):
-        loss, _ = softmax_cross_entropy(logits, sample.label)
-        loss_sum += loss
-        if int(np.argmax(logits)) == sample.label:
-            correct += 1
-    return loss_sum / len(samples), correct / len(samples)
+    return _score(
+        samples,
+        lambda index, sample: final_logits(sample.tokens, params, cfg, shot, sample_index=index),
+        workers,
+    )
 
 
-# ---------------------------------------------------------------------------
-# Training.
-# ---------------------------------------------------------------------------
-
-def train(config: TrainConfig, bundle: DatasetBundle | None = None) -> TrainResult:
-    """Full seeded run: init, epoch loop, metrics emission, checkpoint.
-
-    Train-split metrics are accumulated from the optimization passes
-    themselves (loss and prediction before each update); test metrics
-    come from a dedicated exact-mode evaluation per epoch.
-    """
+def _splits(config: TrainConfig, bundle: DatasetBundle | None) -> tuple[list, list]:
+    """The validated config's train and test split; neither may be empty."""
     config.validate()
     if bundle is None:
         bundle = load_dataset(config.dataset, config.data_dir)
@@ -361,12 +361,44 @@ def train(config: TrainConfig, bundle: DatasetBundle | None = None) -> TrainResu
         raise ConfigError(
             f"empty split: {len(train_set)} train / {len(test_set)} test samples"
         )
+    return train_set, test_set
 
-    cell_cfg = config.cell_config()
+
+def _epochs(config: TrainConfig, train_set: list[SequenceSample], params: dict[str, np.ndarray], gradients):
+    """The one epoch loop: updates params in place from gradients(batch)
+    -> (mean grads, mean loss, number correct) and yields (epoch, lr,
+    mean train loss, train accuracy) after each epoch."""
     epochs = config.resolved_epochs
+    adam = AdamState.for_params(params)
+    for epoch in range(1, epochs + 1):
+        lr = cosine_lr(epoch - 1, epochs, config.base_lr)
+        order = np.random.default_rng([config.seed, 1, epoch]).permutation(len(train_set))
+        loss_sum = 0.0
+        correct = 0
+        for start in range(0, len(order), config.batch_size):
+            batch = [train_set[i] for i in order[start:start + config.batch_size]]
+            grads, batch_loss, batch_correct = gradients(batch)
+            if not math.isfinite(batch_loss):
+                raise NumericError(
+                    f"non-finite loss at epoch {epoch}, batch starting {start}"
+                )
+            clip_global_norm(grads, config.clip_norm)
+            adam_step(params, grads, adam, lr)
+            loss_sum += batch_loss * len(batch)
+            correct += batch_correct
+        yield epoch, lr, loss_sum / len(train_set), correct / len(train_set)
+
+
+def train(config: TrainConfig, bundle: DatasetBundle | None = None) -> TrainResult:
+    """Full seeded run: init, epoch loop, metrics emission, checkpoint.
+
+    Train-split metrics are accumulated from the optimization passes
+    themselves (loss and prediction before each update); test metrics
+    come from a dedicated exact-mode evaluation per epoch.
+    """
+    train_set, test_set = _splits(config, bundle)
+    cell_cfg = config.cell_config()
     params = init_qlam_params(np.random.default_rng([config.seed, 0]), cell_cfg)
-    param_dict = params.as_dict()
-    adam = AdamState.for_params(param_dict)
 
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -378,32 +410,17 @@ def train(config: TrainConfig, bundle: DatasetBundle | None = None) -> TrainResu
         if stale.exists():
             stale.unlink()
 
-    last_train = last_test = None
-    for epoch in range(1, epochs + 1):
-        started = time.perf_counter()
-        lr = cosine_lr(epoch - 1, epochs, config.base_lr)
-        order = np.random.default_rng([config.seed, 1, epoch]).permutation(len(train_set))
-        loss_sum = 0.0
-        correct = 0
-        for start in range(0, len(order), config.batch_size):
-            batch = [train_set[i] for i in order[start:start + config.batch_size]]
-            grads, batch_loss, batch_correct = batch_gradients(
-                batch, params, cell_cfg, config.workers
-            )
-            if not math.isfinite(batch_loss):
-                raise NumericError(
-                    f"non-finite loss at epoch {epoch}, batch starting {start}"
-                )
-            clip_global_norm(grads, config.clip_norm)
-            adam_step(param_dict, grads, adam, lr)
-            loss_sum += batch_loss * len(batch)
-            correct += batch_correct
+    epochs = _epochs(
+        config, train_set, params.as_dict(),
+        lambda batch: batch_gradients(batch, params, cell_cfg, config.workers),
+    )
+    started = time.perf_counter()
+    for epoch, lr, train_loss, train_acc in epochs:
         test_loss, test_acc = evaluate_samples(
             test_set, params, cell_cfg, workers=config.workers
         )
         last_train = MetricsRow(
-            epoch, "train", loss_sum / len(train_set), correct / len(train_set),
-            lr, config.seed, config.fold,
+            epoch, "train", train_loss, train_acc, lr, config.seed, config.fold
         )
         last_test = MetricsRow(
             epoch, "test", test_loss, test_acc, lr, config.seed, config.fold,
@@ -412,15 +429,16 @@ def train(config: TrainConfig, bundle: DatasetBundle | None = None) -> TrainResu
         wall = time.perf_counter() - started
         last_train.wall_seconds = last_test.wall_seconds = wall
         _append_timing(timing_path, epoch, wall)
+        started = time.perf_counter()
 
     save_checkpoint(checkpoint_path, params, cell_cfg, {
         **{name: getattr(config, name) for name in SPLIT_FIELDS},
-        "epochs": epochs,
+        "epochs": config.resolved_epochs,
         "final_test_accuracy": last_test.accuracy,
     })
     return TrainResult(
         config, last_train, last_test, metrics_path, timing_path,
-        checkpoint_path, params, param_count(param_dict),
+        checkpoint_path, params, param_count(params.as_dict()),
     )
 
 
@@ -430,8 +448,6 @@ def evaluate(checkpoint_path, config: TrainConfig, bundle: DatasetBundle | None 
     Refuses a config whose split settings differ from the ones the model
     was trained with, since its "test" split would hold training samples.
     """
-    from .checkpoint import load_checkpoint
-
     config.validate()
     params, cell_cfg, extra = load_checkpoint(checkpoint_path)
     for name in SPLIT_FIELDS:
@@ -440,9 +456,7 @@ def evaluate(checkpoint_path, config: TrainConfig, bundle: DatasetBundle | None 
                 f"checkpoint was trained with {name}={extra[name]!r}, "
                 f"the config has {name}={getattr(config, name)!r}"
             )
-    if bundle is None:
-        bundle = load_dataset(config.dataset, config.data_dir)
-    _, test_set = resolve_splits(config, bundle)
+    _, test_set = _splits(config, bundle)
     _, accuracy = evaluate_samples(
         test_set, params, cell_cfg, config.shot_config(), workers=config.workers
     )
@@ -498,33 +512,16 @@ def train_elman(
     The default width of 97 puts its parameter count (10583) near the
     default hybrid model's (10658).
     """
-    config.validate()
-    if bundle is None:
-        bundle = load_dataset(config.dataset, config.data_dir)
-    train_set, test_set = resolve_splits(config, bundle)
-    epochs = config.resolved_epochs
+    train_set, test_set = _splits(config, bundle)
     params = init_elman(np.random.default_rng([config.seed, 0]), d_hidden, 10)
-    adam = AdamState.for_params(params)
-    train_acc = 0.0
-    for epoch in range(1, epochs + 1):
-        lr = cosine_lr(epoch - 1, epochs, config.base_lr)
-        order = np.random.default_rng([config.seed, 1, epoch]).permutation(len(train_set))
-        correct = 0
-        for start in range(0, len(order), config.batch_size):
-            batch = [train_set[i] for i in order[start:start + config.batch_size]]
-            total = grad_like(params)
-            for sample in batch:
-                _, grads, logits = elman_loss_and_grad(sample.tokens, sample.label, params)
-                if int(np.argmax(logits)) == sample.label:
-                    correct += 1
-                for key in total:
-                    total[key] += grads[key]
-            for key in total:
-                total[key] /= len(batch)
-            clip_global_norm(total, config.clip_norm)
-            adam_step(params, total, adam, lr)
-        train_acc = correct / len(train_set)
-    correct = sum(
-        int(np.argmax(elman_forward(s.tokens, params)) == s.label) for s in test_set
+
+    epochs = _epochs(config, train_set, params, lambda batch: _mean_gradients(
+        batch, lambda s: GradBundle(*elman_loss_and_grad(s.tokens, s.label, params)),
+        params, config.workers,
+    ))
+    for *_, train_acc in epochs:
+        pass
+    _, test_acc = _score(
+        test_set, lambda _, s: elman_forward(s.tokens, params), config.workers
     )
-    return train_acc, correct / len(test_set), param_count(params)
+    return train_acc, test_acc, param_count(params)

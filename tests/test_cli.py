@@ -3,6 +3,8 @@ subcommand runs on the digits preset (those two need scikit-learn)."""
 
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +15,8 @@ import pytest
 from qlam.cli import EXIT_CODES, build_config, build_parser, load_config_file, main
 from qlam.data import write_idx_images, write_idx_labels
 from qlam.errors import QlamError
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 TINY = [
     "--dataset", "sdigits8", "--qubits", "2", "--heads", "2", "--d-query", "3",
@@ -93,6 +97,27 @@ def test_structural_flags():
 def test_subcommand_required():
     with pytest.raises(SystemExit):
         parse([])
+
+
+def test_readme_commands_parse(capsys):
+    text = README.read_text()
+    commands = [
+        line.split(" #")[0]
+        for block in re.findall(r"```sh\n(.*?)```", text, re.S)
+        for line in block.splitlines() if line.startswith("qlam ")
+    ]
+    assert len(commands) >= 3
+    for command in commands:
+        try:
+            parse(shlex.split(command)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {command}")
+    # flags named in the prose must exist too
+    with pytest.raises(SystemExit):
+        parse(["train", "--help"])
+    train_help = capsys.readouterr().out
+    for flag in re.findall(r"`(--[a-z-]+)", text):
+        assert re.search(rf"(?<![\w-]){flag}\b", train_help), flag
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from qlam.data import (
     DATA_DIR_ENV,
     DatasetBundle,
     FoldPlan,
-    SequenceSample,
     cifar10_bytes,
     center_crop,
     data_root,
@@ -366,18 +365,8 @@ def test_holdout_small_fraction_keeps_one():
 
 
 # ---------------------------------------------------------------------------
-# Sample validation and dataset presets.
+# Dataset presets.
 # ---------------------------------------------------------------------------
-
-def test_sample_validate():
-    SequenceSample(np.array([0.0, 0.5, 1.0]), 3).validate()
-    with pytest.raises(ShapeError):
-        SequenceSample(np.zeros((2, 2)), 0).validate()
-    with pytest.raises(DataError):
-        SequenceSample(np.array([0.5, 1.2]), 0).validate()
-    with pytest.raises(DataError):
-        SequenceSample(np.array([0.5]), -1).validate()
-
 
 def test_data_root_env(tmp_path, monkeypatch):
     monkeypatch.delenv(DATA_DIR_ENV, raising=False)

@@ -63,6 +63,8 @@ def test_cross_entropy_large_logits_stable():
 def test_cross_entropy_validation():
     with pytest.raises(ConfigError):
         softmax_cross_entropy(np.zeros(3), 3)
+    with pytest.raises(ConfigError):
+        softmax_cross_entropy(np.zeros(3), -1)
     with pytest.raises(ShapeError):
         softmax_cross_entropy(np.zeros((2, 2)), 0)
 

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+import qlam.trainer
 from qlam.cell import init_qlam_params
 from qlam.data import DatasetBundle, SequenceSample
 from qlam.errors import ConfigError
+from qlam.nn import init_elman
 from qlam.trainer import (
     METRICS_COLUMNS,
     MetricsRow,
@@ -355,3 +357,38 @@ def test_elman_baseline_runs(tmp_path):
     assert 0.0 <= train_acc <= 1.0
     assert 0.0 <= test_acc <= 1.0
     assert n_params == 8 + 8 + 64 + 10 * 8 + 10
+
+
+def test_empty_test_split_is_a_config_error_for_both_models(tmp_path):
+    bundle = synthetic_bundle(n_per_class=2)
+    no_test = DatasetBundle(bundle.name, bundle.train, [], bundle.seq_len, 10)
+    cfg = tiny_config(out_dir=str(tmp_path))
+    with pytest.raises(ConfigError, match="empty split"):
+        train(cfg, no_test)
+    with pytest.raises(ConfigError, match="empty split"):
+        train_elman(cfg, no_test, d_hidden=4)
+
+
+def test_elman_baseline_is_deterministic(tmp_path, monkeypatch):
+    made = []
+
+    def init(*args):
+        made.append(init_elman(*args))
+        return made[-1]
+
+    monkeypatch.setattr(qlam.trainer, "init_elman", init)
+    bundle = synthetic_bundle(n_per_class=6)
+    cfg = tiny_config(epochs=3, out_dir=str(tmp_path))
+    train_set, _ = resolve_splits(cfg, bundle)
+    assert len(train_set) % cfg.batch_size != 0
+    first = train_elman(cfg, bundle, d_hidden=16)
+    again = train_elman(cfg, bundle, d_hidden=16)
+    threaded = train_elman(dataclasses.replace(cfg, workers=3), bundle, d_hidden=16)
+    assert first == again == threaded
+    for key, arr in made[0].items():
+        assert_array_equal(arr, made[1][key], err_msg=key)
+        assert_array_equal(arr, made[2][key], err_msg=key)
+    untrained = init_elman(np.random.default_rng([cfg.seed, 0]), 16, 10)
+    assert not np.array_equal(made[0]["w_rec"], untrained["w_rec"])
+    _, _, n_params = train_elman(dataclasses.replace(cfg, epochs=1), bundle)
+    assert n_params == 10583
