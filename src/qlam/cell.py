@@ -14,17 +14,17 @@ The classifier consumes the last `t_keep` readout vectors (default 1,
 a single 2**n amplitude vector regardless of sequence length; the trace
 never stores per-token states.
 
-`run` is the one pass of the recurrence.  It advances the memory a block
-of `CHECKPOINT_INTERVAL` steps at a time through `circuits.Steps`, the
-one step engine at every register size; only that advance is
-sequential.  Everything else runs once per block or once per sequence on
-stacked arrays: pool expectations of the block's states through
-`measure` (exact, or shot-sampled), and the query and `decoder` of every
-kept step.  A head's readout is its weight row dotted with the pool
-expectations; no observable object is built.  `forward`,
-`final_logits`, the adjoint gradients and the parameter-shift oracle in
-`gradients` are all views of `run`; the adjoint rewinds the same
-`Steps`.  The memory is a plain (2**n,) complex array throughout.
+`run` is the one pass of the recurrence.  It builds one `circuits.Steps`
+and lets `Steps.sweep` advance the memory; only that advance is
+sequential.  Everything else runs once per window or once per sequence
+on stacked arrays: pool expectations of each window's kept states
+through `measure` (exact, or shot-sampled), called back from the sweep,
+and the query and `decoder` of every kept step.  A head's readout is its
+weight row dotted with the pool expectations; no observable object is
+built.  `forward`, `final_logits`, the adjoint gradients and the
+parameter-shift oracle in `gradients` are all views of `run`; the
+adjoint walks back the same `Steps`.  The memory is a plain (2**n,)
+complex array throughout.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import AnsatzConfig, Steps
+from .circuits import CHECKPOINT_INTERVAL, AnsatzConfig, Steps
 from .errors import ConfigError, NumericError, ShapeError, ValidationError
 from .observables import (
     PauliString,
@@ -43,12 +43,6 @@ from .observables import (
     pool_table,
     sample_means,
 )
-from .statevector import new_zero_state
-
-# The recurrence runs in blocks of this many steps, aligned at multiples
-# of it.  With checkpoints, the state at every block boundary is kept, so
-# the adjoint recomputes one block at a time.
-CHECKPOINT_INTERVAL = 32
 
 
 @dataclass(frozen=True)
@@ -238,8 +232,8 @@ def measure(states: np.ndarray, table: PauliTable, shot: ShotConfig,
 @dataclass
 class Run:
     """One pass of the recurrence.  Rows of `queries`, `hidden`, `gammas`,
-    `exps` and `readouts` are the kept 1-based steps first..T;
-    `checkpoints` maps a step to a copy of the amplitudes after it."""
+    `exps` and `readouts` are the kept 1-based steps first..T; `steps`
+    is the swept engine, checkpoints included, for the adjoint."""
 
     tokens: np.ndarray      # (T,), validated
     embeddings: np.ndarray  # (T, n_qubits)
@@ -250,7 +244,7 @@ class Run:
     exps: np.ndarray        # (T - first + 1, pool_size)
     readouts: np.ndarray    # (T - first + 1, n_heads)
     state: np.ndarray       # (2**n_qubits,) amplitudes after step T
-    checkpoints: dict[int, np.ndarray]
+    steps: Steps
 
 
 def run(
@@ -262,17 +256,15 @@ def run(
     *,
     sample_index: int = 0,
     shifted=None,
-    checkpoints: bool = False,
 ) -> Run:
     """Validate, embed every token, evolve the memory from |0...0> and
     read it out at the last `keep` steps (every step when None).  An
     embedding that overflows raises NumericError naming its 1-based step.
 
     Forward, logits, gradients and the parameter-shift oracle are all
-    views of this pass.  With `checkpoints` the amplitudes at step 0 and
-    at every CHECKPOINT_INTERVAL-th step are kept for the adjoint
-    recompute.  Each readout is reduced on its own step's row only, so it
-    does not depend on `keep` or on the block that computed it.
+    views of this pass.  Each readout is reduced on its own step's row
+    only, so it does not depend on `keep` or on the window that computed
+    it.
     """
     x = validate_tokens(tokens, cfg.clamp_tokens)
     params.validate(cfg)
@@ -287,20 +279,14 @@ def run(
     q = np.einsum("qn,tn->tq", params.w_q, emb[first - 1:])
     hidden, gammas = decoder(q, params)
     table = pool_table(cfg.pool)
-    psi = new_zero_state(cfg.n_qubits)
-    kept = {0: psi.copy()} if checkpoints else {}
     exps = np.empty((keep, table.size))
-    for start in range(0, T, CHECKPOINT_INTERVAL):
-        stop = min(start + CHECKPOINT_INTERVAL, T)
-        lo = min(max(start, first - 1), stop)  # 0-based index of the block's first kept step
-        states = steps.evolve(psi, start, stop, lo)
-        if checkpoints and stop % CHECKPOINT_INTERVAL == 0:
-            kept[stop] = psi.copy()
-        if lo < stop:
-            exps[lo - first + 1:stop - first + 1] = measure(states, table, shot, sample_index, lo)
-        del states  # release the block before the next one is allocated
+
+    def read(lo, states):
+        exps[lo - first + 1:][:len(states)] = measure(states, table, shot, sample_index, lo)
+
+    psi = steps.sweep(first, read)
     readouts = np.einsum("thp,tp->th", gammas, exps)
-    return Run(x, emb, first, q, hidden, gammas, exps, readouts, psi, kept)
+    return Run(x, emb, first, q, hidden, gammas, exps, readouts, psi, steps)
 
 
 def forward(

@@ -66,10 +66,10 @@ def load_checkpoint(path) -> tuple[QlamParams, CellConfig, dict]:
     try:
         cfg = CellConfig(**_json_load(members["__config__"]))
         extra = _json_load(members["__extra__"])
+        arrays = {name: arr.astype(np.float64, casting="same_kind")
+                  for name, arr in members.items() if not name.startswith("__")}
     except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"{path} holds no valid cell config: {exc}") from exc
-    params = QlamParams.from_dict(
-        {name: arr for name, arr in members.items() if not name.startswith("__")}
-    )
+        raise DataError(f"{path} holds no valid cell config or parameters: {exc}") from exc
+    params = QlamParams.from_dict(arrays)
     params.validate(cfg)
     return params, cfg, extra

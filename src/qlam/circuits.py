@@ -7,12 +7,18 @@ on every qubit followed by a CNOT entangler.  ``theta`` is a flat angle
 vector, viewed as (n_layers, n_qubits, 2) with RY at [..., 0] and RZ at
 [..., 1].
 
-`Steps` is the step engine at every register size: it advances the
-recurrence, rewinds it for the adjoint and reduces (ket, adjoint) pairs
-to the per-qubit cross operators the angle derivatives read.  A layer's
-rotations are a tensor product, so with the state viewed as a
-2**high x 2**low matrix they are two small matrix products; the
-encoding folds into layer 0, and the CNOT entangler is one index gather.
+`Steps` is the step engine at every register size, and it owns the
+whole sweep over a sequence.  `Steps.sweep` evolves |0...0> one window
+of K = `CHECKPOINT_INTERVAL` steps at a time, hands each window's states
+to a readout callback and keeps the state at each window's start.
+`Steps.adjoint` walks back from step T, recomputing one window at a
+time from its checkpoint (Jones & Gacon, arXiv:2009.02823).  Memory is
+the T/K checkpoints, one window of recomputed states and a walk stack
+of at most max(2**n, WALK_AMPLITUDES) (ket, adjoint) pairs:
+O(K * 2**n + T/K * 2**n) for any sequence length.  A layer's rotations
+are a tensor product, so with the state viewed as a 2**high x 2**low
+matrix they are two small matrix products; the encoding folds into
+layer 0, and the CNOT entangler is one index gather.
 
 The gate sequence also exists as an explicit plan (`build_step_plan`):
 its first n_qubits entries are the encoding and the rest the ansatz.
@@ -29,8 +35,12 @@ from typing import Literal, Optional
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .statevector import MAX_QUBITS, apply_cnot_kernel, apply_ry_kernel, apply_rz_kernel
+from .statevector import (
+    MAX_QUBITS, apply_cnot_kernel, apply_ry_kernel, apply_rz_kernel, new_zero_state
+)
 
+# The sweep runs in windows of this many steps, aligned at multiples of it.
+CHECKPOINT_INTERVAL = 32
 # `Steps` builds layer-0 factors, and the adjoint walks (ket, adjoint)
 # pairs, for at most max(1, WALK_AMPLITUDES >> n) steps at a time, which
 # bounds the memory a call holds beside the states of its block.
@@ -141,8 +151,8 @@ def times_ry(u: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 class Steps:
-    """The recurrence steps of one sequence: advanced, and rewound for the
-    adjoint, a run of consecutive steps at a time.
+    """The recurrence steps of one sequence: swept forward from |0...0>,
+    and walked back by the adjoint, a run of consecutive steps at a time.
 
     Step t is M_t = U_var(theta) U_enc(e_t), with e_t = embeddings[t - 1].
     Each ansatz layer l is a rotation layer A_l (x) B_l, the Kronecker
@@ -171,6 +181,7 @@ class Steps:
         self.shape = (1 << (n - self.low), 1 << self.low)
         self.block = max(1, WALK_AMPLITUDES >> n)
         self.embeddings = embeddings
+        self.angles = np.reshape(theta, (cfg.n_layers, n, 2))
         gather = np.arange(1 << n)
         for control, target in entangler_pairs(cfg):
             apply_cnot_kernel(gather, n, control, target)
@@ -228,6 +239,83 @@ class Steps:
         if not np.isfinite(psi).all():
             raise NumericError(f"non-finite amplitudes by timestep {stop}")
         return states
+
+    def sweep(self, first: int, read) -> np.ndarray:
+        """Evolve |0...0> one window of CHECKPOINT_INTERVAL steps at a
+        time and return the final state.  A window holding kept steps
+        (first..T, 1-based) calls read(lo, states) with the (S, 2**n)
+        states after its steps lo+1..lo+S.  `checkpoints` keeps the state
+        at each window's start (step 0, K, 2K, ...) for `adjoint`."""
+        T = self.embeddings.shape[0]
+        psi = new_zero_state(self.n)
+        self.checkpoints = {}
+        for start in range(0, T, CHECKPOINT_INTERVAL):
+            self.checkpoints[start] = psi.copy()
+            stop = min(start + CHECKPOINT_INTERVAL, T)
+            lo = min(max(start, first - 1), stop)  # 0-based index of the window's first kept step
+            states = self.evolve(psi, start, stop, lo)
+            if lo < stop:
+                read(lo, states)
+            del states  # release the window before the next one is allocated
+        return psi
+
+    def adjoint(self, first: int, inject) -> tuple[np.ndarray, np.ndarray]:
+        """dJ/dtheta (n_layers, n, 2) and dJ/de (T, n) of a readout
+        objective J, after `sweep`.  inject(lo, kets) returns the (S, 2**n)
+        injections sum_i c_i P_i |psi_t> of the kept steps lo+1..lo+S
+        (first..T, 1-based), given their kets.
+
+        Windows are recomputed last first and consumed backward in
+        sub-blocks of `block` steps.  The adjoint recurrence
+        lam <- M_t^H (lam + inj_t) stores lam + inj_t for every step of a
+        sub-block; one walk over the stacked (ket K, adjoint L) pairs then
+        reads, just after each rotation layer, the derivative
+        Im <L| P |K> = Im tr(P rho_j) of every angle a of a gate
+        exp(-i a P/2) on qubit j (`cross`; the layer's other gates commute
+        with P).  The adjoint row of the sub-block's first step, rewound
+        through the whole step, is the next lam.  Each step's ket is the
+        recomputed state, so inverse-gate drift never crosses a step.
+        """
+        T = self.embeddings.shape[0]
+        cos_rz, sin_rz = np.cos(self.angles[..., 1]), np.sin(self.angles[..., 1])
+        dtheta = np.zeros(self.angles.shape)
+        denc = np.empty((T, self.n))
+        lam = np.zeros(1 << self.n, dtype=np.complex128)
+        for win_start in sorted(self.checkpoints, reverse=True):
+            win_end = min(win_start + CHECKPOINT_INTERVAL, T)
+            seg = self.evolve(self.checkpoints[win_start].copy(), win_start, win_end)
+            for stop in range(win_end, win_start, -self.block):
+                start = max(win_start, stop - self.block)
+                a0, b0t = self.layer0(start, stop)
+                pair = np.empty((2, stop - start, 1 << self.n), dtype=np.complex128)
+                pair[0] = seg[start - win_start:stop - win_start]
+                lo = min(max(start, first - 1), stop)  # steps lo+1..stop inject readouts
+                if lo < stop:
+                    inj = inject(lo, pair[0, lo - start:])
+                for t in range(stop, start, -1):
+                    if t > lo:
+                        lam += inj[t - lo - 1]
+                    pair[1, t - start - 1] = lam
+                    if t > start + 1:
+                        lam = self.rewind(lam, t, a0[t - start - 1], b0t[t - start - 1])
+                for layer in range(len(self.angles) - 1, -1, -1):
+                    pair = pair.reshape(2, stop - start, -1)[..., self.scatter]
+                    # for U_j = RZ(b) RY(a): dJ/db = Im tr(Z rho_j), and dJ/da =
+                    # Im tr(RZ(b) Y RZ(b)^H rho_j) = cos(b) Im tr(Y rho_j) -
+                    # sin(b) Im tr(X rho_j); layer 0's encoding RY(e_t) shares
+                    # the RY axis, so dJ/de_t = dJ/da at step t
+                    rho = self.cross(pair[0], pair[1])
+                    im_y = (rho[..., 0, 1] - rho[..., 1, 0]).real
+                    im_x = (rho[..., 0, 1] + rho[..., 1, 0]).imag
+                    da = cos_rz[layer] * im_y - sin_rz[layer] * im_x
+                    dtheta[layer, :, 0] += da.sum(axis=0)
+                    dtheta[layer, :, 1] += (rho[..., 0, 0] - rho[..., 1, 1]).imag.sum(axis=0)
+                    if layer:
+                        pair = self.unrotate(pair, *self.later_layers[None][layer - 1])
+                denc[start:stop] = da
+                lam = self.unrotate(pair[1, 0], a0[0], b0t[0]).reshape(-1)
+            del seg, pair  # release the window before the next one is allocated
+        return dtheta, denc
 
     def unrotate(self, x: np.ndarray, a: np.ndarray, bt: np.ndarray) -> np.ndarray:
         """The inverse A^H X conj(B) of a rotation layer (A, B^T), for X

@@ -14,7 +14,7 @@ import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
-from .errors import QlamError
+from .errors import ConfigError, QlamError
 from .trainer import TrainConfig, evaluate, run_folds, train
 
 EXIT_CODES = {
@@ -85,11 +85,11 @@ def build_config(args: argparse.Namespace) -> TrainConfig:
         if value is not None:
             overrides[key] = value
     if getattr(args, "shots", None) is not None:
-        if args.shots > 0:
-            overrides["shot_mode"] = "sampled"
+        if args.shots < 0:
+            raise ConfigError(f"--shots must be >= 0, got {args.shots}")
+        overrides["shot_mode"] = "sampled" if args.shots else "exact"
+        if args.shots:
             overrides["shots_per_term"] = args.shots
-        else:
-            overrides["shot_mode"] = "exact"
     if overrides:
         config = replace(config, **overrides)
     config.validate()

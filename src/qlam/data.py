@@ -10,7 +10,6 @@ by 255 into [0, 1] tokens.
 from __future__ import annotations
 
 import gzip
-import hashlib
 import os
 import struct
 from dataclasses import dataclass
@@ -156,12 +155,6 @@ def cifar10_bytes(images: np.ndarray, labels: np.ndarray) -> bytes:
 
 def write_cifar10_bin(path, images: np.ndarray, labels: np.ndarray) -> None:
     Path(path).write_bytes(cifar10_bytes(images, labels))
-
-
-def verify_sha256(path, expected_hex: str) -> None:
-    digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
-    if digest != expected_hex.lower():
-        raise DataError(f"checksum mismatch for {path}: {digest} != {expected_hex}")
 
 
 # ---------------------------------------------------------------------------

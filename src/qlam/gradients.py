@@ -1,28 +1,14 @@
 """End-to-end differentiation of the hybrid model.
 
-Production path: reverse-mode adjoint through the statevector (Jones &
-Gacon, arXiv:2009.02823).  Walking a step backward layer by layer with
-the pair (K, L), where K is the ket just after a rotation layer and L
-the accumulated cost adjoint there, an angle ``a`` of a gate
-``exp(-i a P/2)`` on qubit j contributes
-
-    dJ/da = Im <L| P |K> = Im tr(P rho_j),   rho_j = Tr_{not j} |K><L|,
-
-since the layer's gates on other qubits commute with P.  One 2x2 cross
-operator per qubit (`circuits.Steps.cross`) thus gives every angle of a
-layer, and the encoding angles of a step are its layer-0 RY terms.
-
-Readout terms inject ``lam += sum_i c_i P_i |psi_t>`` at their timestep,
-with c_i the classical weight on pool expectation i.  Only two loops run
-step by step: the forward ket recurrence (`cell.run`, recomputed here one
-checkpoint window at a time) and the adjoint recurrence
-``lam <- U_t^H (lam + inj_t)``.  The decoder backward runs once over all
-kept steps; the injections, and the layer walk over stacked
-(ket, adjoint) pairs, run once per sub-block of a window.  Memory is the
-T/K checkpoints, one window of K recomputed states and a walk stack of
-at most max(2**n, circuits.WALK_AMPLITUDES) (ket, adjoint) pairs:
-O(K * 2**n + T/K * 2**n) for any sequence length, with
-K = CHECKPOINT_INTERVAL.
+Production path: reverse-mode adjoint through the statevector, in three
+pieces.  The decoder backward runs once over all kept steps and yields
+c[t, i], the classical weight on pool expectation i at step t.  The
+engine that swept the forward pass (`Run.steps`) walks it back, one
+window of CHECKPOINT_INTERVAL steps at a time, with
+`circuits.Steps.adjoint`, injecting ``sum_i c_i P_i |psi_t>`` at each
+kept step through `PauliTable.apply`.  Its circuit-angle derivatives,
+and its per-step encoding derivatives chained into the embedding,
+complete the gradient.
 
 Parameter-shift and finite differences exist as oracles only; both are
 exact for expectation readouts but far more expensive.
@@ -35,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cell import CHECKPOINT_INTERVAL, CellConfig, QlamParams, Run, readout_features, run
-from .circuits import Steps
 from .data import SequenceSample
 from .errors import NumericError, ShapeError
 from .nn import grad_like, softmax_cross_entropy
@@ -75,71 +60,18 @@ def _decoder_backward(w: np.ndarray, r: Run, params, grads) -> np.ndarray:
     return np.einsum("th,thp->tp", w, r.gammas)
 
 
-def _quantum_backward(r: Run, params, cfg, c: np.ndarray, grads) -> None:
-    """Adjoint walk from step T back to 1, window by window.
-
-    Each window is recomputed forward from its checkpoint, then consumed
-    backward in sub-blocks of `Steps.block` steps.  The adjoint recurrence
-    stores lam + inj_t for every step of a sub-block.  One walk over the
-    stacked (ket, adjoint) pairs, layer by layer, then reads every step's
-    angle derivatives from the per-qubit cross operators rho_j just after
-    each rotation layer; the adjoint row of the sub-block's first step,
-    rewound through the whole step, is the next lam.  The ket of each step
-    is the recomputed state, so inverse-gate drift never crosses a step.
-    """
-    n = cfg.n_qubits
-    T = r.tokens.shape[0]
-    table = pool_table(cfg.pool)
-    steps = Steps(cfg.ansatz, params.theta, r.embeddings)
-    rz = params.theta.reshape(cfg.n_layers, n, 2)[..., 1]
-    cos_rz, sin_rz = np.cos(rz), np.sin(rz)
-    dtheta = grads["theta"].reshape(cfg.n_layers, n, 2)
-    lam = np.zeros(1 << n, dtype=np.complex128)
-    denc = np.empty((T, n))
-    last_window = ((T - 1) // CHECKPOINT_INTERVAL) * CHECKPOINT_INTERVAL
-    for win_start in range(last_window, -1, -CHECKPOINT_INTERVAL):
-        win_end = min(win_start + CHECKPOINT_INTERVAL, T)
-        seg = steps.evolve(r.checkpoints[win_start].copy(), win_start, win_end)
-        for stop in range(win_end, win_start, -steps.block):
-            start = max(win_start, stop - steps.block)
-            a0, b0t = steps.layer0(start, stop)
-            pair = np.empty((2, stop - start, 1 << n), dtype=np.complex128)
-            pair[0] = seg[start - win_start:stop - win_start]
-            lo = min(max(start, r.first - 1), stop)  # steps lo+1..stop inject readouts
-            if lo < stop:
-                inj = table.apply(pair[0, lo - start:], c[lo - r.first + 1:stop - r.first + 1])
-            for t in range(stop, start, -1):
-                if t > lo:
-                    lam += inj[t - lo - 1]
-                pair[1, t - start - 1] = lam
-                if t > start + 1:
-                    lam = steps.rewind(lam, t, a0[t - start - 1], b0t[t - start - 1])
-            later = steps.later_layers[None]
-            for layer in range(cfg.n_layers - 1, -1, -1):
-                pair = pair.reshape(2, stop - start, -1)[..., steps.scatter]
-                # for U_j = RZ(b) RY(a): dJ/db = Im tr(Z rho_j), and dJ/da =
-                # Im tr(RZ(b) Y RZ(b)^H rho_j) = cos(b) Im tr(Y rho_j) -
-                # sin(b) Im tr(X rho_j); layer 0's encoding RY(e_t) shares
-                # the RY axis, so dJ/de_t = dJ/da at step t
-                rho = steps.cross(pair[0], pair[1])
-                im_y = (rho[..., 0, 1] - rho[..., 1, 0]).real
-                im_x = (rho[..., 0, 1] + rho[..., 1, 0]).imag
-                da = cos_rz[layer] * im_y - sin_rz[layer] * im_x
-                dtheta[layer, :, 0] += da.sum(axis=0)
-                dtheta[layer, :, 1] += (rho[..., 0, 0] - rho[..., 1, 1]).imag.sum(axis=0)
-                if layer:
-                    pair = steps.unrotate(pair, *later[layer - 1])
-            denc[start:stop] = da
-            lam = steps.unrotate(pair[1, 0], a0[0], b0t[0]).reshape(-1)
-        del seg, pair  # release the window before the next one is allocated
-    grads["embed_w"] += np.einsum("tn,t->n", denc, r.tokens)
-    grads["embed_b"] += denc.sum(axis=0)
-
-
 def _backward(r: Run, w: np.ndarray, params, cfg, grads) -> None:
     """Adjoint of the kept readouts weighted by w, added into grads."""
     c = _decoder_backward(w, r, params, grads)
-    _quantum_backward(r, params, cfg, c, grads)
+    table = pool_table(cfg.pool)
+
+    def inject(lo, kets):
+        return table.apply(kets, c[lo - r.first + 1:][:len(kets)])
+
+    dtheta, denc = r.steps.adjoint(r.first, inject)
+    grads["theta"] += dtheta.reshape(-1)
+    grads["embed_w"] += np.einsum("tn,t->n", denc, r.tokens)
+    grads["embed_b"] += denc.sum(axis=0)
     for key, g in grads.items():
         if not np.all(np.isfinite(g)):
             raise NumericError(f"non-finite gradient in {key}")
@@ -152,7 +84,7 @@ def loss_and_grad(sample: SequenceSample, params: QlamParams, cfg: CellConfig) -
     Matches `forward` followed by `softmax_cross_entropy` bit for bit on
     the loss, but skips readouts at steps the classifier never sees.
     """
-    r = run(sample.tokens, params, cfg, cfg.t_keep, checkpoints=True)
+    r = run(sample.tokens, params, cfg, cfg.t_keep)
     features = r.readouts.reshape(-1)
     logits = params.cls_w @ features + params.cls_b
     loss, dlogits = softmax_cross_entropy(logits, sample.label)
@@ -175,7 +107,7 @@ def weighted_readout_grads(
     zero because J never touches the classifier.  Main use: oracle
     cross-checks against parameter-shift and finite differences.
     """
-    r = run(tokens, params, cfg, checkpoints=True)
+    r = run(tokens, params, cfg)
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != r.readouts.shape:
         raise ShapeError(f"weights have shape {w.shape}, expected {r.readouts.shape}")

@@ -1,6 +1,7 @@
 """Checkpoint persistence: exact round-trips and corruption handling."""
 
 import json
+import warnings
 import zipfile
 
 import numpy as np
@@ -80,6 +81,27 @@ def test_missing_parameter_member_rejected(tmp_path):
     np.savez(stripped, **members)
     with pytest.raises((DataError, ShapeError, TypeError, KeyError)):
         load_checkpoint(stripped)
+
+
+@pytest.mark.parametrize("retype", [
+    pytest.param(lambda theta: np.full(theta.shape, "x"), id="string"),
+    pytest.param(lambda theta: theta + 0.5j, id="complex"),
+])
+def test_non_real_parameter_member_is_data_error(tmp_path, retype):
+    # a string member would fail float conversion with a bare ValueError,
+    # and a complex one would lose its imaginary part to a ComplexWarning
+    cfg = small_cfg()
+    params = init_qlam_params(np.random.default_rng(10), cfg)
+    path = tmp_path / "m.npz"
+    save_checkpoint(path, params, cfg)
+    with np.load(path) as archive:
+        members = {name: archive[name] for name in archive.files}
+    members["theta"] = retype(members["theta"])
+    np.savez(path, **members)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError):
+            load_checkpoint(path)
 
 
 def test_config_mismatch_rejected(tmp_path):

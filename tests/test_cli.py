@@ -14,7 +14,7 @@ import pytest
 
 from qlam.cli import EXIT_CODES, build_config, build_parser, load_config_file, main
 from qlam.data import write_idx_images, write_idx_labels
-from qlam.errors import QlamError
+from qlam.errors import ConfigError, QlamError
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -81,6 +81,8 @@ def test_shots_flag_semantics():
     sampled = build_config(parse(["train", "--shots", "500"]))
     assert sampled.shot_mode == "sampled"
     assert sampled.shots_per_term == 500
+    with pytest.raises(ConfigError):
+        build_config(parse(["train", "--shots", "-3"]))
 
 
 def test_structural_flags():

@@ -34,7 +34,6 @@ from qlam.data import (
     shrink_28_to_16,
     to_sequence,
     upsample_nearest,
-    verify_sha256,
     write_cifar10_bin,
     write_idx_images,
     write_idx_labels,
@@ -207,16 +206,6 @@ def test_cifar_writer_shape_checks():
         cifar10_bytes(np.zeros((1, 32, 32), dtype=np.uint8), np.zeros(1, dtype=np.uint8))
     with pytest.raises(ShapeError):
         cifar10_bytes(np.zeros((2, 32, 32, 3), dtype=np.uint8), np.zeros(3, dtype=np.uint8))
-
-
-def test_verify_sha256(tmp_path):
-    path = tmp_path / "blob"
-    path.write_bytes(b"abc")
-    good = "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-    verify_sha256(path, good)
-    verify_sha256(path, good.upper())
-    with pytest.raises(DataError):
-        verify_sha256(path, "0" * 64)
 
 
 # ---------------------------------------------------------------------------

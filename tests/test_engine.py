@@ -20,7 +20,6 @@ from oracles import (
 )
 
 from qlam.cell import (
-    CHECKPOINT_INTERVAL,
     CellConfig,
     decoder,
     embed_token,
@@ -28,7 +27,13 @@ from qlam.cell import (
     forward,
     init_qlam_params,
 )
-from qlam.circuits import AnsatzConfig, Steps, apply_plan_kernel, build_step_plan
+from qlam.circuits import (
+    CHECKPOINT_INTERVAL,
+    AnsatzConfig,
+    Steps,
+    apply_plan_kernel,
+    build_step_plan,
+)
 from qlam.data import SequenceSample
 from qlam.errors import NumericError
 from qlam.gradients import loss_and_grad, param_shift_grad
@@ -189,6 +194,8 @@ def test_logits_bitwise_across_views_and_windows(n_qubits, T, t_keep):
 @pytest.mark.parametrize("n_qubits, n_layers, indices, T", [
     pytest.param(4, 2, (0, 9), 2 * CHECKPOINT_INTERVAL + 1, id="4-2-indices0"),
     pytest.param(STRIDED_N, 1, (3,), 2 * CHECKPOINT_INTERVAL + 1, id=f"{STRIDED_N}-1-indices1"),
+    # T ends on a window boundary, so the sweep keeps a checkpoint at step T
+    pytest.param(4, 2, (2, 15), 2 * CHECKPOINT_INTERVAL, id="4-2-boundary"),
     # a high-half RY angle of layer 0 and a low-half RZ angle of layer 1
     pytest.param(12, 2, (16, 31), CHECKPOINT_INTERVAL + 1, id="12-2-indices2"),
 ])
