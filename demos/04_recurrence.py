@@ -28,9 +28,10 @@ def main():
 
     # Unitarity at depth: drive one register for 3000 steps through the
     # step engine of the recurrence.
+    # The engine advances a stack of sequences; this one is a stack of one.
     state = new_zero_state(cfg.n_qubits)
     embeddings = embed_token(rng.uniform(0.0, 1.0, 3000), params)
-    Steps(cfg.ansatz, params.theta, embeddings).evolve(state, 0, 3000, 3000)
+    Steps(cfg.ansatz, params.theta, embeddings[None]).evolve(state[None], 0, 3000, 3000)
     print(f"norm drift after 3000 recurrent steps: "
           f"{abs(np.linalg.norm(state) - 1.0):.2e}")
 

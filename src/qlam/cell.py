@@ -14,16 +14,20 @@ The classifier consumes the last `t_keep` readout vectors (default 1,
 a single 2**n amplitude vector regardless of sequence length; the trace
 never stores per-token states.
 
-`run` is the one pass of the recurrence.  It builds one `circuits.Steps`
-and lets `Steps.sweep` advance the memory; only that advance is
-sequential.  Everything else runs once per window or once per sequence
-on stacked arrays: pool expectations of each window's kept states
-through `measure` (exact, or shot-sampled), called back from the sweep,
-and the query and `decoder` of every kept step.  A head's readout is its
-weight row dotted with the pool expectations; no observable object is
-built.  `forward`, `final_logits`, the adjoint gradients and the
-parameter-shift oracle in `gradients` are all views of `run`; the
-adjoint walks back the same `Steps`.  The memory is a plain (2**n,)
+`run` is the one pass of the recurrence, over a (B, T) stack of
+equal-length sequences.  It builds one `circuits.Steps` and lets
+`Steps.sweep` advance every memory together; only that advance is
+sequential.  Everything else runs once per window or once per stack on
+stacked arrays: pool expectations of each window's kept states through
+`measure` (exact, or shot-sampled from each sequence's own streams),
+called back from the sweep, and the query and `decoder` of every kept
+step.  A head's readout is its weight row dotted with the pool
+expectations; no observable object is built.  `batch_logits` classifies
+a stack, one mat-vec per sequence.  `forward`, `final_logits`, the
+adjoint gradients and the parameter-shift oracle in `gradients` are all
+views of `run`, the single-sequence ones with B = 1; the adjoint walks
+back the same `Steps`.  A sequence's outputs are bit for bit the same
+in any stack, at any position.  The memory is a plain (B, 2**n)
 complex array throughout.
 """
 
@@ -215,35 +219,46 @@ def readout_features(readouts: np.ndarray, t_keep: int) -> np.ndarray:
 
 
 def measure(states: np.ndarray, table: PauliTable, shot: ShotConfig,
-            sample_index: int, t0: int) -> np.ndarray:
-    """(S, pool_size) pool expectations of a stack of states at 0-based
-    timesteps t0, t0+1, ...: exact, or in sampled mode the mean of
-    shots_per_term simulated shots per term, drawn from the stream of
-    (seed, sample_index, t, term).  One Philox generator serves the whole
-    call, re-pointed at each (t, term) counter (`observables.sample_means`).
-    Heads reuse the same outcomes, as they would on hardware reading one
-    measurement register."""
-    exps = table.expectations(states)
+            sample_index, t0: int) -> np.ndarray:
+    """(..., S, pool_size) pool expectations of stacks of states
+    (..., S, 2**n) at 0-based timesteps t0, t0+1, ...: exact, or in
+    sampled mode the mean of shots_per_term simulated shots per term.
+    Stack i draws from the streams of (seed, sample_index[i], t, term);
+    a scalar sample_index serves every stack.  One Philox generator
+    serves a stack, re-pointed at each (t, term) counter
+    (`observables.sample_means`).  Heads reuse the same outcomes, as they
+    would on hardware reading one measurement register."""
+    flat = states.reshape(-1, states.shape[-1])
+    if states.shape[-2] == 1:
+        # a one-row stack reduces along another einsum path than a taller
+        # one, so one-step stacks go to the table one at a time
+        exps = np.concatenate([table.expectations(row) for row in flat[:, None]])
+    else:
+        exps = table.expectations(flat)
+    exps = exps.reshape(states.shape[:-1] + (table.size,))
     if shot.mode == "sampled":
-        return sample_means(exps, shot.shots_per_term, shot.rng_seed, sample_index, t0)
+        indices = np.broadcast_to(sample_index, exps.shape[:-2])
+        for i in np.ndindex(indices.shape):
+            exps[i] = sample_means(exps[i], shot.shots_per_term, shot.rng_seed, int(indices[i]), t0)
     return exps
 
 
 @dataclass
 class Run:
-    """One pass of the recurrence.  Rows of `queries`, `hidden`, `gammas`,
-    `exps` and `readouts` are the kept 1-based steps first..T; `steps`
-    is the swept engine, checkpoints included, for the adjoint."""
+    """One pass of the recurrence over a stack of B sequences.  Rows of
+    `queries`, `exps` and `readouts` are, per sequence, the kept 1-based
+    steps first..T; `steps` is the swept engine, checkpoints included,
+    for the adjoint.  The decoder's activations are not kept: they are
+    B times one sequence's, so the backward pass recomputes them one
+    sequence at a time."""
 
-    tokens: np.ndarray      # (T,), validated
-    embeddings: np.ndarray  # (T, n_qubits)
+    tokens: np.ndarray      # (B, T), validated
+    embeddings: np.ndarray  # (B, T, n_qubits)
     first: int
-    queries: np.ndarray     # (T - first + 1, d_query)
-    hidden: np.ndarray      # (T - first + 1, n_heads, decoder_hidden)
-    gammas: np.ndarray      # (T - first + 1, n_heads, pool_size)
-    exps: np.ndarray        # (T - first + 1, pool_size)
-    readouts: np.ndarray    # (T - first + 1, n_heads)
-    state: np.ndarray       # (2**n_qubits,) amplitudes after step T
+    queries: np.ndarray     # (B, T - first + 1, d_query)
+    exps: np.ndarray        # (B, T - first + 1, pool_size)
+    readouts: np.ndarray    # (B, T - first + 1, n_heads)
+    state: np.ndarray       # (B, 2**n_qubits) amplitudes after step T
     steps: Steps
 
 
@@ -254,21 +269,28 @@ def run(
     keep: int | None = None,
     shot: ShotConfig = ShotConfig(),
     *,
-    sample_index: int = 0,
+    sample_index=0,
     shifted=None,
 ) -> Run:
-    """Validate, embed every token, evolve the memory from |0...0> and
-    read it out at the last `keep` steps (every step when None).  An
-    embedding that overflows raises NumericError naming its 1-based step.
+    """Validate and embed a (B, T) stack of equal-length token rows,
+    evolve each row's memory from |0...0> and read it out at the last
+    `keep` steps (every step when None).  `sample_index` gives each row's
+    shot streams (one per row, or one for all).  An embedding that
+    overflows raises NumericError naming its 1-based step.
 
     Forward, logits, gradients and the parameter-shift oracle are all
-    views of this pass.  Each readout is reduced on its own step's row
-    only, so it does not depend on `keep` or on the window that computed
-    it.
+    views of this pass, the single-sequence ones with B = 1.  Each
+    readout is reduced on its own row and step only, so it does not
+    depend on `keep`, on the window that computed it, or on the other
+    rows of the stack.
     """
-    x = validate_tokens(tokens, cfg.clamp_tokens)
+    rows = [validate_tokens(row, cfg.clamp_tokens) for row in tokens]
+    lengths = sorted({row.shape[0] for row in rows})
+    if len(lengths) != 1:
+        raise ShapeError(f"a token stack needs one or more rows of one length, got lengths {lengths}")
+    x = np.stack(rows)
     params.validate(cfg)
-    T = x.shape[0]
+    T = x.shape[1]
     keep = T if keep is None else keep
     if keep > T:
         raise ShapeError(f"sequence of length {T} is shorter than t_keep={keep}")
@@ -276,17 +298,18 @@ def run(
     with np.errstate(over="ignore", invalid="ignore"):
         emb = embed_token(x, params)
     steps = Steps(cfg.ansatz, params.theta, emb, shifted)  # rejects a non-finite embedding
-    q = np.einsum("qn,tn->tq", params.w_q, emb[first - 1:])
-    hidden, gammas = decoder(q, params)
+    q = np.einsum("qn,btn->btq", params.w_q, emb[:, first - 1:])
     table = pool_table(cfg.pool)
-    exps = np.empty((keep, table.size))
+    exps = np.empty((x.shape[0], keep, table.size))
 
     def read(lo, states):
-        exps[lo - first + 1:][:len(states)] = measure(states, table, shot, sample_index, lo)
+        exps[:, lo - first + 1:][:, :states.shape[1]] = measure(states, table, shot, sample_index, lo)
 
     psi = steps.sweep(first, read)
-    readouts = np.einsum("thp,tp->th", gammas, exps)
-    return Run(x, emb, first, q, hidden, gammas, exps, readouts, psi, steps)
+    # decoded one sequence at a time, so one sequence's activations are alive
+    readouts = np.stack([np.einsum("thp,tp->th", decoder(qb, params)[1], eb)
+                         for qb, eb in zip(q, exps)])
+    return Run(x, emb, first, q, exps, readouts, psi, steps)
 
 
 def forward(
@@ -298,10 +321,28 @@ def forward(
     sample_index: int = 0,
 ) -> ReadoutTrace:
     """Run the full causal recurrence, reading out every step, and classify."""
-    r = run(tokens, params, cfg, None, shot, sample_index=sample_index)
-    features = readout_features(r.readouts, cfg.t_keep)
+    r = run([tokens], params, cfg, None, shot, sample_index=sample_index)
+    features = readout_features(r.readouts[0], cfg.t_keep)
     logits = params.cls_w @ features + params.cls_b
-    return ReadoutTrace(r.readouts, features, logits, r.state)
+    return ReadoutTrace(r.readouts[0], features, logits, r.state[0])
+
+
+def batch_logits(
+    tokens,
+    params: QlamParams,
+    cfg: CellConfig,
+    shot: ShotConfig = ShotConfig(),
+    *,
+    sample_index=0,
+) -> np.ndarray:
+    """(B, n_classes) logits of a (B, T) stack of token rows, skipping
+    readouts at steps the classifier never sees; row b draws its shots
+    from the streams of sample_index[b].  Row b is bit for bit
+    `final_logits(tokens[b], ..., sample_index=sample_index[b])`.
+    """
+    r = run(tokens, params, cfg, cfg.t_keep, shot, sample_index=sample_index)
+    # one mat-vec per row: a stacked product may round a row differently
+    return np.stack([params.cls_w @ row.reshape(-1) + params.cls_b for row in r.readouts])
 
 
 def final_logits(
@@ -314,14 +355,13 @@ def final_logits(
 ) -> np.ndarray:
     """Logits only, skipping readouts at steps the classifier never sees.
 
-    Identical result to `forward(...).logits`, bit for bit; the evaluation
-    loop uses this path.  Readouts run batched per block, so in exact
-    mode skipping them saves about 35% of a forward pass at n = 4 and
-    40% at n = 12 (default cell, T = 256); in sampled mode each skipped
-    step also saves its shot draws.
+    Identical result to `forward(...).logits`, bit for bit; the batched
+    evaluation path `batch_logits` gives it too.  Readouts run batched
+    per block, so in exact mode skipping them saves about 35% of a
+    forward pass at n = 4 and 40% at n = 12 (default cell, T = 256); in
+    sampled mode each skipped step also saves its shot draws.
     """
-    r = run(tokens, params, cfg, cfg.t_keep, shot, sample_index=sample_index)
-    return params.cls_w @ r.readouts.reshape(-1) + params.cls_b
+    return batch_logits([tokens], params, cfg, shot, sample_index=sample_index)[0]
 
 
 def predict(tokens, params: QlamParams, cfg: CellConfig) -> int:

@@ -58,7 +58,12 @@ def load_checkpoint(path) -> tuple[QlamParams, CellConfig, dict]:
         raise DataError(f"{path} is not a readable checkpoint: {exc}") from exc
     if "__version__" not in members:
         raise DataError(f"{path} is not a model checkpoint (no version member)")
-    version = int(members["__version__"])
+    version = members["__version__"]
+    if version.shape != () or version.dtype.kind not in "iu":
+        raise DataError(
+            f"{path} has a malformed version member ({version.dtype}, shape {version.shape})"
+        )
+    version = int(version)
     if version != CHECKPOINT_VERSION:
         raise DataError(
             f"checkpoint version {version} unsupported (expected {CHECKPOINT_VERSION})"
@@ -70,6 +75,9 @@ def load_checkpoint(path) -> tuple[QlamParams, CellConfig, dict]:
                   for name, arr in members.items() if not name.startswith("__")}
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path} holds no valid cell config or parameters: {exc}") from exc
+    missing = set(QlamParams._KEYS) - set(arrays)
+    if missing:
+        raise DataError(f"{path} is missing the parameter members {sorted(missing)}")
     params = QlamParams.from_dict(arrays)
     params.validate(cfg)
     return params, cfg, extra

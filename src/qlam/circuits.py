@@ -8,17 +8,22 @@ vector, viewed as (n_layers, n_qubits, 2) with RY at [..., 0] and RZ at
 [..., 1].
 
 `Steps` is the step engine at every register size, and it owns the
-whole sweep over a sequence.  `Steps.sweep` evolves |0...0> one window
-of K = `CHECKPOINT_INTERVAL` steps at a time, hands each window's states
-to a readout callback and keeps the state at each window's start.
-`Steps.adjoint` walks back from step T, recomputing one window at a
-time from its checkpoint (Jones & Gacon, arXiv:2009.02823).  Memory is
-the T/K checkpoints, one window of recomputed states and a walk stack
-of at most max(2**n, WALK_AMPLITUDES) (ket, adjoint) pairs:
-O(K * 2**n + T/K * 2**n) for any sequence length.  A layer's rotations
-are a tensor product, so with the state viewed as a 2**high x 2**low
+whole sweep over a stack of B equal-length sequences, advanced together
+as one (B, 2**high, 2**low) array; a single sequence is B = 1.
+`Steps.sweep` evolves |0...0> one window of K = `CHECKPOINT_INTERVAL`
+steps at a time, hands each window's states to a readout callback and
+keeps the states at each window's start.  `Steps.adjoint` walks back
+from step T, recomputing one window at a time from its checkpoint
+(Jones & Gacon, arXiv:2009.02823).  Memory is the B * T/K checkpoints,
+one window of B recomputed sequences and a walk stack of at most
+max(B * 2**n, WALK_AMPLITUDES) (ket, adjoint) pairs:
+O(B * (K + T/K) * 2**n) for any sequence length.  A layer's rotations
+are a tensor product, so with a state viewed as a 2**high x 2**low
 matrix they are two small matrix products; the encoding folds into
-layer 0, and the CNOT entangler is one index gather.
+layer 0, and the CNOT entangler is one index gather.  Every reduction
+runs on one row of the stack, in an order that does not depend on B,
+so a sequence's states and derivatives are bit for bit those of a
+B = 1 sweep.
 
 The gate sequence also exists as an explicit plan (`build_step_plan`):
 its first n_qubits entries are the encoding and the rest the ansatz.
@@ -36,15 +41,22 @@ import numpy as np
 
 from .errors import ConfigError, NumericError
 from .statevector import (
-    MAX_QUBITS, apply_cnot_kernel, apply_ry_kernel, apply_rz_kernel, new_zero_state
+    MAX_QUBITS, apply_cnot_kernel, apply_ry_kernel, apply_rz_kernel
 )
 
 # The sweep runs in windows of this many steps, aligned at multiples of it.
 CHECKPOINT_INTERVAL = 32
 # `Steps` builds layer-0 factors, and the adjoint walks (ket, adjoint)
-# pairs, for at most max(1, WALK_AMPLITUDES >> n) steps at a time, which
-# bounds the memory a call holds beside the states of its block.
+# pairs, for at most `walk_rows(n)` rows (sequences x steps) at a time,
+# which bounds the memory a call holds beside the states of its block.
 WALK_AMPLITUDES = 1 << 12
+
+
+def walk_rows(n_qubits: int) -> int:
+    """States of 2**n_qubits amplitudes that fill WALK_AMPLITUDES, at
+    least one: the steps of a one-sequence sub-block, and the most
+    sequences a batched pass takes (the trainer's chunk)."""
+    return max(1, WALK_AMPLITUDES >> n_qubits)
 
 
 @dataclass(frozen=True)
@@ -143,6 +155,12 @@ def layer_rotations(cfg: AnsatzConfig, theta: np.ndarray) -> np.ndarray:
     return np.stack([np.stack([down * c, -down * s], -1), np.stack([up * s, up * c], -1)], -2)
 
 
+def inverse(a: np.ndarray, bt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(A^H, conj(B)) of a rotation layer held as (A, B^T), whose inverse
+    is A^H X conj(B); stacked factors stay stacked."""
+    return a.conj().swapaxes(-1, -2), bt.conj().swapaxes(-1, -2)
+
+
 def times_ry(u: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
     """u RY(e) for per-qubit matrices u (..., m, 2, 2), given c = cos(e/2)
     and s = sin(e/2) of shape (..., m)."""
@@ -151,21 +169,24 @@ def times_ry(u: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 class Steps:
-    """The recurrence steps of one sequence: swept forward from |0...0>,
-    and walked back by the adjoint, a run of consecutive steps at a time.
+    """The recurrence steps of a stack of B equal-length sequences: swept
+    forward from |0...0>, and walked back by the adjoint, a run of
+    consecutive steps at a time.  A single sequence is B = 1.
 
-    Step t is M_t = U_var(theta) U_enc(e_t), with e_t = embeddings[t - 1].
-    Each ansatz layer l is a rotation layer A_l (x) B_l, the Kronecker
-    products of its per-qubit matrices over the high and the low half of
-    the qubits, then the entangler.  With the state viewed as X
-    (2**high x 2**low) a rotation layer is A_l X B_l^T, its inverse
-    A_l^H X conj(B_l), and the entangler one index gather.  A layer is
-    held as the pair (A_l, B_l^T).  Layer 0 also carries the encoding, as
-    the per-qubit products RZ(b) RY(a) RY(e_t[j]); its factors differ per
-    step and are built for at most `block` steps at a time (`layer0`).
-    The other layers' factors are built once.  `shifted=(t, theta_t)` runs
-    step t with angles theta_t.  Non-finite angles or embeddings raise
-    NumericError.
+    Step t of row b is M_t = U_var(theta) U_enc(e_t), with e_t =
+    embeddings[b, t - 1].  Each ansatz layer l is a rotation layer
+    A_l (x) B_l, the Kronecker products of its per-qubit matrices over
+    the high and the low half of the qubits, then the entangler.  With a
+    row's state viewed as X (2**high x 2**low) a rotation layer is
+    A_l X B_l^T, its inverse A_l^H X conj(B_l), and the entangler one
+    index gather on the last axis; the B rows advance together as one
+    (B, 2**high, 2**low) stack.  A layer is held as the pair (A_l, B_l^T).
+    Layer 0 also carries the encoding, as the per-qubit products
+    RZ(b) RY(a) RY(e_t[j]); its factors differ per row and step and are
+    built for at most `block` steps at a time (`layer0`).  The other
+    layers' factors are built once and shared by every row.
+    `shifted=(t, theta_t)` runs step t of every row with angles theta_t.
+    Non-finite angles or embeddings raise NumericError.
     """
 
     def __init__(self, cfg: AnsatzConfig, theta: np.ndarray, embeddings: np.ndarray,
@@ -173,65 +194,72 @@ class Steps:
         angle_sets = {None: theta} if shifted is None else {None: theta, shifted[0]: shifted[1]}
         if not all(np.isfinite(angles).all() for angles in angle_sets.values()):
             raise NumericError("non-finite circuit angles")
-        finite = np.isfinite(embeddings).all(axis=1)
+        finite = np.isfinite(embeddings).all(axis=(0, 2))
         if not finite.all():
             raise NumericError(f"non-finite embedding at timestep {int(np.argmin(finite)) + 1}")
         n = self.n = cfg.n_qubits
         self.low = n // 2
         self.shape = (1 << (n - self.low), 1 << self.low)
-        self.block = max(1, WALK_AMPLITUDES >> n)
+        self.rows = embeddings.shape[0]
+        self.block = max(1, walk_rows(n) // self.rows)
         self.embeddings = embeddings
         self.angles = np.reshape(theta, (cfg.n_layers, n, 2))
         gather = np.arange(1 << n)
         for control, target in entangler_pairs(cfg):
             apply_cnot_kernel(gather, n, control, target)
-        # index arrays shaped like X: a gather of the flat amplitudes
-        # returns the next X, a scatter the previous one
-        self.gather, self.scatter = gather.reshape(self.shape), np.argsort(gather).reshape(self.shape)
+        # flat index arrays shaped like the (B, 2**high, 2**low) stack: a
+        # gather of the flattened stack returns every row's next X, a
+        # scatter the previous one; row 0's scatter serves any stack
+        offsets = np.arange(self.rows)[:, None] << n
+        self.gather = (offsets + gather).reshape((self.rows,) + self.shape)
+        self.scatter = (offsets + np.argsort(gather)).reshape((self.rows,) + self.shape)
         # per angle set (None: every unshifted step), layer 0's per-qubit
-        # matrices and the (A_l, B_l^T) of the later layers
-        self.first_layer, self.later_layers = {}, {}
+        # matrices and the (A_l, B_l^T) of the later layers, and their inverses
+        self.first_layer, self.later_layers, self.later_inverses = {}, {}, {}
         for key, angles in angle_sets.items():
             u = layer_rotations(cfg, angles)
             self.first_layer[key] = u[0]
             self.later_layers[key] = list(zip(kron_qubits(u[1:, self.low:]),
                                               kron_qubits(u[1:, :self.low].swapaxes(-1, -2))))
+            self.later_inverses[key] = [inverse(a, bt) for a, bt in self.later_layers[key]]
 
     def layer0(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-        """Stacked layer-0 factors A_0 (S, 2**high, 2**high) and B_0^T
-        (S, 2**low, 2**low) of steps start+1..stop.  The encoding is
+        """Stacked layer-0 factors A_0 (B, S, 2**high, 2**high) and B_0^T
+        (B, S, 2**low, 2**low) of steps start+1..stop.  The encoding is
         multiplied in as a matrix, not added to the RY angle: a finite
         theta + e_t can overflow."""
-        c, s = np.cos(0.5 * self.embeddings[start:stop]), np.sin(0.5 * self.embeddings[start:stop])
+        e = self.embeddings[:, start:stop]
+        c, s = np.cos(0.5 * e), np.sin(0.5 * e)
         u = times_ry(self.first_layer[None], c, s)
         for t in self.first_layer.keys() - {None}:  # the shifted step
             if start < t <= stop:
                 i = t - start - 1
-                u[i] = times_ry(self.first_layer[t], c[i], s[i])
-        return kron_qubits(u[:, self.low:]), kron_qubits(u[:, :self.low].swapaxes(-1, -2))
+                u[:, i] = times_ry(self.first_layer[t], c[:, i], s[:, i])
+        return kron_qubits(u[..., self.low:, :, :]), kron_qubits(u[..., :self.low, :, :].swapaxes(-1, -2))
 
     def layers(self, t: int, a0: np.ndarray, b0t: np.ndarray) -> list:
         """(A_l, B_l^T) of every layer of step t, given its layer-0 factors."""
         return [(a0, b0t)] + self.later_layers.get(t, self.later_layers[None])
 
     def evolve(self, psi: np.ndarray, start: int, stop: int, first: int | None = None) -> np.ndarray:
-        """Advance psi in place through steps start+1..stop (1-based) and
-        return the (stop - first, 2**n) states after steps first+1..stop
-        (first defaults to start)."""
+        """Advance the (B, 2**n) states psi in place through steps
+        start+1..stop (1-based) and return the (B, stop - first, 2**n)
+        states after steps first+1..stop (first defaults to start)."""
         first = start if first is None else first
-        states = np.empty((stop - first, psi.shape[-1]), dtype=np.complex128)
-        views = states.reshape((-1,) + self.shape)
-        x = psi.reshape(self.shape)
+        rows = self.rows
+        states = np.empty((rows, stop - first, psi.shape[-1]), dtype=np.complex128)
+        views = states.reshape((rows, -1) + self.shape)
+        x = psi.reshape((rows,) + self.shape)
         for lo in range(start, stop, self.block):
             hi = min(lo + self.block, stop)
             a0, b0t = self.layer0(lo, hi)
             for t in range(lo + 1, hi + 1):
-                for a, bt in self.layers(t, a0[t - lo - 1], b0t[t - lo - 1]):
-                    x = a.dot(x).dot(bt).reshape(-1)[self.gather]
+                for a, bt in self.layers(t, a0[:, t - lo - 1], b0t[:, t - lo - 1]):
+                    x = (a @ x @ bt).reshape(-1)[self.gather]
                 if t > first:
-                    views[t - first - 1] = x
-        psi[:] = x.reshape(-1)
-        finite = np.isfinite(states).all(axis=1)
+                    views[:, t - first - 1] = x
+        psi[:] = x.reshape(rows, -1)
+        finite = np.isfinite(states).all(axis=(0, 2))
         if not finite.all():
             raise NumericError(
                 f"non-finite amplitudes at timestep {first + 1 + int(np.argmin(finite))}"
@@ -241,13 +269,15 @@ class Steps:
         return states
 
     def sweep(self, first: int, read) -> np.ndarray:
-        """Evolve |0...0> one window of CHECKPOINT_INTERVAL steps at a
-        time and return the final state.  A window holding kept steps
-        (first..T, 1-based) calls read(lo, states) with the (S, 2**n)
-        states after its steps lo+1..lo+S.  `checkpoints` keeps the state
-        at each window's start (step 0, K, 2K, ...) for `adjoint`."""
-        T = self.embeddings.shape[0]
-        psi = new_zero_state(self.n)
+        """Evolve every row from |0...0> one window of
+        CHECKPOINT_INTERVAL steps at a time and return the (B, 2**n) final
+        states.  A window holding kept steps (first..T, 1-based) calls
+        read(lo, states) with the (B, S, 2**n) states after its steps
+        lo+1..lo+S.  `checkpoints` keeps the (B, 2**n) states at each
+        window's start (step 0, K, 2K, ...) for `adjoint`."""
+        T = self.embeddings.shape[1]
+        psi = np.zeros((self.rows, 1 << self.n), dtype=np.complex128)
+        psi[:, 0] = 1.0
         self.checkpoints = {}
         for start in range(0, T, CHECKPOINT_INTERVAL):
             self.checkpoints[start] = psi.copy()
@@ -260,74 +290,82 @@ class Steps:
         return psi
 
     def adjoint(self, first: int, inject) -> tuple[np.ndarray, np.ndarray]:
-        """dJ/dtheta (n_layers, n, 2) and dJ/de (T, n) of a readout
-        objective J, after `sweep`.  inject(lo, kets) returns the (S, 2**n)
-        injections sum_i c_i P_i |psi_t> of the kept steps lo+1..lo+S
-        (first..T, 1-based), given their kets.
+        """Per-row dJ/dtheta (B, n_layers, n, 2) and dJ/de (B, T, n) of a
+        readout objective J, after `sweep`.  inject(lo, kets) returns the
+        (B, S, 2**n) injections sum_i c_i P_i |psi_t> of the kept steps
+        lo+1..lo+S (first..T, 1-based), given their (B, S, 2**n) kets.
 
         Windows are recomputed last first and consumed backward in
         sub-blocks of `block` steps.  The adjoint recurrence
-        lam <- M_t^H (lam + inj_t) stores lam + inj_t for every step of a
-        sub-block; one walk over the stacked (ket K, adjoint L) pairs then
-        reads, just after each rotation layer, the derivative
-        Im <L| P |K> = Im tr(P rho_j) of every angle a of a gate
-        exp(-i a P/2) on qubit j (`cross`; the layer's other gates commute
-        with P).  The adjoint row of the sub-block's first step, rewound
-        through the whole step, is the next lam.  Each step's ket is the
-        recomputed state, so inverse-gate drift never crosses a step.
+        lam <- M_t^H (lam + inj_t), with lam (B, 2**n), stores lam + inj_t
+        for every step of a sub-block; one walk over the stacked
+        (2, B * S) (ket K, adjoint L) pairs then reads, just after each
+        rotation layer, the derivative Im <L| P |K> = Im tr(P rho_j) of
+        every angle a of a gate exp(-i a P/2) on qubit j (`cross`; the
+        layer's other gates commute with P).  The adjoint row of the
+        sub-block's first step, rewound through the whole step, is the
+        next lam.  Each step's ket is the recomputed state, so inverse-gate
+        drift never crosses a step.  A window's angle derivatives are
+        summed in groups of `walk_rows(n)` steps, the sub-blocks of a
+        B = 1 walk, whatever B is.
         """
-        T = self.embeddings.shape[0]
+        rows, T = self.embeddings.shape[:2]
         cos_rz, sin_rz = np.cos(self.angles[..., 1]), np.sin(self.angles[..., 1])
-        dtheta = np.zeros(self.angles.shape)
-        denc = np.empty((T, self.n))
-        lam = np.zeros(1 << self.n, dtype=np.complex128)
+        dtheta = np.zeros((rows,) + self.angles.shape)
+        denc = np.empty((rows, T, self.n))
+        lam = np.zeros((rows, 1 << self.n), dtype=np.complex128)
         for win_start in sorted(self.checkpoints, reverse=True):
             win_end = min(win_start + CHECKPOINT_INTERVAL, T)
             seg = self.evolve(self.checkpoints[win_start].copy(), win_start, win_end)
+            # every angle derivative of every step of the window
+            dwin = np.empty((rows, win_end - win_start) + self.angles.shape)
             for stop in range(win_end, win_start, -self.block):
                 start = max(win_start, stop - self.block)
-                a0, b0t = self.layer0(start, stop)
-                pair = np.empty((2, stop - start, 1 << self.n), dtype=np.complex128)
-                pair[0] = seg[start - win_start:stop - win_start]
+                a0h, b0c = inverse(*self.layer0(start, stop))
+                pair = np.empty((2, rows, stop - start, 1 << self.n), dtype=np.complex128)
+                pair[0] = seg[:, start - win_start:stop - win_start]
                 lo = min(max(start, first - 1), stop)  # steps lo+1..stop inject readouts
                 if lo < stop:
-                    inj = inject(lo, pair[0, lo - start:])
+                    inj = inject(lo, pair[0, :, lo - start:])
                 for t in range(stop, start, -1):
                     if t > lo:
-                        lam += inj[t - lo - 1]
-                    pair[1, t - start - 1] = lam
+                        lam += inj[:, t - lo - 1]
+                    pair[1, :, t - start - 1] = lam
                     if t > start + 1:
-                        lam = self.rewind(lam, t, a0[t - start - 1], b0t[t - start - 1])
+                        lam = self.rewind(lam, t, a0h[:, t - start - 1], b0c[:, t - start - 1])
+                derivs = dwin[:, start - win_start:stop - win_start]
                 for layer in range(len(self.angles) - 1, -1, -1):
-                    pair = pair.reshape(2, stop - start, -1)[..., self.scatter]
+                    pair = np.take(pair.reshape(2, rows * (stop - start), -1), self.scatter[0], axis=-1)
                     # for U_j = RZ(b) RY(a): dJ/db = Im tr(Z rho_j), and dJ/da =
                     # Im tr(RZ(b) Y RZ(b)^H rho_j) = cos(b) Im tr(Y rho_j) -
                     # sin(b) Im tr(X rho_j); layer 0's encoding RY(e_t) shares
                     # the RY axis, so dJ/de_t = dJ/da at step t
-                    rho = self.cross(pair[0], pair[1])
+                    rho = self.cross(pair[0], pair[1]).reshape(rows, stop - start, self.n, 2, 2)
                     im_y = (rho[..., 0, 1] - rho[..., 1, 0]).real
                     im_x = (rho[..., 0, 1] + rho[..., 1, 0]).imag
-                    da = cos_rz[layer] * im_y - sin_rz[layer] * im_x
-                    dtheta[layer, :, 0] += da.sum(axis=0)
-                    dtheta[layer, :, 1] += (rho[..., 0, 0] - rho[..., 1, 1]).imag.sum(axis=0)
+                    derivs[:, :, layer, :, 0] = cos_rz[layer] * im_y - sin_rz[layer] * im_x
+                    derivs[:, :, layer, :, 1] = (rho[..., 0, 0] - rho[..., 1, 1]).imag
                     if layer:
-                        pair = self.unrotate(pair, *self.later_layers[None][layer - 1])
-                denc[start:stop] = da
-                lam = self.unrotate(pair[1, 0], a0[0], b0t[0]).reshape(-1)
+                        ah, bc = self.later_inverses[None][layer - 1]
+                        pair = ah @ pair @ bc
+                denc[:, start:stop] = derivs[:, :, 0, :, 0]
+                heads = pair[1].reshape((rows, stop - start) + self.shape)[:, 0]
+                lam = (a0h[:, 0] @ heads @ b0c[:, 0]).reshape(rows, -1)
+            # sum in groups of a one-row walk's sub-blocks, whatever the
+            # row count, so a row's sums never depend on the rows beside it
+            group = walk_rows(self.n)
+            for stop in range(win_end, win_start, -group):
+                start = max(win_start, stop - group)
+                dtheta += dwin[:, start - win_start:stop - win_start].sum(axis=1)
             del seg, pair  # release the window before the next one is allocated
         return dtheta, denc
 
-    def unrotate(self, x: np.ndarray, a: np.ndarray, bt: np.ndarray) -> np.ndarray:
-        """The inverse A^H X conj(B) of a rotation layer (A, B^T), for X
-        views x (..., 2**high, 2**low); stacked factors broadcast against
-        the leading axes of x."""
-        return a.conj().swapaxes(-1, -2) @ x @ bt.conj().swapaxes(-1, -2)
-
-    def rewind(self, x: np.ndarray, t: int, a0: np.ndarray, b0t: np.ndarray) -> np.ndarray:
-        """M_t^H x for a (2**n,) vector x, given step t's layer-0 factors."""
-        for a, bt in reversed(self.layers(t, a0, b0t)):
-            x = self.unrotate(x.reshape(-1)[self.scatter], a, bt)
-        return x.reshape(-1)
+    def rewind(self, x: np.ndarray, t: int, a0h: np.ndarray, b0c: np.ndarray) -> np.ndarray:
+        """M_t^H x for (B, 2**n) vectors x, given the (B, ...) inverse
+        factors (A_0^H, conj(B_0)) of step t's layer 0 (`inverse`)."""
+        for ah, bc in reversed([(a0h, b0c)] + self.later_inverses.get(t, self.later_inverses[None])):
+            x = ah @ x.reshape(-1)[self.scatter] @ bc
+        return x.reshape(self.rows, -1)
 
     def cross(self, kets: np.ndarray, adjoints: np.ndarray) -> np.ndarray:
         """(S, n, 2, 2) reduced cross operators rho_j = Tr_{not j} |k><l| of

@@ -66,7 +66,7 @@ def _add_override_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--test-subsample", type=int, dest="test_subsample")
     parser.add_argument(
         "--workers", type=int,
-        help="threads for the per-sample gradient and evaluation passes",
+        help="threads that run the batched gradient and evaluation chunks side by side",
     )
     parser.add_argument("--out-dir", dest="out_dir", help="run output directory")
     parser.add_argument(

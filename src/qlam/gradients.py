@@ -1,14 +1,16 @@
 """End-to-end differentiation of the hybrid model.
 
 Production path: reverse-mode adjoint through the statevector, in three
-pieces.  The decoder backward runs once over all kept steps and yields
+pieces, for a whole stack of equal-length sequences at once
+(`batch_loss_and_grad`; `loss_and_grad` is its B = 1 view).  The decoder
+backward runs once over all kept steps of a sequence and yields
 c[t, i], the classical weight on pool expectation i at step t.  The
-engine that swept the forward pass (`Run.steps`) walks it back, one
-window of CHECKPOINT_INTERVAL steps at a time, with
+engine that swept the forward pass (`Run.steps`) walks the stack back,
+one window of CHECKPOINT_INTERVAL steps at a time, with
 `circuits.Steps.adjoint`, injecting ``sum_i c_i P_i |psi_t>`` at each
 kept step through `PauliTable.apply`.  Its circuit-angle derivatives,
 and its per-step encoding derivatives chained into the embedding,
-complete the gradient.
+complete each sequence's gradient, bit for bit the one it gets alone.
 
 Parameter-shift and finite differences exist as oracles only; both are
 exact for expectation readouts but far more expensive.
@@ -20,10 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cell import CHECKPOINT_INTERVAL, CellConfig, QlamParams, Run, readout_features, run
+from .cell import CHECKPOINT_INTERVAL, CellConfig, QlamParams, Run, decoder, readout_features, run
 from .data import SequenceSample
 from .errors import NumericError, ShapeError
-from .nn import grad_like, softmax_cross_entropy
+from .nn import softmax_cross_entropy
 from .observables import pool_table
 
 
@@ -37,27 +39,33 @@ class GradBundle:
 
 
 def _decoder_backward(w: np.ndarray, r: Run, params, grads) -> np.ndarray:
-    """Backprop readout weights w (one row per kept step) through decoder,
-    query and embedding, over every kept step at once.
+    """Backprop readout weights w (B, S, n_heads), one row per kept step
+    of each sequence, through decoder, query and embedding, over every
+    kept step of a sequence at once; grads hold one (B, ...) gradient per
+    parameter.  Sequences go one at a time, recomputing their decoder
+    activations, so the temporaries stay the size of one sequence's.
 
-    Returns the injection coefficients c[t, i] = sum_h w[t, h] gamma_t[h, i]
-    for the quantum half of the backward pass.
+    Returns the injection coefficients c[b, t, i] = sum_h w[b, t, h]
+    gamma_bt[h, i] for the quantum half of the backward pass.
     """
-    x, e = r.tokens[r.first - 1:], r.embeddings[r.first - 1:]
-    hidden = r.hidden
-    dgam = w[:, :, None] * r.exps[:, None, :]
-    grads["dec_w2"] += np.einsum("thp,ths->hps", dgam, hidden)
-    grads["dec_b2"] += dgam.sum(axis=0)
-    du = np.einsum("hps,thp->ths", params.dec_w2, dgam)
-    du -= np.einsum("ths,ths,ths->ths", du, hidden, hidden)  # tanh' = 1 - hidden**2
-    grads["dec_w1"] += np.einsum("ths,tq->hsq", du, r.queries)
-    grads["dec_b1"] += du.sum(axis=0)
-    dq = np.einsum("hsq,ths->tq", params.dec_w1, du)
-    grads["w_q"] += np.einsum("tq,tn->qn", dq, e)
-    de = dq @ params.w_q
-    grads["embed_w"] += np.einsum("tn,t->n", de, x)
-    grads["embed_b"] += de.sum(axis=0)
-    return np.einsum("th,thp->tp", w, r.gammas)
+    c = np.empty(r.exps.shape)
+    for b, wb in enumerate(w):
+        x, e = r.tokens[b, r.first - 1:], r.embeddings[b, r.first - 1:]
+        hidden, gammas = decoder(r.queries[b], params)
+        dgam = wb[:, :, None] * r.exps[b, :, None, :]
+        grads["dec_w2"][b] += np.einsum("thp,ths->hps", dgam, hidden)
+        grads["dec_b2"][b] += dgam.sum(axis=0)
+        du = np.einsum("hps,thp->ths", params.dec_w2, dgam)
+        du -= np.einsum("ths,ths,ths->ths", du, hidden, hidden)  # tanh' = 1 - hidden**2
+        grads["dec_w1"][b] += np.einsum("ths,tq->hsq", du, r.queries[b])
+        grads["dec_b1"][b] += du.sum(axis=0)
+        dq = np.einsum("hsq,ths->tq", params.dec_w1, du)
+        grads["w_q"][b] += np.einsum("tq,tn->qn", dq, e)
+        de = dq @ params.w_q
+        grads["embed_w"][b] += np.einsum("tn,t->n", de, x)
+        grads["embed_b"][b] += de.sum(axis=0)
+        c[b] = np.einsum("th,thp->tp", wb, gammas)
+    return c
 
 
 def _backward(r: Run, w: np.ndarray, params, cfg, grads) -> None:
@@ -66,35 +74,55 @@ def _backward(r: Run, w: np.ndarray, params, cfg, grads) -> None:
     table = pool_table(cfg.pool)
 
     def inject(lo, kets):
-        return table.apply(kets, c[lo - r.first + 1:][:len(kets)])
+        coeffs = c[:, lo - r.first + 1:][:, :kets.shape[1]]
+        flat = table.apply(kets.reshape(-1, kets.shape[-1]), coeffs.reshape(-1, table.size))
+        return flat.reshape(kets.shape)
 
     dtheta, denc = r.steps.adjoint(r.first, inject)
-    grads["theta"] += dtheta.reshape(-1)
-    grads["embed_w"] += np.einsum("tn,t->n", denc, r.tokens)
-    grads["embed_b"] += denc.sum(axis=0)
+    grads["theta"] += dtheta.reshape(dtheta.shape[0], -1)
+    grads["embed_w"] += np.einsum("btn,bt->bn", denc, r.tokens)
+    grads["embed_b"] += denc.sum(axis=1)
     for key, g in grads.items():
         if not np.all(np.isfinite(g)):
             raise NumericError(f"non-finite gradient in {key}")
 
 
-def loss_and_grad(sample: SequenceSample, params: QlamParams, cfg: CellConfig) -> GradBundle:
-    """Cross-entropy loss and exact gradients for one sequence.
+def _batch_grads(params: QlamParams, rows: int) -> dict[str, np.ndarray]:
+    return {key: np.zeros((rows,) + arr.shape) for key, arr in params.as_dict().items()}
 
-    Uses exact expectations only; shot sampling is not differentiated.
-    Matches `forward` followed by `softmax_cross_entropy` bit for bit on
-    the loss, but skips readouts at steps the classifier never sees.
+
+def batch_loss_and_grad(
+    samples: list[SequenceSample], params: QlamParams, cfg: CellConfig
+) -> list[GradBundle]:
+    """Cross-entropy loss and exact gradients of each of a list of
+    equal-length sequences, from one batched pass.
+
+    Bundle b is bit for bit `loss_and_grad(samples[b], ...)`.  Uses exact
+    expectations only; shot sampling is not differentiated.  Matches
+    `forward` followed by `softmax_cross_entropy` bit for bit on the
+    loss, but skips readouts at steps the classifier never sees.
     """
-    r = run(sample.tokens, params, cfg, cfg.t_keep)
-    features = r.readouts.reshape(-1)
-    logits = params.cls_w @ features + params.cls_b
-    loss, dlogits = softmax_cross_entropy(logits, sample.label)
-
-    grads = grad_like(params.as_dict())
-    grads["cls_w"] = np.outer(dlogits, features)
-    grads["cls_b"] = dlogits
-    dfeatures = (params.cls_w.T @ dlogits).reshape(cfg.t_keep, cfg.n_heads)
+    r = run([s.tokens for s in samples], params, cfg, cfg.t_keep)
+    grads = _batch_grads(params, len(samples))
+    dfeatures = np.empty(r.readouts.shape)
+    heads = []
+    for b, sample in enumerate(samples):
+        features = r.readouts[b].reshape(-1)
+        logits = params.cls_w @ features + params.cls_b
+        loss, dlogits = softmax_cross_entropy(logits, sample.label)
+        grads["cls_w"][b] = np.outer(dlogits, features)
+        grads["cls_b"][b] = dlogits
+        dfeatures[b] = (params.cls_w.T @ dlogits).reshape(cfg.t_keep, cfg.n_heads)
+        heads.append((loss, logits))
     _backward(r, dfeatures, params, cfg, grads)
-    return GradBundle(loss, grads, logits)
+    return [GradBundle(loss, {key: g[b] for key, g in grads.items()}, logits)
+            for b, (loss, logits) in enumerate(heads)]
+
+
+def loss_and_grad(sample: SequenceSample, params: QlamParams, cfg: CellConfig) -> GradBundle:
+    """Cross-entropy loss and exact gradients for one sequence: the
+    B = 1 view of `batch_loss_and_grad`."""
+    return batch_loss_and_grad([sample], params, cfg)[0]
 
 
 def weighted_readout_grads(
@@ -107,14 +135,14 @@ def weighted_readout_grads(
     zero because J never touches the classifier.  Main use: oracle
     cross-checks against parameter-shift and finite differences.
     """
-    r = run(tokens, params, cfg)
+    r = run([tokens], params, cfg)
     w = np.asarray(weights, dtype=np.float64)
-    if w.shape != r.readouts.shape:
-        raise ShapeError(f"weights have shape {w.shape}, expected {r.readouts.shape}")
-    value = float(np.einsum("th,th->", w, r.readouts))
-    grads = grad_like(params.as_dict())
-    _backward(r, w, params, cfg, grads)
-    return value, grads
+    if w.shape != r.readouts.shape[1:]:
+        raise ShapeError(f"weights have shape {w.shape}, expected {r.readouts.shape[1:]}")
+    value = float(np.einsum("th,th->", w, r.readouts[0]))
+    grads = _batch_grads(params, 1)
+    _backward(r, w[None], params, cfg, grads)
+    return value, {key: g[0] for key, g in grads.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +159,7 @@ def readouts_with_occurrence_shift(
     delta at step `shift_step` (1-based) only."""
     shifted = params.theta.copy()
     shifted[theta_index] += delta
-    return run(tokens, params, cfg, shifted=(shift_step, shifted)).readouts
+    return run([tokens], params, cfg, shifted=(shift_step, shifted)).readouts[0]
 
 
 def readout_param_shift(
@@ -153,8 +181,8 @@ def param_shift_grad(
 ) -> float:
     """Loss gradient for one circuit angle: per-readout shift rule chained
     through the classifier and loss at the unshifted point."""
-    r = run(sample.tokens, params, cfg)
-    x, unshifted = r.tokens, r.readouts
+    r = run([sample.tokens], params, cfg)
+    x, unshifted = r.tokens[0], r.readouts[0]
     features = readout_features(unshifted, cfg.t_keep)
     logits = params.cls_w @ features + params.cls_b
     _, dlogits = softmax_cross_entropy(logits, sample.label)

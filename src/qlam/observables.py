@@ -104,7 +104,10 @@ class PauliTable:
         """(S, len(labels)) real expectations <psi_s|P_k|psi_s>.
 
         Every entry is reduced on its own row and term only, so it does
-        not depend on which other states or strings share the call."""
+        not depend on which other states or strings share a call of two
+        or more rows.  A one-row call reduces along another einsum path
+        and can differ from the same row in a taller call in the last
+        bit, so `cell.measure` sends one-step stacks one row at a time."""
         states = np.ascontiguousarray(states)
         n = self.n_qubits
         out = np.empty((states.shape[0], self.size))

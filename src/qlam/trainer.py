@@ -4,8 +4,12 @@ Everything downstream of the config is deterministic: seeded streams are
 namespaced as [seed, 0] for parameter init, [seed, 1, epoch] for batch
 shuffling, and [seed, 2, fold] for data splitting and subsampling, and
 batch gradients are reduced in sample-index order regardless of worker
-count.  Metrics therefore reproduce bitwise for a fixed config; wall
-times go to a separate timing file so the metrics CSV stays comparable.
+count.  Gradient and evaluation passes cut a sample list, in order, into
+chunks of consecutive equal-length samples, each one batched pass of the
+engine; a sample's outputs do not depend on its chunk, and `workers`
+threads run chunks side by side.  Metrics therefore reproduce bitwise
+for a fixed config; wall times go to a separate timing file so the
+metrics CSV stays comparable.
 """
 
 from __future__ import annotations
@@ -21,8 +25,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .cell import CellConfig, QlamParams, final_logits, init_qlam_params
+from .cell import CellConfig, QlamParams, batch_logits, init_qlam_params
 from .checkpoint import load_checkpoint, save_checkpoint
+from .circuits import walk_rows
 from .data import (
     DATASET_NAMES,
     DatasetBundle,
@@ -32,7 +37,7 @@ from .data import (
     make_folds,
 )
 from .errors import ConfigError, NumericError
-from .gradients import GradBundle, loss_and_grad
+from .gradients import GradBundle, batch_loss_and_grad
 from .nn import (
     AdamState,
     adam_step,
@@ -286,13 +291,27 @@ def _ordered_map(fn, items: list, workers: int) -> list:
     return [fn(item) for item in items]
 
 
-def _mean_gradients(samples, per_sample, params: dict[str, np.ndarray], workers: int):
-    """Mean of per_sample(sample) -> GradBundle over a batch, reduced in
-    sample order; returns (mean grads, mean loss, number correct)."""
+def _chunks(samples: list[SequenceSample], size: int) -> list[range]:
+    """Index ranges that cut samples, in order, into runs of consecutive
+    samples of one token shape, at most `size` long."""
+    bounds = [0]
+    for i in range(1, len(samples)):
+        if i - bounds[-1] == size or np.shape(samples[i].tokens) != np.shape(samples[i - 1].tokens):
+            bounds.append(i)
+    return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:] + [len(samples)])]
+
+
+def _mean_gradients(samples, size: int, per_chunk, params: dict[str, np.ndarray], workers: int):
+    """Mean of per-sample GradBundles over a batch: per_chunk(chunk)
+    returns one bundle per sample of a chunk of at most `size` samples,
+    and the reduction runs in sample order; returns (mean grads, mean
+    loss, number correct)."""
     total = grad_like(params)
     loss_sum = 0.0
     correct = 0
-    for sample, bundle in zip(samples, _ordered_map(per_sample, samples, workers)):
+    chunks = [samples[r.start:r.stop] for r in _chunks(samples, size)]
+    bundles = [b for rows in _ordered_map(per_chunk, chunks, workers) for b in rows]
+    for sample, bundle in zip(samples, bundles):
         for key in total:
             total[key] += bundle.grads[key]
         loss_sum += bundle.loss
@@ -312,23 +331,29 @@ def batch_gradients(
 ) -> tuple[dict[str, np.ndarray], float, int]:
     """Mean gradient over a batch, reduced in sample-index order.
 
-    Workers only parallelize the per-sample passes; the reduction walks
-    results in order, so the outcome is identical for any worker count.
-    Returns (mean grads, mean loss, number correct).
+    The batch is cut, in order, into chunks of equal-length samples
+    (at most `circuits.walk_rows` of them), each one batched pass of `batch_loss_and_grad`;
+    workers only run chunks side by side.  A sample's gradient does not
+    depend on its chunk, and the reduction walks results in sample order,
+    so the outcome is identical for any worker count.  Returns (mean
+    grads, mean loss, number correct).
     """
     return _mean_gradients(
-        samples, lambda s: loss_and_grad(s, params, cfg), params.as_dict(), workers
+        samples, walk_rows(cfg.n_qubits), lambda chunk: batch_loss_and_grad(chunk, params, cfg),
+        params.as_dict(), workers,
     )
 
 
-def _score(samples: list[SequenceSample], logits_of, workers: int) -> tuple[float, float]:
-    """(mean loss, accuracy) of logits_of(index, sample) over a sample list."""
+def _score(samples: list[SequenceSample], size: int, logits_of, workers: int) -> tuple[float, float]:
+    """(mean loss, accuracy) over a sample list; logits_of(indices,
+    chunk) returns the logits of each sample of a chunk of at most `size`
+    samples, whose indices in the list are `indices`."""
     if not samples:
         raise ConfigError("cannot evaluate on an empty sample list")
-    rows = _ordered_map(lambda item: logits_of(*item), list(enumerate(samples)), workers)
+    blocks = _ordered_map(lambda r: logits_of(r, samples[r.start:r.stop]), _chunks(samples, size), workers)
     loss_sum = 0.0
     correct = 0
-    for sample, logits in zip(samples, rows):
+    for sample, logits in zip(samples, (row for block in blocks for row in block)):
         loss, _ = softmax_cross_entropy(logits, sample.label)
         loss_sum += loss
         if int(np.argmax(logits)) == sample.label:
@@ -343,10 +368,13 @@ def evaluate_samples(
     shot: ShotConfig = ShotConfig(),
     workers: int = 1,
 ) -> tuple[float, float]:
-    """(mean loss, accuracy) over a sample list, exact or sampled mode."""
+    """(mean loss, accuracy) over a sample list, exact or sampled mode.
+    Chunks as `batch_gradients` does; sample i draws its shots from the
+    streams of sample index i."""
     return _score(
-        samples,
-        lambda index, sample: final_logits(sample.tokens, params, cfg, shot, sample_index=index),
+        samples, walk_rows(cfg.n_qubits),
+        lambda indices, chunk: batch_logits(
+            [s.tokens for s in chunk], params, cfg, shot, sample_index=list(indices)),
         workers,
     )
 
@@ -516,12 +544,14 @@ def train_elman(
     params = init_elman(np.random.default_rng([config.seed, 0]), d_hidden, 10)
 
     epochs = _epochs(config, train_set, params, lambda batch: _mean_gradients(
-        batch, lambda s: GradBundle(*elman_loss_and_grad(s.tokens, s.label, params)),
+        batch, 1, lambda chunk: [GradBundle(*elman_loss_and_grad(s.tokens, s.label, params))
+                                 for s in chunk],
         params, config.workers,
     ))
     for *_, train_acc in epochs:
         pass
     _, test_acc = _score(
-        test_set, lambda _, s: elman_forward(s.tokens, params), config.workers
+        test_set, 1, lambda _, chunk: [elman_forward(s.tokens, params) for s in chunk],
+        config.workers,
     )
     return train_acc, test_acc, param_count(params)

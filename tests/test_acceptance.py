@@ -90,8 +90,8 @@ def test_criterion_02_unitarity_at_depth():
     rng = np.random.default_rng(2)
     theta = rng.uniform(-np.pi, np.pi, cfg.n_params)
     for depth in (10_000, 3072):
-        state = new_zero_state(4)
-        Steps(cfg, theta, rng.uniform(0.0, 1.0, (depth, 4))).evolve(state, 0, depth, depth)
+        state = new_zero_state(4)[None]
+        Steps(cfg, theta, rng.uniform(0.0, 1.0, (1, depth, 4))).evolve(state, 0, depth, depth)
         assert abs(np.linalg.norm(state) - 1.0) < 1e-9
 
 
@@ -133,7 +133,7 @@ def test_criterion_04_dense_oracle_100_instances():
         embedding = rng.uniform(-np.pi, np.pi, n)
         state = random_state(rng, n)
         before = state.copy()
-        Steps(cfg, theta, embedding[None]).evolve(state, 0, 1)
+        Steps(cfg, theta, embedding[None, None]).evolve(state[None], 0, 1)
         dense = dense_step_matrix(cfg, theta, embedding)
         assert np.abs(state - dense @ before).max() < 1e-10
 

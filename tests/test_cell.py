@@ -87,14 +87,14 @@ def test_query_identity_and_linearity():
     params = make_params(cfg)
     tokens = np.array([0.0, 0.4, 1.0])
     params.w_q = np.eye(2)
-    r = run(tokens, params, cfg)
+    r = run([tokens], params, cfg)
     assert_allclose(r.queries, r.embeddings, atol=1e-15)
     params.embed_w[:] = 0.0
     params.embed_b[:] = 0.0
-    assert_allclose(run(tokens, params, cfg).queries, np.zeros((3, 2)), atol=1e-15)
+    assert_allclose(run([tokens], params, cfg).queries, np.zeros((1, 3, 2)), atol=1e-15)
     params = make_params(cfg)
     params.w_q = 2 * np.eye(2)
-    assert_allclose(run(tokens, params, cfg).queries, 2 * r.embeddings, atol=1e-15)
+    assert_allclose(run([tokens], params, cfg).queries, 2 * r.embeddings, atol=1e-15)
 
 
 def test_decoder_matches_straight_line_reimplementation():
@@ -221,8 +221,9 @@ def test_shot_consistency_large_m():
     gap = np.abs(sampled.readouts - exact.readouts).max()
     # bound the gap by 3x the largest per-readout predicted std,
     # sqrt(sum_i gamma_i^2 (1 - <P_i>^2) / m) with the exact <P_i>
-    r = run(tokens, params, cfg)
-    var = np.einsum("thp,tp->th", r.gammas**2, 1.0 - r.exps**2) / m
+    r = run([tokens], params, cfg)
+    gammas = decoder(r.queries[0], params)[1]
+    var = np.einsum("thp,tp->th", gammas**2, 1.0 - r.exps[0]**2) / m
     worst_std = np.sqrt(var).max()
     assert gap < 3.0 * worst_std
 

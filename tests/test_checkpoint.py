@@ -79,8 +79,30 @@ def test_missing_parameter_member_rejected(tmp_path):
     del members["theta"]
     stripped = tmp_path / "stripped.npz"
     np.savez(stripped, **members)
-    with pytest.raises((DataError, ShapeError, TypeError, KeyError)):
+    with pytest.raises(DataError, match="theta"):
         load_checkpoint(stripped)
+
+
+@pytest.mark.parametrize("version", [
+    pytest.param(np.array("abc"), id="string"),
+    pytest.param(np.array([CHECKPOINT_VERSION, CHECKPOINT_VERSION]), id="vector"),
+    pytest.param(np.array([CHECKPOINT_VERSION]), id="one-element-vector"),
+    pytest.param(np.float64(CHECKPOINT_VERSION), id="float"),
+])
+def test_malformed_version_member_is_data_error(tmp_path, version):
+    # int() of a string member raises ValueError, of a vector TypeError
+    cfg = small_cfg()
+    params = init_qlam_params(np.random.default_rng(11), cfg)
+    path = tmp_path / "m.npz"
+    save_checkpoint(path, params, cfg)
+    with np.load(path) as archive:
+        members = {name: archive[name] for name in archive.files}
+    members["__version__"] = version
+    np.savez(path, **members)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="version"):
+            load_checkpoint(path)
 
 
 @pytest.mark.parametrize("retype", [

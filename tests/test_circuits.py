@@ -80,11 +80,11 @@ def test_encoding_length_mismatch():
     params = init_qlam_params(np.random.default_rng(0), cfg)
     params.embed_w = np.zeros(3)
     with pytest.raises(ShapeError):
-        run(np.array([0.5]), params, cfg)
+        run(np.array([[0.5]]), params, cfg)
     params = init_qlam_params(np.random.default_rng(0), cfg)
     params.embed_b[0] = np.nan
     with pytest.raises(NumericError):
-        run(np.array([0.5]), params, cfg)
+        run(np.array([[0.5]]), params, cfg)
 
 
 def test_ansatz_zero_angles_fix_all_zeros():
@@ -109,10 +109,10 @@ def test_ansatz_param_length_mismatch():
     params = init_qlam_params(np.random.default_rng(0), cfg)
     params.theta = np.zeros(3)
     with pytest.raises(ShapeError):
-        run(np.array([0.5]), params, cfg)
+        run(np.array([[0.5]]), params, cfg)
     params.theta = np.full(cfg.ansatz.n_params, np.inf)
     with pytest.raises(NumericError):
-        run(np.array([0.5]), params, cfg)
+        run(np.array([[0.5]]), params, cfg)
 
 
 @pytest.mark.parametrize("n_qubits", [1, 2, 3, 4])

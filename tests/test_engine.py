@@ -21,6 +21,7 @@ from oracles import (
 
 from qlam.cell import (
     CellConfig,
+    batch_logits,
     decoder,
     embed_token,
     final_logits,
@@ -33,26 +34,18 @@ from qlam.circuits import (
     Steps,
     apply_plan_kernel,
     build_step_plan,
+    inverse,
+    walk_rows,
 )
 from qlam.data import SequenceSample
 from qlam.errors import NumericError
-from qlam.gradients import loss_and_grad, param_shift_grad
+from qlam.gradients import batch_loss_and_grad, loss_and_grad, param_shift_grad
 from qlam.nn import softmax_cross_entropy
-from qlam.observables import default_pauli_pool, pauli_table, pool_table
+from qlam.observables import ShotConfig, default_pauli_pool, pauli_table, pool_table
 from qlam.statevector import apply_ry_kernel, apply_rz_kernel, new_zero_state
 
 # an odd register: unequal high (5 qubits) and low (4 qubits) halves
 STRIDED_N = 9
-
-
-def basis_images(dim, apply):
-    """Matrix whose column i is apply(e_i)."""
-    out = np.empty((dim, dim), dtype=np.complex128)
-    for i in range(dim):
-        e = np.zeros(dim, dtype=np.complex128)
-        e[i] = 1.0
-        out[:, i] = apply(e)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -91,26 +84,23 @@ def test_dense_steps_match_dense_step_matrix(n_qubits, entangler):
     theta = rng.uniform(-np.pi, np.pi, cfg.n_params)
     theta_2 = rng.uniform(-np.pi, np.pi, cfg.n_params)
     emb = rng.uniform(-2.0, 2.0, (2, n_qubits))
-    steps = Steps(cfg, theta, emb, shifted=(2, theta_2))
     dim = 1 << n_qubits
-
-    def advance(t):
-        def apply(e):
-            steps.evolve(e, t - 1, t)
-            return e
-        return apply
-
+    # one row per basis vector: row i of the advanced stack is column i
+    # of the step matrix
+    steps = Steps(cfg, theta, np.broadcast_to(emb, (dim, 2, n_qubits)), shifted=(2, theta_2))
     for t, angles in ((1, theta), (2, theta_2)):
         want = dense_step_matrix(cfg, angles, emb[t - 1])
-        assert_allclose(basis_images(dim, advance(t)), want, atol=1e-12)
+        basis = np.eye(dim, dtype=np.complex128)
+        steps.evolve(basis, t - 1, t)
+        assert_allclose(basis.T, want, atol=1e-12)
         a0, b0t = steps.layer0(t - 1, t)
-        assert_allclose(basis_images(dim, lambda e: steps.rewind(e, t, a0[0], b0t[0])),
-                        want.conj().T, atol=1e-12)
+        rewound = steps.rewind(np.eye(dim, dtype=np.complex128), t, *inverse(a0[:, 0], b0t[:, 0]))
+        assert_allclose(rewound.T, want.conj().T, atol=1e-12)
 
 
 @pytest.mark.parametrize("n_qubits", [1, 2, 3, 5, STRIDED_N])
 def test_cross_operators_match_partial_traces(n_qubits):
-    steps = Steps(AnsatzConfig(n_qubits, 1), np.zeros(2 * n_qubits), np.zeros((1, n_qubits)))
+    steps = Steps(AnsatzConfig(n_qubits, 1), np.zeros(2 * n_qubits), np.zeros((1, 1, n_qubits)))
     rng = np.random.default_rng(120 + n_qubits)
     dim = 1 << n_qubits
     kets, adjoints = (rng.normal(size=(3, dim)) + 1j * rng.normal(size=(3, dim)) for _ in range(2))
@@ -189,6 +179,44 @@ def test_logits_bitwise_across_views_and_windows(n_qubits, T, t_keep):
     trace = forward(sample.tokens, params, cfg)
     assert_array_equal(final_logits(sample.tokens, params, cfg), trace.logits)
     assert_array_equal(loss_and_grad(sample, params, cfg).logits, trace.logits)
+
+
+@pytest.mark.parametrize("n_qubits, batch", [
+    # one chunk of 4 sequences; and chunks of walk_rows(9) = 8, so a
+    # batch of 10 runs as 8 + 2
+    pytest.param(4, 4, id="4"),
+    pytest.param(STRIDED_N, 10, id=str(STRIDED_N)),
+])
+def test_batch_outputs_match_single_sequence_views_bitwise(n_qubits, batch):
+    # the determinism contract: a sequence's logits (exact and sampled),
+    # loss and gradients do not depend on the batch it runs in, its
+    # position there, or how the batch is split
+    cfg = small_cfg(n_qubits, t_keep=2)
+    params = init_qlam_params(np.random.default_rng(130 + n_qubits), cfg)
+    rng = np.random.default_rng(131)
+    params.theta[:] = rng.uniform(-np.pi, np.pi, params.theta.shape)
+    # T = K + 1 crosses a window and ends on a one-step window
+    samples = [SequenceSample(rng.uniform(0.0, 1.0, CHECKPOINT_INTERVAL + 1), i % 3)
+               for i in range(batch)]
+    shot = ShotConfig("sampled", 64, 5)
+    order = rng.permutation(batch)
+    size = walk_rows(n_qubits)
+    assert (size >= batch) == (n_qubits == 4)
+    for lo in range(0, batch, size):
+        part = order[lo:lo + size]
+        tokens = [samples[i].tokens for i in part]
+        bundles = batch_loss_and_grad([samples[i] for i in part], params, cfg)
+        exact = batch_logits(tokens, params, cfg)
+        sampled = batch_logits(tokens, params, cfg, shot, sample_index=part)
+        for i, bundle, row, shot_row in zip(part, bundles, exact, sampled):
+            single = loss_and_grad(samples[i], params, cfg)
+            assert bundle.loss == single.loss
+            assert_array_equal(bundle.logits, single.logits)
+            for key, g in single.grads.items():
+                assert_array_equal(bundle.grads[key], g, err_msg=key)
+            assert_array_equal(row, final_logits(samples[i].tokens, params, cfg))
+            assert_array_equal(shot_row, final_logits(samples[i].tokens, params, cfg, shot,
+                                                      sample_index=int(i)))
 
 
 @pytest.mark.parametrize("n_qubits, n_layers, indices, T", [
@@ -275,7 +303,7 @@ def test_huge_finite_angles_stay_finite(n_qubits):
 @pytest.mark.parametrize("n_qubits", [4, STRIDED_N])
 def test_non_finite_angles_raise_numeric_error(n_qubits):
     cfg = AnsatzConfig(n_qubits, 1)
-    zeros, emb = np.zeros(cfg.n_params), np.zeros((2, n_qubits))
+    zeros, emb = np.zeros(cfg.n_params), np.zeros((2, 2, n_qubits))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for bad in (np.inf, -np.inf, np.nan):
@@ -286,7 +314,7 @@ def test_non_finite_angles_raise_numeric_error(n_qubits):
             with pytest.raises(NumericError, match="angles"):
                 Steps(cfg, zeros, emb, shifted=(2, theta))
             bad_emb = emb.copy()
-            bad_emb[1, n_qubits - 1] = bad
+            bad_emb[1, 1, n_qubits - 1] = bad
             with pytest.raises(NumericError, match="timestep 2"):
                 Steps(cfg, zeros, bad_emb)
             for kernel in (apply_ry_kernel, apply_rz_kernel):

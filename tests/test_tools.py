@@ -1,0 +1,29 @@
+"""Smoke test of the equivalence dump in tools/dump_outputs.py."""
+
+import importlib.util
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "dump_outputs.py"
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("dump_outputs", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_dump_of_two_models_compares_bitwise_equal(tmp_path, capsys):
+    tool = load_tool()
+    first, again = tmp_path / "first.npz", tmp_path / "again.npz"
+    count = tool.dump(first, models=2)
+    assert tool.dump(again, models=2) == count
+    report, unmatched = tool.compare(first, again)
+    assert not unmatched
+    assert sum(arrays for arrays, _, _ in report.values()) == count
+    for kind, (arrays, equal, worst) in report.items():
+        assert equal == arrays and worst == 0.0, kind
+    # both models are 1-qubit, so the shift oracle is in the dump
+    assert report["param_shift_grad"][0] == 2
+    assert tool.main(["--compare", str(first), str(again)]) == 0
+    assert f"total: {count} arrays, {count} bitwise equal" in capsys.readouterr().out

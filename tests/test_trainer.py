@@ -8,10 +8,13 @@ import pytest
 from numpy.testing import assert_array_equal
 
 import qlam.trainer
-from qlam.cell import init_qlam_params
+from qlam.cell import final_logits, init_qlam_params
+from qlam.circuits import walk_rows
 from qlam.data import DatasetBundle, SequenceSample
 from qlam.errors import ConfigError
-from qlam.nn import init_elman
+from qlam.gradients import loss_and_grad
+from qlam.nn import init_elman, softmax_cross_entropy
+from qlam.observables import ShotConfig
 from qlam.trainer import (
     METRICS_COLUMNS,
     MetricsRow,
@@ -225,6 +228,43 @@ def test_batch_gradients_worker_invariance():
     assert loss1 == loss3 and correct1 == correct3
     for key in g1:
         assert_array_equal(g1[key], g3[key], err_msg=key)
+
+
+def test_mixed_lengths_reduce_in_sample_order():
+    # interleaved lengths cut the batch into runs of equal length; at
+    # n = 9 a run is also cut at walk_rows(9) = 8 samples
+    cfg = tiny_config(n_qubits=9).cell_config()
+    params = init_qlam_params(np.random.default_rng(4), cfg)
+    rng = np.random.default_rng(5)
+    lengths = [33, 40, 40, 33, 33] + [40] * 10 + [33]
+    samples = [SequenceSample(rng.uniform(0.0, 1.0, T), i % 4) for i, T in enumerate(lengths)]
+    ranges = qlam.trainer._chunks(samples, walk_rows(cfg.n_qubits))
+    assert [(r.start, r.stop) for r in ranges] == [(0, 1), (1, 3), (3, 5), (5, 13), (13, 15), (15, 16)]
+
+    grads = {key: np.zeros_like(arr) for key, arr in params.as_dict().items()}
+    loss_sum, correct = 0.0, 0
+    for sample in samples:
+        bundle = loss_and_grad(sample, params, cfg)
+        for key in grads:
+            grads[key] += bundle.grads[key]
+        loss_sum += bundle.loss
+        correct += int(np.argmax(bundle.logits)) == sample.label
+    scale = 1.0 / len(samples)
+    shot = ShotConfig("sampled", 64, 2)
+    scores = {}
+    for mode, shots in (("exact", ShotConfig()), ("sampled", shot)):
+        losses = [softmax_cross_entropy(final_logits(s.tokens, params, cfg, shots, sample_index=i),
+                                        s.label)[0] for i, s in enumerate(samples)]
+        hits = [int(np.argmax(final_logits(s.tokens, params, cfg, shots, sample_index=i))) == s.label
+                for i, s in enumerate(samples)]
+        scores[mode] = (sum(losses) / len(samples), sum(hits) / len(samples))
+    for workers in (1, 3):
+        mean, loss, hits = batch_gradients(samples, params, cfg, workers=workers)
+        assert loss == loss_sum * scale and hits == correct
+        for key, g in grads.items():
+            assert_array_equal(mean[key], g * scale, err_msg=key)
+        assert evaluate_samples(samples, params, cfg, workers=workers) == scores["exact"]
+        assert evaluate_samples(samples, params, cfg, shot, workers=workers) == scores["sampled"]
 
 
 def test_untrained_model_is_near_chance():
