@@ -71,13 +71,11 @@ def load_checkpoint(path) -> tuple[QlamParams, CellConfig, dict]:
     try:
         cfg = CellConfig(**_json_load(members["__config__"]))
         extra = _json_load(members["__extra__"])
-        arrays = {name: arr.astype(np.float64, casting="same_kind")
-                  for name, arr in members.items() if not name.startswith("__")}
-    except (KeyError, TypeError, ValueError) as exc:
+        params = QlamParams.from_dict({
+            name: arr.astype(np.float64, casting="same_kind")
+            for name, arr in members.items() if not name.startswith("__")
+        })
+    except (KeyError, TypeError, ValueError) as exc:  # ShapeError is a ValueError
         raise DataError(f"{path} holds no valid cell config or parameters: {exc}") from exc
-    missing = set(QlamParams._KEYS) - set(arrays)
-    if missing:
-        raise DataError(f"{path} is missing the parameter members {sorted(missing)}")
-    params = QlamParams.from_dict(arrays)
     params.validate(cfg)
     return params, cfg, extra

@@ -207,12 +207,11 @@ class Steps:
         gather = np.arange(1 << n)
         for control, target in entangler_pairs(cfg):
             apply_cnot_kernel(gather, n, control, target)
-        # flat index arrays shaped like the (B, 2**high, 2**low) stack: a
-        # gather of the flattened stack returns every row's next X, a
-        # scatter the previous one; row 0's scatter serves any stack
-        offsets = np.arange(self.rows)[:, None] << n
-        self.gather = (offsets + gather).reshape((self.rows,) + self.shape)
-        self.scatter = (offsets + np.argsort(gather)).reshape((self.rows,) + self.shape)
+        # (2**high, 2**low) indices into a flattened row: taking them on the
+        # last axis of a stack of rows gives every row's next X (gather) or
+        # its previous one (scatter)
+        self.gather = gather.reshape(self.shape)
+        self.scatter = np.argsort(gather).reshape(self.shape)
         # per angle set (None: every unshifted step), layer 0's per-qubit
         # matrices and the (A_l, B_l^T) of the later layers, and their inverses
         self.first_layer, self.later_layers, self.later_inverses = {}, {}, {}
@@ -255,7 +254,7 @@ class Steps:
             a0, b0t = self.layer0(lo, hi)
             for t in range(lo + 1, hi + 1):
                 for a, bt in self.layers(t, a0[:, t - lo - 1], b0t[:, t - lo - 1]):
-                    x = (a @ x @ bt).reshape(-1)[self.gather]
+                    x = np.take((a @ x @ bt).reshape(rows, -1), self.gather, axis=-1)
                 if t > first:
                     views[:, t - first - 1] = x
         psi[:] = x.reshape(rows, -1)
@@ -335,7 +334,7 @@ class Steps:
                         lam = self.rewind(lam, t, a0h[:, t - start - 1], b0c[:, t - start - 1])
                 derivs = dwin[:, start - win_start:stop - win_start]
                 for layer in range(len(self.angles) - 1, -1, -1):
-                    pair = np.take(pair.reshape(2, rows * (stop - start), -1), self.scatter[0], axis=-1)
+                    pair = np.take(pair.reshape(2, rows * (stop - start), -1), self.scatter, axis=-1)
                     # for U_j = RZ(b) RY(a): dJ/db = Im tr(Z rho_j), and dJ/da =
                     # Im tr(RZ(b) Y RZ(b)^H rho_j) = cos(b) Im tr(Y rho_j) -
                     # sin(b) Im tr(X rho_j); layer 0's encoding RY(e_t) shares
@@ -364,7 +363,7 @@ class Steps:
         """M_t^H x for (B, 2**n) vectors x, given the (B, ...) inverse
         factors (A_0^H, conj(B_0)) of step t's layer 0 (`inverse`)."""
         for ah, bc in reversed([(a0h, b0c)] + self.later_inverses.get(t, self.later_inverses[None])):
-            x = ah @ x.reshape(-1)[self.scatter] @ bc
+            x = ah @ np.take(x.reshape(self.rows, -1), self.scatter, axis=-1) @ bc
         return x.reshape(self.rows, -1)
 
     def cross(self, kets: np.ndarray, adjoints: np.ndarray) -> np.ndarray:

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Dump every public output of qlam on a fixed model grid, or compare dumps.
 
-    python3 tools/dump_outputs.py OUT.npz [--models K]
+    python3 tools/dump_outputs.py OUT.npz
     python3 tools/dump_outputs.py --compare A.npz B.npz
 
 A dump holds, for each model of the grid: `forward` (readouts, final
@@ -10,8 +10,7 @@ state, logits), exact and shot-sampled `final_logits`, `loss_and_grad`
 gradient) and, up to 4 qubits, `param_shift_grad` of two circuit angles.
 The grid runs n = 1..12 qubits, ring and linear entanglers, with
 sequence lengths that cross checkpoint windows and kept readouts that
-start inside one.  Keys are "<model>/<output>"; `--models K` dumps the
-first K models only.
+start inside one.  Keys are "<model>/<output>".
 
 `--compare` reports, per kind of output (the key after the model), how
 many arrays are bitwise equal and the worst relative difference
@@ -114,7 +113,6 @@ def compare(path_a, path_b) -> tuple[dict[str, list], set[str]]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out", nargs="?", help="dump file to write")
-    parser.add_argument("--models", type=int, help="dump the first K models of the grid only")
     parser.add_argument("--compare", nargs=2, metavar=("A", "B"), help="compare two dumps")
     args = parser.parse_args(argv)
     if args.compare:
@@ -131,7 +129,7 @@ def main(argv=None) -> int:
         return 0
     if not args.out:
         parser.error("give an output file or --compare A B")
-    print(f"{dump(args.out, args.models)} arrays written to {args.out}")
+    print(f"{dump(args.out)} arrays written to {args.out}")
     return 0
 
 
