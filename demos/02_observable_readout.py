@@ -12,7 +12,6 @@ import numpy as np
 
 from qlam.cell import CellConfig, decoder, init_qlam_params
 from qlam.observables import pool_table
-from qlam.statevector import apply_ry_kernel, new_zero_state
 
 
 def dense(labels, n):
@@ -38,9 +37,11 @@ def main():
     rng = np.random.default_rng(11)
     params = init_qlam_params(rng, cfg)
 
-    state = new_zero_state(cfg.n_qubits)
-    for q in range(cfg.n_qubits):
-        apply_ry_kernel(state, cfg.n_qubits, q, float(rng.uniform(0, np.pi)))
+    # the product state of RY(a_q)|0> on every qubit q, qubit 0 the last
+    # Kronecker factor
+    state = np.ones(1, dtype=np.complex128)
+    for a in rng.uniform(0, np.pi, cfg.n_qubits):
+        state = np.kron([np.cos(a / 2), np.sin(a / 2)], state)
     # the pool expectations are shared by every head and query
     exps = pool_table(cfg.pool).expectations(state[None])[0]
 

@@ -10,15 +10,16 @@ import numpy as np
 
 from qlam.cell import measure
 from qlam.observables import ShotConfig, default_pauli_pool, pool_table
-from qlam.statevector import apply_ry_kernel, new_zero_state
 
 
 def main():
     rng = np.random.default_rng(3)
     n = 2
-    state = new_zero_state(n)
-    for q in range(n):
-        apply_ry_kernel(state, n, q, float(rng.uniform(0, np.pi)))
+    # the product state of RY(a_q)|0> on every qubit q, qubit 0 the last
+    # Kronecker factor
+    state = np.ones(1, dtype=np.complex128)
+    for a in rng.uniform(0, np.pi, n):
+        state = np.kron([np.cos(a / 2), np.sin(a / 2)], state)
 
     pool = default_pauli_pool(n)
     table = pool_table(pool)

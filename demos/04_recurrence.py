@@ -9,8 +9,7 @@ token t changes readouts at steps >= t only.
 import numpy as np
 
 from qlam.cell import CellConfig, embed_token, forward, init_qlam_params
-from qlam.circuits import Steps
-from qlam.statevector import new_zero_state
+from qlam.circuits import Steps, new_zero_state
 
 
 def main():

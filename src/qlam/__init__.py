@@ -17,7 +17,7 @@ from .cell import (
     predict,
 )
 from .checkpoint import load_checkpoint, save_checkpoint
-from .circuits import AnsatzConfig
+from .circuits import AnsatzConfig, new_zero_state
 from .data import (
     DatasetBundle,
     FoldPlan,
@@ -40,7 +40,6 @@ from .errors import (
 from .gradients import GradBundle, loss_and_grad, param_shift_grad
 from .nn import adam_step, cosine_lr, softmax_cross_entropy
 from .observables import PauliString, ShotConfig, default_pauli_pool
-from .statevector import new_zero_state
 from .trainer import (
     MetricsRow,
     TrainConfig,

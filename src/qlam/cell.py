@@ -33,7 +33,8 @@ complex array throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -64,6 +65,10 @@ class CellConfig:
     clamp_tokens: bool = False
 
     def __post_init__(self):
+        for name in (f.name for f in fields(self) if f.type == "int"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an int, got {value!r}")
         for name in ("d_query", "n_heads", "decoder_hidden", "t_keep", "n_classes"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")

@@ -30,8 +30,11 @@ def _json_array(payload: dict) -> np.ndarray:
     return np.frombuffer(json.dumps(payload, sort_keys=True).encode(), dtype=np.uint8)
 
 
-def _json_load(arr: np.ndarray) -> dict:
-    return json.loads(arr.tobytes().decode())
+def _json_load(arr: np.ndarray, member: str) -> dict:
+    value = json.loads(arr.tobytes().decode())
+    if not isinstance(value, dict):
+        raise TypeError(f"{member} holds a JSON {type(value).__name__}, not an object")
+    return value
 
 
 def save_checkpoint(
@@ -69,8 +72,8 @@ def load_checkpoint(path) -> tuple[QlamParams, CellConfig, dict]:
             f"checkpoint version {version} unsupported (expected {CHECKPOINT_VERSION})"
         )
     try:
-        cfg = CellConfig(**_json_load(members["__config__"]))
-        extra = _json_load(members["__extra__"])
+        cfg = CellConfig(**_json_load(members["__config__"], "__config__"))
+        extra = _json_load(members["__extra__"], "__extra__")
         params = QlamParams.from_dict({
             name: arr.astype(np.float64, casting="same_kind")
             for name, arr in members.items() if not name.startswith("__")

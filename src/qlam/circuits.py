@@ -1,5 +1,9 @@
 """Input-encoding and variational circuits composing one recurrence step.
 
+The memory of an n-qubit register is a plain (2**n,) complex128 array of
+unit norm (`new_zero_state`); basis index i encodes the computational
+basis state with qubit 0 as the least-significant bit of i.
+
 A step applies the encoding unitary first, then the trainable ansatz:
 ``psi <- U_var(theta) U_enc(e_t) psi``.  Encoding is RY angle rotation of
 the raw embedding value on each qubit.  Each ansatz layer is RY and RZ
@@ -24,32 +28,36 @@ layer 0, and the CNOT entangler is one index gather.  Every reduction
 runs on one row of the stack, in an order that does not depend on B,
 so a sequence's states and derivatives are bit for bit those of a
 B = 1 sweep.
-
-The gate sequence also exists as an explicit plan (`build_step_plan`):
-its first n_qubits entries are the encoding and the rest the ansatz.
-`apply_plan_kernel` runs a plan, or one of those slices, gate by gate on
-amplitude arrays with the strided kernels: the reference the engine is
-tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, Optional
+from typing import Literal
 
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .statevector import (
-    MAX_QUBITS, apply_cnot_kernel, apply_ry_kernel, apply_rz_kernel
-)
 
+# The largest register the simulator accepts.
+MAX_QUBITS = 12
 # The sweep runs in windows of this many steps, aligned at multiples of it.
 CHECKPOINT_INTERVAL = 32
 # `Steps` builds layer-0 factors, and the adjoint walks (ket, adjoint)
 # pairs, for at most `walk_rows(n)` rows (sequences x steps) at a time,
 # which bounds the memory a call holds beside the states of its block.
 WALK_AMPLITUDES = 1 << 12
+
+
+def new_zero_state(n_qubits: int) -> np.ndarray:
+    """Return the (2**n_qubits,) amplitudes of |0...0>."""
+    if not 1 <= n_qubits <= MAX_QUBITS:
+        raise ConfigError(
+            f"n_qubits must be in [1, {MAX_QUBITS}], got {n_qubits}"
+        )
+    amps = np.zeros(1 << n_qubits, dtype=np.complex128)
+    amps[0] = 1.0
+    return amps
 
 
 def walk_rows(n_qubits: int) -> int:
@@ -94,44 +102,6 @@ def entangler_pairs(cfg: AnsatzConfig) -> list[tuple[int, int]]:
     if cfg.entangler == "ring":
         return [(j, (j + 1) % n) for j in range(n)]
     return [(j, j + 1) for j in range(n - 1)]
-
-
-# A gate plan entry is (kind, qubit_or_control, target_or_none, slot) where
-# kind is "ry" / "rz" / "cnot" and slot names the parameter source:
-# ("enc", j) reads embedding[j], ("theta", k) reads theta[k], None is fixed.
-PlanEntry = tuple[str, int, Optional[int], Optional[tuple[str, int]]]
-
-
-def build_step_plan(cfg: AnsatzConfig) -> list[PlanEntry]:
-    """Gate sequence of one step: encoding first, then every ansatz layer."""
-    n = cfg.n_qubits
-    plan: list[PlanEntry] = [("ry", j, None, ("enc", j)) for j in range(n)]
-    for layer in range(cfg.n_layers):
-        base = layer * 2 * n
-        for j in range(n):
-            plan.append(("ry", j, None, ("theta", base + 2 * j)))
-            plan.append(("rz", j, None, ("theta", base + 2 * j + 1)))
-        for control, target in entangler_pairs(cfg):
-            plan.append(("cnot", control, target, None))
-    return plan
-
-
-def apply_plan_kernel(
-    amps: np.ndarray,
-    n_qubits: int,
-    plan: list[PlanEntry],
-    embedding: Optional[np.ndarray],
-    theta: Optional[np.ndarray],
-) -> None:
-    """Apply a gate plan in place to amplitude array(s); an angle source
-    that no slot of the plan reads may be None."""
-    for kind, a, b, slot in plan:
-        if kind == "cnot":
-            apply_cnot_kernel(amps, n_qubits, a, b)
-            continue
-        source, index = slot
-        angle = float((embedding if source == "enc" else theta)[index])
-        (apply_ry_kernel if kind == "ry" else apply_rz_kernel)(amps, n_qubits, a, angle)
 
 
 def kron_qubits(u: np.ndarray) -> np.ndarray:
@@ -204,9 +174,11 @@ class Steps:
         self.block = max(1, walk_rows(n) // self.rows)
         self.embeddings = embeddings
         self.angles = np.reshape(theta, (cfg.n_layers, n, 2))
+        # CNOT(c, t) flips bit t of the index where bit c is set; after the
+        # entangler, amplitude i is the one at i put through its CNOTs last first
         gather = np.arange(1 << n)
-        for control, target in entangler_pairs(cfg):
-            apply_cnot_kernel(gather, n, control, target)
+        for control, target in reversed(entangler_pairs(cfg)):
+            gather ^= ((gather >> control) & 1) << target
         # (2**high, 2**low) indices into a flattened row: taking them on the
         # last axis of a stack of rows gives every row's next X (gather) or
         # its previous one (scatter)

@@ -2,10 +2,14 @@
 
 Everything here is deliberately brute force: dense Kronecker matrices,
 explicit matrix products, and straight-line re-implementations.  None of
-it shares code with the package's stride-kernel fast paths, so agreement
-is evidence, not tautology.  Qubit 0 is the least-significant bit of the
-basis index, matching the package convention: the dense operator for a
-per-qubit list [op_0 ... op_{n-1}] is kron(op_{n-1}, ..., op_0).
+it shares code with the package's factored step engine, so agreement
+is evidence, not tautology.  `dense_step` is the gate-by-gate reference
+of one recurrence step at every register size: it contracts one gate at
+a time with the columns it is given, so no 2**n x 2**n matrix is built
+unless the columns are the identity.  Qubit 0 is the least-significant
+bit of the basis index, matching the package convention: the dense
+operator for a per-qubit list [op_0 ... op_{n-1}] is
+kron(op_{n-1}, ..., op_0).
 """
 
 from __future__ import annotations
@@ -74,13 +78,13 @@ def apply_dense_cnot(control: int, target: int, u: np.ndarray) -> np.ndarray:
     return u[cnot_image(np.arange(u.shape[0]), control, target)]
 
 
-def dense_step_matrix(cfg, theta: np.ndarray, embedding: np.ndarray) -> np.ndarray:
-    """Full 2**n x 2**n matrix of one recurrence step: encoding RY on each
-    qubit, then per layer RY/RZ per qubit and the CNOT entangler.  Each
-    gate is applied to the running product as the contraction or row
-    gather that equals multiplying by its `dense_1q` / `dense_cnot` matrix."""
+def dense_step(cfg, theta: np.ndarray, embedding: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """One recurrence step applied to a (2**n, cols) array u: encoding RY
+    on each qubit, then per layer RY/RZ per qubit and the CNOT entangler.
+    Each gate is applied as the contraction or row gather that equals
+    multiplying by its `dense_1q` / `dense_cnot` matrix."""
     n = cfg.n_qubits
-    u = np.eye(1 << n, dtype=np.complex128)
+    u = np.asarray(u, dtype=np.complex128)
     for j in range(n):
         u = apply_dense_1q(dense_ry(embedding[j]), j, u)
     layered = np.asarray(theta, dtype=np.float64).reshape(cfg.n_layers, n, 2)
@@ -96,6 +100,12 @@ def dense_step_matrix(cfg, theta: np.ndarray, embedding: np.ndarray) -> np.ndarr
             for control, target in pairs:
                 u = apply_dense_cnot(control, target, u)
     return u
+
+
+def dense_step_matrix(cfg, theta: np.ndarray, embedding: np.ndarray) -> np.ndarray:
+    """Full 2**n x 2**n matrix of one recurrence step: `dense_step` of the
+    identity."""
+    return dense_step(cfg, theta, embedding, np.eye(1 << cfg.n_qubits))
 
 
 def dense_observable_matrix(gammas, labels_list) -> np.ndarray:

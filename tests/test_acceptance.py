@@ -25,7 +25,7 @@ from oracles import (
 )
 
 from qlam.cell import CellConfig, decoder, init_qlam_params, measure
-from qlam.circuits import AnsatzConfig, Steps
+from qlam.circuits import AnsatzConfig, Steps, new_zero_state
 from qlam.data import (
     CIFAR_RECORD_BYTES,
     DatasetBundle,
@@ -41,7 +41,6 @@ from qlam.data import (
 from qlam.errors import ParseError, QlamError
 from qlam.gradients import loss_and_grad, readout_param_shift, weighted_readout_grads
 from qlam.observables import ShotConfig, default_pauli_pool, pool_table
-from qlam.statevector import new_zero_state
 from qlam.trainer import TrainConfig, train, train_elman
 
 README = Path(__file__).resolve().parent.parent / "README.md"

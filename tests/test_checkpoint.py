@@ -3,6 +3,7 @@
 import json
 import warnings
 import zipfile
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from numpy.testing import assert_array_equal
 
 from qlam.cell import CellConfig, QlamParams, final_logits, init_qlam_params
 from qlam.checkpoint import CHECKPOINT_VERSION, load_checkpoint, save_checkpoint
-from qlam.errors import DataError, ShapeError
+from qlam.errors import ConfigError, DataError, ShapeError
 
 
 def small_cfg(**kwargs):
@@ -191,3 +192,32 @@ def test_truncated_archive_is_data_error(tmp_path):
     path.write_bytes(data[: len(data) // 2])
     with pytest.raises(DataError):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("member, payload, match", [
+    pytest.param("__extra__", ["dataset", "seed"], "__extra__", id="extra-list"),
+    pytest.param("__config__", [2, 2], "__config__", id="config-list"),
+    pytest.param("__config__", {**asdict(small_cfg()), "n_qubits": 2.0}, "n_qubits",
+                 id="config-float-int"),
+])
+def test_malformed_json_member_is_data_error(tmp_path, member, payload, match):
+    # loaded, a list __extra__ would fail a later key lookup, and a float
+    # n_qubits the recurrence's integer arithmetic, both with a TypeError
+    cfg = small_cfg()
+    path = tmp_path / "m.npz"
+    save_checkpoint(path, init_qlam_params(np.random.default_rng(12), cfg), cfg)
+    with np.load(path) as archive:
+        members = {name: archive[name] for name in archive.files}
+    members[member] = np.frombuffer(json.dumps(payload).encode(), dtype=np.uint8)
+    np.savez(path, **members)
+    with pytest.raises(DataError, match=match):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_qubits", 4.0), ("n_layers", "2"), ("n_heads", True), ("t_keep", None),
+])
+def test_cell_config_rejects_non_integer_int_fields(field, value):
+    with pytest.raises(ConfigError, match=field):
+        CellConfig(**{field: value})
+    assert getattr(CellConfig(**{field: np.int64(2)}), field) == 2

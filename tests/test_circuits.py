@@ -1,8 +1,9 @@
 """Encoding and ansatz circuits against the dense-matrix oracle.
 
-The strided engine runs the step plan through `apply_plan_kernel`: its
-first n entries are the encoding, the rest the ansatz.  The block engine
-`Steps` is checked against the same oracle in `test_engine`."""
+The encoding is checked as the step engine folds it into layer 0: per
+qubit, `times_ry` multiplies a rotation by RY(e_j), and `kron_qubits`
+builds the register operator.  Whole steps run through `circuits.Steps`,
+which `test_engine` checks against the same oracle at every size."""
 
 import numpy as np
 import pytest
@@ -11,10 +12,17 @@ from numpy.testing import assert_allclose
 from oracles import central_diff, dense_step_matrix
 
 from qlam.cell import CellConfig, init_qlam_params, run
-from qlam.circuits import AnsatzConfig, apply_plan_kernel, build_step_plan, entangler_pairs
+from qlam.circuits import (
+    AnsatzConfig,
+    Steps,
+    entangler_pairs,
+    kron_qubits,
+    layer_rotations,
+    new_zero_state,
+    times_ry,
+)
 from qlam.errors import ConfigError, NumericError, ShapeError
 from qlam.observables import pauli_table
-from qlam.statevector import new_zero_state
 
 
 def random_theta(cfg, seed):
@@ -26,6 +34,23 @@ def random_state(n_qubits, seed):
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=1 << n_qubits) + 1j * rng.normal(size=1 << n_qubits)
     return amps / np.linalg.norm(amps)
+
+
+def encoding(embedding):
+    """The 2**n x 2**n encoding operator: per qubit j the identity times
+    RY(e_j), as `Steps` folds it into layer 0."""
+    embedding = np.asarray(embedding, dtype=np.float64)
+    eye = np.broadcast_to(np.eye(2, dtype=np.complex128), embedding.shape + (2, 2))
+    return kron_qubits(times_ry(eye, np.cos(0.5 * embedding), np.sin(0.5 * embedding)))
+
+
+def evolve(cfg, theta, embeddings, state):
+    """The (2**n,) state after the steps of `embeddings` (T, n), run by
+    `Steps` as a one-row stack."""
+    psi = np.array(state, dtype=np.complex128)[None]
+    steps = Steps(cfg, theta, np.asarray(embeddings, dtype=np.float64)[None])
+    steps.evolve(psi, 0, len(embeddings))
+    return psi[0]
 
 
 def test_ansatz_config_validation():
@@ -47,25 +72,21 @@ def test_entangler_pairs():
 
 
 def test_encoding_zero_is_identity():
-    state = random_state(3, 1)
-    before = state.copy()
-    apply_plan_kernel(state, 3, build_step_plan(AnsatzConfig(3))[:3], np.zeros(3), None)
-    assert np.array_equal(state, before)
+    # a zero embedding leaves layer 0's per-qubit rotations bit for bit
+    u = layer_rotations(AnsatzConfig(3, 1), random_theta(AnsatzConfig(3, 1), 1))[0]
+    assert np.array_equal(times_ry(u, np.cos(np.zeros(3)), np.sin(np.zeros(3))), u)
 
 
 def test_encoding_pi_flips_qubit_zero():
-    state = new_zero_state(3)
-    encoding = build_step_plan(AnsatzConfig(3))[:3]
-    apply_plan_kernel(state, 3, encoding, np.array([np.pi, 0.0, 0.0]), None)
+    state = encoding([np.pi, 0.0, 0.0]) @ new_zero_state(3)
     expected = np.zeros(8, dtype=np.complex128)
     expected[1] = 1.0
     assert_allclose(state, expected, atol=1e-15)
 
 
 def test_encoding_preserves_norm():
-    state = random_state(4, 2)
     embedding = np.random.default_rng(3).uniform(-5, 5, 4)
-    apply_plan_kernel(state, 4, build_step_plan(AnsatzConfig(4))[:4], embedding, None)
+    state = encoding(embedding) @ random_state(4, 2)
     assert abs(np.linalg.norm(state) - 1.0) < 1e-12
 
 
@@ -89,8 +110,7 @@ def test_encoding_length_mismatch():
 
 def test_ansatz_zero_angles_fix_all_zeros():
     cfg = AnsatzConfig(2, 1)
-    state = new_zero_state(2)
-    apply_plan_kernel(state, 2, build_step_plan(cfg)[2:], None, np.zeros(cfg.n_params))
+    state = evolve(cfg, np.zeros(cfg.n_params), np.zeros((1, 2)), new_zero_state(2))
     expected = np.zeros(4, dtype=np.complex128)
     expected[0] = 1.0
     assert_allclose(state, expected, atol=1e-15)
@@ -98,8 +118,7 @@ def test_ansatz_zero_angles_fix_all_zeros():
 
 def test_ansatz_single_qubit_no_entangler():
     cfg = AnsatzConfig(1, 1)
-    state = new_zero_state(1)
-    apply_plan_kernel(state, 1, build_step_plan(cfg)[1:], None, np.array([np.pi, 0.0]))
+    state = evolve(cfg, np.array([np.pi, 0.0]), np.zeros((1, 1)), new_zero_state(1))
     assert_allclose(state, [0.0, 1.0], atol=1e-15)
 
 
@@ -119,14 +138,13 @@ def test_ansatz_param_length_mismatch():
 @pytest.mark.parametrize("entangler", ["ring", "linear"])
 def test_step_matches_dense_oracle(n_qubits, entangler):
     cfg = AnsatzConfig(n_qubits, 2, entangler=entangler)
-    plan = build_step_plan(cfg)
     rng = np.random.default_rng(17 * n_qubits)
     for trial in range(5):
         theta = random_theta(cfg, 200 + trial)
         embedding = rng.uniform(-2, 2, n_qubits)
         state = random_state(n_qubits, 300 + trial)
         expected = dense_step_matrix(cfg, theta, embedding) @ state
-        apply_plan_kernel(state, n_qubits, plan, embedding, theta)
+        state = evolve(cfg, theta, embedding[None], state)
         assert_allclose(state, expected, atol=1e-12)
 
 
@@ -142,61 +160,69 @@ def test_step_order_encoding_first():
     cfg = AnsatzConfig(2, 1)
     theta = random_theta(cfg, 8)
     embedding = np.array([0.7, -0.4])
-    plan = build_step_plan(cfg)
-    enc_first = new_zero_state(2)
-    apply_plan_kernel(enc_first, 2, plan, embedding, theta)
-    var_first = new_zero_state(2)
-    apply_plan_kernel(var_first, 2, plan[2:], None, theta)
-    apply_plan_kernel(var_first, 2, plan[:2], embedding, None)
+    enc_first = evolve(cfg, theta, embedding[None], new_zero_state(2))
+    # the ansatz alone is a step with a zero embedding
+    var_first = encoding(embedding) @ evolve(cfg, theta, np.zeros((1, 2)), new_zero_state(2))
     assert np.abs(enc_first - var_first).max() > 1e-3
 
 
 def test_norm_preserved_over_784_steps():
     cfg = AnsatzConfig(4, 2)
     theta = random_theta(cfg, 10)
-    plan = build_step_plan(cfg)
     rng = np.random.default_rng(11)
-    state = new_zero_state(4)
-    for _ in range(784):
-        apply_plan_kernel(state, 4, plan, rng.uniform(0, 1, 4), theta)
+    state = evolve(cfg, theta, rng.uniform(0, 1, (784, 4)), new_zero_state(4))
     assert abs(np.linalg.norm(state) - 1.0) < 1e-9
 
 
 def test_step_deterministic_bitwise():
     cfg = AnsatzConfig(3, 2)
     theta = random_theta(cfg, 20)
-    plan = build_step_plan(cfg)
     embedding = np.array([0.2, 0.5, -0.3])
-    a = random_state(3, 21)
-    b = a.copy()
-    apply_plan_kernel(a, 3, plan, embedding, theta)
-    apply_plan_kernel(b, 3, plan, embedding, theta)
+    a = evolve(cfg, theta, embedding[None], random_state(3, 21))
+    b = evolve(cfg, theta, embedding[None], random_state(3, 21))
     assert np.array_equal(a, b)
 
 
 def test_plan_covers_every_parameter_once():
+    # each angle moves one gate's matrix: theta[k] sits at (layer, qubit,
+    # RY/RZ) = unravel(k), e_j moves qubit j's encoding, and every layer
+    # of a step is one rotation layer and one entangler gather, the
+    # product of all entangler_pairs CNOTs (test_engine checks the gather)
     cfg = AnsatzConfig(3, 2)
-    plan = build_step_plan(cfg)
-    theta_slots = [slot[1] for _, _, _, slot in plan if slot and slot[0] == "theta"]
-    enc_slots = [slot[1] for _, _, _, slot in plan if slot and slot[0] == "enc"]
-    assert sorted(theta_slots) == list(range(cfg.n_params))
-    assert sorted(enc_slots) == list(range(cfg.n_qubits))
-    n_cnots = sum(1 for kind, *_ in plan if kind == "cnot")
-    assert n_cnots == cfg.n_layers * len(entangler_pairs(cfg))
+    theta = random_theta(cfg, 25)
+    base = layer_rotations(cfg, theta)
+    theta_slots = []
+    for k in range(cfg.n_params):
+        bumped = theta.copy()
+        bumped[k] += 0.5
+        new = layer_rotations(cfg, bumped)
+        for layer, qubit in np.argwhere((new != base).any(axis=(-1, -2))):
+            # an RZ angle moves phases only, an RY angle magnitudes too
+            rz = np.allclose(np.abs(new[layer, qubit]), np.abs(base[layer, qubit]))
+            theta_slots.append(layer * cfg.params_per_layer + 2 * qubit + rz)
+    embedding = np.array([0.4, -0.9, 1.3])
+    enc_slots = []
+    for j in range(cfg.n_qubits):
+        bumped = embedding.copy()
+        bumped[j] += 0.5
+        moved = (times_ry(base[0], np.cos(bumped / 2), np.sin(bumped / 2))
+                 != times_ry(base[0], np.cos(embedding / 2), np.sin(embedding / 2)))
+        enc_slots += list(np.flatnonzero(moved.any(axis=(-1, -2))))
+    assert theta_slots == list(range(cfg.n_params))
+    assert enc_slots == list(range(cfg.n_qubits))
+    steps = Steps(cfg, theta, embedding[None, None])
+    a0, b0t = steps.layer0(0, 1)
+    assert len(steps.layers(1, a0[:, 0], b0t[:, 0])) == cfg.n_layers
 
 
 def test_plan_kernel_equals_step():
-    # the encoding slice then the ansatz slice is the whole plan, bit for bit
+    # steps run in two calls equal the same steps in one call, bit for bit
     cfg = AnsatzConfig(3, 2)
     theta = random_theta(cfg, 30)
-    embedding = np.array([0.4, -0.9, 1.3])
-    plan = build_step_plan(cfg)
-    via_slices = random_state(3, 31)
-    via_plan = via_slices.copy()
-    apply_plan_kernel(via_slices, 3, plan[:3], embedding, None)
-    apply_plan_kernel(via_slices, 3, plan[3:], None, theta)
-    apply_plan_kernel(via_plan, 3, plan, embedding, theta)
-    assert np.array_equal(via_slices, via_plan)
+    embeddings = np.array([[0.4, -0.9, 1.3], [1.1, 0.2, -0.6], [-0.3, 0.8, 0.5]])
+    two_calls = evolve(cfg, theta, embeddings[1:], evolve(cfg, theta, embeddings[:1], random_state(3, 31)))
+    one_call = evolve(cfg, theta, embeddings, random_state(3, 31))
+    assert np.array_equal(two_calls, one_call)
 
 
 def test_parameter_shift_identity_single_angle():
@@ -204,14 +230,12 @@ def test_parameter_shift_identity_single_angle():
     cfg = AnsatzConfig(2, 1)
     base = random_theta(cfg, 40)
     embedding = np.array([0.3, 0.8])
-    plan = build_step_plan(cfg)
     observable = pauli_table(("ZI",))
 
     def expectation(theta_value, index=1):
         theta = base.copy()
         theta[index] = theta_value
-        state = new_zero_state(2)
-        apply_plan_kernel(state, 2, plan, embedding, theta)
+        state = evolve(cfg, theta, embedding[None], new_zero_state(2))
         return observable.expectations(state[None])[0, 0]
 
     for index in range(cfg.n_params):

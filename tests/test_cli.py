@@ -12,6 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qlam.cell import CellConfig, init_qlam_params
+from qlam.checkpoint import save_checkpoint
 from qlam.cli import EXIT_CODES, build_config, build_parser, load_config_file, main
 from qlam.data import write_idx_images, write_idx_labels
 from qlam.errors import ConfigError, QlamError
@@ -144,6 +146,19 @@ def test_missing_checkpoint_exit(tmp_path, capsys):
     code = main([
         "eval", "--checkpoint", str(tmp_path / "no.npz"), "--dataset", "sdigits8",
     ])
+    assert code == 3
+    assert "error[data]:" in capsys.readouterr().err
+
+
+def test_checkpoint_extra_not_an_object_exit(tmp_path, capsys):
+    cfg = CellConfig(n_qubits=2, n_heads=2, d_query=3)
+    path = tmp_path / "m.npz"
+    save_checkpoint(path, init_qlam_params(np.random.default_rng(0), cfg), cfg)
+    with np.load(path) as archive:
+        members = {name: archive[name] for name in archive.files}
+    members["__extra__"] = np.frombuffer(b'["dataset"]', dtype=np.uint8)
+    np.savez(path, **members)
+    code = main(["eval", "--checkpoint", str(path), "--dataset", "sdigits8"])
     assert code == 3
     assert "error[data]:" in capsys.readouterr().err
 

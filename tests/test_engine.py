@@ -1,6 +1,6 @@
 """The factored step engine and the Pauli tables against the dense
-oracles and the gate-by-gate plan, and every view of the recurrence on
-registers with equal and unequal qubit halves."""
+oracles, which apply each step gate by gate, and every view of the
+recurrence on registers with equal and unequal qubit halves."""
 
 import warnings
 
@@ -10,11 +10,13 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from oracles import (
     central_diff,
+    cnot_image,
     dense_1q,
     dense_cnot,
     dense_pauli_string,
     dense_ry,
     dense_rz,
+    dense_step,
     dense_step_matrix,
     rel_err,
 )
@@ -32,9 +34,9 @@ from qlam.circuits import (
     CHECKPOINT_INTERVAL,
     AnsatzConfig,
     Steps,
-    apply_plan_kernel,
-    build_step_plan,
+    entangler_pairs,
     inverse,
+    new_zero_state,
     walk_rows,
 )
 from qlam.data import SequenceSample
@@ -42,7 +44,6 @@ from qlam.errors import NumericError
 from qlam.gradients import batch_loss_and_grad, loss_and_grad, param_shift_grad
 from qlam.nn import softmax_cross_entropy
 from qlam.observables import ShotConfig, default_pauli_pool, pauli_table, pool_table
-from qlam.statevector import apply_ry_kernel, apply_rz_kernel, new_zero_state
 
 # an odd register: unequal high (5 qubits) and low (4 qubits) halves
 STRIDED_N = 9
@@ -96,6 +97,38 @@ def test_dense_steps_match_dense_step_matrix(n_qubits, entangler):
         a0, b0t = steps.layer0(t - 1, t)
         rewound = steps.rewind(np.eye(dim, dtype=np.complex128), t, *inverse(a0[:, 0], b0t[:, 0]))
         assert_allclose(rewound.T, want.conj().T, atol=1e-12)
+
+
+@pytest.mark.parametrize("entangler", ["ring", "linear"])
+@pytest.mark.parametrize("n_qubits", [11, 12])
+def test_steps_match_dense_step_on_large_registers(n_qubits, entangler):
+    # gate by gate on three columns, with no 2**n x 2**n matrix
+    cfg = AnsatzConfig(n_qubits, 2, entangler)
+    rng = np.random.default_rng(130 + n_qubits)
+    theta = rng.uniform(-np.pi, np.pi, cfg.n_params)
+    theta_2 = rng.uniform(-np.pi, np.pi, cfg.n_params)
+    emb = rng.uniform(-2.0, 2.0, (3, 2, n_qubits))
+    dim = 1 << n_qubits
+    psi = rng.normal(size=(3, dim)) + 1j * rng.normal(size=(3, dim))
+    want = psi.T
+    for t, angles in ((1, theta), (2, theta_2)):
+        want = np.stack([dense_step(cfg, angles, emb[b, t - 1], want[:, b:b + 1])[:, 0]
+                         for b in range(3)], axis=1)
+    Steps(cfg, theta, emb, shifted=(2, theta_2)).evolve(psi, 0, 2)
+    assert_allclose(psi.T, want, atol=1e-12)
+
+
+@pytest.mark.parametrize("entangler", ["ring", "linear"])
+@pytest.mark.parametrize("n_qubits", range(1, 13))
+def test_gather_is_the_entanglers_cnot_images(n_qubits, entangler):
+    # exact at every size, also at n = 11 and 12, where no test builds
+    # the dense step matrix
+    cfg = AnsatzConfig(n_qubits, 1, entangler)
+    steps = Steps(cfg, np.zeros(cfg.n_params), np.zeros((1, 1, n_qubits)))
+    want = np.arange(1 << n_qubits)
+    for control, target in reversed(entangler_pairs(cfg)):
+        want = cnot_image(want, control, target)
+    assert_array_equal(steps.gather.reshape(-1), want)
 
 
 @pytest.mark.parametrize("n_qubits", [1, 2, 3, 5, STRIDED_N])
@@ -269,13 +302,14 @@ def test_encoding_grads_match_central_differences(n_qubits):
 
 
 def plan_logits(tokens, params, cfg):
-    """`final_logits` with every step run gate by gate through the plan."""
+    """`final_logits` with every step run gate by gate through the dense
+    oracle."""
     emb = embed_token(np.asarray(tokens, dtype=np.float64), params)
-    plan, table = build_step_plan(cfg.ansatz), pool_table(cfg.pool)
+    table = pool_table(cfg.pool)
     psi = new_zero_state(cfg.n_qubits)
     exps = []
     for t, e in enumerate(emb, 1):
-        apply_plan_kernel(psi, cfg.n_qubits, plan, e, params.theta)
+        psi = dense_step(cfg.ansatz, params.theta, e, psi[:, None])[:, 0]
         if t > len(emb) - cfg.t_keep:
             exps.append(table.expectations(psi[None])[0])
     gammas = decoder(np.einsum("qn,tn->tq", params.w_q, emb[len(emb) - cfg.t_keep:]), params)[1]
@@ -321,9 +355,6 @@ def test_non_finite_angles_raise_numeric_error(n_qubits):
             bad_emb[1, 1, n_qubits - 1] = bad
             with pytest.raises(NumericError, match="timestep 2"):
                 Steps(cfg, zeros, bad_emb)
-            for kernel in (apply_ry_kernel, apply_rz_kernel):
-                with pytest.raises(NumericError, match="angle"):
-                    kernel(new_zero_state(n_qubits), n_qubits, n_qubits - 1, bad)
 
 
 @pytest.mark.parametrize("n_qubits", [4, STRIDED_N])

@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 from oracles import dense_observable_matrix, dense_pauli_string
 
 from qlam.cell import measure
+from qlam.circuits import new_zero_state
 from qlam.errors import ConfigError
 from qlam.observables import (
     PauliString,
@@ -22,7 +23,6 @@ from qlam.observables import (
     sample_term_mean,
     shot_stream,
 )
-from qlam.statevector import new_zero_state
 
 
 def random_state(n_qubits, seed):
