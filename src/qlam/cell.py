@@ -21,14 +21,20 @@ sequential.  Everything else runs once per window or once per stack on
 stacked arrays: pool expectations of each window's kept states through
 `measure` (exact, or shot-sampled from each sequence's own streams),
 called back from the sweep, and the query and `decoder` of every kept
-step.  A head's readout is its weight row dotted with the pool
-expectations; no observable object is built.  `batch_logits` classifies
-a stack, one mat-vec per sequence.  `forward`, `final_logits`, the
-adjoint gradients and the parameter-shift oracle in `gradients` are all
-views of `run`, the single-sequence ones with B = 1; the adjoint walks
-back the same `Steps`.  A sequence's outputs are bit for bit the same
-in any stack, at any position.  The memory is a plain (B, 2**n)
-complex array throughout.
+step.  The decoder runs one sequence at a time as BLAS products, a GEMM
+and a stacked matmul over the heads, on fixed blocks of DECODER_ROWS
+rows.  A head's readout is its weight row dotted with the pool
+expectations, one mat-vec per step; no observable object is built.
+`batch_logits` classifies a stack, one mat-vec per sequence.  `forward`,
+`final_logits`, the adjoint gradients and the parameter-shift oracle in
+`gradients` are all views of `run`, the single-sequence ones with B = 1;
+the adjoint walks back the same `Steps`.  A sequence's outputs are bit
+for bit the same in any stack, at any position, and a step's readout is
+the same however many steps share its window or its decoder call:
+`PauliTable.expectations` computes a one-row call, whose einsum would
+round along another path, as a pair of rows, and every BLAS call of
+`decoder` has the same shape.  The memory is a plain (B, 2**n) complex
+array throughout.
 """
 
 from __future__ import annotations
@@ -177,15 +183,38 @@ def embed_token(tokens, params: QlamParams) -> np.ndarray:
     return np.multiply.outer(tokens, params.embed_w) + params.embed_b
 
 
+# Rows per decoder GEMM call.  A BLAS product can round a row differently
+# with the row count of the call (OpenBLAS picks gemv for one row, and a
+# small-matrix kernel below a size that depends on the shape), but within
+# calls of one shape a row's bits do not depend on its position or on the
+# other rows.  So every call `decoder` makes has exactly this many rows.
+DECODER_ROWS = 16
+
+
 def decoder(q: np.ndarray, params: QlamParams) -> tuple[np.ndarray, np.ndarray]:
     """Every head's tanh layer (..., n_heads, decoder_hidden) and observable
-    weights (..., n_heads, pool_size) for queries of shape (..., d_query)."""
-    hidden = np.einsum("hsq,...q->...hs", params.dec_w1, q)
-    hidden += params.dec_b1
+    weights (..., n_heads, pool_size) for queries of shape (..., d_query).
+
+    The S query rows go through BLAS in blocks of DECODER_ROWS, the last
+    one zero-padded: one (DECODER_ROWS, d_query) @ (d_query, heads*hidden)
+    GEMM per block, the tanh, and one (heads, DECODER_ROWS, hidden) @
+    (heads, hidden, pool) stacked matmul per block.  Every call has the
+    same shape, so a row's bits do not depend on S or on the other rows."""
+    heads, width, d_query = params.dec_w1.shape
+    rows = q.reshape(-1, d_query)
+    count = rows.shape[0]
+    blocks = np.zeros((-(-count // DECODER_ROWS) * DECODER_ROWS, d_query))
+    blocks[:count] = rows
+    w1 = params.dec_w1.reshape(heads * width, d_query).T
+    hidden = blocks.reshape(-1, DECODER_ROWS, d_query) @ w1
+    hidden += params.dec_b1.reshape(-1)
     np.tanh(hidden, out=hidden)
-    gammas = np.einsum("hps,...hs->...hp", params.dec_w2, hidden)
-    gammas += params.dec_b2
-    return hidden, gammas
+    hidden = hidden.reshape(-1, DECODER_ROWS, heads, width)
+    gammas = np.matmul(hidden.transpose(0, 2, 1, 3), params.dec_w2.transpose(0, 2, 1))
+    gammas = gammas.transpose(0, 2, 1, 3).reshape(-1, heads, gammas.shape[-1])[:count] + params.dec_b2
+    lead = q.shape[:-1]
+    return (hidden.reshape(-1, heads, width)[:count].reshape(lead + (heads, width)),
+            gammas.reshape(lead + gammas.shape[1:]))
 
 
 def validate_tokens(tokens, clamp: bool) -> np.ndarray:
@@ -232,14 +261,11 @@ def measure(states: np.ndarray, table: PauliTable, shot: ShotConfig,
     a scalar sample_index serves every stack.  One Philox generator
     serves a stack, re-pointed at each (t, term) counter
     (`observables.sample_means`).  Heads reuse the same outcomes, as they
-    would on hardware reading one measurement register."""
-    flat = states.reshape(-1, states.shape[-1])
-    if states.shape[-2] == 1:
-        # a one-row stack reduces along another einsum path than a taller
-        # one, so one-step stacks go to the table one at a time
-        exps = np.concatenate([table.expectations(row) for row in flat[:, None]])
-    else:
-        exps = table.expectations(flat)
+    would on hardware reading one measurement register.  The exact
+    expectations are one table call over every stacked state; each row is
+    reduced on its own, so a step's values do not depend on how many
+    steps or sequences share the call."""
+    exps = table.expectations(states.reshape(-1, states.shape[-1]))
     exps = exps.reshape(states.shape[:-1] + (table.size,))
     if shot.mode == "sampled":
         indices = np.broadcast_to(sample_index, exps.shape[:-2])
@@ -255,7 +281,9 @@ class Run:
     steps first..T; `steps` is the swept engine, checkpoints included,
     for the adjoint.  The decoder's activations are not kept: they are
     B times one sequence's, so the backward pass recomputes them one
-    sequence at a time."""
+    sequence at a time.  Keeping them saves one `decoder` call per
+    sequence, a few percent of a training batch at n = 4, and measured
+    no faster end to end."""
 
     tokens: np.ndarray      # (B, T), validated
     embeddings: np.ndarray  # (B, T, n_qubits)
@@ -312,7 +340,7 @@ def run(
 
     psi = steps.sweep(first, read)
     # decoded one sequence at a time, so one sequence's activations are alive
-    readouts = np.stack([np.einsum("thp,tp->th", decoder(qb, params)[1], eb)
+    readouts = np.stack([(decoder(qb, params)[1] @ eb[:, :, None])[:, :, 0]
                          for qb, eb in zip(q, exps)])
     return Run(x, emb, first, q, exps, readouts, psi, steps)
 

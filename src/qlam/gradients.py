@@ -42,29 +42,38 @@ def _decoder_backward(w: np.ndarray, r: Run, params, grads) -> np.ndarray:
     """Backprop readout weights w (B, S, n_heads), one row per kept step
     of each sequence, through decoder, query and embedding, over every
     kept step of a sequence at once; grads hold one (B, ...) gradient per
-    parameter.  Sequences go one at a time, recomputing their decoder
-    activations, so the temporaries stay the size of one sequence's.
+    parameter.  Every contraction is a GEMM over one sequence's S rows,
+    with the heads and hidden units flattened to one heads*hidden axis.
+    Sequences go one at a time, recomputing their tanh layer with
+    `decoder`, so the temporaries stay the size of one sequence's.
 
     Returns the injection coefficients c[b, t, i] = sum_h w[b, t, h]
-    gamma_bt[h, i] for the quantum half of the backward pass.
+    gamma_bt[h, i] for the quantum half of the backward pass, as
+    (w*hidden) @ W2' + w @ dec_b2 with W2' = dec_w2 as (heads*hidden, pool).
     """
+    heads, width, d_query = params.dec_w1.shape
+    w1 = params.dec_w1.reshape(heads * width, d_query)
+    w2 = params.dec_w2.transpose(0, 2, 1).reshape(heads * width, -1)  # W2'
     c = np.empty(r.exps.shape)
     for b, wb in enumerate(w):
         x, e = r.tokens[b, r.first - 1:], r.embeddings[b, r.first - 1:]
-        hidden, gammas = decoder(r.queries[b], params)
-        dgam = wb[:, :, None] * r.exps[b, :, None, :]
-        grads["dec_w2"][b] += np.einsum("thp,ths->hps", dgam, hidden)
-        grads["dec_b2"][b] += dgam.sum(axis=0)
-        du = np.einsum("hps,thp->ths", params.dec_w2, dgam)
-        du -= np.einsum("ths,ths,ths->ths", du, hidden, hidden)  # tanh' = 1 - hidden**2
-        grads["dec_w1"][b] += np.einsum("ths,tq->hsq", du, r.queries[b])
-        grads["dec_b1"][b] += du.sum(axis=0)
-        dq = np.einsum("hsq,ths->tq", params.dec_w1, du)
-        grads["w_q"][b] += np.einsum("tq,tn->qn", dq, e)
+        q, exps = r.queries[b], r.exps[b]
+        hidden = decoder(q, params)[0]
+        wh = (wb[:, :, None] * hidden).reshape(wb.shape[0], -1)
+        grads["dec_w2"][b] += (exps.T @ wh).reshape(-1, heads, width).transpose(1, 0, 2)
+        grads["dec_b2"][b] += wb.T @ exps
+        du = (exps @ w2.T).reshape(hidden.shape)
+        du *= wb[:, :, None]
+        du *= 1.0 - hidden**2  # tanh'
+        du = du.reshape(wh.shape)
+        grads["dec_w1"][b] += (du.T @ q).reshape(heads, width, d_query)
+        grads["dec_b1"][b] += du.sum(axis=0).reshape(heads, width)
+        dq = du @ w1
+        grads["w_q"][b] += dq.T @ e
         de = dq @ params.w_q
-        grads["embed_w"][b] += np.einsum("tn,t->n", de, x)
+        grads["embed_w"][b] += x @ de
         grads["embed_b"][b] += de.sum(axis=0)
-        c[b] = np.einsum("th,thp->tp", wb, gammas)
+        c[b] = wh @ w2 + wb @ params.dec_b2
     return c
 
 

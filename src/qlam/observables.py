@@ -104,10 +104,12 @@ class PauliTable:
         """(S, len(labels)) real expectations <psi_s|P_k|psi_s>.
 
         Every entry is reduced on its own row and term only, so it does
-        not depend on which other states or strings share a call of two
-        or more rows.  A one-row call reduces along another einsum path
-        and can differ from the same row in a taller call in the last
-        bit, so `cell.measure` sends one-step stacks one row at a time."""
+        not depend on which other states or strings share the call.  A
+        one-row stack would reduce along another einsum path, and differ
+        in the last bit from the same row in a taller call, so it is
+        evaluated as a pair of rows."""
+        if states.shape[0] == 1:
+            return self.expectations(np.concatenate([states, states]))[:1]
         states = np.ascontiguousarray(states)
         n = self.n_qubits
         out = np.empty((states.shape[0], self.size))

@@ -140,6 +140,43 @@ def dense_recurrence_readouts(tokens, params, cfg) -> np.ndarray:
     return readouts
 
 
+def einsum_decoder(q: np.ndarray, params) -> tuple[np.ndarray, np.ndarray]:
+    """The decoder as per-head einsums: tanh layer (..., n_heads,
+    decoder_hidden) and observable weights (..., n_heads, pool_size) of
+    queries (..., d_query).  The reference for `cell.decoder`."""
+    hidden = np.einsum("hsq,...q->...hs", params.dec_w1, q)
+    hidden += params.dec_b1
+    np.tanh(hidden, out=hidden)
+    gammas = np.einsum("hps,...hs->...hp", params.dec_w2, hidden)
+    gammas += params.dec_b2
+    return hidden, gammas
+
+
+def einsum_decoder_backward(w, tokens, embeddings, queries, exps, params):
+    """Backprop of one sequence's readout weights w (S, n_heads) through
+    the decoder, query and embedding of its S kept steps, as per-head
+    einsums.  Returns the gradients of dec_w1, dec_b1, dec_w2, dec_b2,
+    w_q, embed_w and embed_b, and the injection coefficients
+    c[t, i] = sum_h w[t, h] gamma_t[h, i].  The reference for
+    `gradients._decoder_backward`."""
+    hidden, gammas = einsum_decoder(queries, params)
+    dgam = w[:, :, None] * exps[:, None, :]
+    grads = {
+        "dec_w2": np.einsum("thp,ths->hps", dgam, hidden),
+        "dec_b2": dgam.sum(axis=0),
+    }
+    du = np.einsum("hps,thp->ths", params.dec_w2, dgam)
+    du -= np.einsum("ths,ths,ths->ths", du, hidden, hidden)  # tanh' = 1 - hidden**2
+    grads["dec_w1"] = np.einsum("ths,tq->hsq", du, queries)
+    grads["dec_b1"] = du.sum(axis=0)
+    dq = np.einsum("hsq,ths->tq", params.dec_w1, du)
+    grads["w_q"] = np.einsum("tq,tn->qn", dq, embeddings)
+    de = dq @ params.w_q
+    grads["embed_w"] = np.einsum("tn,t->n", de, tokens)
+    grads["embed_b"] = de.sum(axis=0)
+    return grads, np.einsum("th,thp->tp", w, gammas)
+
+
 # ---------------------------------------------------------------------------
 # Numerical differentiation.
 # ---------------------------------------------------------------------------

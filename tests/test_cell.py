@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from oracles import dense_observable_matrix, dense_recurrence_readouts
+from oracles import dense_observable_matrix, dense_recurrence_readouts, einsum_decoder
 
 from qlam.cell import (
     CellConfig,
@@ -112,6 +112,39 @@ def test_decoder_matches_straight_line_reimplementation():
     rows = decoder(qs, params)[1]
     for row, q_row in zip(rows, qs):
         assert_allclose(row, decoder(q_row, params)[1], atol=1e-15)
+
+
+@pytest.mark.parametrize("cfg", [small_cfg(), CellConfig()], ids=["small", "default"])
+def test_decoder_matches_einsum_oracle(cfg):
+    params = make_params(cfg, 11)
+    rng = np.random.default_rng(12)
+    for shape in ((cfg.d_query,), (1, cfg.d_query), (2, cfg.d_query), (7, cfg.d_query), (64, cfg.d_query)):
+        q = rng.normal(size=shape)
+        for got, want in zip(decoder(q, params), einsum_decoder(q, params)):
+            assert got.shape == want.shape
+            assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("cfg", [small_cfg(), CellConfig(), CellConfig(n_qubits=9, decoder_hidden=32)],
+                         ids=["small", "default", "n9-hidden32"])
+def test_decoder_rows_do_not_depend_on_the_stack(cfg):
+    # every decoder GEMM has the same shape: every slice of a stack, and
+    # every single query, gives the stack's bits
+    params = make_params(cfg, 3)
+    qs = np.random.default_rng(4).normal(size=(130, cfg.d_query))
+    hidden, gammas = decoder(qs[:9], params)
+    for i in range(9):
+        for j in range(i + 1, 10):
+            h, g = decoder(qs[i:j], params)
+            assert np.array_equal(h, hidden[i:j]) and np.array_equal(g, gammas[i:j]), (i, j)
+        h, g = decoder(qs[i], params)
+        assert h.shape == (cfg.n_heads, cfg.decoder_hidden) and g.shape == (cfg.n_heads, cfg.pool_size)
+        assert np.array_equal(h, hidden[i]) and np.array_equal(g, gammas[i]), i
+    # long stacks, where a single GEMM would change kernels with the row count
+    hidden, gammas = decoder(qs, params)
+    for i, j in ((0, 130), (3, 120), (17, 50), (100, 104), (129, 130)):
+        h, g = decoder(qs[i:j], params)
+        assert np.array_equal(h, hidden[i:j]) and np.array_equal(g, gammas[i:j]), (i, j)
 
 
 def test_decode_observable_zero_decoder():
@@ -252,6 +285,47 @@ def test_final_logits_equals_forward():
         final_logits(tokens, params, cfg, shot, sample_index=4),
         forward(tokens, params, cfg, shot, sample_index=4).logits,
     )
+
+
+# (n_qubits, T, t_keep): one kept step, and kept readouts that start
+# inside a window of 32 steps, with one, two or three windows swept
+VIEW_GRID = [(n, T, k) for n in (2, 4, 9)
+             for T, k in ((64, 33), (64, 1), (65, 34), (40, 9), (96, 65))]
+
+
+def assert_final_logits_equal_forward(tokens, params, cfg):
+    for shot in (ShotConfig(), ShotConfig(mode="sampled", shots_per_term=32, rng_seed=5)):
+        assert np.array_equal(
+            final_logits(tokens, params, cfg, shot, sample_index=2),
+            forward(tokens, params, cfg, shot, sample_index=2).logits,
+        ), shot.mode
+
+
+@pytest.mark.parametrize("n_qubits, T, t_keep", VIEW_GRID)
+def test_final_logits_equals_forward_bitwise_on_grid(n_qubits, T, t_keep):
+    cfg = CellConfig(n_qubits=n_qubits, t_keep=t_keep)
+    rng = np.random.default_rng([n_qubits, T, t_keep])
+    params = init_qlam_params(rng, cfg)
+    assert_final_logits_equal_forward(rng.random(T), params, cfg)
+
+
+@pytest.mark.parametrize("T, t_keep", [(150, 64), (300, 1)])
+def test_final_logits_equals_forward_bitwise_training_cell(T, t_keep):
+    # the `qlam train` cell has 32 hidden units; there one GEMM over all
+    # of a sequence's steps would switch BLAS kernels from 101 steps on
+    cfg = CellConfig(decoder_hidden=32, t_keep=t_keep)
+    rng = np.random.default_rng([T, t_keep])
+    params = init_qlam_params(rng, cfg)
+    assert_final_logits_equal_forward(rng.random(T), params, cfg)
+
+
+def test_final_logits_equals_forward_bitwise_default_cell():
+    # t_keep = 1: final_logits reads one step where forward reads 64
+    cfg = CellConfig()
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        params = init_qlam_params(rng, cfg)
+        assert_final_logits_equal_forward(rng.random(64), params, cfg)
 
 
 def test_predict_tie_breaks_to_lowest_index():

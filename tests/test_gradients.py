@@ -5,14 +5,16 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from oracles import fd_grad_dict, rel_err
+from oracles import einsum_decoder_backward, fd_grad_dict, rel_err
 
-from qlam.cell import CellConfig, QlamParams, forward, init_qlam_params
+from qlam.cell import CellConfig, QlamParams, forward, init_qlam_params, run
 from qlam.data import SequenceSample
 from qlam.errors import NumericError, ShapeError
 from qlam.gradients import (
     CHECKPOINT_INTERVAL,
     GradBundle,
+    _batch_grads,
+    _decoder_backward,
     loss_and_grad,
     param_shift_grad,
     readout_param_shift,
@@ -65,6 +67,24 @@ def test_one_qubit_closed_form():
     assert abs(grads["theta"][1]) < 1e-15
     assert abs(grads["embed_b"][0] - expected) < 1e-12
     assert abs(grads["embed_w"][0] - 0.7 * expected) < 1e-12
+
+
+@pytest.mark.parametrize("cfg", [small_cfg(), CellConfig()], ids=["small", "default"])
+@pytest.mark.parametrize("keep", [1, 2, 9])
+def test_decoder_backward_matches_einsum_oracle(cfg, keep):
+    params = make(cfg, seed=13)
+    rng = np.random.default_rng(14)
+    r = run(rng.random((3, 9)), params, cfg, keep)
+    w = rng.normal(size=r.readouts.shape)
+    grads = _batch_grads(params, 3)
+    c = _decoder_backward(w, r, params, grads)
+    lo = r.first - 1
+    for b in range(3):
+        want, want_c = einsum_decoder_backward(
+            w[b], r.tokens[b, lo:], r.embeddings[b, lo:], r.queries[b], r.exps[b], params)
+        assert_allclose(c[b], want_c, rtol=1e-12, atol=1e-12)
+        for key, g in grads.items():
+            assert_allclose(g[b], want.get(key, 0.0), rtol=1e-12, atol=1e-12, err_msg=key)
 
 
 def test_zero_decoder_gives_zero_circuit_grads():
