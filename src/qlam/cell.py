@@ -39,13 +39,13 @@ array throughout.
 
 from __future__ import annotations
 
-import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .circuits import CHECKPOINT_INTERVAL, AnsatzConfig, Steps
-from .errors import ConfigError, NumericError, ShapeError, ValidationError
+from .data import validate_tokens
+from .errors import ConfigError, NumericError, ShapeError, check_fields
 from .observables import (
     PauliString,
     PauliTable,
@@ -71,10 +71,7 @@ class CellConfig:
     clamp_tokens: bool = False
 
     def __post_init__(self):
-        for name in (f.name for f in fields(self) if f.type == "int"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{name} must be an int, got {value!r}")
+        check_fields(self)
         for name in ("d_query", "n_heads", "decoder_hidden", "t_keep", "n_classes"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -215,21 +212,6 @@ def decoder(q: np.ndarray, params: QlamParams) -> tuple[np.ndarray, np.ndarray]:
     lead = q.shape[:-1]
     return (hidden.reshape(-1, heads, width)[:count].reshape(lead + (heads, width)),
             gammas.reshape(lead + gammas.shape[1:]))
-
-
-def validate_tokens(tokens, clamp: bool) -> np.ndarray:
-    x = np.asarray(tokens, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] < 1:
-        raise ShapeError(f"tokens must be a non-empty vector, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise NumericError("tokens must be finite")
-    if clamp:
-        return np.clip(x, 0.0, 1.0)
-    if x.min() < 0.0 or x.max() > 1.0:
-        raise ValidationError(
-            f"tokens must lie in [0, 1], got range [{x.min():.6g}, {x.max():.6g}]"
-        )
-    return x
 
 
 @dataclass

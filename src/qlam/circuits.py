@@ -37,7 +37,7 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, check_fields
 
 # The largest register the simulator accepts.
 MAX_QUBITS = 12
@@ -51,11 +51,7 @@ WALK_AMPLITUDES = 1 << 12
 
 def new_zero_state(n_qubits: int) -> np.ndarray:
     """Return the (2**n_qubits,) amplitudes of |0...0>."""
-    if not 1 <= n_qubits <= MAX_QUBITS:
-        raise ConfigError(
-            f"n_qubits must be in [1, {MAX_QUBITS}], got {n_qubits}"
-        )
-    amps = np.zeros(1 << n_qubits, dtype=np.complex128)
+    amps = np.zeros(1 << AnsatzConfig(n_qubits).n_qubits, dtype=np.complex128)
     amps[0] = 1.0
     return amps
 
@@ -76,6 +72,7 @@ class AnsatzConfig:
     entangler: Literal["ring", "linear"] = "ring"
 
     def __post_init__(self):
+        check_fields(self)
         if not 1 <= self.n_qubits <= MAX_QUBITS:
             raise ConfigError(
                 f"n_qubits must be in [1, {MAX_QUBITS}], got {self.n_qubits}"

@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 
 from .errors import ConfigError, QlamError
@@ -35,10 +35,10 @@ def load_config_file(path) -> dict:
     except (OSError, json.JSONDecodeError) as exc:
         raise QlamError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(payload, dict):
-        raise QlamError(f"config file {path} must hold a JSON object")
+        raise ConfigError(f"config file {path} must hold a JSON object")
     unknown = set(payload) - _CONFIG_KEYS
     if unknown:
-        raise QlamError(
+        raise ConfigError(
             f"unknown config keys {sorted(unknown)}; allowed: {sorted(_CONFIG_KEYS)}"
         )
     return payload
@@ -58,7 +58,8 @@ def _add_override_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--lr", type=float, dest="base_lr", help="base learning rate")
     parser.add_argument(
         "--shots", type=int,
-        help="shots per pool term for sampled readout; 0 means exact mode",
+        help="shots per pool term for sampled readout in qlam eval; 0 means exact mode "
+        "(train and folds always test with exact readout)",
     )
     parser.add_argument("--split-mode", dest="split_mode", choices=("holdout", "kfold"))
     parser.add_argument("--n-folds", type=int, dest="n_folds")
@@ -76,24 +77,16 @@ def _add_override_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def build_config(args: argparse.Namespace) -> TrainConfig:
-    config = TrainConfig()
-    if args.config:
-        config = replace(config, **load_config_file(args.config))
-    overrides = {}
+    values = load_config_file(args.config) if args.config else {}
     for key in _CONFIG_KEYS:
         value = getattr(args, key, None)
         if value is not None:
-            overrides[key] = value
+            values[key] = value
     if getattr(args, "shots", None) is not None:
-        if args.shots < 0:
-            raise ConfigError(f"--shots must be >= 0, got {args.shots}")
-        overrides["shot_mode"] = "sampled" if args.shots else "exact"
+        values["shot_mode"] = "sampled" if args.shots else "exact"
         if args.shots:
-            overrides["shots_per_term"] = args.shots
-    if overrides:
-        config = replace(config, **overrides)
-    config.validate()
-    return config
+            values["shots_per_term"] = args.shots
+    return TrainConfig(**values)
 
 
 def _cmd_train(args) -> int:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, ParseError, ShapeError
+from .errors import ConfigError, DataError, NumericError, ParseError, ShapeError, ValidationError
 
 IDX_MAGIC_IMAGES = 0x00000803
 IDX_MAGIC_LABELS = 0x00000801
@@ -177,6 +177,23 @@ def to_sequence(image: np.ndarray, layout: str = "grayscale_raster") -> np.ndarr
             raise ShapeError(f"rgb layout expects (rows, cols, 3), got {img.shape}")
         return np.transpose(img, (2, 0, 1)).reshape(-1) / 255.0
     raise ConfigError(f"unknown sequence layout {layout!r}")
+
+
+def validate_tokens(tokens, clamp: bool) -> np.ndarray:
+    """A token sequence as a float64 vector in the [0, 1] domain of
+    `to_sequence`; out-of-range tokens are clipped when clamp is set."""
+    x = np.asarray(tokens, dtype=np.float64)
+    if x.ndim != 1 or x.shape[0] < 1:
+        raise ShapeError(f"tokens must be a non-empty vector, got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise NumericError("tokens must be finite")
+    if clamp:
+        return np.clip(x, 0.0, 1.0)
+    if x.min() < 0.0 or x.max() > 1.0:
+        raise ValidationError(
+            f"tokens must lie in [0, 1], got range [{x.min():.6g}, {x.max():.6g}]"
+        )
+    return x
 
 
 def downsample(image: np.ndarray, factor: int) -> np.ndarray:
@@ -388,6 +405,8 @@ def load_dataset(name: str, root: str | None = None) -> DatasetBundle:
     and need no files; they ship no canonical test split (test=None),
     so the trainer splits them by seed.
     """
+    if name not in DATASET_NAMES:
+        raise ConfigError(f"unknown dataset {name!r}; choose from {DATASET_NAMES}")
     if name == "sdigits8":
         return _load_digits(name, 1)
     if name == "sdigits16":
@@ -401,6 +420,4 @@ def load_dataset(name: str, root: str | None = None) -> DatasetBundle:
         return _load_mnist_family(rootdir / "mnist", name, shrink_28_to_8, 64)
     if name == "smnist16":
         return _load_mnist_family(rootdir / "mnist", name, shrink_28_to_16, 256)
-    if name == "scifar10":
-        return _load_cifar(rootdir / "cifar-10-batches-bin")
-    raise ConfigError(f"unknown dataset {name!r}; choose from {DATASET_NAMES}")
+    return _load_cifar(rootdir / "cifar-10-batches-bin")

@@ -1,8 +1,17 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and `check_fields`.
 
 Every error raised on a user-facing path derives from :class:`QlamError`
-so the CLI can map failures to categorized exit messages.
+so the CLI can map failures to categorized exit messages.  Every config
+dataclass runs `check_fields` first in ``__post_init__``, so a config is
+checked at construction and on every ``dataclasses.replace``.
 """
+
+import numbers
+import os
+from dataclasses import fields
+
+# config field annotation (without "| None") -> accepted value types
+_FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": (str, os.PathLike), "bool": bool}
 
 
 class QlamError(Exception):
@@ -49,3 +58,19 @@ class DataError(QlamError, ValueError):
     """Dataset files missing or inconsistent with each other."""
 
     category = "data"
+
+
+def check_fields(config) -> None:
+    """Check each field of a frozen config dataclass against its annotation,
+    int, float, str (or a path object) or bool, optionally ``| None``, and
+    store numbers back as plain Python ints and floats; a bool is not a
+    number.  Literal fields keep their config's own membership check."""
+    for f in fields(config):
+        kind, _, optional = f.type.partition(" | ")
+        value = getattr(config, f.name)
+        if kind.startswith("Literal") or (value is None and optional):
+            continue
+        if isinstance(value, bool) != (kind == "bool") or not isinstance(value, _FIELD_TYPES[kind]):
+            raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
+        if kind in ("int", "float"):
+            object.__setattr__(config, f.name, int(value) if kind == "int" else float(value))

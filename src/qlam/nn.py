@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import validate_tokens
 from .errors import ConfigError, NumericError, ShapeError
 
 ADAM_BETA1 = 0.9
@@ -149,9 +150,7 @@ def elman_forward(tokens: np.ndarray, params: dict[str, np.ndarray]) -> np.ndarr
 
 
 def _elman_run(tokens, params):
-    x = np.asarray(tokens, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] < 1:
-        raise ShapeError(f"tokens must be a non-empty vector, got shape {x.shape}")
+    x = validate_tokens(tokens, clamp=False)
     d = params["w_in"].shape[0]
     h = np.zeros(d)
     hs = np.empty((x.shape[0] + 1, d))

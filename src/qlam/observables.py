@@ -28,7 +28,7 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_fields
 
 _PAULI_CHARS = frozenset("IXYZ")
 
@@ -172,12 +172,9 @@ class ShotConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
+        check_fields(self)
         if self.mode not in ("exact", "sampled"):
             raise ConfigError(f"shot mode must be 'exact' or 'sampled', got {self.mode!r}")
-        for name in ("shots_per_term", "rng_seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"{name} must be an int, got {value!r}")
         if self.mode == "sampled" and self.shots_per_term < 1:
             raise ConfigError(
                 f"shots_per_term must be >= 1 in sampled mode, got {self.shots_per_term}"

@@ -1,5 +1,7 @@
 """Training loop, evaluation, and fold orchestration.
 
+A `TrainConfig` checks its fields when it is built, and again on every
+`dataclasses.replace`, so no function here meets an unchecked config.
 Everything downstream of the config is deterministic: seeded streams are
 namespaced as [seed, 0] for parameter init, [seed, 1, epoch] for batch
 shuffling, and [seed, 2, fold] for data splitting and subsampling, and
@@ -16,11 +18,9 @@ from __future__ import annotations
 
 import csv
 import math
-import numbers
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +36,7 @@ from .data import (
     load_dataset,
     make_folds,
 )
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, check_fields
 from .gradients import GradBundle, batch_loss_and_grad
 from .nn import (
     AdamState,
@@ -61,10 +61,6 @@ SPLIT_FIELDS = (
     "dataset", "seed", "fold", "split_mode", "n_folds", "test_fraction",
     "train_subsample", "test_subsample",
 )
-
-# TrainConfig annotation (without "| None") -> accepted value types;
-# out_dir and data_dir may also be path objects
-_FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": (str, os.PathLike)}
 
 
 @dataclass(frozen=True)
@@ -96,14 +92,8 @@ class TrainConfig:
     data_dir: str | None = None
     workers: int = 1
 
-    def validate(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            kind, _, optional = f.type.partition(" | ")
-            if value is None and optional:
-                continue
-            if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[kind]):
-                raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
+    def __post_init__(self):
+        check_fields(self)
         if self.dataset not in DATASET_NAMES:
             raise ConfigError(
                 f"unknown dataset {self.dataset!r}; choose from {DATASET_NAMES}"
@@ -114,8 +104,6 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.split_mode not in ("holdout", "kfold"):
             raise ConfigError(f"split_mode must be holdout or kfold, got {self.split_mode!r}")
-        if self.shot_mode not in ("exact", "sampled"):
-            raise ConfigError(f"shot_mode must be exact or sampled, got {self.shot_mode!r}")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if not 0 <= self.fold < self.n_folds:
@@ -150,11 +138,7 @@ class TrainConfig:
         )
 
     def shot_config(self) -> ShotConfig:
-        if self.shot_mode == "exact":
-            return ShotConfig(mode="exact")
-        return ShotConfig(
-            mode="sampled", shots_per_term=self.shots_per_term, rng_seed=self.seed
-        )
+        return ShotConfig(self.shot_mode, self.shots_per_term, self.seed)
 
     def run_tag(self) -> str:
         return f"s{self.seed}_f{self.fold}"
@@ -380,8 +364,7 @@ def evaluate_samples(
 
 
 def _splits(config: TrainConfig, bundle: DatasetBundle | None) -> tuple[list, list]:
-    """The validated config's train and test split; neither may be empty."""
-    config.validate()
+    """The config's train and test split; neither may be empty."""
     if bundle is None:
         bundle = load_dataset(config.dataset, config.data_dir)
     train_set, test_set = resolve_splits(config, bundle)
@@ -475,8 +458,8 @@ def evaluate(checkpoint_path, config: TrainConfig, bundle: DatasetBundle | None 
 
     Refuses a config whose split settings differ from the ones the model
     was trained with, since its "test" split would hold training samples.
+    Reads out with the config's shot settings, exact or sampled.
     """
-    config.validate()
     params, cell_cfg, extra = load_checkpoint(checkpoint_path)
     for name in SPLIT_FIELDS:
         if name in extra and extra[name] != getattr(config, name):
@@ -505,7 +488,6 @@ def run_folds(config: TrainConfig, bundle: DatasetBundle | None = None) -> Folds
     The aggregate std is the population standard deviation (ddof=0) of
     the per-fold test accuracies.
     """
-    config.validate()
     if bundle is None:
         bundle = load_dataset(config.dataset, config.data_dir)
     accuracies = []

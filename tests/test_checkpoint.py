@@ -214,6 +214,14 @@ def test_malformed_json_member_is_data_error(tmp_path, member, payload, match):
         load_checkpoint(path)
 
 
+def test_numpy_int_config_round_trips(tmp_path):
+    cfg = small_cfg(n_qubits=np.int64(3), n_heads=np.int32(2), t_keep=np.int64(2))
+    path = tmp_path / "m.npz"
+    save_checkpoint(path, init_qlam_params(np.random.default_rng(13), cfg), cfg)
+    _, loaded, _ = load_checkpoint(path)
+    assert loaded == cfg == small_cfg(n_qubits=3, n_heads=2, t_keep=2)
+
+
 @pytest.mark.parametrize("field, value", [
     ("n_qubits", 4.0), ("n_layers", "2"), ("n_heads", True), ("t_keep", None),
 ])

@@ -77,6 +77,14 @@ def test_config_file_not_object(tmp_path):
         load_config_file(path)
 
 
+def test_config_file_mistakes_exit_as_config_error(tmp_path, capsys):
+    path = tmp_path / "run.json"
+    for text in ('{"learning_rate": 0.1}', "[1, 2]"):
+        path.write_text(text)
+        assert main(["train", "--config", str(path)]) == EXIT_CODES["config"]
+        assert capsys.readouterr().err.startswith("error[config]:")
+
+
 def test_shots_flag_semantics():
     exact = build_config(parse(["train", "--shots", "0"]))
     assert exact.shot_mode == "exact"

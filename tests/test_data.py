@@ -379,6 +379,12 @@ def test_unknown_dataset_name():
         load_dataset("mnist")
 
 
+def test_unknown_dataset_name_without_a_root(monkeypatch):
+    monkeypatch.delenv(DATA_DIR_ENV, raising=False)
+    with pytest.raises(ConfigError, match="unknown dataset"):
+        load_dataset("nope")
+
+
 def test_smnist8_from_synthetic_files(tmp_path):
     rng = np.random.default_rng(6)
     folder = tmp_path / "mnist"

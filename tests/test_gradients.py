@@ -263,6 +263,17 @@ def test_grad_determinism():
         assert_array_equal(a.grads[key], b.grads[key], err_msg=key)
 
 
+def test_numpy_int_register_size_gives_the_same_gradients():
+    sample = SequenceSample(np.random.default_rng(62).uniform(size=9), 1)
+    want = loss_and_grad(sample, make(small_cfg(), seed=63), small_cfg())
+    cfg = small_cfg(n_qubits=np.int64(2))
+    got = loss_and_grad(sample, make(cfg, seed=63), cfg)
+    assert got.loss == want.loss
+    assert_array_equal(got.logits, want.logits)
+    for key in want.grads:
+        assert_array_equal(got.grads[key], want.grads[key], err_msg=key)
+
+
 def test_short_sequence_rejected():
     cfg = small_cfg(t_keep=4)
     params = make(cfg)

@@ -6,7 +6,8 @@ from numpy.testing import assert_allclose
 
 from oracles import central_diff, rel_err
 
-from qlam.errors import ConfigError, ShapeError
+from qlam.cell import CellConfig, final_logits, init_qlam_params
+from qlam.errors import ConfigError, NumericError, ShapeError, ValidationError
 from qlam.nn import (
     AdamState,
     adam_step,
@@ -214,6 +215,19 @@ def test_elman_empty_tokens_rejected():
     params = init_elman(np.random.default_rng(0), 4, 2)
     with pytest.raises(ShapeError):
         elman_forward(np.array([]), params)
+
+
+def test_elman_and_hybrid_reject_the_same_tokens():
+    cfg = CellConfig(n_qubits=2, n_heads=2, d_query=3)
+    hybrid = init_qlam_params(np.random.default_rng(0), cfg)
+    elman = init_elman(np.random.default_rng(0), 4, 10)
+    cases = [([0.5, 1.5], ValidationError), ([0.5, -0.2], ValidationError),
+             ([0.5, np.nan], NumericError), ([], ShapeError)]
+    for tokens, error in cases:
+        for call in (lambda: final_logits(tokens, hybrid, cfg), lambda: elman_forward(tokens, elman),
+                     lambda: elman_loss_and_grad(tokens, 0, elman)):
+            with pytest.raises(error):
+                call()
 
 
 def test_separable_toy_loss_decreases_monotonically():

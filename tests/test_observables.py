@@ -139,6 +139,14 @@ def test_shot_config_rejects_non_int_fields(field, value):
         ShotConfig(mode="sampled", **{field: value})
 
 
+def test_numpy_int_shot_config_draws_the_same_shots():
+    plain = ShotConfig("sampled", 64, -5)
+    numpy_ints = ShotConfig("sampled", np.int64(64), np.int64(-5))
+    states = np.stack([random_state(2, 30), random_state(2, 31)])
+    table = pool_table(default_pauli_pool(2))
+    assert np.array_equal(measure(states, table, numpy_ints, 3, 5), measure(states, table, plain, 3, 5))
+
+
 def sampled_value(state, gammas, pool, cfg, sample_index, timestep=0):
     """gammas @ the m-shot pool means of one state at one timestep."""
     return gammas @ measure(state[None], pool_table(pool), cfg, sample_index, timestep)[0]

@@ -8,8 +8,8 @@ import pytest
 from numpy.testing import assert_array_equal
 
 import qlam.trainer
-from qlam.cell import final_logits, init_qlam_params
-from qlam.circuits import walk_rows
+from qlam.cell import CellConfig, final_logits, init_qlam_params
+from qlam.circuits import AnsatzConfig, walk_rows
 from qlam.data import DatasetBundle, SequenceSample
 from qlam.errors import ConfigError
 from qlam.gradients import loss_and_grad
@@ -58,7 +58,7 @@ def tiny_config(**kwargs):
 # ---------------------------------------------------------------------------
 
 def test_config_validation():
-    tiny_config().validate()
+    tiny_config()
     bad = [
         dict(dataset="imagenet"),
         dict(epochs=0),
@@ -78,7 +78,7 @@ def test_config_validation():
     ]
     for kwargs in bad:
         with pytest.raises(ConfigError):
-            tiny_config(**kwargs).validate()
+            tiny_config(**kwargs)
 
 
 @pytest.mark.parametrize(
@@ -89,7 +89,17 @@ def test_config_validation():
 def test_config_rejects_bad_type_and_nonpositive_clip(kwargs):
     # a negative clip_norm flips every gradient, zero erases them
     with pytest.raises(ConfigError):
-        tiny_config(**kwargs).validate()
+        tiny_config(**kwargs)
+
+
+def test_every_int_field_of_every_config_rejects_floats_and_bools():
+    for config in (AnsatzConfig(4), CellConfig(), ShotConfig(), TrainConfig()):
+        names = [f.name for f in dataclasses.fields(config) if f.type.split(" | ")[0] == "int"]
+        assert names, config
+        for name in names:
+            for value in (4.5, True):
+                with pytest.raises(ConfigError, match=name):
+                    dataclasses.replace(config, **{name: value})
 
 
 def test_config_file_with_wrong_type_exits_as_config_error(tmp_path, capsys):
@@ -357,6 +367,17 @@ def test_checkpoint_extra_provenance(tmp_path):
     assert extra["seed"] == 5
     assert extra["epochs"] == 2
     assert extra["final_test_accuracy"] == result.final_test.accuracy
+
+
+def test_train_with_numpy_int_fields_writes_its_checkpoint(tmp_path):
+    from qlam.checkpoint import load_checkpoint
+
+    bundle = synthetic_bundle()
+    plain = train(tiny_config(out_dir=str(tmp_path / "int"), seed=2), bundle)
+    result = train(tiny_config(out_dir=str(tmp_path / "np"), seed=np.int64(2), n_qubits=np.int64(2)), bundle)
+    _, cell_cfg, extra = load_checkpoint(result.checkpoint_path)
+    assert extra["seed"] == 2 and cell_cfg == plain.config.cell_config()
+    assert result.metrics_path.read_bytes() == plain.metrics_path.read_bytes()
 
 
 def test_run_folds_aggregate(tmp_path):
