@@ -3,7 +3,10 @@
 The training loop uses an adjoint sweep. This script cross-checks it on
 a small model against the parameter-shift rule (exact for the circuit
 angles) and central finite differences (approximate, for every
-parameter), printing the worst disagreement for each pair.
+parameter), printing the worst disagreement for each pair.  An angle is
+shared by all T steps, so a readout has frequencies 0..T in it; the
+general shift rule (arXiv:2107.12390) reads the exact derivative from
+2T runs, each moving that angle at every step.
 """
 
 import numpy as np

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import CHECKPOINT_INTERVAL, AnsatzConfig, Steps
+from .circuits import AnsatzConfig, Steps
 from .data import validate_tokens
 from .errors import ConfigError, NumericError, ShapeError, check_fields
 from .observables import (
@@ -285,16 +285,17 @@ def run(
     shot: ShotConfig = ShotConfig(),
     *,
     sample_index=0,
-    shifted=None,
 ) -> Run:
     """Validate and embed a (B, T) stack of equal-length token rows,
     evolve each row's memory from |0...0> and read it out at the last
     `keep` steps (every step when None).  `sample_index` gives each row's
-    shot streams (one per row, or one for all).  An embedding that
-    overflows raises NumericError naming its 1-based step.
+    shot streams (one per row, or one for all); any other length raises
+    ShapeError.  An embedding that overflows raises NumericError naming
+    its 1-based step.
 
-    Forward, logits, gradients and the parameter-shift oracle are all
-    views of this pass, the single-sequence ones with B = 1.  Each
+    Forward, logits and gradients are all views of this pass, the
+    single-sequence ones with B = 1; the parameter-shift oracle calls it
+    with the shared angle moved at every step.  Each
     readout is reduced on its own row and step only, so it does not
     depend on `keep`, on the window that computed it, or on the other
     rows of the stack.
@@ -304,6 +305,8 @@ def run(
     if len(lengths) != 1:
         raise ShapeError(f"a token stack needs one or more rows of one length, got lengths {lengths}")
     x = np.stack(rows)
+    if np.ndim(sample_index) and np.shape(sample_index) != (x.shape[0],):
+        raise ShapeError(f"sample_index has shape {np.shape(sample_index)} for {x.shape[0]} token rows")
     params.validate(cfg)
     T = x.shape[1]
     keep = T if keep is None else keep
@@ -312,7 +315,7 @@ def run(
     first = T - keep + 1
     with np.errstate(over="ignore", invalid="ignore"):
         emb = embed_token(x, params)
-    steps = Steps(cfg.ansatz, params.theta, emb, shifted)  # rejects a non-finite embedding
+    steps = Steps(cfg.ansatz, params.theta, emb)  # rejects a non-finite embedding
     q = np.einsum("qn,btn->btq", params.w_q, emb[:, first - 1:])
     table = pool_table(cfg.pool)
     exps = np.empty((x.shape[0], keep, table.size))

@@ -41,13 +41,14 @@ def save_checkpoint(
     path, params: QlamParams, cfg: CellConfig, extra: dict | None = None
 ) -> None:
     arrays = {k: np.asarray(v, dtype=np.float64) for k, v in params.as_dict().items()}
-    np.savez(
-        Path(path),
-        __version__=np.int64(CHECKPOINT_VERSION),
-        __config__=_json_array(asdict(cfg)),
-        __extra__=_json_array(extra or {}),
-        **arrays,
-    )
+    with open(path, "wb") as file:  # given a path, numpy would append .npz
+        np.savez(
+            file,
+            __version__=np.int64(CHECKPOINT_VERSION),
+            __config__=_json_array(asdict(cfg)),
+            __extra__=_json_array(extra or {}),
+            **arrays,
+        )
 
 
 def load_checkpoint(path) -> tuple[QlamParams, CellConfig, dict]:

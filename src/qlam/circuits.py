@@ -9,7 +9,8 @@ A step applies the encoding unitary first, then the trainable ansatz:
 the raw embedding value on each qubit.  Each ansatz layer is RY and RZ
 on every qubit followed by a CNOT entangler.  ``theta`` is a flat angle
 vector, viewed as (n_layers, n_qubits, 2) with RY at [..., 0] and RZ at
-[..., 1].
+[..., 1].  Every step runs the same theta, so an engine holds one angle
+set; the shift oracle in `gradients` moves an angle at every step.
 
 `Steps` is the step engine at every register size, and it owns the
 whole sweep over a stack of B equal-length sequences, advanced together
@@ -151,15 +152,13 @@ class Steps:
     Layer 0 also carries the encoding, as the per-qubit products
     RZ(b) RY(a) RY(e_t[j]); its factors differ per row and step and are
     built for at most `block` steps at a time (`layer0`).  The other
-    layers' factors are built once and shared by every row.
-    `shifted=(t, theta_t)` runs step t of every row with angles theta_t.
-    Non-finite angles or embeddings raise NumericError.
+    layers' factors are built once, from the one angle set theta, and
+    shared by every row and step.  Non-finite angles or embeddings raise
+    NumericError.
     """
 
-    def __init__(self, cfg: AnsatzConfig, theta: np.ndarray, embeddings: np.ndarray,
-                 shifted=None):
-        angle_sets = {None: theta} if shifted is None else {None: theta, shifted[0]: shifted[1]}
-        if not all(np.isfinite(angles).all() for angles in angle_sets.values()):
+    def __init__(self, cfg: AnsatzConfig, theta: np.ndarray, embeddings: np.ndarray):
+        if not np.isfinite(theta).all():
             raise NumericError("non-finite circuit angles")
         finite = np.isfinite(embeddings).all(axis=(0, 2))
         if not finite.all():
@@ -181,15 +180,13 @@ class Steps:
         # its previous one (scatter)
         self.gather = gather.reshape(self.shape)
         self.scatter = np.argsort(gather).reshape(self.shape)
-        # per angle set (None: every unshifted step), layer 0's per-qubit
-        # matrices and the (A_l, B_l^T) of the later layers, and their inverses
-        self.first_layer, self.later_layers, self.later_inverses = {}, {}, {}
-        for key, angles in angle_sets.items():
-            u = layer_rotations(cfg, angles)
-            self.first_layer[key] = u[0]
-            self.later_layers[key] = list(zip(kron_qubits(u[1:, self.low:]),
-                                              kron_qubits(u[1:, :self.low].swapaxes(-1, -2))))
-            self.later_inverses[key] = [inverse(a, bt) for a, bt in self.later_layers[key]]
+        # layer 0's per-qubit matrices and the (A_l, B_l^T) of the later
+        # layers, and their inverses
+        u = layer_rotations(cfg, theta)
+        self.first_layer = u[0]
+        self.later_layers = list(zip(kron_qubits(u[1:, self.low:]),
+                                     kron_qubits(u[1:, :self.low].swapaxes(-1, -2))))
+        self.later_inverses = [inverse(a, bt) for a, bt in self.later_layers]
 
     def layer0(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
         """Stacked layer-0 factors A_0 (B, S, 2**high, 2**high) and B_0^T
@@ -198,16 +195,8 @@ class Steps:
         theta + e_t can overflow."""
         e = self.embeddings[:, start:stop]
         c, s = np.cos(0.5 * e), np.sin(0.5 * e)
-        u = times_ry(self.first_layer[None], c, s)
-        for t in self.first_layer.keys() - {None}:  # the shifted step
-            if start < t <= stop:
-                i = t - start - 1
-                u[:, i] = times_ry(self.first_layer[t], c[:, i], s[:, i])
+        u = times_ry(self.first_layer, c, s)
         return kron_qubits(u[..., self.low:, :, :]), kron_qubits(u[..., :self.low, :, :].swapaxes(-1, -2))
-
-    def layers(self, t: int, a0: np.ndarray, b0t: np.ndarray) -> list:
-        """(A_l, B_l^T) of every layer of step t, given its layer-0 factors."""
-        return [(a0, b0t)] + self.later_layers.get(t, self.later_layers[None])
 
     def evolve(self, psi: np.ndarray, start: int, stop: int, first: int | None = None) -> np.ndarray:
         """Advance the (B, 2**n) states psi in place through steps
@@ -222,7 +211,7 @@ class Steps:
             hi = min(lo + self.block, stop)
             a0, b0t = self.layer0(lo, hi)
             for t in range(lo + 1, hi + 1):
-                for a, bt in self.layers(t, a0[:, t - lo - 1], b0t[:, t - lo - 1]):
+                for a, bt in [(a0[:, t - lo - 1], b0t[:, t - lo - 1])] + self.later_layers:
                     x = np.take((a @ x @ bt).reshape(rows, -1), self.gather, axis=-1)
                 if t > first:
                     views[:, t - first - 1] = x
@@ -300,7 +289,7 @@ class Steps:
                         lam += inj[:, t - lo - 1]
                     pair[1, :, t - start - 1] = lam
                     if t > start + 1:
-                        lam = self.rewind(lam, t, a0h[:, t - start - 1], b0c[:, t - start - 1])
+                        lam = self.rewind(lam, a0h[:, t - start - 1], b0c[:, t - start - 1])
                 derivs = dwin[:, start - win_start:stop - win_start]
                 for layer in range(len(self.angles) - 1, -1, -1):
                     pair = np.take(pair.reshape(2, rows * (stop - start), -1), self.scatter, axis=-1)
@@ -314,7 +303,7 @@ class Steps:
                     derivs[:, :, layer, :, 0] = cos_rz[layer] * im_y - sin_rz[layer] * im_x
                     derivs[:, :, layer, :, 1] = (rho[..., 0, 0] - rho[..., 1, 1]).imag
                     if layer:
-                        ah, bc = self.later_inverses[None][layer - 1]
+                        ah, bc = self.later_inverses[layer - 1]
                         pair = ah @ pair @ bc
                 denc[:, start:stop] = derivs[:, :, 0, :, 0]
                 heads = pair[1].reshape((rows, stop - start) + self.shape)[:, 0]
@@ -328,10 +317,10 @@ class Steps:
             del seg, pair  # release the window before the next one is allocated
         return dtheta, denc
 
-    def rewind(self, x: np.ndarray, t: int, a0h: np.ndarray, b0c: np.ndarray) -> np.ndarray:
+    def rewind(self, x: np.ndarray, a0h: np.ndarray, b0c: np.ndarray) -> np.ndarray:
         """M_t^H x for (B, 2**n) vectors x, given the (B, ...) inverse
         factors (A_0^H, conj(B_0)) of step t's layer 0 (`inverse`)."""
-        for ah, bc in reversed([(a0h, b0c)] + self.later_inverses.get(t, self.later_inverses[None])):
+        for ah, bc in reversed([(a0h, b0c)] + self.later_inverses):
             x = ah @ np.take(x.reshape(self.rows, -1), self.scatter, axis=-1) @ bc
         return x.reshape(self.rows, -1)
 

@@ -13,7 +13,9 @@ and its per-step encoding derivatives chained into the embedding,
 complete each sequence's gradient, bit for bit the one it gets alone.
 
 Parameter-shift and finite differences exist as oracles only; both are
-exact for expectation readouts but far more expensive.
+exact for expectation readouts but far more expensive.  The shift oracle
+is the general rule for equidistant frequencies (Wierichs, Izaac, Wang &
+Lin, arXiv:2107.12390), applied to an angle that every step shares.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cell import CHECKPOINT_INTERVAL, CellConfig, QlamParams, Run, decoder, readout_features, run
+from .cell import CellConfig, QlamParams, Run, decoder, readout_features, run
+from .circuits import CHECKPOINT_INTERVAL  # noqa: F401 (perfbench reads it from here)
 from .data import SequenceSample
 from .errors import NumericError, ShapeError
 from .nn import softmax_cross_entropy
@@ -155,47 +158,41 @@ def weighted_readout_grads(
 
 
 # ---------------------------------------------------------------------------
-# Parameter-shift oracle.  Exact for expectation readouts; circuit angles
-# are shared across timesteps, so the rule shifts one occurrence at a
-# time and sums.
+# Parameter-shift oracle.  Exact for expectation readouts: the shared
+# angle is moved at every step at once, by the general shift rule.
 # ---------------------------------------------------------------------------
-
-def readouts_with_occurrence_shift(
-    tokens, params: QlamParams, cfg: CellConfig,
-    theta_index: int, shift_step: int, delta: float,
-) -> np.ndarray:
-    """(T, n_heads) exact readouts with theta[theta_index] shifted by
-    delta at step `shift_step` (1-based) only."""
-    shifted = params.theta.copy()
-    shifted[theta_index] += delta
-    return run([tokens], params, cfg, shifted=(shift_step, shifted)).readouts[0]
-
 
 def readout_param_shift(
     tokens, params: QlamParams, cfg: CellConfig, theta_index: int
 ) -> np.ndarray:
     """(T, n_heads) derivative of every readout with respect to one
-    shared circuit angle, by per-occurrence +-pi/2 shifts."""
+    shared circuit angle theta_k.  A readout r(theta_k) has the integer
+    frequencies 0..T, so r'(theta_k) = sum_mu r(theta_k + x_mu)
+    (-1)**(mu - 1) / (4 T sin(x_mu / 2)**2) over mu = 1..2T, with
+    x_mu = (2 mu - 1) pi / 2T (arXiv:2107.12390); T = 1 is the +-pi/2
+    rule."""
     x = np.asarray(tokens, dtype=np.float64)
-    total = np.zeros((x.shape[0], cfg.n_heads))
-    for occ in range(1, x.shape[0] + 1):
-        plus = readouts_with_occurrence_shift(x, params, cfg, theta_index, occ, +np.pi / 2)
-        minus = readouts_with_occurrence_shift(x, params, cfg, theta_index, occ, -np.pi / 2)
-        total += 0.5 * (plus - minus)
+    T = x.shape[0]
+    total = np.zeros((T, cfg.n_heads))
+    moved = params.copy()
+    for mu in range(1, 2 * T + 1):
+        shift = (2 * mu - 1) * np.pi / (2 * T)
+        moved.theta[theta_index] = params.theta[theta_index] + shift
+        total += (-1) ** (mu - 1) / (4 * T * np.sin(shift / 2) ** 2) * run([x], moved, cfg).readouts[0]
     return total
 
 
 def param_shift_grad(
     sample: SequenceSample, params: QlamParams, cfg: CellConfig, theta_index: int
 ) -> float:
-    """Loss gradient for one circuit angle: per-readout shift rule chained
-    through the classifier and loss at the unshifted point."""
+    """Loss gradient for one circuit angle: the shift rule's readout
+    derivatives chained through the classifier and loss at params."""
     r = run([sample.tokens], params, cfg)
-    x, unshifted = r.tokens[0], r.readouts[0]
-    features = readout_features(unshifted, cfg.t_keep)
+    x, readouts = r.tokens[0], r.readouts[0]
+    features = readout_features(readouts, cfg.t_keep)
     logits = params.cls_w @ features + params.cls_b
     _, dlogits = softmax_cross_entropy(logits, sample.label)
     dfeatures = (params.cls_w.T @ dlogits).reshape(cfg.t_keep, cfg.n_heads)
-    w = np.zeros_like(unshifted)
+    w = np.zeros_like(readouts)
     w[x.shape[0] - cfg.t_keep:] = dfeatures
     return float(np.sum(w * readout_param_shift(x, params, cfg, theta_index)))

@@ -104,6 +104,10 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.split_mode not in ("holdout", "kfold"):
             raise ConfigError(f"split_mode must be holdout or kfold, got {self.split_mode!r}")
+        if self.split_mode == "kfold" and self.n_folds < 2:
+            raise ConfigError(f"kfold needs n_folds >= 2, got {self.n_folds}")
+        if not 0.0 < self.test_fraction < 1.0:
+            raise ConfigError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if not 0 <= self.fold < self.n_folds:

@@ -117,9 +117,11 @@ def dense_expectation(amps: np.ndarray, matrix: np.ndarray) -> float:
     return float(np.real(np.conj(amps) @ matrix @ amps))
 
 
-def dense_recurrence_readouts(tokens, params, cfg) -> np.ndarray:
+def dense_recurrence_readouts(tokens, params, cfg, step_thetas=None) -> np.ndarray:
     """(T, n_heads) readouts computed entirely with dense matrices and a
-    straight-line decoder re-evaluation; the independent model oracle."""
+    straight-line decoder re-evaluation; the independent model oracle.
+    Step t (0-based) runs the circuit angles step_thetas[t] of a
+    (T, n_params) array when one is given, params.theta otherwise."""
     from qlam.observables import default_pauli_pool
 
     pool = [p.labels for p in default_pauli_pool(cfg.n_qubits)]
@@ -130,7 +132,8 @@ def dense_recurrence_readouts(tokens, params, cfg) -> np.ndarray:
     readouts = np.empty((x.shape[0], cfg.n_heads))
     for t, x_t in enumerate(x):
         e_t = params.embed_w * x_t + params.embed_b
-        psi = dense_step_matrix(cfg.ansatz, params.theta, e_t) @ psi
+        theta = params.theta if step_thetas is None else step_thetas[t]
+        psi = dense_step_matrix(cfg.ansatz, theta, e_t) @ psi
         q_t = params.w_q @ e_t
         for h in range(cfg.n_heads):
             hidden = np.tanh(params.dec_w1[h] @ q_t + params.dec_b1[h])

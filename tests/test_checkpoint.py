@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from qlam.cell import CellConfig, QlamParams, final_logits, init_qlam_params
+from qlam.cell import CellConfig, final_logits, init_qlam_params
 from qlam.checkpoint import CHECKPOINT_VERSION, load_checkpoint, save_checkpoint
 from qlam.errors import ConfigError, DataError, ShapeError
 
@@ -28,6 +28,17 @@ def test_round_trip_bitwise(tmp_path):
     got_params, got_cfg, extra = load_checkpoint(path)
     assert got_cfg == cfg
     assert extra == {"note": "smoke", "epoch": 3}
+    for key, arr in params.as_dict().items():
+        assert_array_equal(got_params.as_dict()[key], arr, err_msg=key)
+
+
+def test_path_without_npz_suffix_round_trips(tmp_path):
+    cfg = small_cfg()
+    params = init_qlam_params(np.random.default_rng(3), cfg)
+    save_checkpoint(tmp_path / "model", params, cfg)
+    assert [p.name for p in tmp_path.iterdir()] == ["model"]
+    got_params, got_cfg, _ = load_checkpoint(str(tmp_path / "model"))
+    assert got_cfg == cfg
     for key, arr in params.as_dict().items():
         assert_array_equal(got_params.as_dict()[key], arr, err_msg=key)
 

@@ -211,8 +211,7 @@ def test_plan_covers_every_parameter_once():
     assert theta_slots == list(range(cfg.n_params))
     assert enc_slots == list(range(cfg.n_qubits))
     steps = Steps(cfg, theta, embedding[None, None])
-    a0, b0t = steps.layer0(0, 1)
-    assert len(steps.layers(1, a0[:, 0], b0t[:, 0])) == cfg.n_layers
+    assert 1 + len(steps.later_layers) == cfg.n_layers
 
 
 def test_plan_kernel_equals_step():

@@ -15,7 +15,7 @@ import pytest
 from qlam.cell import CellConfig, init_qlam_params
 from qlam.checkpoint import save_checkpoint
 from qlam.cli import EXIT_CODES, build_config, build_parser, load_config_file, main
-from qlam.data import write_idx_images, write_idx_labels
+from qlam.data import write_idx_labels
 from qlam.errors import ConfigError, QlamError
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -175,6 +175,13 @@ def test_missing_data_dir_exit(tmp_path, capsys):
     code = main(["train", "--dataset", "smnist8", "--data-dir", str(tmp_path)])
     assert code == 3
     assert "error[data]:" in capsys.readouterr().err
+
+
+def test_one_fold_kfold_exits_as_config_error_before_loading_data(tmp_path, capsys):
+    code = main(["train", "--dataset", "smnist8", "--split-mode", "kfold", "--n-folds", "1",
+                 "--data-dir", str(tmp_path)])
+    assert code == 2
+    assert "n_folds" in capsys.readouterr().err
 
 
 def test_malformed_idx_exit(tmp_path, capsys):

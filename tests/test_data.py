@@ -12,8 +12,6 @@ from numpy.testing import assert_allclose, assert_array_equal
 from qlam.data import (
     CIFAR_RECORD_BYTES,
     DATA_DIR_ENV,
-    DatasetBundle,
-    FoldPlan,
     cifar10_bytes,
     center_crop,
     data_root,
@@ -25,7 +23,6 @@ from qlam.data import (
     load_dataset,
     load_idx,
     load_idx_images,
-    load_idx_labels,
     make_folds,
     pad_to,
     parse_cifar10_bytes,

@@ -40,7 +40,7 @@ from qlam.circuits import (
     walk_rows,
 )
 from qlam.data import SequenceSample
-from qlam.errors import NumericError
+from qlam.errors import NumericError, ShapeError
 from qlam.gradients import batch_loss_and_grad, loss_and_grad, param_shift_grad
 from qlam.nn import softmax_cross_entropy
 from qlam.observables import ShotConfig, default_pauli_pool, pauli_table, pool_table
@@ -87,15 +87,15 @@ def test_dense_steps_match_dense_step_matrix(n_qubits, entangler):
     emb = rng.uniform(-2.0, 2.0, (2, n_qubits))
     dim = 1 << n_qubits
     # one row per basis vector: row i of the advanced stack is column i
-    # of the step matrix
-    steps = Steps(cfg, theta, np.broadcast_to(emb, (dim, 2, n_qubits)), shifted=(2, theta_2))
+    # of the step matrix; step 2 runs on an engine of its own angles
     for t, angles in ((1, theta), (2, theta_2)):
+        steps = Steps(cfg, angles, np.broadcast_to(emb, (dim, 2, n_qubits)))
         want = dense_step_matrix(cfg, angles, emb[t - 1])
         basis = np.eye(dim, dtype=np.complex128)
         steps.evolve(basis, t - 1, t)
         assert_allclose(basis.T, want, atol=1e-12)
         a0, b0t = steps.layer0(t - 1, t)
-        rewound = steps.rewind(np.eye(dim, dtype=np.complex128), t, *inverse(a0[:, 0], b0t[:, 0]))
+        rewound = steps.rewind(np.eye(dim, dtype=np.complex128), *inverse(a0[:, 0], b0t[:, 0]))
         assert_allclose(rewound.T, want.conj().T, atol=1e-12)
 
 
@@ -114,7 +114,8 @@ def test_steps_match_dense_step_on_large_registers(n_qubits, entangler):
     for t, angles in ((1, theta), (2, theta_2)):
         want = np.stack([dense_step(cfg, angles, emb[b, t - 1], want[:, b:b + 1])[:, 0]
                          for b in range(3)], axis=1)
-    Steps(cfg, theta, emb, shifted=(2, theta_2)).evolve(psi, 0, 2)
+    Steps(cfg, theta, emb).evolve(psi, 0, 1)
+    Steps(cfg, theta_2, emb).evolve(psi, 1, 2)
     assert_allclose(psi.T, want, atol=1e-12)
 
 
@@ -256,6 +257,17 @@ def test_batch_outputs_match_single_sequence_views_bitwise(n_qubits, batch, chun
                                                       sample_index=int(i)))
 
 
+@pytest.mark.parametrize("sample_index", [[0, 1], [0, 1, 2, 3], [[0, 1, 2]]],
+                         ids=["short", "long", "nested"])
+@pytest.mark.parametrize("shot", [ShotConfig(), ShotConfig("sampled", 8, 5)], ids=["exact", "sampled"])
+def test_batch_logits_rejects_sample_indices_not_one_per_row(shot, sample_index):
+    cfg = small_cfg(2, t_keep=2)
+    params = init_qlam_params(np.random.default_rng(140), cfg)
+    tokens = np.random.default_rng(141).uniform(0.0, 1.0, (3, 4))
+    with pytest.raises(ShapeError, match="sample_index"):
+        batch_logits(tokens, params, cfg, shot, sample_index=sample_index)
+
+
 @pytest.mark.parametrize("n_qubits, n_layers, indices, T", [
     pytest.param(4, 2, (0, 9), 2 * CHECKPOINT_INTERVAL + 1, id="4-2-indices0"),
     pytest.param(STRIDED_N, 1, (3,), 2 * CHECKPOINT_INTERVAL + 1, id=f"{STRIDED_N}-1-indices1"),
@@ -349,8 +361,6 @@ def test_non_finite_angles_raise_numeric_error(n_qubits):
             theta[1] = bad
             with pytest.raises(NumericError, match="angles"):
                 Steps(cfg, theta, emb)
-            with pytest.raises(NumericError, match="angles"):
-                Steps(cfg, zeros, emb, shifted=(2, theta))
             bad_emb = emb.copy()
             bad_emb[1, 1, n_qubits - 1] = bad
             with pytest.raises(NumericError, match="timestep 2"):

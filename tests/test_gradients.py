@@ -5,20 +5,19 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from oracles import einsum_decoder_backward, fd_grad_dict, rel_err
+from oracles import dense_recurrence_readouts, einsum_decoder_backward, fd_grad_dict, rel_err
 
-from qlam.cell import CellConfig, QlamParams, forward, init_qlam_params, run
+from qlam.cell import CellConfig, forward, init_qlam_params, run
+from qlam.circuits import CHECKPOINT_INTERVAL
 from qlam.data import SequenceSample
 from qlam.errors import NumericError, ShapeError
 from qlam.gradients import (
-    CHECKPOINT_INTERVAL,
     GradBundle,
     _batch_grads,
     _decoder_backward,
     loss_and_grad,
     param_shift_grad,
     readout_param_shift,
-    readouts_with_occurrence_shift,
     weighted_readout_grads,
 )
 from qlam.nn import grad_like, softmax_cross_entropy
@@ -134,8 +133,8 @@ def test_grads_linear_in_weights():
 
 
 # ---------------------------------------------------------------------------
-# Parameter-shift cross-checks.  Shifting one occurrence of a shared
-# angle at a time is exact for expectation readouts.
+# Parameter-shift cross-checks.  The general shift rule, moving a shared
+# angle at every step at once, is exact for expectation readouts.
 # ---------------------------------------------------------------------------
 
 def test_adjoint_matches_param_shift_on_readouts():
@@ -150,6 +149,25 @@ def test_adjoint_matches_param_shift_on_readouts():
         assert abs(grads["theta"][i] - shift) < 1e-10, f"theta[{i}]"
 
 
+@pytest.mark.parametrize("entangler", ["ring", "linear"])
+@pytest.mark.parametrize("n_qubits, T", [(1, 9), (2, 5), (3, 3)])
+def test_general_shift_rule_equals_per_occurrence_dense_shifts(n_qubits, T, entangler):
+    # the derivative in a shared angle is the sum over its occurrences of
+    # the +-pi/2 rule on that step alone, here from the dense oracle
+    cfg = small_cfg(n_qubits=n_qubits, entangler=entangler, t_keep=1)
+    params = make(cfg, seed=30 + n_qubits)
+    x = np.random.default_rng(31 + T).uniform(0.0, 1.0, size=T)
+    for k in range(params.theta.size):
+        want = np.zeros((T, cfg.n_heads))
+        for t in range(T):
+            for sign in (1, -1):
+                step_thetas = np.tile(params.theta, (T, 1))
+                step_thetas[t, k] += sign * np.pi / 2
+                want += 0.5 * sign * dense_recurrence_readouts(x, params, cfg, step_thetas)
+        assert_allclose(readout_param_shift(x, params, cfg, k), want, rtol=0, atol=1e-10,
+                        err_msg=f"theta[{k}]")
+
+
 def test_param_shift_loss_grad_matches_adjoint():
     cfg = small_cfg(t_keep=2)
     params = make(cfg, seed=8)
@@ -158,14 +176,6 @@ def test_param_shift_loss_grad_matches_adjoint():
     bundle = loss_and_grad(sample, params, cfg)
     for i in range(params.theta.size):
         assert abs(bundle.grads["theta"][i] - param_shift_grad(sample, params, cfg, i)) < 1e-10
-
-
-def test_occurrence_shift_zero_delta_is_plain_forward():
-    cfg = small_cfg()
-    params = make(cfg, seed=12)
-    x = np.random.default_rng(13).uniform(0.0, 1.0, size=4)
-    base = readouts_with_occurrence_shift(x, params, cfg, 0, 0, 0.0)
-    assert_array_equal(base, forward(x, params, cfg).readouts)
 
 
 # ---------------------------------------------------------------------------

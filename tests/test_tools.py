@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "dump_outputs.py"
 
 
@@ -25,5 +27,17 @@ def test_dump_of_two_models_compares_bitwise_equal(tmp_path, capsys):
         assert equal == arrays and worst == 0.0, kind
     # both models are 1-qubit, so the shift oracle is in the dump
     assert report["param_shift_grad"][0] == 2
+    # the batched passes hold one row per stacked sequence, and the batched
+    # gradients every key of the single-sequence ones
+    single = {kind.split(".", 1)[1] for kind in report if kind.startswith("loss_and_grad.")}
+    batched = {kind.split(".", 1)[1] for kind in report if kind.startswith("batch_loss_and_grad.")}
+    assert single == batched and "theta" in batched
+    rows = len(tool.STACK_INDICES)
+    with np.load(first) as arrays:
+        for name in {key.split("/")[0] for key in arrays.files}:
+            assert arrays[f"{name}/batch_loss_and_grad.loss"].shape == (rows,)
+            assert arrays[f"{name}/batch_loss_and_grad.theta"].shape[0] == rows
+            for kind in ["exact"] + [f"shots{m}" for m in tool.SHOTS]:
+                assert arrays[f"{name}/batch_logits.{kind}"].shape == (rows, 3), kind
     assert tool.main(["--compare", str(first), str(again)]) == 0
     assert f"total: {count} arrays, {count} bitwise equal" in capsys.readouterr().out

@@ -68,6 +68,12 @@ def test_config_validation():
         dict(workers=0),
         dict(fold=10),
         dict(fold=-1),
+        # split rules, checked before any data loads, even where the
+        # dataset's own test split would leave them unused
+        dict(test_fraction=1.5),
+        dict(test_fraction=0.0),
+        dict(test_fraction=float("nan")),
+        dict(split_mode="kfold", n_folds=1),
         dict(train_subsample=0),
         dict(base_lr=0.0),
         dict(base_lr=float("nan")),

@@ -7,7 +7,10 @@
 A dump holds, for each model of the grid: `forward` (readouts, final
 state, logits), exact and shot-sampled `final_logits`, `loss_and_grad`
 (loss, logits, every gradient), `weighted_readout_grads` (value, every
-gradient) and, up to 4 qubits, `param_shift_grad` of two circuit angles.
+gradient), up to 4 qubits `param_shift_grad` of two circuit angles, and
+the batched passes the trainer runs on a stack of three rows:
+`batch_loss_and_grad` (losses, logits, every gradient, one row each) and
+exact and shot-sampled `batch_logits` with one sample index per row.
 The grid runs n = 1..12 qubits, ring and linear entanglers, with
 sequence lengths that cross checkpoint windows and kept readouts that
 start inside one.  Keys are "<model>/<output>".
@@ -36,6 +39,8 @@ SHAPES = {
 }
 SHOTS = (1, 64)
 SHIFT_MAX_QUBITS = 4
+# the sample index of each row of the batched stack: its shot streams
+STACK_INDICES = (3, 0, 5)
 
 
 def grid() -> list[tuple[int, str, int, int]]:
@@ -45,9 +50,10 @@ def grid() -> list[tuple[int, str, int, int]]:
 
 def model_outputs(n: int, entangler: str, T: int, t_keep: int) -> dict[str, np.ndarray]:
     # imported here, so that --compare runs without the package
-    from qlam.cell import CellConfig, final_logits, forward, init_qlam_params
+    from qlam.cell import CellConfig, batch_logits, final_logits, forward, init_qlam_params
     from qlam.data import SequenceSample
-    from qlam.gradients import loss_and_grad, param_shift_grad, weighted_readout_grads
+    from qlam.gradients import (batch_loss_and_grad, loss_and_grad, param_shift_grad,
+                                weighted_readout_grads)
     from qlam.observables import ShotConfig
 
     cfg = CellConfig(n_qubits=n, entangler=entangler, d_query=3, n_heads=3,
@@ -78,6 +84,19 @@ def model_outputs(n: int, entangler: str, T: int, t_keep: int) -> dict[str, np.n
     if n <= SHIFT_MAX_QUBITS:
         indices = (0, params.theta.size - 1)
         out["param_shift_grad"] = np.array([param_shift_grad(sample, params, cfg, i) for i in indices])
+    stack = [SequenceSample(rng.uniform(0.0, 1.0, T), int(label))
+             for label in rng.integers(3, size=len(STACK_INDICES))]
+    bundles = batch_loss_and_grad(stack, params, cfg)
+    out["batch_loss_and_grad.loss"] = np.array([b.loss for b in bundles])
+    out["batch_loss_and_grad.logits"] = np.stack([b.logits for b in bundles])
+    for key in bundles[0].grads:
+        out[f"batch_loss_and_grad.{key}"] = np.stack([b.grads[key] for b in bundles])
+    tokens = [s.tokens for s in stack]
+    out["batch_logits.exact"] = batch_logits(tokens, params, cfg)
+    for m in SHOTS:
+        shot = ShotConfig("sampled", m, 7)
+        out[f"batch_logits.shots{m}"] = batch_logits(tokens, params, cfg, shot,
+                                                     sample_index=list(STACK_INDICES))
     return out
 
 
