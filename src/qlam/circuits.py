@@ -14,17 +14,20 @@ set; the shift oracle in `gradients` moves an angle at every step.
 
 `Steps` is the step engine at every register size, and it owns the
 whole sweep over a stack of B equal-length sequences, advanced together
-as one (B, 2**high, 2**low) array; a single sequence is B = 1.
+as one (B, 2**n) array; a single sequence is B = 1.
 `Steps.sweep` evolves |0...0> one window of K = `CHECKPOINT_INTERVAL`
 steps at a time, hands each window's states to a readout callback and
 keeps the states at each window's start.  `Steps.adjoint` walks back
 from step T, recomputing one window at a time from its checkpoint
 (Jones & Gacon, arXiv:2009.02823).  Memory is the B * T/K checkpoints,
-one window of B recomputed sequences and a walk stack of at most
-max(B * 2**n, WALK_AMPLITUDES) (ket, adjoint) pairs:
+one window of B recomputed sequences and its layer-0 factors (per row
+and step, d**2 complex numbers per factor group of d amplitudes: at
+most 2.5 * 2**n with two groups, 768 at n = 12), and a walk stack of
+at most max(B * 2**n, WALK_AMPLITUDES) (ket, adjoint) pairs:
 O(B * (K + T/K) * 2**n) for any sequence length.  A layer's rotations
-are a tensor product, so with a state viewed as a 2**high x 2**low
-matrix they are two small matrix products; the encoding folds into
+are a tensor product, so with a state viewed as a tensor over k groups
+of qubits (two up to n = 10, three from n = 11; `factor_widths`) they
+are k small matrix products, one per group; the encoding folds into
 layer 0, and the CNOT entangler is one index gather.  Every reduction
 runs on one row of the stack, in an order that does not depend on B,
 so a sequence's states and derivatives are bit for bit those of a
@@ -33,6 +36,7 @@ B = 1 sweep.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Literal
 
@@ -44,7 +48,7 @@ from .errors import ConfigError, NumericError, check_fields
 MAX_QUBITS = 12
 # The sweep runs in windows of this many steps, aligned at multiples of it.
 CHECKPOINT_INTERVAL = 32
-# `Steps` builds layer-0 factors, and the adjoint walks (ket, adjoint)
+# The sweep builds layer-0 factors, and the adjoint walks (ket, adjoint)
 # pairs, for at most `walk_rows(n)` rows (sequences x steps) at a time,
 # which bounds the memory a call holds beside the states of its block.
 WALK_AMPLITUDES = 1 << 12
@@ -123,10 +127,28 @@ def layer_rotations(cfg: AnsatzConfig, theta: np.ndarray) -> np.ndarray:
     return np.stack([np.stack([down * c, -down * s], -1), np.stack([up * s, up * c], -1)], -2)
 
 
-def inverse(a: np.ndarray, bt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(A^H, conj(B)) of a rotation layer held as (A, B^T), whose inverse
-    is A^H X conj(B); stacked factors stay stacked."""
-    return a.conj().swapaxes(-1, -2), bt.conj().swapaxes(-1, -2)
+def factor_widths(n_qubits: int) -> tuple[int, ...]:
+    """Qubits in each factor group of a rotation layer, most significant
+    first: two halves up to 10 qubits, and from 11 three groups, whose
+    smaller Kronecker factors cost fewer multiply-adds per amplitude
+    (48 against 128 at n = 12).  At n = 11, (3, 4, 4) timed a little
+    faster than (4, 4, 3) and (5, 3, 3)."""
+    if n_qubits <= 10:
+        return n_qubits - n_qubits // 2, n_qubits // 2
+    return n_qubits - 8, 4, 4
+
+
+def inverse(layer: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
+    """The factors of the inverse of a rotation layer held as `Steps`
+    holds it: each held factor's conjugate transpose.  Stacked factors
+    stay stacked."""
+    return tuple(f.conj().swapaxes(-1, -2) for f in layer)
+
+
+def per_step(factors: Sequence[np.ndarray]) -> list[tuple[np.ndarray, ...]]:
+    """Each step's layer, as (B, d_g, d_g) views, of stacked layer-0
+    factors (B, S, d_g, d_g)."""
+    return list(zip(*(f.swapaxes(0, 1) for f in factors)))
 
 
 def times_ry(u: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -143,18 +165,22 @@ class Steps:
 
     Step t of row b is M_t = U_var(theta) U_enc(e_t), with e_t =
     embeddings[b, t - 1].  Each ansatz layer l is a rotation layer
-    A_l (x) B_l, the Kronecker products of its per-qubit matrices over
-    the high and the low half of the qubits, then the entangler.  With a
-    row's state viewed as X (2**high x 2**low) a rotation layer is
-    A_l X B_l^T, its inverse A_l^H X conj(B_l), and the entangler one
-    index gather on the last axis; the B rows advance together as one
-    (B, 2**high, 2**low) stack.  A layer is held as the pair (A_l, B_l^T).
-    Layer 0 also carries the encoding, as the per-qubit products
-    RZ(b) RY(a) RY(e_t[j]); its factors differ per row and step and are
-    built for at most `block` steps at a time (`layer0`).  The other
-    layers' factors are built once, from the one angle set theta, and
-    shared by every row and step.  Non-finite angles or embeddings raise
-    NumericError.
+    F_0 (x) ... (x) F_{k-1}, the Kronecker products of its per-qubit
+    matrices over k groups of qubits (`factor_widths`, most significant
+    first), then the entangler, one index gather on a flattened row.  A
+    row's state is a tensor X[a_0, ..., a_{k-1}] of shape (d_0, ..., d_{k-1}),
+    d_g = 2**(qubits of group g).  With two groups X is a d_0 x d_1 matrix,
+    the layer is F_0 X F_1^T and is held as (F_0, F_1^T).  With three it
+    is held as (F_0^T, F_1^T, F_2^T) and applied as three GEMMs, each
+    contracting the leading axis and moving it last,
+    X(a_g, rest)^T F_g^T, which after all three restores the axis order.
+    The inverse holds each factor's conjugate transpose (`inverse`).  The
+    B rows advance together as one (B, d_0, 2**n / d_0) stack.  Layer 0
+    also carries the encoding, as the per-qubit products
+    RZ(b) RY(a) RY(e_t[j]); its factors differ per row and step
+    (`layer0`).  The other layers' factors are built once, from the one
+    angle set theta, and shared by every row and step.  Non-finite angles
+    or embeddings raise NumericError.
     """
 
     def __init__(self, cfg: AnsatzConfig, theta: np.ndarray, embeddings: np.ndarray):
@@ -164,8 +190,12 @@ class Steps:
         if not finite.all():
             raise NumericError(f"non-finite embedding at timestep {int(np.argmin(finite)) + 1}")
         n = self.n = cfg.n_qubits
-        self.low = n // 2
-        self.shape = (1 << (n - self.low), 1 << self.low)
+        widths = factor_widths(n)
+        self.dims = tuple(1 << w for w in widths)
+        # group g holds the qubits below the groups before it
+        tops = [n - sum(widths[:g]) for g in range(len(widths) + 1)]
+        self.groups = [slice(lo, hi) for hi, lo in zip(tops, tops[1:])]
+        self.shape = (self.dims[0], (1 << n) // self.dims[0])
         self.rows = embeddings.shape[0]
         self.block = max(1, walk_rows(n) // self.rows)
         self.embeddings = embeddings
@@ -175,44 +205,67 @@ class Steps:
         gather = np.arange(1 << n)
         for control, target in reversed(entangler_pairs(cfg)):
             gather ^= ((gather >> control) & 1) << target
-        # (2**high, 2**low) indices into a flattened row: taking them on the
-        # last axis of a stack of rows gives every row's next X (gather) or
-        # its previous one (scatter)
+        # (d_0, 2**n / d_0) indices into a flattened row: taking them on the
+        # last axis of a stack of rows gives every row's next state (gather)
+        # or its previous one (scatter), as `rotate` takes it
         self.gather = gather.reshape(self.shape)
         self.scatter = np.argsort(gather).reshape(self.shape)
-        # layer 0's per-qubit matrices and the (A_l, B_l^T) of the later
+        # layer 0's per-qubit matrices and the held factors of the later
         # layers, and their inverses
         u = layer_rotations(cfg, theta)
         self.first_layer = u[0]
-        self.later_layers = list(zip(kron_qubits(u[1:, self.low:]),
-                                     kron_qubits(u[1:, :self.low].swapaxes(-1, -2))))
-        self.later_inverses = [inverse(a, bt) for a, bt in self.later_layers]
+        self.later_layers = list(zip(*self.factors(u[1:])))
+        self.later_inverses = [inverse(layer) for layer in self.later_layers]
 
-    def layer0(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-        """Stacked layer-0 factors A_0 (B, S, 2**high, 2**high) and B_0^T
-        (B, S, 2**low, 2**low) of steps start+1..stop.  The encoding is
-        multiplied in as a matrix, not added to the RY angle: a finite
-        theta + e_t can overflow."""
+    def factors(self, u: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The held factors, one (..., d_g, d_g) stack per group, of the
+        rotation layers with per-qubit matrices u (..., n, 2, 2)."""
+        ut = u.swapaxes(-1, -2)
+        first = u if len(self.groups) == 2 else ut  # F_0 X F_1^T takes F_0 itself
+        return tuple(kron_qubits((ut if g else first)[..., qubits, :, :])
+                     for g, qubits in enumerate(self.groups))
+
+    def rotate(self, layer: Sequence[np.ndarray], x: np.ndarray) -> np.ndarray:
+        """A rotation layer, held as `factors` holds it, applied to the
+        states x (..., d_0, 2**n / d_0); the result, flattened per state,
+        is in the same amplitude order."""
+        if len(layer) == 2:
+            a, bt = layer
+            return a @ x @ bt
+        for f, d in zip(layer, self.dims):
+            x = x.reshape(x.shape[:-2] + (d, -1)).swapaxes(-1, -2) @ f
+        return x
+
+    def layer0(self, start: int, stop: int) -> tuple[np.ndarray, ...]:
+        """Held layer-0 factors (B, S, d_g, d_g) of steps start+1..stop.
+        The encoding is multiplied in as a matrix, not added to the RY
+        angle: a finite theta + e_t can overflow."""
         e = self.embeddings[:, start:stop]
         c, s = np.cos(0.5 * e), np.sin(0.5 * e)
-        u = times_ry(self.first_layer, c, s)
-        return kron_qubits(u[..., self.low:, :, :]), kron_qubits(u[..., :self.low, :, :].swapaxes(-1, -2))
+        return self.factors(times_ry(self.first_layer, c, s))
 
-    def evolve(self, psi: np.ndarray, start: int, stop: int, first: int | None = None) -> np.ndarray:
+    def evolve(self, psi: np.ndarray, start: int, stop: int, first: int | None = None,
+               layer0_factors: Sequence[np.ndarray] | None = None,
+               out: np.ndarray | None = None) -> np.ndarray:
         """Advance the (B, 2**n) states psi in place through steps
         start+1..stop (1-based) and return the (B, stop - first, 2**n)
-        states after steps first+1..stop (first defaults to start)."""
+        states after steps first+1..stop (first defaults to start), in
+        `out` when it is given.  layer0_factors holds the layer-0 factors
+        of steps start+1..stop, as `layer0` builds them; without it they
+        are built `block` steps at a time."""
         first = start if first is None else first
         rows = self.rows
-        states = np.empty((rows, stop - first, psi.shape[-1]), dtype=np.complex128)
+        states = (np.empty((rows, stop - first, psi.shape[-1]), dtype=np.complex128)
+                  if out is None else out)
         views = states.reshape((rows, -1) + self.shape)
         x = psi.reshape((rows,) + self.shape)
         for lo in range(start, stop, self.block):
             hi = min(lo + self.block, stop)
-            a0, b0t = self.layer0(lo, hi)
-            for t in range(lo + 1, hi + 1):
-                for a, bt in [(a0[:, t - lo - 1], b0t[:, t - lo - 1])] + self.later_layers:
-                    x = np.take((a @ x @ bt).reshape(rows, -1), self.gather, axis=-1)
+            f0 = (self.layer0(lo, hi) if layer0_factors is None
+                  else [f[:, lo - start:hi - start] for f in layer0_factors])
+            for t, own in enumerate(per_step(f0), lo + 1):
+                for layer in [own] + self.later_layers:
+                    x = self.rotate(layer, x).reshape(rows, -1).take(self.gather, axis=-1)
                 if t > first:
                     views[:, t - first - 1] = x
         psi[:] = x.reshape(rows, -1)
@@ -252,7 +305,8 @@ class Steps:
         (B, S, 2**n) injections sum_i c_i P_i |psi_t> of the kept steps
         lo+1..lo+S (first..T, 1-based), given their (B, S, 2**n) kets.
 
-        Windows are recomputed last first and consumed backward in
+        Windows are recomputed last first, from layer-0 factors built once
+        for the window and kept for the walk, and consumed backward in
         sub-blocks of `block` steps.  The adjoint recurrence
         lam <- M_t^H (lam + inj_t), with lam (B, 2**n), stores lam + inj_t
         for every step of a sub-block; one walk over the stacked
@@ -273,12 +327,18 @@ class Steps:
         lam = np.zeros((rows, 1 << self.n), dtype=np.complex128)
         for win_start in sorted(self.checkpoints, reverse=True):
             win_end = min(win_start + CHECKPOINT_INTERVAL, T)
-            seg = self.evolve(self.checkpoints[win_start].copy(), win_start, win_end)
+            # the window's states are allocated before its factors: the
+            # other order splits the block the last window's states freed,
+            # and at n = 12 the heap grew by a window (2 MB)
+            seg = np.empty((rows, win_end - win_start, 1 << self.n), dtype=np.complex128)
+            f0 = self.layer0(win_start, win_end)
+            self.evolve(self.checkpoints[win_start].copy(), win_start, win_end,
+                        layer0_factors=f0, out=seg)
             # every angle derivative of every step of the window
             dwin = np.empty((rows, win_end - win_start) + self.angles.shape)
             for stop in range(win_end, win_start, -self.block):
                 start = max(win_start, stop - self.block)
-                a0h, b0c = inverse(*self.layer0(start, stop))
+                inv0 = per_step(inverse([f[:, start - win_start:stop - win_start] for f in f0]))
                 pair = np.empty((2, rows, stop - start, 1 << self.n), dtype=np.complex128)
                 pair[0] = seg[:, start - win_start:stop - win_start]
                 lo = min(max(start, first - 1), stop)  # steps lo+1..stop inject readouts
@@ -289,10 +349,10 @@ class Steps:
                         lam += inj[:, t - lo - 1]
                     pair[1, :, t - start - 1] = lam
                     if t > start + 1:
-                        lam = self.rewind(lam, a0h[:, t - start - 1], b0c[:, t - start - 1])
+                        lam = self.rewind(lam, inv0[t - start - 1])
                 derivs = dwin[:, start - win_start:stop - win_start]
                 for layer in range(len(self.angles) - 1, -1, -1):
-                    pair = np.take(pair.reshape(2, rows * (stop - start), -1), self.scatter, axis=-1)
+                    pair = pair.reshape(2, rows * (stop - start), -1).take(self.scatter, axis=-1)
                     # for U_j = RZ(b) RY(a): dJ/db = Im tr(Z rho_j), and dJ/da =
                     # Im tr(RZ(b) Y RZ(b)^H rho_j) = cos(b) Im tr(Y rho_j) -
                     # sin(b) Im tr(X rho_j); layer 0's encoding RY(e_t) shares
@@ -303,39 +363,42 @@ class Steps:
                     derivs[:, :, layer, :, 0] = cos_rz[layer] * im_y - sin_rz[layer] * im_x
                     derivs[:, :, layer, :, 1] = (rho[..., 0, 0] - rho[..., 1, 1]).imag
                     if layer:
-                        ah, bc = self.later_inverses[layer - 1]
-                        pair = ah @ pair @ bc
+                        pair = self.rotate(self.later_inverses[layer - 1], pair)
                 denc[:, start:stop] = derivs[:, :, 0, :, 0]
                 heads = pair[1].reshape((rows, stop - start) + self.shape)[:, 0]
-                lam = (a0h[:, 0] @ heads @ b0c[:, 0]).reshape(rows, -1)
+                lam = self.rotate(inv0[0], heads).reshape(rows, -1)
             # sum in groups of a one-row walk's sub-blocks, whatever the
             # row count, so a row's sums never depend on the rows beside it
             group = walk_rows(self.n)
             for stop in range(win_end, win_start, -group):
                 start = max(win_start, stop - group)
                 dtheta += dwin[:, start - win_start:stop - win_start].sum(axis=1)
-            del seg, pair  # release the window before the next one is allocated
+            del seg, f0, pair  # release the window before the next one is allocated
         return dtheta, denc
 
-    def rewind(self, x: np.ndarray, a0h: np.ndarray, b0c: np.ndarray) -> np.ndarray:
-        """M_t^H x for (B, 2**n) vectors x, given the (B, ...) inverse
-        factors (A_0^H, conj(B_0)) of step t's layer 0 (`inverse`)."""
-        for ah, bc in reversed([(a0h, b0c)] + self.later_inverses):
-            x = ah @ np.take(x.reshape(self.rows, -1), self.scatter, axis=-1) @ bc
+    def rewind(self, x: np.ndarray, first: Sequence[np.ndarray]) -> np.ndarray:
+        """M_t^H x for (B, 2**n) vectors x, given the (B, d_g, d_g) inverse
+        factors of step t's layer 0 (`inverse`)."""
+        for layer in reversed([first] + self.later_inverses):
+            x = self.rotate(layer, x.reshape(self.rows, -1).take(self.scatter, axis=-1))
         return x.reshape(self.rows, -1)
 
     def cross(self, kets: np.ndarray, adjoints: np.ndarray) -> np.ndarray:
         """(S, n, 2, 2) reduced cross operators rho_j = Tr_{not j} |k><l| of
-        every qubit j, for S rows of kets k and adjoints l: a partial trace
-        of the Gram matrix K L^H of the X views for a high qubit, of
-        K^T conj(L) for a low one."""
-        k = kets.reshape((-1,) + self.shape)
+        every qubit j, for S rows of kets k and adjoints l: per factor
+        group g, the Gram matrix of k and conj(l) over every axis but a_g,
+        then a partial trace of it for each of the group's qubits."""
+        size = 1 << self.n
+        k = kets.reshape(-1, size)
         lc = adjoints.conj().reshape(k.shape)
-        grams = (k.swapaxes(-1, -2) @ lc, k @ lc.swapaxes(-1, -2))
         rho = np.empty((k.shape[0], self.n, 2, 2), dtype=np.complex128)
-        for j in range(self.n):
-            high = j >= self.low
-            bit, width = (j - self.low, self.n - self.low) if high else (j, self.low)
-            u, d = 1 << (width - 1 - bit), 1 << bit
-            rho[:, j] = np.einsum("suadubd->sab", grams[high].reshape(-1, u, 2, d, u, 2, d))
+        outer = 1  # values of the axes before group g
+        for d, qubits in zip(self.dims, self.groups):
+            view = (k.shape[0], outer, d, size // (outer * d))
+            kg, lg = (v.reshape(view).swapaxes(1, 2).reshape(view[0], d, -1) for v in (k, lc))
+            gram = kg @ lg.swapaxes(-1, -2)
+            for j in range(qubits.start, qubits.stop):
+                u, w = d >> (j - qubits.start + 1), 1 << (j - qubits.start)
+                rho[:, j] = np.einsum("suadubd->sab", gram.reshape(-1, u, 2, w, u, 2, w))
+            outer *= d
         return rho

@@ -94,8 +94,8 @@ def test_dense_steps_match_dense_step_matrix(n_qubits, entangler):
         basis = np.eye(dim, dtype=np.complex128)
         steps.evolve(basis, t - 1, t)
         assert_allclose(basis.T, want, atol=1e-12)
-        a0, b0t = steps.layer0(t - 1, t)
-        rewound = steps.rewind(np.eye(dim, dtype=np.complex128), *inverse(a0[:, 0], b0t[:, 0]))
+        first = inverse([f[:, 0] for f in steps.layer0(t - 1, t)])
+        rewound = steps.rewind(np.eye(dim, dtype=np.complex128), first)
         assert_allclose(rewound.T, want.conj().T, atol=1e-12)
 
 
@@ -132,22 +132,26 @@ def test_gather_is_the_entanglers_cnot_images(n_qubits, entangler):
     assert_array_equal(steps.gather.reshape(-1), want)
 
 
-@pytest.mark.parametrize("n_qubits", [1, 2, 3, 5, STRIDED_N])
+@pytest.mark.parametrize("n_qubits", [1, 2, 3, 5, STRIDED_N, 11, 12])
 def test_cross_operators_match_partial_traces(n_qubits):
+    # n = 11 and 12 take three factor groups, whose middle Gram matrix
+    # contracts over the groups on both sides of it
     steps = Steps(AnsatzConfig(n_qubits, 1), np.zeros(2 * n_qubits), np.zeros((1, 1, n_qubits)))
     rng = np.random.default_rng(120 + n_qubits)
     dim = 1 << n_qubits
     kets, adjoints = (rng.normal(size=(3, dim)) + 1j * rng.normal(size=(3, dim)) for _ in range(2))
     rho = steps.cross(kets, adjoints)
-    for s in range(3):
-        for j in range(n_qubits):
-            # rho_j[a, b] sums k[i] conj(l[i']) over index pairs that agree
-            # on every bit but bit j, which is a in i and b in i'
-            want = np.zeros((2, 2), dtype=np.complex128)
-            for i in range(dim):
-                for b in range(2):
-                    want[(i >> j) & 1, b] += kets[s, i] * adjoints[s, (i & ~(1 << j)) | (b << j)].conj()
-            assert_allclose(rho[s, j], want, atol=1e-12)
+    index = np.arange(dim)
+    for j in range(n_qubits):
+        # rho_j[a, b] sums k[i] conj(l[i']) over index pairs that agree
+        # on every bit but bit j, which is a in i and b in i'
+        want = np.zeros((3, 2, 2), dtype=np.complex128)
+        for a in range(2):
+            rows = index[(index >> j) & 1 == a]
+            for b in range(2):
+                partners = (rows & ~(1 << j)) | (b << j)
+                want[:, a, b] = (kets[:, rows] * adjoints[:, partners].conj()).sum(axis=1)
+        assert_allclose(rho[:, j], want, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +228,8 @@ def test_logits_bitwise_across_views_and_windows(n_qubits, T, t_keep):
     pytest.param(3, 2, 1, id="3"),
     pytest.param(4, 4, 1, id="4"),
     pytest.param(STRIDED_N, 10, 2, id=str(STRIDED_N)),
+    # three factor groups, in chunks of walk_rows(11) = 2: 2 + 1
+    pytest.param(11, 3, 2, id="11"),
 ])
 def test_batch_outputs_match_single_sequence_views_bitwise(n_qubits, batch, chunks):
     # the determinism contract: a sequence's logits (exact and sampled),
@@ -255,6 +261,30 @@ def test_batch_outputs_match_single_sequence_views_bitwise(n_qubits, batch, chun
             assert_array_equal(row, final_logits(samples[i].tokens, params, cfg))
             assert_array_equal(shot_row, final_logits(samples[i].tokens, params, cfg, shot,
                                                       sample_index=int(i)))
+
+
+@pytest.mark.parametrize("n_qubits", [4, 12])
+def test_layer0_is_built_once_per_step_and_pass(monkeypatch, n_qubits):
+    # the adjoint's window recompute hands its layer-0 factors to the
+    # walk, so a gradient builds each step's factors twice, in the sweep
+    # and in the adjoint, and a forward pass once
+    built = []
+    layer0 = Steps.layer0
+
+    def counted(self, start, stop):
+        built.append(self.rows * (stop - start))
+        return layer0(self, start, stop)
+
+    monkeypatch.setattr(Steps, "layer0", counted)
+    T = 2 * CHECKPOINT_INTERVAL + 1
+    cfg = small_cfg(n_qubits, t_keep=2)
+    params = init_qlam_params(np.random.default_rng(150), cfg)
+    sample = SequenceSample(np.random.default_rng(151).uniform(0.0, 1.0, T), 1)
+    loss_and_grad(sample, params, cfg)
+    assert sum(built) == 2 * T
+    built.clear()
+    final_logits(sample.tokens, params, cfg)
+    assert sum(built) == T
 
 
 @pytest.mark.parametrize("sample_index", [[0, 1], [0, 1, 2, 3], [[0, 1, 2]]],

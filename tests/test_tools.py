@@ -20,11 +20,13 @@ def test_dump_of_two_models_compares_bitwise_equal(tmp_path, capsys):
     first, again = tmp_path / "first.npz", tmp_path / "again.npz"
     count = tool.dump(first, models=2)
     assert tool.dump(again, models=2) == count
-    report, unmatched = tool.compare(first, again)
+    report, sizes, unmatched = tool.compare(first, again)
     assert not unmatched
     assert sum(arrays for arrays, _, _ in report.values()) == count
     for kind, (arrays, equal, worst) in report.items():
         assert equal == arrays and worst == 0.0, kind
+    # both models are 1-qubit: one size line holds every array
+    assert sizes == {1: [count, count, 0.0]}
     # both models are 1-qubit, so the shift oracle is in the dump
     assert report["param_shift_grad"][0] == 2
     # the batched passes hold one row per stacked sequence, and the batched
@@ -40,4 +42,6 @@ def test_dump_of_two_models_compares_bitwise_equal(tmp_path, capsys):
             for kind in ["exact"] + [f"shots{m}" for m in tool.SHOTS]:
                 assert arrays[f"{name}/batch_logits.{kind}"].shape == (rows, 3), kind
     assert tool.main(["--compare", str(first), str(again)]) == 0
-    assert f"total: {count} arrays, {count} bitwise equal" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert f"n =  1  {count:6d}  {count:7d}  0.000e+00\n" in out
+    assert f"total: {count} arrays, {count} bitwise equal" in out

@@ -15,11 +15,11 @@ The grid runs n = 1..12 qubits, ring and linear entanglers, with
 sequence lengths that cross checkpoint windows and kept readouts that
 start inside one.  Keys are "<model>/<output>".
 
-`--compare` reports, per kind of output (the key after the model), how
-many arrays are bitwise equal and the worst relative difference
-max|a - b| / max(1, max|b|); it exits 1 when the key sets differ.  Run
-the dump with the `src` of each tree on PYTHONPATH to compare two
-versions of the package.
+`--compare` reports, per kind of output (the key after the model) and
+then per register size, how many arrays are bitwise equal and the worst
+relative difference max|a - b| / max(1, max|b|); it exits 1 when the key
+sets differ.  Run the dump with the `src` of each tree on PYTHONPATH to
+compare two versions of the package.
 """
 
 from __future__ import annotations
@@ -110,23 +110,28 @@ def dump(path, models: int | None = None) -> int:
     return len(arrays)
 
 
-def compare(path_a, path_b) -> tuple[dict[str, list], set[str]]:
-    """{kind: [arrays, bitwise equal, worst relative difference]} over the
-    keys both dumps hold, and the keys only one of them holds."""
+def compare(path_a, path_b) -> tuple[dict[str, list], dict[int, list], set[str]]:
+    """{kind: [arrays, bitwise equal, worst relative difference]} and the
+    same per register size, {n: [...]}, over the keys both dumps hold, and
+    the keys only one of them holds."""
     with np.load(path_a) as a, np.load(path_b) as b:
         shared = sorted(set(a.files) & set(b.files))
-        report: dict[str, list] = defaultdict(lambda: [0, 0, 0.0])
+        kinds: dict[str, list] = defaultdict(lambda: [0, 0, 0.0])
+        sizes: dict[int, list] = defaultdict(lambda: [0, 0, 0.0])
         for key in shared:
             x, y = a[key], b[key]
-            row = report[key.split("/", 1)[1]]
-            row[0] += 1
+            model, kind = key.split("/", 1)
             if x.shape != y.shape:
-                row[2] = np.inf
-                continue
-            row[1] += int(np.array_equal(x, y))
-            diff = float(np.abs(x - y).max()) if x.size else 0.0
-            row[2] = max(row[2], diff / max(1.0, float(np.abs(y).max()) if y.size else 1.0))
-        return dict(report), set(a.files) ^ set(b.files)
+                equal, worst = 0, np.inf
+            else:
+                equal = int(np.array_equal(x, y))
+                diff = float(np.abs(x - y).max()) if x.size else 0.0
+                worst = diff / max(1.0, float(np.abs(y).max()) if y.size else 1.0)
+            for row in (kinds[kind], sizes[int(model.split("-", 1)[0][1:])]):
+                row[0] += 1
+                row[1] += equal
+                row[2] = max(row[2], worst)
+        return dict(kinds), dict(sizes), set(a.files) ^ set(b.files)
 
 
 def main(argv=None) -> int:
@@ -135,13 +140,16 @@ def main(argv=None) -> int:
     parser.add_argument("--compare", nargs=2, metavar=("A", "B"), help="compare two dumps")
     args = parser.parse_args(argv)
     if args.compare:
-        report, unmatched = compare(*args.compare)
-        width = max(map(len, report), default=4)
+        kinds, sizes, unmatched = compare(*args.compare)
+        width = max(map(len, kinds), default=4)
         print(f"{'kind':<{width}}  arrays  bitwise  worst rel diff")
-        for kind, (count, equal, worst) in sorted(report.items()):
+        for kind, (count, equal, worst) in sorted(kinds.items()):
             print(f"{kind:<{width}}  {count:6d}  {equal:7d}  {worst:.3e}")
-        total = sum(r[0] for r in report.values())
-        print(f"total: {total} arrays, {sum(r[1] for r in report.values())} bitwise equal")
+        print("qubits  arrays  bitwise  worst rel diff")
+        for n, (count, equal, worst) in sorted(sizes.items()):
+            print(f"n = {n:2d}  {count:6d}  {equal:7d}  {worst:.3e}")
+        total = sum(r[0] for r in kinds.values())
+        print(f"total: {total} arrays, {sum(r[1] for r in kinds.values())} bitwise equal")
         if unmatched:
             print(f"keys in one dump only: {len(unmatched)}", file=sys.stderr)
             return 1
