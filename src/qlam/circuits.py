@@ -20,10 +20,11 @@ steps at a time, hands each window's states to a readout callback and
 keeps the states at each window's start.  `Steps.adjoint` walks back
 from step T, recomputing one window at a time from its checkpoint
 (Jones & Gacon, arXiv:2009.02823).  Memory is the B * T/K checkpoints,
-one window of B recomputed sequences and its layer-0 factors (per row
-and step, d**2 complex numbers per factor group of d amplitudes: at
-most 2.5 * 2**n with two groups, 768 at n = 12), and a walk stack of
-at most max(B * 2**n, WALK_AMPLITUDES) (ket, adjoint) pairs:
+one window of B swept or recomputed sequences and that window's
+layer-0 factors, built in one call (per row and step, d**2 complex
+numbers per factor group of d amplitudes: at most 2.5 * 2**n with two
+groups, 768 at n = 12), and a walk stack of at most
+max(B * 2**n, WALK_AMPLITUDES) (ket, adjoint) pairs:
 O(B * (K + T/K) * 2**n) for any sequence length.  A layer's rotations
 are a tensor product, so with a state viewed as a tensor over k groups
 of qubits (two up to n = 10, three from n = 11; `factor_widths`) they
@@ -36,6 +37,7 @@ B = 1 sweep.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Literal
@@ -48,9 +50,9 @@ from .errors import ConfigError, NumericError, check_fields
 MAX_QUBITS = 12
 # The sweep runs in windows of this many steps, aligned at multiples of it.
 CHECKPOINT_INTERVAL = 32
-# The sweep builds layer-0 factors, and the adjoint walks (ket, adjoint)
-# pairs, for at most `walk_rows(n)` rows (sequences x steps) at a time,
-# which bounds the memory a call holds beside the states of its block.
+# The adjoint walks (ket, adjoint) pairs for at most `walk_rows(n)` rows
+# (sequences x steps) at a time, which bounds the memory of its walk
+# stack beside the states of its window.
 WALK_AMPLITUDES = 1 << 12
 
 
@@ -63,8 +65,10 @@ def new_zero_state(n_qubits: int) -> np.ndarray:
 
 def walk_rows(n_qubits: int) -> int:
     """States of 2**n_qubits amplitudes that fill WALK_AMPLITUDES, at
-    least one: the steps of a one-sequence sub-block, and the most
-    sequences a batched pass takes (the trainer's chunk)."""
+    least one: the steps of a one-sequence adjoint walk sub-block, the
+    groups in which the adjoint sums angle derivatives, and the most
+    sequences a batched pass takes (the trainer's chunk).  The sweep
+    builds layer 0 a window at a time whatever it is."""
     return max(1, WALK_AMPLITUDES >> n_qubits)
 
 
@@ -158,6 +162,22 @@ def times_ry(u: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
     return np.stack([u[..., 0] * c + u[..., 1] * s, u[..., 1] * c - u[..., 0] * s], -1)
 
 
+@functools.cache
+def trace_index(width: int) -> np.ndarray:
+    """(width, 2, 2, d/2) flat indices into a d x d matrix, d = 2**width,
+    read-only and built once per width: entry [j, a, b, r] is the element
+    whose row has bit j equal to a, whose column has bit j equal to b, and
+    whose other bits are, in both, r's bits in order.  Summing a Gram
+    matrix over r gives qubit j's partial trace."""
+    j = np.arange(width)[:, None, None, None]
+    r = np.arange((1 << width) >> 1)
+    rest = ((r >> j) << (j + 1)) | (r & ((1 << j) - 1))  # r with a 0 put in at bit j
+    a, b = np.arange(2)[:, None, None] << j, np.arange(2)[:, None] << j
+    index = ((rest | a) << width) | rest | b
+    index.setflags(write=False)
+    return index
+
+
 class Steps:
     """The recurrence steps of a stack of B equal-length sequences: swept
     forward from |0...0>, and walked back by the adjoint, a run of
@@ -197,7 +217,6 @@ class Steps:
         self.groups = [slice(lo, hi) for hi, lo in zip(tops, tops[1:])]
         self.shape = (self.dims[0], (1 << n) // self.dims[0])
         self.rows = embeddings.shape[0]
-        self.block = max(1, walk_rows(n) // self.rows)
         self.embeddings = embeddings
         self.angles = np.reshape(theta, (cfg.n_layers, n, 2))
         # CNOT(c, t) flips bit t of the index where bit c is set; after the
@@ -252,22 +271,21 @@ class Steps:
         states after steps first+1..stop (first defaults to start), in
         `out` when it is given.  layer0_factors holds the layer-0 factors
         of steps start+1..stop, as `layer0` builds them; without it they
-        are built `block` steps at a time."""
+        are built in one call, after the states are allocated.  A call
+        spans at most one window, and its factors take at most 2.5x the
+        memory of its steps' states."""
         first = start if first is None else first
         rows = self.rows
         states = (np.empty((rows, stop - first, psi.shape[-1]), dtype=np.complex128)
                   if out is None else out)
+        f0 = self.layer0(start, stop) if layer0_factors is None else layer0_factors
         views = states.reshape((rows, -1) + self.shape)
         x = psi.reshape((rows,) + self.shape)
-        for lo in range(start, stop, self.block):
-            hi = min(lo + self.block, stop)
-            f0 = (self.layer0(lo, hi) if layer0_factors is None
-                  else [f[:, lo - start:hi - start] for f in layer0_factors])
-            for t, own in enumerate(per_step(f0), lo + 1):
-                for layer in [own] + self.later_layers:
-                    x = self.rotate(layer, x).reshape(rows, -1).take(self.gather, axis=-1)
-                if t > first:
-                    views[:, t - first - 1] = x
+        for t, own in enumerate(per_step(f0), start + 1):
+            for layer in [own] + self.later_layers:
+                x = self.rotate(layer, x).reshape(rows, -1).take(self.gather, axis=-1)
+            if t > first:
+                views[:, t - first - 1] = x
         psi[:] = x.reshape(rows, -1)
         finite = np.isfinite(states).all(axis=(0, 2))
         if not finite.all():
@@ -307,9 +325,9 @@ class Steps:
 
         Windows are recomputed last first, from layer-0 factors built once
         for the window and kept for the walk, and consumed backward in
-        sub-blocks of `block` steps.  The adjoint recurrence
-        lam <- M_t^H (lam + inj_t), with lam (B, 2**n), stores lam + inj_t
-        for every step of a sub-block; one walk over the stacked
+        sub-blocks of walk_rows(n) // B steps (at least one).  The adjoint
+        recurrence lam <- M_t^H (lam + inj_t), with lam (B, 2**n), stores
+        lam + inj_t for every step of a sub-block; one walk over the stacked
         (2, B * S) (ket K, adjoint L) pairs then reads, just after each
         rotation layer, the derivative Im <L| P |K> = Im tr(P rho_j) of
         every angle a of a gate exp(-i a P/2) on qubit j (`cross`; the
@@ -325,6 +343,7 @@ class Steps:
         dtheta = np.zeros((rows,) + self.angles.shape)
         denc = np.empty((rows, T, self.n))
         lam = np.zeros((rows, 1 << self.n), dtype=np.complex128)
+        block = max(1, walk_rows(self.n) // rows)
         for win_start in sorted(self.checkpoints, reverse=True):
             win_end = min(win_start + CHECKPOINT_INTERVAL, T)
             # the window's states are allocated before its factors: the
@@ -336,8 +355,8 @@ class Steps:
                         layer0_factors=f0, out=seg)
             # every angle derivative of every step of the window
             dwin = np.empty((rows, win_end - win_start) + self.angles.shape)
-            for stop in range(win_end, win_start, -self.block):
-                start = max(win_start, stop - self.block)
+            for stop in range(win_end, win_start, -block):
+                start = max(win_start, stop - block)
                 inv0 = per_step(inverse([f[:, start - win_start:stop - win_start] for f in f0]))
                 pair = np.empty((2, rows, stop - start, 1 << self.n), dtype=np.complex128)
                 pair[0] = seg[:, start - win_start:stop - win_start]
@@ -387,18 +406,24 @@ class Steps:
         """(S, n, 2, 2) reduced cross operators rho_j = Tr_{not j} |k><l| of
         every qubit j, for S rows of kets k and adjoints l: per factor
         group g, the Gram matrix of k and conj(l) over every axis but a_g,
-        then a partial trace of it for each of the group's qubits."""
+        then every partial trace of it in one reduction (`trace_index`).
+        The trace sums by halving adds, which round each row the same
+        whatever S is."""
         size = 1 << self.n
         k = kets.reshape(-1, size)
         lc = adjoints.conj().reshape(k.shape)
         rho = np.empty((k.shape[0], self.n, 2, 2), dtype=np.complex128)
         outer = 1  # values of the axes before group g
         for d, qubits in zip(self.dims, self.groups):
+            if d == 1:
+                continue  # the empty second group at n = 1
             view = (k.shape[0], outer, d, size // (outer * d))
             kg, lg = (v.reshape(view).swapaxes(1, 2).reshape(view[0], d, -1) for v in (k, lc))
             gram = kg @ lg.swapaxes(-1, -2)
-            for j in range(qubits.start, qubits.stop):
-                u, w = d >> (j - qubits.start + 1), 1 << (j - qubits.start)
-                rho[:, j] = np.einsum("suadubd->sab", gram.reshape(-1, u, 2, w, u, 2, w))
+            t = gram.reshape(view[0], -1).take(trace_index(qubits.stop - qubits.start), axis=-1)
+            while t.shape[-1] > 1:
+                half = t.shape[-1] // 2
+                t = t[..., :half] + t[..., half:]
+            rho[:, qubits] = t[..., 0]
             outer *= d
         return rho

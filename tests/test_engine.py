@@ -154,6 +154,19 @@ def test_cross_operators_match_partial_traces(n_qubits):
         assert_allclose(rho[:, j], want, atol=1e-12)
 
 
+@pytest.mark.parametrize("n_qubits", [1, 2, 3, 5, STRIDED_N, 11, 12])
+def test_cross_operators_of_a_row_do_not_depend_on_the_stack(n_qubits):
+    # the determinism contract at the walk's reduction: a row's partial
+    # traces round the same in a stack of three as on their own
+    steps = Steps(AnsatzConfig(n_qubits, 1), np.zeros(2 * n_qubits), np.zeros((1, 1, n_qubits)))
+    rng = np.random.default_rng(125 + n_qubits)
+    dim = 1 << n_qubits
+    kets, adjoints = (rng.normal(size=(3, dim)) + 1j * rng.normal(size=(3, dim)) for _ in range(2))
+    rho = steps.cross(kets, adjoints)
+    for s in range(3):
+        assert_array_equal(rho[s], steps.cross(kets[s:s + 1], adjoints[s:s + 1])[0])
+
+
 # ---------------------------------------------------------------------------
 # Pauli tables.
 # ---------------------------------------------------------------------------
@@ -265,9 +278,10 @@ def test_batch_outputs_match_single_sequence_views_bitwise(n_qubits, batch, chun
 
 @pytest.mark.parametrize("n_qubits", [4, 12])
 def test_layer0_is_built_once_per_step_and_pass(monkeypatch, n_qubits):
-    # the adjoint's window recompute hands its layer-0 factors to the
-    # walk, so a gradient builds each step's factors twice, in the sweep
-    # and in the adjoint, and a forward pass once
+    # each pass builds a window's layer-0 factors in one call, and the
+    # adjoint's window recompute hands them to the walk, so a gradient
+    # builds each step's factors twice, in the sweep and in the adjoint,
+    # and a forward pass once
     built = []
     layer0 = Steps.layer0
 
@@ -277,14 +291,17 @@ def test_layer0_is_built_once_per_step_and_pass(monkeypatch, n_qubits):
 
     monkeypatch.setattr(Steps, "layer0", counted)
     T = 2 * CHECKPOINT_INTERVAL + 1
+    windows = -(-T // CHECKPOINT_INTERVAL)
     cfg = small_cfg(n_qubits, t_keep=2)
     params = init_qlam_params(np.random.default_rng(150), cfg)
     sample = SequenceSample(np.random.default_rng(151).uniform(0.0, 1.0, T), 1)
     loss_and_grad(sample, params, cfg)
     assert sum(built) == 2 * T
+    assert len(built) == 2 * windows
     built.clear()
     final_logits(sample.tokens, params, cfg)
     assert sum(built) == T
+    assert len(built) == windows
 
 
 @pytest.mark.parametrize("sample_index", [[0, 1], [0, 1, 2, 3], [[0, 1, 2]]],
