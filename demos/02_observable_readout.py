@@ -11,7 +11,7 @@ Hermiticity and the mixing bound |<O>| <= sum |gamma_i|.
 import numpy as np
 
 from qlam.cell import CellConfig, decoder, init_qlam_params
-from qlam.observables import pool_table
+from qlam.observables import pauli_table
 
 
 def dense(labels, n):
@@ -32,7 +32,7 @@ def main():
     print(f"Pauli pool for {cfg.n_qubits} qubits "
           f"({len(cfg.pool)} terms):")
     for term in cfg.pool:
-        print("  ", term.labels)
+        print("  ", term)
 
     rng = np.random.default_rng(11)
     params = init_qlam_params(rng, cfg)
@@ -43,13 +43,13 @@ def main():
     for a in rng.uniform(0, np.pi, cfg.n_qubits):
         state = np.kron([np.cos(a / 2), np.sin(a / 2)], state)
     # the pool expectations are shared by every head and query
-    exps = pool_table(cfg.pool).expectations(state[None])[0]
+    exps = pauli_table(cfg.pool).expectations(state[None])[0]
 
     for trial in range(3):
         q_vec = rng.normal(size=cfg.d_query)
         gammas = decoder(q_vec, params)[1]
         for head in range(cfg.n_heads):
-            matrix = sum(g * dense(t.labels, cfg.n_qubits)
+            matrix = sum(g * dense(t, cfg.n_qubits)
                          for g, t in zip(gammas[head], cfg.pool))
             defect = np.abs(matrix - matrix.conj().T).max()
             value = gammas[head] @ exps

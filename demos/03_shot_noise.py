@@ -9,7 +9,7 @@ falling like 1/sqrt(shots). The shot stream is counter-based, so any
 import numpy as np
 
 from qlam.cell import measure
-from qlam.observables import ShotConfig, default_pauli_pool, pool_table
+from qlam.observables import ShotConfig, default_pauli_pool, pauli_table
 
 
 def main():
@@ -22,7 +22,7 @@ def main():
         state = np.kron([np.cos(a / 2), np.sin(a / 2)], state)
 
     pool = default_pauli_pool(n)
-    table = pool_table(pool)
+    table = pauli_table(pool)
     gammas = rng.normal(size=len(pool))
     exps = table.expectations(state[None])[0]
     exact = gammas @ exps

@@ -39,7 +39,7 @@ from .errors import (
 )
 from .gradients import GradBundle, loss_and_grad, param_shift_grad
 from .nn import adam_step, cosine_lr, softmax_cross_entropy
-from .observables import PauliString, ShotConfig, default_pauli_pool
+from .observables import ShotConfig, default_pauli_pool
 from .trainer import (
     MetricsRow,
     TrainConfig,
@@ -55,7 +55,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AnsatzConfig", "CellConfig", "ConfigError", "DataError", "DatasetBundle",
     "FoldPlan", "GradBundle", "MetricsRow", "NumericError", "ParseError",
-    "PauliString", "QlamError", "QlamParams", "ReadoutTrace", "SequenceSample",
+    "QlamError", "QlamParams", "ReadoutTrace", "SequenceSample",
     "ShapeError", "ShotConfig", "TrainConfig", "TrainResult", "ValidationError",
     "adam_step", "cosine_lr", "default_pauli_pool", "evaluate", "final_logits",
     "forward", "init_qlam_params", "load_checkpoint", "load_cifar10_bin",

@@ -19,12 +19,14 @@ equal-length sequences.  It builds one `circuits.Steps` and lets
 `Steps.sweep` advance every memory together; only that advance is
 sequential.  Everything else runs once per window or once per stack on
 stacked arrays: pool expectations of each window's kept states through
-`measure` (exact, or shot-sampled from each sequence's own streams),
-called back from the sweep, and the query and `decoder` of every kept
-step.  The decoder runs one sequence at a time as BLAS products, a GEMM
-and a stacked matmul over the heads, on fixed blocks of DECODER_ROWS
-rows.  A head's readout is its weight row dotted with the pool
-expectations, one mat-vec per step; no observable object is built.
+`measure` (exact, or shot-sampled from each sequence's own streams) on
+the cached `pauli_table` of the pool, a tuple of Pauli labels
+(`CellConfig.pool`), called back from the sweep, and the query and
+`decoder` of every kept step.  The decoder runs one sequence at a time
+as BLAS products, a GEMM and a stacked matmul over the heads, on fixed
+blocks of DECODER_ROWS rows.  A head's readout is its weight row
+dotted with the pool expectations, one mat-vec per step; no observable
+object is built.
 `batch_logits` classifies a stack, one mat-vec per sequence.  `forward`,
 `final_logits`, the adjoint gradients and the parameter-shift oracle in
 `gradients` are all views of `run`, the single-sequence ones with B = 1;
@@ -47,11 +49,10 @@ from .circuits import AnsatzConfig, Steps
 from .data import validate_tokens
 from .errors import ConfigError, NumericError, ShapeError, check_fields
 from .observables import (
-    PauliString,
     PauliTable,
     ShotConfig,
     default_pauli_pool,
-    pool_table,
+    pauli_table,
     sample_means,
 )
 
@@ -82,7 +83,7 @@ class CellConfig:
         return AnsatzConfig(self.n_qubits, self.n_layers, self.entangler)
 
     @property
-    def pool(self) -> list[PauliString]:
+    def pool(self) -> tuple[str, ...]:
         return default_pauli_pool(self.n_qubits)
 
     @property
@@ -317,7 +318,7 @@ def run(
         emb = embed_token(x, params)
     steps = Steps(cfg.ansatz, params.theta, emb)  # rejects a non-finite embedding
     q = np.einsum("qn,btn->btq", params.w_q, emb[:, first - 1:])
-    table = pool_table(cfg.pool)
+    table = pauli_table(cfg.pool)
     exps = np.empty((x.shape[0], keep, table.size))
 
     def read(lo, states):

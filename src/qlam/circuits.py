@@ -65,10 +65,9 @@ def new_zero_state(n_qubits: int) -> np.ndarray:
 
 def walk_rows(n_qubits: int) -> int:
     """States of 2**n_qubits amplitudes that fill WALK_AMPLITUDES, at
-    least one: the steps of a one-sequence adjoint walk sub-block, the
-    groups in which the adjoint sums angle derivatives, and the most
-    sequences a batched pass takes (the trainer's chunk).  The sweep
-    builds layer 0 a window at a time whatever it is."""
+    least one: the steps of a one-sequence adjoint walk sub-block, and
+    the most sequences a batched pass takes (the trainer's chunk).  The
+    sweep builds layer 0 a window at a time whatever it is."""
     return max(1, WALK_AMPLITUDES >> n_qubits)
 
 
@@ -335,8 +334,7 @@ class Steps:
         sub-block's first step, rewound through the whole step, is the
         next lam.  Each step's ket is the recomputed state, so inverse-gate
         drift never crosses a step.  A window's angle derivatives are
-        summed in groups of `walk_rows(n)` steps, the sub-blocks of a
-        B = 1 walk, whatever B is.
+        summed in one reduction over its steps.
         """
         rows, T = self.embeddings.shape[:2]
         cos_rz, sin_rz = np.cos(self.angles[..., 1]), np.sin(self.angles[..., 1])
@@ -386,12 +384,7 @@ class Steps:
                 denc[:, start:stop] = derivs[:, :, 0, :, 0]
                 heads = pair[1].reshape((rows, stop - start) + self.shape)[:, 0]
                 lam = self.rotate(inv0[0], heads).reshape(rows, -1)
-            # sum in groups of a one-row walk's sub-blocks, whatever the
-            # row count, so a row's sums never depend on the rows beside it
-            group = walk_rows(self.n)
-            for stop in range(win_end, win_start, -group):
-                start = max(win_start, stop - group)
-                dtheta += dwin[:, start - win_start:stop - win_start].sum(axis=1)
+            dtheta += dwin.sum(axis=1)
             del seg, f0, pair  # release the window before the next one is allocated
         return dtheta, denc
 

@@ -8,9 +8,10 @@ c[t, i], the classical weight on pool expectation i at step t.  The
 engine that swept the forward pass (`Run.steps`) walks the stack back,
 one window of CHECKPOINT_INTERVAL steps at a time, with
 `circuits.Steps.adjoint`, injecting ``sum_i c_i P_i |psi_t>`` at each
-kept step through `PauliTable.apply`.  Its circuit-angle derivatives,
-and its per-step encoding derivatives chained into the embedding,
-complete each sequence's gradient, bit for bit the one it gets alone.
+kept step through `PauliTable.apply` of the pool's cached
+`pauli_table`.  Its circuit-angle derivatives, and its per-step
+encoding derivatives chained into the embedding, complete each
+sequence's gradient, bit for bit the one it gets alone.
 
 Parameter-shift and finite differences exist as oracles only; both are
 exact for expectation readouts but far more expensive.  The shift oracle
@@ -29,7 +30,7 @@ from .circuits import CHECKPOINT_INTERVAL  # noqa: F401 (perfbench reads it from
 from .data import SequenceSample
 from .errors import NumericError, ShapeError
 from .nn import softmax_cross_entropy
-from .observables import pool_table
+from .observables import pauli_table
 
 
 @dataclass
@@ -83,7 +84,7 @@ def _decoder_backward(w: np.ndarray, r: Run, params, grads) -> np.ndarray:
 def _backward(r: Run, w: np.ndarray, params, cfg, grads) -> None:
     """Adjoint of the kept readouts weighted by w, added into grads."""
     c = _decoder_backward(w, r, params, grads)
-    table = pool_table(cfg.pool)
+    table = pauli_table(cfg.pool)
 
     def inject(lo, kets):
         coeffs = c[:, lo - r.first + 1:][:, :kets.shape[1]]

@@ -1,6 +1,9 @@
 """Pauli strings, their exact expectation values, and shot sampling.
 
-A readout observable is a real-weighted sum of Pauli strings
+A Pauli string is its label, a ``str`` over I/X/Y/Z whose character j
+acts on qubit j, and a pool is a tuple of labels; `pauli_table` builds
+and caches the tables of a pool, the only thing built from it.  A
+readout observable is a real-weighted sum of Pauli strings
 ``O = sum_i gamma_i P_i``.  Real weights on Hermitian terms make ``O``
 Hermitian, so every expectation value is real and the readout has valid
 measurement semantics.  There is no observable object: the weights stay
@@ -13,11 +16,11 @@ Shot sampling averages m simulated +-1 outcomes per string, drawn from
 counter-based Philox streams (Salmon et al., SC'11): the key is
 ``(seed, sample)`` and the counter starts at ``(timestep, term)``, so
 parallel evaluation of different samples or timesteps can never perturb
-each other's draws.  `shot_stream` and `sample_term_mean` are the
-one-coordinate reference; `sample_means`, which `cell.measure` calls,
-draws a whole stack of coordinates from one generator re-pointed at each
-coordinate's counter, with the same outcomes bit for bit.  The m-shot
-estimate of ``<O>`` has variance ``sum_i gamma_i^2 (1 - <P_i>^2) / m``.
+each other's draws.  `sample_means`, which `cell.measure` calls, draws a
+whole stack of coordinates from one generator re-pointed at each
+coordinate's counter; the tests check it bit for bit against a fresh
+generator per coordinate.  The m-shot estimate of ``<O>`` has variance
+``sum_i gamma_i^2 (1 - <P_i>^2) / m``.
 """
 
 from __future__ import annotations
@@ -29,31 +32,6 @@ from typing import Literal
 import numpy as np
 
 from .errors import ConfigError, check_fields
-
-_PAULI_CHARS = frozenset("IXYZ")
-
-
-@dataclass(frozen=True)
-class PauliString:
-    """Tensor product of single-qubit Paulis; ``labels[j]`` acts on qubit j."""
-
-    labels: str
-
-    def __post_init__(self):
-        if not self.labels or not set(self.labels) <= _PAULI_CHARS:
-            raise ConfigError(f"Pauli labels must be over I/X/Y/Z, got {self.labels!r}")
-
-    @property
-    def n_qubits(self) -> int:
-        return len(self.labels)
-
-    @property
-    def is_identity(self) -> bool:
-        return set(self.labels) == {"I"}
-
-    def __str__(self) -> str:
-        return self.labels
-
 
 # Weights of the (re, im) axis that turn sum_c a_c b_(1-c) into Im(conj(a) b).
 _IM_WEIGHTS = np.array([1.0, -1.0])
@@ -154,11 +132,6 @@ def pauli_table(labels: tuple[str, ...]) -> PauliTable:
     return PauliTable(labels)
 
 
-def pool_table(pool: list[PauliString]) -> PauliTable:
-    """The cached tables of a pool; the step engine reads every pool through them."""
-    return pauli_table(tuple(p.labels for p in pool))
-
-
 # ---------------------------------------------------------------------------
 # Shot sampling.
 # ---------------------------------------------------------------------------
@@ -196,28 +169,14 @@ def stream_counter(timestep: int, term_index: int) -> np.ndarray:
     return np.array([0, 0, term_index & _U64, timestep & _U64], dtype=np.uint64)
 
 
-def shot_stream(seed: int, sample_index: int, timestep: int, term_index: int) -> np.random.Generator:
-    """Philox stream for one (seed, sample, timestep, term) coordinate."""
-    bits = np.random.Philox(counter=stream_counter(timestep, term_index),
-                            key=stream_key(seed, sample_index))
-    return np.random.Generator(bits)
-
-
-def sample_term_mean(
-    expectation: float, m: int, rng: np.random.Generator
-) -> float:
-    """Average of m simulated +-1 measurement outcomes with mean ``expectation``."""
-    p_plus = min(max(0.5 * (1.0 + expectation), 0.0), 1.0)
-    n_plus = int(np.count_nonzero(rng.random(m) < p_plus))
-    return (2 * n_plus - m) / m
-
-
 def sample_means(exps: np.ndarray, m: int, seed: int, sample_index: int, t0: int) -> np.ndarray:
     """(S, P) m-shot means of (S, P) expectations at timesteps t0, t0+1, ...
 
-    Bit for bit ``sample_term_mean(exps[s, k], m, shot_stream(seed,
-    sample_index, t0 + s, k))``, from one generator for the whole stack:
-    each coordinate assigns it the state of a new `shot_stream`, whose
+    Entry (s, k) is the mean of m +-1 outcomes, +1 where a uniform draw
+    falls below ``(1 + exps[s, k]) / 2``, drawn from the Philox stream
+    that starts at ``stream_counter(t0 + s, k)`` under
+    ``stream_key(seed, sample_index)``.  One generator serves the whole
+    stack: each coordinate assigns it the state of a fresh stream, whose
     counter is the coordinate's start and whose 4-word output buffer is
     spent, then draws into one reused buffer of m doubles.
     """
@@ -241,21 +200,21 @@ def sample_means(exps: np.ndarray, m: int, seed: int, sample_index: int, t0: int
 # Default measurement pool.
 # ---------------------------------------------------------------------------
 
-def default_pauli_pool(n_qubits: int) -> list[PauliString]:
-    """Z and X on every qubit plus nearest-neighbour ZZ ring pairs.
+def default_pauli_pool(n_qubits: int) -> tuple[str, ...]:
+    """Labels of Z and X on every qubit plus nearest-neighbour ZZ ring pairs.
 
-    Ordering: Z_0..Z_{n-1}, X_0..X_{n-1}, then Z_j Z_{j+1} around the
-    ring.  On two qubits the ring closes on itself, so the single pair
-    appears once; one qubit has no pairs.  Pool size is 2n plus the
-    number of distinct adjacent pairs.
+    ``label[j]`` acts on qubit j.  Ordering: Z_0..Z_{n-1}, X_0..X_{n-1},
+    then Z_j Z_{j+1} around the ring.  On two qubits the ring closes on
+    itself, so the single pair appears once; one qubit has no pairs.
+    Pool size is 2n plus the number of distinct adjacent pairs.
     """
     if n_qubits < 1:
         raise ConfigError(f"n_qubits must be positive, got {n_qubits}")
 
-    def single(label: str, j: int) -> PauliString:
+    def single(label: str, j: int) -> str:
         chars = ["I"] * n_qubits
         chars[j] = label
-        return PauliString("".join(chars))
+        return "".join(chars)
 
     pool = [single("Z", j) for j in range(n_qubits)]
     pool += [single("X", j) for j in range(n_qubits)]
@@ -268,5 +227,5 @@ def default_pauli_pool(n_qubits: int) -> list[PauliString]:
                 chars = ["I"] * n_qubits
                 chars[j] = "Z"
                 chars[(j + 1) % n_qubits] = "Z"
-                pool.append(PauliString("".join(chars)))
-    return pool
+                pool.append("".join(chars))
+    return tuple(pool)

@@ -150,8 +150,8 @@ class TrainConfig:
 
 @dataclass
 class MetricsRow:
-    """One logged split at one epoch; wall_seconds is reported separately
-    because it can never reproduce bitwise."""
+    """One logged split at one epoch.  Wall time goes to the timing
+    sidecar instead, because it can never reproduce bitwise."""
 
     epoch: int
     split: str
@@ -160,7 +160,6 @@ class MetricsRow:
     lr: float
     seed: int
     fold: int
-    wall_seconds: float = math.nan
 
 
 @dataclass
@@ -442,7 +441,6 @@ def train(config: TrainConfig, bundle: DatasetBundle | None = None) -> TrainResu
         )
         append_metrics(metrics_path, [last_train, last_test])
         wall = time.perf_counter() - started
-        last_train.wall_seconds = last_test.wall_seconds = wall
         _append_timing(timing_path, epoch, wall)
         started = time.perf_counter()
 

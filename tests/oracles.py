@@ -6,10 +6,11 @@ it shares code with the package's factored step engine, so agreement
 is evidence, not tautology.  `dense_step` is the gate-by-gate reference
 of one recurrence step at every register size: it contracts one gate at
 a time with the columns it is given, so no 2**n x 2**n matrix is built
-unless the columns are the identity.  Qubit 0 is the least-significant
-bit of the basis index, matching the package convention: the dense
-operator for a per-qubit list [op_0 ... op_{n-1}] is
-kron(op_{n-1}, ..., op_0).
+unless the columns are the identity.  `shot_stream` and
+`sample_term_mean` are the one-coordinate shot reference, with the
+Philox layout written out.  Qubit 0 is the least-significant bit of the
+basis index, matching the package convention: the dense operator for a
+per-qubit list [op_0 ... op_{n-1}] is kron(op_{n-1}, ..., op_0).
 """
 
 from __future__ import annotations
@@ -124,7 +125,7 @@ def dense_recurrence_readouts(tokens, params, cfg, step_thetas=None) -> np.ndarr
     (T, n_params) array when one is given, params.theta otherwise."""
     from qlam.observables import default_pauli_pool
 
-    pool = [p.labels for p in default_pauli_pool(cfg.n_qubits)]
+    pool = default_pauli_pool(cfg.n_qubits)
     dim = 1 << cfg.n_qubits
     psi = np.zeros(dim, dtype=np.complex128)
     psi[0] = 1.0
@@ -178,6 +179,31 @@ def einsum_decoder_backward(w, tokens, embeddings, queries, exps, params):
     grads["embed_w"] = np.einsum("tn,t->n", de, tokens)
     grads["embed_b"] = de.sum(axis=0)
     return grads, np.einsum("th,thp->tp", w, gammas)
+
+
+# ---------------------------------------------------------------------------
+# Shot sampling, one coordinate at a time.
+# ---------------------------------------------------------------------------
+
+_U64 = 0xFFFFFFFFFFFFFFFF
+
+
+def shot_stream(seed: int, sample_index: int, timestep: int, term_index: int) -> np.random.Generator:
+    """A fresh Philox stream for one (seed, sample, timestep, term)
+    coordinate: key ``(seed, sample_index)``, 256-bit counter words
+    ``[0, 0, term_index, timestep]``, so draws advance the low words and
+    distinct coordinates never overlap.  The reference for
+    `observables.sample_means`."""
+    key = np.array([seed & _U64, sample_index & _U64], dtype=np.uint64)
+    counter = np.array([0, 0, term_index & _U64, timestep & _U64], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(counter=counter, key=key))
+
+
+def sample_term_mean(expectation: float, m: int, rng: np.random.Generator) -> float:
+    """Average of m simulated +-1 measurement outcomes with mean ``expectation``."""
+    p_plus = min(max(0.5 * (1.0 + expectation), 0.0), 1.0)
+    n_plus = int(np.count_nonzero(rng.random(m) < p_plus))
+    return (2 * n_plus - m) / m
 
 
 # ---------------------------------------------------------------------------

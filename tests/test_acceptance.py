@@ -40,7 +40,7 @@ from qlam.data import (
 )
 from qlam.errors import ParseError, QlamError
 from qlam.gradients import loss_and_grad, readout_param_shift, weighted_readout_grads
-from qlam.observables import ShotConfig, default_pauli_pool, pool_table
+from qlam.observables import ShotConfig, default_pauli_pool, pauli_table
 from qlam.trainer import TrainConfig, train, train_elman
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -109,7 +109,7 @@ def test_criterion_03_observables_hermitian():
         params = init_qlam_params(rng, cfg)
         q = rng.normal(size=cfg.d_query)
         gammas = decoder(q, params)[1]
-        labels = [p.labels for p in cfg.pool]
+        labels = cfg.pool
         for head in range(cfg.n_heads):
             dense = dense_observable_matrix(gammas[head], labels)
             worst = max(worst, np.abs(dense - dense.conj().T).max())
@@ -138,9 +138,9 @@ def test_criterion_04_dense_oracle_100_instances():
 
         pool = default_pauli_pool(n)
         gammas = rng.normal(size=len(pool))
-        got = gammas @ pool_table(pool).expectations(state[None])[0]
+        got = gammas @ pauli_table(pool).expectations(state[None])[0]
         want = dense_expectation(
-            state, dense_observable_matrix(gammas, [p.labels for p in pool])
+            state, dense_observable_matrix(gammas, pool)
         )
         assert abs(got - want) < 1e-10
 
@@ -154,7 +154,7 @@ def test_criterion_05_shot_scaling_slope():
     state = random_state(rng, 2)
     pool = default_pauli_pool(2)
     gammas = rng.normal(size=len(pool))
-    table = pool_table(pool)
+    table = pauli_table(pool)
     exps = table.expectations(state[None])[0]
     exact = gammas @ exps
 

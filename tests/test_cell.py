@@ -162,7 +162,7 @@ def test_decode_observable_hermitian_dense():
     cfg = small_cfg()
     params = make_params(cfg, 21)
     rng = np.random.default_rng(5)
-    labels = [p.labels for p in cfg.pool]
+    labels = cfg.pool
     for _ in range(10):
         gammas = decoder(rng.normal(size=cfg.d_query), params)[1][1]
         dense = dense_observable_matrix(gammas, labels)

@@ -43,7 +43,7 @@ from qlam.data import SequenceSample
 from qlam.errors import NumericError, ShapeError
 from qlam.gradients import batch_loss_and_grad, loss_and_grad, param_shift_grad
 from qlam.nn import softmax_cross_entropy
-from qlam.observables import ShotConfig, default_pauli_pool, pauli_table, pool_table
+from qlam.observables import ShotConfig, default_pauli_pool, pauli_table
 
 # an odd register: unequal high (5 qubits) and low (4 qubits) halves
 STRIDED_N = 9
@@ -173,7 +173,7 @@ def test_cross_operators_of_a_row_do_not_depend_on_the_stack(n_qubits):
 
 @pytest.mark.parametrize("n_qubits", [1, 2, 3, 4, 6])
 def test_pool_table_terms_match_dense_pauli_strings(n_qubits):
-    labels = tuple(p.labels for p in default_pauli_pool(n_qubits))
+    labels = default_pauli_pool(n_qubits)
     table = pauli_table(labels)
     dim = 1 << n_qubits
     for k, label in enumerate(labels):
@@ -364,7 +364,7 @@ def plan_logits(tokens, params, cfg):
     """`final_logits` with every step run gate by gate through the dense
     oracle."""
     emb = embed_token(np.asarray(tokens, dtype=np.float64), params)
-    table = pool_table(cfg.pool)
+    table = pauli_table(cfg.pool)
     psi = new_zero_state(cfg.n_qubits)
     exps = []
     for t, e in enumerate(emb, 1):

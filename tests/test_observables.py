@@ -8,37 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from oracles import dense_observable_matrix, dense_pauli_string
+from oracles import dense_observable_matrix, dense_pauli_string, sample_term_mean, shot_stream
 
-from qlam.cell import measure
+from qlam.cell import CellConfig, measure
 from qlam.circuits import new_zero_state
 from qlam.errors import ConfigError
-from qlam.observables import (
-    PauliString,
-    ShotConfig,
-    default_pauli_pool,
-    pauli_table,
-    pool_table,
-    sample_means,
-    sample_term_mean,
-    shot_stream,
-)
+from qlam.observables import ShotConfig, default_pauli_pool, pauli_table, sample_means
 
 
 def random_state(n_qubits, seed):
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=1 << n_qubits) + 1j * rng.normal(size=1 << n_qubits)
     return amps / np.linalg.norm(amps)
-
-
-def test_pauli_string_validation():
-    assert PauliString("IXYZ").n_qubits == 4
-    assert PauliString("II").is_identity
-    assert not PauliString("IZ").is_identity
-    with pytest.raises(ConfigError):
-        PauliString("")
-    with pytest.raises(ConfigError):
-        PauliString("AB")
 
 
 def test_eigenstate_expectations():
@@ -72,7 +53,7 @@ def test_pauli_expectation_matches_dense(n_qubits):
 def test_pauli_expectation_bounded(seed, term):
     state = random_state(3, seed)
     pool = default_pauli_pool(3)
-    value = pool_table([pool[term % len(pool)]]).expectations(state[None])[0, 0]
+    value = pauli_table((pool[term % len(pool)],)).expectations(state[None])[0, 0]
     assert -1.0 - 1e-12 <= value <= 1.0 + 1e-12
 
 
@@ -82,9 +63,9 @@ def test_expectation_exact_matches_dense():
         pool = default_pauli_pool(n_qubits)
         gammas = rng.normal(size=len(pool))
         state = random_state(n_qubits, 900 + n_qubits)
-        dense = dense_observable_matrix(gammas, [p.labels for p in pool])
+        dense = dense_observable_matrix(gammas, pool)
         expected = np.real(np.conj(state) @ dense @ state)
-        got = gammas @ pool_table(pool).expectations(state[None])[0]
+        got = gammas @ pauli_table(pool).expectations(state[None])[0]
         assert_allclose(got, expected, atol=1e-12)
 
 
@@ -93,15 +74,15 @@ def test_observable_dense_matrix_is_hermitian():
     pool = default_pauli_pool(3)
     for _ in range(20):
         gammas = rng.normal(size=len(pool))
-        dense = dense_observable_matrix(gammas, [p.labels for p in pool])
+        dense = dense_observable_matrix(gammas, pool)
         assert np.abs(dense - dense.conj().T).max() < 1e-14
 
 
 def test_default_pool_sizes_and_order():
-    assert [p.labels for p in default_pauli_pool(1)] == ["Z", "X"]
+    assert list(default_pauli_pool(1)) == ["Z", "X"]
     # the two-qubit ring closes on itself: the ZZ pair appears once
-    assert [p.labels for p in default_pauli_pool(2)] == ["ZI", "IZ", "XI", "IX", "ZZ"]
-    pool3 = [p.labels for p in default_pauli_pool(3)]
+    assert list(default_pauli_pool(2)) == ["ZI", "IZ", "XI", "IX", "ZZ"]
+    pool3 = list(default_pauli_pool(3))
     assert pool3 == ["ZII", "IZI", "IIZ", "XII", "IXI", "IIX", "ZZI", "IZZ", "ZIZ"]
     assert len(default_pauli_pool(4)) == 12
     assert len(default_pauli_pool(6)) == 18
@@ -109,13 +90,20 @@ def test_default_pool_sizes_and_order():
         default_pauli_pool(0)
 
 
+@pytest.mark.parametrize("n_qubits", [1, 2, 3, 4])
+def test_pool_is_label_strings_with_one_cached_table(n_qubits):
+    pool = default_pauli_pool(n_qubits)
+    assert type(pool) is tuple and all(type(label) is str for label in pool)
+    assert pauli_table(CellConfig(n_qubits=n_qubits).pool) is pauli_table(pool)
+
+
 def test_pool_expectations_match_loop():
     # the pool's table agrees bit for bit with one-term tables
     state = random_state(3, 123)
     pool = default_pauli_pool(3)
-    vec = pool_table(pool).expectations(state[None])[0]
+    vec = pauli_table(pool).expectations(state[None])[0]
     for i, pauli in enumerate(pool):
-        assert vec[i] == pool_table([pauli]).expectations(state[None])[0, 0]
+        assert vec[i] == pauli_table((pauli,)).expectations(state[None])[0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -143,13 +131,13 @@ def test_numpy_int_shot_config_draws_the_same_shots():
     plain = ShotConfig("sampled", 64, -5)
     numpy_ints = ShotConfig("sampled", np.int64(64), np.int64(-5))
     states = np.stack([random_state(2, 30), random_state(2, 31)])
-    table = pool_table(default_pauli_pool(2))
+    table = pauli_table(default_pauli_pool(2))
     assert np.array_equal(measure(states, table, numpy_ints, 3, 5), measure(states, table, plain, 3, 5))
 
 
 def sampled_value(state, gammas, pool, cfg, sample_index, timestep=0):
     """gammas @ the m-shot pool means of one state at one timestep."""
-    return gammas @ measure(state[None], pool_table(pool), cfg, sample_index, timestep)[0]
+    return gammas @ measure(state[None], pauli_table(pool), cfg, sample_index, timestep)[0]
 
 
 def test_sampled_deterministic_given_seed():
@@ -195,7 +183,7 @@ def test_sampled_measure_matches_per_coordinate_streams(m, sample_index, t0):
     # one re-pointed generator per call reproduces every coordinate's own
     # stream, also when m is not a multiple of Philox's 4-draw block
     pool = default_pauli_pool(2)
-    table = pool_table(pool)
+    table = pauli_table(pool)
     basis = np.eye(4, dtype=np.complex128)
     states = np.stack([basis[0], basis[3], random_state(2, 7), random_state(2, 8)])
     shot = ShotConfig(mode="sampled", shots_per_term=m, rng_seed=11)
@@ -218,7 +206,7 @@ def test_sampled_estimator_unbiased():
     state = random_state(2, 55)
     pool = default_pauli_pool(2)
     gammas = np.array([0.4, -0.2, 0.3, 0.15, -0.5])
-    exps = pool_table(pool).expectations(state[None])[0]
+    exps = pauli_table(pool).expectations(state[None])[0]
     exact = gammas @ exps
     cfg = ShotConfig(mode="sampled", shots_per_term=200, rng_seed=17)
     reps = 400
@@ -232,7 +220,7 @@ def test_sampling_std_matches_empirical():
     state = random_state(2, 21)
     pool = default_pauli_pool(2)
     gammas = np.array([0.6, -0.4, 0.2, 0.3, 0.1])
-    exps = pool_table(pool).expectations(state[None])[0]
+    exps = pauli_table(pool).expectations(state[None])[0]
     m = 100
     cfg = ShotConfig(mode="sampled", shots_per_term=m, rng_seed=5)
     estimates = [sampled_value(state, gammas, pool, cfg, i) for i in range(600)]
