@@ -20,12 +20,11 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .circuits import AnsatzConfig, new_zero_state
 from .data import (
     DatasetBundle,
-    FoldPlan,
     SequenceSample,
+    fold_split,
     load_cifar10_bin,
     load_dataset,
     load_idx,
-    make_folds,
     to_sequence,
 )
 from .errors import (
@@ -54,12 +53,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnsatzConfig", "CellConfig", "ConfigError", "DataError", "DatasetBundle",
-    "FoldPlan", "GradBundle", "MetricsRow", "NumericError", "ParseError",
+    "GradBundle", "MetricsRow", "NumericError", "ParseError",
     "QlamError", "QlamParams", "ReadoutTrace", "SequenceSample",
     "ShapeError", "ShotConfig", "TrainConfig", "TrainResult", "ValidationError",
     "adam_step", "cosine_lr", "default_pauli_pool", "evaluate", "final_logits",
-    "forward", "init_qlam_params", "load_checkpoint", "load_cifar10_bin",
-    "load_dataset", "load_idx", "loss_and_grad", "make_folds", "new_zero_state",
+    "fold_split", "forward", "init_qlam_params", "load_checkpoint", "load_cifar10_bin",
+    "load_dataset", "load_idx", "loss_and_grad", "new_zero_state",
     "param_shift_grad", "predict", "read_metrics", "run_folds", "save_checkpoint",
     "softmax_cross_entropy", "to_sequence", "train",
 ]

@@ -1,5 +1,8 @@
 """Dataset ingestion: IDX and CIFAR-10 binary parsing, image-to-sequence
-conversion, downsampling plans, and fold splitting.
+conversion, downsampling plans, seeded splits, and the preset table.
+
+Each preset is one row of a table (`DATASET_NAMES` is its keys), and the
+bundle's `n_classes` sizes the trainer's classifier head.
 
 Every parser fails with a byte offset; every writer is the exact inverse
 of its parser so fixtures round-trip bit for bit.  Pixel tensors stay
@@ -248,47 +251,24 @@ def shrink_28_to_16(image: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Fold splitting.
+# Splits: seeded shuffles of range(n_samples) into (train, test) indices.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FoldPlan:
-    """Seeded shuffle split into contiguous folds; fold k tests on slice k."""
-
-    n_folds: int
-    seed: int
-    permutation: np.ndarray
-    boundaries: tuple[int, ...]
-
-    def test_indices(self, fold: int) -> np.ndarray:
-        self._check(fold)
-        return self.permutation[self.boundaries[fold]:self.boundaries[fold + 1]]
-
-    def train_indices(self, fold: int) -> np.ndarray:
-        self._check(fold)
-        return np.concatenate([
-            self.permutation[: self.boundaries[fold]],
-            self.permutation[self.boundaries[fold + 1]:],
-        ])
-
-    def _check(self, fold: int) -> None:
-        if not 0 <= fold < self.n_folds:
-            raise ConfigError(f"fold {fold} outside [0, {self.n_folds})")
-
-
-def make_folds(n_samples: int, seed: int, n_folds: int = 10) -> FoldPlan:
-    """Disjoint cover of range(n_samples); deterministic for a given seed."""
+def fold_split(n_samples: int, seed: int, n_folds: int, fold: int) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded shuffle cut into n_folds contiguous slices, the first
+    n_samples % n_folds one longer; fold k tests on slice k and trains on
+    the rest, so the folds' test slices are a disjoint cover."""
     if n_folds < 2 or n_folds > n_samples:
         raise ConfigError(
             f"need 2 <= n_folds <= n_samples, got {n_folds} folds for {n_samples} samples"
         )
-    rng = np.random.default_rng([seed, 2])
-    perm = rng.permutation(n_samples)
+    if not 0 <= fold < n_folds:
+        raise ConfigError(f"fold {fold} outside [0, {n_folds})")
+    perm = np.random.default_rng([seed, 2]).permutation(n_samples)
     base, extra = divmod(n_samples, n_folds)
-    bounds = [0]
-    for k in range(n_folds):
-        bounds.append(bounds[-1] + base + (1 if k < extra else 0))
-    return FoldPlan(n_folds, seed, perm, tuple(bounds))
+    lo = fold * base + min(fold, extra)
+    hi = lo + base + (fold < extra)
+    return np.concatenate([perm[:lo], perm[hi:]]), perm[lo:hi]
 
 
 def holdout_split(n_samples: int, seed: int, test_fraction: float = 0.2) -> tuple[np.ndarray, np.ndarray]:
@@ -307,7 +287,8 @@ def holdout_split(n_samples: int, seed: int, test_fraction: float = 0.2) -> tupl
 
 @dataclass
 class DatasetBundle:
-    """Loaded dataset: train split, optional fixed test split, metadata."""
+    """Train split, canonical test split or None, and metadata; the
+    trainer gives its classifier one output per class of `n_classes`."""
 
     name: str
     train: list[SequenceSample]
@@ -347,33 +328,31 @@ def _idx_samples(folder: Path, images_stem: str, labels_stem: str, transform) ->
     return out
 
 
-def _load_mnist_family(folder: Path, name: str, transform, seq_len: int) -> DatasetBundle:
-    train = _idx_samples(folder, "train-images-idx3-ubyte", "train-labels-idx1-ubyte", transform)
-    test = _idx_samples(folder, "t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte", transform)
-    return DatasetBundle(name, train, test, seq_len, 10)
+def _mnist_family(root: str | None, folder: str, transform) -> tuple[list, list]:
+    path = data_root(root) / folder
+    return (
+        _idx_samples(path, "train-images-idx3-ubyte", "train-labels-idx1-ubyte", transform),
+        _idx_samples(path, "t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte", transform),
+    )
 
 
-def _load_cifar(folder: Path) -> DatasetBundle:
-    def batch(path: Path) -> list[SequenceSample]:
+def _cifar(root: str | None) -> tuple[list, list]:
+    folder = data_root(root) / "cifar-10-batches-bin"
+
+    def batch(stem: str) -> list[SequenceSample]:
+        path = folder / f"{stem}.bin"
+        if not path.is_file():
+            raise DataError(f"missing dataset file {path}")
         images, labels = load_cifar10_bin(path)
         return [
             SequenceSample(to_sequence(img, "rgb_channel_concat"), int(lab))
             for img, lab in zip(images, labels)
         ]
 
-    train: list[SequenceSample] = []
-    for i in range(1, 6):
-        path = folder / f"data_batch_{i}.bin"
-        if not path.is_file():
-            raise DataError(f"missing dataset file {path}")
-        train.extend(batch(path))
-    test_path = folder / "test_batch.bin"
-    if not test_path.is_file():
-        raise DataError(f"missing dataset file {test_path}")
-    return DatasetBundle("scifar10", train, batch(test_path), 3072, 10)
+    return [s for i in range(1, 6) for s in batch(f"data_batch_{i}")], batch("test_batch")
 
 
-def _load_digits(name: str, upsample: int) -> DatasetBundle:
+def _digits(upsample: int) -> tuple[list, None]:
     try:
         from sklearn.datasets import load_digits
     except ImportError as exc:
@@ -387,16 +366,26 @@ def _load_digits(name: str, upsample: int) -> DatasetBundle:
         if upsample > 1:
             pixels = upsample_nearest(pixels, upsample)
         samples.append(SequenceSample(to_sequence(pixels, "grayscale_raster"), int(lab)))
-    return DatasetBundle(name, samples, None, samples[0].tokens.shape[0], 10)
+    return samples, None
 
 
-DATASET_NAMES = (
-    "smnist", "sfashion", "scifar10", "smnist8", "smnist16", "sdigits8", "sdigits16",
-)
+# preset name -> (class count, loader); a loader takes the dataset root
+# override and returns the train and test sample lists, test None where
+# the preset ships no canonical test split
+_PRESETS = {
+    "smnist": (10, lambda root: _mnist_family(root, "mnist", None)),
+    "sfashion": (10, lambda root: _mnist_family(root, "fashion-mnist", None)),
+    "scifar10": (10, _cifar),
+    "smnist8": (10, lambda root: _mnist_family(root, "mnist", shrink_28_to_8)),
+    "smnist16": (10, lambda root: _mnist_family(root, "mnist", shrink_28_to_16)),
+    "sdigits8": (10, lambda root: _digits(1)),
+    "sdigits16": (10, lambda root: _digits(2)),
+}
+DATASET_NAMES = tuple(_PRESETS)
 
 
 def load_dataset(name: str, root: str | None = None) -> DatasetBundle:
-    """Load a named preset.
+    """Load a named preset; its sequence length is read from its samples.
 
     File-backed presets look under the dataset root (argument or the
     QLAM_DATA_DIR environment variable): mnist/ and fashion-mnist/ hold
@@ -405,19 +394,10 @@ def load_dataset(name: str, root: str | None = None) -> DatasetBundle:
     and need no files; they ship no canonical test split (test=None),
     so the trainer splits them by seed.
     """
-    if name not in DATASET_NAMES:
+    if name not in _PRESETS:
         raise ConfigError(f"unknown dataset {name!r}; choose from {DATASET_NAMES}")
-    if name == "sdigits8":
-        return _load_digits(name, 1)
-    if name == "sdigits16":
-        return _load_digits(name, 2)
-    rootdir = data_root(root)
-    if name == "smnist":
-        return _load_mnist_family(rootdir / "mnist", name, None, 784)
-    if name == "sfashion":
-        return _load_mnist_family(rootdir / "fashion-mnist", name, None, 784)
-    if name == "smnist8":
-        return _load_mnist_family(rootdir / "mnist", name, shrink_28_to_8, 64)
-    if name == "smnist16":
-        return _load_mnist_family(rootdir / "mnist", name, shrink_28_to_16, 256)
-    return _load_cifar(rootdir / "cifar-10-batches-bin")
+    n_classes, loader = _PRESETS[name]
+    train, test = loader(root)
+    if not train:
+        raise DataError(f"dataset {name} has no training samples")
+    return DatasetBundle(name, train, test, train[0].tokens.shape[0], n_classes)

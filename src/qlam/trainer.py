@@ -2,6 +2,8 @@
 
 A `TrainConfig` checks its fields when it is built, and again on every
 `dataclasses.replace`, so no function here meets an unchecked config.
+Both models get one output per class of `DatasetBundle.n_classes`, and
+the splits' labels are checked against it before the first epoch.
 Everything downstream of the config is deterministic: seeded streams are
 namespaced as [seed, 0] for parameter init, [seed, 1, epoch] for batch
 shuffling, and [seed, 2, fold] for data splitting and subsampling, and
@@ -32,11 +34,11 @@ from .data import (
     DATASET_NAMES,
     DatasetBundle,
     SequenceSample,
+    fold_split,
     holdout_split,
     load_dataset,
-    make_folds,
 )
-from .errors import ConfigError, NumericError, check_fields
+from .errors import ConfigError, DataError, NumericError, check_fields
 from .gradients import GradBundle, batch_loss_and_grad
 from .nn import (
     AdamState,
@@ -130,6 +132,7 @@ class TrainConfig:
         return 50 if self.dataset == "scifar10" else 30
 
     def cell_config(self) -> CellConfig:
+        """This config's cell; `train` sets its class count from the dataset."""
         return CellConfig(
             n_qubits=self.n_qubits,
             n_layers=self.n_layers,
@@ -138,7 +141,6 @@ class TrainConfig:
             n_heads=self.n_heads,
             decoder_hidden=self.decoder_hidden,
             t_keep=self.t_keep,
-            n_classes=10,
         )
 
     def shot_config(self) -> ShotConfig:
@@ -242,23 +244,21 @@ def resolve_splits(
     holdout on a dataset with a canonical test split keeps that split and
     varies only the seeded subsample per fold (repeated independent
     runs); holdout without one cuts a seeded test fraction.  kfold pools
-    every sample and takes fold k of a seeded 10-fold plan.
+    every sample and takes fold k of a seeded n_folds-fold cut.
     """
     rng = np.random.default_rng([config.seed, 2, config.fold])
-    if config.split_mode == "kfold":
-        pool = bundle.train + (bundle.test or [])
-        plan = make_folds(len(pool), config.seed, config.n_folds)
-        train = [pool[i] for i in plan.train_indices(config.fold)]
-        test = [pool[i] for i in plan.test_indices(config.fold)]
-    elif bundle.test is not None:
+    if config.split_mode == "holdout" and bundle.test is not None:
         train, test = bundle.train, bundle.test
     else:
-        train_idx, test_idx = holdout_split(
-            len(bundle.train), config.seed * config.n_folds + config.fold,
-            config.test_fraction,
-        )
-        train = [bundle.train[i] for i in train_idx]
-        test = [bundle.train[i] for i in test_idx]
+        pool = bundle.train + (bundle.test or [])
+        if config.split_mode == "kfold":
+            train_idx, test_idx = fold_split(len(pool), config.seed, config.n_folds, config.fold)
+        else:
+            train_idx, test_idx = holdout_split(
+                len(pool), config.seed * config.n_folds + config.fold, config.test_fraction
+            )
+        train = [pool[i] for i in train_idx]
+        test = [pool[i] for i in test_idx]
     return (
         _subsample(train, config.train_subsample, rng),
         _subsample(test, config.test_subsample, rng),
@@ -366,8 +366,9 @@ def evaluate_samples(
     )
 
 
-def _splits(config: TrainConfig, bundle: DatasetBundle | None) -> tuple[list, list]:
-    """The config's train and test split; neither may be empty."""
+def _splits(config: TrainConfig, bundle: DatasetBundle | None) -> tuple[list, list, int]:
+    """The config's train and test split, neither empty and every label
+    in [0, n_classes), and the dataset's class count."""
     if bundle is None:
         bundle = load_dataset(config.dataset, config.data_dir)
     train_set, test_set = resolve_splits(config, bundle)
@@ -375,7 +376,12 @@ def _splits(config: TrainConfig, bundle: DatasetBundle | None) -> tuple[list, li
         raise ConfigError(
             f"empty split: {len(train_set)} train / {len(test_set)} test samples"
         )
-    return train_set, test_set
+    n_classes = bundle.n_classes
+    for split, samples in (("train", train_set), ("test", test_set)):
+        for i, sample in enumerate(samples):
+            if not 0 <= sample.label < n_classes:
+                raise DataError(f"{split} sample {i} has label {sample.label}, outside [0, {n_classes})")
+    return train_set, test_set, n_classes
 
 
 def _epochs(config: TrainConfig, train_set: list[SequenceSample], params: dict[str, np.ndarray], gradients):
@@ -410,8 +416,8 @@ def train(config: TrainConfig, bundle: DatasetBundle | None = None) -> TrainResu
     themselves (loss and prediction before each update); test metrics
     come from a dedicated exact-mode evaluation per epoch.
     """
-    train_set, test_set = _splits(config, bundle)
-    cell_cfg = config.cell_config()
+    train_set, test_set, n_classes = _splits(config, bundle)
+    cell_cfg = replace(config.cell_config(), n_classes=n_classes)
     params = init_qlam_params(np.random.default_rng([config.seed, 0]), cell_cfg)
 
     out_dir = Path(config.out_dir)
@@ -459,7 +465,8 @@ def evaluate(checkpoint_path, config: TrainConfig, bundle: DatasetBundle | None 
     """Accuracy of a saved model on this config's test split.
 
     Refuses a config whose split settings differ from the ones the model
-    was trained with, since its "test" split would hold training samples.
+    was trained with, since its "test" split would hold training samples,
+    and a dataset whose class count differs from the model's head.
     Reads out with the config's shot settings, exact or sampled.
     """
     params, cell_cfg, extra = load_checkpoint(checkpoint_path)
@@ -469,7 +476,9 @@ def evaluate(checkpoint_path, config: TrainConfig, bundle: DatasetBundle | None 
                 f"checkpoint was trained with {name}={extra[name]!r}, "
                 f"the config has {name}={getattr(config, name)!r}"
             )
-    _, test_set = _splits(config, bundle)
+    _, test_set, n_classes = _splits(config, bundle)
+    if n_classes != cell_cfg.n_classes:
+        raise ConfigError(f"checkpoint has {cell_cfg.n_classes} classes, the dataset has {n_classes}")
     _, accuracy = evaluate_samples(
         test_set, params, cell_cfg, config.shot_config(), workers=config.workers
     )
@@ -522,10 +531,10 @@ def train_elman(
     optimizer; returns (final train accuracy, test accuracy, param count).
 
     The default width of 97 puts its parameter count (10583) near the
-    default hybrid model's (10658).
+    default hybrid model's (10658) on a ten-class dataset.
     """
-    train_set, test_set = _splits(config, bundle)
-    params = init_elman(np.random.default_rng([config.seed, 0]), d_hidden, 10)
+    train_set, test_set, n_classes = _splits(config, bundle)
+    params = init_elman(np.random.default_rng([config.seed, 0]), d_hidden, n_classes)
 
     epochs = _epochs(config, train_set, params, lambda batch: _mean_gradients(
         batch, 1, lambda chunk: [GradBundle(*elman_loss_and_grad(s.tokens, s.label, params))

@@ -3,7 +3,9 @@ plans.  Fixture bytes are assembled by hand with struct so the parser is
 never checked against its own writer alone."""
 
 import gzip
+import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,10 +14,12 @@ from numpy.testing import assert_allclose, assert_array_equal
 from qlam.data import (
     CIFAR_RECORD_BYTES,
     DATA_DIR_ENV,
+    DATASET_NAMES,
     cifar10_bytes,
     center_crop,
     data_root,
     downsample,
+    fold_split,
     holdout_split,
     idx_images_bytes,
     idx_labels_bytes,
@@ -23,7 +27,6 @@ from qlam.data import (
     load_dataset,
     load_idx,
     load_idx_images,
-    make_folds,
     pad_to,
     parse_cifar10_bytes,
     parse_idx_bytes,
@@ -36,6 +39,8 @@ from qlam.data import (
     write_idx_labels,
 )
 from qlam.errors import ConfigError, DataError, ParseError, ShapeError
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 IMAGES_MAGIC = 0x00000803
 LABELS_MAGIC = 0x00000801
@@ -303,34 +308,38 @@ def test_shrink_28_to_16():
 # Splits.
 # ---------------------------------------------------------------------------
 
-def test_make_folds_partitions():
-    plan = make_folds(23, seed=5, n_folds=4)
-    sizes = [plan.test_indices(k).size for k in range(4)]
+def test_fold_split_partitions():
+    folds = [fold_split(23, seed=5, n_folds=4, fold=k) for k in range(4)]
+    sizes = [test.size for _, test in folds]
     assert sizes == [6, 6, 6, 5]
-    all_test = np.concatenate([plan.test_indices(k) for k in range(4)])
+    all_test = np.concatenate([test for _, test in folds])
     assert_array_equal(np.sort(all_test), np.arange(23))
-    for k in range(4):
-        train, test = plan.train_indices(k), plan.test_indices(k)
+    for train, test in folds:
         assert np.intersect1d(train, test).size == 0
         assert train.size + test.size == 23
 
 
-def test_make_folds_deterministic():
-    a = make_folds(50, seed=9)
-    b = make_folds(50, seed=9)
-    c = make_folds(50, seed=10)
-    assert_array_equal(a.permutation, b.permutation)
-    assert np.any(a.permutation != c.permutation)
+def test_fold_split_deterministic():
+    def permutation(seed):
+        # fold k tests on slice k of the seeded shuffle, so the test
+        # slices in fold order are the whole permutation
+        return np.concatenate([fold_split(50, seed, 10, k)[1] for k in range(10)])
+
+    a = permutation(9)
+    b = permutation(9)
+    c = permutation(10)
+    assert_array_equal(a, b)
+    assert np.any(a != c)
 
 
-def test_make_folds_validation():
+def test_fold_split_validation():
     with pytest.raises(ConfigError):
-        make_folds(10, seed=0, n_folds=1)
+        fold_split(10, seed=0, n_folds=1, fold=0)
     with pytest.raises(ConfigError):
-        make_folds(3, seed=0, n_folds=4)
-    plan = make_folds(10, seed=0, n_folds=2)
+        fold_split(3, seed=0, n_folds=4, fold=0)
+    fold_split(10, seed=0, n_folds=2, fold=1)
     with pytest.raises(ConfigError):
-        plan.test_indices(2)
+        fold_split(10, seed=0, n_folds=2, fold=2)
 
 
 def test_holdout_split():
@@ -374,6 +383,23 @@ def test_file_backed_preset_needs_files(tmp_path):
 def test_unknown_dataset_name():
     with pytest.raises(ConfigError):
         load_dataset("mnist")
+
+
+def test_readme_datasets_table_names_every_preset():
+    section = README.read_text().split("\n## Datasets\n", 1)[1].split("\n## ", 1)[0]
+    names = re.findall(r"^\| `(\w+)`", section, re.M)
+    assert sorted(names) == sorted(DATASET_NAMES)
+
+
+def test_preset_without_training_samples_is_a_data_error(tmp_path):
+    folder = tmp_path / "mnist"
+    folder.mkdir()
+    empty = np.zeros((0, 28, 28), dtype=np.uint8)
+    for prefix in ("train", "t10k"):
+        write_idx_images(folder / f"{prefix}-images-idx3-ubyte", empty)
+        write_idx_labels(folder / f"{prefix}-labels-idx1-ubyte", np.zeros(0, dtype=np.uint8))
+    with pytest.raises(DataError, match="no training samples"):
+        load_dataset("smnist", root=str(tmp_path))
 
 
 def test_unknown_dataset_name_without_a_root(monkeypatch):

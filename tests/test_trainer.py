@@ -9,9 +9,10 @@ from numpy.testing import assert_array_equal
 
 import qlam.trainer
 from qlam.cell import CellConfig, final_logits, init_qlam_params
+from qlam.checkpoint import load_checkpoint
 from qlam.circuits import AnsatzConfig, walk_rows
 from qlam.data import DatasetBundle, SequenceSample
-from qlam.errors import ConfigError
+from qlam.errors import ConfigError, DataError
 from qlam.gradients import loss_and_grad
 from qlam.nn import init_elman, softmax_cross_entropy
 from qlam.observables import ShotConfig
@@ -32,8 +33,9 @@ from qlam.trainer import (
 
 
 def synthetic_bundle(n_per_class=12, T=8, n_classes=4, noise=0.03, seed=0):
-    """Well separated class prototypes plus small noise; labels still use
-    the 10-way output head, only the first n_classes occur."""
+    """Well separated class prototypes plus small noise.  The bundle says
+    10 classes, so the model gets a 10-way head; only the first n_classes
+    labels occur."""
     rng = np.random.default_rng(seed)
     prototypes = rng.uniform(0.15, 0.85, size=(n_classes, T))
     samples = []
@@ -344,6 +346,56 @@ def test_evaluate_reproduces_logged_accuracy(tmp_path):
     result = train(cfg, bundle)
     acc = evaluate(result.checkpoint_path, cfg, bundle)
     assert acc == result.final_test.accuracy
+
+
+def three_class_bundle():
+    return dataclasses.replace(synthetic_bundle(n_classes=3), n_classes=3)
+
+
+def test_bundle_class_count_sizes_the_head(tmp_path):
+    bundle = three_class_bundle()
+    cfg = tiny_config(out_dir=str(tmp_path))
+    result = train(cfg, bundle)
+    assert result.params.cls_w.shape[0] == 3
+    _, cell_cfg, _ = load_checkpoint(result.checkpoint_path)
+    assert cell_cfg.n_classes == 3
+    assert evaluate(result.checkpoint_path, cfg, bundle) == result.final_test.accuracy
+    d = 8
+    _, _, n_params = train_elman(cfg, bundle, d_hidden=d)
+    assert n_params == 2 * d + d * d + 3 * d + 3
+
+
+def test_label_outside_the_class_count_is_a_data_error(tmp_path):
+    bundle = three_class_bundle()
+    cfg = tiny_config(out_dir=str(tmp_path / "clean"))
+    checkpoint_path = train(cfg, bundle).checkpoint_path
+    bad = bundle.train[5] = SequenceSample(bundle.train[5].tokens, 3)
+    where = [
+        (split, i)
+        for split, samples in zip(("train", "test"), resolve_splits(cfg, bundle))
+        for i, sample in enumerate(samples) if sample is bad
+    ]
+    assert len(where) == 1
+    split, i = where[0]
+    cfg = dataclasses.replace(cfg, out_dir=str(tmp_path / "bad"))
+    for run in (
+        lambda: train(cfg, bundle),
+        lambda: train_elman(cfg, bundle, d_hidden=4),
+        lambda: evaluate(checkpoint_path, cfg, bundle),
+    ):
+        with pytest.raises(DataError, match=f"{split} sample {i} has label 3, outside \\[0, 3\\)"):
+            run()
+    # raised before the first epoch: no run directory, no metrics
+    assert not (tmp_path / "bad").exists()
+
+
+def test_evaluate_refuses_a_checkpoint_of_another_class_count(tmp_path):
+    bundle = synthetic_bundle(n_classes=3)
+    cfg = tiny_config(out_dir=str(tmp_path))
+    result = train(cfg, bundle)
+    assert result.params.cls_w.shape[0] == 10
+    with pytest.raises(ConfigError, match="checkpoint has 10 classes, the dataset has 3"):
+        evaluate(result.checkpoint_path, cfg, dataclasses.replace(bundle, n_classes=3))
 
 
 def test_evaluate_refuses_a_split_other_than_the_training_one(tmp_path):
