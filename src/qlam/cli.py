@@ -1,9 +1,11 @@
 """Command-line interface: train, eval, and folds subcommands.
 
-Configuration comes from an optional JSON key-value file (field names of
-TrainConfig) with CLI flags winning over file values.  Exit status is 0
-on success; failures print one categorized line to stderr and exit with
-a category-specific nonzero code.
+`TrainConfig` is the one schema of a run.  Every field is a flag,
+``--<field-name>`` except for the short names in `_FLAG_NAMES`, and an
+optional JSON key-value file (`--config`, the same field names) supplies
+values that explicit flags override.  Exit status is 0 on success;
+failures print one categorized line to stderr and exit with a
+category-specific nonzero code.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ _CONFIG_KEYS = {f.name for f in fields(TrainConfig)}
 
 def load_config_file(path) -> dict:
     try:
-        payload = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
         raise QlamError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
@@ -44,48 +46,32 @@ def load_config_file(path) -> dict:
     return payload
 
 
+# flags that keep a name other than --<field name>
+_FLAG_NAMES = {"n_qubits": "--qubits", "n_layers": "--layers", "n_heads": "--heads", "base_lr": "--lr"}
+_FLAG_HELP = {
+    "shots": "shots per pool term for sampled readout in qlam eval; 0 means exact mode "
+    "(train and folds always test with exact readout)",
+    "workers": "threads that run the batched gradient and evaluation chunks side by side",
+    "data_dir": "dataset root (default: QLAM_DATA_DIR environment variable)",
+}
+# field annotation (without "| None") -> argparse type
+_FLAG_TYPES = {"int": int, "float": float, "str": str}
+
+
 def _add_override_flags(parser: argparse.ArgumentParser) -> None:
+    """--config, then one flag per TrainConfig field."""
     parser.add_argument("--config", help="JSON config file with TrainConfig fields")
-    parser.add_argument("--dataset", help="dataset preset name")
-    parser.add_argument("--seed", type=int, help="master seed")
-    parser.add_argument("--fold", type=int, help="fold index")
-    parser.add_argument("--epochs", type=int, help="training epochs")
-    parser.add_argument("--qubits", type=int, dest="n_qubits", help="memory qubits")
-    parser.add_argument("--layers", type=int, dest="n_layers", help="ansatz layers")
-    parser.add_argument("--heads", type=int, dest="n_heads", help="readout heads")
-    parser.add_argument("--d-query", type=int, dest="d_query", help="query width")
-    parser.add_argument("--batch-size", type=int, dest="batch_size")
-    parser.add_argument("--lr", type=float, dest="base_lr", help="base learning rate")
-    parser.add_argument(
-        "--shots", type=int,
-        help="shots per pool term for sampled readout in qlam eval; 0 means exact mode "
-        "(train and folds always test with exact readout)",
-    )
-    parser.add_argument("--split-mode", dest="split_mode", choices=("holdout", "kfold"))
-    parser.add_argument("--n-folds", type=int, dest="n_folds")
-    parser.add_argument("--train-subsample", type=int, dest="train_subsample")
-    parser.add_argument("--test-subsample", type=int, dest="test_subsample")
-    parser.add_argument(
-        "--workers", type=int,
-        help="threads that run the batched gradient and evaluation chunks side by side",
-    )
-    parser.add_argument("--out-dir", dest="out_dir", help="run output directory")
-    parser.add_argument(
-        "--data-dir", dest="data_dir",
-        help="dataset root (default: QLAM_DATA_DIR environment variable)",
-    )
+    for f in fields(TrainConfig):
+        parser.add_argument(
+            _FLAG_NAMES.get(f.name, "--" + f.name.replace("_", "-")), dest=f.name,
+            type=_FLAG_TYPES[f.type.partition(" | ")[0]], help=_FLAG_HELP.get(f.name),
+        )
 
 
 def build_config(args: argparse.Namespace) -> TrainConfig:
+    """The config file's fields, overridden by every flag given."""
     values = load_config_file(args.config) if args.config else {}
-    for key in _CONFIG_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            values[key] = value
-    if getattr(args, "shots", None) is not None:
-        values["shot_mode"] = "sampled" if args.shots else "exact"
-        if args.shots:
-            values["shots_per_term"] = args.shots
+    values.update({key: getattr(args, key) for key in _CONFIG_KEYS if getattr(args, key) is not None})
     return TrainConfig(**values)
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import gzip
 import os
 import struct
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -41,10 +42,16 @@ class SequenceSample:
 # ---------------------------------------------------------------------------
 
 def _read_bytes(path) -> bytes:
+    """A file's bytes, gunzipped if it starts with the gzip magic.  A gzip
+    stream that ends early fails at offset len(file), a corrupt one at 0."""
     raw = Path(path).read_bytes()
-    if raw[:2] == b"\x1f\x8b":
+    if raw[:2] != b"\x1f\x8b":
+        return raw
+    try:
         return gzip.decompress(raw)
-    return raw
+    except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+        offset = len(raw) if isinstance(exc, EOFError) else 0
+        raise ParseError(f"bad gzip stream in {path}: {exc}", offset) from exc
 
 
 def parse_idx_bytes(data: bytes, expected_magic: int) -> np.ndarray:

@@ -1,7 +1,9 @@
 """Training loop, evaluation, and fold orchestration.
 
-A `TrainConfig` checks its fields when it is built, and again on every
-`dataclasses.replace`, so no function here meets an unchecked config.
+`TrainConfig` is the one schema of a run: each field is a `qlam` flag
+and a config-file key.  It checks its fields when it is built, and again
+on every `dataclasses.replace`, so no function here meets an unchecked
+config.
 Both models get one output per class of `DatasetBundle.n_classes`, and
 the splits' labels are checked against it before the first epoch.
 Everything downstream of the config is deterministic: seeded streams are
@@ -22,7 +24,7 @@ import csv
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -86,8 +88,7 @@ class TrainConfig:
     n_folds: int = 10
     split_mode: str = "holdout"
     test_fraction: float = 0.2
-    shot_mode: str = "exact"
-    shots_per_term: int = 1024
+    shots: int = 0
     train_subsample: int | None = None
     test_subsample: int | None = None
     out_dir: str = "runs"
@@ -96,6 +97,9 @@ class TrainConfig:
 
     def __post_init__(self):
         check_fields(self)
+        for name in ("seed", "shots"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.dataset not in DATASET_NAMES:
             raise ConfigError(
                 f"unknown dataset {self.dataset!r}; choose from {DATASET_NAMES}"
@@ -123,7 +127,6 @@ class TrainConfig:
         if not self.clip_norm > 0:
             raise ConfigError(f"clip_norm must be positive, got {self.clip_norm}")
         self.cell_config()
-        self.shot_config()
 
     @property
     def resolved_epochs(self) -> int:
@@ -132,19 +135,14 @@ class TrainConfig:
         return 50 if self.dataset == "scifar10" else 30
 
     def cell_config(self) -> CellConfig:
-        """This config's cell; `train` sets its class count from the dataset."""
-        return CellConfig(
-            n_qubits=self.n_qubits,
-            n_layers=self.n_layers,
-            entangler=self.entangler,
-            d_query=self.d_query,
-            n_heads=self.n_heads,
-            decoder_hidden=self.decoder_hidden,
-            t_keep=self.t_keep,
-        )
+        """This config's cell: every `CellConfig` field that is also a
+        field here; `train` sets its class count from the dataset."""
+        mine = {f.name for f in fields(self)}
+        return CellConfig(**{f.name: getattr(self, f.name) for f in fields(CellConfig) if f.name in mine})
 
     def shot_config(self) -> ShotConfig:
-        return ShotConfig(self.shot_mode, self.shots_per_term, self.seed)
+        """`shots` draws per pool term, seeded by `seed`; 0 is exact readout."""
+        return ShotConfig("sampled", self.shots, self.seed) if self.shots else ShotConfig()
 
     def run_tag(self) -> str:
         return f"s{self.seed}_f{self.fold}"
@@ -421,7 +419,10 @@ def train(config: TrainConfig, bundle: DatasetBundle | None = None) -> TrainResu
     params = init_qlam_params(np.random.default_rng([config.seed, 0]), cell_cfg)
 
     out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create out_dir {config.out_dir!r}: {exc}") from exc
     tag = config.run_tag()
     metrics_path = out_dir / f"metrics_{tag}.csv"
     timing_path = out_dir / f"timing_{tag}.csv"
@@ -522,18 +523,23 @@ def run_folds(config: TrainConfig, bundle: DatasetBundle | None = None) -> Folds
 # Elman baseline under the same budget.
 # ---------------------------------------------------------------------------
 
-def train_elman(
-    config: TrainConfig,
-    bundle: DatasetBundle | None = None,
-    d_hidden: int = 97,
-) -> tuple[float, float, int]:
+def train_elman(config: TrainConfig, bundle: DatasetBundle | None = None) -> tuple[float, float, int]:
     """Train the recurrent baseline with the same data, schedule, and
     optimizer; returns (final train accuracy, test accuracy, param count).
 
-    The default width of 97 puts its parameter count (10583) near the
-    default hybrid model's (10658) on a ten-class dataset.
+    The hybrid this config trains sizes the baseline: with C classes, a
+    width d has d^2 + (C + 2) d + C parameters, and d is the width whose
+    count is nearest the hybrid's, the smaller on a tie.  The default cell
+    on ten classes (10,658 parameters) gives d = 97 (10,583).
     """
     train_set, test_set, n_classes = _splits(config, bundle)
+    cell_cfg = replace(config.cell_config(), n_classes=n_classes)
+    # only the shapes count, so any stream will do
+    target = param_count(init_qlam_params(np.random.default_rng(0), cell_cfg).as_dict())
+    d_hidden = min(
+        range(1, math.isqrt(target) + 2),
+        key=lambda d: abs(d * d + (n_classes + 2) * d + n_classes - target),
+    )
     params = init_elman(np.random.default_rng([config.seed, 0]), d_hidden, n_classes)
 
     epochs = _epochs(config, train_set, params, lambda batch: _mean_gradients(

@@ -1,6 +1,13 @@
-"""Command-line interface: config precedence, exit codes, and end-to-end
-subcommand runs on the digits preset (those two need scikit-learn)."""
+"""Command-line interface: one flag per TrainConfig field, config
+precedence, exit codes, and end-to-end subcommand runs, offline on a
+written smnist8 IDX set and on the digits preset (those two need
+scikit-learn)."""
 
+import contextlib
+import dataclasses
+import functools
+import gzip
+import io
 import json
 import os
 import re
@@ -13,10 +20,12 @@ import numpy as np
 import pytest
 
 from qlam.cell import CellConfig, init_qlam_params
-from qlam.checkpoint import save_checkpoint
+from qlam.checkpoint import load_checkpoint, save_checkpoint
 from qlam.cli import EXIT_CODES, build_config, build_parser, load_config_file, main
-from qlam.data import write_idx_labels
+from qlam.data import write_idx_images, write_idx_labels
 from qlam.errors import ConfigError, QlamError
+from qlam.observables import ShotConfig
+from qlam.trainer import TrainConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -31,6 +40,29 @@ def parse(argv):
     return build_parser().parse_args(argv)
 
 
+def write_smnist8(root: Path, n_train=24, n_test=12) -> Path:
+    """A small random smnist8 set: 28x28 IDX images, labels 0-9, under
+    root/mnist; returns root."""
+    rng = np.random.default_rng(0)
+    folder = root / "mnist"
+    folder.mkdir(parents=True)
+    for split, count in (("train", n_train), ("t10k", n_test)):
+        images = rng.integers(0, 256, (count, 28, 28), dtype=np.uint8)
+        write_idx_images(folder / f"{split}-images-idx3-ubyte", images)
+        write_idx_labels(folder / f"{split}-labels-idx1-ubyte", np.arange(count, dtype=np.uint8) % 10)
+    return root
+
+
+def assert_exit(argv, category, capsys) -> str:
+    """main(argv) exits with the category's code and one categorized
+    stderr line, no traceback; returns stderr."""
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == EXIT_CODES.get(category, 1), err
+    assert err.startswith(f"error[{category}]:") and "Traceback" not in err, err
+    return err
+
+
 # ---------------------------------------------------------------------------
 # Config assembly.
 # ---------------------------------------------------------------------------
@@ -39,7 +71,8 @@ def test_defaults():
     config = build_config(parse(["train"]))
     assert config.dataset == "sdigits8"
     assert config.seed == 0
-    assert config.shot_mode == "exact"
+    assert config.shots == 0
+    assert config.shot_config() == ShotConfig()
 
 
 def test_config_file_applies(tmp_path):
@@ -87,12 +120,21 @@ def test_config_file_mistakes_exit_as_config_error(tmp_path, capsys):
 
 def test_shots_flag_semantics():
     exact = build_config(parse(["train", "--shots", "0"]))
-    assert exact.shot_mode == "exact"
-    sampled = build_config(parse(["train", "--shots", "500"]))
-    assert sampled.shot_mode == "sampled"
-    assert sampled.shots_per_term == 500
+    assert exact.shot_config().mode == "exact"
+    sampled = build_config(parse(["train", "--shots", "500", "--seed", "4"]))
+    assert sampled.shots == 500
+    assert sampled.shot_config() == ShotConfig("sampled", 500, 4)
     with pytest.raises(ConfigError):
         build_config(parse(["train", "--shots", "-3"]))
+
+
+def test_config_file_naming_the_removed_shot_fields_exits_2(tmp_path, capsys):
+    path = tmp_path / "run.json"
+    for key, value in (("shot_mode", "sampled"), ("shots_per_term", 500)):
+        path.write_text(json.dumps({key: value}))
+        assert main(["train", "--config", str(path)]) == EXIT_CODES["config"]
+        err = capsys.readouterr().err
+        assert err.startswith("error[config]: unknown config keys") and key in err
 
 
 def test_structural_flags():
@@ -104,6 +146,48 @@ def test_structural_flags():
     assert config.n_qubits == 3 and config.n_layers == 1 and config.n_heads == 4
     assert config.split_mode == "kfold" and config.n_folds == 5 and config.fold == 2
     assert config.workers == 2 and config.out_dir == "/tmp/x"
+
+
+# ---------------------------------------------------------------------------
+# One flag per TrainConfig field.
+# ---------------------------------------------------------------------------
+
+SHORT_FLAGS = {"n_qubits": "--qubits", "n_layers": "--layers", "n_heads": "--heads", "base_lr": "--lr"}
+# a valid, non-default command-line value per field type; str fields
+# other than these take any text
+VALID_TEXT = {"int": "3", "float": "0.5"}
+VALID_STR = {"dataset": "smnist8", "entangler": "linear", "split_mode": "kfold"}
+SUBCOMMANDS = {"train": [], "eval": ["--checkpoint", "m.npz"], "folds": []}
+
+
+@functools.cache
+def help_flags(command: str) -> tuple[tuple[str, str], ...]:
+    """(flag, dest) of every option line of `qlam <command> --help`."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit):
+        parse([command, "--help"])
+    options = re.findall(r"(?m)^\s+(--[a-z-]+) ([A-Z_]+)", out.getvalue())
+    return tuple((flag, metavar.lower()) for flag, metavar in options)
+
+
+@pytest.mark.parametrize("field", dataclasses.fields(TrainConfig), ids=lambda f: f.name)
+def test_every_config_field_is_one_flag(field):
+    flag = SHORT_FLAGS.get(field.name, "--" + field.name.replace("_", "-"))
+    kind = field.type.partition(" | ")[0]
+    text = VALID_STR.get(field.name, "x") if kind == "str" else VALID_TEXT[kind]
+    value = {"int": int, "float": float}.get(kind, str)(text)
+    expected = dataclasses.replace(TrainConfig(), **{field.name: value})
+    assert expected != TrainConfig()
+    for command, required in SUBCOMMANDS.items():
+        assert [f for f, dest in help_flags(command) if dest == field.name] == [flag], command
+        assert build_config(parse([command, *required, flag, text])) == expected, command
+
+
+def test_help_has_no_flag_beyond_the_config_fields():
+    names = {f.name for f in dataclasses.fields(TrainConfig)}
+    for command in SUBCOMMANDS:
+        extra = {dest for _, dest in help_flags(command)} - names
+        assert extra == ({"config", "checkpoint"} if command == "eval" else {"config"}), command
 
 
 def test_subcommand_required():
@@ -205,8 +289,70 @@ def test_unreadable_config_exit(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# End-to-end subcommands on the digits preset (need scikit-learn).
+# Run-setup mistakes that reach past the config: each exits categorized.
 # ---------------------------------------------------------------------------
+
+SMNIST_TINY = ["--dataset", "smnist8", "--qubits", "2", "--heads", "2", "--d-query", "3", "--epochs", "1"]
+
+
+def test_negative_seed_exits_as_config_error(tmp_path, capsys):
+    data_dir = str(write_smnist8(tmp_path / "data"))
+    err = assert_exit(["train", *SMNIST_TINY, "--data-dir", data_dir, "--seed", "-1"], "config", capsys)
+    assert "seed" in err
+
+
+def test_out_dir_that_is_a_file_exits_as_config_error_before_writing(tmp_path, capsys):
+    data_dir = str(write_smnist8(tmp_path / "data"))
+    out = tmp_path / "out"
+    out.write_text("keep")
+    argv = ["train", *SMNIST_TINY, "--data-dir", data_dir, "--out-dir", str(out / "run")]
+    for path in (out, out / "run"):
+        err = assert_exit([*argv[:-1], str(path)], "config", capsys)
+        assert "out_dir" in err
+    assert out.read_text() == "keep"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "out"]
+
+
+def test_config_file_that_is_not_utf8_exits_like_malformed_json(tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_bytes(b'\xff\xfe{"seed": 1}')
+    assert "cannot read config file" in assert_exit(["train", "--config", str(path)], "error", capsys)
+
+
+@pytest.mark.parametrize("damage", ["truncated", "bad-header", "bad-deflate"])
+def test_corrupt_gzip_idx_exits_as_parse_error(tmp_path, capsys, damage):
+    data_dir = write_smnist8(tmp_path / "data")
+    images = data_dir / "mnist" / "train-images-idx3-ubyte"
+    packed = gzip.compress(images.read_bytes())
+    packed = {
+        "truncated": packed[:100],
+        "bad-header": packed[:2] + b"\x07" + packed[3:],  # unknown compression method
+        "bad-deflate": packed[:10] + b"\xff" + packed[11:],  # invalid block type
+    }[damage]
+    images.write_bytes(packed)
+    err = assert_exit(["train", *SMNIST_TINY, "--data-dir", str(data_dir)], "parse", capsys)
+    assert f"byte offset {len(packed) if damage == 'truncated' else 0}" in err
+
+
+# ---------------------------------------------------------------------------
+# End-to-end subcommands: offline on a written smnist8 set, and on the
+# digits preset (need scikit-learn).
+# ---------------------------------------------------------------------------
+
+def test_train_eval_folds_end_to_end_offline(tmp_path, capsys):
+    data_dir = str(write_smnist8(tmp_path / "data"))
+    tiny = [*SMNIST_TINY, "--batch-size", "12", "--data-dir", data_dir]
+    out_dir = tmp_path / "run"
+    assert main(["train", *tiny, "--t-keep", "4", "--entangler", "linear", "--out-dir", str(out_dir)]) == 0
+    checkpoint = out_dir / "checkpoint_s0_f0.npz"
+    _, cell_cfg, _ = load_checkpoint(checkpoint)
+    assert cell_cfg.t_keep == 4 and cell_cfg.entangler == "linear"
+    assert main(["eval", "--checkpoint", str(checkpoint), *tiny, "--shots", "64"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("test accuracy:")
+    folds_dir = str(tmp_path / "folds")
+    assert main(["folds", *tiny, "--split-mode", "kfold", "--n-folds", "2", "--out-dir", folds_dir]) == 0
+    out = capsys.readouterr().out
+    assert "fold 0:" in out and "fold 1:" in out and "aggregate:" in out
 
 def test_train_eval_end_to_end(tmp_path, capsys):
     pytest.importorskip("sklearn")

@@ -66,7 +66,8 @@ def test_config_validation():
         dict(epochs=0),
         dict(batch_size=0),
         dict(split_mode="random"),
-        dict(shot_mode="approximate"),
+        dict(shots=-1),
+        dict(seed=-1),
         dict(workers=0),
         dict(fold=10),
         dict(fold=-1),
@@ -80,7 +81,6 @@ def test_config_validation():
         dict(base_lr=0.0),
         dict(base_lr=float("nan")),
         dict(base_lr=float("inf")),
-        dict(shot_mode="sampled", shots_per_term=0),
         dict(n_qubits=0),
         dict(entangler="star"),
     ]
@@ -122,8 +122,10 @@ def test_config_file_with_wrong_type_exits_as_config_error(tmp_path, capsys):
 @pytest.mark.parametrize(
     "text, name",
     [('{"base_lr": NaN}', "base_lr"), ('{"base_lr": Infinity}', "base_lr"),
-     ('{"shot_mode": "sampled", "shots_per_term": 0}', "shots_per_term")],
-    ids=["lr-nan", "lr-inf", "zero-shots"],
+     # the readout fields that `shots` replaced are unknown keys now
+     ('{"shot_mode": "sampled", "shots_per_term": 0}', "shots_per_term"),
+     ('{"shots": -1}', "shots"), ('{"seed": -1}', "seed")],
+    ids=["lr-nan", "lr-inf", "zero-shots", "negative-shots", "negative-seed"],
 )
 def test_config_file_with_bad_value_exits_before_data_loads(tmp_path, capsys, monkeypatch, text, name):
     import qlam.trainer
@@ -360,8 +362,8 @@ def test_bundle_class_count_sizes_the_head(tmp_path):
     _, cell_cfg, _ = load_checkpoint(result.checkpoint_path)
     assert cell_cfg.n_classes == 3
     assert evaluate(result.checkpoint_path, cfg, bundle) == result.final_test.accuracy
-    d = 8
-    _, _, n_params = train_elman(cfg, bundle, d_hidden=d)
+    d = 8  # the width whose count is nearest the hybrid's 115 on 3 classes
+    _, _, n_params = train_elman(cfg, bundle)
     assert n_params == 2 * d + d * d + 3 * d + 3
 
 
@@ -380,7 +382,7 @@ def test_label_outside_the_class_count_is_a_data_error(tmp_path):
     cfg = dataclasses.replace(cfg, out_dir=str(tmp_path / "bad"))
     for run in (
         lambda: train(cfg, bundle),
-        lambda: train_elman(cfg, bundle, d_hidden=4),
+        lambda: train_elman(cfg, bundle),
         lambda: evaluate(checkpoint_path, cfg, bundle),
     ):
         with pytest.raises(DataError, match=f"{split} sample {i} has label 3, outside \\[0, 3\\)"):
@@ -472,10 +474,21 @@ def test_model_learns_synthetic_classes(tmp_path):
 def test_elman_baseline_runs(tmp_path):
     bundle = synthetic_bundle(n_per_class=6)
     cfg = tiny_config(epochs=2, out_dir=str(tmp_path))
-    train_acc, test_acc, n_params = train_elman(cfg, bundle, d_hidden=8)
+    train_acc, test_acc, n_params = train_elman(cfg, bundle)
     assert 0.0 <= train_acc <= 1.0
     assert 0.0 <= test_acc <= 1.0
-    assert n_params == 8 + 8 + 64 + 10 * 8 + 10
+    # width 7: 143 parameters, the nearest count to the tiny hybrid's 150
+    assert n_params == 7 + 7 + 49 + 10 * 7 + 10
+
+
+def test_elman_baseline_matches_the_hybrid_parameter_count(tmp_path):
+    bundle = synthetic_bundle(n_per_class=2)
+    for t_keep in (8, 64):
+        cfg = TrainConfig(t_keep=t_keep, epochs=1, test_fraction=0.25, out_dir=str(tmp_path))
+        hybrid = init_qlam_params(np.random.default_rng(0), cfg.cell_config())
+        hybrid_count = sum(arr.size for arr in hybrid.as_dict().values())
+        _, _, n_params = train_elman(cfg, bundle)
+        assert abs(n_params - hybrid_count) / hybrid_count < 0.05, (t_keep, n_params, hybrid_count)
 
 
 def test_empty_test_split_is_a_config_error_for_both_models(tmp_path):
@@ -485,7 +498,7 @@ def test_empty_test_split_is_a_config_error_for_both_models(tmp_path):
     with pytest.raises(ConfigError, match="empty split"):
         train(cfg, no_test)
     with pytest.raises(ConfigError, match="empty split"):
-        train_elman(cfg, no_test, d_hidden=4)
+        train_elman(cfg, no_test)
 
 
 def test_elman_baseline_is_deterministic(tmp_path, monkeypatch):
@@ -500,14 +513,17 @@ def test_elman_baseline_is_deterministic(tmp_path, monkeypatch):
     cfg = tiny_config(epochs=3, out_dir=str(tmp_path))
     train_set, _ = resolve_splits(cfg, bundle)
     assert len(train_set) % cfg.batch_size != 0
-    first = train_elman(cfg, bundle, d_hidden=16)
-    again = train_elman(cfg, bundle, d_hidden=16)
-    threaded = train_elman(dataclasses.replace(cfg, workers=3), bundle, d_hidden=16)
+    first = train_elman(cfg, bundle)
+    again = train_elman(cfg, bundle)
+    threaded = train_elman(dataclasses.replace(cfg, workers=3), bundle)
     assert first == again == threaded
     for key, arr in made[0].items():
         assert_array_equal(arr, made[1][key], err_msg=key)
         assert_array_equal(arr, made[2][key], err_msg=key)
-    untrained = init_elman(np.random.default_rng([cfg.seed, 0]), 16, 10)
+    untrained = init_elman(np.random.default_rng([cfg.seed, 0]), 7, 10)
+    assert made[0]["w_rec"].shape == untrained["w_rec"].shape
     assert not np.array_equal(made[0]["w_rec"], untrained["w_rec"])
-    _, _, n_params = train_elman(dataclasses.replace(cfg, epochs=1), bundle)
+    # the default cell on ten classes: width 97
+    default_cell = TrainConfig(epochs=1, batch_size=8, test_fraction=0.25, out_dir=str(tmp_path))
+    _, _, n_params = train_elman(default_cell, bundle)
     assert n_params == 10583
