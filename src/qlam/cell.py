@@ -26,13 +26,13 @@ the cached `pauli_table` of the pool, a tuple of Pauli labels
 as BLAS products, a GEMM and a stacked matmul over the heads, on fixed
 blocks of DECODER_ROWS rows.  A head's readout is its weight row
 dotted with the pool expectations, one mat-vec per step; no observable
-object is built.
-`batch_logits` classifies a stack, one mat-vec per sequence.  `forward`,
-`final_logits`, the adjoint gradients and the parameter-shift oracle in
-`gradients` are all views of `run`, the single-sequence ones with B = 1;
-the adjoint walks back the same `Steps`.  A sequence's outputs are bit
-for bit the same in any stack, at any position, and a step's readout is
-the same however many steps share its window or its decoder call:
+object is built.  The pass ends at the logits, one classifier mat-vec
+per sequence.  `forward`, `batch_logits`, `final_logits`, the adjoint
+gradients and the parameter-shift oracle in `gradients` are all views
+of `run`, the single-sequence ones with B = 1; the adjoint walks back
+the same `Steps`.  A sequence's outputs are bit for bit the same in
+any stack, at any position, and a step's readout is the same however
+many steps share its window or its decoder call:
 `PauliTable.expectations` computes a one-row call, whose einsum would
 round along another path, as a pair of rows, and every BLAS call of
 `decoder` has the same shape.  The memory is a plain (B, 2**n) complex
@@ -226,15 +226,6 @@ class ReadoutTrace:
     final_state: np.ndarray  # (2**n_qubits,) amplitudes
 
 
-def readout_features(readouts: np.ndarray, t_keep: int) -> np.ndarray:
-    """Concatenate the last t_keep readout vectors, oldest first."""
-    if readouts.shape[0] < t_keep:
-        raise ShapeError(
-            f"sequence of length {readouts.shape[0]} is shorter than t_keep={t_keep}"
-        )
-    return readouts[readouts.shape[0] - t_keep:].reshape(-1)
-
-
 def measure(states: np.ndarray, table: PauliTable, shot: ShotConfig,
             sample_index, t0: int) -> np.ndarray:
     """(..., S, pool_size) pool expectations of stacks of states
@@ -259,14 +250,15 @@ def measure(states: np.ndarray, table: PauliTable, shot: ShotConfig,
 
 @dataclass
 class Run:
-    """One pass of the recurrence over a stack of B sequences.  Rows of
-    `queries`, `exps` and `readouts` are, per sequence, the kept 1-based
-    steps first..T; `steps` is the swept engine, checkpoints included,
-    for the adjoint.  The decoder's activations are not kept: they are
-    B times one sequence's, so the backward pass recomputes them one
-    sequence at a time.  Keeping them saves one `decoder` call per
-    sequence, a few percent of a training batch at n = 4, and measured
-    no faster end to end."""
+    """One pass of the recurrence over a stack of B sequences, ending at
+    the logits.  Rows of `queries`, `exps` and `readouts` are, per
+    sequence, the kept 1-based steps first..T; `features` are its last
+    t_keep readouts, oldest first.  `steps` is the swept engine,
+    checkpoints included, for the adjoint.  The decoder's activations
+    are not kept: they are B times one sequence's, so the backward pass
+    recomputes them one sequence at a time.  Keeping them saves one
+    `decoder` call per sequence, a few percent of a training batch at
+    n = 4, and measured no faster end to end."""
 
     tokens: np.ndarray      # (B, T), validated
     embeddings: np.ndarray  # (B, T, n_qubits)
@@ -274,6 +266,8 @@ class Run:
     queries: np.ndarray     # (B, T - first + 1, d_query)
     exps: np.ndarray        # (B, T - first + 1, pool_size)
     readouts: np.ndarray    # (B, T - first + 1, n_heads)
+    features: np.ndarray    # (B, t_keep * n_heads)
+    logits: np.ndarray      # (B, n_classes)
     state: np.ndarray       # (B, 2**n_qubits) amplitudes after step T
     steps: Steps
 
@@ -288,11 +282,12 @@ def run(
     sample_index=0,
 ) -> Run:
     """Validate and embed a (B, T) stack of equal-length token rows,
-    evolve each row's memory from |0...0> and read it out at the last
-    `keep` steps (every step when None).  `sample_index` gives each row's
-    shot streams (one per row, or one for all); any other length raises
-    ShapeError.  An embedding that overflows raises NumericError naming
-    its 1-based step.
+    evolve each row's memory from |0...0>, read it out at the last
+    `keep` steps (t_keep..T of them; every step when None) and classify
+    its last t_keep readouts.  `sample_index` gives each row's shot
+    streams (one per row, or one for all).  A sequence shorter than
+    t_keep, or any other length of `sample_index`, raises ShapeError.
+    An embedding that overflows raises NumericError naming its step.
 
     Forward, logits and gradients are all views of this pass, the
     single-sequence ones with B = 1; the parameter-shift oracle calls it
@@ -310,9 +305,11 @@ def run(
         raise ShapeError(f"sample_index has shape {np.shape(sample_index)} for {x.shape[0]} token rows")
     params.validate(cfg)
     T = x.shape[1]
+    if T < cfg.t_keep:
+        raise ShapeError(f"sequence of length {T} is shorter than t_keep={cfg.t_keep}")
     keep = T if keep is None else keep
-    if keep > T:
-        raise ShapeError(f"sequence of length {T} is shorter than t_keep={keep}")
+    if not cfg.t_keep <= keep <= T:
+        raise ShapeError(f"keep={keep} is outside [t_keep={cfg.t_keep}, T={T}]")
     first = T - keep + 1
     with np.errstate(over="ignore", invalid="ignore"):
         emb = embed_token(x, params)
@@ -328,7 +325,10 @@ def run(
     # decoded one sequence at a time, so one sequence's activations are alive
     readouts = np.stack([(decoder(qb, params)[1] @ eb[:, :, None])[:, :, 0]
                          for qb, eb in zip(q, exps)])
-    return Run(x, emb, first, q, exps, readouts, psi, steps)
+    features = readouts[:, keep - cfg.t_keep:].reshape(x.shape[0], -1)
+    # one mat-vec per row: a stacked product may round a row differently
+    logits = np.stack([params.cls_w @ row + params.cls_b for row in features])
+    return Run(x, emb, first, q, exps, readouts, features, logits, psi, steps)
 
 
 def forward(
@@ -341,9 +341,7 @@ def forward(
 ) -> ReadoutTrace:
     """Run the full causal recurrence, reading out every step, and classify."""
     r = run([tokens], params, cfg, None, shot, sample_index=sample_index)
-    features = readout_features(r.readouts[0], cfg.t_keep)
-    logits = params.cls_w @ features + params.cls_b
-    return ReadoutTrace(r.readouts[0], features, logits, r.state[0])
+    return ReadoutTrace(r.readouts[0], r.features[0], r.logits[0], r.state[0])
 
 
 def batch_logits(
@@ -359,9 +357,7 @@ def batch_logits(
     from the streams of sample_index[b].  Row b is bit for bit
     `final_logits(tokens[b], ..., sample_index=sample_index[b])`.
     """
-    r = run(tokens, params, cfg, cfg.t_keep, shot, sample_index=sample_index)
-    # one mat-vec per row: a stacked product may round a row differently
-    return np.stack([params.cls_w @ row.reshape(-1) + params.cls_b for row in r.readouts])
+    return run(tokens, params, cfg, cfg.t_keep, shot, sample_index=sample_index).logits
 
 
 def final_logits(

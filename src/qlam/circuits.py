@@ -262,22 +262,21 @@ class Steps:
         c, s = np.cos(0.5 * e), np.sin(0.5 * e)
         return self.factors(times_ry(self.first_layer, c, s))
 
-    def evolve(self, psi: np.ndarray, start: int, stop: int, first: int | None = None,
-               layer0_factors: Sequence[np.ndarray] | None = None,
-               out: np.ndarray | None = None) -> np.ndarray:
+    def evolve(self, psi: np.ndarray, start: int, stop: int,
+               first: int | None = None) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
         """Advance the (B, 2**n) states psi in place through steps
         start+1..stop (1-based) and return the (B, stop - first, 2**n)
-        states after steps first+1..stop (first defaults to start), in
-        `out` when it is given.  layer0_factors holds the layer-0 factors
-        of steps start+1..stop, as `layer0` builds them; without it they
-        are built in one call, after the states are allocated.  A call
-        spans at most one window, and its factors take at most 2.5x the
-        memory of its steps' states."""
+        states after steps first+1..stop (first defaults to start) and
+        the layer-0 factors of steps start+1..stop, built in one call
+        (`layer0`), which the adjoint walk reuses.  A call spans at most
+        one window, and its factors take at most 2.5x the memory of its
+        steps' states.  The factors are built after the states are
+        allocated: the other order splits the block the last window's
+        states freed, and at n = 12 the heap grew by a window (2 MB)."""
         first = start if first is None else first
         rows = self.rows
-        states = (np.empty((rows, stop - first, psi.shape[-1]), dtype=np.complex128)
-                  if out is None else out)
-        f0 = self.layer0(start, stop) if layer0_factors is None else layer0_factors
+        states = np.empty((rows, stop - first, psi.shape[-1]), dtype=np.complex128)
+        f0 = self.layer0(start, stop)
         views = states.reshape((rows, -1) + self.shape)
         x = psi.reshape((rows,) + self.shape)
         for t, own in enumerate(per_step(f0), start + 1):
@@ -293,7 +292,7 @@ class Steps:
             )
         if not np.isfinite(psi).all():
             raise NumericError(f"non-finite amplitudes by timestep {stop}")
-        return states
+        return states, f0
 
     def sweep(self, first: int, read) -> np.ndarray:
         """Evolve every row from |0...0> one window of
@@ -310,7 +309,7 @@ class Steps:
             self.checkpoints[start] = psi.copy()
             stop = min(start + CHECKPOINT_INTERVAL, T)
             lo = min(max(start, first - 1), stop)  # 0-based index of the window's first kept step
-            states = self.evolve(psi, start, stop, lo)
+            states = self.evolve(psi, start, stop, lo)[0]
             if lo < stop:
                 read(lo, states)
             del states  # release the window before the next one is allocated
@@ -322,9 +321,9 @@ class Steps:
         (B, S, 2**n) injections sum_i c_i P_i |psi_t> of the kept steps
         lo+1..lo+S (first..T, 1-based), given their (B, S, 2**n) kets.
 
-        Windows are recomputed last first, from layer-0 factors built once
-        for the window and kept for the walk, and consumed backward in
-        sub-blocks of walk_rows(n) // B steps (at least one).  The adjoint
+        Windows are recomputed last first by `evolve`, whose layer-0
+        factors, built once per window, are kept for the walk, and consumed
+        backward in sub-blocks of walk_rows(n) // B steps (at least one).  The adjoint
         recurrence lam <- M_t^H (lam + inj_t), with lam (B, 2**n), stores
         lam + inj_t for every step of a sub-block; one walk over the stacked
         (2, B * S) (ket K, adjoint L) pairs then reads, just after each
@@ -344,13 +343,7 @@ class Steps:
         block = max(1, walk_rows(self.n) // rows)
         for win_start in sorted(self.checkpoints, reverse=True):
             win_end = min(win_start + CHECKPOINT_INTERVAL, T)
-            # the window's states are allocated before its factors: the
-            # other order splits the block the last window's states freed,
-            # and at n = 12 the heap grew by a window (2 MB)
-            seg = np.empty((rows, win_end - win_start, 1 << self.n), dtype=np.complex128)
-            f0 = self.layer0(win_start, win_end)
-            self.evolve(self.checkpoints[win_start].copy(), win_start, win_end,
-                        layer0_factors=f0, out=seg)
+            seg, f0 = self.evolve(self.checkpoints[win_start].copy(), win_start, win_end)
             # every angle derivative of every step of the window
             dwin = np.empty((rows, win_end - win_start) + self.angles.shape)
             for stop in range(win_end, win_start, -block):

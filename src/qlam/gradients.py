@@ -1,17 +1,18 @@
 """End-to-end differentiation of the hybrid model.
 
-Production path: reverse-mode adjoint through the statevector, in three
-pieces, for a whole stack of equal-length sequences at once
-(`batch_loss_and_grad`; `loss_and_grad` is its B = 1 view).  The decoder
-backward runs once over all kept steps of a sequence and yields
-c[t, i], the classical weight on pool expectation i at step t.  The
-engine that swept the forward pass (`Run.steps`) walks the stack back,
-one window of CHECKPOINT_INTERVAL steps at a time, with
-`circuits.Steps.adjoint`, injecting ``sum_i c_i P_i |psi_t>`` at each
-kept step through `PauliTable.apply` of the pool's cached
-`pauli_table`.  Its circuit-angle derivatives, and its per-step
-encoding derivatives chained into the embedding, complete each
-sequence's gradient, bit for bit the one it gets alone.
+Production path: reverse-mode adjoint through the statevector, for a
+whole stack of equal-length sequences at once (`batch_loss_and_grad`;
+`loss_and_grad` is its B = 1 view).  The classifier backward, which the
+shift oracle shares, weights the readouts from the logits `cell.run`
+ends at.  The decoder backward runs once over all kept steps of a
+sequence and yields c[t, i], the classical weight on pool expectation
+i at step t.  The engine that swept the forward pass
+(`Run.steps`) walks the stack back, one window of CHECKPOINT_INTERVAL
+steps at a time, with `circuits.Steps.adjoint`, injecting
+``sum_i c_i P_i |psi_t>`` at each kept step through `PauliTable.apply`
+of the pool's cached `pauli_table`.  Its circuit-angle derivatives,
+and its per-step encoding derivatives chained into the embedding,
+complete each sequence's gradient, bit for bit the one it gets alone.
 
 Parameter-shift and finite differences exist as oracles only; both are
 exact for expectation readouts but far more expensive.  The shift oracle
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cell import CellConfig, QlamParams, Run, decoder, readout_features, run
+from .cell import CellConfig, QlamParams, Run, decoder, run
 from .circuits import CHECKPOINT_INTERVAL  # noqa: F401 (perfbench reads it from here)
 from .data import SequenceSample
 from .errors import NumericError, ShapeError
@@ -104,6 +105,20 @@ def _batch_grads(params: QlamParams, rows: int) -> dict[str, np.ndarray]:
     return {key: np.zeros((rows,) + arr.shape) for key, arr in params.as_dict().items()}
 
 
+def _classifier_backward(r: Run, labels, params, cfg, grads) -> tuple[list[float], np.ndarray]:
+    """Each row's cross-entropy loss at `r.logits` and (B, t_keep, n_heads)
+    loss derivatives of its features; sets row b's cls_w, cls_b grads."""
+    losses = []
+    w = np.empty((len(labels), cfg.t_keep, cfg.n_heads))
+    for b, label in enumerate(labels):
+        loss, dlogits = softmax_cross_entropy(r.logits[b], label)
+        grads["cls_w"][b] = np.outer(dlogits, r.features[b])
+        grads["cls_b"][b] = dlogits
+        w[b] = (params.cls_w.T @ dlogits).reshape(cfg.t_keep, cfg.n_heads)
+        losses.append(loss)
+    return losses, w
+
+
 def batch_loss_and_grad(
     samples: list[SequenceSample], params: QlamParams, cfg: CellConfig
 ) -> list[GradBundle]:
@@ -117,19 +132,10 @@ def batch_loss_and_grad(
     """
     r = run([s.tokens for s in samples], params, cfg, cfg.t_keep)
     grads = _batch_grads(params, len(samples))
-    dfeatures = np.empty(r.readouts.shape)
-    heads = []
-    for b, sample in enumerate(samples):
-        features = r.readouts[b].reshape(-1)
-        logits = params.cls_w @ features + params.cls_b
-        loss, dlogits = softmax_cross_entropy(logits, sample.label)
-        grads["cls_w"][b] = np.outer(dlogits, features)
-        grads["cls_b"][b] = dlogits
-        dfeatures[b] = (params.cls_w.T @ dlogits).reshape(cfg.t_keep, cfg.n_heads)
-        heads.append((loss, logits))
-    _backward(r, dfeatures, params, cfg, grads)
-    return [GradBundle(loss, {key: g[b] for key, g in grads.items()}, logits)
-            for b, (loss, logits) in enumerate(heads)]
+    losses, w = _classifier_backward(r, [s.label for s in samples], params, cfg, grads)
+    _backward(r, w, params, cfg, grads)
+    return [GradBundle(loss, {key: g[b] for key, g in grads.items()}, r.logits[b])
+            for b, loss in enumerate(losses)]
 
 
 def loss_and_grad(sample: SequenceSample, params: QlamParams, cfg: CellConfig) -> GradBundle:
@@ -189,11 +195,6 @@ def param_shift_grad(
     """Loss gradient for one circuit angle: the shift rule's readout
     derivatives chained through the classifier and loss at params."""
     r = run([sample.tokens], params, cfg)
-    x, readouts = r.tokens[0], r.readouts[0]
-    features = readout_features(readouts, cfg.t_keep)
-    logits = params.cls_w @ features + params.cls_b
-    _, dlogits = softmax_cross_entropy(logits, sample.label)
-    dfeatures = (params.cls_w.T @ dlogits).reshape(cfg.t_keep, cfg.n_heads)
-    w = np.zeros_like(readouts)
-    w[x.shape[0] - cfg.t_keep:] = dfeatures
-    return float(np.sum(w * readout_param_shift(x, params, cfg, theta_index)))
+    _, w = _classifier_backward(r, [sample.label], params, cfg, _batch_grads(params, 1))
+    w = np.pad(w[0], ((r.readouts.shape[1] - cfg.t_keep, 0), (0, 0)))  # zero at every earlier step
+    return float(np.sum(w * readout_param_shift(r.tokens[0], params, cfg, theta_index)))

@@ -126,6 +126,8 @@ class TrainConfig:
             raise ConfigError(f"base_lr must be positive and finite, got {self.base_lr}")
         if not self.clip_norm > 0:
             raise ConfigError(f"clip_norm must be positive, got {self.clip_norm}")
+        if not self.out_dir:
+            raise ConfigError("out_dir must not be empty")
         self.cell_config()
 
     @property
@@ -364,9 +366,9 @@ def evaluate_samples(
     )
 
 
-def _splits(config: TrainConfig, bundle: DatasetBundle | None) -> tuple[list, list, int]:
+def _splits(config: TrainConfig, bundle: DatasetBundle | None) -> tuple[list, list, CellConfig]:
     """The config's train and test split, neither empty and every label
-    in [0, n_classes), and the dataset's class count."""
+    in [0, n_classes), and the config's cell with the dataset's class count."""
     if bundle is None:
         bundle = load_dataset(config.dataset, config.data_dir)
     train_set, test_set = resolve_splits(config, bundle)
@@ -379,7 +381,7 @@ def _splits(config: TrainConfig, bundle: DatasetBundle | None) -> tuple[list, li
         for i, sample in enumerate(samples):
             if not 0 <= sample.label < n_classes:
                 raise DataError(f"{split} sample {i} has label {sample.label}, outside [0, {n_classes})")
-    return train_set, test_set, n_classes
+    return train_set, test_set, replace(config.cell_config(), n_classes=n_classes)
 
 
 def _epochs(config: TrainConfig, train_set: list[SequenceSample], params: dict[str, np.ndarray], gradients):
@@ -414,8 +416,7 @@ def train(config: TrainConfig, bundle: DatasetBundle | None = None) -> TrainResu
     themselves (loss and prediction before each update); test metrics
     come from a dedicated exact-mode evaluation per epoch.
     """
-    train_set, test_set, n_classes = _splits(config, bundle)
-    cell_cfg = replace(config.cell_config(), n_classes=n_classes)
+    train_set, test_set, cell_cfg = _splits(config, bundle)
     params = init_qlam_params(np.random.default_rng([config.seed, 0]), cell_cfg)
 
     out_dir = Path(config.out_dir)
@@ -467,7 +468,7 @@ def evaluate(checkpoint_path, config: TrainConfig, bundle: DatasetBundle | None 
 
     Refuses a config whose split settings differ from the ones the model
     was trained with, since its "test" split would hold training samples,
-    and a dataset whose class count differs from the model's head.
+    and cell settings or a class count other than the checkpoint's.
     Reads out with the config's shot settings, exact or sampled.
     """
     params, cell_cfg, extra = load_checkpoint(checkpoint_path)
@@ -477,9 +478,16 @@ def evaluate(checkpoint_path, config: TrainConfig, bundle: DatasetBundle | None 
                 f"checkpoint was trained with {name}={extra[name]!r}, "
                 f"the config has {name}={getattr(config, name)!r}"
             )
-    _, test_set, n_classes = _splits(config, bundle)
-    if n_classes != cell_cfg.n_classes:
-        raise ConfigError(f"checkpoint has {cell_cfg.n_classes} classes, the dataset has {n_classes}")
+    _, test_set, mine = _splits(config, bundle)
+    compared = {f.name for f in fields(config)} | {"n_classes"}
+    differ = [
+        f"checkpoint has {f.name}={getattr(cell_cfg, f.name)!r}, the "
+        f"{'dataset' if f.name == 'n_classes' else 'config'} has {f.name}={getattr(mine, f.name)!r}"
+        for f in fields(CellConfig)
+        if f.name in compared and getattr(cell_cfg, f.name) != getattr(mine, f.name)
+    ]
+    if differ:
+        raise ConfigError("; ".join(differ))
     _, accuracy = evaluate_samples(
         test_set, params, cell_cfg, config.shot_config(), workers=config.workers
     )
@@ -532,8 +540,8 @@ def train_elman(config: TrainConfig, bundle: DatasetBundle | None = None) -> tup
     count is nearest the hybrid's, the smaller on a tie.  The default cell
     on ten classes (10,658 parameters) gives d = 97 (10,583).
     """
-    train_set, test_set, n_classes = _splits(config, bundle)
-    cell_cfg = replace(config.cell_config(), n_classes=n_classes)
+    train_set, test_set, cell_cfg = _splits(config, bundle)
+    n_classes = cell_cfg.n_classes
     # only the shapes count, so any stream will do
     target = param_count(init_qlam_params(np.random.default_rng(0), cell_cfg).as_dict())
     d_hidden = min(

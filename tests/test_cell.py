@@ -15,17 +15,19 @@ from qlam.cell import (
     CellConfig,
     QlamParams,
     ReadoutTrace,
+    batch_logits,
     decoder,
     embed_token,
     final_logits,
     forward,
     init_qlam_params,
     predict,
-    readout_features,
     run,
     validate_tokens,
 )
+from qlam.data import SequenceSample
 from qlam.errors import ConfigError, NumericError, ShapeError, ValidationError
+from qlam.gradients import loss_and_grad, param_shift_grad, readout_param_shift, weighted_readout_grads
 from qlam.observables import ShotConfig
 
 
@@ -361,13 +363,37 @@ def test_token_validation():
 
 
 def test_short_sequence_vs_t_keep():
+    # `run` classifies the last t_keep readouts, so every view of it,
+    # the readout-only oracles included, refuses a shorter sequence
     cfg = small_cfg(t_keep=4)
     params = make_params(cfg)
-    with pytest.raises(ShapeError):
-        forward(np.array([0.1, 0.2]), params, cfg)
+    x = np.array([0.1, 0.2])
+    sample = SequenceSample(x, 1)
+    views = {
+        "forward": lambda: forward(x, params, cfg),
+        "final_logits": lambda: final_logits(x, params, cfg),
+        "batch_logits": lambda: batch_logits([x, x], params, cfg),
+        "loss_and_grad": lambda: loss_and_grad(sample, params, cfg),
+        "weighted_readout_grads": lambda: weighted_readout_grads(x, params, cfg, np.ones((2, cfg.n_heads))),
+        "readout_param_shift": lambda: readout_param_shift(x, params, cfg, 0),
+        "param_shift_grad": lambda: param_shift_grad(sample, params, cfg, 0),
+    }
+    for name, view in views.items():
+        with pytest.raises(ShapeError, match="length 2 is shorter than t_keep=4"):
+            view()
+            pytest.fail(name)
 
 
 def test_readout_features_order():
-    rows = np.arange(12.0).reshape(6, 2)
-    feats = readout_features(rows, 3)
+    # the features are the last t_keep readout vectors, oldest first: of
+    # six steps of two heads, the flat readouts 6..11, however many
+    # steps the pass reads out
+    cfg = small_cfg(t_keep=3)
+    params = make_params(cfg)
+    tokens = np.linspace(0.0, 1.0, 6)
+    r = run([tokens], params, cfg)
+    flat = r.readouts[0].reshape(-1)
+    assert len(set(flat)) == flat.size
+    feats = [int(np.flatnonzero(flat == f)[0]) for f in r.features[0]]
     assert_allclose(feats, [6, 7, 8, 9, 10, 11])
+    assert np.array_equal(run([tokens], params, cfg, cfg.t_keep).features, r.features)

@@ -313,6 +313,29 @@ def test_out_dir_that_is_a_file_exits_as_config_error_before_writing(tmp_path, c
     assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "out"]
 
 
+def test_empty_out_dir_exits_as_config_error_before_writing(tmp_path, capsys, monkeypatch):
+    data_dir = str(write_smnist8(tmp_path / "data"))
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    assert "out_dir" in assert_exit(["train", *SMNIST_TINY, "--data-dir", data_dir, "--out-dir", ""],
+                                     "config", capsys)
+    assert list(work.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag", [("--qubits", "3"), ("--t-keep", "2")], ids=["qubits", "t-keep"])
+def test_eval_with_cell_flags_other_than_the_checkpoints_exits_2(tmp_path, capsys, flag):
+    data_dir = str(write_smnist8(tmp_path / "data"))
+    tiny = [*SMNIST_TINY, "--batch-size", "12", "--t-keep", "4", "--data-dir", data_dir]
+    out_dir = tmp_path / "run"
+    assert main(["train", *tiny, "--out-dir", str(out_dir)]) == 0
+    capsys.readouterr()
+    err = assert_exit(["eval", "--checkpoint", str(out_dir / "checkpoint_s0_f0.npz"), *tiny, *flag],
+                      "config", capsys)
+    name = {"--qubits": "n_qubits", "--t-keep": "t_keep"}[flag[0]]
+    assert f"checkpoint has {name}=" in err and f"the config has {name}={flag[1]}" in err
+
+
 def test_config_file_that_is_not_utf8_exits_like_malformed_json(tmp_path, capsys):
     path = tmp_path / "run.json"
     path.write_bytes(b'\xff\xfe{"seed": 1}')
@@ -347,7 +370,8 @@ def test_train_eval_folds_end_to_end_offline(tmp_path, capsys):
     checkpoint = out_dir / "checkpoint_s0_f0.npz"
     _, cell_cfg, _ = load_checkpoint(checkpoint)
     assert cell_cfg.t_keep == 4 and cell_cfg.entangler == "linear"
-    assert main(["eval", "--checkpoint", str(checkpoint), *tiny, "--shots", "64"]) == 0
+    assert main(["eval", "--checkpoint", str(checkpoint), *tiny, "--t-keep", "4", "--entangler", "linear",
+                 "--shots", "64"]) == 0
     assert capsys.readouterr().out.splitlines()[-1].startswith("test accuracy:")
     folds_dir = str(tmp_path / "folds")
     assert main(["folds", *tiny, "--split-mode", "kfold", "--n-folds", "2", "--out-dir", folds_dir]) == 0

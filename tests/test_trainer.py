@@ -83,6 +83,7 @@ def test_config_validation():
         dict(base_lr=float("inf")),
         dict(n_qubits=0),
         dict(entangler="star"),
+        dict(out_dir=""),  # Path("") is the working directory
     ]
     for kwargs in bad:
         with pytest.raises(ConfigError):
@@ -396,8 +397,28 @@ def test_evaluate_refuses_a_checkpoint_of_another_class_count(tmp_path):
     cfg = tiny_config(out_dir=str(tmp_path))
     result = train(cfg, bundle)
     assert result.params.cls_w.shape[0] == 10
-    with pytest.raises(ConfigError, match="checkpoint has 10 classes, the dataset has 3"):
+    with pytest.raises(ConfigError, match="checkpoint has n_classes=10, the dataset has n_classes=3"):
         evaluate(result.checkpoint_path, cfg, dataclasses.replace(bundle, n_classes=3))
+
+
+def test_evaluate_refuses_cell_settings_other_than_the_checkpoints(tmp_path):
+    # the cell comes from the checkpoint, so a config that sets another
+    # one would be scored as the trained cell without a word
+    bundle = synthetic_bundle()
+    cfg = tiny_config(out_dir=str(tmp_path))
+    result = train(cfg, bundle)
+    other = dataclasses.replace(cfg, n_qubits=5, t_keep=3, entangler="linear", decoder_hidden=77)
+    with pytest.raises(ConfigError) as info:
+        evaluate(result.checkpoint_path, other, bundle)
+    assert str(info.value).split("; ") == [
+        "checkpoint has n_qubits=2, the config has n_qubits=5",
+        "checkpoint has entangler='ring', the config has entangler='linear'",
+        "checkpoint has decoder_hidden=4, the config has decoder_hidden=77",
+        "checkpoint has t_keep=2, the config has t_keep=3",
+    ]
+    # fields outside the cell do not matter
+    same_cell = dataclasses.replace(cfg, shots=16, base_lr=0.5, epochs=9, workers=2)
+    assert 0.0 <= evaluate(result.checkpoint_path, same_cell, bundle) <= 1.0
 
 
 def test_evaluate_refuses_a_split_other_than_the_training_one(tmp_path):
