@@ -21,15 +21,17 @@ keeps the states at each window's start.  `Steps.adjoint` walks back
 from step T, recomputing one window at a time from its checkpoint
 (Jones & Gacon, arXiv:2009.02823).  Memory is the B * T/K checkpoints,
 one window of B swept or recomputed sequences and that window's
-layer-0 factors, built in one call (per row and step, d**2 complex
-numbers per factor group of d amplitudes: at most 2.5 * 2**n with two
-groups, 768 at n = 12), and a walk stack of at most
+layer-0 factors, built in one call (per row and step, d**2 float64 per
+factor group of d amplitudes: at most 1.25x the float64 a state holds,
+and 768 against its 8,192 at n = 12), and a walk stack of at most
 max(B * 2**n, WALK_AMPLITUDES) (ket, adjoint) pairs:
 O(B * (K + T/K) * 2**n) for any sequence length.  A layer's rotations
 are a tensor product, so with a state viewed as a tensor over k groups
 of qubits (two up to n = 10, three from n = 11; `factor_widths`) they
-are k small matrix products, one per group; the encoding folds into
-layer 0, and the CNOT entangler is one index gather.  Every reduction
+are k small real RY matrix products on the state's float64 view, one
+per group, and the layer's RZ gates are one diagonal phase.  The encoding
+folds into layer 0, and the CNOT entangler is one index gather, which
+also applies the phase.  Every reduction
 runs on one row of the stack, in an order that does not depend on B,
 so a sequence's states and derivatives are bit for bit those of a
 B = 1 sweep.
@@ -110,42 +112,44 @@ def entangler_pairs(cfg: AnsatzConfig) -> list[tuple[int, int]]:
 
 
 def kron_qubits(u: np.ndarray) -> np.ndarray:
-    """(..., 2**m, 2**m) Kronecker products of (..., m, 2, 2) per-qubit
+    """(..., r**m, c**m) Kronecker products of (..., m, r, c) per-qubit
     matrices, qubit 0 the last, least significant factor (m = 0 gives
     1 x 1 identities)."""
     out = np.ones(u.shape[:-3] + (1, 1), dtype=u.dtype)
     for j in range(u.shape[-3]):
-        d = 2 * out.shape[-1]
-        out = (u[..., j, :, None, :, None] * out[..., None, :, None, :]).reshape(out.shape[:-2] + (d, d))
+        rows, cols = u.shape[-2] * out.shape[-2], u.shape[-1] * out.shape[-1]
+        out = (u[..., j, :, None, :, None] * out[..., None, :, None, :]).reshape(
+            out.shape[:-2] + (rows, cols))
     return out
 
 
-def layer_rotations(cfg: AnsatzConfig, theta: np.ndarray) -> np.ndarray:
-    """(n_layers, n_qubits, 2, 2) per-qubit matrices RZ(b) RY(a) of every
-    ansatz layer."""
+def layer_rotations(cfg: AnsatzConfig, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (n_layers, n_qubits, 2, 2) real matrices RY(a) and the
+    (n_layers, n_qubits, 2) diagonals of RZ(b) of every ansatz layer:
+    qubit j's gate in layer l is diag(rz[l, j]) @ ry[l, j]."""
     half = 0.5 * np.asarray(theta, dtype=np.float64).reshape(cfg.n_layers, cfg.n_qubits, 2)
     c, s = np.cos(half[..., 0]), np.sin(half[..., 0])
-    down = np.exp(-1j * half[..., 1])  # RZ(b) scales row 0 by e^{-ib/2}, row 1 by its conjugate
-    up = down.conj()
-    return np.stack([np.stack([down * c, -down * s], -1), np.stack([up * s, up * c], -1)], -2)
+    down = np.exp(-1j * half[..., 1])  # RZ(b) scales |0> by e^{-ib/2}, |1> by its conjugate
+    ry = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
+    return ry, np.stack([down, down.conj()], -1)
 
 
 def factor_widths(n_qubits: int) -> tuple[int, ...]:
     """Qubits in each factor group of a rotation layer, most significant
     first: two halves up to 10 qubits, and from 11 three groups, whose
-    smaller Kronecker factors cost fewer multiply-adds per amplitude
-    (48 against 128 at n = 12).  At n = 11, (3, 4, 4) timed a little
-    faster than (4, 4, 3) and (5, 3, 3)."""
+    smaller Kronecker factors cost fewer multiply-adds per real or
+    imaginary part of an amplitude (48 against 128 at n = 12).  At
+    n = 11, (3, 4, 4) timed a little faster than (4, 4, 3) and (5, 3, 3)."""
     if n_qubits <= 10:
         return n_qubits - n_qubits // 2, n_qubits // 2
     return n_qubits - 8, 4, 4
 
 
 def inverse(layer: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
-    """The factors of the inverse of a rotation layer held as `Steps`
-    holds it: each held factor's conjugate transpose.  Stacked factors
-    stay stacked."""
-    return tuple(f.conj().swapaxes(-1, -2) for f in layer)
+    """The factors of the inverse of a layer's RY gates held as `Steps`
+    holds them: each held real factor's transpose (`Steps` holds the
+    conjugate of the layer's RZ phase).  Stacked factors stay stacked."""
+    return tuple(f.swapaxes(-1, -2) for f in layer)
 
 
 def per_step(factors: Sequence[np.ndarray]) -> list[tuple[np.ndarray, ...]]:
@@ -188,18 +192,20 @@ class Steps:
     matrices over k groups of qubits (`factor_widths`, most significant
     first), then the entangler, one index gather on a flattened row.  A
     row's state is a tensor X[a_0, ..., a_{k-1}] of shape (d_0, ..., d_{k-1}),
-    d_g = 2**(qubits of group g).  With two groups X is a d_0 x d_1 matrix,
-    the layer is F_0 X F_1^T and is held as (F_0, F_1^T).  With three it
-    is held as (F_0^T, F_1^T, F_2^T) and applied as three GEMMs, each
-    contracting the leading axis and moving it last,
-    X(a_g, rest)^T F_g^T, which after all three restores the axis order.
-    The inverse holds each factor's conjugate transpose (`inverse`).  The
-    B rows advance together as one (B, d_0, 2**n / d_0) stack.  Layer 0
-    also carries the encoding, as the per-qubit products
-    RZ(b) RY(a) RY(e_t[j]); its factors differ per row and step
-    (`layer0`).  The other layers' factors are built once, from the one
-    angle set theta, and shared by every row and step.  Non-finite angles
-    or embeddings raise NumericError.
+    d_g = 2**(qubits of group g).  The F_g are Kronecker products of the
+    real RY(a), held as (F_0^T, ..., F_{k-1}^T) and applied to X's float64
+    view [a_0, ..., a_{k-1}, re/im] as k GEMMs, each contracting the
+    leading axis and moving it last, so the result is planar (re/im
+    first).  The entangler's take reads it and writes interleaved complex
+    rows, then the layer's RZ gates scale them: one phase per amplitude,
+    taken through the same gather.  The inverse holds each factor's
+    transpose (`inverse`) and the conjugate phase.  The B rows advance
+    together as one (B, d_0, 2**n / d_0) stack.  Layer 0 also carries the
+    encoding, as the per-qubit products RY(a) RY(e_t[j]); its factors
+    differ per row and step (`layer0`), its phase does not.  The other
+    layers' factors are built once, from the one angle set theta, and
+    shared by every row and step.  Non-finite angles or embeddings raise
+    NumericError.
     """
 
     def __init__(self, cfg: AnsatzConfig, theta: np.ndarray, embeddings: np.ndarray):
@@ -225,34 +231,71 @@ class Steps:
             gather ^= ((gather >> control) & 1) << target
         # (d_0, 2**n / d_0) indices into a flattened row: taking them on the
         # last axis of a stack of rows gives every row's next state (gather)
-        # or its previous one (scatter), as `rotate` takes it
+        # or its previous one (scatter), as `advance` and `unentangle` take them
         self.gather = gather.reshape(self.shape)
         self.scatter = np.argsort(gather).reshape(self.shape)
-        # layer 0's per-qubit matrices and the held factors of the later
-        # layers, and their inverses
-        u = layer_rotations(cfg, theta)
-        self.first_layer = u[0]
-        self.later_layers = list(zip(*self.factors(u[1:])))
+        # [..., c] indexes part c (re, im) of an amplitude in a planar
+        # (2 * 2**n,) row, so a take writes interleaved complex rows
+        self.planar_gather = self.gather[..., None] + (np.arange(2) << n)
+        self.planar_scatter = self.scatter[..., None] + (np.arange(2) << n)
+        ry, rz = layer_rotations(cfg, theta)
+        # the diagonal of a layer's RZ gates is their Kronecker product
+        phases = kron_qubits(rz[..., None, :])[..., 0, :]
+        self.phases = phases[:, gather].reshape((-1,) + self.shape)
+        self.inverse_phases = phases.conj().reshape((-1,) + self.shape)
+        # layer 0's RY matrices and the held factors of the later layers,
+        # and their inverses
+        self.first_layer = ry[0]
+        self.later_layers = list(zip(*self.factors(ry[1:])))
         self.later_inverses = [inverse(layer) for layer in self.later_layers]
 
     def factors(self, u: np.ndarray) -> tuple[np.ndarray, ...]:
         """The held factors, one (..., d_g, d_g) stack per group, of the
-        rotation layers with per-qubit matrices u (..., n, 2, 2)."""
+        rotation layers with real per-qubit matrices u (..., n, 2, 2)."""
         ut = u.swapaxes(-1, -2)
-        first = u if len(self.groups) == 2 else ut  # F_0 X F_1^T takes F_0 itself
-        return tuple(kron_qubits((ut if g else first)[..., qubits, :, :])
-                     for g, qubits in enumerate(self.groups))
+        return tuple(kron_qubits(ut[..., qubits, :, :]) for qubits in self.groups)
 
-    def rotate(self, layer: Sequence[np.ndarray], x: np.ndarray) -> np.ndarray:
-        """A rotation layer, held as `factors` holds it, applied to the
-        states x (..., d_0, 2**n / d_0); the result, flattened per state,
-        is in the same amplitude order."""
-        if len(layer) == 2:
-            a, bt = layer
-            return a @ x @ bt
-        for f, d in zip(layer, self.dims):
+    def rotate(self, factors: Sequence[np.ndarray], x: np.ndarray) -> np.ndarray:
+        """Real rotation factors, held as `factors` holds them, applied to
+        the complex states x (..., d_0, 2**n / d_0) through their float64
+        view; returns planar float64 states, real parts before imaginary
+        ones, flattened over the last two axes."""
+        x = x.view(np.float64)
+        for f, d in zip(factors, self.dims):
             x = x.reshape(x.shape[:-2] + (d, -1)).swapaxes(-1, -2) @ f
         return x
+
+    def advance(self, layer: int, factors: Sequence[np.ndarray], x: np.ndarray) -> np.ndarray:
+        """The (B, d_0, 2**n / d_0) states x through ansatz layer `layer`,
+        with RY factors `factors`: the RY gates, then the entangler and the
+        RZ phase, both in one take."""
+        x = self.rotate(factors, x).reshape(self.rows, -1)
+        x = x.take(self.planar_gather, axis=-1).view(np.complex128)[..., 0]
+        x *= self.phases[layer]
+        return x
+
+    def unentangle(self, x: np.ndarray, planar: bool) -> np.ndarray:
+        """The complex states (..., d_0, 2**n / d_0) before the entangler,
+        given interleaved complex (..., 2**n) rows, or planar float64
+        (..., 2 * 2**n) rows as `unrotate` returns them."""
+        if not planar:
+            return x.take(self.scatter, axis=-1)
+        return x.take(self.planar_scatter, axis=-1).view(np.complex128)[..., 0]
+
+    def unrotate(self, layer: int, inverse_factors: Sequence[np.ndarray], x: np.ndarray) -> np.ndarray:
+        """The inverse of ansatz layer `layer`'s rotations, given its
+        inverse RY factors (`inverse`), applied to the complex states x
+        (..., d_0, 2**n / d_0): the conjugate phase, in place in x, then
+        `rotate`."""
+        x *= self.inverse_phases[layer]
+        return self.rotate(inverse_factors, x)
+
+    def interleaved(self, x: np.ndarray) -> np.ndarray:
+        """(R, 2**n) complex states of what `unrotate` returns for R rows."""
+        planar = x.reshape(x.shape[0], 2, -1)
+        out = np.empty(planar[:, 0].shape, dtype=np.complex128)
+        out.real, out.imag = planar[:, 0], planar[:, 1]
+        return out
 
     def layer0(self, start: int, stop: int) -> tuple[np.ndarray, ...]:
         """Held layer-0 factors (B, S, d_g, d_g) of steps start+1..stop.
@@ -269,10 +312,10 @@ class Steps:
         states after steps first+1..stop (first defaults to start) and
         the layer-0 factors of steps start+1..stop, built in one call
         (`layer0`), which the adjoint walk reuses.  A call spans at most
-        one window, and its factors take at most 2.5x the memory of its
-        steps' states.  The factors are built after the states are
-        allocated: the other order splits the block the last window's
-        states freed, and at n = 12 the heap grew by a window (2 MB)."""
+        one window, and its factors take at most 1.25x the memory of its
+        steps' states (at most 0.15x from n = 11).  The factors are built after the states are allocated:
+        the other order splits the block the last window's states freed,
+        and at n = 12 the heap grew by a window (2 MB)."""
         first = start if first is None else first
         rows = self.rows
         states = np.empty((rows, stop - first, psi.shape[-1]), dtype=np.complex128)
@@ -280,8 +323,8 @@ class Steps:
         views = states.reshape((rows, -1) + self.shape)
         x = psi.reshape((rows,) + self.shape)
         for t, own in enumerate(per_step(f0), start + 1):
-            for layer in [own] + self.later_layers:
-                x = self.rotate(layer, x).reshape(rows, -1).take(self.gather, axis=-1)
+            for layer, factors in enumerate([own] + self.later_layers):
+                x = self.advance(layer, factors, x)
             if t > first:
                 views[:, t - first - 1] = x
         psi[:] = x.reshape(rows, -1)
@@ -327,9 +370,10 @@ class Steps:
         recurrence lam <- M_t^H (lam + inj_t), with lam (B, 2**n), stores
         lam + inj_t for every step of a sub-block; one walk over the stacked
         (2, B * S) (ket K, adjoint L) pairs then reads, just after each
-        rotation layer, the derivative Im <L| P |K> = Im tr(P rho_j) of
-        every angle a of a gate exp(-i a P/2) on qubit j (`cross`; the
-        layer's other gates commute with P).  The adjoint row of the
+        inverse entangler, so after the layer's whole rotation, the
+        derivative Im <L| P |K> = Im tr(P rho_j) of every angle a of a gate
+        exp(-i a P/2) on qubit j (`cross`; the layer's other gates commute
+        with P).  The adjoint row of the
         sub-block's first step, rewound through the whole step, is the
         next lam.  Each step's ket is the recomputed state, so inverse-gate
         drift never crosses a step.  A window's angle derivatives are
@@ -341,6 +385,7 @@ class Steps:
         denc = np.empty((rows, T, self.n))
         lam = np.zeros((rows, 1 << self.n), dtype=np.complex128)
         block = max(1, walk_rows(self.n) // rows)
+        last = len(self.angles) - 1
         for win_start in sorted(self.checkpoints, reverse=True):
             win_end = min(win_start + CHECKPOINT_INTERVAL, T)
             seg, f0 = self.evolve(self.checkpoints[win_start].copy(), win_start, win_end)
@@ -361,8 +406,8 @@ class Steps:
                     if t > start + 1:
                         lam = self.rewind(lam, inv0[t - start - 1])
                 derivs = dwin[:, start - win_start:stop - win_start]
-                for layer in range(len(self.angles) - 1, -1, -1):
-                    pair = pair.reshape(2, rows * (stop - start), -1).take(self.scatter, axis=-1)
+                for layer in range(last, -1, -1):
+                    pair = self.unentangle(pair.reshape(2, rows * (stop - start), -1), layer < last)
                     # for U_j = RZ(b) RY(a): dJ/db = Im tr(Z rho_j), and dJ/da =
                     # Im tr(RZ(b) Y RZ(b)^H rho_j) = cos(b) Im tr(Y rho_j) -
                     # sin(b) Im tr(X rho_j); layer 0's encoding RY(e_t) shares
@@ -373,10 +418,10 @@ class Steps:
                     derivs[:, :, layer, :, 0] = cos_rz[layer] * im_y - sin_rz[layer] * im_x
                     derivs[:, :, layer, :, 1] = (rho[..., 0, 0] - rho[..., 1, 1]).imag
                     if layer:
-                        pair = self.rotate(self.later_inverses[layer - 1], pair)
+                        pair = self.unrotate(layer, self.later_inverses[layer - 1], pair)
                 denc[:, start:stop] = derivs[:, :, 0, :, 0]
                 heads = pair[1].reshape((rows, stop - start) + self.shape)[:, 0]
-                lam = self.rotate(inv0[0], heads).reshape(rows, -1)
+                lam = self.interleaved(self.unrotate(0, inv0[0], heads))
             dtheta += dwin.sum(axis=1)
             del seg, f0, pair  # release the window before the next one is allocated
         return dtheta, denc
@@ -384,9 +429,12 @@ class Steps:
     def rewind(self, x: np.ndarray, first: Sequence[np.ndarray]) -> np.ndarray:
         """M_t^H x for (B, 2**n) vectors x, given the (B, d_g, d_g) inverse
         factors of step t's layer 0 (`inverse`)."""
-        for layer in reversed([first] + self.later_inverses):
-            x = self.rotate(layer, x.reshape(self.rows, -1).take(self.scatter, axis=-1))
-        return x.reshape(self.rows, -1)
+        layers = [first] + self.later_inverses
+        last = len(layers) - 1
+        for layer in range(last, -1, -1):
+            x = self.unentangle(x.reshape(self.rows, -1), layer < last)
+            x = self.unrotate(layer, layers[layer], x)
+        return self.interleaved(x)
 
     def cross(self, kets: np.ndarray, adjoints: np.ndarray) -> np.ndarray:
         """(S, n, 2, 2) reduced cross operators rho_j = Tr_{not j} |k><l| of

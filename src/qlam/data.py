@@ -376,19 +376,24 @@ def _digits(upsample: int) -> tuple[list, None]:
     return samples, None
 
 
-# preset name -> (class count, loader); a loader takes the dataset root
-# override and returns the train and test sample lists, test None where
-# the preset ships no canonical test split
+# preset name -> (class count, default epochs, loader); a loader takes the
+# dataset root override and returns the train and test sample lists, test
+# None where the preset ships no canonical test split
 _PRESETS = {
-    "smnist": (10, lambda root: _mnist_family(root, "mnist", None)),
-    "sfashion": (10, lambda root: _mnist_family(root, "fashion-mnist", None)),
-    "scifar10": (10, _cifar),
-    "smnist8": (10, lambda root: _mnist_family(root, "mnist", shrink_28_to_8)),
-    "smnist16": (10, lambda root: _mnist_family(root, "mnist", shrink_28_to_16)),
-    "sdigits8": (10, lambda root: _digits(1)),
-    "sdigits16": (10, lambda root: _digits(2)),
+    "smnist": (10, 30, lambda root: _mnist_family(root, "mnist", None)),
+    "sfashion": (10, 30, lambda root: _mnist_family(root, "fashion-mnist", None)),
+    "scifar10": (10, 50, _cifar),
+    "smnist8": (10, 30, lambda root: _mnist_family(root, "mnist", shrink_28_to_8)),
+    "smnist16": (10, 30, lambda root: _mnist_family(root, "mnist", shrink_28_to_16)),
+    "sdigits8": (10, 30, lambda root: _digits(1)),
+    "sdigits16": (10, 30, lambda root: _digits(2)),
 }
 DATASET_NAMES = tuple(_PRESETS)
+
+
+def default_epochs(name: str) -> int:
+    """The epochs a run on preset `name` trains when it names none."""
+    return _PRESETS[name][1]
 
 
 def load_dataset(name: str, root: str | None = None) -> DatasetBundle:
@@ -403,7 +408,7 @@ def load_dataset(name: str, root: str | None = None) -> DatasetBundle:
     """
     if name not in _PRESETS:
         raise ConfigError(f"unknown dataset {name!r}; choose from {DATASET_NAMES}")
-    n_classes, loader = _PRESETS[name]
+    n_classes, _, loader = _PRESETS[name]
     train, test = loader(root)
     if not train:
         raise DataError(f"dataset {name} has no training samples")

@@ -36,6 +36,7 @@ from .data import (
     DATASET_NAMES,
     DatasetBundle,
     SequenceSample,
+    default_epochs,
     fold_split,
     holdout_split,
     load_dataset,
@@ -134,7 +135,7 @@ class TrainConfig:
     def resolved_epochs(self) -> int:
         if self.epochs is not None:
             return self.epochs
-        return 50 if self.dataset == "scifar10" else 30
+        return default_epochs(self.dataset)
 
     def cell_config(self) -> CellConfig:
         """This config's cell: every `CellConfig` field that is also a
@@ -463,6 +464,19 @@ def train(config: TrainConfig, bundle: DatasetBundle | None = None) -> TrainResu
     )
 
 
+def _refuse_other_cell(saved: CellConfig, mine: CellConfig, names: set[str], source: str) -> None:
+    """ConfigError naming every field in `names` where the checkpoint's
+    cell differs from the one that `source` gives."""
+    differ = [
+        f"checkpoint has {f.name}={getattr(saved, f.name)!r}, "
+        f"the {source} has {f.name}={getattr(mine, f.name)!r}"
+        for f in fields(CellConfig)
+        if f.name in names and getattr(saved, f.name) != getattr(mine, f.name)
+    ]
+    if differ:
+        raise ConfigError("; ".join(differ))
+
+
 def evaluate(checkpoint_path, config: TrainConfig, bundle: DatasetBundle | None = None) -> float:
     """Accuracy of a saved model on this config's test split.
 
@@ -478,16 +492,11 @@ def evaluate(checkpoint_path, config: TrainConfig, bundle: DatasetBundle | None 
                 f"checkpoint was trained with {name}={extra[name]!r}, "
                 f"the config has {name}={getattr(config, name)!r}"
             )
+    # the cell fields the config sets are refused before the data loads,
+    # the class count the dataset sets after
+    _refuse_other_cell(cell_cfg, config.cell_config(), {f.name for f in fields(config)}, "config")
     _, test_set, mine = _splits(config, bundle)
-    compared = {f.name for f in fields(config)} | {"n_classes"}
-    differ = [
-        f"checkpoint has {f.name}={getattr(cell_cfg, f.name)!r}, the "
-        f"{'dataset' if f.name == 'n_classes' else 'config'} has {f.name}={getattr(mine, f.name)!r}"
-        for f in fields(CellConfig)
-        if f.name in compared and getattr(cell_cfg, f.name) != getattr(mine, f.name)
-    ]
-    if differ:
-        raise ConfigError("; ".join(differ))
+    _refuse_other_cell(cell_cfg, mine, {"n_classes"}, "dataset")
     _, accuracy = evaluate_samples(
         test_set, params, cell_cfg, config.shot_config(), workers=config.workers
     )

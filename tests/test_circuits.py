@@ -30,6 +30,12 @@ def random_theta(cfg, seed):
     return rng.uniform(-np.pi, np.pi, size=cfg.n_params)
 
 
+def gates(cfg, theta):
+    """(n_layers, n_qubits, 2, 2) per-qubit gates RZ(b) RY(a) of every layer."""
+    ry, rz = layer_rotations(cfg, theta)
+    return rz[..., None] * ry
+
+
 def random_state(n_qubits, seed):
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=1 << n_qubits) + 1j * rng.normal(size=1 << n_qubits)
@@ -73,7 +79,7 @@ def test_entangler_pairs():
 
 def test_encoding_zero_is_identity():
     # a zero embedding leaves layer 0's per-qubit rotations bit for bit
-    u = layer_rotations(AnsatzConfig(3, 1), random_theta(AnsatzConfig(3, 1), 1))[0]
+    u = layer_rotations(AnsatzConfig(3, 1), random_theta(AnsatzConfig(3, 1), 1))[0][0]
     assert np.array_equal(times_ry(u, np.cos(np.zeros(3)), np.sin(np.zeros(3))), u)
 
 
@@ -190,12 +196,12 @@ def test_plan_covers_every_parameter_once():
     # product of all entangler_pairs CNOTs (test_engine checks the gather)
     cfg = AnsatzConfig(3, 2)
     theta = random_theta(cfg, 25)
-    base = layer_rotations(cfg, theta)
+    base = gates(cfg, theta)
     theta_slots = []
     for k in range(cfg.n_params):
         bumped = theta.copy()
         bumped[k] += 0.5
-        new = layer_rotations(cfg, bumped)
+        new = gates(cfg, bumped)
         for layer, qubit in np.argwhere((new != base).any(axis=(-1, -2))):
             # an RZ angle moves phases only, an RY angle magnitudes too
             rz = np.allclose(np.abs(new[layer, qubit]), np.abs(base[layer, qubit]))

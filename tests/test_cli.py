@@ -334,6 +334,10 @@ def test_eval_with_cell_flags_other_than_the_checkpoints_exits_2(tmp_path, capsy
                       "config", capsys)
     name = {"--qubits": "n_qubits", "--t-keep": "t_keep"}[flag[0]]
     assert f"checkpoint has {name}=" in err and f"the config has {name}={flag[1]}" in err
+    # refused before the data loads, so a missing data directory changes nothing
+    missing = ["--data-dir", str(tmp_path / "missing")]
+    argv = ["eval", "--checkpoint", str(out_dir / "checkpoint_s0_f0.npz"), *tiny, *flag, *missing]
+    assert assert_exit(argv, "config", capsys) == err
 
 
 def test_config_file_that_is_not_utf8_exits_like_malformed_json(tmp_path, capsys):

@@ -110,10 +110,19 @@ def test_steps_match_dense_step_on_large_registers(n_qubits, entangler):
     emb = rng.uniform(-2.0, 2.0, (3, 2, n_qubits))
     dim = 1 << n_qubits
     psi = rng.normal(size=(3, dim)) + 1j * rng.normal(size=(3, dim))
+    phi = rng.normal(size=(3, dim)) + 1j * rng.normal(size=(3, dim))
+    phi /= np.linalg.norm(phi, axis=1, keepdims=True)
     want = psi.T
     for t, angles in ((1, theta), (2, theta_2)):
-        want = np.stack([dense_step(cfg, angles, emb[b, t - 1], want[:, b:b + 1])[:, 0]
-                         for b in range(3)], axis=1)
+        stepped = np.stack([dense_step(cfg, angles, emb[b, t - 1], want[:, b:b + 1])[:, 0]
+                            for b in range(3)], axis=1)
+        # the adjoint identity <M_t^H phi, psi> = <phi, M_t psi> checks
+        # `rewind` (the conjugate phase, the transposed real factors)
+        steps = Steps(cfg, angles, emb)
+        rewound = steps.rewind(phi, inverse([f[:, 0] for f in steps.layer0(t - 1, t)]))
+        for b in range(3):
+            assert_allclose(np.vdot(rewound[b], want[:, b]), np.vdot(phi[b], stepped[:, b]), atol=1e-12)
+        want = stepped
     Steps(cfg, theta, emb).evolve(psi, 0, 1)
     Steps(cfg, theta_2, emb).evolve(psi, 1, 2)
     assert_allclose(psi.T, want, atol=1e-12)
@@ -234,8 +243,9 @@ def test_logits_bitwise_across_views_and_windows(n_qubits, T, t_keep):
 
 @pytest.mark.parametrize("n_qubits, batch, chunks", [
     # one chunk of several sequences, where size-1 axes of the one- and
-    # two-qubit stacks can change numpy's reduction order; and chunks of
-    # walk_rows(9) = 8, so a batch of 10 runs as 8 + 2
+    # two-qubit stacks can change numpy's reduction order (and a real GEMM
+    # over a 1 x 1 factor runs at n = 1); and chunks of walk_rows(9) = 8,
+    # so a batch of 10 runs as 8 + 2
     pytest.param(1, 5, 1, id="1"),
     pytest.param(2, 3, 1, id="2"),
     pytest.param(3, 2, 1, id="3"),

@@ -36,7 +36,8 @@ def rotation_layer(n_qubits, target, ry=0.0, rz=0.0):
     cfg = AnsatzConfig(n_qubits, 1)
     theta = np.zeros((n_qubits, 2))
     theta[target] = ry, rz
-    return kron_qubits(layer_rotations(cfg, theta)[0])
+    ry, rz = layer_rotations(cfg, theta)
+    return kron_qubits(rz[0, :, :, None] * ry[0])
 
 
 def test_zero_state_is_basis_zero():
