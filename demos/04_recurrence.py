@@ -30,7 +30,7 @@ def main():
     # The engine advances a stack of sequences; this one is a stack of one.
     state = new_zero_state(cfg.n_qubits)
     embeddings = embed_token(rng.uniform(0.0, 1.0, 3000), params)
-    Steps(cfg.ansatz, params.theta, embeddings[None]).evolve(state[None], 0, 3000, 3000)
+    Steps(params.theta, embeddings[None], cfg.entangler).evolve(state[None], 0, 3000, 3000)
     print(f"norm drift after 3000 recurrent steps: "
           f"{abs(np.linalg.norm(state) - 1.0):.2e}")
 

@@ -17,7 +17,7 @@ from .cell import (
     predict,
 )
 from .checkpoint import load_checkpoint, save_checkpoint
-from .circuits import AnsatzConfig, new_zero_state
+from .circuits import new_zero_state
 from .data import (
     DatasetBundle,
     SequenceSample,
@@ -52,8 +52,8 @@ from .trainer import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnsatzConfig", "CellConfig", "ConfigError", "DataError", "DatasetBundle",
-    "GradBundle", "MetricsRow", "NumericError", "ParseError",
+    "CellConfig", "ConfigError", "DataError", "DatasetBundle", "GradBundle",
+    "MetricsRow", "NumericError", "ParseError",
     "QlamError", "QlamParams", "ReadoutTrace", "SequenceSample",
     "ShapeError", "ShotConfig", "TrainConfig", "TrainResult", "ValidationError",
     "adam_step", "cosine_lr", "default_pauli_pool", "evaluate", "final_logits",

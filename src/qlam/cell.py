@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import AnsatzConfig, Steps
+from .circuits import Steps, check_register
 from .data import validate_tokens
 from .errors import ConfigError, NumericError, ShapeError, check_fields
 from .observables import (
@@ -59,7 +59,8 @@ from .observables import (
 
 @dataclass(frozen=True)
 class CellConfig:
-    """Structural hyperparameters of one recurrence cell."""
+    """Structural hyperparameters of one recurrence cell.  Every field but
+    `n_classes`, which the dataset sets, is a `TrainConfig` field."""
 
     n_qubits: int = 4
     n_layers: int = 2
@@ -69,18 +70,15 @@ class CellConfig:
     decoder_hidden: int = 16
     t_keep: int = 1
     n_classes: int = 10
-    clamp_tokens: bool = False
 
     def __post_init__(self):
         check_fields(self)
-        for name in ("d_query", "n_heads", "decoder_hidden", "t_keep", "n_classes"):
+        for name in ("n_layers", "d_query", "n_heads", "decoder_hidden", "t_keep", "n_classes"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        self.ansatz  # circuit-shape checks live in AnsatzConfig
-
-    @property
-    def ansatz(self) -> AnsatzConfig:
-        return AnsatzConfig(self.n_qubits, self.n_layers, self.entangler)
+        check_register(self.n_qubits)
+        if self.entangler not in ("ring", "linear"):
+            raise ConfigError(f"entangler must be 'ring' or 'linear', got {self.entangler!r}")
 
     @property
     def pool(self) -> tuple[str, ...]:
@@ -133,7 +131,7 @@ class QlamParams:
         expected = {
             "embed_w": (n,),
             "embed_b": (n,),
-            "theta": (cfg.n_layers * 2 * n,),
+            "theta": (2 * cfg.n_layers * n,),
             "w_q": (cfg.d_query, n),
             "dec_w1": (cfg.n_heads, cfg.decoder_hidden, cfg.d_query),
             "dec_b1": (cfg.n_heads, cfg.decoder_hidden),
@@ -169,7 +167,7 @@ def init_qlam_params(rng: np.random.Generator, cfg: CellConfig) -> QlamParams:
         w1[i], b1[i] = init_affine(rng, cfg.decoder_hidden, cfg.d_query)
         w2[i], b2[i] = init_affine(rng, p, cfg.decoder_hidden)
     cw, cb = init_affine(rng, cfg.n_classes, cfg.feature_dim)
-    theta = rng.uniform(-0.1, 0.1, size=cfg.ansatz.n_params)
+    theta = rng.uniform(-0.1, 0.1, size=2 * cfg.n_layers * n)
     return QlamParams(
         embed_w=ew[:, 0], embed_b=eb, theta=theta, w_q=wq,
         dec_w1=w1, dec_b1=b1, dec_w2=w2, dec_b2=b2, cls_w=cw, cls_b=cb,
@@ -296,7 +294,7 @@ def run(
     depend on `keep`, on the window that computed it, or on the other
     rows of the stack.
     """
-    rows = [validate_tokens(row, cfg.clamp_tokens) for row in tokens]
+    rows = [validate_tokens(row) for row in tokens]
     lengths = sorted({row.shape[0] for row in rows})
     if len(lengths) != 1:
         raise ShapeError(f"a token stack needs one or more rows of one length, got lengths {lengths}")
@@ -313,7 +311,7 @@ def run(
     first = T - keep + 1
     with np.errstate(over="ignore", invalid="ignore"):
         emb = embed_token(x, params)
-    steps = Steps(cfg.ansatz, params.theta, emb)  # rejects a non-finite embedding
+    steps = Steps(params.theta, emb, cfg.entangler)  # rejects a non-finite embedding
     q = np.einsum("qn,btn->btq", params.w_q, emb[:, first - 1:])
     table = pauli_table(cfg.pool)
     exps = np.empty((x.shape[0], keep, table.size))

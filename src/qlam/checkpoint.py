@@ -73,7 +73,12 @@ def load_checkpoint(path) -> tuple[QlamParams, CellConfig, dict]:
             f"checkpoint version {version} unsupported (expected {CHECKPOINT_VERSION})"
         )
     try:
-        cfg = CellConfig(**_json_load(members["__config__"], "__config__"))
+        stored = _json_load(members["__config__"], "__config__")
+        # a cell field until tokens outside [0, 1] became always an error
+        if stored.pop("clamp_tokens", False) is not False:
+            raise ValueError("clamp_tokens is set: the model clipped tokens outside [0, 1], "
+                             "which is no longer supported")
+        cfg = CellConfig(**stored)
         extra = _json_load(members["__extra__"], "__extra__")
         params = QlamParams.from_dict({
             name: arr.astype(np.float64, casting="same_kind")

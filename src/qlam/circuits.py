@@ -11,6 +11,7 @@ on every qubit followed by a CNOT entangler.  ``theta`` is a flat angle
 vector, viewed as (n_layers, n_qubits, 2) with RY at [..., 0] and RZ at
 [..., 1].  Every step runs the same theta, so an engine holds one angle
 set; the shift oracle in `gradients` moves an angle at every step.
+`cell.CellConfig` sets the circuit's shape; `Steps` reads it off its arrays.
 
 `Steps` is the step engine at every register size, and it owns the
 whole sweep over a stack of B equal-length sequences, advanced together
@@ -40,13 +41,12 @@ B = 1 sweep.
 from __future__ import annotations
 
 import functools
+import numbers
 from collections.abc import Sequence
-from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, check_fields
+from .errors import ConfigError, NumericError, ShapeError
 
 # The largest register the simulator accepts.
 MAX_QUBITS = 12
@@ -58,9 +58,18 @@ CHECKPOINT_INTERVAL = 32
 WALK_AMPLITUDES = 1 << 12
 
 
+def check_register(n_qubits: int) -> int:
+    """n_qubits as a plain int; ConfigError unless it is an int (a bool is
+    not) in [1, MAX_QUBITS]."""
+    integer = isinstance(n_qubits, numbers.Integral) and not isinstance(n_qubits, bool)
+    if not (integer and 1 <= n_qubits <= MAX_QUBITS):
+        raise ConfigError(f"n_qubits must be an int in [1, {MAX_QUBITS}], got {n_qubits!r}")
+    return int(n_qubits)
+
+
 def new_zero_state(n_qubits: int) -> np.ndarray:
     """Return the (2**n_qubits,) amplitudes of |0...0>."""
-    amps = np.zeros(1 << AnsatzConfig(n_qubits).n_qubits, dtype=np.complex128)
+    amps = np.zeros(1 << check_register(n_qubits), dtype=np.complex128)
     amps[0] = 1.0
     return amps
 
@@ -73,42 +82,14 @@ def walk_rows(n_qubits: int) -> int:
     return max(1, WALK_AMPLITUDES >> n_qubits)
 
 
-@dataclass(frozen=True)
-class AnsatzConfig:
-    """Structural shape of the variational circuit."""
-
-    n_qubits: int
-    n_layers: int = 2
-    entangler: Literal["ring", "linear"] = "ring"
-
-    def __post_init__(self):
-        check_fields(self)
-        if not 1 <= self.n_qubits <= MAX_QUBITS:
-            raise ConfigError(
-                f"n_qubits must be in [1, {MAX_QUBITS}], got {self.n_qubits}"
-            )
-        if self.n_layers < 1:
-            raise ConfigError(f"n_layers must be >= 1, got {self.n_layers}")
-        if self.entangler not in ("ring", "linear"):
-            raise ConfigError(f"entangler must be 'ring' or 'linear', got {self.entangler!r}")
-
-    @property
-    def params_per_layer(self) -> int:
-        return 2 * self.n_qubits
-
-    @property
-    def n_params(self) -> int:
-        return self.n_layers * 2 * self.n_qubits
-
-
-def entangler_pairs(cfg: AnsatzConfig) -> list[tuple[int, int]]:
-    """(control, target) pairs of one entangling sublayer, in application order."""
-    n = cfg.n_qubits
-    if n == 1:
+def entangler_pairs(n_qubits: int, entangler: str) -> list[tuple[int, int]]:
+    """(control, target) pairs of one entangling sublayer of a ring or
+    linear entangler, in application order."""
+    if n_qubits == 1:
         return []
-    if cfg.entangler == "ring":
-        return [(j, (j + 1) % n) for j in range(n)]
-    return [(j, j + 1) for j in range(n - 1)]
+    if entangler == "ring":
+        return [(j, (j + 1) % n_qubits) for j in range(n_qubits)]
+    return [(j, j + 1) for j in range(n_qubits - 1)]
 
 
 def kron_qubits(u: np.ndarray) -> np.ndarray:
@@ -123,11 +104,11 @@ def kron_qubits(u: np.ndarray) -> np.ndarray:
     return out
 
 
-def layer_rotations(cfg: AnsatzConfig, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def layer_rotations(theta: np.ndarray, n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
     """The (n_layers, n_qubits, 2, 2) real matrices RY(a) and the
-    (n_layers, n_qubits, 2) diagonals of RZ(b) of every ansatz layer:
-    qubit j's gate in layer l is diag(rz[l, j]) @ ry[l, j]."""
-    half = 0.5 * np.asarray(theta, dtype=np.float64).reshape(cfg.n_layers, cfg.n_qubits, 2)
+    (n_layers, n_qubits, 2) diagonals of RZ(b) of every ansatz layer of
+    the angles theta: qubit j's gate in layer l is diag(rz[l, j]) @ ry[l, j]."""
+    half = 0.5 * np.asarray(theta, dtype=np.float64).reshape(-1, n_qubits, 2)
     c, s = np.cos(half[..., 0]), np.sin(half[..., 0])
     down = np.exp(-1j * half[..., 1])  # RZ(b) scales |0> by e^{-ib/2}, |1> by its conjugate
     ry = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
@@ -187,7 +168,10 @@ class Steps:
     consecutive steps at a time.  A single sequence is B = 1.
 
     Step t of row b is M_t = U_var(theta) U_enc(e_t), with e_t =
-    embeddings[b, t - 1].  Each ansatz layer l is a rotation layer
+    embeddings[b, t - 1].  The arrays give the shape: n = embeddings.shape[-1]
+    qubits (`check_register`) and theta.size // 2n layers (ShapeError
+    unless the angles fill a whole number, at least one).  `entangler` is
+    "ring" or "linear".  Each ansatz layer l is a rotation layer
     F_0 (x) ... (x) F_{k-1}, the Kronecker products of its per-qubit
     matrices over k groups of qubits (`factor_widths`, most significant
     first), then the entangler, one index gather on a flattened row.  A
@@ -208,13 +192,17 @@ class Steps:
     NumericError.
     """
 
-    def __init__(self, cfg: AnsatzConfig, theta: np.ndarray, embeddings: np.ndarray):
+    def __init__(self, theta: np.ndarray, embeddings: np.ndarray, entangler: str):
+        n = self.n = check_register(embeddings.shape[-1])
+        n_layers = np.size(theta) // (2 * n)
+        if n_layers < 1 or np.size(theta) != 2 * n * n_layers:
+            raise ShapeError(f"{np.size(theta)} circuit angles fill no whole number of "
+                             f"{2 * n}-angle layers of {n} qubits")
         if not np.isfinite(theta).all():
             raise NumericError("non-finite circuit angles")
         finite = np.isfinite(embeddings).all(axis=(0, 2))
         if not finite.all():
             raise NumericError(f"non-finite embedding at timestep {int(np.argmin(finite)) + 1}")
-        n = self.n = cfg.n_qubits
         widths = factor_widths(n)
         self.dims = tuple(1 << w for w in widths)
         # group g holds the qubits below the groups before it
@@ -223,11 +211,11 @@ class Steps:
         self.shape = (self.dims[0], (1 << n) // self.dims[0])
         self.rows = embeddings.shape[0]
         self.embeddings = embeddings
-        self.angles = np.reshape(theta, (cfg.n_layers, n, 2))
+        self.angles = np.reshape(theta, (n_layers, n, 2))
         # CNOT(c, t) flips bit t of the index where bit c is set; after the
         # entangler, amplitude i is the one at i put through its CNOTs last first
         gather = np.arange(1 << n)
-        for control, target in reversed(entangler_pairs(cfg)):
+        for control, target in reversed(entangler_pairs(n, entangler)):
             gather ^= ((gather >> control) & 1) << target
         # (d_0, 2**n / d_0) indices into a flattened row: taking them on the
         # last axis of a stack of rows gives every row's next state (gather)
@@ -238,7 +226,7 @@ class Steps:
         # (2 * 2**n,) row, so a take writes interleaved complex rows
         self.planar_gather = self.gather[..., None] + (np.arange(2) << n)
         self.planar_scatter = self.scatter[..., None] + (np.arange(2) << n)
-        ry, rz = layer_rotations(cfg, theta)
+        ry, rz = layer_rotations(theta, n)
         # the diagonal of a layer's RZ gates is their Kronecker product
         phases = kron_qubits(rz[..., None, :])[..., 0, :]
         self.phases = phases[:, gather].reshape((-1,) + self.shape)

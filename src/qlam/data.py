@@ -189,16 +189,14 @@ def to_sequence(image: np.ndarray, layout: str = "grayscale_raster") -> np.ndarr
     raise ConfigError(f"unknown sequence layout {layout!r}")
 
 
-def validate_tokens(tokens, clamp: bool) -> np.ndarray:
+def validate_tokens(tokens) -> np.ndarray:
     """A token sequence as a float64 vector in the [0, 1] domain of
-    `to_sequence`; out-of-range tokens are clipped when clamp is set."""
+    `to_sequence`; a token outside it is a ValidationError."""
     x = np.asarray(tokens, dtype=np.float64)
     if x.ndim != 1 or x.shape[0] < 1:
         raise ShapeError(f"tokens must be a non-empty vector, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise NumericError("tokens must be finite")
-    if clamp:
-        return np.clip(x, 0.0, 1.0)
     if x.min() < 0.0 or x.max() > 1.0:
         raise ValidationError(
             f"tokens must lie in [0, 1], got range [{x.min():.6g}, {x.max():.6g}]"

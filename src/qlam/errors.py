@@ -11,7 +11,7 @@ import os
 from dataclasses import fields
 
 # config field annotation (without "| None") -> accepted value types
-_FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": (str, os.PathLike), "bool": bool}
+_FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": (str, os.PathLike)}
 
 
 class QlamError(Exception):
@@ -62,15 +62,15 @@ class DataError(QlamError, ValueError):
 
 def check_fields(config) -> None:
     """Check each field of a frozen config dataclass against its annotation,
-    int, float, str (or a path object) or bool, optionally ``| None``, and
-    store numbers back as plain Python ints and floats; a bool is not a
-    number.  Literal fields keep their config's own membership check."""
+    int, float or str (or a path object), optionally ``| None``, and
+    store numbers back as plain Python ints and floats; a bool is none of
+    these.  Literal fields keep their config's own membership check."""
     for f in fields(config):
         kind, _, optional = f.type.partition(" | ")
         value = getattr(config, f.name)
         if kind.startswith("Literal") or (value is None and optional):
             continue
-        if isinstance(value, bool) != (kind == "bool") or not isinstance(value, _FIELD_TYPES[kind]):
+        if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[kind]):
             raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
         if kind in ("int", "float"):
             object.__setattr__(config, f.name, int(value) if kind == "int" else float(value))

@@ -150,7 +150,7 @@ def elman_forward(tokens: np.ndarray, params: dict[str, np.ndarray]) -> np.ndarr
 
 
 def _elman_run(tokens, params):
-    x = validate_tokens(tokens, clamp=False)
+    x = validate_tokens(tokens)
     d = params["w_in"].shape[0]
     h = np.zeros(d)
     hs = np.empty((x.shape[0] + 1, d))

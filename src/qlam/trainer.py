@@ -138,10 +138,10 @@ class TrainConfig:
         return default_epochs(self.dataset)
 
     def cell_config(self) -> CellConfig:
-        """This config's cell: every `CellConfig` field that is also a
-        field here; `train` sets its class count from the dataset."""
-        mine = {f.name for f in fields(self)}
-        return CellConfig(**{f.name: getattr(self, f.name) for f in fields(CellConfig) if f.name in mine})
+        """This config's cell: every `CellConfig` field but `n_classes` is a
+        field here, and `train` sets the class count from the dataset."""
+        names = [f.name for f in fields(CellConfig) if f.name != "n_classes"]
+        return CellConfig(**{name: getattr(self, name) for name in names})
 
     def shot_config(self) -> ShotConfig:
         """`shots` draws per pool term, seeded by `seed`; 0 is exact readout."""

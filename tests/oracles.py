@@ -122,7 +122,7 @@ def dense_recurrence_readouts(tokens, params, cfg, step_thetas=None) -> np.ndarr
     """(T, n_heads) readouts computed entirely with dense matrices and a
     straight-line decoder re-evaluation; the independent model oracle.
     Step t (0-based) runs the circuit angles step_thetas[t] of a
-    (T, n_params) array when one is given, params.theta otherwise."""
+    (T, 2 * n_layers * n_qubits) array when one is given, params.theta otherwise."""
     from qlam.observables import default_pauli_pool
 
     pool = default_pauli_pool(cfg.n_qubits)
@@ -134,7 +134,7 @@ def dense_recurrence_readouts(tokens, params, cfg, step_thetas=None) -> np.ndarr
     for t, x_t in enumerate(x):
         e_t = params.embed_w * x_t + params.embed_b
         theta = params.theta if step_thetas is None else step_thetas[t]
-        psi = dense_step_matrix(cfg.ansatz, theta, e_t) @ psi
+        psi = dense_step_matrix(cfg, theta, e_t) @ psi
         q_t = params.w_q @ e_t
         for h in range(cfg.n_heads):
             hidden = np.tanh(params.dec_w1[h] @ q_t + params.dec_b1[h])

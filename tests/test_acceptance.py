@@ -25,7 +25,7 @@ from oracles import (
 )
 
 from qlam.cell import CellConfig, decoder, init_qlam_params, measure
-from qlam.circuits import AnsatzConfig, Steps, new_zero_state
+from qlam.circuits import Steps, new_zero_state
 from qlam.data import (
     CIFAR_RECORD_BYTES,
     DatasetBundle,
@@ -85,12 +85,12 @@ def test_criterion_01_desk_scale_scope_is_stated():
 
 def test_criterion_02_unitarity_at_depth():
     # the factored step engine of the recurrence
-    cfg = AnsatzConfig(n_qubits=4)
+    cfg = CellConfig(n_qubits=4)
     rng = np.random.default_rng(2)
-    theta = rng.uniform(-np.pi, np.pi, cfg.n_params)
+    theta = rng.uniform(-np.pi, np.pi, 2 * cfg.n_layers * cfg.n_qubits)
     for depth in (10_000, 3072):
         state = new_zero_state(4)[None]
-        Steps(cfg, theta, rng.uniform(0.0, 1.0, (1, depth, 4))).evolve(state, 0, depth, depth)
+        Steps(theta, rng.uniform(0.0, 1.0, (1, depth, 4)), cfg.entangler).evolve(state, 0, depth, depth)
         assert abs(np.linalg.norm(state) - 1.0) < 1e-9
 
 
@@ -124,15 +124,15 @@ def test_criterion_04_dense_oracle_100_instances():
     rng = np.random.default_rng(4)
     for trial in range(100):
         n = 1 + trial % 4
-        cfg = AnsatzConfig(
+        cfg = CellConfig(
             n, n_layers=1 + trial % 2,
             entangler="ring" if trial % 3 else "linear",
         )
-        theta = rng.uniform(-np.pi, np.pi, cfg.n_params)
+        theta = rng.uniform(-np.pi, np.pi, 2 * cfg.n_layers * cfg.n_qubits)
         embedding = rng.uniform(-np.pi, np.pi, n)
         state = random_state(rng, n)
         before = state.copy()
-        Steps(cfg, theta, embedding[None, None]).evolve(state[None], 0, 1)
+        Steps(theta, embedding[None, None], cfg.entangler).evolve(state[None], 0, 1)
         dense = dense_step_matrix(cfg, theta, embedding)
         assert np.abs(state - dense @ before).max() < 1e-10
 

@@ -17,5 +17,5 @@ def test_removed_names_resolve_from_no_module():
     modules = [qlam] + [importlib.import_module(f"qlam.{info.name}")
                         for info in pkgutil.iter_modules(qlam.__path__)]
     removed = ("PauliString", "pool_table", "shot_stream", "sample_term_mean", "FoldPlan", "make_folds",
-               "readout_features")
+               "readout_features", "AnsatzConfig")
     assert [(m.__name__, name) for m in modules for name in removed if hasattr(m, name)] == []

@@ -194,6 +194,29 @@ def test_unknown_config_key_is_data_error(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("clamp", [False, True])
+def test_config_with_a_clamp_tokens_key(tmp_path, clamp):
+    # checkpoints written while the cell had a clamp_tokens field: false
+    # loads as before, true is refused, since that model clipped its tokens
+    cfg = small_cfg()
+    params = init_qlam_params(np.random.default_rng(14), cfg)
+    path = tmp_path / "m.npz"
+    save_checkpoint(path, params, cfg)
+    with np.load(path) as archive:
+        members = {name: archive[name] for name in archive.files}
+    config = {**json.loads(members["__config__"].tobytes()), "clamp_tokens": clamp}
+    members["__config__"] = np.frombuffer(json.dumps(config).encode(), dtype=np.uint8)
+    np.savez(path, **members)
+    if clamp:
+        with pytest.raises(DataError, match="clamp_tokens"):
+            load_checkpoint(path)
+        return
+    got_params, got_cfg, _ = load_checkpoint(path)
+    assert got_cfg == cfg
+    for key, arr in params.as_dict().items():
+        assert_array_equal(got_params.as_dict()[key], arr, err_msg=key)
+
+
 def test_truncated_archive_is_data_error(tmp_path):
     cfg = small_cfg()
     params = init_qlam_params(np.random.default_rng(9), cfg)

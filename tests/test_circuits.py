@@ -13,7 +13,6 @@ from oracles import central_diff, dense_step_matrix
 
 from qlam.cell import CellConfig, init_qlam_params, run
 from qlam.circuits import (
-    AnsatzConfig,
     Steps,
     entangler_pairs,
     kron_qubits,
@@ -27,12 +26,12 @@ from qlam.observables import pauli_table
 
 def random_theta(cfg, seed):
     rng = np.random.default_rng(seed)
-    return rng.uniform(-np.pi, np.pi, size=cfg.n_params)
+    return rng.uniform(-np.pi, np.pi, size=2 * cfg.n_layers * cfg.n_qubits)
 
 
 def gates(cfg, theta):
     """(n_layers, n_qubits, 2, 2) per-qubit gates RZ(b) RY(a) of every layer."""
-    ry, rz = layer_rotations(cfg, theta)
+    ry, rz = layer_rotations(theta, cfg.n_qubits)
     return rz[..., None] * ry
 
 
@@ -54,32 +53,33 @@ def evolve(cfg, theta, embeddings, state):
     """The (2**n,) state after the steps of `embeddings` (T, n), run by
     `Steps` as a one-row stack."""
     psi = np.array(state, dtype=np.complex128)[None]
-    steps = Steps(cfg, theta, np.asarray(embeddings, dtype=np.float64)[None])
+    steps = Steps(theta, np.asarray(embeddings, dtype=np.float64)[None], cfg.entangler)
     steps.evolve(psi, 0, len(embeddings))
     return psi[0]
 
 
 def test_ansatz_config_validation():
-    cfg = AnsatzConfig(3, 2)
-    assert cfg.params_per_layer == 6
-    assert cfg.n_params == 12
+    # the cell's circuit: 6 angles per layer, 12 in all, as the engine reads them
+    cfg = CellConfig(3, 2)
+    assert init_qlam_params(np.random.default_rng(0), cfg).theta.shape == (12,)
+    assert Steps(np.zeros(12), np.zeros((1, 1, 3)), cfg.entangler).angles.shape == (2, 3, 2)
     with pytest.raises(ConfigError):
-        AnsatzConfig(3, 0)
+        CellConfig(3, 0)
     with pytest.raises(ConfigError):
-        AnsatzConfig(3, 1, entangler="star")
+        CellConfig(3, 1, entangler="star")
 
 
 def test_entangler_pairs():
-    assert entangler_pairs(AnsatzConfig(1, 1)) == []
+    assert entangler_pairs(1, "ring") == []
     # the two-qubit ring keeps both directed pairs
-    assert entangler_pairs(AnsatzConfig(2, 1)) == [(0, 1), (1, 0)]
-    assert entangler_pairs(AnsatzConfig(4, 1)) == [(0, 1), (1, 2), (2, 3), (3, 0)]
-    assert entangler_pairs(AnsatzConfig(4, 1, entangler="linear")) == [(0, 1), (1, 2), (2, 3)]
+    assert entangler_pairs(2, "ring") == [(0, 1), (1, 0)]
+    assert entangler_pairs(4, "ring") == [(0, 1), (1, 2), (2, 3), (3, 0)]
+    assert entangler_pairs(4, "linear") == [(0, 1), (1, 2), (2, 3)]
 
 
 def test_encoding_zero_is_identity():
     # a zero embedding leaves layer 0's per-qubit rotations bit for bit
-    u = layer_rotations(AnsatzConfig(3, 1), random_theta(AnsatzConfig(3, 1), 1))[0][0]
+    u = layer_rotations(random_theta(CellConfig(3, 1), 1), 3)[0][0]
     assert np.array_equal(times_ry(u, np.cos(np.zeros(3)), np.sin(np.zeros(3))), u)
 
 
@@ -115,15 +115,15 @@ def test_encoding_length_mismatch():
 
 
 def test_ansatz_zero_angles_fix_all_zeros():
-    cfg = AnsatzConfig(2, 1)
-    state = evolve(cfg, np.zeros(cfg.n_params), np.zeros((1, 2)), new_zero_state(2))
+    cfg = CellConfig(2, 1)
+    state = evolve(cfg, np.zeros(4), np.zeros((1, 2)), new_zero_state(2))
     expected = np.zeros(4, dtype=np.complex128)
     expected[0] = 1.0
     assert_allclose(state, expected, atol=1e-15)
 
 
 def test_ansatz_single_qubit_no_entangler():
-    cfg = AnsatzConfig(1, 1)
+    cfg = CellConfig(1, 1)
     state = evolve(cfg, np.array([np.pi, 0.0]), np.zeros((1, 1)), new_zero_state(1))
     assert_allclose(state, [0.0, 1.0], atol=1e-15)
 
@@ -135,7 +135,7 @@ def test_ansatz_param_length_mismatch():
     params.theta = np.zeros(3)
     with pytest.raises(ShapeError):
         run(np.array([[0.5]]), params, cfg)
-    params.theta = np.full(cfg.ansatz.n_params, np.inf)
+    params.theta = np.full(2 * cfg.n_layers * cfg.n_qubits, np.inf)
     with pytest.raises(NumericError):
         run(np.array([[0.5]]), params, cfg)
 
@@ -143,7 +143,7 @@ def test_ansatz_param_length_mismatch():
 @pytest.mark.parametrize("n_qubits", [1, 2, 3, 4])
 @pytest.mark.parametrize("entangler", ["ring", "linear"])
 def test_step_matches_dense_oracle(n_qubits, entangler):
-    cfg = AnsatzConfig(n_qubits, 2, entangler=entangler)
+    cfg = CellConfig(n_qubits, 2, entangler=entangler)
     rng = np.random.default_rng(17 * n_qubits)
     for trial in range(5):
         theta = random_theta(cfg, 200 + trial)
@@ -155,7 +155,7 @@ def test_step_matches_dense_oracle(n_qubits, entangler):
 
 
 def test_dense_composite_is_unitary():
-    cfg = AnsatzConfig(3, 2)
+    cfg = CellConfig(3, 2)
     theta = random_theta(cfg, 5)
     u = dense_step_matrix(cfg, theta, np.array([0.3, -1.1, 0.9]))
     assert np.abs(u.conj().T @ u - np.eye(8)).max() < 1e-10
@@ -163,7 +163,7 @@ def test_dense_composite_is_unitary():
 
 def test_step_order_encoding_first():
     # regression pin: swapping encoding and ansatz changes the state
-    cfg = AnsatzConfig(2, 1)
+    cfg = CellConfig(2, 1)
     theta = random_theta(cfg, 8)
     embedding = np.array([0.7, -0.4])
     enc_first = evolve(cfg, theta, embedding[None], new_zero_state(2))
@@ -173,7 +173,7 @@ def test_step_order_encoding_first():
 
 
 def test_norm_preserved_over_784_steps():
-    cfg = AnsatzConfig(4, 2)
+    cfg = CellConfig(4, 2)
     theta = random_theta(cfg, 10)
     rng = np.random.default_rng(11)
     state = evolve(cfg, theta, rng.uniform(0, 1, (784, 4)), new_zero_state(4))
@@ -181,7 +181,7 @@ def test_norm_preserved_over_784_steps():
 
 
 def test_step_deterministic_bitwise():
-    cfg = AnsatzConfig(3, 2)
+    cfg = CellConfig(3, 2)
     theta = random_theta(cfg, 20)
     embedding = np.array([0.2, 0.5, -0.3])
     a = evolve(cfg, theta, embedding[None], random_state(3, 21))
@@ -194,18 +194,18 @@ def test_plan_covers_every_parameter_once():
     # RY/RZ) = unravel(k), e_j moves qubit j's encoding, and every layer
     # of a step is one rotation layer and one entangler gather, the
     # product of all entangler_pairs CNOTs (test_engine checks the gather)
-    cfg = AnsatzConfig(3, 2)
+    cfg = CellConfig(3, 2)
     theta = random_theta(cfg, 25)
     base = gates(cfg, theta)
     theta_slots = []
-    for k in range(cfg.n_params):
+    for k in range(theta.size):
         bumped = theta.copy()
         bumped[k] += 0.5
         new = gates(cfg, bumped)
         for layer, qubit in np.argwhere((new != base).any(axis=(-1, -2))):
             # an RZ angle moves phases only, an RY angle magnitudes too
             rz = np.allclose(np.abs(new[layer, qubit]), np.abs(base[layer, qubit]))
-            theta_slots.append(layer * cfg.params_per_layer + 2 * qubit + rz)
+            theta_slots.append(layer * 2 * cfg.n_qubits + 2 * qubit + rz)
     embedding = np.array([0.4, -0.9, 1.3])
     enc_slots = []
     for j in range(cfg.n_qubits):
@@ -214,15 +214,15 @@ def test_plan_covers_every_parameter_once():
         moved = (times_ry(base[0], np.cos(bumped / 2), np.sin(bumped / 2))
                  != times_ry(base[0], np.cos(embedding / 2), np.sin(embedding / 2)))
         enc_slots += list(np.flatnonzero(moved.any(axis=(-1, -2))))
-    assert theta_slots == list(range(cfg.n_params))
+    assert theta_slots == list(range(theta.size))
     assert enc_slots == list(range(cfg.n_qubits))
-    steps = Steps(cfg, theta, embedding[None, None])
+    steps = Steps(theta, embedding[None, None], cfg.entangler)
     assert 1 + len(steps.later_layers) == cfg.n_layers
 
 
 def test_plan_kernel_equals_step():
     # steps run in two calls equal the same steps in one call, bit for bit
-    cfg = AnsatzConfig(3, 2)
+    cfg = CellConfig(3, 2)
     theta = random_theta(cfg, 30)
     embeddings = np.array([[0.4, -0.9, 1.3], [1.1, 0.2, -0.6], [-0.3, 0.8, 0.5]])
     two_calls = evolve(cfg, theta, embeddings[1:], evolve(cfg, theta, embeddings[:1], random_state(3, 31)))
@@ -232,7 +232,7 @@ def test_plan_kernel_equals_step():
 
 def test_parameter_shift_identity_single_angle():
     # d<Z_0>/dtheta equals the +-pi/2 shift formula and finite differences
-    cfg = AnsatzConfig(2, 1)
+    cfg = CellConfig(2, 1)
     base = random_theta(cfg, 40)
     embedding = np.array([0.3, 0.8])
     observable = pauli_table(("ZI",))
@@ -243,7 +243,7 @@ def test_parameter_shift_identity_single_angle():
         state = evolve(cfg, theta, embedding[None], new_zero_state(2))
         return observable.expectations(state[None])[0, 0]
 
-    for index in range(cfg.n_params):
+    for index in range(base.size):
         def f(v, index=index):
             return expectation(v, index)
         shift = 0.5 * (f(base[index] + np.pi / 2) - f(base[index] - np.pi / 2))

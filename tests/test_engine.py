@@ -32,7 +32,7 @@ from qlam.cell import (
 )
 from qlam.circuits import (
     CHECKPOINT_INTERVAL,
-    AnsatzConfig,
+    MAX_QUBITS,
     Steps,
     entangler_pairs,
     inverse,
@@ -40,7 +40,7 @@ from qlam.circuits import (
     walk_rows,
 )
 from qlam.data import SequenceSample
-from qlam.errors import NumericError, ShapeError
+from qlam.errors import ConfigError, NumericError, ShapeError
 from qlam.gradients import batch_loss_and_grad, loss_and_grad, param_shift_grad
 from qlam.nn import softmax_cross_entropy
 from qlam.observables import ShotConfig, default_pauli_pool, pauli_table
@@ -58,9 +58,9 @@ STRIDED_N = 9
 def test_dense_step_matrix_matches_gate_matrix_products(n_qubits, entangler):
     # the oracle's per-gate contractions and row gathers against the
     # product of the full dense_1q / dense_cnot matrices
-    cfg = AnsatzConfig(n_qubits, 2, entangler)
+    cfg = CellConfig(n_qubits, 2, entangler)
     rng = np.random.default_rng(90 + n_qubits)
-    theta = rng.uniform(-np.pi, np.pi, cfg.n_params)
+    theta = rng.uniform(-np.pi, np.pi, 2 * cfg.n_layers * n_qubits)
     emb = rng.uniform(-2.0, 2.0, n_qubits)
     layered = theta.reshape(cfg.n_layers, n_qubits, 2)
     u = np.eye(1 << n_qubits, dtype=np.complex128)
@@ -80,16 +80,16 @@ def test_dense_step_matrix_matches_gate_matrix_products(n_qubits, entangler):
 @pytest.mark.parametrize("entangler", ["ring", "linear"])
 @pytest.mark.parametrize("n_qubits", range(1, 11))
 def test_dense_steps_match_dense_step_matrix(n_qubits, entangler):
-    cfg = AnsatzConfig(n_qubits, 2, entangler)
+    cfg = CellConfig(n_qubits, 2, entangler)
     rng = np.random.default_rng(100 + n_qubits)
-    theta = rng.uniform(-np.pi, np.pi, cfg.n_params)
-    theta_2 = rng.uniform(-np.pi, np.pi, cfg.n_params)
+    theta = rng.uniform(-np.pi, np.pi, 2 * cfg.n_layers * n_qubits)
+    theta_2 = rng.uniform(-np.pi, np.pi, 2 * cfg.n_layers * n_qubits)
     emb = rng.uniform(-2.0, 2.0, (2, n_qubits))
     dim = 1 << n_qubits
     # one row per basis vector: row i of the advanced stack is column i
     # of the step matrix; step 2 runs on an engine of its own angles
     for t, angles in ((1, theta), (2, theta_2)):
-        steps = Steps(cfg, angles, np.broadcast_to(emb, (dim, 2, n_qubits)))
+        steps = Steps(angles, np.broadcast_to(emb, (dim, 2, n_qubits)), entangler)
         want = dense_step_matrix(cfg, angles, emb[t - 1])
         basis = np.eye(dim, dtype=np.complex128)
         steps.evolve(basis, t - 1, t)
@@ -103,10 +103,10 @@ def test_dense_steps_match_dense_step_matrix(n_qubits, entangler):
 @pytest.mark.parametrize("n_qubits", [11, 12])
 def test_steps_match_dense_step_on_large_registers(n_qubits, entangler):
     # gate by gate on three columns, with no 2**n x 2**n matrix
-    cfg = AnsatzConfig(n_qubits, 2, entangler)
+    cfg = CellConfig(n_qubits, 2, entangler)
     rng = np.random.default_rng(130 + n_qubits)
-    theta = rng.uniform(-np.pi, np.pi, cfg.n_params)
-    theta_2 = rng.uniform(-np.pi, np.pi, cfg.n_params)
+    theta = rng.uniform(-np.pi, np.pi, 2 * cfg.n_layers * n_qubits)
+    theta_2 = rng.uniform(-np.pi, np.pi, 2 * cfg.n_layers * n_qubits)
     emb = rng.uniform(-2.0, 2.0, (3, 2, n_qubits))
     dim = 1 << n_qubits
     psi = rng.normal(size=(3, dim)) + 1j * rng.normal(size=(3, dim))
@@ -118,13 +118,13 @@ def test_steps_match_dense_step_on_large_registers(n_qubits, entangler):
                             for b in range(3)], axis=1)
         # the adjoint identity <M_t^H phi, psi> = <phi, M_t psi> checks
         # `rewind` (the conjugate phase, the transposed real factors)
-        steps = Steps(cfg, angles, emb)
+        steps = Steps(angles, emb, entangler)
         rewound = steps.rewind(phi, inverse([f[:, 0] for f in steps.layer0(t - 1, t)]))
         for b in range(3):
             assert_allclose(np.vdot(rewound[b], want[:, b]), np.vdot(phi[b], stepped[:, b]), atol=1e-12)
         want = stepped
-    Steps(cfg, theta, emb).evolve(psi, 0, 1)
-    Steps(cfg, theta_2, emb).evolve(psi, 1, 2)
+    Steps(theta, emb, entangler).evolve(psi, 0, 1)
+    Steps(theta_2, emb, entangler).evolve(psi, 1, 2)
     assert_allclose(psi.T, want, atol=1e-12)
 
 
@@ -133,10 +133,9 @@ def test_steps_match_dense_step_on_large_registers(n_qubits, entangler):
 def test_gather_is_the_entanglers_cnot_images(n_qubits, entangler):
     # exact at every size, also at n = 11 and 12, where no test builds
     # the dense step matrix
-    cfg = AnsatzConfig(n_qubits, 1, entangler)
-    steps = Steps(cfg, np.zeros(cfg.n_params), np.zeros((1, 1, n_qubits)))
+    steps = Steps(np.zeros(2 * n_qubits), np.zeros((1, 1, n_qubits)), entangler)
     want = np.arange(1 << n_qubits)
-    for control, target in reversed(entangler_pairs(cfg)):
+    for control, target in reversed(entangler_pairs(n_qubits, entangler)):
         want = cnot_image(want, control, target)
     assert_array_equal(steps.gather.reshape(-1), want)
 
@@ -145,7 +144,7 @@ def test_gather_is_the_entanglers_cnot_images(n_qubits, entangler):
 def test_cross_operators_match_partial_traces(n_qubits):
     # n = 11 and 12 take three factor groups, whose middle Gram matrix
     # contracts over the groups on both sides of it
-    steps = Steps(AnsatzConfig(n_qubits, 1), np.zeros(2 * n_qubits), np.zeros((1, 1, n_qubits)))
+    steps = Steps(np.zeros(2 * n_qubits), np.zeros((1, 1, n_qubits)), "ring")
     rng = np.random.default_rng(120 + n_qubits)
     dim = 1 << n_qubits
     kets, adjoints = (rng.normal(size=(3, dim)) + 1j * rng.normal(size=(3, dim)) for _ in range(2))
@@ -167,7 +166,7 @@ def test_cross_operators_match_partial_traces(n_qubits):
 def test_cross_operators_of_a_row_do_not_depend_on_the_stack(n_qubits):
     # the determinism contract at the walk's reduction: a row's partial
     # traces round the same in a stack of three as on their own
-    steps = Steps(AnsatzConfig(n_qubits, 1), np.zeros(2 * n_qubits), np.zeros((1, 1, n_qubits)))
+    steps = Steps(np.zeros(2 * n_qubits), np.zeros((1, 1, n_qubits)), "ring")
     rng = np.random.default_rng(125 + n_qubits)
     dim = 1 << n_qubits
     kets, adjoints = (rng.normal(size=(3, dim)) + 1j * rng.normal(size=(3, dim)) for _ in range(2))
@@ -378,7 +377,7 @@ def plan_logits(tokens, params, cfg):
     psi = new_zero_state(cfg.n_qubits)
     exps = []
     for t, e in enumerate(emb, 1):
-        psi = dense_step(cfg.ansatz, params.theta, e, psi[:, None])[:, 0]
+        psi = dense_step(cfg, params.theta, e, psi[:, None])[:, 0]
         if t > len(emb) - cfg.t_keep:
             exps.append(table.expectations(psi[None])[0])
     gammas = decoder(np.einsum("qn,tn->tq", params.w_q, emb[len(emb) - cfg.t_keep:]), params)[1]
@@ -409,19 +408,30 @@ def test_huge_finite_angles_stay_finite(n_qubits):
 
 @pytest.mark.parametrize("n_qubits", [4, STRIDED_N])
 def test_non_finite_angles_raise_numeric_error(n_qubits):
-    cfg = AnsatzConfig(n_qubits, 1)
-    zeros, emb = np.zeros(cfg.n_params), np.zeros((2, 2, n_qubits))
+    zeros, emb = np.zeros(2 * n_qubits), np.zeros((2, 2, n_qubits))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for bad in (np.inf, -np.inf, np.nan):
             theta = zeros.copy()
             theta[1] = bad
             with pytest.raises(NumericError, match="angles"):
-                Steps(cfg, theta, emb)
+                Steps(theta, emb, "ring")
             bad_emb = emb.copy()
             bad_emb[1, 1, n_qubits - 1] = bad
             with pytest.raises(NumericError, match="timestep 2"):
-                Steps(cfg, zeros, bad_emb)
+                Steps(zeros, bad_emb, "ring")
+
+
+def test_steps_read_their_shape_from_their_arrays():
+    # the register from the embedding width, the layer count from the angles
+    emb = np.zeros((1, 1, 3))
+    assert Steps(np.zeros(12), emb, "ring").angles.shape == (2, 3, 2)
+    for size in (0, 5, 2 * 3 * 2 + 1):
+        with pytest.raises(ShapeError):
+            Steps(np.zeros(size), emb, "ring")
+    for n_qubits in (0, MAX_QUBITS + 1):
+        with pytest.raises(ConfigError):
+            Steps(np.zeros(2 * max(n_qubits, 1)), np.zeros((1, 1, n_qubits)), "ring")
 
 
 @pytest.mark.parametrize("n_qubits", [4, STRIDED_N])

@@ -13,7 +13,6 @@ from oracles import PAULI, dense_1q, dense_cnot, dense_pauli_string, dense_ry, d
 
 from qlam.circuits import (
     MAX_QUBITS,
-    AnsatzConfig,
     Steps,
     entangler_pairs,
     kron_qubits,
@@ -33,10 +32,9 @@ def random_state(n_qubits, seed):
 def rotation_layer(n_qubits, target, ry=0.0, rz=0.0):
     """The 2**n x 2**n rotation layer RZ(rz) RY(ry) on `target`, every
     other qubit's angles zero."""
-    cfg = AnsatzConfig(n_qubits, 1)
     theta = np.zeros((n_qubits, 2))
     theta[target] = ry, rz
-    ry, rz = layer_rotations(cfg, theta)
+    ry, rz = layer_rotations(theta, n_qubits)
     return kron_qubits(rz[0, :, :, None] * ry[0])
 
 
@@ -48,7 +46,7 @@ def test_zero_state_is_basis_zero():
     assert np.linalg.norm(state) == 1.0
 
 
-@pytest.mark.parametrize("n_qubits", [0, -1, MAX_QUBITS + 1])
+@pytest.mark.parametrize("n_qubits", [0, -1, MAX_QUBITS + 1, True, 2.5])
 def test_zero_state_rejects_bad_sizes(n_qubits):
     with pytest.raises(ConfigError):
         new_zero_state(n_qubits)
@@ -99,11 +97,10 @@ def test_cnot_kernel_matches_dense_all_pairs(n_qubits):
             want = projectors[0] + projectors[1] @ dense_1q(PAULI["X"], target, n_qubits)
             assert np.array_equal(dense_cnot(control, target, n_qubits), want)
     for entangler in ("ring", "linear"):
-        cfg = AnsatzConfig(n_qubits, 1, entangler)
-        steps = Steps(cfg, np.zeros(cfg.n_params), np.zeros((1, 1, n_qubits)))
+        steps = Steps(np.zeros(2 * n_qubits), np.zeros((1, 1, n_qubits)), entangler)
         amps = random_state(n_qubits, 7 * n_qubits + len(entangler))
         expected = amps
-        for control, target in entangler_pairs(cfg):
+        for control, target in entangler_pairs(n_qubits, entangler):
             expected = dense_cnot(control, target, n_qubits) @ expected
         assert_allclose(amps[steps.gather.reshape(-1)], expected, atol=1e-15)
 
@@ -123,14 +120,13 @@ def test_pauli_kernel_matches_dense(label, n_qubits):
 def test_kernels_broadcast_over_leading_axes():
     # a stacked (2, dim) array advances exactly like two separate rows
     rng = np.random.default_rng(3)
-    cfg = AnsatzConfig(3, 2)
-    theta = rng.uniform(-np.pi, np.pi, cfg.n_params)
+    theta = rng.uniform(-np.pi, np.pi, 12)
     emb = rng.uniform(-2.0, 2.0, (2, 3, 3))
     stack = rng.normal(size=(2, 8)) + 1j * rng.normal(size=(2, 8))
     separate = stack.copy()
-    Steps(cfg, theta, emb).evolve(stack, 0, 3)
+    Steps(theta, emb, "ring").evolve(stack, 0, 3)
     for b in range(2):
-        Steps(cfg, theta, emb[b:b + 1]).evolve(separate[b:b + 1], 0, 3)
+        Steps(theta, emb[b:b + 1], "ring").evolve(separate[b:b + 1], 0, 3)
     assert np.array_equal(stack, separate)
 
 
@@ -148,11 +144,10 @@ def test_rotations_preserve_norm(n_qubits, target, angle, seed):
 
 
 def test_gate_application_is_deterministic():
-    cfg = AnsatzConfig(3, 1)
     theta = np.array([0.3, 0.0, 0.0, 0.0, 0.0, -1.2])
     emb = np.zeros((1, 1, 3))
     a = random_state(3, 11)[None]
     b = a.copy()
     for amps in (a, b):
-        Steps(cfg, theta, emb).evolve(amps, 0, 1)
+        Steps(theta, emb, "ring").evolve(amps, 0, 1)
     assert np.array_equal(a, b)

@@ -10,7 +10,7 @@ from numpy.testing import assert_array_equal
 import qlam.trainer
 from qlam.cell import CellConfig, final_logits, init_qlam_params
 from qlam.checkpoint import load_checkpoint
-from qlam.circuits import AnsatzConfig, walk_rows
+from qlam.circuits import walk_rows
 from qlam.data import DatasetBundle, SequenceSample
 from qlam.errors import ConfigError, DataError
 from qlam.gradients import loss_and_grad
@@ -102,13 +102,21 @@ def test_config_rejects_bad_type_and_nonpositive_clip(kwargs):
 
 
 def test_every_int_field_of_every_config_rejects_floats_and_bools():
-    for config in (AnsatzConfig(4), CellConfig(), ShotConfig(), TrainConfig()):
+    for config in (CellConfig(), ShotConfig(), TrainConfig()):
         names = [f.name for f in dataclasses.fields(config) if f.type.split(" | ")[0] == "int"]
         assert names, config
         for name in names:
             for value in (4.5, True):
                 with pytest.raises(ConfigError, match=name):
                     dataclasses.replace(config, **{name: value})
+
+
+def test_every_cell_field_is_a_run_field():
+    # one schema: a run sets every cell value but the dataset's class count
+    run_fields = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
+    for f in dataclasses.fields(CellConfig):
+        if f.name != "n_classes":
+            assert run_fields.get(f.name) == f.type, f.name
 
 
 def test_config_file_with_wrong_type_exits_as_config_error(tmp_path, capsys):
