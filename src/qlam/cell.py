@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import Steps, check_register
+from .circuits import Steps, check_register, entangler_pairs
 from .data import validate_tokens
 from .errors import ConfigError, NumericError, ShapeError, check_fields
 from .observables import (
@@ -77,8 +77,7 @@ class CellConfig:
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         check_register(self.n_qubits)
-        if self.entangler not in ("ring", "linear"):
-            raise ConfigError(f"entangler must be 'ring' or 'linear', got {self.entangler!r}")
+        entangler_pairs(self.n_qubits, self.entangler)  # ConfigError unless in circuits.ENTANGLERS
 
     @property
     def pool(self) -> tuple[str, ...]:
@@ -151,8 +150,13 @@ class QlamParams:
 def init_qlam_params(rng: np.random.Generator, cfg: CellConfig) -> QlamParams:
     """Fan-in uniform init for affine maps; small uniform circuit angles.
 
-    Angles start in (-0.1, 0.1) so the initial memory stays near the
-    all-zeros state instead of a flat-expectation plateau.
+    Angles start in (-0.1, 0.1), so each ansatz layer starts near the
+    identity; the memory does not stay near |0...0> for long.  The
+    embedding is a fan-in-1 affine map, so each encoding rotates every
+    qubit by up to about 2 rad, and the CNOTs spread it: with 64 rows of
+    U[0, 1] tokens and the default cell, the mean fidelity with |0...0>
+    falls from 0.72 after one step to 0.05 after 16 at n = 4, and from
+    0.30 to 0.003 at n = 8, near the Haar value 2**-n.
     """
     from .nn import init_affine
 

@@ -50,6 +50,8 @@ from .errors import ConfigError, NumericError, ShapeError
 
 # The largest register the simulator accepts.
 MAX_QUBITS = 12
+# The CNOT patterns of an ansatz layer (`entangler_pairs`).
+ENTANGLERS = ("ring", "linear")
 # The sweep runs in windows of this many steps, aligned at multiples of it.
 CHECKPOINT_INTERVAL = 32
 # The adjoint walks (ket, adjoint) pairs for at most `walk_rows(n)` rows
@@ -84,7 +86,10 @@ def walk_rows(n_qubits: int) -> int:
 
 def entangler_pairs(n_qubits: int, entangler: str) -> list[tuple[int, int]]:
     """(control, target) pairs of one entangling sublayer of a ring or
-    linear entangler, in application order."""
+    linear entangler, in application order; ConfigError for an entangler
+    outside ENTANGLERS, the one check of the name."""
+    if entangler not in ENTANGLERS:
+        raise ConfigError(f"entangler must be {' or '.join(map(repr, ENTANGLERS))}, got {entangler!r}")
     if n_qubits == 1:
         return []
     if entangler == "ring":

@@ -31,6 +31,7 @@ from typing import Literal
 
 import numpy as np
 
+from .circuits import check_register
 from .errors import ConfigError, check_fields
 
 # Weights of the (re, im) axis that turn sum_c a_c b_(1-c) into Im(conj(a) b).
@@ -208,8 +209,7 @@ def default_pauli_pool(n_qubits: int) -> tuple[str, ...]:
     itself, so the single pair appears once; one qubit has no pairs.
     Pool size is 2n plus the number of distinct adjacent pairs.
     """
-    if n_qubits < 1:
-        raise ConfigError(f"n_qubits must be positive, got {n_qubits}")
+    n_qubits = check_register(n_qubits)
 
     def single(label: str, j: int) -> str:
         chars = ["I"] * n_qubits

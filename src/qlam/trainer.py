@@ -15,7 +15,9 @@ chunks of consecutive equal-length samples, each one batched pass of the
 engine; a sample's outputs do not depend on its chunk, and `workers`
 threads run chunks side by side.  Metrics therefore reproduce bitwise
 for a fixed config; wall times go to a separate timing file so the
-metrics CSV stays comparable.
+metrics CSV stays comparable.  One appender writes every CSV file, and
+`evaluate` names, in one error, every split or cell field where the
+config differs from the checkpoint.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import csv
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -98,31 +100,25 @@ class TrainConfig:
 
     def __post_init__(self):
         check_fields(self)
-        for name in ("seed", "shots"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+        for name, least in (
+            ("seed", 0), ("shots", 0), ("epochs", 1), ("batch_size", 1), ("workers", 1),
+            ("train_subsample", 1), ("test_subsample", 1),
+        ):
+            value = getattr(self, name)
+            if value is not None and value < least:
+                raise ConfigError(f"{name} must be >= {least}, got {value}")
         if self.dataset not in DATASET_NAMES:
             raise ConfigError(
                 f"unknown dataset {self.dataset!r}; choose from {DATASET_NAMES}"
             )
-        if self.epochs is not None and self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.split_mode not in ("holdout", "kfold"):
             raise ConfigError(f"split_mode must be holdout or kfold, got {self.split_mode!r}")
         if self.split_mode == "kfold" and self.n_folds < 2:
             raise ConfigError(f"kfold needs n_folds >= 2, got {self.n_folds}")
         if not 0.0 < self.test_fraction < 1.0:
             raise ConfigError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if not 0 <= self.fold < self.n_folds:
             raise ConfigError(f"fold {self.fold} outside [0, {self.n_folds})")
-        for name in ("train_subsample", "test_subsample"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ConfigError(f"{name} must be >= 1, got {value}")
         if not (math.isfinite(self.base_lr) and self.base_lr > 0):
             raise ConfigError(f"base_lr must be positive and finite, got {self.base_lr}")
         if not self.clip_norm > 0:
@@ -181,23 +177,19 @@ class TrainResult:
 # Metrics file round-trip.
 # ---------------------------------------------------------------------------
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(float(value))
-    return str(value)
-
-
-def append_metrics(path: Path, rows: list[MetricsRow]) -> None:
+def _append_rows(path: Path, header: tuple, rows) -> None:
+    """Append rows to the CSV file at path, after the header if the file is
+    new; the csv module writes a float, numpy's too, as its exact repr."""
     new_file = not path.exists()
     with open(path, "a", newline="") as fh:
         writer = csv.writer(fh)
         if new_file:
-            writer.writerow(METRICS_COLUMNS)
-        for row in rows:
-            writer.writerow([
-                row.epoch, row.split, _fmt(row.loss), _fmt(row.accuracy),
-                _fmt(row.lr), row.seed, row.fold,
-            ])
+            writer.writerow(header)
+        writer.writerows(rows)
+
+
+def append_metrics(path: Path, rows: list[MetricsRow]) -> None:
+    _append_rows(path, METRICS_COLUMNS, [astuple(row) for row in rows])
 
 
 def read_metrics(path) -> list[MetricsRow]:
@@ -215,15 +207,6 @@ def read_metrics(path) -> list[MetricsRow]:
                 seed=int(rec[5]), fold=int(rec[6]),
             ))
     return rows
-
-
-def _append_timing(path: Path, epoch: int, wall_seconds: float) -> None:
-    new_file = not path.exists()
-    with open(path, "a", newline="") as fh:
-        writer = csv.writer(fh)
-        if new_file:
-            writer.writerow(TIMING_COLUMNS)
-        writer.writerow([epoch, repr(wall_seconds)])
 
 
 # ---------------------------------------------------------------------------
@@ -430,8 +413,7 @@ def train(config: TrainConfig, bundle: DatasetBundle | None = None) -> TrainResu
     timing_path = out_dir / f"timing_{tag}.csv"
     checkpoint_path = out_dir / f"checkpoint_{tag}.npz"
     for stale in (metrics_path, timing_path):
-        if stale.exists():
-            stale.unlink()
+        stale.unlink(missing_ok=True)
 
     epochs = _epochs(
         config, train_set, params.as_dict(),
@@ -449,8 +431,7 @@ def train(config: TrainConfig, bundle: DatasetBundle | None = None) -> TrainResu
             epoch, "test", test_loss, test_acc, lr, config.seed, config.fold,
         )
         append_metrics(metrics_path, [last_train, last_test])
-        wall = time.perf_counter() - started
-        _append_timing(timing_path, epoch, wall)
+        _append_rows(timing_path, TIMING_COLUMNS, [(epoch, time.perf_counter() - started)])
         started = time.perf_counter()
 
     save_checkpoint(checkpoint_path, params, cell_cfg, {
@@ -464,19 +445,6 @@ def train(config: TrainConfig, bundle: DatasetBundle | None = None) -> TrainResu
     )
 
 
-def _refuse_other_cell(saved: CellConfig, mine: CellConfig, names: set[str], source: str) -> None:
-    """ConfigError naming every field in `names` where the checkpoint's
-    cell differs from the one that `source` gives."""
-    differ = [
-        f"checkpoint has {f.name}={getattr(saved, f.name)!r}, "
-        f"the {source} has {f.name}={getattr(mine, f.name)!r}"
-        for f in fields(CellConfig)
-        if f.name in names and getattr(saved, f.name) != getattr(mine, f.name)
-    ]
-    if differ:
-        raise ConfigError("; ".join(differ))
-
-
 def evaluate(checkpoint_path, config: TrainConfig, bundle: DatasetBundle | None = None) -> float:
     """Accuracy of a saved model on this config's test split.
 
@@ -486,17 +454,20 @@ def evaluate(checkpoint_path, config: TrainConfig, bundle: DatasetBundle | None 
     Reads out with the config's shot settings, exact or sampled.
     """
     params, cell_cfg, extra = load_checkpoint(checkpoint_path)
-    for name in SPLIT_FIELDS:
-        if name in extra and extra[name] != getattr(config, name):
-            raise ConfigError(
-                f"checkpoint was trained with {name}={extra[name]!r}, "
-                f"the config has {name}={getattr(config, name)!r}"
-            )
-    # the cell fields the config sets are refused before the data loads,
-    # the class count the dataset sets after
-    _refuse_other_cell(cell_cfg, config.cell_config(), {f.name for f in fields(config)}, "config")
+    # every split and cell field the config sets is refused before the
+    # data loads, the class count the dataset sets after
+    saved = [(name, extra[name]) for name in SPLIT_FIELDS if name in extra]
+    saved += [(f.name, getattr(cell_cfg, f.name)) for f in fields(CellConfig) if f.name != "n_classes"]
+    differ = [
+        f"checkpoint has {name}={value!r}, the config has {name}={getattr(config, name)!r}"
+        for name, value in saved if value != getattr(config, name)
+    ]
+    if differ:
+        raise ConfigError("; ".join(differ))
     _, test_set, mine = _splits(config, bundle)
-    _refuse_other_cell(cell_cfg, mine, {"n_classes"}, "dataset")
+    if mine.n_classes != cell_cfg.n_classes:
+        raise ConfigError(f"checkpoint has n_classes={cell_cfg.n_classes!r}, "
+                          f"the dataset has n_classes={mine.n_classes!r}")
     _, accuracy = evaluate_samples(
         test_set, params, cell_cfg, config.shot_config(), workers=config.workers
     )
@@ -526,13 +497,9 @@ def run_folds(config: TrainConfig, bundle: DatasetBundle | None = None) -> Folds
     mean = float(np.mean(accuracies))
     std = float(np.std(accuracies))
     summary_path = Path(config.out_dir) / f"folds_summary_s{config.seed}.csv"
-    with open(summary_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("fold", "test_accuracy"))
-        for fold, acc in enumerate(accuracies):
-            writer.writerow([fold, repr(acc)])
-        writer.writerow(("mean", repr(mean)))
-        writer.writerow(("std", repr(std)))
+    summary_path.unlink(missing_ok=True)
+    _append_rows(summary_path, ("fold", "test_accuracy"),
+                 [*enumerate(accuracies), ("mean", mean), ("std", std)])
     return FoldsResult(accuracies, mean, std, summary_path)
 
 

@@ -75,6 +75,12 @@ def test_entangler_pairs():
     assert entangler_pairs(2, "ring") == [(0, 1), (1, 0)]
     assert entangler_pairs(4, "ring") == [(0, 1), (1, 2), (2, 3), (3, 0)]
     assert entangler_pairs(4, "linear") == [(0, 1), (1, 2), (2, 3)]
+    # an unknown entangler is refused by the engine too, not run as linear,
+    # and on one qubit as well, where no pattern has any pairs
+    with pytest.raises(ConfigError, match="entangler must be 'ring' or 'linear', got 'star'"):
+        Steps(np.zeros(6), np.zeros((1, 1, 3)), "star")
+    with pytest.raises(ConfigError):
+        entangler_pairs(1, "star")
 
 
 def test_encoding_zero_is_identity():

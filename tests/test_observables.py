@@ -86,8 +86,11 @@ def test_default_pool_sizes_and_order():
     assert pool3 == ["ZII", "IZI", "IIZ", "XII", "IXI", "IIX", "ZZI", "IZZ", "ZIZ"]
     assert len(default_pauli_pool(4)) == 12
     assert len(default_pauli_pool(6)) == 18
-    with pytest.raises(ConfigError):
-        default_pauli_pool(0)
+    # the pool checks its register as every other n_qubits is checked, so
+    # a bool, a float and a register past MAX_QUBITS are refused like 0
+    for bad in (0, True, 2.5, 13):
+        with pytest.raises(ConfigError):
+            default_pauli_pool(bad)
 
 
 @pytest.mark.parametrize("n_qubits", [1, 2, 3, 4])

@@ -78,6 +78,7 @@ def test_config_validation():
         dict(test_fraction=float("nan")),
         dict(split_mode="kfold", n_folds=1),
         dict(train_subsample=0),
+        dict(test_subsample=0),
         dict(base_lr=0.0),
         dict(base_lr=float("nan")),
         dict(base_lr=float("inf")),
@@ -438,6 +439,19 @@ def test_evaluate_refuses_a_split_other_than_the_training_one(tmp_path):
     assert acc == result.final_test.accuracy
 
 
+def test_evaluate_names_every_split_field_other_than_the_checkpoints(tmp_path):
+    bundle = synthetic_bundle()
+    cfg = tiny_config(out_dir=str(tmp_path))
+    result = train(cfg, bundle)
+    other = dataclasses.replace(cfg, seed=1, test_fraction=0.3)
+    with pytest.raises(ConfigError) as info:
+        evaluate(result.checkpoint_path, other, bundle)
+    assert str(info.value).split("; ") == [
+        "checkpoint has seed=0, the config has seed=1",
+        "checkpoint has test_fraction=0.25, the config has test_fraction=0.3",
+    ]
+
+
 def test_seed_changes_trajectory(tmp_path):
     bundle = synthetic_bundle()
     r0 = train(tiny_config(out_dir=str(tmp_path / "s0")), bundle)
@@ -485,6 +499,9 @@ def test_run_folds_aggregate(tmp_path):
     assert float(lines[3].split(",")[1]) == result.mean
     for fold in range(2):
         assert (tmp_path / f"checkpoint_s0_f{fold}.npz").exists()
+    # a rerun replaces the summary instead of appending to it
+    again = run_folds(cfg, bundle)
+    assert again.summary_path.read_text().splitlines() == lines
 
 
 def test_model_learns_synthetic_classes(tmp_path):
