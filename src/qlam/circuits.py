@@ -15,27 +15,26 @@ set; the shift oracle in `gradients` moves an angle at every step.
 
 `Steps` is the step engine at every register size, and it owns the
 whole sweep over a stack of B equal-length sequences, advanced together
-as one (B, 2**n) array; a single sequence is B = 1.
-`Steps.sweep` evolves |0...0> one window of K = `CHECKPOINT_INTERVAL`
-steps at a time, hands each window's states to a readout callback and
-keeps the states at each window's start.  `Steps.adjoint` walks back
-from step T, recomputing one window at a time from its checkpoint
-(Jones & Gacon, arXiv:2009.02823).  Memory is the B * T/K checkpoints,
-one window of B swept or recomputed sequences and that window's
-layer-0 factors, built in one call (per row and step, d**2 float64 per
-factor group of d amplitudes: at most 1.25x the float64 a state holds,
-and 768 against its 8,192 at n = 12), and a walk stack of at most
-max(B * 2**n, WALK_AMPLITUDES) (ket, adjoint) pairs:
+as one (B, 2**n) array; a single sequence is B = 1.  `Steps.sweep`
+evolves |0...0> one window of K = `CHECKPOINT_INTERVAL` steps at a
+time, hands each window's states to a readout callback and keeps the
+states at each window's start.  `Steps.adjoint` walks back from step T,
+recomputing one window at a time from its checkpoint (Jones & Gacon,
+arXiv:2009.02823).  Memory is the B * T/K checkpoints, one window of B
+swept or recomputed sequences and that window's layer-0 factors, built
+in one call (per row and step, d**2 float64 per factor group of d
+amplitudes: at most 1.25x the float64 a state holds, and 768 against
+its 8,192 at n = 12), and a walk over kets of at most max(B * 2**n,
+WALK_AMPLITUDES) amplitudes plus n_layers adjoint rows per ket:
 O(B * (K + T/K) * 2**n) for any sequence length.  A layer's rotations
 are a tensor product, so with a state viewed as a tensor over k groups
 of qubits (two up to n = 10, three from n = 11; `factor_widths`) they
 are k small real RY matrix products on the state's float64 view, one
-per group, and the layer's RZ gates are one diagonal phase.  The encoding
-folds into layer 0, and the CNOT entangler is one index gather, which
-also applies the phase.  Every reduction
-runs on one row of the stack, in an order that does not depend on B,
-so a sequence's states and derivatives are bit for bit those of a
-B = 1 sweep.
+per group, and the layer's RZ gates are one diagonal phase.  The
+encoding folds into layer 0, and the CNOT entangler is one index
+gather, which also applies the phase.  Every reduction runs on one row
+of the stack, in an order that does not depend on B, so a sequence's
+states and derivatives are bit for bit those of a B = 1 sweep.
 """
 
 from __future__ import annotations
@@ -54,9 +53,9 @@ MAX_QUBITS = 12
 ENTANGLERS = ("ring", "linear")
 # The sweep runs in windows of this many steps, aligned at multiples of it.
 CHECKPOINT_INTERVAL = 32
-# The adjoint walks (ket, adjoint) pairs for at most `walk_rows(n)` rows
-# (sequences x steps) at a time, which bounds the memory of its walk
-# stack beside the states of its window.
+# The adjoint walks the kets of at most `walk_rows(n)` rows (sequences x
+# steps) at a time, which bounds the memory of its walk, and of the
+# adjoint rows it reads, beside the states of its window.
 WALK_AMPLITUDES = 1 << 12
 
 
@@ -187,8 +186,9 @@ class Steps:
     leading axis and moving it last, so the result is planar (re/im
     first).  The entangler's take reads it and writes interleaved complex
     rows, then the layer's RZ gates scale them: one phase per amplitude,
-    taken through the same gather.  The inverse holds each factor's
-    transpose (`inverse`) and the conjugate phase.  The B rows advance
+    taken through the same gather.  An inverse layer mirrors it: the
+    scatter and the conjugate phase (`unentangle`), then each factor's
+    transpose (`inverse`) through `rotate`.  The B rows advance
     together as one (B, d_0, 2**n / d_0) stack.  Layer 0 also carries the
     encoding, as the per-qubit products RY(a) RY(e_t[j]); its factors
     differ per row and step (`layer0`), its phase does not.  The other
@@ -267,24 +267,24 @@ class Steps:
         x *= self.phases[layer]
         return x
 
-    def unentangle(self, x: np.ndarray, planar: bool) -> np.ndarray:
-        """The complex states (..., d_0, 2**n / d_0) before the entangler,
-        given interleaved complex (..., 2**n) rows, or planar float64
-        (..., 2 * 2**n) rows as `unrotate` returns them."""
-        if not planar:
-            return x.take(self.scatter, axis=-1)
-        return x.take(self.planar_scatter, axis=-1).view(np.complex128)[..., 0]
-
-    def unrotate(self, layer: int, inverse_factors: Sequence[np.ndarray], x: np.ndarray) -> np.ndarray:
-        """The inverse of ansatz layer `layer`'s rotations, given its
-        inverse RY factors (`inverse`), applied to the complex states x
-        (..., d_0, 2**n / d_0): the conjugate phase, in place in x, then
-        `rotate`."""
-        x *= self.inverse_phases[layer]
-        return self.rotate(inverse_factors, x)
+    def unentangle(self, layer: int, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The inverse of `advance`'s take and phase for ansatz layer
+        `layer`: the complex states (..., d_0, 2**n / d_0) after its RY
+        gates, given its complex (..., 2**n) or planar (..., 2 * 2**n)
+        output rows.  The scatter, then the conjugate RZ phase, into out if
+        given; a "clip" take writes there directly, a "raise" one buffers."""
+        if out is None:
+            out = np.empty(x.shape[:-1] + self.shape, dtype=np.complex128)
+        if x.dtype == np.float64:
+            x.take(self.planar_scatter, axis=-1, out=out[..., None].view(np.float64), mode="clip")
+        else:
+            x.take(self.scatter, axis=-1, out=out, mode="clip")
+        out *= self.inverse_phases[layer]
+        return out
 
     def interleaved(self, x: np.ndarray) -> np.ndarray:
-        """(R, 2**n) complex states of what `unrotate` returns for R rows."""
+        """(R, 2**n) complex states of R planar rows as `rotate` returns
+        them: the end of `rewind`."""
         planar = x.reshape(x.shape[0], 2, -1)
         out = np.empty(planar[:, 0].shape, dtype=np.complex128)
         out.real, out.imag = planar[:, 0], planar[:, 1]
@@ -306,9 +306,10 @@ class Steps:
         the layer-0 factors of steps start+1..stop, built in one call
         (`layer0`), which the adjoint walk reuses.  A call spans at most
         one window, and its factors take at most 1.25x the memory of its
-        steps' states (at most 0.15x from n = 11).  The factors are built after the states are allocated:
-        the other order splits the block the last window's states freed,
-        and at n = 12 the heap grew by a window (2 MB)."""
+        steps' states (at most 0.15x from n = 11).  The factors are built
+        after the states are allocated: the other order splits the block
+        the last window's states freed, and at n = 12 the heap grew by a
+        window (2 MB)."""
         first = start if first is None else first
         rows = self.rows
         states = np.empty((rows, stop - first, psi.shape[-1]), dtype=np.complex128)
@@ -359,26 +360,23 @@ class Steps:
 
         Windows are recomputed last first by `evolve`, whose layer-0
         factors, built once per window, are kept for the walk, and consumed
-        backward in sub-blocks of walk_rows(n) // B steps (at least one).  The adjoint
-        recurrence lam <- M_t^H (lam + inj_t), with lam (B, 2**n), stores
-        lam + inj_t for every step of a sub-block; one walk over the stacked
-        (2, B * S) (ket K, adjoint L) pairs then reads, just after each
-        inverse entangler, so after the layer's whole rotation, the
-        derivative Im <L| P |K> = Im tr(P rho_j) of every angle a of a gate
-        exp(-i a P/2) on qubit j (`cross`; the layer's other gates commute
-        with P).  The adjoint row of the
-        sub-block's first step, rewound through the whole step, is the
-        next lam.  Each step's ket is the recomputed state, so inverse-gate
-        drift never crosses a step.  A window's angle derivatives are
-        summed in one reduction over its steps.
+        backward in sub-blocks of walk_rows(n) // B steps (at least one).
+        The adjoint recurrence lam <- M_t^H (lam + inj_t), with lam
+        (B, 2**n), runs once per step (`rewind`), and keeps the adjoint
+        rows L at each layer's read point, between its RY and RZ gates.
+        One walk then unwinds the sub-block's stacked kets K to the same
+        points and reads the derivative Im <L| P |K> = Im tr(P rho_j) of
+        every angle a of a gate exp(-i a P/2) on qubit j (`cross`; the
+        layer's other gates commute with P).  Each step's ket is the
+        recomputed state, so inverse-gate drift never crosses a step.  A
+        window's angle derivatives are summed in one reduction over its
+        steps.
         """
         rows, T = self.embeddings.shape[:2]
-        cos_rz, sin_rz = np.cos(self.angles[..., 1]), np.sin(self.angles[..., 1])
         dtheta = np.zeros((rows,) + self.angles.shape)
         denc = np.empty((rows, T, self.n))
         lam = np.zeros((rows, 1 << self.n), dtype=np.complex128)
         block = max(1, walk_rows(self.n) // rows)
-        last = len(self.angles) - 1
         for win_start in sorted(self.checkpoints, reverse=True):
             win_end = min(win_start + CHECKPOINT_INTERVAL, T)
             seg, f0 = self.evolve(self.checkpoints[win_start].copy(), win_start, win_end)
@@ -387,46 +385,42 @@ class Steps:
             for stop in range(win_end, win_start, -block):
                 start = max(win_start, stop - block)
                 inv0 = per_step(inverse([f[:, start - win_start:stop - win_start] for f in f0]))
-                pair = np.empty((2, rows, stop - start, 1 << self.n), dtype=np.complex128)
-                pair[0] = seg[:, start - win_start:stop - win_start]
+                kets = seg[:, start - win_start:stop - win_start]
                 lo = min(max(start, first - 1), stop)  # steps lo+1..stop inject readouts
                 if lo < stop:
-                    inj = inject(lo, pair[0, :, lo - start:])
+                    inj = inject(lo, kets[:, lo - start:])
+                adjoints = np.empty((len(self.angles), rows, stop - start) + self.shape,
+                                    dtype=np.complex128)
                 for t in range(stop, start, -1):
                     if t > lo:
                         lam += inj[:, t - lo - 1]
-                    pair[1, :, t - start - 1] = lam
-                    if t > start + 1:
-                        lam = self.rewind(lam, inv0[t - start - 1])
+                    lam = self.rewind(lam, inv0[t - start - 1], adjoints[:, :, t - start - 1])
                 derivs = dwin[:, start - win_start:stop - win_start]
-                for layer in range(last, -1, -1):
-                    pair = self.unentangle(pair.reshape(2, rows * (stop - start), -1), layer < last)
-                    # for U_j = RZ(b) RY(a): dJ/db = Im tr(Z rho_j), and dJ/da =
-                    # Im tr(RZ(b) Y RZ(b)^H rho_j) = cos(b) Im tr(Y rho_j) -
-                    # sin(b) Im tr(X rho_j); layer 0's encoding RY(e_t) shares
-                    # the RY axis, so dJ/de_t = dJ/da at step t
-                    rho = self.cross(pair[0], pair[1]).reshape(rows, stop - start, self.n, 2, 2)
-                    im_y = (rho[..., 0, 1] - rho[..., 1, 0]).real
-                    im_x = (rho[..., 0, 1] + rho[..., 1, 0]).imag
-                    derivs[:, :, layer, :, 0] = cos_rz[layer] * im_y - sin_rz[layer] * im_x
+                for layer in range(len(self.angles) - 1, -1, -1):
+                    kets = self.unentangle(layer, kets.reshape(rows, stop - start, -1))
+                    # read between the gates of U_j = RZ(b) RY(a): dJ/da =
+                    # Im tr(Y rho_j), dJ/db = Im tr(Z rho_j); layer 0's encoding
+                    # RY(e_t) shares the RY axis, so dJ/de_t = dJ/da at step t
+                    rho = self.cross(kets, adjoints[layer]).reshape(rows, stop - start, self.n, 2, 2)
+                    derivs[:, :, layer, :, 0] = (rho[..., 0, 1] - rho[..., 1, 0]).real
                     derivs[:, :, layer, :, 1] = (rho[..., 0, 0] - rho[..., 1, 1]).imag
                     if layer:
-                        pair = self.unrotate(layer, self.later_inverses[layer - 1], pair)
+                        kets = self.rotate(self.later_inverses[layer - 1], kets)
                 denc[:, start:stop] = derivs[:, :, 0, :, 0]
-                heads = pair[1].reshape((rows, stop - start) + self.shape)[:, 0]
-                lam = self.interleaved(self.unrotate(0, inv0[0], heads))
             dtheta += dwin.sum(axis=1)
-            del seg, f0, pair  # release the window before the next one is allocated
+            del seg, f0, kets, adjoints  # release the window before the next one is allocated
         return dtheta, denc
 
-    def rewind(self, x: np.ndarray, first: Sequence[np.ndarray]) -> np.ndarray:
+    def rewind(self, x: np.ndarray, first: Sequence[np.ndarray],
+               out: np.ndarray | None = None) -> np.ndarray:
         """M_t^H x for (B, 2**n) vectors x, given the (B, d_g, d_g) inverse
-        factors of step t's layer 0 (`inverse`)."""
+        factors of step t's layer 0 (`inverse`): per layer, last first,
+        `unentangle` (into out[layer], if out (n_layers, B, d_0, 2**n / d_0)
+        is given), then the inverse RY factors through `rotate`."""
         layers = [first] + self.later_inverses
-        last = len(layers) - 1
-        for layer in range(last, -1, -1):
-            x = self.unentangle(x.reshape(self.rows, -1), layer < last)
-            x = self.unrotate(layer, layers[layer], x)
+        for layer in range(len(layers) - 1, -1, -1):
+            x = self.unentangle(layer, x.reshape(self.rows, -1), None if out is None else out[layer])
+            x = self.rotate(layers[layer], x)
         return self.interleaved(x)
 
     def cross(self, kets: np.ndarray, adjoints: np.ndarray) -> np.ndarray:

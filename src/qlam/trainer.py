@@ -253,15 +253,6 @@ def resolve_splits(
 # Batched passes, the epoch loop, and training.
 # ---------------------------------------------------------------------------
 
-def _ordered_map(fn, items: list, workers: int) -> list:
-    """[fn(item) for item in items] on up to `workers` threads, in input
-    order; the threads overlap where numpy releases the GIL."""
-    if workers > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
 def _chunks(samples: list[SequenceSample], size: int) -> list[range]:
     """Index ranges that cut samples, in order, into runs of consecutive
     samples of one token shape, at most `size` long."""
@@ -272,16 +263,29 @@ def _chunks(samples: list[SequenceSample], size: int) -> list[range]:
     return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:] + [len(samples)])]
 
 
+def _chunk_map(fn, samples: list[SequenceSample], size: int, workers: int) -> list:
+    """The rows of fn(indices, chunk) over the chunks of samples (`_chunks`),
+    one per sample, in sample order, on up to `workers` threads, which
+    overlap where numpy releases the GIL; ConfigError for no samples."""
+    if not samples:
+        raise ConfigError("cannot run on an empty sample list")
+    ranges = _chunks(samples, size)
+    chunks = [samples[r.start:r.stop] for r in ranges]
+    if workers > 1 and len(ranges) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return [row for block in pool.map(fn, ranges, chunks) for row in block]
+    return [row for block in map(fn, ranges, chunks) for row in block]
+
+
 def _mean_gradients(samples, size: int, per_chunk, params: dict[str, np.ndarray], workers: int):
-    """Mean of per-sample GradBundles over a batch: per_chunk(chunk)
-    returns one bundle per sample of a chunk of at most `size` samples,
-    and the reduction runs in sample order; returns (mean grads, mean
-    loss, number correct)."""
+    """Mean of per-sample GradBundles over a batch: per_chunk(indices,
+    chunk) returns one bundle per sample of a chunk (`_chunk_map`), and
+    the reduction runs in sample order; returns (mean grads, mean loss,
+    number correct)."""
+    bundles = _chunk_map(per_chunk, samples, size, workers)
     total = grad_like(params)
     loss_sum = 0.0
     correct = 0
-    chunks = [samples[r.start:r.stop] for r in _chunks(samples, size)]
-    bundles = [b for rows in _ordered_map(per_chunk, chunks, workers) for b in rows]
     for sample, bundle in zip(samples, bundles):
         for key in total:
             total[key] += bundle.grads[key]
@@ -310,21 +314,19 @@ def batch_gradients(
     grads, mean loss, number correct).
     """
     return _mean_gradients(
-        samples, walk_rows(cfg.n_qubits), lambda chunk: batch_loss_and_grad(chunk, params, cfg),
+        samples, walk_rows(cfg.n_qubits), lambda _, chunk: batch_loss_and_grad(chunk, params, cfg),
         params.as_dict(), workers,
     )
 
 
 def _score(samples: list[SequenceSample], size: int, logits_of, workers: int) -> tuple[float, float]:
     """(mean loss, accuracy) over a sample list; logits_of(indices,
-    chunk) returns the logits of each sample of a chunk of at most `size`
-    samples, whose indices in the list are `indices`."""
-    if not samples:
-        raise ConfigError("cannot evaluate on an empty sample list")
-    blocks = _ordered_map(lambda r: logits_of(r, samples[r.start:r.stop]), _chunks(samples, size), workers)
+    chunk) returns the logits of each sample of a chunk (`_chunk_map`),
+    whose indices in the list are `indices`."""
+    rows = _chunk_map(logits_of, samples, size, workers)
     loss_sum = 0.0
     correct = 0
-    for sample, logits in zip(samples, (row for block in blocks for row in block)):
+    for sample, logits in zip(samples, rows):
         loss, _ = softmax_cross_entropy(logits, sample.label)
         loss_sum += loss
         if int(np.argmax(logits)) == sample.label:
@@ -448,15 +450,18 @@ def train(config: TrainConfig, bundle: DatasetBundle | None = None) -> TrainResu
 def evaluate(checkpoint_path, config: TrainConfig, bundle: DatasetBundle | None = None) -> float:
     """Accuracy of a saved model on this config's test split.
 
-    Refuses a config whose split settings differ from the ones the model
-    was trained with, since its "test" split would hold training samples,
-    and cell settings or a class count other than the checkpoint's.
-    Reads out with the config's shot settings, exact or sampled.
+    Refuses a checkpoint that does not record its split settings, and a
+    config whose split differs from them, since its "test" split would
+    hold training samples, and cell settings or a class count other than
+    the checkpoint's.  Reads out with the config's shot settings.
     """
     params, cell_cfg, extra = load_checkpoint(checkpoint_path)
+    missing = [name for name in SPLIT_FIELDS if name not in extra]
+    if missing:
+        raise DataError(f"checkpoint {checkpoint_path} records no {', '.join(missing)} of its split")
     # every split and cell field the config sets is refused before the
     # data loads, the class count the dataset sets after
-    saved = [(name, extra[name]) for name in SPLIT_FIELDS if name in extra]
+    saved = [(name, extra[name]) for name in SPLIT_FIELDS]
     saved += [(f.name, getattr(cell_cfg, f.name)) for f in fields(CellConfig) if f.name != "n_classes"]
     differ = [
         f"checkpoint has {name}={value!r}, the config has {name}={getattr(config, name)!r}"
@@ -527,7 +532,7 @@ def train_elman(config: TrainConfig, bundle: DatasetBundle | None = None) -> tup
     params = init_elman(np.random.default_rng([config.seed, 0]), d_hidden, n_classes)
 
     epochs = _epochs(config, train_set, params, lambda batch: _mean_gradients(
-        batch, 1, lambda chunk: [GradBundle(*elman_loss_and_grad(s.tokens, s.label, params))
+        batch, 1, lambda _, chunk: [GradBundle(*elman_loss_and_grad(s.tokens, s.label, params))
                                  for s in chunk],
         params, config.workers,
     ))

@@ -290,15 +290,21 @@ def test_layer0_is_built_once_per_step_and_pass(monkeypatch, n_qubits):
     # each pass builds a window's layer-0 factors in one call, and the
     # adjoint's window recompute hands them to the walk, so a gradient
     # builds each step's factors twice, in the sweep and in the adjoint,
-    # and a forward pass once
-    built = []
-    layer0 = Steps.layer0
+    # and a forward pass once; the adjoint rewinds each step once, the
+    # first step of every walk sub-block too, and a forward pass never
+    built, rewound = [], []
+    layer0, rewind = Steps.layer0, Steps.rewind
 
     def counted(self, start, stop):
         built.append(self.rows * (stop - start))
         return layer0(self, start, stop)
 
+    def counted_rewind(self, x, *args, **kwargs):
+        rewound.append(x.shape[0])
+        return rewind(self, x, *args, **kwargs)
+
     monkeypatch.setattr(Steps, "layer0", counted)
+    monkeypatch.setattr(Steps, "rewind", counted_rewind)
     T = 2 * CHECKPOINT_INTERVAL + 1
     windows = -(-T // CHECKPOINT_INTERVAL)
     cfg = small_cfg(n_qubits, t_keep=2)
@@ -307,10 +313,13 @@ def test_layer0_is_built_once_per_step_and_pass(monkeypatch, n_qubits):
     loss_and_grad(sample, params, cfg)
     assert sum(built) == 2 * T
     assert len(built) == 2 * windows
+    assert sum(rewound) == T
     built.clear()
+    rewound.clear()
     final_logits(sample.tokens, params, cfg)
     assert sum(built) == T
     assert len(built) == windows
+    assert rewound == []
 
 
 @pytest.mark.parametrize("sample_index", [[0, 1], [0, 1, 2, 3], [[0, 1, 2]]],

@@ -9,7 +9,8 @@ from numpy.testing import assert_array_equal
 
 import qlam.trainer
 from qlam.cell import CellConfig, final_logits, init_qlam_params
-from qlam.checkpoint import load_checkpoint
+from qlam.checkpoint import load_checkpoint, save_checkpoint
+from qlam.cli import main
 from qlam.circuits import walk_rows
 from qlam.data import DatasetBundle, SequenceSample
 from qlam.errors import ConfigError, DataError
@@ -18,6 +19,7 @@ from qlam.nn import init_elman, softmax_cross_entropy
 from qlam.observables import ShotConfig
 from qlam.trainer import (
     METRICS_COLUMNS,
+    SPLIT_FIELDS,
     MetricsRow,
     TrainConfig,
     append_metrics,
@@ -309,10 +311,12 @@ def test_untrained_model_is_near_chance():
 
 
 def test_evaluate_samples_empty_rejected():
+    # both batched passes refuse an empty sample list the same way
     cfg = tiny_config().cell_config()
     params = init_qlam_params(np.random.default_rng(2), cfg)
-    with pytest.raises(ConfigError):
-        evaluate_samples([], params, cfg)
+    for run in (lambda: evaluate_samples([], params, cfg), lambda: batch_gradients([], params, cfg)):
+        with pytest.raises(ConfigError, match="empty sample list"):
+            run()
 
 
 # ---------------------------------------------------------------------------
@@ -437,6 +441,22 @@ def test_evaluate_refuses_a_split_other_than_the_training_one(tmp_path):
         evaluate(result.checkpoint_path, tiny_config(out_dir=str(tmp_path)), bundle)
     acc = evaluate(result.checkpoint_path, tiny_config(out_dir=str(tmp_path), seed=3), bundle)
     assert acc == result.final_test.accuracy
+
+
+def test_evaluate_refuses_a_checkpoint_without_its_split(tmp_path, capsys):
+    # with no split record any config's test split would be scored, and
+    # it may hold the samples the model was trained on
+    bundle = synthetic_bundle()
+    cfg = tiny_config(out_dir=str(tmp_path))
+    params, cell, _ = load_checkpoint(train(cfg, bundle).checkpoint_path)
+    path = tmp_path / "bare.npz"
+    save_checkpoint(path, params, cell)
+    record = f"records no {', '.join(SPLIT_FIELDS)} of its split"
+    for seed in (0, 1, 2):
+        with pytest.raises(DataError, match=record):
+            evaluate(path, dataclasses.replace(cfg, seed=seed), bundle)
+    assert main(["eval", "--checkpoint", str(path), "--dataset", "sdigits8"]) == 3
+    assert record in capsys.readouterr().err
 
 
 def test_evaluate_names_every_split_field_other_than_the_checkpoints(tmp_path):
