@@ -57,6 +57,13 @@ from .observables import (
 )
 
 
+# The most ansatz layers and kept readouts a cell takes: far above any
+# trained value, and low enough that a mistyped size is refused here, not
+# by an allocation in `init_qlam_params`.
+MAX_LAYERS = 256
+MAX_T_KEEP = 1 << 16
+
+
 @dataclass(frozen=True)
 class CellConfig:
     """Structural hyperparameters of one recurrence cell.  Every field but
@@ -76,6 +83,9 @@ class CellConfig:
         for name in ("n_layers", "d_query", "n_heads", "decoder_hidden", "t_keep", "n_classes"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name, most in (("n_layers", MAX_LAYERS), ("t_keep", MAX_T_KEEP)):
+            if getattr(self, name) > most:
+                raise ConfigError(f"{name} must be <= {most}, got {getattr(self, name)}")
         check_register(self.n_qubits)
         entangler_pairs(self.n_qubits, self.entangler)  # ConfigError unless in circuits.ENTANGLERS
 

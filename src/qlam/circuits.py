@@ -32,7 +32,13 @@ of qubits (two up to n = 10, three from n = 11; `factor_widths`) they
 are k small real RY matrix products on the state's float64 view, one
 per group, and the layer's RZ gates are one diagonal phase.  The
 encoding folds into layer 0, and the CNOT entangler is one index
-gather, which also applies the phase.  Every reduction runs on one row
+gather, which also applies the phase.  Only layer 0's RY factors change
+from step to step; the rest of a step is fixed by theta.  On registers
+of at most FOLD_QUBITS qubits, where a step costs numpy calls rather
+than arithmetic, that fixed tail is one real matrix built per `Steps`,
+so a forward step is layer 0's GEMMs and one product (`Steps.fold`);
+larger registers, and the adjoint's rewind and walk at every size, run
+the layers one by one.  Every reduction runs on one row
 of the stack, in an order that does not depend on B, so a sequence's
 states and derivatives are bit for bit those of a B = 1 sweep.
 """
@@ -130,6 +136,15 @@ def factor_widths(n_qubits: int) -> tuple[int, ...]:
     return n_qubits - 8, 4, 4
 
 
+# Registers of at most this many qubits advance a step as layer 0's RY
+# GEMMs and one product with the step's fixed tail (`Steps.fold`), a
+# real (2 * 2**n)**2 matrix; larger ones run the tail layer by layer.
+# Timed on a 64-step sweep of the default 2-layer cell, one BLAS thread,
+# the fold ran 1.5-1.8x faster at B = 1 for n <= 5 and 1.04-1.2x at
+# B = walk_rows(n); at n = 6 it ran 1.7x slower at B = walk_rows(6) = 64.
+FOLD_QUBITS = 5
+
+
 def inverse(layer: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
     """The factors of the inverse of a layer's RY gates held as `Steps`
     holds them: each held real factor's transpose (`Steps` holds the
@@ -193,7 +208,14 @@ class Steps:
     encoding, as the per-qubit products RY(a) RY(e_t[j]); its factors
     differ per row and step (`layer0`), its phase does not.  The other
     layers' factors are built once, from the one angle set theta, and
-    shared by every row and step.  Non-finite angles or embeddings raise
+    shared by every row and step.  Up to FOLD_QUBITS qubits, `tail` is
+    the rest of the step after layer 0's RY gates, layer 0's gather and
+    phase and every later layer, as one real (2 * 2**n, 2 * 2**n) matrix
+    from `rotate`'s planar rows to interleaved complex ones (`fold`), and
+    `step` applies it as one (B, 1, 2 * 2**n) stacked per-row product;
+    above FOLD_QUBITS `tail` is None and `step` runs `advance` per layer.
+    Only `evolve` folds: `rewind` and the adjoint walk read every
+    layer's read point.  Non-finite angles or embeddings raise
     NumericError.
     """
 
@@ -241,6 +263,7 @@ class Steps:
         self.first_layer = ry[0]
         self.later_layers = list(zip(*self.factors(ry[1:])))
         self.later_inverses = [inverse(layer) for layer in self.later_layers]
+        self.tail = self.fold() if n <= FOLD_QUBITS else None
 
     def factors(self, u: np.ndarray) -> tuple[np.ndarray, ...]:
         """The held factors, one (..., d_g, d_g) stack per group, of the
@@ -259,19 +282,45 @@ class Steps:
         return x
 
     def advance(self, layer: int, factors: Sequence[np.ndarray], x: np.ndarray) -> np.ndarray:
-        """The (B, d_0, 2**n / d_0) states x through ansatz layer `layer`,
-        with RY factors `factors`: the RY gates, then the entangler and the
-        RZ phase, both in one take."""
-        x = self.rotate(factors, x).reshape(self.rows, -1)
+        """The (R, d_0, 2**n / d_0) states x through ansatz layer `layer`,
+        with RY factors `factors`: the RY gates, then `entangle`."""
+        return self.entangle(layer, self.rotate(factors, x).reshape(len(x), -1))
+
+    def entangle(self, layer: int, x: np.ndarray) -> np.ndarray:
+        """The complex states (R, d_0, 2**n / d_0) of the planar rows x
+        (R, 2 * 2**n) through ansatz layer `layer`'s entangler and RZ
+        phase, both in one take."""
         x = x.take(self.planar_gather, axis=-1).view(np.complex128)[..., 0]
         x *= self.phases[layer]
         return x
 
+    def fold(self) -> np.ndarray:
+        """The fixed tail of a step as one real (2 * 2**n, 2 * 2**n)
+        matrix: layer 0's entangler and phase, then every later layer.
+        Row k is the float64 view of the interleaved complex image of
+        planar basis row k, so a planar row p, as `rotate` returns layer
+        0's RY gates, steps to the float64 view of ``p @ tail``."""
+        x = self.entangle(0, np.eye(2 << self.n))
+        for layer, factors in enumerate(self.later_layers, 1):
+            x = self.advance(layer, factors, x)
+        return x.reshape(len(x), -1).view(np.float64)
+
+    def step(self, first: Sequence[np.ndarray], x: np.ndarray) -> np.ndarray:
+        """The (B, d_0, 2**n / d_0) states x through one step, given its
+        layer-0 factors (B, d_g, d_g): layer 0's RY GEMMs, then the folded
+        tail as one stacked per-row product on registers of at most
+        FOLD_QUBITS qubits, and layer by layer above them."""
+        if self.tail is None:
+            for layer, factors in enumerate([first] + self.later_layers):
+                x = self.advance(layer, factors, x)
+            return x
+        x = self.rotate(first, x).reshape(self.rows, 1, -1) @ self.tail
+        return x.view(np.complex128).reshape((self.rows,) + self.shape)
+
     def unentangle(self, layer: int, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """The inverse of `advance`'s take and phase for ansatz layer
-        `layer`: the complex states (..., d_0, 2**n / d_0) after its RY
-        gates, given its complex (..., 2**n) or planar (..., 2 * 2**n)
-        output rows.  The scatter, then the conjugate RZ phase, into out if
+        """The inverse of `entangle` for ansatz layer `layer`: the complex
+        states (..., d_0, 2**n / d_0) after its RY gates, given its complex
+        (..., 2**n) or planar (..., 2 * 2**n) output rows.  The scatter, then the conjugate RZ phase, into out if
         given; a "clip" take writes there directly, a "raise" one buffers."""
         if out is None:
             out = np.empty(x.shape[:-1] + self.shape, dtype=np.complex128)
@@ -317,8 +366,7 @@ class Steps:
         views = states.reshape((rows, -1) + self.shape)
         x = psi.reshape((rows,) + self.shape)
         for t, own in enumerate(per_step(f0), start + 1):
-            for layer, factors in enumerate([own] + self.later_layers):
-                x = self.advance(layer, factors, x)
+            x = self.step(own, x)
             if t > first:
                 views[:, t - first - 1] = x
         psi[:] = x.reshape(rows, -1)
@@ -389,19 +437,23 @@ class Steps:
                 lo = min(max(start, first - 1), stop)  # steps lo+1..stop inject readouts
                 if lo < stop:
                     inj = inject(lo, kets[:, lo - start:])
-                adjoints = np.empty((len(self.angles), rows, stop - start) + self.shape,
+                # held in (step, row) order, so each step's rows are one
+                # contiguous slot that `rewind` takes into directly
+                adjoints = np.empty((len(self.angles), stop - start, rows) + self.shape,
                                     dtype=np.complex128)
                 for t in range(stop, start, -1):
                     if t > lo:
                         lam += inj[:, t - lo - 1]
-                    lam = self.rewind(lam, inv0[t - start - 1], adjoints[:, :, t - start - 1])
+                    lam = self.rewind(lam, inv0[t - start - 1], adjoints[:, t - start - 1])
                 derivs = dwin[:, start - win_start:stop - win_start]
+                kets = kets.swapaxes(0, 1)  # walked in the adjoint rows' order
                 for layer in range(len(self.angles) - 1, -1, -1):
-                    kets = self.unentangle(layer, kets.reshape(rows, stop - start, -1))
+                    kets = self.unentangle(layer, kets.reshape(stop - start, rows, -1))
                     # read between the gates of U_j = RZ(b) RY(a): dJ/da =
                     # Im tr(Y rho_j), dJ/db = Im tr(Z rho_j); layer 0's encoding
                     # RY(e_t) shares the RY axis, so dJ/de_t = dJ/da at step t
-                    rho = self.cross(kets, adjoints[layer]).reshape(rows, stop - start, self.n, 2, 2)
+                    rho = self.cross(kets, adjoints[layer]).reshape(
+                        stop - start, rows, self.n, 2, 2).swapaxes(0, 1)
                     derivs[:, :, layer, :, 0] = (rho[..., 0, 1] - rho[..., 1, 0]).real
                     derivs[:, :, layer, :, 1] = (rho[..., 0, 0] - rho[..., 1, 1]).imag
                     if layer:

@@ -408,7 +408,7 @@ def train(config: TrainConfig, bundle: DatasetBundle | None = None) -> TrainResu
     out_dir = Path(config.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise ConfigError(f"cannot create out_dir {config.out_dir!r}: {exc}") from exc
     tag = config.run_tag()
     metrics_path = out_dir / f"metrics_{tag}.csv"

@@ -12,6 +12,8 @@ from numpy.testing import assert_allclose
 from oracles import dense_observable_matrix, dense_recurrence_readouts, einsum_decoder
 
 from qlam.cell import (
+    MAX_LAYERS,
+    MAX_T_KEEP,
     CellConfig,
     QlamParams,
     ReadoutTrace,
@@ -48,6 +50,16 @@ def test_cell_config_validation():
     cfg = small_cfg()
     assert cfg.pool_size == 5
     assert cfg.feature_dim == 2
+
+
+@pytest.mark.parametrize("field, most", [("n_layers", MAX_LAYERS), ("t_keep", MAX_T_KEEP)])
+def test_cell_config_refuses_sizes_above_their_bound(field, most):
+    # refused when the config is built, naming the field, before any
+    # array is sized by it; the bound itself is accepted
+    assert getattr(small_cfg(**{field: most}), field) == most
+    for value in (most + 1, 2**70):
+        with pytest.raises(ConfigError, match=f"{field} must be <= {most}, got {value}"):
+            small_cfg(**{field: value})
 
 
 def test_params_shapes_and_validation():

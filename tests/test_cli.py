@@ -323,6 +323,24 @@ def test_empty_out_dir_exits_as_config_error_before_writing(tmp_path, capsys, mo
     assert list(work.iterdir()) == []
 
 
+def test_out_dir_with_a_nul_byte_exits_as_config_error(tmp_path, capsys):
+    data_dir = str(write_smnist8(tmp_path / "data"))
+    err = assert_exit(["train", *SMNIST_TINY, "--data-dir", data_dir, "--out-dir", str(tmp_path / "a\0b")],
+                      "config", capsys)
+    assert "out_dir" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data"]
+
+
+@pytest.mark.parametrize("flag", ["--layers", "--t-keep"])
+def test_oversized_cell_flags_exit_as_config_error_before_loading_data(tmp_path, capsys, flag):
+    # 2**70 layers or kept readouts: refused by the config, so no dataset
+    # is read and no parameter array is allocated
+    field = {"--layers": "n_layers", "--t-keep": "t_keep"}[flag]
+    err = assert_exit(["train", *SMNIST_TINY, "--data-dir", str(tmp_path / "absent"), flag, str(2**70)],
+                      "config", capsys)
+    assert f"{field} must be <=" in err
+
+
 @pytest.mark.parametrize("flag", [("--qubits", "3"), ("--t-keep", "2")], ids=["qubits", "t-keep"])
 def test_eval_with_cell_flags_other_than_the_checkpoints_exits_2(tmp_path, capsys, flag):
     data_dir = str(write_smnist8(tmp_path / "data"))

@@ -32,6 +32,7 @@ from qlam.cell import (
 )
 from qlam.circuits import (
     CHECKPOINT_INTERVAL,
+    FOLD_QUBITS,
     MAX_QUBITS,
     Steps,
     entangler_pairs,
@@ -97,6 +98,40 @@ def test_dense_steps_match_dense_step_matrix(n_qubits, entangler):
         first = inverse([f[:, 0] for f in steps.layer0(t - 1, t)])
         rewound = steps.rewind(np.eye(dim, dtype=np.complex128), first)
         assert_allclose(rewound.T, want.conj().T, atol=1e-12)
+
+
+@pytest.mark.parametrize("n_layers", [1, 3])
+@pytest.mark.parametrize("n_qubits", range(1, FOLD_QUBITS + 1))
+def test_folded_tail_is_orthogonal(n_qubits, n_layers):
+    # a unitary's real form, read from planar rows into interleaved ones
+    rng = np.random.default_rng(160 + n_qubits)
+    theta = rng.uniform(-np.pi, np.pi, 2 * n_layers * n_qubits)
+    tail = Steps(theta, np.zeros((1, 1, n_qubits)), "ring").tail
+    assert tail.shape == (2 << n_qubits, 2 << n_qubits)
+    assert_allclose(tail @ tail.T, np.eye(2 << n_qubits), rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("entangler", ["ring", "linear"])
+@pytest.mark.parametrize("n_layers", [1, 3])
+@pytest.mark.parametrize("n_qubits", [FOLD_QUBITS, FOLD_QUBITS + 1])
+def test_evolve_matches_dense_steps_at_the_fold_crossover(n_qubits, n_layers, entangler):
+    # the largest folded register and the smallest layered one, over
+    # steps of a stack of three rows against the dense step matrices
+    cfg = CellConfig(n_qubits, n_layers, entangler)
+    rng = np.random.default_rng(170 + n_qubits)
+    theta = rng.uniform(-np.pi, np.pi, 2 * n_layers * n_qubits)
+    emb = rng.uniform(-2.0, 2.0, (3, 5, n_qubits))
+    dim = 1 << n_qubits
+    psi = rng.normal(size=(3, dim)) + 1j * rng.normal(size=(3, dim))
+    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+    steps = Steps(theta, emb, entangler)
+    assert (steps.tail is None) == (n_qubits > FOLD_QUBITS)
+    want = psi.copy()
+    states, _ = steps.evolve(psi, 0, 5)
+    for t in range(5):
+        want = np.stack([dense_step_matrix(cfg, theta, emb[b, t]) @ want[b] for b in range(3)])
+        assert_allclose(states[:, t], want, rtol=0, atol=1e-12)
+    assert_array_equal(psi, states[:, -1])
 
 
 @pytest.mark.parametrize("entangler", ["ring", "linear"])
@@ -249,6 +284,8 @@ def test_logits_bitwise_across_views_and_windows(n_qubits, T, t_keep):
     pytest.param(2, 3, 1, id="2"),
     pytest.param(3, 2, 1, id="3"),
     pytest.param(4, 4, 1, id="4"),
+    # the smallest register that runs each step's tail layer by layer
+    pytest.param(FOLD_QUBITS + 1, 3, 1, id=str(FOLD_QUBITS + 1)),
     pytest.param(STRIDED_N, 10, 2, id=str(STRIDED_N)),
     # three factor groups, in chunks of walk_rows(11) = 2: 2 + 1
     pytest.param(11, 3, 2, id="11"),
