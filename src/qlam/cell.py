@@ -57,11 +57,13 @@ from .observables import (
 )
 
 
-# The most ansatz layers and kept readouts a cell takes: far above any
-# trained value, and low enough that a mistyped size is refused here, not
-# by an allocation in `init_qlam_params`.
+# The most ansatz layers, kept readouts and query, head and decoder
+# widths a cell takes: far above any trained value, and low enough that a
+# mistyped size is refused here, not by an allocation in
+# `init_qlam_params` (at MAX_WIDTH each, dec_w1 holds 2**24 floats).
 MAX_LAYERS = 256
 MAX_T_KEEP = 1 << 16
+MAX_WIDTH = 256
 
 
 @dataclass(frozen=True)
@@ -83,7 +85,9 @@ class CellConfig:
         for name in ("n_layers", "d_query", "n_heads", "decoder_hidden", "t_keep", "n_classes"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name, most in (("n_layers", MAX_LAYERS), ("t_keep", MAX_T_KEEP)):
+        bounds = [("n_layers", MAX_LAYERS), ("t_keep", MAX_T_KEEP), ("d_query", MAX_WIDTH),
+                  ("n_heads", MAX_WIDTH), ("decoder_hidden", MAX_WIDTH)]
+        for name, most in bounds:
             if getattr(self, name) > most:
                 raise ConfigError(f"{name} must be <= {most}, got {getattr(self, name)}")
         check_register(self.n_qubits)
@@ -292,12 +296,15 @@ def run(
     shot: ShotConfig = ShotConfig(),
     *,
     sample_index=0,
+    backward: bool = False,
 ) -> Run:
     """Validate and embed a (B, T) stack of equal-length token rows,
     evolve each row's memory from |0...0>, read it out at the last
     `keep` steps (t_keep..T of them; every step when None) and classify
     its last t_keep readouts.  `sample_index` gives each row's shot
-    streams (one per row, or one for all).  A sequence shorter than
+    streams (one per row, or one for all).  `backward` marks a pass
+    whose `steps.adjoint` will run, so the sweep keeps the last window
+    for it (`Steps.sweep`'s keep_last).  A sequence shorter than
     t_keep, or any other length of `sample_index`, raises ShapeError.
     An embedding that overflows raises NumericError naming its step.
 
@@ -333,7 +340,7 @@ def run(
     def read(lo, states):
         exps[:, lo - first + 1:][:, :states.shape[1]] = measure(states, table, shot, sample_index, lo)
 
-    psi = steps.sweep(first, read)
+    psi = steps.sweep(first, read, keep_last=backward)
     # decoded one sequence at a time, so one sequence's activations are alive
     readouts = np.stack([(decoder(qb, params)[1] @ eb[:, :, None])[:, :, 0]
                          for qb, eb in zip(q, exps)])

@@ -60,6 +60,10 @@ def load_checkpoint(path) -> tuple[QlamParams, CellConfig, dict]:
             members = {name: archive[name] for name in archive.files}
     except (EOFError, ValueError, zipfile.BadZipFile) as exc:
         raise DataError(f"{path} is not a readable checkpoint: {exc}") from exc
+    # numpy returns a member whose name lacks ".npy" as raw bytes
+    raw = sorted(name for name, value in members.items() if not isinstance(value, np.ndarray))
+    if raw:
+        raise DataError(f"{path} holds members that are not arrays: {raw}")
     if "__version__" not in members:
         raise DataError(f"{path} is not a model checkpoint (no version member)")
     version = members["__version__"]

@@ -18,15 +18,18 @@ whole sweep over a stack of B equal-length sequences, advanced together
 as one (B, 2**n) array; a single sequence is B = 1.  `Steps.sweep`
 evolves |0...0> one window of K = `CHECKPOINT_INTERVAL` steps at a
 time, hands each window's states to a readout callback and keeps the
-states at each window's start.  `Steps.adjoint` walks back from step T,
-recomputing one window at a time from its checkpoint (Jones & Gacon,
-arXiv:2009.02823).  Memory is the B * T/K checkpoints, one window of B
-swept or recomputed sequences and that window's layer-0 factors, built
-in one call (per row and step, d**2 float64 per factor group of d
+states at each window's start, and, for a gradient, the last window
+when all of it is read out.  `Steps.adjoint` walks back from step T,
+starting from that window and recomputing each other one from its
+checkpoint (Jones & Gacon, arXiv:2009.02823).  Memory is the B * T/K
+checkpoints, one window of B swept, kept or recomputed sequences and
+that window's layer-0 factors,
+built in one call (per row and step, d**2 float64 per factor group of d
 amplitudes: at most 1.25x the float64 a state holds, and 768 against
 its 8,192 at n = 12), and a walk over kets of at most max(B * 2**n,
-WALK_AMPLITUDES) amplitudes plus n_layers adjoint rows per ket:
-O(B * (K + T/K) * 2**n) for any sequence length.  A layer's rotations
+WALK_AMPLITUDES) amplitudes plus n_layers adjoint rows per ket (and,
+folded, n_layers ket rows): O(B * (K + T/K) * 2**n) for any sequence
+length.  A layer's rotations
 are a tensor product, so with a state viewed as a tensor over k groups
 of qubits (two up to n = 10, three from n = 11; `factor_widths`) they
 are k small real RY matrix products on the state's float64 view, one
@@ -36,10 +39,13 @@ gather, which also applies the phase.  Only layer 0's RY factors change
 from step to step; the rest of a step is fixed by theta.  On registers
 of at most FOLD_QUBITS qubits, where a step costs numpy calls rather
 than arithmetic, that fixed tail is one real matrix built per `Steps`,
-so a forward step is layer 0's GEMMs and one product (`Steps.fold`);
-larger registers, and the adjoint's rewind and walk at every size, run
-the layers one by one.  Every reduction runs on one row
-of the stack, in an order that does not depend on B, so a sequence's
+so a forward step is layer 0's GEMMs and one product (`Steps.fold`).
+The adjoint folds the same way: one matrix built on its first run gives
+every layer's read point, so a rewind step is one product and layer 0's
+inverse GEMMs, and the walk one product per sub-block (`Steps.reads`).
+Larger registers run the layers one by one.  Every reduction runs on
+one row of the stack, in an order that does not depend on B, and every
+product over rows runs on blocks of a fixed row count, so a sequence's
 states and derivatives are bit for bit those of a B = 1 sweep.
 """
 
@@ -138,11 +144,33 @@ def factor_widths(n_qubits: int) -> tuple[int, ...]:
 
 # Registers of at most this many qubits advance a step as layer 0's RY
 # GEMMs and one product with the step's fixed tail (`Steps.fold`), a
-# real (2 * 2**n)**2 matrix; larger ones run the tail layer by layer.
-# Timed on a 64-step sweep of the default 2-layer cell, one BLAS thread,
-# the fold ran 1.5-1.8x faster at B = 1 for n <= 5 and 1.04-1.2x at
-# B = walk_rows(n); at n = 6 it ran 1.7x slower at B = walk_rows(6) = 64.
+# real (2 * 2**n)**2 matrix, and rewind it as one product with every
+# layer's read points (`Steps.reads`) and layer 0's inverse GEMMs;
+# larger ones run both passes layer by layer.  Timed with
+# tools/time_engine.py (default 2-layer ring cell, one BLAS thread,
+# median of 7 rounds), the fold ran, per forward and per adjoint step,
+# 1.7-1.9x and 1.3-1.6x faster at B = 1 for n <= 5 and 1.06-1.23x and
+# 1.08-1.59x at B = walk_rows(n); at n = 6 it ran 0.72x and 0.88x as
+# fast at B = walk_rows(6) = 64, and at n = 7, B = 1, 1.06x and 0.57x.
 FOLD_QUBITS = 5
+# Rows per product with `Steps.reads`.  A GEMM can round a row
+# differently with the row count of the call, but within calls of one
+# shape a row's bits do not depend on its position or on the other rows;
+# so every such product runs on blocks of exactly this many rows, the
+# last one zero-padded, as `cell.decoder` does with DECODER_ROWS.
+READ_ROWS = 4
+
+
+def padded(rows: int) -> int:
+    """rows rounded up to a whole number of READ_ROWS blocks."""
+    return -(-rows // READ_ROWS) * READ_ROWS
+
+
+def planar(x: np.ndarray) -> np.ndarray:
+    """The planar float64 rows (..., 2 * 2**n), real parts first, of the
+    complex rows x (..., 2**n): the layout `Steps.rotate` returns."""
+    parts = x.view(np.float64).reshape(x.shape + (2,))
+    return parts.swapaxes(-1, -2).reshape(x.shape[:-1] + (-1,))
 
 
 def inverse(layer: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
@@ -214,9 +242,12 @@ class Steps:
     from `rotate`'s planar rows to interleaved complex ones (`fold`), and
     `step` applies it as one (B, 1, 2 * 2**n) stacked per-row product;
     above FOLD_QUBITS `tail` is None and `step` runs `advance` per layer.
-    Only `evolve` folds: `rewind` and the adjoint walk read every
-    layer's read point.  Non-finite angles or embeddings raise
-    NumericError.
+    The adjoint reads each layer between its RY and RZ gates.  Up to
+    FOLD_QUBITS qubits `reads`, built on the adjoint's first run, takes
+    a planar row to every layer's read point in one real product, which
+    `rewind` and `points` run in blocks of READ_ROWS rows (`apply_reads`);
+    above it both go layer by layer (`unwind`).  Non-finite angles or
+    embeddings raise NumericError.
     """
 
     def __init__(self, theta: np.ndarray, embeddings: np.ndarray, entangler: str):
@@ -331,14 +362,6 @@ class Steps:
         out *= self.inverse_phases[layer]
         return out
 
-    def interleaved(self, x: np.ndarray) -> np.ndarray:
-        """(R, 2**n) complex states of R planar rows as `rotate` returns
-        them: the end of `rewind`."""
-        planar = x.reshape(x.shape[0], 2, -1)
-        out = np.empty(planar[:, 0].shape, dtype=np.complex128)
-        out.real, out.imag = planar[:, 0], planar[:, 1]
-        return out
-
     def layer0(self, start: int, stop: int) -> tuple[np.ndarray, ...]:
         """Held layer-0 factors (B, S, d_g, d_g) of steps start+1..stop.
         The encoding is multiplied in as a matrix, not added to the RY
@@ -347,21 +370,23 @@ class Steps:
         c, s = np.cos(0.5 * e), np.sin(0.5 * e)
         return self.factors(times_ry(self.first_layer, c, s))
 
-    def evolve(self, psi: np.ndarray, start: int, stop: int,
-               first: int | None = None) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    def evolve(self, psi: np.ndarray, start: int, stop: int, first: int | None = None,
+               out: np.ndarray | None = None) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
         """Advance the (B, 2**n) states psi in place through steps
         start+1..stop (1-based) and return the (B, stop - first, 2**n)
-        states after steps first+1..stop (first defaults to start) and
-        the layer-0 factors of steps start+1..stop, built in one call
-        (`layer0`), which the adjoint walk reuses.  A call spans at most
-        one window, and its factors take at most 1.25x the memory of its
-        steps' states (at most 0.15x from n = 11).  The factors are built
-        after the states are allocated: the other order splits the block
-        the last window's states freed, and at n = 12 the heap grew by a
-        window (2 MB)."""
+        states after steps first+1..stop (first defaults to start), the
+        leading steps of out if given, and the layer-0 factors of steps
+        start+1..stop, built in one call (`layer0`), which the adjoint
+        walk reuses.  A call spans at most one window, and its factors
+        take at most 1.25x the memory of its steps' states (at most 0.15x
+        from n = 11).  The factors are built after the states are
+        allocated: the other order splits the block the last window's
+        states freed, and at n = 12 the heap grew by a window (2 MB)."""
         first = start if first is None else first
         rows = self.rows
-        states = np.empty((rows, stop - first, psi.shape[-1]), dtype=np.complex128)
+        if out is None:
+            out = np.empty((rows, stop - first, psi.shape[-1]), dtype=np.complex128)
+        states = out[:, :stop - first]
         f0 = self.layer0(start, stop)
         views = states.reshape((rows, -1) + self.shape)
         x = psi.reshape((rows,) + self.shape)
@@ -379,24 +404,36 @@ class Steps:
             raise NumericError(f"non-finite amplitudes by timestep {stop}")
         return states, f0
 
-    def sweep(self, first: int, read) -> np.ndarray:
+    def sweep(self, first: int, read, keep_last: bool = False) -> np.ndarray:
         """Evolve every row from |0...0> one window of
         CHECKPOINT_INTERVAL steps at a time and return the (B, 2**n) final
         states.  A window holding kept steps (first..T, 1-based) calls
         read(lo, states) with the (B, S, 2**n) states after its steps
         lo+1..lo+S.  `checkpoints` keeps the (B, 2**n) states at each
-        window's start (step 0, K, 2K, ...) for `adjoint`."""
+        window's start (step 0, K, 2K, ...) for `adjoint`.  With keep_last,
+        for a pass the adjoint follows, `kept` holds the last window's
+        states and layer-0 factors when every one of its steps is kept
+        (else None), which `adjoint` starts from; a forward-only pass
+        keeps no window past its readout.  Storing the rest of a last
+        window that is read out only in part cost memory: at n = 12,
+        T = 256, t_keep = 16 it raised a training run's peak RSS by
+        0.9-1.0 MB."""
         T = self.embeddings.shape[1]
         psi = np.zeros((self.rows, 1 << self.n), dtype=np.complex128)
         psi[:, 0] = 1.0
-        self.checkpoints = {}
+        self.checkpoints, self.kept = {}, None
         for start in range(0, T, CHECKPOINT_INTERVAL):
             self.checkpoints[start] = psi.copy()
             stop = min(start + CHECKPOINT_INTERVAL, T)
             lo = min(max(start, first - 1), stop)  # 0-based index of the window's first kept step
-            states = self.evolve(psi, start, stop, lo)[0]
+            states, f0 = self.evolve(psi, start, stop, lo)
+            keep = keep_last and stop == T and lo == start  # only a last window read out whole
+            if not keep:
+                del f0  # release the factors before the readout allocates
             if lo < stop:
                 read(lo, states)
+            if keep:
+                self.kept = states, f0
             del states  # release the window before the next one is allocated
         return psi
 
@@ -406,28 +443,45 @@ class Steps:
         (B, S, 2**n) injections sum_i c_i P_i |psi_t> of the kept steps
         lo+1..lo+S (first..T, 1-based), given their (B, S, 2**n) kets.
 
-        Windows are recomputed last first by `evolve`, whose layer-0
-        factors, built once per window, are kept for the walk, and consumed
+        Windows are walked back last first: the last from the states and
+        layer-0 factors the sweep kept (`sweep`'s keep_last), if it kept
+        them, every other one
+        recomputed by `evolve` from its checkpoint, whose factors, built
+        once per window, are kept for the walk.  A window is consumed
         backward in sub-blocks of walk_rows(n) // B steps (at least one).
         The adjoint recurrence lam <- M_t^H (lam + inj_t), with lam
-        (B, 2**n), runs once per step (`rewind`), and keeps the adjoint
-        rows L at each layer's read point, between its RY and RZ gates.
-        One walk then unwinds the sub-block's stacked kets K to the same
-        points and reads the derivative Im <L| P |K> = Im tr(P rho_j) of
-        every angle a of a gate exp(-i a P/2) on qubit j (`cross`; the
-        layer's other gates commute with P).  Each step's ket is the
-        recomputed state, so inverse-gate drift never crosses a step.  A
-        window's angle derivatives are summed in one reduction over its
-        steps.
+        (B, 2 * 2**n) planar rows and each sub-block's injections made
+        planar once, runs once per step (`rewind`), and keeps the adjoint
+        rows L at each layer's read point, between its RY and RZ gates.  One walk
+        then takes the sub-block's stacked kets K to the same points
+        (`points`) and reads the derivative Im <L| P |K> = Im tr(P rho_j)
+        of every angle a of a gate exp(-i a P/2) on qubit j (`cross`; the
+        layer's other gates commute with P).  Up to FOLD_QUBITS qubits
+        both go through one product with `reads` per step or sub-block.
+        Each step's ket is the swept or recomputed state, so inverse-gate
+        drift never crosses a step.  A window's angle derivatives are
+        summed in one reduction over its steps.
         """
         rows, T = self.embeddings.shape[:2]
+        n_layers = len(self.angles)
         dtheta = np.zeros((rows,) + self.angles.shape)
         denc = np.empty((rows, T, self.n))
-        lam = np.zeros((rows, 1 << self.n), dtype=np.complex128)
+        lam = np.zeros((rows, 2 << self.n))
         block = max(1, walk_rows(self.n) // rows)
+        # the sweep's last window, then every other one recomputed into
+        # one buffer: with a new states array per window, repeated n = 12
+        # training calls grew the heap by 1.4 MB
+        window, self.kept, buffer = self.kept, None, None
         for win_start in sorted(self.checkpoints, reverse=True):
             win_end = min(win_start + CHECKPOINT_INTERVAL, T)
-            seg, f0 = self.evolve(self.checkpoints[win_start].copy(), win_start, win_end)
+            if window is None:
+                if buffer is None:
+                    buffer = np.empty((rows, min(CHECKPOINT_INTERVAL, T), 1 << self.n),
+                                      dtype=np.complex128)
+                window = self.evolve(self.checkpoints[win_start].copy(), win_start, win_end,
+                                     out=buffer)
+            seg, f0 = window
+            window = None
             # every angle derivative of every step of the window
             dwin = np.empty((rows, win_end - win_start) + self.angles.shape)
             for stop in range(win_end, win_start, -block):
@@ -436,44 +490,106 @@ class Steps:
                 kets = seg[:, start - win_start:stop - win_start]
                 lo = min(max(start, first - 1), stop)  # steps lo+1..stop inject readouts
                 if lo < stop:
-                    inj = inject(lo, kets[:, lo - start:])
-                # held in (step, row) order, so each step's rows are one
-                # contiguous slot that `rewind` takes into directly
-                adjoints = np.empty((len(self.angles), stop - start, rows) + self.shape,
-                                    dtype=np.complex128)
+                    inj = planar(inject(lo, kets[:, lo - start:])).swapaxes(0, 1)
+                # `rewind` writes each step's read points straight into its
+                # slot, which must be contiguous or numpy's `take(out=)`
+                # copies through a temporary: folded, a (step, row) block of
+                # whole READ_ROWS blocks; layered, one (rows, ...) block per
+                # layer and step, as `unwind` writes them
+                if self.reads is None:
+                    adjoints = np.empty((n_layers, stop - start, rows) + self.shape,
+                                        dtype=np.complex128)
+                    slots = adjoints.swapaxes(0, 1)
+                else:
+                    slots = np.empty((stop - start, padded(rows), n_layers << (self.n + 1)))
+                    adjoints = slots.view(np.complex128).reshape(
+                        stop - start, -1, n_layers, 1 << self.n)[:, :rows].transpose(2, 0, 1, 3)
                 for t in range(stop, start, -1):
                     if t > lo:
-                        lam += inj[:, t - lo - 1]
-                    lam = self.rewind(lam, inv0[t - start - 1], adjoints[:, t - start - 1])
+                        lam += inj[t - lo - 1]
+                    lam = self.rewind(lam, inv0[t - start - 1], slots[t - start - 1])
                 derivs = dwin[:, start - win_start:stop - win_start]
-                kets = kets.swapaxes(0, 1)  # walked in the adjoint rows' order
-                for layer in range(len(self.angles) - 1, -1, -1):
-                    kets = self.unentangle(layer, kets.reshape(stop - start, rows, -1))
+                # walked in the adjoint rows' order
+                for layer, at in enumerate(self.points(kets.swapaxes(0, 1))):
                     # read between the gates of U_j = RZ(b) RY(a): dJ/da =
                     # Im tr(Y rho_j), dJ/db = Im tr(Z rho_j); layer 0's encoding
                     # RY(e_t) shares the RY axis, so dJ/de_t = dJ/da at step t
-                    rho = self.cross(kets, adjoints[layer]).reshape(
+                    rho = self.cross(at, adjoints[layer]).reshape(
                         stop - start, rows, self.n, 2, 2).swapaxes(0, 1)
                     derivs[:, :, layer, :, 0] = (rho[..., 0, 1] - rho[..., 1, 0]).real
                     derivs[:, :, layer, :, 1] = (rho[..., 0, 0] - rho[..., 1, 1]).imag
-                    if layer:
-                        kets = self.rotate(self.later_inverses[layer - 1], kets)
                 denc[:, start:stop] = derivs[:, :, 0, :, 0]
             dtheta += dwin.sum(axis=1)
-            del seg, f0, kets, adjoints  # release the window before the next one is allocated
+            del seg, f0, kets, adjoints, slots  # release the kept window before the buffer is allocated
         return dtheta, denc
+
+    def unwind(self, x: np.ndarray, out: np.ndarray | None = None) -> list[np.ndarray]:
+        """Every layer's read point, between its RY and RZ gates, of the
+        rows x (..., 2**n) complex or (..., 2 * 2**n) planar after a step,
+        layer 0's first, as complex (..., d_0, 2**n / d_0) states, layer by
+        layer: per layer, last first, `unentangle` (into out[layer] if
+        given), then, past layer 0, its inverse RY factors."""
+        points = []
+        for layer in range(len(self.angles) - 1, -1, -1):
+            x = self.unentangle(layer, x, None if out is None else out[layer])
+            points.append(x)
+            if layer:
+                x = self.rotate(self.later_inverses[layer - 1], x).reshape(x.shape[:-2] + (-1,))
+        return points[::-1]
+
+    @functools.cached_property
+    def reads(self) -> np.ndarray | None:
+        """`unwind` as one real (2 * 2**n, n_layers * 2 * 2**n) matrix on
+        registers of at most FOLD_QUBITS qubits, None above them: row k
+        holds the float64 views of the read points of planar basis row k,
+        layer 0's first, as `fold` builds `tail`.  Built the first time
+        the adjoint runs, so a forward pass never pays for it."""
+        if self.tail is None:
+            return None
+        eye = np.eye(2 << self.n)
+        return np.concatenate([p.reshape(len(eye), -1).view(np.float64) for p in self.unwind(eye)],
+                              axis=1)
+
+    def apply_reads(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The (padded(R), n_layers * 2 * 2**n) product of the planar rows
+        x (R, 2 * 2**n) with `reads`, into out if given, as one GEMM per
+        block of READ_ROWS rows, the last one zero-padded, so a row's bits
+        depend on neither R nor the other rows."""
+        height = padded(len(x))
+        if height > len(x):
+            x = np.concatenate([x, np.zeros((height - len(x), x.shape[-1]))])
+        if out is None:
+            out = np.empty((height, self.reads.shape[-1]))
+        np.matmul(x.reshape(-1, READ_ROWS, x.shape[-1]), self.reads,
+                  out=out.reshape(-1, READ_ROWS, out.shape[-1]))
+        return out
+
+    def points(self, kets: np.ndarray) -> list[np.ndarray]:
+        """`unwind` of the complex states kets (..., 2**n): from one
+        product with `reads` up to FOLD_QUBITS qubits, as (..., 2**n)
+        views, and layer by layer above them."""
+        if self.reads is None:
+            return self.unwind(kets)
+        points = self.apply_reads(planar(kets).reshape(-1, 2 << self.n))[:kets[..., 0].size]
+        points = points.view(np.complex128).reshape(kets.shape[:-1] + (len(self.angles), -1))
+        return [points[..., layer, :] for layer in range(len(self.angles))]
 
     def rewind(self, x: np.ndarray, first: Sequence[np.ndarray],
                out: np.ndarray | None = None) -> np.ndarray:
-        """M_t^H x for (B, 2**n) vectors x, given the (B, d_g, d_g) inverse
-        factors of step t's layer 0 (`inverse`): per layer, last first,
-        `unentangle` (into out[layer], if out (n_layers, B, d_0, 2**n / d_0)
-        is given), then the inverse RY factors through `rotate`."""
-        layers = [first] + self.later_inverses
-        for layer in range(len(layers) - 1, -1, -1):
-            x = self.unentangle(layer, x.reshape(self.rows, -1), None if out is None else out[layer])
-            x = self.rotate(layers[layer], x)
-        return self.interleaved(x)
+        """M_t^H x for R planar rows x (R, 2 * 2**n), as `rotate` returns
+        them, given the (R, d_g, d_g) inverse factors of step t's layer 0
+        (`inverse`): every layer's read point, into out if given, then
+        layer 0's inverse RY factors; returns planar rows.  Up to
+        FOLD_QUBITS qubits out is a float64 (padded(R), n_layers * 2 *
+        2**n) array of interleaved complex rows, filled by one product
+        with `reads` (`apply_reads`); above them it is a complex
+        (n_layers, R, d_0, 2**n / d_0) array, filled by `unwind`."""
+        rows = len(x)
+        if self.reads is not None:
+            x = self.apply_reads(x, out)[:rows, :2 << self.n].view(np.complex128)
+        else:
+            x = self.unwind(x, out)[0]
+        return self.rotate(first, x.reshape((rows,) + self.shape)).reshape(rows, -1)
 
     def cross(self, kets: np.ndarray, adjoints: np.ndarray) -> np.ndarray:
         """(S, n, 2, 2) reduced cross operators rho_j = Tr_{not j} |k><l| of

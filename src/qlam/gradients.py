@@ -130,7 +130,7 @@ def batch_loss_and_grad(
     `forward` followed by `softmax_cross_entropy` bit for bit on the
     loss, but skips readouts at steps the classifier never sees.
     """
-    r = run([s.tokens for s in samples], params, cfg, cfg.t_keep)
+    r = run([s.tokens for s in samples], params, cfg, cfg.t_keep, backward=True)
     grads = _batch_grads(params, len(samples))
     losses, w = _classifier_backward(r, [s.label for s in samples], params, cfg, grads)
     _backward(r, w, params, cfg, grads)
@@ -154,7 +154,7 @@ def weighted_readout_grads(
     zero because J never touches the classifier.  Main use: oracle
     cross-checks against parameter-shift and finite differences.
     """
-    r = run([tokens], params, cfg)
+    r = run([tokens], params, cfg, backward=True)
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != r.readouts.shape[1:]:
         raise ShapeError(f"weights have shape {w.shape}, expected {r.readouts.shape[1:]}")

@@ -14,6 +14,7 @@ from oracles import dense_observable_matrix, dense_recurrence_readouts, einsum_d
 from qlam.cell import (
     MAX_LAYERS,
     MAX_T_KEEP,
+    MAX_WIDTH,
     CellConfig,
     QlamParams,
     ReadoutTrace,
@@ -52,7 +53,10 @@ def test_cell_config_validation():
     assert cfg.feature_dim == 2
 
 
-@pytest.mark.parametrize("field, most", [("n_layers", MAX_LAYERS), ("t_keep", MAX_T_KEEP)])
+@pytest.mark.parametrize("field, most", [
+    ("n_layers", MAX_LAYERS), ("t_keep", MAX_T_KEEP),
+    ("d_query", MAX_WIDTH), ("n_heads", MAX_WIDTH), ("decoder_hidden", MAX_WIDTH),
+])
 def test_cell_config_refuses_sizes_above_their_bound(field, most):
     # refused when the config is built, naming the field, before any
     # array is sized by it; the bound itself is accepted

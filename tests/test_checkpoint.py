@@ -10,6 +10,7 @@ import pytest
 from numpy.testing import assert_array_equal
 
 from qlam.cell import CellConfig, final_logits, init_qlam_params
+from qlam.cli import EXIT_CODES
 from qlam.checkpoint import CHECKPOINT_VERSION, load_checkpoint, save_checkpoint
 from qlam.errors import ConfigError, DataError, ShapeError
 
@@ -115,6 +116,18 @@ def test_malformed_version_member_is_data_error(tmp_path, version):
         warnings.simplefilter("error")
         with pytest.raises(DataError, match="version"):
             load_checkpoint(path)
+
+
+def test_member_that_is_not_an_array_is_data_error(tmp_path):
+    # numpy loads a zip member not named *.npy as bytes, which have no astype
+    cfg = small_cfg()
+    path = tmp_path / "m.npz"
+    save_checkpoint(path, init_qlam_params(np.random.default_rng(13), cfg), cfg)
+    with zipfile.ZipFile(path, "a") as zf:
+        zf.writestr("junk", b"not an array")
+    with pytest.raises(DataError, match="junk") as info:
+        load_checkpoint(path)
+    assert EXIT_CODES[info.value.category] == 3
 
 
 @pytest.mark.parametrize("retype", [

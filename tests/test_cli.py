@@ -331,11 +331,12 @@ def test_out_dir_with_a_nul_byte_exits_as_config_error(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["data"]
 
 
-@pytest.mark.parametrize("flag", ["--layers", "--t-keep"])
+@pytest.mark.parametrize("flag", ["--layers", "--t-keep", "--d-query", "--heads", "--decoder-hidden"])
 def test_oversized_cell_flags_exit_as_config_error_before_loading_data(tmp_path, capsys, flag):
-    # 2**70 layers or kept readouts: refused by the config, so no dataset
-    # is read and no parameter array is allocated
-    field = {"--layers": "n_layers", "--t-keep": "t_keep"}[flag]
+    # 2**70 layers, kept readouts or cell widths: refused by the config, so
+    # no dataset is read and no parameter array is allocated
+    field = {"--layers": "n_layers", "--t-keep": "t_keep", "--d-query": "d_query",
+             "--heads": "n_heads", "--decoder-hidden": "decoder_hidden"}[flag]
     err = assert_exit(["train", *SMNIST_TINY, "--data-dir", str(tmp_path / "absent"), flag, str(2**70)],
                       "config", capsys)
     assert f"{field} must be <=" in err

@@ -29,15 +29,18 @@ from qlam.cell import (
     final_logits,
     forward,
     init_qlam_params,
+    run,
 )
 from qlam.circuits import (
     CHECKPOINT_INTERVAL,
     FOLD_QUBITS,
     MAX_QUBITS,
+    READ_ROWS,
     Steps,
     entangler_pairs,
     inverse,
     new_zero_state,
+    planar,
     walk_rows,
 )
 from qlam.data import SequenceSample
@@ -53,6 +56,13 @@ STRIDED_N = 9
 # ---------------------------------------------------------------------------
 # Steps.
 # ---------------------------------------------------------------------------
+
+def complex_rows(x):
+    """The complex rows of planar rows x (..., 2 * 2**n), real parts first,
+    as `Steps.rewind` takes and returns them (`planar` is the inverse)."""
+    half = x.shape[-1] // 2
+    return x[..., :half] + 1j * x[..., half:]
+
 
 @pytest.mark.parametrize("entangler", ["ring", "linear"])
 @pytest.mark.parametrize("n_qubits", range(1, 6))
@@ -96,7 +106,7 @@ def test_dense_steps_match_dense_step_matrix(n_qubits, entangler):
         steps.evolve(basis, t - 1, t)
         assert_allclose(basis.T, want, atol=1e-12)
         first = inverse([f[:, 0] for f in steps.layer0(t - 1, t)])
-        rewound = steps.rewind(np.eye(dim, dtype=np.complex128), first)
+        rewound = complex_rows(steps.rewind(planar(np.eye(dim, dtype=np.complex128)), first))
         assert_allclose(rewound.T, want.conj().T, atol=1e-12)
 
 
@@ -109,6 +119,76 @@ def test_folded_tail_is_orthogonal(n_qubits, n_layers):
     tail = Steps(theta, np.zeros((1, 1, n_qubits)), "ring").tail
     assert tail.shape == (2 << n_qubits, 2 << n_qubits)
     assert_allclose(tail @ tail.T, np.eye(2 << n_qubits), rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("n_layers", [1, 3])
+@pytest.mark.parametrize("n_qubits", range(1, FOLD_QUBITS + 1))
+def test_read_points_are_orthogonal(n_qubits, n_layers):
+    # each layer's block of `reads` is the real form of a unitary, from
+    # planar rows into interleaved ones; built on first use, None above
+    # the fold
+    rng = np.random.default_rng(165 + n_qubits)
+    theta = rng.uniform(-np.pi, np.pi, 2 * n_layers * n_qubits)
+    reads = Steps(theta, np.zeros((1, 1, n_qubits)), "ring").reads
+    assert reads.shape == (2 << n_qubits, n_layers * (2 << n_qubits))
+    for block in np.split(reads, n_layers, axis=1):
+        assert_allclose(block @ block.T, np.eye(2 << n_qubits), rtol=0, atol=1e-14)
+    wide = FOLD_QUBITS + 1
+    assert Steps(np.zeros(2 * wide), np.zeros((1, 1, wide)), "ring").reads is None
+
+
+@pytest.mark.parametrize("entangler", ["ring", "linear"])
+@pytest.mark.parametrize("n_layers", [1, 3])
+@pytest.mark.parametrize("n_qubits", [FOLD_QUBITS, FOLD_QUBITS + 1])
+def test_adjoint_matches_dense_shifts_at_the_fold_crossover(n_qubits, n_layers, entangler):
+    # J = sum_t <psi_t| A_t |psi_t> over random Hermitian A_t from step 3 on,
+    # over T = K + 1 steps, so the adjoint walks back the window the sweep
+    # kept and one it recomputes, with the folded read points at
+    # FOLD_QUBITS and the layered ones above; against the +-pi/2 rule at
+    # each occurrence of an angle, through the dense oracle's steps
+    cfg = CellConfig(n_qubits, n_layers, entangler)
+    rng = np.random.default_rng(180 + 4 * n_qubits + n_layers)
+    T, first, dim = CHECKPOINT_INTERVAL + 1, 3, 1 << n_qubits
+    theta = rng.uniform(-np.pi, np.pi, 2 * n_layers * n_qubits)
+    emb = rng.uniform(-2.0, 2.0, (1, T, n_qubits))
+    a = rng.normal(size=(T, dim, dim)) + 1j * rng.normal(size=(T, dim, dim))
+    a += a.conj().swapaxes(1, 2)
+    steps = Steps(theta, emb, entangler)
+    assert (steps.reads is None) == (n_qubits > FOLD_QUBITS)
+    steps.sweep(first, lambda lo, states: None, keep_last=True)
+    dtheta, denc = steps.adjoint(
+        first, lambda lo, kets: np.einsum("sij,bsj->bsi", a[lo:lo + kets.shape[1]], kets))
+
+    mats = [dense_step_matrix(cfg, theta, e) for e in emb[0]]
+    before = [new_zero_state(n_qubits)]  # the state before each step
+    for m in mats[:-1]:
+        before.append(m @ before[-1])
+
+    def shifted(t, k=None, j=None):
+        # the +-pi/2 rule on angle k, or on encoding angle j, at step t
+        # (0-based) alone; the terms of earlier steps cancel
+        total = 0.0
+        for sign in (1, -1):
+            angles, e = theta.copy(), emb[0, t].copy()
+            if k is None:
+                e[j] += sign * np.pi / 2
+            else:
+                angles[k] += sign * np.pi / 2
+            psi = dense_step(cfg, angles, e, before[t][:, None])[:, 0]
+            for s in range(t, T):
+                psi = psi if s == t else mats[s] @ psi
+                if s + 1 >= first:
+                    total += 0.5 * sign * np.vdot(psi, a[s] @ psi).real
+        return total
+
+    # layer 0's first RY angle and the last layer's last RZ angle
+    for k in (0, theta.size - 1):
+        want = sum(shifted(t, k=k) for t in range(T))
+        assert_allclose(dtheta[0].reshape(-1)[k], want, rtol=0, atol=1e-9, err_msg=f"theta[{k}]")
+    # a step of the recomputed window and the last, kept one
+    for t in (1, T - 1):
+        want = [shifted(t, j=j) for j in range(n_qubits)]
+        assert_allclose(denc[0, t], want, rtol=0, atol=1e-9, err_msg=f"step {t + 1}")
 
 
 @pytest.mark.parametrize("entangler", ["ring", "linear"])
@@ -154,7 +234,8 @@ def test_steps_match_dense_step_on_large_registers(n_qubits, entangler):
         # the adjoint identity <M_t^H phi, psi> = <phi, M_t psi> checks
         # `rewind` (the conjugate phase, the transposed real factors)
         steps = Steps(angles, emb, entangler)
-        rewound = steps.rewind(phi, inverse([f[:, 0] for f in steps.layer0(t - 1, t)]))
+        first = inverse([f[:, 0] for f in steps.layer0(t - 1, t)])
+        rewound = complex_rows(steps.rewind(planar(phi), first))
         for b in range(3):
             assert_allclose(np.vdot(rewound[b], want[:, b]), np.vdot(phi[b], stepped[:, b]), atol=1e-12)
         want = stepped
@@ -284,6 +365,9 @@ def test_logits_bitwise_across_views_and_windows(n_qubits, T, t_keep):
     pytest.param(2, 3, 1, id="2"),
     pytest.param(3, 2, 1, id="3"),
     pytest.param(4, 4, 1, id="4"),
+    # the largest folded register, with one row past a block of READ_ROWS,
+    # so the products with `Steps.reads` pad a second block
+    pytest.param(FOLD_QUBITS, READ_ROWS + 1, 1, id=str(FOLD_QUBITS)),
     # the smallest register that runs each step's tail layer by layer
     pytest.param(FOLD_QUBITS + 1, 3, 1, id=str(FOLD_QUBITS + 1)),
     pytest.param(STRIDED_N, 10, 2, id=str(STRIDED_N)),
@@ -325,10 +409,12 @@ def test_batch_outputs_match_single_sequence_views_bitwise(n_qubits, batch, chun
 @pytest.mark.parametrize("n_qubits", [4, 12])
 def test_layer0_is_built_once_per_step_and_pass(monkeypatch, n_qubits):
     # each pass builds a window's layer-0 factors in one call, and the
-    # adjoint's window recompute hands them to the walk, so a gradient
-    # builds each step's factors twice, in the sweep and in the adjoint,
-    # and a forward pass once; the adjoint rewinds each step once, the
-    # first step of every walk sub-block too, and a forward pass never
+    # adjoint's window recompute hands them to the walk; the adjoint starts
+    # from the last window, which the sweep keeps when all of it is read
+    # out, so a gradient builds the factors of the last window's steps once
+    # and of every other step twice, in the sweep and in the adjoint, and
+    # a forward pass builds each once; the adjoint rewinds each step once,
+    # the first step of every walk sub-block too, and a forward pass never
     built, rewound = [], []
     layer0, rewind = Steps.layer0, Steps.rewind
 
@@ -347,16 +433,33 @@ def test_layer0_is_built_once_per_step_and_pass(monkeypatch, n_qubits):
     cfg = small_cfg(n_qubits, t_keep=2)
     params = init_qlam_params(np.random.default_rng(150), cfg)
     sample = SequenceSample(np.random.default_rng(151).uniform(0.0, 1.0, T), 1)
+    last = T - (windows - 1) * CHECKPOINT_INTERVAL  # steps of the last window
     loss_and_grad(sample, params, cfg)
-    assert sum(built) == 2 * T
-    assert len(built) == 2 * windows
+    assert sum(built) == 2 * T - last
+    assert len(built) == 2 * windows - 1
     assert sum(rewound) == T
+    # a last window read out only in part is not kept, so the adjoint
+    # recomputes it: every step's factors are built twice
+    built.clear()
+    loss_and_grad(SequenceSample(sample.tokens[:T - last], 1), params, cfg)
+    assert sum(built) == 2 * (T - last)
     built.clear()
     rewound.clear()
     final_logits(sample.tokens, params, cfg)
     assert sum(built) == T
     assert len(built) == windows
     assert rewound == []
+
+
+def test_only_a_gradient_pass_keeps_the_last_window():
+    # the adjoint starts from the sweep's last window; a forward-only pass
+    # has no adjoint, so it keeps no window past its readout
+    cfg = small_cfg(4, t_keep=2)
+    params = init_qlam_params(np.random.default_rng(152), cfg)
+    tokens = np.random.default_rng(153).uniform(0.0, 1.0, (2, CHECKPOINT_INTERVAL + 1))
+    assert run(tokens, params, cfg).steps.kept is None
+    states, f0 = run(tokens, params, cfg, backward=True).steps.kept
+    assert states.shape == (2, 1, 16)
 
 
 @pytest.mark.parametrize("sample_index", [[0, 1], [0, 1, 2, 3], [[0, 1, 2]]],
@@ -370,16 +473,21 @@ def test_batch_logits_rejects_sample_indices_not_one_per_row(shot, sample_index)
         batch_logits(tokens, params, cfg, shot, sample_index=sample_index)
 
 
-@pytest.mark.parametrize("n_qubits, n_layers, indices, T", [
-    pytest.param(4, 2, (0, 9), 2 * CHECKPOINT_INTERVAL + 1, id="4-2-indices0"),
-    pytest.param(STRIDED_N, 1, (3,), 2 * CHECKPOINT_INTERVAL + 1, id=f"{STRIDED_N}-1-indices1"),
+@pytest.mark.parametrize("n_qubits, n_layers, indices, T, entangler", [
+    pytest.param(4, 2, (0, 9), 2 * CHECKPOINT_INTERVAL + 1, "ring", id="4-2-indices0"),
+    pytest.param(STRIDED_N, 1, (3,), 2 * CHECKPOINT_INTERVAL + 1, "ring", id=f"{STRIDED_N}-1-indices1"),
     # T ends on a window boundary, so the sweep keeps a checkpoint at step T
-    pytest.param(4, 2, (2, 15), 2 * CHECKPOINT_INTERVAL, id="4-2-boundary"),
+    pytest.param(4, 2, (2, 15), 2 * CHECKPOINT_INTERVAL, "ring", id="4-2-boundary"),
     # a high-half RY angle of layer 0 and a low-half RZ angle of layer 1
-    pytest.param(12, 2, (16, 31), CHECKPOINT_INTERVAL + 1, id="12-2-indices2"),
+    pytest.param(12, 2, (16, 31), CHECKPOINT_INTERVAL + 1, "ring", id="12-2-indices2"),
+    # the largest folded register and the smallest layered one: layer 0's
+    # second RY angle and the last layer's last RY angle
+    *[pytest.param(n, layers, (2, 2 * n * layers - 2), CHECKPOINT_INTERVAL + 1, entangler,
+                   id=f"{n}-{layers}-{entangler}")
+      for n in (FOLD_QUBITS, FOLD_QUBITS + 1) for layers in (1, 3) for entangler in ("ring", "linear")],
 ])
-def test_loss_and_grad_matches_param_shift_across_windows(n_qubits, n_layers, indices, T):
-    cfg = small_cfg(n_qubits, n_layers=n_layers, t_keep=2)
+def test_loss_and_grad_matches_param_shift_across_windows(n_qubits, n_layers, indices, T, entangler):
+    cfg = small_cfg(n_qubits, n_layers=n_layers, entangler=entangler, t_keep=2)
     params = init_qlam_params(np.random.default_rng(70 + n_qubits), cfg)
     params.theta[:] = np.random.default_rng(71).uniform(-np.pi, np.pi, params.theta.shape)
     rng = np.random.default_rng(72)

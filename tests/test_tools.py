@@ -1,15 +1,16 @@
-"""Smoke test of the equivalence dump in tools/dump_outputs.py."""
+"""Smoke tests of the equivalence dump in tools/dump_outputs.py and the
+step timing in tools/time_engine.py."""
 
 import importlib.util
 from pathlib import Path
 
 import numpy as np
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "dump_outputs.py"
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
 
-def load_tool():
-    spec = importlib.util.spec_from_file_location("dump_outputs", TOOL)
+def load_tool(name="dump_outputs"):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -45,3 +46,17 @@ def test_dump_of_two_models_compares_bitwise_equal(tmp_path, capsys):
     out = capsys.readouterr().out
     assert f"n =  1  {count:6d}  {count:7d}  0.000e+00\n" in out
     assert f"total: {count} arrays, {count} bitwise equal" in out
+
+
+def test_engine_timing_prints_every_register_and_stack(capsys):
+    tool = load_tool("time_engine")
+    assert tool.main(["--qubits", "1", "2", "--rounds", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    # a header, one line per register and stack height, a legend
+    rows = [line.split() for line in lines[1:-1]]
+    assert [(int(r[0].rstrip("*")), int(r[1])) for r in rows] == [
+        (n, b) for n in (1, 2) for b in (1, 4, 16, 4096 >> n)]
+    for row in rows:
+        assert row[0].endswith("*")  # both registers fold
+        times = np.array(row[2:], dtype=float)
+        assert times.shape == (6,) and np.all(np.isfinite(times)) and np.all(times > 0), row

@@ -1,0 +1,125 @@
+#!/usr/bin/env python3
+"""Time the step engine: microseconds per forward step and per adjoint step.
+
+    PYTHONPATH=src python3 tools/time_engine.py [--qubits 1 2 ...] [--rounds R]
+
+For each register size n and stack of B rows (1, 4, 16 and walk_rows(n)),
+each pass runs on both engines: layered, every layer of a step one by one,
+and folded, a step's fixed part as one real matrix (`Steps.tail` forward,
+`Steps.reads` back).  `circuits.FOLD_QUBITS` picks the engine when a
+`Steps` is built, so the timing sets it to 0 or MAX_QUBITS; the package
+folds up to its own FOLD_QUBITS, marked "*" in the output.
+
+A forward step is `Steps.evolve` over one window of CHECKPOINT_INTERVAL
+steps of the default 2-layer ring cell, divided by the window's steps.  An
+adjoint step is `Steps.adjoint` after a `sweep` of the same window that
+reads out every step, so the adjoint starts from the kept window and
+recomputes nothing: the rewind, the walk and the injections (the kets
+themselves) of every step.  The one-time builds of `tail` and `reads`
+are not timed.  Each round times every cell once per engine, alternating
+which engine runs first, and keeps the best of REPEAT calls; the
+output is the median over rounds of those minima.  One BLAS thread is
+pinned before numpy loads.
+"""
+
+from __future__ import annotations
+
+import os
+
+if __name__ == "__main__":  # one BLAS thread, set before numpy loads
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
+
+import argparse
+import sys
+import time
+
+import numpy as np
+
+ENGINES = ("layered", "folded")
+LAYERS = 2  # the default cell's ansatz layers
+REPEAT = 3  # calls per cell and round
+
+
+def stacks(n: int) -> list[int]:
+    from qlam.circuits import walk_rows
+
+    return sorted({1, 4, 16, walk_rows(n)})
+
+
+def engine(n: int, rows: int, folded: bool):
+    """A `Steps` of one window of random steps, layered or folded."""
+    from qlam import circuits
+
+    rng = np.random.default_rng([n, rows])
+    theta = rng.uniform(-np.pi, np.pi, 2 * LAYERS * n)
+    embeddings = rng.uniform(-1.0, 1.0, (rows, circuits.CHECKPOINT_INTERVAL, n))
+    saved = circuits.FOLD_QUBITS
+    circuits.FOLD_QUBITS = circuits.MAX_QUBITS if folded else 0
+    try:
+        return circuits.Steps(theta, embeddings, "ring")
+    finally:
+        circuits.FOLD_QUBITS = saved
+
+
+def time_cell(n: int, rows: int, folded: bool) -> tuple[float, float]:
+    """Best of REPEAT calls, in microseconds per step, of one forward
+    window and of one adjoint over it."""
+    steps = engine(n, rows, folded)
+    if folded:
+        _ = steps.reads  # built here, outside the timing
+    T = steps.embeddings.shape[1]
+    forward, adjoint = np.inf, np.inf
+    for _ in range(REPEAT):
+        psi = np.zeros((rows, 1 << n), dtype=np.complex128)
+        psi[:, 0] = 1.0
+        begin = time.perf_counter()
+        steps.evolve(psi, 0, T)
+        forward = min(forward, time.perf_counter() - begin)
+        steps.sweep(1, lambda lo, states: None, keep_last=True)  # every step read out: kept
+        begin = time.perf_counter()
+        steps.adjoint(1, lambda lo, kets: kets)
+        adjoint = min(adjoint, time.perf_counter() - begin)
+    return forward * 1e6 / T, adjoint * 1e6 / T
+
+
+def measure(qubits, rounds: int) -> dict:
+    """{(n, B, engine): (forward, adjoint)} medians of per-round minima."""
+    cells = [(n, rows) for n in qubits for rows in stacks(n)]
+    seen: dict = {}
+    for r in range(rounds):
+        for n, rows in cells:
+            # alternate which engine runs first, round by round
+            for name in ENGINES[::1 if r % 2 == 0 else -1]:
+                seen.setdefault((n, rows, name), []).append(
+                    time_cell(n, rows, name == "folded"))
+    return {key: tuple(np.median(np.array(values), axis=0)) for key, values in seen.items()}
+
+
+def report(times: dict, qubits) -> list[str]:
+    from qlam.circuits import FOLD_QUBITS
+
+    lines = ["  n     B   forward us/step: layered  folded  ratio"
+             "   adjoint us/step: layered  folded  ratio"]
+    for n in qubits:
+        for rows in stacks(n):
+            (f_lay, a_lay), (f_fold, a_fold) = (times[n, rows, name] for name in ENGINES)
+            mark = "*" if n <= FOLD_QUBITS else " "
+            lines.append(f"{n:3d}{mark} {rows:5d}  {f_lay:24.2f} {f_fold:7.2f} {f_lay / f_fold:6.2f}"
+                         f"  {a_lay:24.2f} {a_fold:7.2f} {a_lay / a_fold:6.2f}")
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--qubits", type=int, nargs="+", default=list(range(1, 8)))
+    parser.add_argument("--rounds", type=int, default=5)
+    args = parser.parse_args(argv)
+    times = measure(args.qubits, args.rounds)
+    print("\n".join(report(times, args.qubits)))
+    print("ratio: layered over folded time; * the engine folds this register")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
