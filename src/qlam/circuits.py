@@ -450,8 +450,9 @@ class Steps:
         once per window, are kept for the walk.  A window is consumed
         backward in sub-blocks of walk_rows(n) // B steps (at least one).
         The adjoint recurrence lam <- M_t^H (lam + inj_t), with lam
-        (B, 2 * 2**n) planar rows and each sub-block's injections made
-        planar once, runs once per step (`rewind`), and keeps the adjoint
+        (B, 2 * 2**n) planar rows (folded, zero-padded to padded(B) rows)
+        and each sub-block's injections made planar once, runs once per
+        step (`rewind`), and keeps the adjoint
         rows L at each layer's read point, between its RY and RZ gates.  One walk
         then takes the sub-block's stacked kets K to the same points
         (`points`) and reads the derivative Im <L| P |K> = Im tr(P rho_j)
@@ -466,7 +467,9 @@ class Steps:
         n_layers = len(self.angles)
         dtheta = np.zeros((rows,) + self.angles.shape)
         denc = np.empty((rows, T, self.n))
-        lam = np.zeros((rows, 2 << self.n))
+        # folded, the adjoint rows carry zero rows up to padded(rows), so
+        # `apply_reads` reads them in whole READ_ROWS blocks as they are
+        lam = np.zeros((rows if self.reads is None else padded(rows), 2 << self.n))
         block = max(1, walk_rows(self.n) // rows)
         # the sweep's last window, then every other one recomputed into
         # one buffer: with a new states array per window, repeated n = 12
@@ -505,8 +508,12 @@ class Steps:
                     adjoints = slots.view(np.complex128).reshape(
                         stop - start, -1, n_layers, 1 << self.n)[:, :rows].transpose(2, 0, 1, 3)
                 for t in range(stop, start, -1):
-                    if t > lo:
+                    # `lam[:rows] +=` also writes the sum back through
+                    # __setitem__, which unpadded rows can skip
+                    if t > lo and len(lam) == rows:
                         lam += inj[t - lo - 1]
+                    elif t > lo:
+                        lam[:rows] += inj[t - lo - 1]
                     lam = self.rewind(lam, inv0[t - start - 1], slots[t - start - 1])
                 derivs = dwin[:, start - win_start:stop - win_start]
                 # walked in the adjoint rows' order
@@ -576,20 +583,25 @@ class Steps:
 
     def rewind(self, x: np.ndarray, first: Sequence[np.ndarray],
                out: np.ndarray | None = None) -> np.ndarray:
-        """M_t^H x for R planar rows x (R, 2 * 2**n), as `rotate` returns
-        them, given the (R, d_g, d_g) inverse factors of step t's layer 0
-        (`inverse`): every layer's read point, into out if given, then
-        layer 0's inverse RY factors; returns planar rows.  Up to
-        FOLD_QUBITS qubits out is a float64 (padded(R), n_layers * 2 *
-        2**n) array of interleaved complex rows, filled by one product
-        with `reads` (`apply_reads`); above them it is a complex
-        (n_layers, R, d_0, 2**n / d_0) array, filled by `unwind`."""
-        rows = len(x)
-        if self.reads is not None:
-            x = self.apply_reads(x, out)[:rows, :2 << self.n].view(np.complex128)
-        else:
-            x = self.unwind(x, out)[0]
-        return self.rotate(first, x.reshape((rows,) + self.shape)).reshape(rows, -1)
+        """M_t^H x for R planar rows x, as `rotate` returns them, given the
+        (R, d_g, d_g) inverse factors of step t's layer 0 (`inverse`):
+        every layer's read point, into out if given, then layer 0's
+        inverse RY factors; returns planar rows.  Up to FOLD_QUBITS qubits
+        x may carry zero rows up to padded(R), which spares `apply_reads` a
+        padded copy, and then gets the result in its first R rows; out is
+        a float64 (padded(R), n_layers * 2 * 2**n) array of interleaved
+        complex rows, filled by one product with `reads`.  Above them x is
+        (R, 2 * 2**n) and out a complex (n_layers, R, d_0, 2**n / d_0)
+        array, filled by `unwind`."""
+        rows = len(first[0])
+        if self.reads is None:
+            return self.rotate(first, self.unwind(x, out)[0]).reshape(rows, -1)
+        points = self.apply_reads(x, out)[:rows, :2 << self.n].view(np.complex128)
+        rewound = self.rotate(first, points.reshape((rows,) + self.shape)).reshape(rows, -1)
+        if len(x) == rows:
+            return rewound
+        x[:rows] = rewound
+        return x
 
     def cross(self, kets: np.ndarray, adjoints: np.ndarray) -> np.ndarray:
         """(S, n, 2, 2) reduced cross operators rho_j = Tr_{not j} |k><l| of

@@ -18,9 +18,12 @@ counter-based Philox streams (Salmon et al., SC'11): the key is
 parallel evaluation of different samples or timesteps can never perturb
 each other's draws.  `sample_means`, which `cell.measure` calls, draws a
 whole stack of coordinates from one generator re-pointed at each
-coordinate's counter; the tests check it bit for bit against a fresh
-generator per coordinate.  The m-shot estimate of ``<O>`` has variance
-``sum_i gamma_i^2 (1 - <P_i>^2) / m``.
+coordinate's counter, and counts each coordinate's raw 64-bit words below
+an integer threshold (`plus_thresholds`) instead of making doubles: a
+word falls below it exactly when the double numpy draws from that word
+falls below the outcome's probability.  The tests check it bit for bit
+against a fresh generator per coordinate drawing doubles.  The m-shot
+estimate of ``<O>`` has variance ``sum_i gamma_i^2 (1 - <P_i>^2) / m``.
 """
 
 from __future__ import annotations
@@ -137,6 +140,19 @@ def pauli_table(labels: tuple[str, ...]) -> PauliTable:
 # Shot sampling.
 # ---------------------------------------------------------------------------
 
+# The most shots per term a readout takes: a term's mean over 2**20 shots
+# has a standard error of at most 2**-10, finer than any readout here
+# needs, and a mistyped count is refused by the config, not by an
+# allocation.
+MAX_SHOTS = 1 << 20
+# The largest seed a stream key holds: one 64-bit Philox key word.
+MAX_SEED = (1 << 64) - 1
+# Raw words per block of draws in `sample_means`: a step's terms share
+# one block up to this budget, so the block stops growing with pool size
+# times shots past it.  At least MAX_SHOTS, so one term's draws fit a row.
+SHOT_WORDS = MAX_SHOTS
+
+
 @dataclass(frozen=True)
 class ShotConfig:
     """Measurement settings: exact expectations or an m-shot estimator."""
@@ -153,47 +169,75 @@ class ShotConfig:
             raise ConfigError(
                 f"shots_per_term must be >= 1 in sampled mode, got {self.shots_per_term}"
             )
+        for name, most in (("shots_per_term", MAX_SHOTS), ("rng_seed", MAX_SEED)):
+            if getattr(self, name) > most:
+                raise ConfigError(f"{name} must be <= {most}, got {getattr(self, name)}")
 
 
 _U64 = 0xFFFFFFFFFFFFFFFF
 
 
-def stream_key(seed: int, sample_index: int) -> np.ndarray:
-    """Philox key of every shot stream of one sample: (seed, sample_index)."""
-    return np.array([seed & _U64, sample_index & _U64], dtype=np.uint64)
+def stream_key(seed: int, sample_index: int) -> list[int]:
+    """Philox key words of every shot stream of one sample,
+    (seed, sample_index), as Python ints."""
+    return [seed & _U64, sample_index & _U64]
 
 
-def stream_counter(timestep: int, term_index: int) -> np.ndarray:
+def stream_counter(timestep: int, term_index: int) -> list[int]:
     """Start of the (timestep, term) stream's 256-bit Philox counter,
-    ``timestep * 2**192 + term_index * 2**128``.  Draws advance the low
-    words, so distinct coordinates can never overlap."""
-    return np.array([0, 0, term_index & _U64, timestep & _U64], dtype=np.uint64)
+    ``timestep * 2**192 + term_index * 2**128``, as four Python int words,
+    lowest first.  Draws advance the low words, so distinct coordinates
+    can never overlap."""
+    return [0, 0, term_index & _U64, timestep & _U64]
+
+
+def plus_thresholds(p_plus: np.ndarray) -> np.ndarray:
+    """uint64 thresholds ``ceil(p * 2**53) << 11`` of probabilities p in
+    [0, 1].  numpy draws the double ``(x >> 11) * 2**-53`` from a raw
+    Philox word x, and that double is below p exactly when x is below the
+    threshold, as ``x >> 11`` is an integer.  p = 1, whose threshold 2**64
+    no word reaches, wraps to 0; `sample_means` counts all its draws."""
+    return np.ceil(p_plus * 2.0**53).astype(np.uint64) << np.uint64(11)
 
 
 def sample_means(exps: np.ndarray, m: int, seed: int, sample_index: int, t0: int) -> np.ndarray:
     """(S, P) m-shot means of (S, P) expectations at timesteps t0, t0+1, ...
 
     Entry (s, k) is the mean of m +-1 outcomes, +1 where a uniform draw
-    falls below ``(1 + exps[s, k]) / 2``, drawn from the Philox stream
-    that starts at ``stream_counter(t0 + s, k)`` under
-    ``stream_key(seed, sample_index)``.  One generator serves the whole
-    stack: each coordinate assigns it the state of a fresh stream, whose
-    counter is the coordinate's start and whose 4-word output buffer is
-    spent, then draws into one reused buffer of m doubles.
+    falls below ``p = (1 + exps[s, k]) / 2``, clipped to [0, 1] (a NaN p
+    counts no draw), from the Philox stream that starts at
+    ``stream_counter(t0 + s, k)`` under ``stream_key(seed, sample_index)``.
+    One generator serves the whole stack: each coordinate assigns it the
+    state of a fresh stream, whose counter is the coordinate's start and
+    whose 4-word output buffer is spent, all Python ints, which the state
+    setter reads fastest.  Each term's m raw words fill one row of a block
+    (at most SHOT_WORDS words, one step's terms when they fit), and one
+    compare per block counts every row's words below its
+    `plus_thresholds`: the same outcomes as comparing the doubles, bit for
+    bit.  m is 1..MAX_SHOTS, as `ShotConfig` checks.
     """
-    bits = np.random.Philox(key=stream_key(seed, sample_index))
-    gen = np.random.Generator(bits)
-    state = bits.state  # never read back, so it stays a fresh stream's state
-    state["buffer_pos"] = 4  # spent: the first draw generates from the counter
-    draws = np.empty(m)
-    p_plus = np.clip(0.5 * (1.0 + exps), 0.0, 1.0)
+    key = stream_key(seed, sample_index)
+    bits = np.random.Philox(key=np.array(key, dtype=np.uint64))
+    # never read back, so it stays a fresh stream's state; buffer_pos 4 is
+    # spent: the first draw generates from the counter
+    state = {"bit_generator": "Philox", "state": {"key": key},
+             "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    p_plus = np.fmin(np.fmax(0.5 * (1.0 + exps), 0.0), 1.0)  # NaN to 0
+    thresholds = plus_thresholds(p_plus)
+    terms = min(exps.shape[1], SHOT_WORDS // m)  # rows per block
+    block = np.empty((terms, m), dtype=np.uint64)
+    below = np.empty(block.shape, dtype=bool)
     n_plus = np.empty(exps.shape, dtype=np.int64)
     for s, t in enumerate(range(t0, t0 + exps.shape[0])):
-        for k in range(exps.shape[1]):
-            state["state"]["counter"] = stream_counter(t, k)
-            bits.state = state
-            gen.random(out=draws)
-            n_plus[s, k] = np.count_nonzero(draws < p_plus[s, k])
+        for lo in range(0, exps.shape[1], terms):
+            rows = min(terms, exps.shape[1] - lo)
+            for row in range(rows):
+                state["state"]["counter"] = stream_counter(t, lo + row)
+                bits.state = state
+                block[row] = bits.random_raw(m)
+            np.less(block[:rows], thresholds[s, lo:lo + rows, None], out=below[:rows])
+            n_plus[s, lo:lo + rows] = below[:rows].sum(axis=1)
+    n_plus[p_plus == 1.0] = m
     return (2 * n_plus - m) / m
 
 

@@ -57,7 +57,7 @@ from .nn import (
     param_count,
     softmax_cross_entropy,
 )
-from .observables import ShotConfig
+from .observables import MAX_SEED, MAX_SHOTS, ShotConfig
 
 METRICS_COLUMNS = ("epoch", "split", "loss", "accuracy", "lr", "seed", "fold")
 TIMING_COLUMNS = ("epoch", "wall_seconds")
@@ -107,6 +107,11 @@ class TrainConfig:
             value = getattr(self, name)
             if value is not None and value < least:
                 raise ConfigError(f"{name} must be >= {least}, got {value}")
+        # one 64-bit word of the shot streams' key holds the seed
+        # (`observables.stream_key`): a larger one would draw another's shots
+        for name, most in (("seed", MAX_SEED), ("shots", MAX_SHOTS)):
+            if getattr(self, name) > most:
+                raise ConfigError(f"{name} must be <= {most}, got {getattr(self, name)}")
         if self.dataset not in DATASET_NAMES:
             raise ConfigError(
                 f"unknown dataset {self.dataset!r}; choose from {DATASET_NAMES}"

@@ -342,6 +342,17 @@ def test_oversized_cell_flags_exit_as_config_error_before_loading_data(tmp_path,
     assert f"{field} must be <=" in err
 
 
+@pytest.mark.parametrize("flag, field", [("--shots", "shots"), ("--seed", "seed")])
+def test_oversized_shots_or_seed_exit_2_before_the_checkpoint_loads(tmp_path, capsys, flag, field):
+    # 2**70 shots per term would fail allocating their draws, and seed
+    # 2**64 would draw seed 0's shots: both refused by the config, so
+    # neither the absent checkpoint nor any data is read
+    value = {"--shots": 2**70, "--seed": 2**64}[flag]
+    err = assert_exit(["eval", "--checkpoint", str(tmp_path / "absent.npz"), *SMNIST_TINY,
+                       "--data-dir", str(tmp_path / "absent"), flag, str(value)], "config", capsys)
+    assert f"{field} must be <=" in err
+
+
 @pytest.mark.parametrize("flag", [("--qubits", "3"), ("--t-keep", "2")], ids=["qubits", "t-keep"])
 def test_eval_with_cell_flags_other_than_the_checkpoints_exits_2(tmp_path, capsys, flag):
     data_dir = str(write_smnist8(tmp_path / "data"))

@@ -406,6 +406,33 @@ def test_batch_outputs_match_single_sequence_views_bitwise(n_qubits, batch, chun
                                                       sample_index=int(i)))
 
 
+@pytest.mark.parametrize("rows", [1, READ_ROWS - 1, READ_ROWS + 1, 2 * READ_ROWS])
+@pytest.mark.parametrize("n_qubits", [1, FOLD_QUBITS])
+def test_every_product_with_reads_runs_on_read_rows(n_qubits, rows):
+    # the rewind's and the walk's products with `Steps.reads` each take
+    # exactly READ_ROWS rows, whatever the stack's height: with some BLAS
+    # builds one GEMM over every padded row passes the bitwise tests too
+    heights = []
+
+    class Recorded(np.ndarray):
+        """`reads`, recording the rows of each matmul it is an operand of."""
+
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if ufunc is np.matmul:
+                heights.append(inputs[0].shape[-2])
+            inputs = [x.view(np.ndarray) if isinstance(x, Recorded) else x for x in inputs]
+            return getattr(ufunc, method)(*inputs, **kwargs)
+
+    rng = np.random.default_rng(140 + rows)
+    T = CHECKPOINT_INTERVAL + 1  # the kept window and a recomputed one
+    steps = Steps(rng.uniform(-np.pi, np.pi, 4 * n_qubits), rng.uniform(-1.0, 1.0, (rows, T, n_qubits)),
+                  "ring")
+    steps.reads = steps.reads.view(Recorded)
+    steps.sweep(1, lambda lo, states: None, keep_last=True)
+    steps.adjoint(1, lambda lo, kets: kets)
+    assert len(heights) > T and set(heights) == {READ_ROWS}
+
+
 @pytest.mark.parametrize("n_qubits", [4, 12])
 def test_layer0_is_built_once_per_step_and_pass(monkeypatch, n_qubits):
     # each pass builds a window's layer-0 factors in one call, and the
@@ -422,9 +449,9 @@ def test_layer0_is_built_once_per_step_and_pass(monkeypatch, n_qubits):
         built.append(self.rows * (stop - start))
         return layer0(self, start, stop)
 
-    def counted_rewind(self, x, *args, **kwargs):
-        rewound.append(x.shape[0])
-        return rewind(self, x, *args, **kwargs)
+    def counted_rewind(self, x, first, *args, **kwargs):
+        rewound.append(len(first[0]))  # rows rewound: folded, x carries zero padding
+        return rewind(self, x, first, *args, **kwargs)
 
     monkeypatch.setattr(Steps, "layer0", counted)
     monkeypatch.setattr(Steps, "rewind", counted_rewind)

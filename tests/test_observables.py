@@ -2,6 +2,8 @@
 shot estimator of `cell.measure`.  An observable's value is its weights
 dotted with the pool expectations."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,14 @@ from oracles import dense_observable_matrix, dense_pauli_string, sample_term_mea
 from qlam.cell import CellConfig, measure
 from qlam.circuits import new_zero_state
 from qlam.errors import ConfigError
-from qlam.observables import ShotConfig, default_pauli_pool, pauli_table, sample_means
+from qlam.observables import (
+    MAX_SHOTS,
+    ShotConfig,
+    default_pauli_pool,
+    pauli_table,
+    plus_thresholds,
+    sample_means,
+)
 
 
 def random_state(n_qubits, seed):
@@ -122,6 +131,17 @@ def test_shot_config_validation():
         ShotConfig(mode="sampled", shots_per_term=0)
 
 
+def test_shot_config_bounds_shots_and_seed():
+    # refused at construction, before any stream is drawn: 2**70 shots
+    # would fail allocating, and seed 2**64 is one stream key word past
+    # 64 bits, so it would draw seed 0's shots
+    ShotConfig("sampled", MAX_SHOTS, 2**64 - 1)
+    for field, value in (("shots_per_term", 2**70), ("shots_per_term", MAX_SHOTS + 1),
+                         ("rng_seed", 2**64)):
+        with pytest.raises(ConfigError, match=f"{field} must be <="):
+            ShotConfig("sampled", **{field: value})
+
+
 @pytest.mark.parametrize("field, value", [
     ("shots_per_term", 2.5), ("shots_per_term", True), ("rng_seed", 1.5), ("rng_seed", True),
 ])
@@ -195,6 +215,81 @@ def test_sampled_measure_matches_per_coordinate_streams(m, sample_index, t0):
     assert np.array_equal(got, want)
     got = sample_means(EDGE_EXPS, m, 11, sample_index, t0)
     assert np.array_equal(got, reference_means(EDGE_EXPS, m, 11, sample_index, t0))
+
+
+def drawn_multiple(seed, sample_index, m):
+    """(t, p): the first timestep t whose (t, term 0) stream draws, among
+    its first m words, one with its 11 low bits 0 and p = (x >> 11) *
+    2**-53 in [1/4, 1), so that word equals p's threshold and the double
+    drawn from it equals p; (1 + e) / 2 = p holds exactly for e = 2p - 1."""
+    for t in range(64):
+        words = shot_stream(seed, sample_index, t, 0).bit_generator.random_raw(m)
+        hits = words[(words & 0x7FF == 0) & (words >= 1 << 62)]
+        if hits.size:
+            return t, float(hits[0] >> 11) * 2.0**-53
+    raise AssertionError("no drawn word on a threshold")
+
+
+# the smallest p = (1 + e) / 2 above 0 and the largest below 1, then 0, 1
+# and NaN; a smaller p such as 2**-60 is no (1 + e) / 2 of a double e
+EDGE_P_EXPS = [-1.0 + 2**-53, 1.0 - 2**-52, -1.0, 1.0, np.nan]
+
+
+def test_sampled_means_at_the_threshold_edges():
+    # against the reference's double comparison: a p that a draw equals
+    # (whose word is the threshold, so it must not count), the extremes
+    # and NaN, which counts no draw and warns of nothing
+    m, seed, sample_index = 1024, 11, 4
+    t0, p = drawn_multiple(seed, sample_index, m)
+    assert p in shot_stream(seed, sample_index, t0, 0).random(m)
+    exps = np.array([[2.0 * p - 1.0, *EDGE_P_EXPS]])
+    assert (0.5 * (1.0 + exps[0, :3])).tolist() == [p, 2**-54, 1.0 - 2**-53]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = sample_means(exps, m, seed, sample_index, t0)
+        want = reference_means(exps, m, seed, sample_index, t0)
+    assert np.array_equal(got, want)
+    assert got[0, 3:].tolist() == [-1.0, 1.0, -1.0]
+
+
+def count_below(words, p):
+    """Words under the integer rule: below p's threshold, or any at p = 1."""
+    return np.count_nonzero(words < plus_thresholds(np.asarray(p))) if p < 1.0 else len(words)
+
+
+@pytest.mark.parametrize("p", ["drawn", 2**-60, 2**-54, 1.0 - 2**-53, 0.0, 1.0])
+def test_threshold_counts_match_the_streams_doubles(p):
+    # the raw words of a stream, counted under the integer rule, against
+    # its doubles compared with p, for p down to 2**-60
+    m, seed, sample_index = 1024, 5, 9
+    t = 0
+    if p == "drawn":
+        t, p = drawn_multiple(seed, sample_index, m)
+    words = shot_stream(seed, sample_index, t, 0).bit_generator.random_raw(m)
+    doubles = shot_stream(seed, sample_index, t, 0).random(m)
+    assert count_below(words, p) == np.count_nonzero(doubles < p)
+
+
+def around_a_block(a):
+    """A multiple of 2**11 and its neighbours: the words where the rule's
+    rounding and comparison show."""
+    return st.sampled_from([max(0, (a << 11) - 1), a << 11, (a << 11) + 1])
+
+
+WORDS = st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**53 - 1).flatmap(around_a_block),
+                  st.integers(0, 2**64 - 1))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(x=WORDS, data=st.data())
+def test_integer_rule_equals_the_double_comparison(x, data):
+    # numpy draws the double (x >> 11) * 2**-53 from the word x: p at that
+    # double, a rounding step either side, and anywhere in [0, 1]
+    u = (x >> 11) * 2.0**-53
+    p = data.draw(st.one_of(
+        st.sampled_from([u, np.nextafter(u, 0.0), np.nextafter(u, 1.0), 0.0, 1.0, 2**-60, 1.0 - 2**-53]),
+        st.floats(0.0, 1.0)))
+    assert bool(count_below(np.array([x], dtype=np.uint64), p)) == (u < p)
 
 
 def test_sample_term_mean_extremes():

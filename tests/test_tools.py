@@ -5,6 +5,7 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
@@ -60,3 +61,15 @@ def test_engine_timing_prints_every_register_and_stack(capsys):
         assert row[0].endswith("*")  # both registers fold
         times = np.array(row[2:], dtype=float)
         assert times.shape == (6,) and np.all(np.isfinite(times)) and np.all(times > 0), row
+
+
+@pytest.mark.parametrize("argv", [["--qubits", "0"], ["--qubits", "2", "9"], ["--rounds", "0"]])
+def test_engine_timing_refuses_what_it_cannot_time(argv, capsys, monkeypatch):
+    # a usage error (exit 2) before any engine is built: at n = 12 the
+    # folded engine's matrices alone take 1.5 GiB
+    tool = load_tool("time_engine")
+    monkeypatch.setattr(tool, "engine", lambda *args: pytest.fail("built an engine"))
+    with pytest.raises(SystemExit) as info:
+        tool.main(argv)
+    assert info.value.code == 2
+    assert "usage:" in capsys.readouterr().err

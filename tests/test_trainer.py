@@ -16,7 +16,7 @@ from qlam.data import DatasetBundle, SequenceSample
 from qlam.errors import ConfigError, DataError
 from qlam.gradients import loss_and_grad
 from qlam.nn import init_elman, softmax_cross_entropy
-from qlam.observables import ShotConfig
+from qlam.observables import MAX_SHOTS, ShotConfig
 from qlam.trainer import (
     METRICS_COLUMNS,
     SPLIT_FIELDS,
@@ -91,6 +91,15 @@ def test_config_validation():
     for kwargs in bad:
         with pytest.raises(ConfigError):
             tiny_config(**kwargs)
+
+
+def test_seed_and_shots_have_upper_bounds():
+    # the seed is one 64-bit word of the shot streams' key: seed 2**64
+    # would draw seed 0's shots while its other streams differ
+    tiny_config(seed=2**64 - 1, shots=MAX_SHOTS)
+    for field, value in (("seed", 2**64), ("shots", MAX_SHOTS + 1), ("shots", 2**70)):
+        with pytest.raises(ConfigError, match=f"{field} must be <="):
+            tiny_config(**{field: value})
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,8 @@
 
     PYTHONPATH=src python3 tools/time_engine.py [--qubits 1 2 ...] [--rounds R]
 
+--qubits takes register sizes 1..MOST_QUBITS (8), --rounds a positive count.
+
 For each register size n and stack of B rows (1, 4, 16 and walk_rows(n)),
 each pass runs on both engines: layered, every layer of a step one by one,
 and folded, a step's fixed part as one real matrix (`Steps.tail` forward,
@@ -39,6 +41,17 @@ import numpy as np
 ENGINES = ("layered", "folded")
 LAYERS = 2  # the default cell's ansatz layers
 REPEAT = 3  # calls per cell and round
+# The largest register timed.  Both engines run at every n, and the
+# folded one holds real (2 * 2**n)-wide matrices: at n = 8 `tail` and
+# `reads` take 6 MiB together, at n = 12 1.5 GiB.
+MOST_QUBITS = 8
+
+
+def positive(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"{n} is not positive")
+    return n
 
 
 def stacks(n: int) -> list[int]:
@@ -112,8 +125,9 @@ def report(times: dict, qubits) -> list[str]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--qubits", type=int, nargs="+", default=list(range(1, 8)))
-    parser.add_argument("--rounds", type=int, default=5)
+    parser.add_argument("--qubits", type=int, nargs="+", choices=range(1, MOST_QUBITS + 1),
+                        default=list(range(1, 8)), metavar="N")
+    parser.add_argument("--rounds", type=positive, default=5)
     args = parser.parse_args(argv)
     times = measure(args.qubits, args.rounds)
     print("\n".join(report(times, args.qubits)))
