@@ -41,14 +41,16 @@ array throughout.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import Steps, check_register, entangler_pairs
+from .circuits import Steps, block_matmul, check_register, entangler_pairs
 from .data import validate_tokens
 from .errors import ConfigError, NumericError, ShapeError, check_fields
 from .observables import (
+    MAX_SEED,
     PauliTable,
     ShotConfig,
     default_pauli_pool,
@@ -80,16 +82,12 @@ class CellConfig:
     t_keep: int = 1
     n_classes: int = 10
 
+    # int ranges for `check_fields`, but n_qubits' (`check_register`)
+    RANGES = {"n_layers": (1, MAX_LAYERS), "d_query": (1, MAX_WIDTH), "n_heads": (1, MAX_WIDTH),
+              "decoder_hidden": (1, MAX_WIDTH), "t_keep": (1, MAX_T_KEEP), "n_classes": (1, None)}
+
     def __post_init__(self):
         check_fields(self)
-        for name in ("n_layers", "d_query", "n_heads", "decoder_hidden", "t_keep", "n_classes"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        bounds = [("n_layers", MAX_LAYERS), ("t_keep", MAX_T_KEEP), ("d_query", MAX_WIDTH),
-                  ("n_heads", MAX_WIDTH), ("decoder_hidden", MAX_WIDTH)]
-        for name, most in bounds:
-            if getattr(self, name) > most:
-                raise ConfigError(f"{name} must be <= {most}, got {getattr(self, name)}")
         check_register(self.n_qubits)
         entangler_pairs(self.n_qubits, self.entangler)  # ConfigError unless in circuits.ENTANGLERS
 
@@ -197,11 +195,7 @@ def embed_token(tokens, params: QlamParams) -> np.ndarray:
     return np.multiply.outer(tokens, params.embed_w) + params.embed_b
 
 
-# Rows per decoder GEMM call.  A BLAS product can round a row differently
-# with the row count of the call (OpenBLAS picks gemv for one row, and a
-# small-matrix kernel below a size that depends on the shape), but within
-# calls of one shape a row's bits do not depend on its position or on the
-# other rows.  So every call `decoder` makes has exactly this many rows.
+# Rows per decoder GEMM call (`circuits.block_matmul`).
 DECODER_ROWS = 16
 
 
@@ -211,16 +205,14 @@ def decoder(q: np.ndarray, params: QlamParams) -> tuple[np.ndarray, np.ndarray]:
 
     The S query rows go through BLAS in blocks of DECODER_ROWS, the last
     one zero-padded: one (DECODER_ROWS, d_query) @ (d_query, heads*hidden)
-    GEMM per block, the tanh, and one (heads, DECODER_ROWS, hidden) @
-    (heads, hidden, pool) stacked matmul per block.  Every call has the
-    same shape, so a row's bits do not depend on S or on the other rows."""
+    GEMM per block (`block_matmul`), the tanh, and one (heads,
+    DECODER_ROWS, hidden) @ (heads, hidden, pool) stacked matmul per
+    block.  Every call has the same shape, so a row's bits do not depend
+    on S or on the other rows."""
     heads, width, d_query = params.dec_w1.shape
     rows = q.reshape(-1, d_query)
     count = rows.shape[0]
-    blocks = np.zeros((-(-count // DECODER_ROWS) * DECODER_ROWS, d_query))
-    blocks[:count] = rows
-    w1 = params.dec_w1.reshape(heads * width, d_query).T
-    hidden = blocks.reshape(-1, DECODER_ROWS, d_query) @ w1
+    hidden = block_matmul(rows, params.dec_w1.reshape(heads * width, d_query).T, DECODER_ROWS)
     hidden += params.dec_b1.reshape(-1)
     np.tanh(hidden, out=hidden)
     hidden = hidden.reshape(-1, DECODER_ROWS, heads, width)
@@ -302,7 +294,8 @@ def run(
     evolve each row's memory from |0...0>, read it out at the last
     `keep` steps (t_keep..T of them; every step when None) and classify
     its last t_keep readouts.  `sample_index` gives each row's shot
-    streams (one per row, or one for all).  `backward` marks a pass
+    streams (one per row, or one for all), each an int in [0, MAX_SEED]
+    (ConfigError otherwise).  `backward` marks a pass
     whose `steps.adjoint` will run, so the sweep keeps the last window
     for it (`Steps.sweep`'s keep_last).  A sequence shorter than
     t_keep, or any other length of `sample_index`, raises ShapeError.
@@ -322,6 +315,10 @@ def run(
     x = np.stack(rows)
     if np.ndim(sample_index) and np.shape(sample_index) != (x.shape[0],):
         raise ShapeError(f"sample_index has shape {np.shape(sample_index)} for {x.shape[0]} token rows")
+    # each is one word of its shot streams' key (`observables.stream_key`)
+    if not all(isinstance(i, numbers.Integral) and not isinstance(i, bool) and 0 <= i <= MAX_SEED
+               for i in np.ravel(np.asarray(sample_index, dtype=object))):
+        raise ConfigError(f"sample_index must be ints in [0, {MAX_SEED}], got {sample_index!r}")
     params.validate(cfg)
     T = x.shape[1]
     if T < cfg.t_keep:

@@ -8,13 +8,17 @@ little-endian float64 array per parameter).  Reserved members:
     __extra__     uint8 bytes of a caller JSON dict (run provenance)
 
 plus one member per parameter array, named as in QlamParams.  Loading
-never unpickles anything.
+never unpickles anything, and refuses a member whose header declares
+more bytes than the archive holds for it before sizing any array by it.
 """
 
 from __future__ import annotations
 
+import io
 import json
+import math
 import zipfile
+import zlib
 from dataclasses import asdict
 from pathlib import Path
 
@@ -37,6 +41,22 @@ def _json_load(arr: np.ndarray, member: str) -> dict:
     return value
 
 
+def _read_array(archive: zipfile.ZipFile, info: zipfile.ZipInfo) -> np.ndarray:
+    """A .npy member, read whole first, so its bytes are the ones the
+    archive holds, not the size its directory claims; ValueError, before
+    any array is sized, when its header declares more data than that."""
+    member = io.BytesIO(archive.read(info))
+    version = np.lib.format.read_magic(member)
+    read = np.lib.format.read_array_header_1_0 if version == (1, 0) else \
+        np.lib.format.read_array_header_2_0
+    shape, _, dtype = read(member)
+    held = len(member.getbuffer()) - member.tell()
+    if math.prod(shape) * dtype.itemsize > held:
+        raise ValueError(f"member {info.filename} declares more data than its {held} bytes")
+    member.seek(0)
+    return np.lib.format.read_array(member, allow_pickle=False)
+
+
 def save_checkpoint(
     path, params: QlamParams, cfg: CellConfig, extra: dict | None = None
 ) -> None:
@@ -56,12 +76,16 @@ def load_checkpoint(path) -> tuple[QlamParams, CellConfig, dict]:
     if not path.is_file():
         raise DataError(f"checkpoint {path} does not exist")
     try:
-        with np.load(path, allow_pickle=False) as archive:
-            members = {name: archive[name] for name in archive.files}
-    except (EOFError, ValueError, zipfile.BadZipFile) as exc:
+        with zipfile.ZipFile(path) as archive:
+            infos = archive.infolist()
+            raw = sorted(info.filename for info in infos if not info.filename.endswith(".npy"))
+            members = {} if raw else {info.filename[:-4]: _read_array(archive, info) for info in infos}
+    # zipfile raises NotImplementedError for an unknown compression or
+    # version, RuntimeError for an encrypted member, zlib.error for a bad
+    # deflate stream and OSError for a member offset it cannot seek to
+    except (EOFError, OSError, ValueError, zipfile.BadZipFile, NotImplementedError, RuntimeError,
+            zlib.error) as exc:
         raise DataError(f"{path} is not a readable checkpoint: {exc}") from exc
-    # numpy returns a member whose name lacks ".npy" as raw bytes
-    raw = sorted(name for name, value in members.items() if not isinstance(value, np.ndarray))
     if raw:
         raise DataError(f"{path} holds members that are not arrays: {raw}")
     if "__version__" not in members:

@@ -45,8 +45,9 @@ every layer's read point, so a rewind step is one product and layer 0's
 inverse GEMMs, and the walk one product per sub-block (`Steps.reads`).
 Larger registers run the layers one by one.  Every reduction runs on
 one row of the stack, in an order that does not depend on B, and every
-product over rows runs on blocks of a fixed row count, so a sequence's
-states and derivatives are bit for bit those of a B = 1 sweep.
+product over rows runs on blocks of a fixed row count (`block_matmul`,
+which `cell.decoder` shares), so a sequence's states and derivatives
+are bit for bit those of a B = 1 sweep.
 """
 
 from __future__ import annotations
@@ -153,17 +154,30 @@ def factor_widths(n_qubits: int) -> tuple[int, ...]:
 # 1.08-1.59x at B = walk_rows(n); at n = 6 it ran 0.72x and 0.88x as
 # fast at B = walk_rows(6) = 64, and at n = 7, B = 1, 1.06x and 0.57x.
 FOLD_QUBITS = 5
-# Rows per product with `Steps.reads`.  A GEMM can round a row
-# differently with the row count of the call, but within calls of one
-# shape a row's bits do not depend on its position or on the other rows;
-# so every such product runs on blocks of exactly this many rows, the
-# last one zero-padded, as `cell.decoder` does with DECODER_ROWS.
+# Rows per product with `Steps.reads` (`block_matmul`).
 READ_ROWS = 4
 
 
-def padded(rows: int) -> int:
-    """rows rounded up to a whole number of READ_ROWS blocks."""
-    return -(-rows // READ_ROWS) * READ_ROWS
+def padded(count: int, rows: int = READ_ROWS) -> int:
+    """count rounded up to a whole number of blocks of rows."""
+    return -(-count // rows) * rows
+
+
+def block_matmul(x: np.ndarray, w: np.ndarray, rows: int, out: np.ndarray | None = None) -> np.ndarray:
+    """The (padded(R, rows), m) product of x (R, k) with w (k, m), into out
+    if given, as one GEMM per block of `rows` rows, the last one
+    zero-padded (x may carry those zero rows already).  A BLAS call can
+    round a row differently with its row count (OpenBLAS picks gemv for
+    one row, and a small-matrix kernel below a size that depends on the
+    shape), but not with its position or the other rows; so here a row's
+    bits depend on neither R nor the other rows."""
+    height = padded(len(x), rows)
+    if height > len(x):
+        x = np.concatenate([x, np.zeros((height - len(x), x.shape[-1]))])
+    if out is None:
+        out = np.empty((height, w.shape[-1]))
+    np.matmul(x.reshape(-1, rows, x.shape[-1]), w, out=out.reshape(-1, rows, w.shape[-1]))
+    return out
 
 
 def planar(x: np.ndarray) -> np.ndarray:
@@ -245,9 +259,9 @@ class Steps:
     The adjoint reads each layer between its RY and RZ gates.  Up to
     FOLD_QUBITS qubits `reads`, built on the adjoint's first run, takes
     a planar row to every layer's read point in one real product, which
-    `rewind` and `points` run in blocks of READ_ROWS rows (`apply_reads`);
-    above it both go layer by layer (`unwind`).  Non-finite angles or
-    embeddings raise NumericError.
+    `rewind` and `points` run in blocks of READ_ROWS rows
+    (`block_matmul`); above it both go layer by layer (`unwind`).
+    Non-finite angles or embeddings raise NumericError.
     """
 
     def __init__(self, theta: np.ndarray, embeddings: np.ndarray, entangler: str):
@@ -468,7 +482,7 @@ class Steps:
         dtheta = np.zeros((rows,) + self.angles.shape)
         denc = np.empty((rows, T, self.n))
         # folded, the adjoint rows carry zero rows up to padded(rows), so
-        # `apply_reads` reads them in whole READ_ROWS blocks as they are
+        # `block_matmul` reads them in whole READ_ROWS blocks as they are
         lam = np.zeros((rows if self.reads is None else padded(rows), 2 << self.n))
         block = max(1, walk_rows(self.n) // rows)
         # the sweep's last window, then every other one recomputed into
@@ -557,27 +571,14 @@ class Steps:
         return np.concatenate([p.reshape(len(eye), -1).view(np.float64) for p in self.unwind(eye)],
                               axis=1)
 
-    def apply_reads(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """The (padded(R), n_layers * 2 * 2**n) product of the planar rows
-        x (R, 2 * 2**n) with `reads`, into out if given, as one GEMM per
-        block of READ_ROWS rows, the last one zero-padded, so a row's bits
-        depend on neither R nor the other rows."""
-        height = padded(len(x))
-        if height > len(x):
-            x = np.concatenate([x, np.zeros((height - len(x), x.shape[-1]))])
-        if out is None:
-            out = np.empty((height, self.reads.shape[-1]))
-        np.matmul(x.reshape(-1, READ_ROWS, x.shape[-1]), self.reads,
-                  out=out.reshape(-1, READ_ROWS, out.shape[-1]))
-        return out
-
     def points(self, kets: np.ndarray) -> list[np.ndarray]:
         """`unwind` of the complex states kets (..., 2**n): from one
         product with `reads` up to FOLD_QUBITS qubits, as (..., 2**n)
         views, and layer by layer above them."""
         if self.reads is None:
             return self.unwind(kets)
-        points = self.apply_reads(planar(kets).reshape(-1, 2 << self.n))[:kets[..., 0].size]
+        points = block_matmul(planar(kets).reshape(-1, 2 << self.n), self.reads,
+                              READ_ROWS)[:kets[..., 0].size]
         points = points.view(np.complex128).reshape(kets.shape[:-1] + (len(self.angles), -1))
         return [points[..., layer, :] for layer in range(len(self.angles))]
 
@@ -587,7 +588,7 @@ class Steps:
         (R, d_g, d_g) inverse factors of step t's layer 0 (`inverse`):
         every layer's read point, into out if given, then layer 0's
         inverse RY factors; returns planar rows.  Up to FOLD_QUBITS qubits
-        x may carry zero rows up to padded(R), which spares `apply_reads` a
+        x may carry zero rows up to padded(R), which spares `block_matmul` a
         padded copy, and then gets the result in its first R rows; out is
         a float64 (padded(R), n_layers * 2 * 2**n) array of interleaved
         complex rows, filled by one product with `reads`.  Above them x is
@@ -596,7 +597,8 @@ class Steps:
         rows = len(first[0])
         if self.reads is None:
             return self.rotate(first, self.unwind(x, out)[0]).reshape(rows, -1)
-        points = self.apply_reads(x, out)[:rows, :2 << self.n].view(np.complex128)
+        points = block_matmul(x, self.reads, READ_ROWS, out)[:rows, :2 << self.n]
+        points = points.view(np.complex128)
         rewound = self.rotate(first, points.reshape((rows,) + self.shape)).reshape(rows, -1)
         if len(x) == rows:
             return rewound

@@ -13,6 +13,7 @@ by 255 into [0, 1] tokens.
 from __future__ import annotations
 
 import gzip
+import math
 import os
 import struct
 import zlib
@@ -67,7 +68,7 @@ def parse_idx_bytes(data: bytes, expected_magic: int) -> np.ndarray:
     if len(data) < header_end:
         raise ParseError(f"truncated IDX header, need {header_end} bytes", len(data))
     dims = struct.unpack(f">{ndim}I", data[4:header_end])
-    payload = int(np.prod(dims))
+    payload = math.prod(dims)  # Python ints: an int64 product can wrap to 0
     if len(data) < header_end + payload:
         raise ParseError(
             f"truncated IDX payload, need {header_end + payload} bytes",

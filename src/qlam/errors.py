@@ -64,13 +64,20 @@ def check_fields(config) -> None:
     """Check each field of a frozen config dataclass against its annotation,
     int, float or str (or a path object), optionally ``| None``, and
     store numbers back as plain Python ints and floats; a bool is none of
-    these.  Literal fields keep their config's own membership check."""
+    these.  An int field in the config's ``RANGES``, a dict of name ->
+    (least, most) where None leaves an end open, must then lie in it."""
     for f in fields(config):
         kind, _, optional = f.type.partition(" | ")
         value = getattr(config, f.name)
-        if kind.startswith("Literal") or (value is None and optional):
+        if value is None and optional:
             continue
         if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[kind]):
             raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
         if kind in ("int", "float"):
-            object.__setattr__(config, f.name, int(value) if kind == "int" else float(value))
+            value = int(value) if kind == "int" else float(value)
+            object.__setattr__(config, f.name, value)
+        least, most = config.RANGES.get(f.name, (None, None))
+        if least is not None and value < least:
+            raise ConfigError(f"{f.name} must be >= {least}, got {value}")
+        if most is not None and value > most:
+            raise ConfigError(f"{f.name} must be <= {most}, got {value}")

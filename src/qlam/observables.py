@@ -14,14 +14,16 @@ evaluated or applied on a stack of states at once.
 
 Shot sampling averages m simulated +-1 outcomes per string, drawn from
 counter-based Philox streams (Salmon et al., SC'11): the key is
-``(seed, sample)`` and the counter starts at ``(timestep, term)``, so
-parallel evaluation of different samples or timesteps can never perturb
-each other's draws.  `sample_means`, which `cell.measure` calls, draws a
-whole stack of coordinates from one generator re-pointed at each
-coordinate's counter, and counts each coordinate's raw 64-bit words below
-an integer threshold (`plus_thresholds`) instead of making doubles: a
-word falls below it exactly when the double numpy draws from that word
-falls below the outcome's probability.  The tests check it bit for bit
+the validated ``(seed, sample_index)`` as given (`ShotConfig` and
+`cell.run` refuse either outside [0, MAX_SEED]) and the counter starts
+at ``(timestep, term)``, so parallel evaluation of different samples or
+timesteps can never perturb each other's draws.  `sample_means`, which
+`cell.measure` calls, draws a whole stack of coordinates from one
+generator re-pointed at each coordinate's counter, and counts each
+coordinate's raw 64-bit words below an integer threshold
+(`plus_thresholds`) instead of making doubles: a word falls below it
+exactly when the double numpy draws from that word falls below the
+outcome's probability.  The tests check it bit for bit
 against a fresh generator per coordinate drawing doubles.  The m-shot
 estimate of ``<O>`` has variance ``sum_i gamma_i^2 (1 - <P_i>^2) / m``.
 """
@@ -30,7 +32,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
@@ -145,7 +146,7 @@ def pauli_table(labels: tuple[str, ...]) -> PauliTable:
 # needs, and a mistyped count is refused by the config, not by an
 # allocation.
 MAX_SHOTS = 1 << 20
-# The largest seed a stream key holds: one 64-bit Philox key word.
+# The largest seed or sample index: one 64-bit Philox key word.
 MAX_SEED = (1 << 64) - 1
 # Raw words per block of draws in `sample_means`: a step's terms share
 # one block up to this budget, so the block stops growing with pool size
@@ -157,9 +158,12 @@ SHOT_WORDS = MAX_SHOTS
 class ShotConfig:
     """Measurement settings: exact expectations or an m-shot estimator."""
 
-    mode: Literal["exact", "sampled"] = "exact"
+    mode: str = "exact"  # "exact" or "sampled"
     shots_per_term: int = 1024
     rng_seed: int = 0
+
+    # int ranges for `check_fields`
+    RANGES = {"shots_per_term": (0, MAX_SHOTS), "rng_seed": (0, MAX_SEED)}
 
     def __post_init__(self):
         check_fields(self)
@@ -169,18 +173,12 @@ class ShotConfig:
             raise ConfigError(
                 f"shots_per_term must be >= 1 in sampled mode, got {self.shots_per_term}"
             )
-        for name, most in (("shots_per_term", MAX_SHOTS), ("rng_seed", MAX_SEED)):
-            if getattr(self, name) > most:
-                raise ConfigError(f"{name} must be <= {most}, got {getattr(self, name)}")
-
-
-_U64 = 0xFFFFFFFFFFFFFFFF
 
 
 def stream_key(seed: int, sample_index: int) -> list[int]:
     """Philox key words of every shot stream of one sample,
-    (seed, sample_index), as Python ints."""
-    return [seed & _U64, sample_index & _U64]
+    (seed, sample_index), as Python ints in [0, MAX_SEED]."""
+    return [seed, sample_index]
 
 
 def stream_counter(timestep: int, term_index: int) -> list[int]:
@@ -188,7 +186,7 @@ def stream_counter(timestep: int, term_index: int) -> list[int]:
     ``timestep * 2**192 + term_index * 2**128``, as four Python int words,
     lowest first.  Draws advance the low words, so distinct coordinates
     can never overlap."""
-    return [0, 0, term_index & _U64, timestep & _U64]
+    return [0, 0, term_index, timestep]
 
 
 def plus_thresholds(p_plus: np.ndarray) -> np.ndarray:

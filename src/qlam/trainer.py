@@ -62,6 +62,11 @@ from .observables import MAX_SEED, MAX_SHOTS, ShotConfig
 METRICS_COLUMNS = ("epoch", "split", "loss", "accuracy", "lr", "seed", "fold")
 TIMING_COLUMNS = ("epoch", "wall_seconds")
 
+# The most epochs and folds a run takes: far above any preset's (30 to
+# 50 epochs, 10 folds), so a mistyped count is refused, not trained.
+MAX_EPOCHS = 10_000
+MAX_FOLDS = 1_000
+
 # TrainConfig fields that decide the train/test split; a checkpoint
 # records them so evaluation can refuse a split it was trained on
 SPLIT_FIELDS = (
@@ -98,20 +103,14 @@ class TrainConfig:
     data_dir: str | None = None
     workers: int = 1
 
+    # int ranges but the cell's (`CellConfig.RANGES`) and fold's; the seed
+    # is one 64-bit word of the shot streams' key (`observables.stream_key`)
+    RANGES = {"epochs": (1, MAX_EPOCHS), "batch_size": (1, None), "seed": (0, MAX_SEED),
+              "n_folds": (1, MAX_FOLDS), "shots": (0, MAX_SHOTS), "train_subsample": (1, None),
+              "test_subsample": (1, None), "workers": (1, None)}
+
     def __post_init__(self):
         check_fields(self)
-        for name, least in (
-            ("seed", 0), ("shots", 0), ("epochs", 1), ("batch_size", 1), ("workers", 1),
-            ("train_subsample", 1), ("test_subsample", 1),
-        ):
-            value = getattr(self, name)
-            if value is not None and value < least:
-                raise ConfigError(f"{name} must be >= {least}, got {value}")
-        # one 64-bit word of the shot streams' key holds the seed
-        # (`observables.stream_key`): a larger one would draw another's shots
-        for name, most in (("seed", MAX_SEED), ("shots", MAX_SHOTS)):
-            if getattr(self, name) > most:
-                raise ConfigError(f"{name} must be <= {most}, got {getattr(self, name)}")
         if self.dataset not in DATASET_NAMES:
             raise ConfigError(
                 f"unknown dataset {self.dataset!r}; choose from {DATASET_NAMES}"

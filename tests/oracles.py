@@ -236,3 +236,27 @@ def fd_grad_dict(loss_fn, params, h: float = 1e-5) -> dict[str, np.ndarray]:
             gflat[i] = (lp - lm) / (2 * h)
         out[key] = g
     return out
+
+
+# ---------------------------------------------------------------------------
+# Corrupted inputs.
+# ---------------------------------------------------------------------------
+
+def mutate(blob: bytes, edits: list[tuple[int, int]], length: int | None = None) -> bytes:
+    """blob with byte ``pos % len(blob)`` set to value for each (pos, value)
+    of edits, then cut, or padded with zero bytes, to length if given."""
+    data = bytearray(blob)
+    for pos, value in edits:
+        data[pos % len(data)] = value
+    if length is not None:
+        data = data[:length].ljust(length, b"\0")
+    return bytes(data)
+
+
+def mutations(blob: bytes):
+    """A hypothesis strategy of `mutate`d copies of blob: up to six bytes
+    overwritten, then, half the time, a length up to 8 bytes past blob's."""
+    from hypothesis import strategies as st
+
+    edits = st.lists(st.tuples(st.integers(0, 1 << 20), st.integers(0, 255)), max_size=6)
+    return st.builds(mutate, st.just(blob), edits, st.one_of(st.none(), st.integers(0, len(blob) + 8)))

@@ -12,6 +12,7 @@ from numpy.testing import assert_allclose
 from oracles import dense_observable_matrix, dense_recurrence_readouts, einsum_decoder
 
 from qlam.cell import (
+    DECODER_ROWS,
     MAX_LAYERS,
     MAX_T_KEEP,
     MAX_WIDTH,
@@ -30,7 +31,7 @@ from qlam.cell import (
 from qlam.data import SequenceSample
 from qlam.errors import ConfigError, NumericError, ShapeError, ValidationError
 from qlam.gradients import loss_and_grad, param_shift_grad, readout_param_shift, weighted_readout_grads
-from qlam.observables import ShotConfig
+from qlam.observables import MAX_SEED, ShotConfig
 
 
 def small_cfg(**kwargs):
@@ -140,6 +141,33 @@ def test_decoder_matches_einsum_oracle(cfg):
         for got, want in zip(decoder(q, params), einsum_decoder(q, params)):
             assert got.shape == want.shape
             assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("rows", [1, DECODER_ROWS - 1, DECODER_ROWS, DECODER_ROWS + 1, 70])
+def test_every_decoder_product_runs_on_decoder_rows(rows):
+    # both of the decoder's products take exactly DECODER_ROWS rows per
+    # block, whatever the stack's height, called alone or from a pass:
+    # one GEMM over every row passes the bitwise tests too with some BLAS
+    # builds
+    heights = []
+
+    class Recorded(np.ndarray):
+        """A decoder weight, recording the rows of each matmul it is an operand of."""
+
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if ufunc is np.matmul:
+                heights.append(inputs[0].shape[-2])
+            inputs = [x.view(np.ndarray) if isinstance(x, Recorded) else x for x in inputs]
+            return getattr(ufunc, method)(*inputs, **kwargs)
+
+    cfg = small_cfg(t_keep=rows)
+    params = make_params(cfg, 5)
+    params.dec_w1, params.dec_w2 = params.dec_w1.view(Recorded), params.dec_w2.view(Recorded)
+    tokens = np.random.default_rng(6).uniform(size=rows)
+    decoder(np.random.default_rng(7).normal(size=(rows, cfg.d_query)), params)
+    assert heights == [DECODER_ROWS] * 2
+    forward(tokens, params, cfg)
+    assert heights == [DECODER_ROWS] * 4
 
 
 @pytest.mark.parametrize("cfg", [small_cfg(), CellConfig(), CellConfig(n_qubits=9, decoder_hidden=32)],
@@ -288,6 +316,23 @@ def test_sampled_forward_deterministic():
     assert np.array_equal(a.readouts, b.readouts)
     c = forward(tokens, params, cfg, shot, sample_index=5)
     assert not np.array_equal(a.readouts, c.readouts)
+
+
+def test_sample_index_outside_one_key_word_is_refused():
+    # a sample index is one 64-bit word of its shot streams' key: -1 once
+    # drew the shots of 2**64 - 1, its wrap, 2**64 those of 0, and 1.5
+    # and True, truncated, those of 1
+    cfg = small_cfg()
+    params = make_params(cfg, 82)
+    tokens = np.random.default_rng(83).random(4)
+    shot = ShotConfig(mode="sampled", shots_per_term=8, rng_seed=3)
+    for index in (-1, MAX_SEED + 1, 1.5, True):
+        with pytest.raises(ConfigError, match="sample_index"):
+            final_logits(tokens, params, cfg, shot, sample_index=index)
+        with pytest.raises(ConfigError, match="sample_index"):
+            batch_logits([tokens, tokens], params, cfg, shot, sample_index=[0, index])
+    assert np.array_equal(batch_logits([tokens], params, cfg, shot, sample_index=[MAX_SEED])[0],
+                          final_logits(tokens, params, cfg, shot, sample_index=MAX_SEED))
 
 
 def test_final_logits_equals_forward():

@@ -1,18 +1,23 @@
 """Checkpoint persistence: exact round-trips and corruption handling."""
 
+import io
 import json
+import re
+import tempfile
 import warnings
 import zipfile
 from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 from numpy.testing import assert_array_equal
+from oracles import mutations
 
 from qlam.cell import CellConfig, final_logits, init_qlam_params
 from qlam.cli import EXIT_CODES
 from qlam.checkpoint import CHECKPOINT_VERSION, load_checkpoint, save_checkpoint
-from qlam.errors import ConfigError, DataError, ShapeError
+from qlam.errors import ConfigError, DataError, QlamError, ShapeError
 
 
 def small_cfg(**kwargs):
@@ -276,3 +281,54 @@ def test_cell_config_rejects_non_integer_int_fields(field, value):
     with pytest.raises(ConfigError, match=field):
         CellConfig(**{field: value})
     assert getattr(CellConfig(**{field: np.int64(2)}), field) == 2
+
+
+def saved_bytes() -> bytes:
+    """The bytes of a small saved checkpoint."""
+    cfg = small_cfg()
+    with tempfile.TemporaryDirectory() as folder:
+        path = f"{folder}/m.npz"
+        save_checkpoint(path, init_qlam_params(np.random.default_rng(14), cfg), cfg)
+        with open(path, "rb") as file:
+            return file.read()
+
+
+def with_theta_declaring(blob: bytes, count: int) -> bytes:
+    """blob, a checkpoint, with its theta.npy header rewritten to declare
+    shape (count,), keeping the header's length and the member's body."""
+    with zipfile.ZipFile(io.BytesIO(blob)) as zf:
+        members = {info.filename: zf.read(info) for info in zf.infolist()}
+    theta = members["theta.npy"]
+    length = int.from_bytes(theta[8:10], "little")  # a version 1.0 header
+    header = theta[10:10 + length].decode("latin1")
+    header = re.sub(r"\(\d+,\)", f"({count},)", header).rstrip().ljust(length - 1) + "\n"
+    members["theta.npy"] = theta[:10] + header.encode("latin1") + theta[10 + length:]
+    out = io.BytesIO()
+    with zipfile.ZipFile(out, "w") as zf:
+        for name, data in members.items():
+            zf.writestr(name, data)
+    return out.getvalue()
+
+
+SAVED = saved_bytes()
+# 2**45 floats, 256 TiB: reading the member would first allocate them
+HUGE_THETA = with_theta_declaring(SAVED, 2**45)
+
+
+def test_member_declaring_more_data_than_it_holds_is_data_error(tmp_path):
+    path = tmp_path / "m.npz"
+    path.write_bytes(HUGE_THETA)
+    with pytest.raises(DataError, match="theta.npy"):
+        load_checkpoint(path)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=mutations(SAVED))
+@example(data=HUGE_THETA)
+def test_a_mutated_checkpoint_loads_or_is_a_qlam_error(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "mutated.npz"
+    path.write_bytes(data)
+    try:
+        load_checkpoint(path)
+    except QlamError:
+        pass

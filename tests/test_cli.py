@@ -18,6 +18,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qlam.cell import CellConfig, init_qlam_params
 from qlam.checkpoint import load_checkpoint, save_checkpoint
@@ -183,6 +185,35 @@ def test_every_config_field_is_one_flag(field):
         assert build_config(parse([command, *required, flag, text])) == expected, command
 
 
+# (config, int field) of every config; ShotConfig is also built in sampled mode
+INT_FIELDS = [(config, f.name) for config in (CellConfig, ShotConfig, TrainConfig)
+              for f in dataclasses.fields(config) if f.type.partition(" | ")[0] == "int"]
+EDGE_INTS = [-2**70, -2**64, -2**63, -1, 0, 1, 2**63, 2**64 - 1, 2**64, 2**70]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(field=st.sampled_from(INT_FIELDS),
+       value=st.one_of(st.sampled_from(EDGE_INTS), st.integers(-2**70, 2**70)))
+def test_a_drawn_int_gives_a_config_or_a_config_error(tmp_path_factory, field, value):
+    # passed to the constructors, and to build_config as a flag and as a
+    # config-file value; nothing is sized and no run starts
+    config, name = field
+    builds = [lambda: config(**{name: value})]
+    if config is ShotConfig:
+        builds.append(lambda: ShotConfig("sampled", **{name: value}))
+    if config is TrainConfig:
+        path = tmp_path_factory.getbasetemp() / "drawn.json"
+        path.write_text(json.dumps({name: value}))
+        flag = SHORT_FLAGS.get(name, "--" + name.replace("_", "-"))
+        builds += [lambda: build_config(parse(["train", f"{flag}={value}"])),
+                   lambda: build_config(parse(["train", "--config", str(path)]))]
+    for build in builds:
+        try:
+            assert isinstance(build(), config)
+        except ConfigError:
+            pass
+
+
 def test_help_has_no_flag_beyond_the_config_fields():
     names = {f.name for f in dataclasses.fields(TrainConfig)}
     for command in SUBCOMMANDS:
@@ -340,6 +371,15 @@ def test_oversized_cell_flags_exit_as_config_error_before_loading_data(tmp_path,
     err = assert_exit(["train", *SMNIST_TINY, "--data-dir", str(tmp_path / "absent"), flag, str(2**70)],
                       "config", capsys)
     assert f"{field} must be <=" in err
+
+
+@pytest.mark.parametrize("command, flag, value", [("train", "--epochs", 2**63), ("folds", "--n-folds", 2**70)])
+def test_epochs_or_folds_past_their_bound_exit_2_before_loading_data(tmp_path, capsys, command, flag, value):
+    # 2**63 epochs would train without end, and 2**70 folds under holdout
+    # would run one training per fold: both refused before any data loads
+    err = assert_exit([command, *SMNIST_TINY, "--data-dir", str(tmp_path / "absent"), flag, str(value)],
+                      "config", capsys)
+    assert f"{flag[2:].replace('-', '_')} must be <=" in err
 
 
 @pytest.mark.parametrize("flag, field", [("--shots", "shots"), ("--seed", "seed")])

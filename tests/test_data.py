@@ -9,7 +9,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 from numpy.testing import assert_allclose, assert_array_equal
+from oracles import mutations
 
 from qlam.data import (
     CIFAR_RECORD_BYTES,
@@ -38,7 +40,7 @@ from qlam.data import (
     write_idx_images,
     write_idx_labels,
 )
-from qlam.errors import ConfigError, DataError, ParseError, ShapeError
+from qlam.errors import ConfigError, DataError, ParseError, QlamError, ShapeError
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -149,6 +151,27 @@ def test_idx_too_short_for_magic():
         parse_idx_bytes(b"\x00\x00", IMAGES_MAGIC)
 
 
+# dims whose 2**31 * 2**31 * 4 = 2**64 bytes an int64 product wraps to 0
+WRAPPING_IDX_HEADER = struct.pack(">IIII", IMAGES_MAGIC, 2**31, 2**31, 4)
+
+
+def test_idx_payload_size_does_not_wrap():
+    with pytest.raises(ParseError, match="truncated IDX payload"):
+        parse_idx_bytes(WRAPPING_IDX_HEADER, IMAGES_MAGIC)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=mutations(hand_images_bytes(np.arange(18, dtype=np.uint8).reshape(2, 3, 3)))
+       | mutations(hand_labels_bytes([1, 2, 3])))
+@example(data=WRAPPING_IDX_HEADER)
+def test_a_mutated_idx_file_parses_or_is_a_qlam_error(data):
+    for magic in (IMAGES_MAGIC, LABELS_MAGIC):
+        try:
+            parse_idx_bytes(data, magic)
+        except QlamError:
+            pass
+
+
 def test_idx_count_mismatch(tmp_path):
     write_idx_images(tmp_path / "imgs", np.zeros((3, 2, 2), dtype=np.uint8))
     write_idx_labels(tmp_path / "labs", np.zeros(4, dtype=np.uint8))
@@ -201,6 +224,15 @@ def test_cifar_label_out_of_range():
     with pytest.raises(ParseError) as info:
         parse_cifar10_bytes(data)
     assert info.value.offset == CIFAR_RECORD_BYTES
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=mutations(cifar10_bytes(np.zeros((2, 32, 32, 3), dtype=np.uint8), np.array([3, 9]))))
+def test_a_mutated_cifar_batch_parses_or_is_a_qlam_error(data):
+    try:
+        parse_cifar10_bytes(data)
+    except QlamError:
+        pass
 
 
 def test_cifar_writer_shape_checks():

@@ -133,13 +133,16 @@ def test_shot_config_validation():
 
 def test_shot_config_bounds_shots_and_seed():
     # refused at construction, before any stream is drawn: 2**70 shots
-    # would fail allocating, and seed 2**64 is one stream key word past
-    # 64 bits, so it would draw seed 0's shots
+    # would fail allocating, and seeds 2**64 and -1 are one stream key
+    # word past 64 bits, so they would draw the shots of seeds 0 and
+    # 2**64 - 1
     ShotConfig("sampled", MAX_SHOTS, 2**64 - 1)
     for field, value in (("shots_per_term", 2**70), ("shots_per_term", MAX_SHOTS + 1),
                          ("rng_seed", 2**64)):
         with pytest.raises(ConfigError, match=f"{field} must be <="):
             ShotConfig("sampled", **{field: value})
+    with pytest.raises(ConfigError, match="rng_seed must be >= 0, got -1"):
+        ShotConfig("sampled", rng_seed=-1)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -151,8 +154,8 @@ def test_shot_config_rejects_non_int_fields(field, value):
 
 
 def test_numpy_int_shot_config_draws_the_same_shots():
-    plain = ShotConfig("sampled", 64, -5)
-    numpy_ints = ShotConfig("sampled", np.int64(64), np.int64(-5))
+    plain = ShotConfig("sampled", 64, 2**64 - 5)
+    numpy_ints = ShotConfig("sampled", np.int64(64), np.uint64(2**64 - 5))
     states = np.stack([random_state(2, 30), random_state(2, 31)])
     table = pauli_table(default_pauli_pool(2))
     assert np.array_equal(measure(states, table, numpy_ints, 3, 5), measure(states, table, plain, 3, 5))

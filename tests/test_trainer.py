@@ -113,6 +113,27 @@ def test_config_rejects_bad_type_and_nonpositive_clip(kwargs):
         tiny_config(**kwargs)
 
 
+def test_every_int_field_has_a_stated_range():
+    # each int field's range is stated once: in its config's RANGES table,
+    # by `check_register` (n_qubits), against another field (fold, in
+    # [0, n_folds)), or, for a run's cell fields, in CellConfig's table;
+    # every table's ends are accepted and the ints just past them refused
+    stated_elsewhere = {"n_qubits", "fold"}
+    for config in (CellConfig(), ShotConfig(), tiny_config()):
+        ranges = dict(config.RANGES)
+        if isinstance(config, TrainConfig):
+            ranges.update({k: v for k, v in CellConfig.RANGES.items() if k != "n_classes"})
+        for f in dataclasses.fields(config):
+            if f.type.split(" | ")[0] == "int":
+                assert f.name in ranges or f.name in stated_elsewhere, (type(config), f.name)
+        for name, (least, most) in ranges.items():
+            for end, past, sign in ((least, -1, ">="), (most, 1, "<=")):
+                if end is not None:
+                    assert getattr(dataclasses.replace(config, **{name: end}), name) == end
+                    with pytest.raises(ConfigError, match=f"{name} must be {sign} {end}, got {end + past}"):
+                        dataclasses.replace(config, **{name: end + past})
+
+
 def test_every_int_field_of_every_config_rejects_floats_and_bools():
     for config in (CellConfig(), ShotConfig(), TrainConfig()):
         names = [f.name for f in dataclasses.fields(config) if f.type.split(" | ")[0] == "int"]
