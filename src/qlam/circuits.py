@@ -18,17 +18,18 @@ whole sweep over a stack of B equal-length sequences, advanced together
 as one (B, 2**n) array; a single sequence is B = 1.  `Steps.sweep`
 evolves |0...0> one window of K = `CHECKPOINT_INTERVAL` steps at a
 time, hands each window's states to a readout callback and keeps the
-states at each window's start, and, for a gradient, the last window
-when all of it is read out.  `Steps.adjoint` walks back from step T,
-starting from that window and recomputing each other one from its
-checkpoint (Jones & Gacon, arXiv:2009.02823).  Memory is the B * T/K
-checkpoints, one window of B swept, kept or recomputed sequences and
-that window's layer-0 factors,
-built in one call (per row and step, d**2 float64 per factor group of d
-amplitudes: at most 1.25x the float64 a state holds, and 768 against
-its 8,192 at n = 12), and a walk over kets of at most max(B * 2**n,
-WALK_AMPLITUDES) amplitudes plus n_layers adjoint rows per ket (and,
-folded, n_layers ket rows): O(B * (K + T/K) * 2**n) for any sequence
+states at each window's start and the final state, and, for a
+gradient, the last window when all of it is read out.  `Steps.adjoint`
+walks back from step T, starting from that window, and takes the kets
+of every other one back from its end state by the inverse steps, in the
+same backward sweep as the adjoint rows (Jones & Gacon,
+arXiv:2009.02823).  Memory is the B * T/K checkpoints, one window of B
+swept sequences (the sweep's, or the kept one), one window's layer-0
+factors, built in one call (per row and step, d**2 float64 per factor
+group of d amplitudes: at most 1.25x the float64 a state holds, and
+768 against its 8,192 at n = 12), and a walk over kets of at most
+max(B * 2**n, WALK_AMPLITUDES) amplitudes plus n_layers ket and n_layers
+adjoint rows per ket: O(B * (K + T/K) * 2**n) for any sequence
 length.  A layer's rotations
 are a tensor product, so with a state viewed as a tensor over k groups
 of qubits (two up to n = 10, three from n = 11; `factor_widths`) they
@@ -41,8 +42,8 @@ of at most FOLD_QUBITS qubits, where a step costs numpy calls rather
 than arithmetic, that fixed tail is one real matrix built per `Steps`,
 so a forward step is layer 0's GEMMs and one product (`Steps.fold`).
 The adjoint folds the same way: one matrix built on its first run gives
-every layer's read point, so a rewind step is one product and layer 0's
-inverse GEMMs, and the walk one product per sub-block (`Steps.reads`).
+every layer's read point, so a rewind step, of a ket or of an adjoint
+row, is one product and layer 0's inverse GEMMs (`Steps.reads`).
 Larger registers run the layers one by one.  Every reduction runs on
 one row of the stack, in an order that does not depend on B, and every
 product over rows runs on blocks of a fixed row count (`block_matmul`,
@@ -149,10 +150,12 @@ def factor_widths(n_qubits: int) -> tuple[int, ...]:
 # layer's read points (`Steps.reads`) and layer 0's inverse GEMMs;
 # larger ones run both passes layer by layer.  Timed with
 # tools/time_engine.py (default 2-layer ring cell, one BLAS thread,
-# median of 7 rounds), the fold ran, per forward and per adjoint step,
-# 1.7-1.9x and 1.3-1.6x faster at B = 1 for n <= 5 and 1.06-1.23x and
-# 1.08-1.59x at B = walk_rows(n); at n = 6 it ran 0.72x and 0.88x as
-# fast at B = walk_rows(6) = 64, and at n = 7, B = 1, 1.06x and 0.57x.
+# median of 5 rounds), the fold ran, per forward step, per adjoint step
+# over a kept window and per adjoint step over an uncomputed one,
+# 1.3-2.0x, 0.97-1.6x and 1.1-1.7x as fast at B = 1 for n <= 5, and
+# 0.93-1.24x, 0.78-1.24x and 0.87-1.33x at B = walk_rows(n); at n = 6 it
+# ran 0.72x, 0.69x and 0.75x as fast at B = walk_rows(6) = 64, and at
+# n = 7, B = 1, 0.89x, 0.31x and 0.50x.
 FOLD_QUBITS = 5
 # Rows per product with `Steps.reads` (`block_matmul`).
 READ_ROWS = 4
@@ -259,7 +262,8 @@ class Steps:
     The adjoint reads each layer between its RY and RZ gates.  Up to
     FOLD_QUBITS qubits `reads`, built on the adjoint's first run, takes
     a planar row to every layer's read point in one real product, which
-    `rewind` and `points` run in blocks of READ_ROWS rows
+    `rewind` (each ket and adjoint row the walk takes back a step) and
+    `points` (the kets of a kept window) run in blocks of READ_ROWS rows
     (`block_matmul`); above it both go layer by layer (`unwind`).
     Non-finite angles or embeddings raise NumericError.
     """
@@ -384,23 +388,21 @@ class Steps:
         c, s = np.cos(0.5 * e), np.sin(0.5 * e)
         return self.factors(times_ry(self.first_layer, c, s))
 
-    def evolve(self, psi: np.ndarray, start: int, stop: int, first: int | None = None,
-               out: np.ndarray | None = None) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    def evolve(self, psi: np.ndarray, start: int, stop: int,
+               first: int | None = None) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
         """Advance the (B, 2**n) states psi in place through steps
         start+1..stop (1-based) and return the (B, stop - first, 2**n)
-        states after steps first+1..stop (first defaults to start), the
-        leading steps of out if given, and the layer-0 factors of steps
-        start+1..stop, built in one call (`layer0`), which the adjoint
-        walk reuses.  A call spans at most one window, and its factors
+        states after steps first+1..stop (first defaults to start) and the
+        layer-0 factors of steps start+1..stop, built in one call
+        (`layer0`), which the adjoint walk reuses when the sweep keeps
+        the window.  A call spans at most one window, and its factors
         take at most 1.25x the memory of its steps' states (at most 0.15x
         from n = 11).  The factors are built after the states are
         allocated: the other order splits the block the last window's
         states freed, and at n = 12 the heap grew by a window (2 MB)."""
         first = start if first is None else first
         rows = self.rows
-        if out is None:
-            out = np.empty((rows, stop - first, psi.shape[-1]), dtype=np.complex128)
-        states = out[:, :stop - first]
+        states = np.empty((rows, stop - first, psi.shape[-1]), dtype=np.complex128)
         f0 = self.layer0(start, stop)
         views = states.reshape((rows, -1) + self.shape)
         x = psi.reshape((rows,) + self.shape)
@@ -424,7 +426,8 @@ class Steps:
         states.  A window holding kept steps (first..T, 1-based) calls
         read(lo, states) with the (B, S, 2**n) states after its steps
         lo+1..lo+S.  `checkpoints` keeps the (B, 2**n) states at each
-        window's start (step 0, K, 2K, ...) for `adjoint`.  With keep_last,
+        window's start (step 0, K, 2K, ...) and the returned states at
+        step T, each window's end state for `adjoint`.  With keep_last,
         for a pass the adjoint follows, `kept` holds the last window's
         states and layer-0 factors when every one of its steps is kept
         (else None), which `adjoint` starts from; a forward-only pass
@@ -449,6 +452,7 @@ class Steps:
             if keep:
                 self.kept = states, f0
             del states  # release the window before the next one is allocated
+        self.checkpoints[T] = psi
         return psi
 
     def adjoint(self, first: int, inject) -> tuple[np.ndarray, np.ndarray]:
@@ -457,70 +461,67 @@ class Steps:
         (B, S, 2**n) injections sum_i c_i P_i |psi_t> of the kept steps
         lo+1..lo+S (first..T, 1-based), given their (B, S, 2**n) kets.
 
-        Windows are walked back last first: the last from the states and
-        layer-0 factors the sweep kept (`sweep`'s keep_last), if it kept
-        them, every other one
-        recomputed by `evolve` from its checkpoint, whose factors, built
-        once per window, are kept for the walk.  A window is consumed
-        backward in sub-blocks of walk_rows(n) // B steps (at least one).
+        Windows are walked back last first, each in sub-blocks of
+        walk_rows(n) // B steps (at least one), last first.  A sub-block's
+        kets are the states the sweep kept (`sweep`'s keep_last), taken
+        to each layer's read point, between its RY and RZ gates, by
+        `points`; in every other window they are uncomputed: the ket
+        starts at the window's end state (the next checkpoint, or the
+        final state) and `rewind` takes it back a step at a time, writing
+        its read points.  One `inject` call takes the sub-block's kets.
         The adjoint recurrence lam <- M_t^H (lam + inj_t), with lam
-        (B, 2 * 2**n) planar rows (folded, zero-padded to padded(B) rows)
-        and each sub-block's injections made planar once, runs once per
-        step (`rewind`), and keeps the adjoint
-        rows L at each layer's read point, between its RY and RZ gates.  One walk
-        then takes the sub-block's stacked kets K to the same points
-        (`points`) and reads the derivative Im <L| P |K> = Im tr(P rho_j)
-        of every angle a of a gate exp(-i a P/2) on qubit j (`cross`; the
-        layer's other gates commute with P).  Up to FOLD_QUBITS qubits
-        both go through one product with `reads` per step or sub-block.
-        Each step's ket is the swept or recomputed state, so inverse-gate
-        drift never crosses a step.  A window's angle derivatives are
-        summed in one reduction over its steps.
+        (B, 2 * 2**n) planar rows (folded, zero-padded to padded(B) rows,
+        as the ket is), then runs once per step (`rewind`) and keeps the
+        adjoint rows L at the same points, and one `cross` call reads the
+        derivative Im <L| P |K> = Im tr(P rho_j) of every angle a of a
+        gate exp(-i a P/2) on qubit j, for every layer and step (the
+        layer's other gates commute with P).  A window's layer-0 factors
+        are built once (`layer0`), or kept by the sweep.  The ket restarts
+        at each window, so inverse-gate drift crosses at most
+        CHECKPOINT_INTERVAL steps: 32 inverse steps moved an amplitude by
+        at most 3.1e-14 (n = 1-12, ring and linear, three random circuits
+        each).  A window's angle derivatives are summed in one reduction
+        over its steps.
         """
         rows, T = self.embeddings.shape[:2]
-        n_layers = len(self.angles)
+        dim = 1 << self.n
         dtheta = np.zeros((rows,) + self.angles.shape)
         denc = np.empty((rows, T, self.n))
-        # folded, the adjoint rows carry zero rows up to padded(rows), so
+        # folded, the walked rows carry zero rows up to padded(rows), so
         # `block_matmul` reads them in whole READ_ROWS blocks as they are
-        lam = np.zeros((rows if self.reads is None else padded(rows), 2 << self.n))
+        height = rows if self.reads is None else padded(rows)
+        lam = np.zeros((height, 2 * dim))
         block = max(1, walk_rows(self.n) // rows)
-        # the sweep's last window, then every other one recomputed into
-        # one buffer: with a new states array per window, repeated n = 12
-        # training calls grew the heap by 1.4 MB
-        window, self.kept, buffer = self.kept, None, None
-        for win_start in sorted(self.checkpoints, reverse=True):
+        kept, self.kept = self.kept, None
+        for win_start in reversed(range(0, T, CHECKPOINT_INTERVAL)):
             win_end = min(win_start + CHECKPOINT_INTERVAL, T)
-            if window is None:
-                if buffer is None:
-                    buffer = np.empty((rows, min(CHECKPOINT_INTERVAL, T), 1 << self.n),
-                                      dtype=np.complex128)
-                window = self.evolve(self.checkpoints[win_start].copy(), win_start, win_end,
-                                     out=buffer)
-            seg, f0 = window
-            window = None
+            if kept is None:
+                seg, f0 = None, self.layer0(win_start, win_end)
+                ket = np.zeros((height, 2 * dim))
+                ket[:rows] = planar(self.checkpoints[win_end])
+            else:
+                (seg, f0), kept = kept, None
             # every angle derivative of every step of the window
             dwin = np.empty((rows, win_end - win_start) + self.angles.shape)
             for stop in range(win_end, win_start, -block):
                 start = max(win_start, stop - block)
                 inv0 = per_step(inverse([f[:, start - win_start:stop - win_start] for f in f0]))
-                kets = seg[:, start - win_start:stop - win_start]
                 lo = min(max(start, first - 1), stop)  # steps lo+1..stop inject readouts
-                if lo < stop:
-                    inj = planar(inject(lo, kets[:, lo - start:])).swapaxes(0, 1)
-                # `rewind` writes each step's read points straight into its
-                # slot, which must be contiguous or numpy's `take(out=)`
-                # copies through a temporary: folded, a (step, row) block of
-                # whole READ_ROWS blocks; layered, one (rows, ...) block per
-                # layer and step, as `unwind` writes them
-                if self.reads is None:
-                    adjoints = np.empty((n_layers, stop - start, rows) + self.shape,
-                                        dtype=np.complex128)
-                    slots = adjoints.swapaxes(0, 1)
+                ket_slots, ket_points = self.slots(stop - start)
+                if seg is None:
+                    kets = np.empty((rows, stop - lo, dim), dtype=np.complex128)
+                    for t in range(stop, start, -1):
+                        if t > lo:
+                            kets.real[:, t - lo - 1] = ket[:rows, :dim]
+                            kets.imag[:, t - lo - 1] = ket[:rows, dim:]
+                        ket = self.rewind(ket, inv0[t - start - 1], ket_slots[t - start - 1])
                 else:
-                    slots = np.empty((stop - start, padded(rows), n_layers << (self.n + 1)))
-                    adjoints = slots.view(np.complex128).reshape(
-                        stop - start, -1, n_layers, 1 << self.n)[:, :rows].transpose(2, 0, 1, 3)
+                    kets = seg[:, start - win_start:stop - win_start]
+                    self.points(kets, ket_slots)
+                    kets = kets[:, lo - start:]
+                if lo < stop:
+                    inj = planar(inject(lo, kets)).swapaxes(0, 1)
+                slots, points = self.slots(stop - start)
                 for t in range(stop, start, -1):
                     # `lam[:rows] +=` also writes the sum back through
                     # __setitem__, which unpadded rows can skip
@@ -529,20 +530,36 @@ class Steps:
                     elif t > lo:
                         lam[:rows] += inj[t - lo - 1]
                     lam = self.rewind(lam, inv0[t - start - 1], slots[t - start - 1])
+                # read between the gates of U_j = RZ(b) RY(a): dJ/da =
+                # Im tr(Y rho_j), dJ/db = Im tr(Z rho_j); layer 0's encoding
+                # RY(e_t) shares the RY axis, so dJ/de_t = dJ/da at step t
+                rho = self.cross(ket_points, points)
+                # to (rows, steps, layers) from the order `slots` views them in
+                rho = rho.transpose((2, 1, 0, 3, 4, 5) if self.reads is None else (1, 0, 2, 3, 4, 5))
                 derivs = dwin[:, start - win_start:stop - win_start]
-                # walked in the adjoint rows' order
-                for layer, at in enumerate(self.points(kets.swapaxes(0, 1))):
-                    # read between the gates of U_j = RZ(b) RY(a): dJ/da =
-                    # Im tr(Y rho_j), dJ/db = Im tr(Z rho_j); layer 0's encoding
-                    # RY(e_t) shares the RY axis, so dJ/de_t = dJ/da at step t
-                    rho = self.cross(at, adjoints[layer]).reshape(
-                        stop - start, rows, self.n, 2, 2).swapaxes(0, 1)
-                    derivs[:, :, layer, :, 0] = (rho[..., 0, 1] - rho[..., 1, 0]).real
-                    derivs[:, :, layer, :, 1] = (rho[..., 0, 0] - rho[..., 1, 1]).imag
+                derivs[..., 0] = (rho[..., 0, 1] - rho[..., 1, 0]).real
+                derivs[..., 1] = (rho[..., 0, 0] - rho[..., 1, 1]).imag
                 denc[:, start:stop] = derivs[:, :, 0, :, 0]
             dtheta += dwin.sum(axis=1)
-            del seg, f0, kets, adjoints, slots  # release the kept window before the buffer is allocated
+            # release the window before the next one's factors are built
+            del seg, f0, kets, ket_slots, ket_points, slots, points, rho
         return dtheta, denc
+
+    def slots(self, steps: int) -> tuple[np.ndarray, np.ndarray]:
+        """Empty read points of the walked rows over `steps` steps: the
+        per-step slots `rewind` writes straight into, contiguous, or
+        numpy's `take(out=)` copies through a temporary, and one complex
+        view of all of them for `cross`.  Folded, a slot is a float64
+        (padded(B), n_layers * 2 * 2**n) block, and the view (steps, B,
+        n_layers, 2**n); layered, one complex (B, d_0, 2**n / d_0) block
+        per layer, and the view (n_layers, steps, B, 2**n)."""
+        n_layers = len(self.angles)
+        if self.reads is None:
+            points = np.empty((n_layers, steps, self.rows) + self.shape, dtype=np.complex128)
+            return points.swapaxes(0, 1), points.reshape(n_layers, steps, self.rows, -1)
+        slots = np.empty((steps, padded(self.rows), n_layers << (self.n + 1)))
+        points = slots.view(np.complex128).reshape(steps, -1, n_layers, 1 << self.n)
+        return slots, points[:, :self.rows]
 
     def unwind(self, x: np.ndarray, out: np.ndarray | None = None) -> list[np.ndarray]:
         """Every layer's read point, between its RY and RZ gates, of the
@@ -571,16 +588,17 @@ class Steps:
         return np.concatenate([p.reshape(len(eye), -1).view(np.float64) for p in self.unwind(eye)],
                               axis=1)
 
-    def points(self, kets: np.ndarray) -> list[np.ndarray]:
-        """`unwind` of the complex states kets (..., 2**n): from one
-        product with `reads` up to FOLD_QUBITS qubits, as (..., 2**n)
-        views, and layer by layer above them."""
+    def points(self, kets: np.ndarray, slots: np.ndarray) -> None:
+        """`unwind` of the complex states kets (B, S, 2**n) into the slots
+        of S steps (`slots`): one product with `reads` up to FOLD_QUBITS
+        qubits, and layer by layer above them."""
         if self.reads is None:
-            return self.unwind(kets)
-        points = block_matmul(planar(kets).reshape(-1, 2 << self.n), self.reads,
-                              READ_ROWS)[:kets[..., 0].size]
-        points = points.view(np.complex128).reshape(kets.shape[:-1] + (len(self.angles), -1))
-        return [points[..., layer, :] for layer in range(len(self.angles))]
+            self.unwind(kets.swapaxes(0, 1), slots.swapaxes(0, 1))
+            return
+        x = np.zeros(slots.shape[:2] + (2 << self.n,))
+        x[:, :self.rows] = planar(kets.swapaxes(0, 1))
+        block_matmul(x.reshape(-1, x.shape[-1]), self.reads, READ_ROWS,
+                     slots.reshape(-1, slots.shape[-1]))
 
     def rewind(self, x: np.ndarray, first: Sequence[np.ndarray],
                out: np.ndarray | None = None) -> np.ndarray:
@@ -593,7 +611,7 @@ class Steps:
         a float64 (padded(R), n_layers * 2 * 2**n) array of interleaved
         complex rows, filled by one product with `reads`.  Above them x is
         (R, 2 * 2**n) and out a complex (n_layers, R, d_0, 2**n / d_0)
-        array, filled by `unwind`."""
+        array, filled by `unwind`.  `slots` makes out either way."""
         rows = len(first[0])
         if self.reads is None:
             return self.rotate(first, self.unwind(x, out)[0]).reshape(rows, -1)
@@ -606,12 +624,13 @@ class Steps:
         return x
 
     def cross(self, kets: np.ndarray, adjoints: np.ndarray) -> np.ndarray:
-        """(S, n, 2, 2) reduced cross operators rho_j = Tr_{not j} |k><l| of
-        every qubit j, for S rows of kets k and adjoints l: per factor
-        group g, the Gram matrix of k and conj(l) over every axis but a_g,
-        then every partial trace of it in one reduction (`trace_index`).
-        The trace sums by halving adds, which round each row the same
-        whatever S is."""
+        """(..., n, 2, 2) reduced cross operators rho_j = Tr_{not j} |k><l|
+        of every qubit j, for rows of kets k and adjoints l (..., 2**n):
+        per factor group g, the Gram matrix of k and conj(l) over every
+        axis but a_g, then every partial trace of it in one reduction
+        (`trace_index`).  The Gram matrices are stacked per-row products
+        and the trace sums by halving adds, so each row rounds the same
+        whatever the other rows are."""
         size = 1 << self.n
         k = kets.reshape(-1, size)
         lc = adjoints.conj().reshape(k.shape)
@@ -629,4 +648,4 @@ class Steps:
                 t = t[..., :half] + t[..., half:]
             rho[:, qubits] = t[..., 0]
             outer *= d
-        return rho
+        return rho.reshape(kets.shape[:-1] + rho.shape[1:])

@@ -8,9 +8,11 @@ ends at.  The decoder backward runs once over all kept steps of a
 sequence and yields c[t, i], the classical weight on pool expectation
 i at step t.  The engine that swept the forward pass
 (`Run.steps`) walks the stack back, one window of CHECKPOINT_INTERVAL
-steps at a time, with `circuits.Steps.adjoint`, injecting
-``sum_i c_i P_i |psi_t>`` at each kept step through `PauliTable.apply`
-of the pool's cached `pauli_table`.  Its circuit-angle derivatives,
+steps at a time, with `circuits.Steps.adjoint`: it takes each ket back
+by the inverse step beside the adjoint rows, from the window's stored
+end state (or reads the last window, when the sweep kept it), and
+injects ``sum_i c_i P_i |psi_t>`` at each kept step through
+`PauliTable.apply` of the pool's cached `pauli_table`.  Its circuit-angle derivatives,
 and its per-step encoding derivatives chained into the embedding,
 complete each sequence's gradient, bit for bit the one it gets alone.
 

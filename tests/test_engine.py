@@ -143,7 +143,7 @@ def test_read_points_are_orthogonal(n_qubits, n_layers):
 def test_adjoint_matches_dense_shifts_at_the_fold_crossover(n_qubits, n_layers, entangler):
     # J = sum_t <psi_t| A_t |psi_t> over random Hermitian A_t from step 3 on,
     # over T = K + 1 steps, so the adjoint walks back the window the sweep
-    # kept and one it recomputes, with the folded read points at
+    # kept and one it uncomputes, with the folded read points at
     # FOLD_QUBITS and the layered ones above; against the +-pi/2 rule at
     # each occurrence of an angle, through the dense oracle's steps
     cfg = CellConfig(n_qubits, n_layers, entangler)
@@ -185,7 +185,7 @@ def test_adjoint_matches_dense_shifts_at_the_fold_crossover(n_qubits, n_layers, 
     for k in (0, theta.size - 1):
         want = sum(shifted(t, k=k) for t in range(T))
         assert_allclose(dtheta[0].reshape(-1)[k], want, rtol=0, atol=1e-9, err_msg=f"theta[{k}]")
-    # a step of the recomputed window and the last, kept one
+    # a step of the uncomputed window and the last, kept one
     for t in (1, T - 1):
         want = [shifted(t, j=j) for j in range(n_qubits)]
         assert_allclose(denc[0, t], want, rtol=0, atol=1e-9, err_msg=f"step {t + 1}")
@@ -242,6 +242,86 @@ def test_steps_match_dense_step_on_large_registers(n_qubits, entangler):
     Steps(theta, emb, entangler).evolve(psi, 0, 1)
     Steps(theta_2, emb, entangler).evolve(psi, 1, 2)
     assert_allclose(psi.T, want, atol=1e-12)
+
+
+@pytest.mark.parametrize("entangler", ["ring", "linear"])
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("n_qubits", [1, 4, FOLD_QUBITS, FOLD_QUBITS + 1, 12])
+def test_walk_uncomputes_the_swept_kets(monkeypatch, n_qubits, rows, entangler):
+    # read out from step T - 2 of T = K + 5: the last window is read out
+    # only in part, so the sweep keeps none and the adjoint takes every
+    # window's kets back from its end state.  Each ket it injects is the
+    # swept state, and each read point it crosses is the swept state
+    # before that step, run forward through the layer's RY gates
+    # (`rotate`, then `entangle` to the next layer), which no rewind runs
+    rng = np.random.default_rng(200 + 4 * n_qubits + rows)
+    T, first, dim = CHECKPOINT_INTERVAL + 5, CHECKPOINT_INTERVAL + 3, 1 << n_qubits
+    theta = rng.uniform(-np.pi, np.pi, 4 * n_qubits)
+    emb = rng.uniform(-2.0, 2.0, (rows, T, n_qubits))
+    before = np.zeros((rows, T + 1, dim), dtype=np.complex128)  # the state before each step
+    before[:, 0, 0] = 1.0
+    before[:, 1:] = Steps(theta, emb, entangler).evolve(before[:, 0].copy(), 0, T)[0]
+
+    crossed, injected = [], {}
+    cross = Steps.cross
+
+    def recorded(self, kets, adjoints):
+        crossed.append(kets.copy())
+        return cross(self, kets, adjoints)
+
+    def inject(lo, kets):
+        for s in range(kets.shape[1]):
+            injected[lo + s + 1] = kets[:, s].copy()
+        return kets
+
+    monkeypatch.setattr(Steps, "cross", recorded)
+    steps = Steps(theta, emb, entangler)
+    steps.sweep(first, lambda lo, states: None, keep_last=True)
+    assert steps.kept is None
+    steps.adjoint(first, inject)
+    assert sorted(injected) == list(range(first, T + 1))
+    for t, ket in injected.items():
+        assert_allclose(ket, before[:, t], rtol=0, atol=1e-12, err_msg=f"ket of step {t}")
+    # sub-blocks are crossed last first; each call holds (steps, rows,
+    # layers) folded and (layers, steps, rows) layered
+    order = (1, 0, 2, 3) if n_qubits <= FOLD_QUBITS else (2, 1, 0, 3)
+    points = np.concatenate([c.transpose(order) for c in reversed(crossed)], axis=1)
+    assert points.shape == (rows, T, 2, dim)
+    f0 = steps.layer0(0, T)
+    for t in range(T):
+        x = before[:, t].reshape((rows,) + steps.shape)
+        for layer, factors in enumerate([tuple(f[:, t] for f in f0)] + steps.later_layers):
+            p = steps.rotate(factors, x).reshape(rows, -1)
+            assert_allclose(points[:, t, layer], p[:, :dim] + 1j * p[:, dim:], rtol=0, atol=1e-12,
+                            err_msg=f"step {t + 1}, layer {layer}")
+            x = steps.entangle(layer, p)
+
+
+@pytest.mark.parametrize("entangler", ["ring", "linear"])
+@pytest.mark.parametrize("n_qubits", [1, FOLD_QUBITS, FOLD_QUBITS + 1, 12])
+def test_sweeps_differing_at_one_step_keep_their_overlap(n_qubits, entangler):
+    # the memory is unitary: two sweeps whose tokens differ only at step k
+    # keep, at every later step, the overlap they had after step k, which
+    # is what lets the adjoint take a ket back by the inverse steps
+    cfg = small_cfg(n_qubits, entangler=entangler)
+    params = init_qlam_params(np.random.default_rng(210 + n_qubits), cfg)
+    rng = np.random.default_rng(211)
+    params.theta[:] = rng.uniform(-np.pi, np.pi, params.theta.shape)
+    T, k = CHECKPOINT_INTERVAL + 8, 5
+    tokens = np.repeat(rng.uniform(0.0, 1.0, (1, T)), 2, axis=0)
+    tokens[1, k - 1] = 1.0 - tokens[0, k - 1]
+    states = np.empty((2, T, 1 << n_qubits), dtype=np.complex128)
+    for b, row in enumerate(tokens):
+        steps = Steps(params.theta, embed_token(row[None], params), entangler)
+
+        def read(lo, window, b=b):
+            states[b, lo:lo + window.shape[1]] = window[0]
+
+        steps.sweep(1, read)
+    assert_array_equal(states[0, :k - 1], states[1, :k - 1])
+    overlap = np.abs(np.einsum("ti,ti->t", states[0].conj(), states[1]))
+    assert overlap[k - 1] < 1.0 - 1e-6
+    assert_allclose(overlap[k - 1:], overlap[k - 1], rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("entangler", ["ring", "linear"])
@@ -409,9 +489,11 @@ def test_batch_outputs_match_single_sequence_views_bitwise(n_qubits, batch, chun
 @pytest.mark.parametrize("rows", [1, READ_ROWS - 1, READ_ROWS + 1, 2 * READ_ROWS])
 @pytest.mark.parametrize("n_qubits", [1, FOLD_QUBITS])
 def test_every_product_with_reads_runs_on_read_rows(n_qubits, rows):
-    # the rewind's and the walk's products with `Steps.reads` each take
-    # exactly READ_ROWS rows, whatever the stack's height: with some BLAS
-    # builds one GEMM over every padded row passes the bitwise tests too
+    # the products with `Steps.reads` of the adjoint rewind, of the ket
+    # rewind of the uncomputed window and of the kept window's read points
+    # each take exactly READ_ROWS rows, whatever the stack's height: with
+    # some BLAS builds one GEMM over every padded row passes the bitwise
+    # tests too
     heights = []
 
     class Recorded(np.ndarray):
@@ -424,7 +506,7 @@ def test_every_product_with_reads_runs_on_read_rows(n_qubits, rows):
             return getattr(ufunc, method)(*inputs, **kwargs)
 
     rng = np.random.default_rng(140 + rows)
-    T = CHECKPOINT_INTERVAL + 1  # the kept window and a recomputed one
+    T = CHECKPOINT_INTERVAL + 1  # the kept window and an uncomputed one
     steps = Steps(rng.uniform(-np.pi, np.pi, 4 * n_qubits), rng.uniform(-1.0, 1.0, (rows, T, n_qubits)),
                   "ring")
     steps.reads = steps.reads.view(Recorded)
@@ -435,13 +517,14 @@ def test_every_product_with_reads_runs_on_read_rows(n_qubits, rows):
 
 @pytest.mark.parametrize("n_qubits", [4, 12])
 def test_layer0_is_built_once_per_step_and_pass(monkeypatch, n_qubits):
-    # each pass builds a window's layer-0 factors in one call, and the
-    # adjoint's window recompute hands them to the walk; the adjoint starts
-    # from the last window, which the sweep keeps when all of it is read
-    # out, so a gradient builds the factors of the last window's steps once
-    # and of every other step twice, in the sweep and in the adjoint, and
-    # a forward pass builds each once; the adjoint rewinds each step once,
-    # the first step of every walk sub-block too, and a forward pass never
+    # each pass builds a window's layer-0 factors in one call; the adjoint
+    # starts from the last window, which the sweep keeps when all of it is
+    # read out, so a gradient builds the factors of the last window's steps
+    # once and of every other step twice, in the sweep and in the adjoint,
+    # and a forward pass builds each once; the adjoint rewinds each step's
+    # adjoint rows once, the first step of every walk sub-block too, and
+    # the ket of each step of a window that was not kept, which the walk
+    # uncomputes; a forward pass never rewinds
     built, rewound = [], []
     layer0, rewind = Steps.layer0, Steps.rewind
 
@@ -464,9 +547,9 @@ def test_layer0_is_built_once_per_step_and_pass(monkeypatch, n_qubits):
     loss_and_grad(sample, params, cfg)
     assert sum(built) == 2 * T - last
     assert len(built) == 2 * windows - 1
-    assert sum(rewound) == T
+    assert sum(rewound) == 2 * T - last
     # a last window read out only in part is not kept, so the adjoint
-    # recomputes it: every step's factors are built twice
+    # uncomputes it: every step's factors are built twice
     built.clear()
     loss_and_grad(SequenceSample(sample.tokens[:T - last], 1), params, cfg)
     assert sum(built) == 2 * (T - last)
@@ -503,8 +586,12 @@ def test_batch_logits_rejects_sample_indices_not_one_per_row(shot, sample_index)
 @pytest.mark.parametrize("n_qubits, n_layers, indices, T, entangler", [
     pytest.param(4, 2, (0, 9), 2 * CHECKPOINT_INTERVAL + 1, "ring", id="4-2-indices0"),
     pytest.param(STRIDED_N, 1, (3,), 2 * CHECKPOINT_INTERVAL + 1, "ring", id=f"{STRIDED_N}-1-indices1"),
-    # T ends on a window boundary, so the sweep keeps a checkpoint at step T
+    # T ends on a window boundary, and t_keep 2 reads the last window out
+    # only in part, so the sweep keeps no window and the adjoint uncomputes
+    # every one: on the folded engine, and on the layered one
     pytest.param(4, 2, (2, 15), 2 * CHECKPOINT_INTERVAL, "ring", id="4-2-boundary"),
+    pytest.param(FOLD_QUBITS + 1, 2, (3, 4 * (FOLD_QUBITS + 1) - 2), 2 * CHECKPOINT_INTERVAL, "ring",
+                 id=f"{FOLD_QUBITS + 1}-2-boundary"),
     # a high-half RY angle of layer 0 and a low-half RZ angle of layer 1
     pytest.param(12, 2, (16, 31), CHECKPOINT_INTERVAL + 1, "ring", id="12-2-indices2"),
     # the largest folded register and the smallest layered one: layer 0's

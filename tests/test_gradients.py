@@ -183,8 +183,8 @@ def test_param_shift_loss_grad_matches_adjoint():
 # ---------------------------------------------------------------------------
 
 def test_adjoint_matches_fd_everywhere():
-    # T = 40 crosses the first checkpoint boundary, so window recompute
-    # and the cross-window rewind both participate.
+    # T = 40 crosses the first checkpoint boundary, so the uncomputed
+    # window and the cross-window rewind both participate.
     assert CHECKPOINT_INTERVAL == 32
     cfg = small_cfg(t_keep=3)
     params = make(cfg, seed=20)

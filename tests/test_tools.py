@@ -59,8 +59,10 @@ def test_engine_timing_prints_every_register_and_stack(capsys):
         (n, b) for n in (1, 2) for b in (1, 4, 16, 4096 >> n)]
     for row in rows:
         assert row[0].endswith("*")  # both registers fold
+        # layered, folded and their ratio for the forward, the kept
+        # adjoint and the uncomputed adjoint
         times = np.array(row[2:], dtype=float)
-        assert times.shape == (6,) and np.all(np.isfinite(times)) and np.all(times > 0), row
+        assert times.shape == (9,) and np.all(np.isfinite(times)) and np.all(times > 0), row
 
 
 @pytest.mark.parametrize("argv", [["--qubits", "0"], ["--qubits", "2", "9"], ["--rounds", "0"]])

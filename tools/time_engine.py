@@ -13,15 +13,18 @@ and folded, a step's fixed part as one real matrix (`Steps.tail` forward,
 folds up to its own FOLD_QUBITS, marked "*" in the output.
 
 A forward step is `Steps.evolve` over one window of CHECKPOINT_INTERVAL
-steps of the default 2-layer ring cell, divided by the window's steps.  An
-adjoint step is `Steps.adjoint` after a `sweep` of the same window that
-reads out every step, so the adjoint starts from the kept window and
-recomputes nothing: the rewind, the walk and the injections (the kets
-themselves) of every step.  The one-time builds of `tail` and `reads`
-are not timed.  Each round times every cell once per engine, alternating
-which engine runs first, and keeps the best of REPEAT calls; the
-output is the median over rounds of those minima.  One BLAS thread is
-pinned before numpy loads.
+steps of the default 2-layer ring cell, divided by the window's steps.
+An adjoint step is `Steps.adjoint` after a `sweep` of the same window
+that reads out every step, timed twice: "kept", after a gradient's
+sweep, which keeps the window, so the walk reads the kept states; and
+"uncomputed", after a forward-only sweep, which keeps none, so the walk
+takes every ket back from the window's end state.  Each times the
+rewinds, the read points, the cross operators and the injections (the
+kets themselves) of every step.  The one-time builds of `tail` and
+`reads` are not timed.  Each round times every cell once per engine,
+alternating which engine runs first, and keeps the best of REPEAT
+calls; the output is the median over rounds of those minima.  One BLAS
+thread is pinned before numpy loads.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ import time
 import numpy as np
 
 ENGINES = ("layered", "folded")
+PASSES = ("forward", "kept adjoint", "uncomputed adjoint")
 LAYERS = 2  # the default cell's ansatz layers
 REPEAT = 3  # calls per cell and round
 # The largest register timed.  Both engines run at every n, and the
@@ -75,29 +79,30 @@ def engine(n: int, rows: int, folded: bool):
         circuits.FOLD_QUBITS = saved
 
 
-def time_cell(n: int, rows: int, folded: bool) -> tuple[float, float]:
+def time_cell(n: int, rows: int, folded: bool) -> tuple[float, float, float]:
     """Best of REPEAT calls, in microseconds per step, of one forward
-    window and of one adjoint over it."""
+    window and of one adjoint over it, kept and uncomputed."""
     steps = engine(n, rows, folded)
     if folded:
         _ = steps.reads  # built here, outside the timing
     T = steps.embeddings.shape[1]
-    forward, adjoint = np.inf, np.inf
+    best = [np.inf] * len(PASSES)
     for _ in range(REPEAT):
         psi = np.zeros((rows, 1 << n), dtype=np.complex128)
         psi[:, 0] = 1.0
         begin = time.perf_counter()
         steps.evolve(psi, 0, T)
-        forward = min(forward, time.perf_counter() - begin)
-        steps.sweep(1, lambda lo, states: None, keep_last=True)  # every step read out: kept
-        begin = time.perf_counter()
-        steps.adjoint(1, lambda lo, kets: kets)
-        adjoint = min(adjoint, time.perf_counter() - begin)
-    return forward * 1e6 / T, adjoint * 1e6 / T
+        best[0] = min(best[0], time.perf_counter() - begin)
+        for i, keep_last in ((1, True), (2, False)):  # every step read out: kept, or not
+            steps.sweep(1, lambda lo, states: None, keep_last=keep_last)
+            begin = time.perf_counter()
+            steps.adjoint(1, lambda lo, kets: kets)
+            best[i] = min(best[i], time.perf_counter() - begin)
+    return tuple(b * 1e6 / T for b in best)
 
 
 def measure(qubits, rounds: int) -> dict:
-    """{(n, B, engine): (forward, adjoint)} medians of per-round minima."""
+    """{(n, B, engine): a time per pass} medians of per-round minima."""
     cells = [(n, rows) for n in qubits for rows in stacks(n)]
     seen: dict = {}
     for r in range(rounds):
@@ -112,14 +117,14 @@ def measure(qubits, rounds: int) -> dict:
 def report(times: dict, qubits) -> list[str]:
     from qlam.circuits import FOLD_QUBITS
 
-    lines = ["  n     B   forward us/step: layered  folded  ratio"
-             "   adjoint us/step: layered  folded  ratio"]
+    lines = ["  n     B" + "".join(f"  {name + ' us/step:':>24} layered  folded  ratio"
+                                    for name in PASSES)]
     for n in qubits:
         for rows in stacks(n):
-            (f_lay, a_lay), (f_fold, a_fold) = (times[n, rows, name] for name in ENGINES)
+            layered, folded = (times[n, rows, name] for name in ENGINES)
             mark = "*" if n <= FOLD_QUBITS else " "
-            lines.append(f"{n:3d}{mark} {rows:5d}  {f_lay:24.2f} {f_fold:7.2f} {f_lay / f_fold:6.2f}"
-                         f"  {a_lay:24.2f} {a_fold:7.2f} {a_lay / a_fold:6.2f}")
+            lines.append(f"{n:3d}{mark} {rows:5d}" + "".join(
+                f"  {lay:32.2f} {fold:7.2f} {lay / fold:6.2f}" for lay, fold in zip(layered, folded)))
     return lines
 
 
