@@ -388,10 +388,10 @@ def final_logits(
 
     Identical result to `forward(...).logits`, bit for bit; the batched
     evaluation path `batch_logits` gives it too.  Readouts run batched
-    per block, so in exact mode skipping them saves about 25% of a
-    forward pass at n = 4 and 55% at n = 12 (default cell, T = 256, one
-    BLAS thread on a 2-vCPU Xeon VM); in sampled mode each skipped step
-    also saves its shot draws.
+    per block, so in exact mode skipping them saves 27-29% of a forward
+    pass at n = 4 and 69% at n = 12 (default cell, T = 256, medians of
+    best-of-30 and best-of-3 calls, one BLAS thread on a 2-vCPU Xeon
+    VM); in sampled mode each skipped step also saves its shot draws.
     """
     return batch_logits([tokens], params, cfg, shot, sample_index=sample_index)[0]
 

@@ -44,11 +44,13 @@ so a forward step is layer 0's GEMMs and one product (`Steps.fold`).
 The adjoint folds the same way: one matrix built on its first run gives
 every layer's read point, so a rewind step, of a ket or of an adjoint
 row, is one product and layer 0's inverse GEMMs (`Steps.reads`).
-Larger registers run the layers one by one.  Every reduction runs on
-one row of the stack, in an order that does not depend on B, and every
-product over rows runs on blocks of a fixed row count (`block_matmul`,
-which `cell.decoder` shares), so a sequence's states and derivatives
-are bit for bit those of a B = 1 sweep.
+Larger registers run the layers one by one.  Folded, every stack a
+`Steps` walks is zero-padded to whole blocks of READ_ROWS rows
+(`Steps.height`).  Every reduction runs on one row of the stack, in an
+order that does not depend on B, and every product over rows runs on
+blocks of a fixed row count (`block_matmul`, which `cell.decoder`
+shares), so a sequence's states and derivatives are bit for bit those
+of a B = 1 sweep.
 """
 
 from __future__ import annotations
@@ -150,12 +152,12 @@ def factor_widths(n_qubits: int) -> tuple[int, ...]:
 # layer's read points (`Steps.reads`) and layer 0's inverse GEMMs;
 # larger ones run both passes layer by layer.  Timed with
 # tools/time_engine.py (default 2-layer ring cell, one BLAS thread,
-# median of 5 rounds), the fold ran, per forward step, per adjoint step
-# over a kept window and per adjoint step over an uncomputed one,
-# 1.3-2.0x, 0.97-1.6x and 1.1-1.7x as fast at B = 1 for n <= 5, and
-# 0.93-1.24x, 0.78-1.24x and 0.87-1.33x at B = walk_rows(n); at n = 6 it
-# ran 0.72x, 0.69x and 0.75x as fast at B = walk_rows(6) = 64, and at
-# n = 7, B = 1, 0.89x, 0.31x and 0.50x.
+# median of 3 runs of 5 rounds), the fold ran, per forward step, per
+# adjoint step over a kept window and per adjoint step over an
+# uncomputed one, 1.3-1.7x, 1.3-1.6x and 1.3-1.6x as fast at B = 1 for
+# n <= 5, and 1.1-1.4x, 0.97-1.3x and 0.96-1.2x at B = walk_rows(n); at
+# n = 6 it ran 1.07x, 0.73x and 0.78x as fast at B = walk_rows(6) = 64,
+# and at n = 7, B = 1, 0.64x, 0.32x and 0.46x.
 FOLD_QUBITS = 5
 # Rows per product with `Steps.reads` (`block_matmul`).
 READ_ROWS = 4
@@ -169,11 +171,11 @@ def padded(count: int, rows: int = READ_ROWS) -> int:
 def block_matmul(x: np.ndarray, w: np.ndarray, rows: int, out: np.ndarray | None = None) -> np.ndarray:
     """The (padded(R, rows), m) product of x (R, k) with w (k, m), into out
     if given, as one GEMM per block of `rows` rows, the last one
-    zero-padded (x may carry those zero rows already).  A BLAS call can
-    round a row differently with its row count (OpenBLAS picks gemv for
-    one row, and a small-matrix kernel below a size that depends on the
-    shape), but not with its position or the other rows; so here a row's
-    bits depend on neither R nor the other rows."""
+    zero-padded unless x is whole blocks high, as `Steps` stacks are.  A
+    BLAS call can round a row differently with its row count (OpenBLAS
+    picks gemv for one row, and a small-matrix kernel below a size that
+    depends on the shape), but not with its position or the other rows;
+    so here a row's bits depend on neither R nor the other rows."""
     height = padded(len(x), rows)
     if height > len(x):
         x = np.concatenate([x, np.zeros((height - len(x), x.shape[-1]))])
@@ -248,17 +250,19 @@ class Steps:
     rows, then the layer's RZ gates scale them: one phase per amplitude,
     taken through the same gather.  An inverse layer mirrors it: the
     scatter and the conjugate phase (`unentangle`), then each factor's
-    transpose (`inverse`) through `rotate`.  The B rows advance
-    together as one (B, d_0, 2**n / d_0) stack.  Layer 0 also carries the
-    encoding, as the per-qubit products RY(a) RY(e_t[j]); its factors
-    differ per row and step (`layer0`), its phase does not.  The other
-    layers' factors are built once, from the one angle set theta, and
-    shared by every row and step.  Up to FOLD_QUBITS qubits, `tail` is
+    transpose (`inverse`) through `rotate`.  The B rows advance together
+    as one (height, d_0, 2**n / d_0) stack, height = padded(B) up to
+    FOLD_QUBITS qubits and B above: every stack walked has rows past B
+    zero, from zero embeddings, and only outputs are cut to the B rows.
+    Layer 0 also carries the encoding, as the per-qubit products RY(a)
+    RY(e_t[j]); its factors differ per row and step (`layer0`), its phase
+    does not.  The other layers' factors are built once, from the one
+    angle set theta, and shared by every row and step.  Up to FOLD_QUBITS qubits, `tail` is
     the rest of the step after layer 0's RY gates, layer 0's gather and
     phase and every later layer, as one real (2 * 2**n, 2 * 2**n) matrix
     from `rotate`'s planar rows to interleaved complex ones (`fold`), and
-    `step` applies it as one (B, 1, 2 * 2**n) stacked per-row product;
-    above FOLD_QUBITS `tail` is None and `step` runs `advance` per layer.
+    `step` applies it as one product per block of READ_ROWS rows; above
+    FOLD_QUBITS `tail` is None and `step` runs `advance` per layer.
     The adjoint reads each layer between its RY and RZ gates.  Up to
     FOLD_QUBITS qubits `reads`, built on the adjoint's first run, takes
     a planar row to every layer's read point in one real product, which
@@ -285,23 +289,23 @@ class Steps:
         tops = [n - sum(widths[:g]) for g in range(len(widths) + 1)]
         self.groups = [slice(lo, hi) for hi, lo in zip(tops, tops[1:])]
         self.shape = (self.dims[0], (1 << n) // self.dims[0])
-        self.rows = embeddings.shape[0]
-        self.embeddings = embeddings
+        self.rows = len(embeddings)
+        self.height = padded(self.rows) if n <= FOLD_QUBITS else self.rows
+        self.embeddings = np.zeros((self.height,) + embeddings.shape[1:], dtype=embeddings.dtype)
+        self.embeddings[:self.rows] = embeddings
         self.angles = np.reshape(theta, (n_layers, n, 2))
         # CNOT(c, t) flips bit t of the index where bit c is set; after the
         # entangler, amplitude i is the one at i put through its CNOTs last first
         gather = np.arange(1 << n)
         for control, target in reversed(entangler_pairs(n, entangler)):
             gather ^= ((gather >> control) & 1) << target
-        # (d_0, 2**n / d_0) indices into a flattened row: taking them on the
-        # last axis of a stack of rows gives every row's next state (gather)
-        # or its previous one (scatter), as `advance` and `unentangle` take them
         self.gather = gather.reshape(self.shape)
-        self.scatter = np.argsort(gather).reshape(self.shape)
-        # [..., c] indexes part c (re, im) of an amplitude in a planar
-        # (2 * 2**n,) row, so a take writes interleaved complex rows
-        self.planar_gather = self.gather[..., None] + (np.arange(2) << n)
-        self.planar_scatter = self.scatter[..., None] + (np.arange(2) << n)
+        # (d_0, 2**n / d_0, 2) indices into a planar row, [..., c] part c
+        # (re, im) of an amplitude: a take on a stack of planar rows writes
+        # each row's next (gather) or previous (scatter) state as complex rows
+        parts = np.arange(2) << n
+        self.planar_gather = self.gather[..., None] + parts
+        self.planar_scatter = np.argsort(gather).reshape(self.shape)[..., None] + parts
         ry, rz = layer_rotations(theta, n)
         # the diagonal of a layer's RZ gates is their Kronecker product
         phases = kron_qubits(rz[..., None, :])[..., 0, :]
@@ -355,33 +359,32 @@ class Steps:
         return x.reshape(len(x), -1).view(np.float64)
 
     def step(self, first: Sequence[np.ndarray], x: np.ndarray) -> np.ndarray:
-        """The (B, d_0, 2**n / d_0) states x through one step, given its
-        layer-0 factors (B, d_g, d_g): layer 0's RY GEMMs, then the folded
-        tail as one stacked per-row product on registers of at most
-        FOLD_QUBITS qubits, and layer by layer above them."""
+        """The (height, d_0, 2**n / d_0) states x through one step, given
+        its layer-0 factors (height, d_g, d_g): layer 0's RY GEMMs, then,
+        on registers of at most FOLD_QUBITS qubits, the folded tail as one
+        product per block of READ_ROWS rows (not through `block_matmul`,
+        which cost 1.2 us more per step at n = 4), and layer by layer above."""
         if self.tail is None:
             for layer, factors in enumerate([first] + self.later_layers):
                 x = self.advance(layer, factors, x)
             return x
-        x = self.rotate(first, x).reshape(self.rows, 1, -1) @ self.tail
-        return x.view(np.complex128).reshape((self.rows,) + self.shape)
+        x = self.rotate(first, x).reshape(-1, READ_ROWS, 2 << self.n) @ self.tail
+        return x.view(np.complex128).reshape((self.height,) + self.shape)
 
     def unentangle(self, layer: int, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The inverse of `entangle` for ansatz layer `layer`: the complex
-        states (..., d_0, 2**n / d_0) after its RY gates, given its complex
-        (..., 2**n) or planar (..., 2 * 2**n) output rows.  The scatter, then the conjugate RZ phase, into out if
-        given; a "clip" take writes there directly, a "raise" one buffers."""
+        states (..., d_0, 2**n / d_0) after its RY gates, given its planar
+        (..., 2 * 2**n) output rows.  The scatter, then the conjugate RZ
+        phase, into out if given; a "clip" take writes there directly, a
+        "raise" one buffers."""
         if out is None:
             out = np.empty(x.shape[:-1] + self.shape, dtype=np.complex128)
-        if x.dtype == np.float64:
-            x.take(self.planar_scatter, axis=-1, out=out[..., None].view(np.float64), mode="clip")
-        else:
-            x.take(self.scatter, axis=-1, out=out, mode="clip")
+        x.take(self.planar_scatter, axis=-1, out=out[..., None].view(np.float64), mode="clip")
         out *= self.inverse_phases[layer]
         return out
 
     def layer0(self, start: int, stop: int) -> tuple[np.ndarray, ...]:
-        """Held layer-0 factors (B, S, d_g, d_g) of steps start+1..stop.
+        """Held layer-0 factors (height, S, d_g, d_g) of steps start+1..stop.
         The encoding is multiplied in as a matrix, not added to the RY
         angle: a finite theta + e_t can overflow."""
         e = self.embeddings[:, start:stop]
@@ -405,12 +408,13 @@ class Steps:
         states = np.empty((rows, stop - first, psi.shape[-1]), dtype=np.complex128)
         f0 = self.layer0(start, stop)
         views = states.reshape((rows, -1) + self.shape)
-        x = psi.reshape((rows,) + self.shape)
+        x = np.zeros((self.height,) + self.shape, dtype=np.complex128)
+        x[:rows] = psi.reshape((rows,) + self.shape)
         for t, own in enumerate(per_step(f0), start + 1):
             x = self.step(own, x)
             if t > first:
-                views[:, t - first - 1] = x
-        psi[:] = x.reshape(rows, -1)
+                views[:, t - first - 1] = x[:rows]
+        psi[:] = x[:rows].reshape(rows, -1)
         finite = np.isfinite(states).all(axis=(0, 2))
         if not finite.all():
             raise NumericError(
@@ -425,25 +429,25 @@ class Steps:
         CHECKPOINT_INTERVAL steps at a time and return the (B, 2**n) final
         states.  A window holding kept steps (first..T, 1-based) calls
         read(lo, states) with the (B, S, 2**n) states after its steps
-        lo+1..lo+S.  `checkpoints` keeps the (B, 2**n) states at each
-        window's start (step 0, K, 2K, ...) and the returned states at
-        step T, each window's end state for `adjoint`.  With keep_last,
-        for a pass the adjoint follows, `kept` holds the last window's
-        states and layer-0 factors when every one of its steps is kept
-        (else None), which `adjoint` starts from; a forward-only pass
-        keeps no window past its readout.  Storing the rest of a last
+        lo+1..lo+S.  `checkpoints` keeps the (height, 2**n) states at each
+        window's start (step 0, K, 2K, ...) and at step T, each window's
+        end state for `adjoint`.  With keep_last, for a pass the adjoint
+        follows, `kept` holds the last window's states and layer-0
+        factors when every one of its steps is kept (else None), which
+        `adjoint` starts from; a forward-only pass keeps no window past
+        its readout.  Storing the rest of a last
         window that is read out only in part cost memory: at n = 12,
         T = 256, t_keep = 16 it raised a training run's peak RSS by
         0.9-1.0 MB."""
         T = self.embeddings.shape[1]
-        psi = np.zeros((self.rows, 1 << self.n), dtype=np.complex128)
-        psi[:, 0] = 1.0
+        psi = np.zeros((self.height, 1 << self.n), dtype=np.complex128)
+        psi[:self.rows, 0] = 1.0
         self.checkpoints, self.kept = {}, None
         for start in range(0, T, CHECKPOINT_INTERVAL):
             self.checkpoints[start] = psi.copy()
             stop = min(start + CHECKPOINT_INTERVAL, T)
             lo = min(max(start, first - 1), stop)  # 0-based index of the window's first kept step
-            states, f0 = self.evolve(psi, start, stop, lo)
+            states, f0 = self.evolve(psi[:self.rows], start, stop, lo)
             keep = keep_last and stop == T and lo == start  # only a last window read out whole
             if not keep:
                 del f0  # release the factors before the readout allocates
@@ -453,7 +457,7 @@ class Steps:
                 self.kept = states, f0
             del states  # release the window before the next one is allocated
         self.checkpoints[T] = psi
-        return psi
+        return psi[:self.rows]
 
     def adjoint(self, first: int, inject) -> tuple[np.ndarray, np.ndarray]:
         """Per-row dJ/dtheta (B, n_layers, n, 2) and dJ/de (B, T, n) of a
@@ -468,14 +472,14 @@ class Steps:
         `points`; in every other window they are uncomputed: the ket
         starts at the window's end state (the next checkpoint, or the
         final state) and `rewind` takes it back a step at a time, writing
-        its read points.  One `inject` call takes the sub-block's kets.
-        The adjoint recurrence lam <- M_t^H (lam + inj_t), with lam
-        (B, 2 * 2**n) planar rows (folded, zero-padded to padded(B) rows,
-        as the ket is), then runs once per step (`rewind`) and keeps the
-        adjoint rows L at the same points, and one `cross` call reads the
-        derivative Im <L| P |K> = Im tr(P rho_j) of every angle a of a
-        gate exp(-i a P/2) on qubit j, for every layer and step (the
-        layer's other gates commute with P).  A window's layer-0 factors
+        its read points.  One `inject` call takes the sub-block's B-row
+        kets; its injections are padded once to `height`.  The adjoint
+        recurrence lam <- M_t^H (lam + inj_t), with lam (height, 2 * 2**n)
+        planar rows, as the ket is, then runs once per step (`rewind`) and
+        keeps the adjoint rows L at the same points, and one `cross` call
+        reads, on the B real rows, the derivative Im <L| P |K> =
+        Im tr(P rho_j) of every angle a of a gate exp(-i a P/2) on qubit j,
+        for every layer and step (the layer's other gates commute with P).  A window's layer-0 factors
         are built once (`layer0`), or kept by the sweep.  The ket restarts
         at each window, so inverse-gate drift crosses at most
         CHECKPOINT_INTERVAL steps: 32 inverse steps moved an amplitude by
@@ -483,22 +487,18 @@ class Steps:
         each).  A window's angle derivatives are summed in one reduction
         over its steps.
         """
-        rows, T = self.embeddings.shape[:2]
+        rows, T = self.rows, self.embeddings.shape[1]
         dim = 1 << self.n
         dtheta = np.zeros((rows,) + self.angles.shape)
         denc = np.empty((rows, T, self.n))
-        # folded, the walked rows carry zero rows up to padded(rows), so
-        # `block_matmul` reads them in whole READ_ROWS blocks as they are
-        height = rows if self.reads is None else padded(rows)
-        lam = np.zeros((height, 2 * dim))
+        lam = np.zeros((self.height, 2 * dim))
         block = max(1, walk_rows(self.n) // rows)
         kept, self.kept = self.kept, None
         for win_start in reversed(range(0, T, CHECKPOINT_INTERVAL)):
             win_end = min(win_start + CHECKPOINT_INTERVAL, T)
             if kept is None:
                 seg, f0 = None, self.layer0(win_start, win_end)
-                ket = np.zeros((height, 2 * dim))
-                ket[:rows] = planar(self.checkpoints[win_end])
+                ket = planar(self.checkpoints[win_end])
             else:
                 (seg, f0), kept = kept, None
             # every angle derivative of every step of the window
@@ -520,15 +520,12 @@ class Steps:
                     self.points(kets, ket_slots)
                     kets = kets[:, lo - start:]
                 if lo < stop:
-                    inj = planar(inject(lo, kets)).swapaxes(0, 1)
+                    inj = np.zeros((stop - lo,) + lam.shape)
+                    inj[:, :rows] = planar(inject(lo, kets)).swapaxes(0, 1)
                 slots, points = self.slots(stop - start)
                 for t in range(stop, start, -1):
-                    # `lam[:rows] +=` also writes the sum back through
-                    # __setitem__, which unpadded rows can skip
-                    if t > lo and len(lam) == rows:
+                    if t > lo:
                         lam += inj[t - lo - 1]
-                    elif t > lo:
-                        lam[:rows] += inj[t - lo - 1]
                     lam = self.rewind(lam, inv0[t - start - 1], slots[t - start - 1])
                 # read between the gates of U_j = RZ(b) RY(a): dJ/da =
                 # Im tr(Y rho_j), dJ/db = Im tr(Z rho_j); layer 0's encoding
@@ -549,24 +546,25 @@ class Steps:
         """Empty read points of the walked rows over `steps` steps: the
         per-step slots `rewind` writes straight into, contiguous, or
         numpy's `take(out=)` copies through a temporary, and one complex
-        view of all of them for `cross`.  Folded, a slot is a float64
-        (padded(B), n_layers * 2 * 2**n) block, and the view (steps, B,
-        n_layers, 2**n); layered, one complex (B, d_0, 2**n / d_0) block
-        per layer, and the view (n_layers, steps, B, 2**n)."""
+        view of the B real rows of all of them for `cross`.  Folded, a
+        slot is a float64 (height, n_layers * 2 * 2**n) block, and the view
+        (steps, B, n_layers, 2**n); layered, one complex (B, d_0,
+        2**n / d_0) block per layer, and the view (n_layers, steps, B,
+        2**n)."""
         n_layers = len(self.angles)
         if self.reads is None:
             points = np.empty((n_layers, steps, self.rows) + self.shape, dtype=np.complex128)
             return points.swapaxes(0, 1), points.reshape(n_layers, steps, self.rows, -1)
-        slots = np.empty((steps, padded(self.rows), n_layers << (self.n + 1)))
+        slots = np.empty((steps, self.height, n_layers << (self.n + 1)))
         points = slots.view(np.complex128).reshape(steps, -1, n_layers, 1 << self.n)
         return slots, points[:, :self.rows]
 
     def unwind(self, x: np.ndarray, out: np.ndarray | None = None) -> list[np.ndarray]:
         """Every layer's read point, between its RY and RZ gates, of the
-        rows x (..., 2**n) complex or (..., 2 * 2**n) planar after a step,
-        layer 0's first, as complex (..., d_0, 2**n / d_0) states, layer by
-        layer: per layer, last first, `unentangle` (into out[layer] if
-        given), then, past layer 0, its inverse RY factors."""
+        planar rows x (..., 2 * 2**n) after a step, layer 0's first, as
+        complex (..., d_0, 2**n / d_0) states, layer by layer: per layer,
+        last first, `unentangle` (into out[layer] if given), then, past
+        layer 0, its inverse RY factors."""
         points = []
         for layer in range(len(self.angles) - 1, -1, -1):
             x = self.unentangle(layer, x, None if out is None else out[layer])
@@ -589,39 +587,35 @@ class Steps:
                               axis=1)
 
     def points(self, kets: np.ndarray, slots: np.ndarray) -> None:
-        """`unwind` of the complex states kets (B, S, 2**n) into the slots
-        of S steps (`slots`): one product with `reads` up to FOLD_QUBITS
-        qubits, and layer by layer above them."""
-        if self.reads is None:
-            self.unwind(kets.swapaxes(0, 1), slots.swapaxes(0, 1))
-            return
-        x = np.zeros(slots.shape[:2] + (2 << self.n,))
+        """`unwind` of the complex states kets (B, S, 2**n), as planar
+        rows of `height`, into the slots of S steps (`slots`): one product
+        with `reads` per block of READ_ROWS rows up to FOLD_QUBITS qubits,
+        and layer by layer above them."""
+        x = np.zeros((kets.shape[1], self.height, 2 << self.n))
         x[:, :self.rows] = planar(kets.swapaxes(0, 1))
-        block_matmul(x.reshape(-1, x.shape[-1]), self.reads, READ_ROWS,
-                     slots.reshape(-1, slots.shape[-1]))
+        if self.reads is None:
+            self.unwind(x, slots.swapaxes(0, 1))
+        else:
+            block_matmul(x.reshape(-1, x.shape[-1]), self.reads, READ_ROWS,
+                         slots.reshape(-1, slots.shape[-1]))
 
     def rewind(self, x: np.ndarray, first: Sequence[np.ndarray],
                out: np.ndarray | None = None) -> np.ndarray:
-        """M_t^H x for R planar rows x, as `rotate` returns them, given the
-        (R, d_g, d_g) inverse factors of step t's layer 0 (`inverse`):
-        every layer's read point, into out if given, then layer 0's
-        inverse RY factors; returns planar rows.  Up to FOLD_QUBITS qubits
-        x may carry zero rows up to padded(R), which spares `block_matmul` a
-        padded copy, and then gets the result in its first R rows; out is
-        a float64 (padded(R), n_layers * 2 * 2**n) array of interleaved
-        complex rows, filled by one product with `reads`.  Above them x is
-        (R, 2 * 2**n) and out a complex (n_layers, R, d_0, 2**n / d_0)
-        array, filled by `unwind`.  `slots` makes out either way."""
-        rows = len(first[0])
+        """M_t^H x for the (height, 2 * 2**n) planar rows x, as `rotate`
+        returns them, given the (height, d_g, d_g) inverse factors of step
+        t's layer 0 (`inverse`): every layer's read point, into out if
+        given, then layer 0's inverse RY factors; returns planar rows of
+        the same height.  Up to FOLD_QUBITS qubits out is a float64
+        (height, n_layers * 2 * 2**n) array of interleaved complex rows,
+        filled by one product with `reads` per block of READ_ROWS rows;
+        above them a complex (n_layers, height, d_0, 2**n / d_0) array,
+        filled by `unwind`.  `slots` makes out either way."""
         if self.reads is None:
-            return self.rotate(first, self.unwind(x, out)[0]).reshape(rows, -1)
-        points = block_matmul(x, self.reads, READ_ROWS, out)[:rows, :2 << self.n]
-        points = points.view(np.complex128)
-        rewound = self.rotate(first, points.reshape((rows,) + self.shape)).reshape(rows, -1)
-        if len(x) == rows:
-            return rewound
-        x[:rows] = rewound
-        return x
+            points = self.unwind(x, out)[0]
+        else:
+            points = block_matmul(x, self.reads, READ_ROWS, out)[:, :2 << self.n]
+            points = points.view(np.complex128).reshape((len(x),) + self.shape)
+        return self.rotate(first, points).reshape(len(x), -1)
 
     def cross(self, kets: np.ndarray, adjoints: np.ndarray) -> np.ndarray:
         """(..., n, 2, 2) reduced cross operators rho_j = Tr_{not j} |k><l|

@@ -106,7 +106,10 @@ def test_dense_steps_match_dense_step_matrix(n_qubits, entangler):
         steps.evolve(basis, t - 1, t)
         assert_allclose(basis.T, want, atol=1e-12)
         first = inverse([f[:, 0] for f in steps.layer0(t - 1, t)])
-        rewound = complex_rows(steps.rewind(planar(np.eye(dim, dtype=np.complex128)), first))
+        # a stack of the engine's height: folded, n = 1 pads 2 rows to 4
+        x = np.zeros((steps.height, 2 * dim))
+        x[:dim] = planar(np.eye(dim, dtype=np.complex128))
+        rewound = complex_rows(steps.rewind(x, first)[:dim])
         assert_allclose(rewound.T, want.conj().T, atol=1e-12)
 
 
@@ -287,7 +290,7 @@ def test_walk_uncomputes_the_swept_kets(monkeypatch, n_qubits, rows, entangler):
     order = (1, 0, 2, 3) if n_qubits <= FOLD_QUBITS else (2, 1, 0, 3)
     points = np.concatenate([c.transpose(order) for c in reversed(crossed)], axis=1)
     assert points.shape == (rows, T, 2, dim)
-    f0 = steps.layer0(0, T)
+    f0 = [f[:rows] for f in steps.layer0(0, T)]  # the real rows of a padded stack
     for t in range(T):
         x = before[:, t].reshape((rows,) + steps.shape)
         for layer, factors in enumerate([tuple(f[:, t] for f in f0)] + steps.later_layers):
@@ -489,30 +492,37 @@ def test_batch_outputs_match_single_sequence_views_bitwise(n_qubits, batch, chun
 @pytest.mark.parametrize("rows", [1, READ_ROWS - 1, READ_ROWS + 1, 2 * READ_ROWS])
 @pytest.mark.parametrize("n_qubits", [1, FOLD_QUBITS])
 def test_every_product_with_reads_runs_on_read_rows(n_qubits, rows):
-    # the products with `Steps.reads` of the adjoint rewind, of the ket
-    # rewind of the uncomputed window and of the kept window's read points
-    # each take exactly READ_ROWS rows, whatever the stack's height: with
-    # some BLAS builds one GEMM over every padded row passes the bitwise
-    # tests too
-    heights = []
+    # the products with `Steps.tail` of every forward step, and with
+    # `Steps.reads` of the adjoint rewind, of the ket rewind of the
+    # uncomputed window and of the kept window's read points, each take
+    # exactly READ_ROWS rows, whatever the stack's height: with some BLAS
+    # builds one GEMM over every padded row passes the bitwise tests too
+    heights = {"tail": [], "reads": []}
 
-    class Recorded(np.ndarray):
-        """`reads`, recording the rows of each matmul it is an operand of."""
+    def recorded(name, matrix):
+        class Recorded(np.ndarray):
+            """The matrix, recording the rows of each matmul it is an
+            operand of under `name`."""
 
-        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-            if ufunc is np.matmul:
-                heights.append(inputs[0].shape[-2])
-            inputs = [x.view(np.ndarray) if isinstance(x, Recorded) else x for x in inputs]
-            return getattr(ufunc, method)(*inputs, **kwargs)
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                if ufunc is np.matmul:
+                    heights[name].append(inputs[0].shape[-2])
+                inputs = [x.view(np.ndarray) if isinstance(x, Recorded) else x for x in inputs]
+                return getattr(ufunc, method)(*inputs, **kwargs)
+
+        return matrix.view(Recorded)
 
     rng = np.random.default_rng(140 + rows)
     T = CHECKPOINT_INTERVAL + 1  # the kept window and an uncomputed one
     steps = Steps(rng.uniform(-np.pi, np.pi, 4 * n_qubits), rng.uniform(-1.0, 1.0, (rows, T, n_qubits)),
                   "ring")
-    steps.reads = steps.reads.view(Recorded)
+    for name in heights:
+        setattr(steps, name, recorded(name, getattr(steps, name)))
     steps.sweep(1, lambda lo, states: None, keep_last=True)
     steps.adjoint(1, lambda lo, kets: kets)
-    assert len(heights) > T and set(heights) == {READ_ROWS}
+    assert len(heights["tail"]) == T and len(heights["reads"]) > T
+    for name, seen in heights.items():
+        assert set(seen) == {READ_ROWS}, name
 
 
 @pytest.mark.parametrize("n_qubits", [4, 12])
@@ -533,7 +543,7 @@ def test_layer0_is_built_once_per_step_and_pass(monkeypatch, n_qubits):
         return layer0(self, start, stop)
 
     def counted_rewind(self, x, first, *args, **kwargs):
-        rewound.append(len(first[0]))  # rows rewound: folded, x carries zero padding
+        rewound.append(self.rows)  # sequences rewound: folded, x carries zero padding
         return rewind(self, x, first, *args, **kwargs)
 
     monkeypatch.setattr(Steps, "layer0", counted)

@@ -53,10 +53,11 @@ def test_engine_timing_prints_every_register_and_stack(capsys):
     tool = load_tool("time_engine")
     assert tool.main(["--qubits", "1", "2", "--rounds", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    # a header, one line per register and stack height, a legend
+    # a header, one line per register and stack height (the default
+    # training chunk of 128 among them), a legend
     rows = [line.split() for line in lines[1:-1]]
     assert [(int(r[0].rstrip("*")), int(r[1])) for r in rows] == [
-        (n, b) for n in (1, 2) for b in (1, 4, 16, 4096 >> n)]
+        (n, b) for n in (1, 2) for b in (1, 4, 16, 128, 4096 >> n)]
     for row in rows:
         assert row[0].endswith("*")  # both registers fold
         # layered, folded and their ratio for the forward, the kept

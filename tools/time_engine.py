@@ -5,12 +5,14 @@
 
 --qubits takes register sizes 1..MOST_QUBITS (8), --rounds a positive count.
 
-For each register size n and stack of B rows (1, 4, 16 and walk_rows(n)),
-each pass runs on both engines: layered, every layer of a step one by one,
-and folded, a step's fixed part as one real matrix (`Steps.tail` forward,
-`Steps.reads` back).  `circuits.FOLD_QUBITS` picks the engine when a
-`Steps` is built, so the timing sets it to 0 or MAX_QUBITS; the package
-folds up to its own FOLD_QUBITS, marked "*" in the output.
+For each register size n and stack of B rows (1, 4, 16, the chunk
+`qlam train` runs by default, min(TrainConfig().batch_size, walk_rows(n)),
+and walk_rows(n)), each pass runs on both engines: layered, every layer
+of a step one by one, and folded, a step's fixed part as one real matrix
+(`Steps.tail` forward, `Steps.reads` back).  `circuits.FOLD_QUBITS`
+picks the engine when a `Steps` is built, so the timing sets it to 0 or
+MAX_QUBITS; the package folds up to its own FOLD_QUBITS, marked "*" in
+the output.
 
 A forward step is `Steps.evolve` over one window of CHECKPOINT_INTERVAL
 steps of the default 2-layer ring cell, divided by the window's steps.
@@ -60,8 +62,9 @@ def positive(text: str) -> int:
 
 def stacks(n: int) -> list[int]:
     from qlam.circuits import walk_rows
+    from qlam.trainer import TrainConfig
 
-    return sorted({1, 4, 16, walk_rows(n)})
+    return sorted({1, 4, 16, min(TrainConfig().batch_size, walk_rows(n)), walk_rows(n)})
 
 
 def engine(n: int, rows: int, folded: bool):
