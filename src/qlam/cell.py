@@ -42,7 +42,7 @@ array throughout.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -119,23 +119,19 @@ class QlamParams:
     cls_w: np.ndarray    # (n_classes, n_heads * t_keep)
     cls_b: np.ndarray    # (n_classes,)
 
-    _KEYS = (
-        "embed_w", "embed_b", "theta", "w_q",
-        "dec_w1", "dec_b1", "dec_w2", "dec_b2", "cls_w", "cls_b",
-    )
-
     def as_dict(self) -> dict[str, np.ndarray]:
-        return {k: getattr(self, k) for k in self._KEYS}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, arrays: dict[str, np.ndarray]) -> "QlamParams":
-        missing = set(cls._KEYS) - set(arrays)
+        names = [f.name for f in fields(cls)]
+        missing = set(names) - set(arrays)
         if missing:
             raise ShapeError(f"parameter dict is missing {sorted(missing)}")
-        return cls(**{k: np.asarray(arrays[k], dtype=np.float64) for k in cls._KEYS})
+        return cls(**{k: np.asarray(arrays[k], dtype=np.float64) for k in names})
 
     def copy(self) -> "QlamParams":
-        return QlamParams(**{k: getattr(self, k).copy() for k in self._KEYS})
+        return QlamParams(**{k: v.copy() for k, v in self.as_dict().items()})
 
     def validate(self, cfg: CellConfig) -> None:
         n, p = cfg.n_qubits, cfg.pool_size
@@ -261,12 +257,12 @@ class Run:
     """One pass of the recurrence over a stack of B sequences, ending at
     the logits.  Rows of `queries`, `exps` and `readouts` are, per
     sequence, the kept 1-based steps first..T; `features` are its last
-    t_keep readouts, oldest first.  `steps` is the swept engine,
-    checkpoints included, for the adjoint.  The decoder's activations
-    are not kept: they are B times one sequence's, so the backward pass
-    recomputes them one sequence at a time.  Keeping them saves one
-    `decoder` call per sequence, a few percent of a training batch at
-    n = 4, and measured no faster end to end."""
+    t_keep readouts, oldest first.  `steps` is the swept engine, which
+    the adjoint walks back after a backward pass.  The decoder's
+    activations are not kept: they are B times one sequence's, so the
+    backward pass recomputes them one sequence at a time.  Keeping them
+    saves one `decoder` call per sequence, a few percent of a training
+    batch at n = 4, and measured no faster end to end."""
 
     tokens: np.ndarray      # (B, T), validated
     embeddings: np.ndarray  # (B, T, n_qubits)
@@ -295,11 +291,11 @@ def run(
     `keep` steps (t_keep..T of them; every step when None) and classify
     its last t_keep readouts.  `sample_index` gives each row's shot
     streams (one per row, or one for all), each an int in [0, MAX_SEED]
-    (ConfigError otherwise).  `backward` marks a pass
-    whose `steps.adjoint` will run, so the sweep keeps the last window
-    for it (`Steps.sweep`'s keep_last).  A sequence shorter than
-    t_keep, or any other length of `sample_index`, raises ShapeError.
-    An embedding that overflows raises NumericError naming its step.
+    (ConfigError otherwise).  `backward` marks a pass whose `steps.adjoint`
+    will run, so the sweep stores what the walk starts from (`Steps.sweep`).
+    A sequence shorter than t_keep, or any other length of `sample_index`,
+    raises ShapeError.  An embedding that overflows raises NumericError
+    naming its step.
 
     Forward, logits and gradients are all views of this pass, the
     single-sequence ones with B = 1; the parameter-shift oracle calls it
@@ -337,7 +333,7 @@ def run(
     def read(lo, states):
         exps[:, lo - first + 1:][:, :states.shape[1]] = measure(states, table, shot, sample_index, lo)
 
-    psi = steps.sweep(first, read, keep_last=backward)
+    psi = steps.sweep(first, read, backward)
     # decoded one sequence at a time, so one sequence's activations are alive
     readouts = np.stack([(decoder(qb, params)[1] @ eb[:, :, None])[:, :, 0]
                          for qb, eb in zip(q, exps)])
@@ -369,9 +365,10 @@ def batch_logits(
     sample_index=0,
 ) -> np.ndarray:
     """(B, n_classes) logits of a (B, T) stack of token rows, skipping
-    readouts at steps the classifier never sees; row b draws its shots
-    from the streams of sample_index[b].  Row b is bit for bit
-    `final_logits(tokens[b], ..., sample_index=sample_index[b])`.
+    readouts at steps the classifier never sees.  Row b draws its shots
+    from the streams of sample_index[b], or, for one index (the default
+    0), every row from that index's.  Row b is bit for bit
+    `final_logits(tokens[b], ..., sample_index=i)`, i its index.
     """
     return run(tokens, params, cfg, cfg.t_keep, shot, sample_index=sample_index).logits
 

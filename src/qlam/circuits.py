@@ -17,13 +17,13 @@ set; the shift oracle in `gradients` moves an angle at every step.
 whole sweep over a stack of B equal-length sequences, advanced together
 as one (B, 2**n) array; a single sequence is B = 1.  `Steps.sweep`
 evolves |0...0> one window of K = `CHECKPOINT_INTERVAL` steps at a
-time, hands each window's states to a readout callback and keeps the
-states at each window's start and the final state, and, for a
-gradient, the last window when all of it is read out.  `Steps.adjoint`
-walks back from step T, starting from that window, and takes the kets
-of every other one back from its end state by the inverse steps, in the
-same backward sweep as the adjoint rows (Jones & Gacon,
-arXiv:2009.02823).  Memory is the B * T/K checkpoints, one window of B
+time and hands each window's states to a readout callback; for a
+gradient it also stores each window's end state and the last window
+when all of it is read out.  `Steps.adjoint` walks back from step T,
+starting from that window, and takes the kets of every other one back
+from its end state by the inverse steps, in the same backward sweep as
+the adjoint rows (Jones & Gacon, arXiv:2009.02823).  A forward-only
+sweep stores neither.  Memory is the B * T/K end states, one window of B
 swept sequences (the sweep's, or the kept one), one window's layer-0
 factors, built in one call (per row and step, d**2 float64 per factor
 group of d amplitudes: at most 1.25x the float64 a state holds, and
@@ -424,66 +424,65 @@ class Steps:
             raise NumericError(f"non-finite amplitudes by timestep {stop}")
         return states, f0
 
-    def sweep(self, first: int, read, keep_last: bool = False) -> np.ndarray:
+    def sweep(self, first: int, read, backward: bool = False) -> np.ndarray:
         """Evolve every row from |0...0> one window of
         CHECKPOINT_INTERVAL steps at a time and return the (B, 2**n) final
-        states.  A window holding kept steps (first..T, 1-based) calls
-        read(lo, states) with the (B, S, 2**n) states after its steps
-        lo+1..lo+S.  `checkpoints` keeps the (height, 2**n) states at each
-        window's start (step 0, K, 2K, ...) and at step T, each window's
-        end state for `adjoint`.  With keep_last, for a pass the adjoint
-        follows, `kept` holds the last window's states and layer-0
-        factors when every one of its steps is kept (else None), which
-        `adjoint` starts from; a forward-only pass keeps no window past
-        its readout.  Storing the rest of a last
-        window that is read out only in part cost memory: at n = 12,
-        T = 256, t_keep = 16 it raised a training run's peak RSS by
-        0.9-1.0 MB."""
+        states.  A window holding kept steps (first..T, 1-based, recorded
+        as `first`) calls read(lo, states) with the (B, S, 2**n) states
+        after its steps lo+1..lo+S.  With backward, for a pass the adjoint
+        follows, `checkpoints` maps each window's end step (K, 2K, ...,
+        T) to its end state as the planar (height, 2 * 2**n) rows the
+        walk starts from, and `kept` holds the last window's states and
+        layer-0 factors when every one of its steps is kept (else None),
+        which `adjoint` starts from; a forward-only pass stores neither.
+        Storing the rest of a last window that is read out only in part
+        cost memory: at n = 12, T = 256, t_keep = 16 it raised a training
+        run's peak RSS by 0.9-1.0 MB."""
         T = self.embeddings.shape[1]
         psi = np.zeros((self.height, 1 << self.n), dtype=np.complex128)
         psi[:self.rows, 0] = 1.0
-        self.checkpoints, self.kept = {}, None
+        self.first, self.checkpoints, self.kept = first, {}, None
         for start in range(0, T, CHECKPOINT_INTERVAL):
-            self.checkpoints[start] = psi.copy()
             stop = min(start + CHECKPOINT_INTERVAL, T)
             lo = min(max(start, first - 1), stop)  # 0-based index of the window's first kept step
             states, f0 = self.evolve(psi[:self.rows], start, stop, lo)
-            keep = keep_last and stop == T and lo == start  # only a last window read out whole
+            keep = backward and stop == T and lo == start  # only a last window read out whole
             if not keep:
                 del f0  # release the factors before the readout allocates
             if lo < stop:
                 read(lo, states)
             if keep:
                 self.kept = states, f0
+            if backward:
+                self.checkpoints[stop] = planar(psi)
             del states  # release the window before the next one is allocated
-        self.checkpoints[T] = psi
         return psi[:self.rows]
 
-    def adjoint(self, first: int, inject) -> tuple[np.ndarray, np.ndarray]:
+    def adjoint(self, inject) -> tuple[np.ndarray, np.ndarray]:
         """Per-row dJ/dtheta (B, n_layers, n, 2) and dJ/de (B, T, n) of a
-        readout objective J, after `sweep`.  inject(lo, kets) returns the
-        (B, S, 2**n) injections sum_i c_i P_i |psi_t> of the kept steps
-        lo+1..lo+S (first..T, 1-based), given their (B, S, 2**n) kets.
+        readout objective J, after a backward `sweep`.  inject(lo, kets)
+        returns the (B, S, 2**n) injections sum_i c_i P_i |psi_t> of the
+        kept steps lo+1..lo+S (`first`..T, 1-based), given their
+        (B, S, 2**n) kets.
 
         Windows are walked back last first, each in sub-blocks of
         walk_rows(n) // B steps (at least one), last first.  A sub-block's
-        kets are the states the sweep kept (`sweep`'s keep_last), taken
-        to each layer's read point, between its RY and RZ gates, by
-        `points`; in every other window they are uncomputed: the ket
-        starts at the window's end state (the next checkpoint, or the
-        final state) and `rewind` takes it back a step at a time, writing
-        its read points.  One `inject` call takes the sub-block's B-row
-        kets; its injections are padded once to `height`.  The adjoint
-        recurrence lam <- M_t^H (lam + inj_t), with lam (height, 2 * 2**n)
-        planar rows, as the ket is, then runs once per step (`rewind`) and
-        keeps the adjoint rows L at the same points, and one `cross` call
-        reads, on the B real rows, the derivative Im <L| P |K> =
-        Im tr(P rho_j) of every angle a of a gate exp(-i a P/2) on qubit j,
-        for every layer and step (the layer's other gates commute with P).  A window's layer-0 factors
-        are built once (`layer0`), or kept by the sweep.  The ket restarts
-        at each window, so inverse-gate drift crosses at most
-        CHECKPOINT_INTERVAL steps: 32 inverse steps moved an amplitude by
-        at most 3.1e-14 (n = 1-12, ring and linear, three random circuits
+        kets are the states the sweep kept (`kept`), taken to each layer's
+        read point, between its RY and RZ gates, by `points`; in every other
+        window they are uncomputed: the ket starts at the window's end state
+        (`checkpoints`) and `rewind` takes it back a step at a time, writing
+        its read points.  One `inject` call takes the sub-block's B-row kets;
+        its injections are padded once to `height`.  The adjoint recurrence
+        lam <- M_t^H (lam + inj_t), with lam (height, 2 * 2**n) planar rows,
+        as the ket is, then runs once per step (`rewind`) and keeps the
+        adjoint rows L at the same points, and one `cross` call reads, on the
+        B real rows, the derivative Im <L| P |K> = Im tr(P rho_j) of every
+        angle a of a gate exp(-i a P/2) on qubit j, for every layer and step
+        (the layer's other gates commute with P).  A window's layer-0
+        factors are built once (`layer0`), or kept by the sweep.  The ket
+        restarts at each window, so inverse-gate drift crosses at most
+        CHECKPOINT_INTERVAL steps: 32 inverse steps moved an amplitude by at
+        most 3.1e-14 (n = 1-12, ring and linear, three random circuits
         each).  A window's angle derivatives are summed in one reduction
         over its steps.
         """
@@ -498,7 +497,7 @@ class Steps:
             win_end = min(win_start + CHECKPOINT_INTERVAL, T)
             if kept is None:
                 seg, f0 = None, self.layer0(win_start, win_end)
-                ket = planar(self.checkpoints[win_end])
+                ket = self.checkpoints[win_end]
             else:
                 (seg, f0), kept = kept, None
             # every angle derivative of every step of the window
@@ -506,7 +505,7 @@ class Steps:
             for stop in range(win_end, win_start, -block):
                 start = max(win_start, stop - block)
                 inv0 = per_step(inverse([f[:, start - win_start:stop - win_start] for f in f0]))
-                lo = min(max(start, first - 1), stop)  # steps lo+1..stop inject readouts
+                lo = min(max(start, self.first - 1), stop)  # steps lo+1..stop inject readouts
                 ket_slots, ket_points = self.slots(stop - start)
                 if seg is None:
                     kets = np.empty((rows, stop - lo, dim), dtype=np.complex128)

@@ -16,7 +16,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from .errors import ConfigError, QlamError
+from .errors import ConfigError, QlamError, field_parser
 from .trainer import TrainConfig, evaluate, run_folds, train
 
 EXIT_CODES = {
@@ -54,9 +54,6 @@ _FLAG_HELP = {
     "workers": "threads that run the batched gradient and evaluation chunks side by side",
     "data_dir": "dataset root (default: QLAM_DATA_DIR environment variable)",
 }
-# field annotation (without "| None") -> argparse type
-_FLAG_TYPES = {"int": int, "float": float, "str": str}
-
 
 def _add_override_flags(parser: argparse.ArgumentParser) -> None:
     """--config, then one flag per TrainConfig field."""
@@ -64,7 +61,7 @@ def _add_override_flags(parser: argparse.ArgumentParser) -> None:
     for f in fields(TrainConfig):
         parser.add_argument(
             _FLAG_NAMES.get(f.name, "--" + f.name.replace("_", "-")), dest=f.name,
-            type=_FLAG_TYPES[f.type.partition(" | ")[0]], help=_FLAG_HELP.get(f.name),
+            type=field_parser(f), help=_FLAG_HELP.get(f.name),
         )
 
 

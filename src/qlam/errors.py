@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the package, and `check_fields`.
+"""Exception hierarchy shared across the package, `check_fields` and `field_parser`.
 
 Every error raised on a user-facing path derives from :class:`QlamError`
 so the CLI can map failures to categorized exit messages.  Every config
@@ -81,3 +81,9 @@ def check_fields(config) -> None:
             raise ConfigError(f"{f.name} must be >= {least}, got {value}")
         if most is not None and value > most:
             raise ConfigError(f"{f.name} must be <= {most}, got {value}")
+
+
+def field_parser(f) -> type:
+    """The parser of a dataclass field's text form, a CLI flag's or a CSV
+    column's, by its annotation: int, float or str, optionally ``| None``."""
+    return {"int": int, "float": float, "str": str}[f.type.partition(" | ")[0]]

@@ -94,7 +94,7 @@ def _backward(r: Run, w: np.ndarray, params, cfg, grads) -> None:
         flat = table.apply(kets.reshape(-1, kets.shape[-1]), coeffs.reshape(-1, table.size))
         return flat.reshape(kets.shape)
 
-    dtheta, denc = r.steps.adjoint(r.first, inject)
+    dtheta, denc = r.steps.adjoint(inject)
     grads["theta"] += dtheta.reshape(dtheta.shape[0], -1)
     grads["embed_w"] += np.einsum("btn,bt->bn", denc, r.tokens)
     grads["embed_b"] += denc.sum(axis=1)

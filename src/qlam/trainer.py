@@ -43,7 +43,7 @@ from .data import (
     holdout_split,
     load_dataset,
 )
-from .errors import ConfigError, DataError, NumericError, check_fields
+from .errors import ConfigError, DataError, NumericError, check_fields, field_parser
 from .gradients import GradBundle, batch_loss_and_grad
 from .nn import (
     AdamState,
@@ -59,13 +59,16 @@ from .nn import (
 )
 from .observables import MAX_SEED, MAX_SHOTS, ShotConfig
 
-METRICS_COLUMNS = ("epoch", "split", "loss", "accuracy", "lr", "seed", "fold")
 TIMING_COLUMNS = ("epoch", "wall_seconds")
 
 # The most epochs and folds a run takes: far above any preset's (30 to
 # 50 epochs, 10 folds), so a mistyped count is refused, not trained.
 MAX_EPOCHS = 10_000
 MAX_FOLDS = 1_000
+# The most threads that run a pass's chunks side by side: from n = 12
+# every sample is its own chunk, so an unbounded count could start one
+# thread per sample.
+MAX_WORKERS = 64
 
 # TrainConfig fields that decide the train/test split; a checkpoint
 # records them so evaluation can refuse a split it was trained on
@@ -107,7 +110,7 @@ class TrainConfig:
     # is one 64-bit word of the shot streams' key (`observables.stream_key`)
     RANGES = {"epochs": (1, MAX_EPOCHS), "batch_size": (1, None), "seed": (0, MAX_SEED),
               "n_folds": (1, MAX_FOLDS), "shots": (0, MAX_SHOTS), "train_subsample": (1, None),
-              "test_subsample": (1, None), "workers": (1, None)}
+              "test_subsample": (1, None), "workers": (1, MAX_WORKERS)}
 
     def __post_init__(self):
         check_fields(self)
@@ -165,6 +168,9 @@ class MetricsRow:
     fold: int
 
 
+METRICS_COLUMNS = tuple(f.name for f in fields(MetricsRow))
+
+
 @dataclass
 class TrainResult:
     config: TrainConfig
@@ -197,19 +203,23 @@ def append_metrics(path: Path, rows: list[MetricsRow]) -> None:
 
 
 def read_metrics(path) -> list[MetricsRow]:
-    """Parse a metrics CSV back into rows; inverse of append_metrics."""
+    """Parse a metrics CSV back into rows, each column by its field's
+    annotation; inverse of append_metrics.  ConfigError names the file
+    and line of a missing or other header and of a row that does not parse."""
+    parsers = [field_parser(f) for f in fields(MetricsRow)]
     rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header) != METRICS_COLUMNS:
-            raise ConfigError(f"{path} has header {header}, expected {METRICS_COLUMNS}")
+        header = next(reader, None)
+        if header is None or tuple(header) != METRICS_COLUMNS:
+            raise ConfigError(f"{path} line 1 has header {header}, expected {METRICS_COLUMNS}")
         for rec in reader:
-            rows.append(MetricsRow(
-                epoch=int(rec[0]), split=rec[1], loss=float(rec[2]),
-                accuracy=float(rec[3]), lr=float(rec[4]),
-                seed=int(rec[5]), fold=int(rec[6]),
-            ))
+            try:
+                if len(rec) != len(parsers):
+                    raise ValueError(f"{len(rec)} values for {len(parsers)} columns")
+                rows.append(MetricsRow(*(parse(text) for parse, text in zip(parsers, rec))))
+            except ValueError as exc:
+                raise ConfigError(f"{path} line {reader.line_num}: {exc}") from exc
     return rows
 
 
@@ -427,15 +437,9 @@ def train(config: TrainConfig, bundle: DatasetBundle | None = None) -> TrainResu
     )
     started = time.perf_counter()
     for epoch, lr, train_loss, train_acc in epochs:
-        test_loss, test_acc = evaluate_samples(
-            test_set, params, cell_cfg, workers=config.workers
-        )
-        last_train = MetricsRow(
-            epoch, "train", train_loss, train_acc, lr, config.seed, config.fold
-        )
-        last_test = MetricsRow(
-            epoch, "test", test_loss, test_acc, lr, config.seed, config.fold,
-        )
+        test_loss, test_acc = evaluate_samples(test_set, params, cell_cfg, workers=config.workers)
+        last_train = MetricsRow(epoch, "train", train_loss, train_acc, lr, config.seed, config.fold)
+        last_test = MetricsRow(epoch, "test", test_loss, test_acc, lr, config.seed, config.fold)
         append_metrics(metrics_path, [last_train, last_test])
         _append_rows(timing_path, TIMING_COLUMNS, [(epoch, time.perf_counter() - started)])
         started = time.perf_counter()

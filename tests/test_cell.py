@@ -87,7 +87,7 @@ def test_params_dict_round_trip():
     cfg = small_cfg()
     params = make_params(cfg, 3)
     rebuilt = QlamParams.from_dict(params.as_dict())
-    for key in QlamParams._KEYS:
+    for key in params.as_dict():
         assert np.array_equal(getattr(params, key), getattr(rebuilt, key))
     with pytest.raises(ShapeError):
         QlamParams.from_dict({"embed_w": np.zeros(2)})

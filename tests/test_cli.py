@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qlam.trainer
 from qlam.cell import CellConfig, init_qlam_params
 from qlam.checkpoint import load_checkpoint, save_checkpoint
 from qlam.cli import EXIT_CODES, build_config, build_parser, load_config_file, main
@@ -380,6 +381,14 @@ def test_epochs_or_folds_past_their_bound_exit_2_before_loading_data(tmp_path, c
     err = assert_exit([command, *SMNIST_TINY, "--data-dir", str(tmp_path / "absent"), flag, str(value)],
                       "config", capsys)
     assert f"{flag[2:].replace('-', '_')} must be <=" in err
+
+
+def test_workers_past_their_bound_exit_2_before_loading_data(tmp_path, capsys, monkeypatch):
+    # refused by the config, so no data loads and no thread starts
+    monkeypatch.setattr(qlam.trainer, "load_dataset", lambda *args: pytest.fail("loaded data"))
+    err = assert_exit(["train", *SMNIST_TINY, "--data-dir", str(tmp_path), "--workers", "65"],
+                      "config", capsys)
+    assert "workers must be <= 64" in err
 
 
 @pytest.mark.parametrize("flag, field", [("--shots", "shots"), ("--seed", "seed")])

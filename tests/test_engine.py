@@ -158,9 +158,9 @@ def test_adjoint_matches_dense_shifts_at_the_fold_crossover(n_qubits, n_layers, 
     a += a.conj().swapaxes(1, 2)
     steps = Steps(theta, emb, entangler)
     assert (steps.reads is None) == (n_qubits > FOLD_QUBITS)
-    steps.sweep(first, lambda lo, states: None, keep_last=True)
+    steps.sweep(first, lambda lo, states: None, backward=True)
     dtheta, denc = steps.adjoint(
-        first, lambda lo, kets: np.einsum("sij,bsj->bsi", a[lo:lo + kets.shape[1]], kets))
+        lambda lo, kets: np.einsum("sij,bsj->bsi", a[lo:lo + kets.shape[1]], kets))
 
     mats = [dense_step_matrix(cfg, theta, e) for e in emb[0]]
     before = [new_zero_state(n_qubits)]  # the state before each step
@@ -279,9 +279,9 @@ def test_walk_uncomputes_the_swept_kets(monkeypatch, n_qubits, rows, entangler):
 
     monkeypatch.setattr(Steps, "cross", recorded)
     steps = Steps(theta, emb, entangler)
-    steps.sweep(first, lambda lo, states: None, keep_last=True)
+    steps.sweep(first, lambda lo, states: None, backward=True)
     assert steps.kept is None
-    steps.adjoint(first, inject)
+    steps.adjoint(inject)
     assert sorted(injected) == list(range(first, T + 1))
     for t, ket in injected.items():
         assert_allclose(ket, before[:, t], rtol=0, atol=1e-12, err_msg=f"ket of step {t}")
@@ -518,8 +518,8 @@ def test_every_product_with_reads_runs_on_read_rows(n_qubits, rows):
                   "ring")
     for name in heights:
         setattr(steps, name, recorded(name, getattr(steps, name)))
-    steps.sweep(1, lambda lo, states: None, keep_last=True)
-    steps.adjoint(1, lambda lo, kets: kets)
+    steps.sweep(1, lambda lo, states: None, backward=True)
+    steps.adjoint(lambda lo, kets: kets)
     assert len(heights["tail"]) == T and len(heights["reads"]) > T
     for name, seen in heights.items():
         assert set(seen) == {READ_ROWS}, name
@@ -580,6 +580,29 @@ def test_only_a_gradient_pass_keeps_the_last_window():
     assert run(tokens, params, cfg).steps.kept is None
     states, f0 = run(tokens, params, cfg, backward=True).steps.kept
     assert states.shape == (2, 1, 16)
+
+
+@pytest.mark.parametrize("n_qubits", [4, FOLD_QUBITS + 1], ids=["folded", "layered"])
+def test_a_pass_stores_only_the_end_states_its_walk_reads(n_qubits):
+    # a forward-only pass stores no walk state; a gradient's pass stores
+    # each window's end state, as the planar rows of the stack the walk
+    # starts from (padding rows zero), and no start state
+    cfg = small_cfg(n_qubits, t_keep=2)
+    params = init_qlam_params(np.random.default_rng(154), cfg)
+    K = CHECKPOINT_INTERVAL
+    T = 2 * K + 5
+    tokens = np.random.default_rng(155).uniform(0.0, 1.0, (2, T))
+    steps = run(tokens, params, cfg).steps
+    assert steps.checkpoints == {} and steps.kept is None
+    r = run(tokens, params, cfg, cfg.t_keep, backward=True)
+    assert sorted(r.steps.checkpoints) == [K, 2 * K, T]
+    psi = np.zeros((2, 1 << n_qubits), dtype=np.complex128)
+    psi[:, 0] = 1.0
+    swept = Steps(params.theta, r.embeddings, cfg.entangler).evolve(psi, 0, T)[0]
+    for t, rows in r.steps.checkpoints.items():
+        assert rows.dtype == np.float64 and rows.shape == (r.steps.height, 2 << n_qubits), t
+        assert_array_equal(rows[:2], planar(swept[:, t - 1]), err_msg=f"step {t}")
+        assert not rows[2:].any(), t
 
 
 @pytest.mark.parametrize("sample_index", [[0, 1], [0, 1, 2, 3], [[0, 1, 2]]],

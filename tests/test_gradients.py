@@ -222,8 +222,8 @@ def test_weighted_grads_match_fd_with_early_weights():
 
 
 def test_checkpoint_window_crossing_matches_param_shift():
-    # Two boundaries: T = 65 stores checkpoints at 0, 32, and 64, and the
-    # rewind walks through all three windows.
+    # Two boundaries: T = 65 stores the end states of steps 32, 64 and 65,
+    # and the rewind walks through all three windows.
     cfg = small_cfg(n_heads=2)
     params = make(cfg, seed=40)
     rng = np.random.default_rng(41)

@@ -2,6 +2,7 @@
 learning capacity on synthetic data."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from qlam.gradients import loss_and_grad
 from qlam.nn import init_elman, softmax_cross_entropy
 from qlam.observables import MAX_SHOTS, ShotConfig
 from qlam.trainer import (
+    MAX_WORKERS,
     METRICS_COLUMNS,
     SPLIT_FIELDS,
     MetricsRow,
@@ -95,9 +97,13 @@ def test_config_validation():
 
 def test_seed_and_shots_have_upper_bounds():
     # the seed is one 64-bit word of the shot streams' key: seed 2**64
-    # would draw seed 0's shots while its other streams differ
-    tiny_config(seed=2**64 - 1, shots=MAX_SHOTS)
-    for field, value in (("seed", 2**64), ("shots", MAX_SHOTS + 1), ("shots", 2**70)):
+    # would draw seed 0's shots while its other streams differ; from
+    # n = 12 every sample is its own chunk, so an unbounded worker count
+    # could start a thread per sample (refused by construction: no
+    # thread starts here)
+    tiny_config(seed=2**64 - 1, shots=MAX_SHOTS, workers=MAX_WORKERS)
+    for field, value in (("seed", 2**64), ("shots", MAX_SHOTS + 1), ("shots", 2**70),
+                         ("workers", MAX_WORKERS + 1)):
         with pytest.raises(ConfigError, match=f"{field} must be <="):
             tiny_config(**{field: value})
 
@@ -213,6 +219,19 @@ def test_metrics_round_trip_exact(tmp_path):
         assert back.lr == row.lr
     header = path.read_text().splitlines()[0]
     assert header == ",".join(METRICS_COLUMNS)
+
+
+def test_read_metrics_refuses_a_malformed_file_naming_its_line(tmp_path):
+    # a short or long row, a value that does not parse and an empty file
+    # are each a ConfigError naming the file and the line
+    path = tmp_path / "metrics.csv"
+    append_metrics(path, [MetricsRow(1, "train", 1.0, 0.5, 1e-3, 0, 0)])
+    good = path.read_text()
+    for text, line in ((good + "2,test,0.9\n", 3), (good + "2,test,0.9,0.6,1e-3,0,0,7\n", 3),
+                       (good + "2,test,x,0.6,1e-3,0,0\n", 3), ("", 1)):
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=re.escape(f"{path} line {line}")):
+            read_metrics(path)
 
 
 def test_metrics_header_written_once(tmp_path):

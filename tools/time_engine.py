@@ -17,10 +17,11 @@ the output.
 A forward step is `Steps.evolve` over one window of CHECKPOINT_INTERVAL
 steps of the default 2-layer ring cell, divided by the window's steps.
 An adjoint step is `Steps.adjoint` after a `sweep` of the same window
-that reads out every step, timed twice: "kept", after a gradient's
-sweep, which keeps the window, so the walk reads the kept states; and
-"uncomputed", after a forward-only sweep, which keeps none, so the walk
-takes every ket back from the window's end state.  Each times the
+that reads out every step, timed twice after a gradient's sweep:
+"kept", which walks the window the sweep keeps, so the walk reads the
+kept states; and "uncomputed", with that window dropped (`Steps.kept`
+set to None), so the walk takes every ket back from the window's end
+state.  Each times the
 rewinds, the read points, the cross operators and the injections (the
 kets themselves) of every step.  The one-time builds of `tail` and
 `reads` are not timed.  Each round times every cell once per engine,
@@ -96,10 +97,12 @@ def time_cell(n: int, rows: int, folded: bool) -> tuple[float, float, float]:
         begin = time.perf_counter()
         steps.evolve(psi, 0, T)
         best[0] = min(best[0], time.perf_counter() - begin)
-        for i, keep_last in ((1, True), (2, False)):  # every step read out: kept, or not
-            steps.sweep(1, lambda lo, states: None, keep_last=keep_last)
+        for i, keep in ((1, True), (2, False)):  # every step read out: kept, or not
+            steps.sweep(1, lambda lo, states: None, backward=True)
+            if not keep:
+                steps.kept = None  # the walk uncomputes the window
             begin = time.perf_counter()
-            steps.adjoint(1, lambda lo, kets: kets)
+            steps.adjoint(lambda lo, kets: kets)
             best[i] = min(best[i], time.perf_counter() - begin)
     return tuple(b * 1e6 / T for b in best)
 
