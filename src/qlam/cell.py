@@ -106,18 +106,18 @@ class CellConfig:
 
 @dataclass
 class QlamParams:
-    """Every trainable array of the hybrid model."""
+    """Every trainable array of the hybrid model, shaped by `param_shapes`."""
 
-    embed_w: np.ndarray  # (n_qubits,)
-    embed_b: np.ndarray  # (n_qubits,)
-    theta: np.ndarray    # (n_layers * 2 * n_qubits,)
-    w_q: np.ndarray      # (d_query, n_qubits)
-    dec_w1: np.ndarray   # (n_heads, decoder_hidden, d_query)
-    dec_b1: np.ndarray   # (n_heads, decoder_hidden)
-    dec_w2: np.ndarray   # (n_heads, pool_size, decoder_hidden)
-    dec_b2: np.ndarray   # (n_heads, pool_size)
-    cls_w: np.ndarray    # (n_classes, n_heads * t_keep)
-    cls_b: np.ndarray    # (n_classes,)
+    embed_w: np.ndarray
+    embed_b: np.ndarray
+    theta: np.ndarray
+    w_q: np.ndarray
+    dec_w1: np.ndarray
+    dec_b1: np.ndarray
+    dec_w2: np.ndarray
+    dec_b2: np.ndarray
+    cls_w: np.ndarray
+    cls_b: np.ndarray
 
     def as_dict(self) -> dict[str, np.ndarray]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -134,25 +134,24 @@ class QlamParams:
         return QlamParams(**{k: v.copy() for k, v in self.as_dict().items()})
 
     def validate(self, cfg: CellConfig) -> None:
-        n, p = cfg.n_qubits, cfg.pool_size
-        expected = {
-            "embed_w": (n,),
-            "embed_b": (n,),
-            "theta": (2 * cfg.n_layers * n,),
-            "w_q": (cfg.d_query, n),
-            "dec_w1": (cfg.n_heads, cfg.decoder_hidden, cfg.d_query),
-            "dec_b1": (cfg.n_heads, cfg.decoder_hidden),
-            "dec_w2": (cfg.n_heads, p, cfg.decoder_hidden),
-            "dec_b2": (cfg.n_heads, p),
-            "cls_w": (cfg.n_classes, cfg.feature_dim),
-            "cls_b": (cfg.n_classes,),
-        }
-        for key, shape in expected.items():
-            arr = getattr(self, key)
-            if arr.shape != shape:
-                raise ShapeError(f"{key} has shape {arr.shape}, expected {shape}")
+        shapes = param_shapes(cfg)
+        for key, arr in self.as_dict().items():
+            if arr.shape != shapes[key]:
+                raise ShapeError(f"{key} has shape {arr.shape}, expected {shapes[key]}")
             if not np.all(np.isfinite(arr)):
                 raise NumericError(f"{key} contains non-finite values")
+
+
+def param_shapes(cfg: CellConfig) -> dict[str, tuple[int, ...]]:
+    """The shape of every `QlamParams` array of a cell, by field name."""
+    n, h, hidden, p = cfg.n_qubits, cfg.n_heads, cfg.decoder_hidden, cfg.pool_size
+    return {
+        "embed_w": (n,), "embed_b": (n,),
+        "theta": (2 * cfg.n_layers * n,), "w_q": (cfg.d_query, n),
+        "dec_w1": (h, hidden, cfg.d_query), "dec_b1": (h, hidden),
+        "dec_w2": (h, p, hidden), "dec_b2": (h, p),
+        "cls_w": (cfg.n_classes, cfg.feature_dim), "cls_b": (cfg.n_classes,),
+    }
 
 
 def init_qlam_params(rng: np.random.Generator, cfg: CellConfig) -> QlamParams:
@@ -168,22 +167,16 @@ def init_qlam_params(rng: np.random.Generator, cfg: CellConfig) -> QlamParams:
     """
     from .nn import init_affine
 
-    n, p, h = cfg.n_qubits, cfg.pool_size, cfg.n_heads
-    ew, eb = init_affine(rng, n, 1)
-    wq, _ = init_affine(rng, cfg.d_query, n)
-    w1 = np.empty((h, cfg.decoder_hidden, cfg.d_query))
-    b1 = np.empty((h, cfg.decoder_hidden))
-    w2 = np.empty((h, p, cfg.decoder_hidden))
-    b2 = np.empty((h, p))
-    for i in range(h):
-        w1[i], b1[i] = init_affine(rng, cfg.decoder_hidden, cfg.d_query)
-        w2[i], b2[i] = init_affine(rng, p, cfg.decoder_hidden)
-    cw, cb = init_affine(rng, cfg.n_classes, cfg.feature_dim)
-    theta = rng.uniform(-0.1, 0.1, size=2 * cfg.n_layers * n)
-    return QlamParams(
-        embed_w=ew[:, 0], embed_b=eb, theta=theta, w_q=wq,
-        dec_w1=w1, dec_b1=b1, dec_w2=w2, dec_b2=b2, cls_w=cw, cls_b=cb,
-    )
+    params = QlamParams(**{k: np.empty(shape) for k, shape in param_shapes(cfg).items()})
+    ew, params.embed_b[:] = init_affine(rng, cfg.n_qubits, 1)
+    params.embed_w[:] = ew[:, 0]
+    params.w_q[:], _ = init_affine(rng, cfg.d_query, cfg.n_qubits)
+    for i in range(cfg.n_heads):
+        params.dec_w1[i], params.dec_b1[i] = init_affine(rng, cfg.decoder_hidden, cfg.d_query)
+        params.dec_w2[i], params.dec_b2[i] = init_affine(rng, cfg.pool_size, cfg.decoder_hidden)
+    params.cls_w[:], params.cls_b[:] = init_affine(rng, cfg.n_classes, cfg.feature_dim)
+    params.theta[:] = rng.uniform(-0.1, 0.1, size=params.theta.shape)
+    return params
 
 
 def embed_token(tokens, params: QlamParams) -> np.ndarray:

@@ -13,44 +13,44 @@ vector, viewed as (n_layers, n_qubits, 2) with RY at [..., 0] and RZ at
 set; the shift oracle in `gradients` moves an angle at every step.
 `cell.CellConfig` sets the circuit's shape; `Steps` reads it off its arrays.
 
-`Steps` is the step engine at every register size, and it owns the
-whole sweep over a stack of B equal-length sequences, advanced together
-as one (B, 2**n) array; a single sequence is B = 1.  `Steps.sweep`
-evolves |0...0> one window of K = `CHECKPOINT_INTERVAL` steps at a
-time and hands each window's states to a readout callback; for a
-gradient it also stores each window's end state and the last window
-when all of it is read out.  `Steps.adjoint` walks back from step T,
-starting from that window, and takes the kets of every other one back
-from its end state by the inverse steps, in the same backward sweep as
-the adjoint rows (Jones & Gacon, arXiv:2009.02823).  A forward-only
-sweep stores neither.  Memory is the B * T/K end states, one window of B
-swept sequences (the sweep's, or the kept one), one window's layer-0
-factors, built in one call (per row and step, d**2 float64 per factor
-group of d amplitudes: at most 1.25x the float64 a state holds, and
-768 against its 8,192 at n = 12), and a walk over kets of at most
+`Steps` is the step engine at every register size, and it owns the whole
+sweep over a stack of B equal-length sequences, advanced together as one
+(B, 2**n) array; a single sequence is B = 1.  `Steps.sweep` evolves
+|0...0> one window of K = `CHECKPOINT_INTERVAL` steps at a time and
+hands each window's states to a readout callback; for a gradient it also
+keeps the last window when all of it is read out, and stores the end
+state of every other window.  `Steps.adjoint` walks back from step T,
+starting from the kept window, and takes the kets of every other one
+back from its end state by the inverse steps, in the same backward sweep
+as the adjoint rows (Jones & Gacon, arXiv:2009.02823), reading two angle
+derivatives per qubit, layer and step (`Steps.cross`).  A forward-only
+sweep stores neither.  Memory is at most the B * T/K end states, one
+window of B swept sequences (the sweep's, or the kept one), one window's
+layer-0 factors, built in one call (per row and step, d**2 float64 per
+factor group of d amplitudes: at most 1.25x the float64 a state holds,
+and 768 against its 8,192 at n = 12), and a walk over kets of at most
 max(B * 2**n, WALK_AMPLITUDES) amplitudes plus n_layers ket and n_layers
-adjoint rows per ket: O(B * (K + T/K) * 2**n) for any sequence
-length.  A layer's rotations
-are a tensor product, so with a state viewed as a tensor over k groups
-of qubits (two up to n = 10, three from n = 11; `factor_widths`) they
-are k small real RY matrix products on the state's float64 view, one
-per group, and the layer's RZ gates are one diagonal phase.  The
-encoding folds into layer 0, and the CNOT entangler is one index
-gather, which also applies the phase.  Only layer 0's RY factors change
-from step to step; the rest of a step is fixed by theta.  On registers
-of at most FOLD_QUBITS qubits, where a step costs numpy calls rather
-than arithmetic, that fixed tail is one real matrix built per `Steps`,
-so a forward step is layer 0's GEMMs and one product (`Steps.fold`).
-The adjoint folds the same way: one matrix built on its first run gives
-every layer's read point, so a rewind step, of a ket or of an adjoint
-row, is one product and layer 0's inverse GEMMs (`Steps.reads`).
-Larger registers run the layers one by one.  Folded, every stack a
-`Steps` walks is zero-padded to whole blocks of READ_ROWS rows
-(`Steps.height`).  Every reduction runs on one row of the stack, in an
-order that does not depend on B, and every product over rows runs on
+adjoint rows per ket: O(B * (K + T/K) * 2**n) for any sequence length.  A
+layer's rotations are a tensor product, so with a state viewed as a
+tensor over k groups of qubits (two up to n = 10, three from n = 11;
+`factor_widths`) they are k small real RY matrix products on the state's
+float64 view, one per group, and the layer's RZ gates are one diagonal
+phase.  The encoding folds into layer 0, and the CNOT entangler is one
+index gather, which also applies the phase.  Only layer 0's RY factors
+change from step to step; the rest of a step is fixed by theta.  On
+registers of at most FOLD_QUBITS qubits, where a step costs numpy calls
+rather than arithmetic, that fixed tail is one real matrix built per
+`Steps`, so a forward step is layer 0's GEMMs and one product
+(`Steps.fold`).  The adjoint folds the same way: one matrix built on its
+first run gives every layer's read point, so a rewind step, of a ket or
+of an adjoint row, is one product and layer 0's inverse GEMMs
+(`Steps.reads`).  Larger registers run the layers one by one.  Folded,
+every stack a `Steps` walks is zero-padded to whole blocks of READ_ROWS
+rows (`Steps.height`).  Every reduction runs on one row of the stack, in
+an order that does not depend on B, and every product over rows runs on
 blocks of a fixed row count (`block_matmul`, which `cell.decoder`
-shares), so a sequence's states and derivatives are bit for bit those
-of a B = 1 sweep.
+shares), so a sequence's states and derivatives are bit for bit those of
+a B = 1 sweep.
 """
 
 from __future__ import annotations
@@ -213,19 +213,19 @@ def times_ry(u: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def trace_index(width: int) -> np.ndarray:
-    """(width, 2, 2, d/2) flat indices into a d x d matrix, d = 2**width,
-    read-only and built once per width: entry [j, a, b, r] is the element
-    whose row has bit j equal to a, whose column has bit j equal to b, and
-    whose other bits are, in both, r's bits in order.  Summing a Gram
-    matrix over r gives qubit j's partial trace."""
-    j = np.arange(width)[:, None, None, None]
-    r = np.arange((1 << width) >> 1)
-    rest = ((r >> j) << (j + 1)) | (r & ((1 << j) - 1))  # r with a 0 put in at bit j
-    a, b = np.arange(2)[:, None, None] << j, np.arange(2)[:, None] << j
-    index = ((rest | a) << width) | rest | b
-    index.setflags(write=False)
-    return index
+def derivative_weights(width: int) -> np.ndarray:
+    """(2 * 4**width, 2 * width) read-only +-1 weights, built once per
+    width, from the float64 view of a d x d complex matrix G, d = 2**width,
+    to [Re(rho01 - rho10), Im(rho00 - rho11)] of each bit j of its index,
+    rho the partial trace of G over every other bit."""
+    d = 1 << width
+    i, j = np.arange(d), np.arange(width)[:, None]
+    sign = 1 - 2 * ((i >> j) & 1)  # +1 where row bit j is 0
+    weights = np.zeros((d, d, 2, width, 2))
+    weights[i, i ^ (1 << j), 0, j, 0] = sign
+    weights[i, i, 1, j, 1] = sign
+    weights.setflags(write=False)
+    return weights.reshape(2 * d * d, 2 * width)
 
 
 class Steps:
@@ -268,7 +268,8 @@ class Steps:
     a planar row to every layer's read point in one real product, which
     `rewind` (each ket and adjoint row the walk takes back a step) and
     `points` (the kets of a kept window) run in blocks of READ_ROWS rows
-    (`block_matmul`); above it both go layer by layer (`unwind`).
+    (`block_matmul`); above it both go layer by layer (`unwind`).  At
+    every size `cross` reads each qubit's two angle derivatives there.
     Non-finite angles or embeddings raise NumericError.
     """
 
@@ -430,14 +431,15 @@ class Steps:
         states.  A window holding kept steps (first..T, 1-based, recorded
         as `first`) calls read(lo, states) with the (B, S, 2**n) states
         after its steps lo+1..lo+S.  With backward, for a pass the adjoint
-        follows, `checkpoints` maps each window's end step (K, 2K, ...,
-        T) to its end state as the planar (height, 2 * 2**n) rows the
-        walk starts from, and `kept` holds the last window's states and
-        layer-0 factors when every one of its steps is kept (else None),
-        which `adjoint` starts from; a forward-only pass stores neither.
-        Storing the rest of a last window that is read out only in part
-        cost memory: at n = 12, T = 256, t_keep = 16 it raised a training
-        run's peak RSS by 0.9-1.0 MB."""
+        follows, `kept` holds the last window's states and layer-0 factors
+        when every one of its steps is kept (else None), which `adjoint`
+        starts from, and `checkpoints` maps the end step (K, 2K, ..., T)
+        of every window the walk uncomputes, every other one, to its end
+        state as the planar (height, 2 * 2**n) rows the walk starts from;
+        a forward-only pass stores neither.  Storing the rest of a last
+        window that is read out only in part cost memory: at n = 12,
+        T = 256, t_keep = 16 it raised a training run's peak RSS by
+        0.9-1.0 MB."""
         T = self.embeddings.shape[1]
         psi = np.zeros((self.height, 1 << self.n), dtype=np.complex128)
         psi[:self.rows, 0] = 1.0
@@ -453,7 +455,7 @@ class Steps:
                 read(lo, states)
             if keep:
                 self.kept = states, f0
-            if backward:
+            elif backward:  # the walk uncomputes this window from its end state
                 self.checkpoints[stop] = planar(psi)
             del states  # release the window before the next one is allocated
         return psi[:self.rows]
@@ -469,22 +471,23 @@ class Steps:
         walk_rows(n) // B steps (at least one), last first.  A sub-block's
         kets are the states the sweep kept (`kept`), taken to each layer's
         read point, between its RY and RZ gates, by `points`; in every other
-        window they are uncomputed: the ket starts at the window's end state
-        (`checkpoints`) and `rewind` takes it back a step at a time, writing
-        its read points.  One `inject` call takes the sub-block's B-row kets;
-        its injections are padded once to `height`.  The adjoint recurrence
-        lam <- M_t^H (lam + inj_t), with lam (height, 2 * 2**n) planar rows,
-        as the ket is, then runs once per step (`rewind`) and keeps the
-        adjoint rows L at the same points, and one `cross` call reads, on the
-        B real rows, the derivative Im <L| P |K> = Im tr(P rho_j) of every
-        angle a of a gate exp(-i a P/2) on qubit j, for every layer and step
-        (the layer's other gates commute with P).  A window's layer-0
-        factors are built once (`layer0`), or kept by the sweep.  The ket
-        restarts at each window, so inverse-gate drift crosses at most
-        CHECKPOINT_INTERVAL steps: 32 inverse steps moved an amplitude by at
-        most 3.1e-14 (n = 1-12, ring and linear, three random circuits
-        each).  A window's angle derivatives are summed in one reduction
-        over its steps.
+        window they are uncomputed: the ket starts at the window's end state,
+        taken out of `checkpoints`, and `rewind` takes it back a step at a
+        time, writing its read points.  One `inject` call takes the
+        sub-block's B-row kets; its injections are padded once to `height`.
+        The adjoint recurrence lam <- M_t^H (lam + inj_t), with lam
+        (height, 2 * 2**n) planar rows, as the ket is, then runs once per
+        step (`rewind`) and keeps the adjoint rows L at the same points, and
+        one `cross` call reads, on the B real rows, the derivative
+        Im <L| P |K> = Im tr(P rho_j) of every angle a of a gate
+        exp(-i a P/2) on qubit j, for every layer and step (the layer's
+        other gates commute with P), in the axis order `slots` gives.  A
+        window's layer-0 factors are built once (`layer0`), or kept by the
+        sweep.  The ket restarts at each window, so inverse-gate drift
+        crosses at most CHECKPOINT_INTERVAL steps: 32 inverse steps moved an
+        amplitude by at most 3.1e-14 (n = 1-12, ring and linear, three
+        random circuits each).  A window's angle derivatives are summed in
+        one reduction over its steps.
         """
         rows, T = self.rows, self.embeddings.shape[1]
         dim = 1 << self.n
@@ -497,7 +500,7 @@ class Steps:
             win_end = min(win_start + CHECKPOINT_INTERVAL, T)
             if kept is None:
                 seg, f0 = None, self.layer0(win_start, win_end)
-                ket = self.checkpoints[win_end]
+                ket = self.checkpoints.pop(win_end)
             else:
                 (seg, f0), kept = kept, None
             # every angle derivative of every step of the window
@@ -506,7 +509,7 @@ class Steps:
                 start = max(win_start, stop - block)
                 inv0 = per_step(inverse([f[:, start - win_start:stop - win_start] for f in f0]))
                 lo = min(max(start, self.first - 1), stop)  # steps lo+1..stop inject readouts
-                ket_slots, ket_points = self.slots(stop - start)
+                ket_slots, ket_points, _ = self.slots(stop - start)
                 if seg is None:
                     kets = np.empty((rows, stop - lo, dim), dtype=np.complex128)
                     for t in range(stop, start, -1):
@@ -521,7 +524,7 @@ class Steps:
                 if lo < stop:
                     inj = np.zeros((stop - lo,) + lam.shape)
                     inj[:, :rows] = planar(inject(lo, kets)).swapaxes(0, 1)
-                slots, points = self.slots(stop - start)
+                slots, points, order = self.slots(stop - start)
                 for t in range(stop, start, -1):
                     if t > lo:
                         lam += inj[t - lo - 1]
@@ -529,34 +532,30 @@ class Steps:
                 # read between the gates of U_j = RZ(b) RY(a): dJ/da =
                 # Im tr(Y rho_j), dJ/db = Im tr(Z rho_j); layer 0's encoding
                 # RY(e_t) shares the RY axis, so dJ/de_t = dJ/da at step t
-                rho = self.cross(ket_points, points)
-                # to (rows, steps, layers) from the order `slots` views them in
-                rho = rho.transpose((2, 1, 0, 3, 4, 5) if self.reads is None else (1, 0, 2, 3, 4, 5))
-                derivs = dwin[:, start - win_start:stop - win_start]
-                derivs[..., 0] = (rho[..., 0, 1] - rho[..., 1, 0]).real
-                derivs[..., 1] = (rho[..., 0, 0] - rho[..., 1, 1]).imag
+                derivs = self.cross(ket_points, points).transpose(order + (3, 4))
+                dwin[:, start - win_start:stop - win_start] = derivs
                 denc[:, start:stop] = derivs[:, :, 0, :, 0]
             dtheta += dwin.sum(axis=1)
             # release the window before the next one's factors are built
-            del seg, f0, kets, ket_slots, ket_points, slots, points, rho
+            del seg, f0, kets, ket_slots, ket_points, slots, points, derivs
         return dtheta, denc
 
-    def slots(self, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    def slots(self, steps: int) -> tuple[np.ndarray, np.ndarray, tuple[int, int, int]]:
         """Empty read points of the walked rows over `steps` steps: the
         per-step slots `rewind` writes straight into, contiguous, or
-        numpy's `take(out=)` copies through a temporary, and one complex
-        view of the B real rows of all of them for `cross`.  Folded, a
-        slot is a float64 (height, n_layers * 2 * 2**n) block, and the view
-        (steps, B, n_layers, 2**n); layered, one complex (B, d_0,
-        2**n / d_0) block per layer, and the view (n_layers, steps, B,
-        2**n)."""
+        numpy's `take(out=)` copies through a temporary; one complex view
+        of the B real rows of all of them for `cross`; and the axes of
+        that view in (B, steps, n_layers) order.  Folded, a slot is a
+        float64 (height, n_layers * 2 * 2**n) block, and the view (steps,
+        B, n_layers, 2**n); layered, one complex (B, d_0, 2**n / d_0)
+        block per layer, and the view (n_layers, steps, B, 2**n)."""
         n_layers = len(self.angles)
         if self.reads is None:
             points = np.empty((n_layers, steps, self.rows) + self.shape, dtype=np.complex128)
-            return points.swapaxes(0, 1), points.reshape(n_layers, steps, self.rows, -1)
+            return points.swapaxes(0, 1), points.reshape(n_layers, steps, self.rows, -1), (2, 1, 0)
         slots = np.empty((steps, self.height, n_layers << (self.n + 1)))
         points = slots.view(np.complex128).reshape(steps, -1, n_layers, 1 << self.n)
-        return slots, points[:, :self.rows]
+        return slots, points[:, :self.rows], (1, 0, 2)
 
     def unwind(self, x: np.ndarray, out: np.ndarray | None = None) -> list[np.ndarray]:
         """Every layer's read point, between its RY and RZ gates, of the
@@ -617,28 +616,27 @@ class Steps:
         return self.rotate(first, points).reshape(len(x), -1)
 
     def cross(self, kets: np.ndarray, adjoints: np.ndarray) -> np.ndarray:
-        """(..., n, 2, 2) reduced cross operators rho_j = Tr_{not j} |k><l|
-        of every qubit j, for rows of kets k and adjoints l (..., 2**n):
-        per factor group g, the Gram matrix of k and conj(l) over every
-        axis but a_g, then every partial trace of it in one reduction
-        (`trace_index`).  The Gram matrices are stacked per-row products
-        and the trace sums by halving adds, so each row rounds the same
-        whatever the other rows are."""
+        """(..., n, 2) angle derivatives [Re(rho01 - rho10), Im(rho00 -
+        rho11)] of the cross operator rho_j = Tr_{not j} |k><l| of every
+        qubit j, for rows of kets k and adjoints l (..., 2**n): per factor
+        group g, the Gram matrix of k and conj(l) over every axis but a_g,
+        then its float64 view times the group's `derivative_weights`.  The
+        Gram matrices are stacked per-row products and the weights run in
+        blocks of READ_ROWS rows, so each row rounds the same whatever the
+        other rows are."""
         size = 1 << self.n
         k = kets.reshape(-1, size)
         lc = adjoints.conj().reshape(k.shape)
-        rho = np.empty((k.shape[0], self.n, 2, 2), dtype=np.complex128)
+        rows = len(k)
+        derivs = np.empty((rows, self.n, 2))
         outer = 1  # values of the axes before group g
         for d, qubits in zip(self.dims, self.groups):
             if d == 1:
                 continue  # the empty second group at n = 1
-            view = (k.shape[0], outer, d, size // (outer * d))
-            kg, lg = (v.reshape(view).swapaxes(1, 2).reshape(view[0], d, -1) for v in (k, lc))
-            gram = kg @ lg.swapaxes(-1, -2)
-            t = gram.reshape(view[0], -1).take(trace_index(qubits.stop - qubits.start), axis=-1)
-            while t.shape[-1] > 1:
-                half = t.shape[-1] // 2
-                t = t[..., :half] + t[..., half:]
-            rho[:, qubits] = t[..., 0]
+            view = (rows, outer, d, size // (outer * d))
+            kg, lg = (v.reshape(view).swapaxes(1, 2).reshape(rows, d, -1) for v in (k, lc))
+            gram = (kg @ lg.swapaxes(-1, -2)).view(np.float64).reshape(rows, -1)
+            weights = derivative_weights(qubits.stop - qubits.start)
+            derivs[:, qubits] = block_matmul(gram, weights, READ_ROWS)[:rows].reshape(rows, -1, 2)
             outer *= d
-        return rho.reshape(kets.shape[:-1] + rho.shape[1:])
+        return derivs.reshape(kets.shape[:-1] + derivs.shape[1:])

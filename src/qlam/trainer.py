@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cell import CellConfig, QlamParams, batch_logits, init_qlam_params
+from .cell import CellConfig, QlamParams, batch_logits, init_qlam_params, param_shapes
 from .checkpoint import load_checkpoint, save_checkpoint
 from .circuits import walk_rows
 from .data import (
@@ -531,8 +531,7 @@ def train_elman(config: TrainConfig, bundle: DatasetBundle | None = None) -> tup
     """
     train_set, test_set, cell_cfg = _splits(config, bundle)
     n_classes = cell_cfg.n_classes
-    # only the shapes count, so any stream will do
-    target = param_count(init_qlam_params(np.random.default_rng(0), cell_cfg).as_dict())
+    target = sum(math.prod(shape) for shape in param_shapes(cell_cfg).values())
     d_hidden = min(
         range(1, math.isqrt(target) + 2),
         key=lambda d: abs(d * d + (n_classes + 2) * d + n_classes - target),

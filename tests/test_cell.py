@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 
 from oracles import dense_observable_matrix, dense_recurrence_readouts, einsum_decoder
 
+from qlam import cell
 from qlam.cell import (
     DECODER_ROWS,
     MAX_LAYERS,
@@ -25,6 +26,7 @@ from qlam.cell import (
     final_logits,
     forward,
     init_qlam_params,
+    param_shapes,
     predict,
     run,
 )
@@ -73,14 +75,26 @@ def test_params_shapes_and_validation():
     params.validate(cfg)
     assert params.theta.shape == (2 * cfg.n_layers * cfg.n_qubits,)
     assert params.dec_w2.shape == (2, 5, 4)
-    bad = params.copy()
-    bad.cls_w = np.zeros((3, 99))
-    with pytest.raises(ShapeError):
-        bad.validate(cfg)
-    bad2 = params.copy()
-    bad2.theta[0] = np.nan
-    with pytest.raises(NumericError):
-        bad2.validate(cfg)
+    # every field is checked: a wrong shape, then a non-finite value
+    for field in dataclasses.fields(QlamParams):
+        bad = params.copy()
+        setattr(bad, field.name, np.zeros(getattr(params, field.name).shape + (1,)))
+        with pytest.raises(ShapeError, match=field.name):
+            bad.validate(cfg)
+        bad = params.copy()
+        getattr(bad, field.name).flat[-1] = np.nan
+        with pytest.raises(NumericError, match=field.name):
+            bad.validate(cfg)
+
+
+def test_a_field_without_a_shape_fails_the_first_validate(monkeypatch):
+    cfg = small_cfg()
+    params = make_params(cfg)
+    shapes = param_shapes(cfg)
+    del shapes["dec_b2"]
+    monkeypatch.setattr(cell, "param_shapes", lambda cfg: shapes)
+    with pytest.raises(KeyError, match="dec_b2"):
+        params.validate(cfg)
 
 
 def test_params_dict_round_trip():

@@ -347,31 +347,34 @@ def test_cross_operators_match_partial_traces(n_qubits):
     rng = np.random.default_rng(120 + n_qubits)
     dim = 1 << n_qubits
     kets, adjoints = (rng.normal(size=(3, dim)) + 1j * rng.normal(size=(3, dim)) for _ in range(2))
-    rho = steps.cross(kets, adjoints)
+    derivs = steps.cross(kets, adjoints)
+    assert derivs.shape == (3, n_qubits, 2)
     index = np.arange(dim)
     for j in range(n_qubits):
         # rho_j[a, b] sums k[i] conj(l[i']) over index pairs that agree
         # on every bit but bit j, which is a in i and b in i'
-        want = np.zeros((3, 2, 2), dtype=np.complex128)
+        rho = np.zeros((3, 2, 2), dtype=np.complex128)
         for a in range(2):
             rows = index[(index >> j) & 1 == a]
             for b in range(2):
                 partners = (rows & ~(1 << j)) | (b << j)
-                want[:, a, b] = (kets[:, rows] * adjoints[:, partners].conj()).sum(axis=1)
-        assert_allclose(rho[:, j], want, atol=1e-12)
+                rho[:, a, b] = (kets[:, rows] * adjoints[:, partners].conj()).sum(axis=1)
+        # the RY and RZ angle derivatives the adjoint reads off rho_j
+        assert_allclose(derivs[:, j, 0], (rho[:, 0, 1] - rho[:, 1, 0]).real, atol=1e-12)
+        assert_allclose(derivs[:, j, 1], (rho[:, 0, 0] - rho[:, 1, 1]).imag, atol=1e-12)
 
 
 @pytest.mark.parametrize("n_qubits", [1, 2, 3, 5, STRIDED_N, 11, 12])
 def test_cross_operators_of_a_row_do_not_depend_on_the_stack(n_qubits):
-    # the determinism contract at the walk's reduction: a row's partial
-    # traces round the same in a stack of three as on their own
+    # the determinism contract at the walk's reduction: a row's angle
+    # derivatives round the same in a stack of three as on their own
     steps = Steps(np.zeros(2 * n_qubits), np.zeros((1, 1, n_qubits)), "ring")
     rng = np.random.default_rng(125 + n_qubits)
     dim = 1 << n_qubits
     kets, adjoints = (rng.normal(size=(3, dim)) + 1j * rng.normal(size=(3, dim)) for _ in range(2))
-    rho = steps.cross(kets, adjoints)
+    derivs = steps.cross(kets, adjoints)
     for s in range(3):
-        assert_array_equal(rho[s], steps.cross(kets[s:s + 1], adjoints[s:s + 1])[0])
+        assert_array_equal(derivs[s], steps.cross(kets[s:s + 1], adjoints[s:s + 1])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -582,12 +585,15 @@ def test_only_a_gradient_pass_keeps_the_last_window():
     assert states.shape == (2, 1, 16)
 
 
-@pytest.mark.parametrize("n_qubits", [4, FOLD_QUBITS + 1], ids=["folded", "layered"])
-def test_a_pass_stores_only_the_end_states_its_walk_reads(n_qubits):
+@pytest.mark.parametrize("n_qubits, t_keep", [(4, 2), (FOLD_QUBITS + 1, 2), (4, 5), (FOLD_QUBITS + 1, 5)],
+                         ids=["folded", "layered", "folded-last-window-whole", "layered-last-window-whole"])
+def test_a_pass_stores_only_the_end_states_its_walk_reads(n_qubits, t_keep):
     # a forward-only pass stores no walk state; a gradient's pass stores
-    # each window's end state, as the planar rows of the stack the walk
-    # starts from (padding rows zero), and no start state
-    cfg = small_cfg(n_qubits, t_keep=2)
+    # the end state of each window the walk uncomputes, as the planar rows
+    # of the stack the walk starts from (padding rows zero), and no start
+    # state: none for a last window read out whole, which the sweep keeps.
+    # The walk reads every end state stored
+    cfg = small_cfg(n_qubits, t_keep=t_keep)
     params = init_qlam_params(np.random.default_rng(154), cfg)
     K = CHECKPOINT_INTERVAL
     T = 2 * K + 5
@@ -595,7 +601,9 @@ def test_a_pass_stores_only_the_end_states_its_walk_reads(n_qubits):
     steps = run(tokens, params, cfg).steps
     assert steps.checkpoints == {} and steps.kept is None
     r = run(tokens, params, cfg, cfg.t_keep, backward=True)
-    assert sorted(r.steps.checkpoints) == [K, 2 * K, T]
+    whole = t_keep == T - 2 * K
+    assert (r.steps.kept is not None) == whole
+    assert sorted(r.steps.checkpoints) == ([K, 2 * K] if whole else [K, 2 * K, T])
     psi = np.zeros((2, 1 << n_qubits), dtype=np.complex128)
     psi[:, 0] = 1.0
     swept = Steps(params.theta, r.embeddings, cfg.entangler).evolve(psi, 0, T)[0]
@@ -603,6 +611,8 @@ def test_a_pass_stores_only_the_end_states_its_walk_reads(n_qubits):
         assert rows.dtype == np.float64 and rows.shape == (r.steps.height, 2 << n_qubits), t
         assert_array_equal(rows[:2], planar(swept[:, t - 1]), err_msg=f"step {t}")
         assert not rows[2:].any(), t
+    r.steps.adjoint(lambda lo, kets: np.zeros_like(kets))
+    assert r.steps.checkpoints == {} and r.steps.kept is None
 
 
 @pytest.mark.parametrize("sample_index", [[0, 1], [0, 1, 2, 3], [[0, 1, 2]]],

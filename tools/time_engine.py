@@ -16,17 +16,17 @@ the output.
 
 A forward step is `Steps.evolve` over one window of CHECKPOINT_INTERVAL
 steps of the default 2-layer ring cell, divided by the window's steps.
-An adjoint step is `Steps.adjoint` after a `sweep` of the same window
-that reads out every step, timed twice after a gradient's sweep:
-"kept", which walks the window the sweep keeps, so the walk reads the
-kept states; and "uncomputed", with that window dropped (`Steps.kept`
-set to None), so the walk takes every ket back from the window's end
-state.  Each times the
-rewinds, the read points, the cross operators and the injections (the
-kets themselves) of every step.  The one-time builds of `tail` and
-`reads` are not timed.  Each round times every cell once per engine,
-alternating which engine runs first, and keeps the best of REPEAT
-calls; the output is the median over rounds of those minima.  One BLAS
+An adjoint step is `Steps.adjoint` after a gradient's `sweep` of the
+same window, timed twice: "kept", after a sweep that reads out every
+step, so the sweep keeps the window and the walk reads its states; and
+"uncomputed", after one that reads out every step but the first, so the
+sweep keeps no window and the walk takes every ket back from the
+window's end state.  Each times the rewinds, the read points, the angle
+derivatives and the injections (the kets themselves) of every step it
+reads out.  The one-time builds of `tail` and `reads` are not timed.
+Each round times every cell once per engine, alternating which engine
+runs first, and keeps the best of REPEAT calls; the output is the
+median over rounds of those minima.  One BLAS
 thread is pinned before numpy loads.
 """
 
@@ -97,10 +97,8 @@ def time_cell(n: int, rows: int, folded: bool) -> tuple[float, float, float]:
         begin = time.perf_counter()
         steps.evolve(psi, 0, T)
         best[0] = min(best[0], time.perf_counter() - begin)
-        for i, keep in ((1, True), (2, False)):  # every step read out: kept, or not
-            steps.sweep(1, lambda lo, states: None, backward=True)
-            if not keep:
-                steps.kept = None  # the walk uncomputes the window
+        for i in (1, 2):  # read out from step 1, kept, or from step 2, uncomputed
+            steps.sweep(i, lambda lo, states: None, backward=True)
             begin = time.perf_counter()
             steps.adjoint(lambda lo, kets: kets)
             best[i] = min(best[i], time.perf_counter() - begin)
