@@ -26,31 +26,38 @@ as the adjoint rows (Jones & Gacon, arXiv:2009.02823), reading two angle
 derivatives per qubit, layer and step (`Steps.cross`).  A forward-only
 sweep stores neither.  Memory is at most the B * T/K end states, one
 window of B swept sequences (the sweep's, or the kept one), one window's
-layer-0 factors, built in one call (per row and step, d**2 float64 per
-factor group of d amplitudes: at most 1.25x the float64 a state holds,
-and 768 against its 8,192 at n = 12), and a walk over kets of at most
-max(B * 2**n, WALK_AMPLITUDES) amplitudes plus n_layers ket and n_layers
-adjoint rows per ket: O(B * (K + T/K) * 2**n) for any sequence length.  A
-layer's rotations are a tensor product, so with a state viewed as a
-tensor over k groups of qubits (two up to n = 10, three from n = 11;
-`factor_widths`) they are k small real RY matrix products on the state's
-float64 view, one per group, and the layer's RZ gates are one diagonal
-phase.  The encoding folds into layer 0, and the CNOT entangler is one
-index gather, which also applies the phase.  Only layer 0's RY factors
-change from step to step; the rest of a step is fixed by theta.  On
-registers of at most FOLD_QUBITS qubits, where a step costs numpy calls
-rather than arithmetic, that fixed tail is one real matrix built per
-`Steps`, so a forward step is layer 0's GEMMs and one product
-(`Steps.fold`).  The adjoint folds the same way: one matrix built on its
-first run gives every layer's read point, so a rewind step, of a ket or
-of an adjoint row, is one product and layer 0's inverse GEMMs
-(`Steps.reads`).  Larger registers run the layers one by one.  Folded,
-every stack a `Steps` walks is zero-padded to whole blocks of READ_ROWS
-rows (`Steps.height`).  Every reduction runs on one row of the stack, in
-an order that does not depend on B, and every product over rows runs on
-blocks of a fixed row count (`block_matmul`, which `cell.decoder`
-shares), so a sequence's states and derivatives are bit for bit those of
-a B = 1 sweep.
+layer 0, built in one call (per row and step, d**2 float64 per factor
+group of d amplitudes: at most 1.25x the float64 a state holds, and 768
+against its 8,192 at n = 12; folded, one phase per amplitude), and a
+walk over kets of at most max(B * 2**n, WALK_AMPLITUDES) amplitudes plus
+n_layers ket and n_layers adjoint rows per ket: O(B * (K + T/K) * 2**n)
+for any sequence length.  A layer's rotations are a tensor product, so
+with a state viewed as a tensor over k groups of qubits (two up to
+n = 10, three from n = 11; `factor_widths`) they are k small real RY
+matrix products on the state's float64 view, one per group, and the
+layer's RZ gates are one diagonal phase.  The encoding folds into layer
+0, and the CNOT entangler is one index gather, which also applies the
+phase.  Only layer 0 changes from step to step; the rest of a step is
+fixed by theta.  On registers of at most FOLD_QUBITS qubits, where a
+step costs numpy calls rather than arithmetic, the engine carries each
+row in the Y eigenbasis V = v (x) ... (x) v, v = [[1, 1], [i, -i]] /
+sqrt(2) (`y_basis`), where the encoding RY(e_t) and layer 0's RY(a),
+which turn about the same axis, are one diagonal phase per row and step:
+a forward step is one multiply by it and one product with the fixed
+tail, V^H T V, built per `Steps` (`Steps.fold`).  The adjoint folds the
+same way: one matrix built on its first run gives every layer's read
+point and layer 0's in the eigenbasis, so a rewind step, of a ket or of
+an adjoint row, is one product and one conjugate-phase multiply
+(`Steps.reads`).  The basis stays inside `Steps`: the readout, the
+kets handed to the injection callback and the read points `cross`
+takes are computational, changed out of the basis once per window or
+walk sub-block, and the injections changed into it.  Larger registers
+run the layers one by one.  Folded, every stack a `Steps` walks is
+zero-padded to whole blocks of READ_ROWS rows (`Steps.height`).  Every
+reduction runs on one row of the stack, in an order that does not depend
+on B, and every product over rows runs on blocks of a fixed row count
+(`block_matmul`, which `cell.decoder` shares), so a sequence's states
+and derivatives are bit for bit those of a B = 1 sweep.
 """
 
 from __future__ import annotations
@@ -146,20 +153,22 @@ def factor_widths(n_qubits: int) -> tuple[int, ...]:
     return n_qubits - 8, 4, 4
 
 
-# Registers of at most this many qubits advance a step as layer 0's RY
-# GEMMs and one product with the step's fixed tail (`Steps.fold`), a
+# Registers of at most this many qubits carry each row in the Y
+# eigenbasis (`y_basis`) and advance a step as one multiply by layer 0's
+# phases and one product with the step's fixed tail (`Steps.fold`), a
 # real (2 * 2**n)**2 matrix, and rewind it as one product with every
-# layer's read points (`Steps.reads`) and layer 0's inverse GEMMs;
+# layer's read points (`Steps.reads`) and one conjugate-phase multiply;
 # larger ones run both passes layer by layer.  Timed with
 # tools/time_engine.py (default 2-layer ring cell, one BLAS thread,
 # median of 3 runs of 5 rounds), the fold ran, per forward step, per
 # adjoint step over a kept window and per adjoint step over an
-# uncomputed one, 1.3-1.7x, 1.3-1.6x and 1.3-1.6x as fast at B = 1 for
-# n <= 5, and 1.1-1.4x, 0.97-1.3x and 0.96-1.2x at B = walk_rows(n); at
-# n = 6 it ran 1.07x, 0.73x and 0.78x as fast at B = walk_rows(6) = 64,
-# and at n = 7, B = 1, 0.64x, 0.32x and 0.46x.
+# uncomputed one, 2.1-3.0x, 1.5-2.8x and 1.7-2.8x as fast at B <= 4 for
+# n <= 5, and 1.5-1.9x, 1.0-2.2x and 1.2-2.4x at B = walk_rows(n); at
+# n = 6 it ran 0.92x, 0.67x and 0.77x as fast at B = walk_rows(6) = 64,
+# and at n = 7, B = 1, 0.78x, 0.27x and 0.35x.
 FOLD_QUBITS = 5
-# Rows per product with `Steps.reads` (`block_matmul`).
+# Rows per product of a folded stack with `Steps.tail`, `Steps.reads` or
+# a change of basis (`Steps.change`, through `block_matmul`).
 READ_ROWS = 4
 
 
@@ -199,10 +208,15 @@ def inverse(layer: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
     return tuple(f.swapaxes(-1, -2) for f in layer)
 
 
-def per_step(factors: Sequence[np.ndarray]) -> list[tuple[np.ndarray, ...]]:
-    """Each step's layer, as (B, d_g, d_g) views, of stacked layer-0
-    factors (B, S, d_g, d_g)."""
-    return list(zip(*(f.swapaxes(0, 1) for f in factors)))
+def check_finite(states: np.ndarray, x: np.ndarray, first: int, stop: int) -> None:
+    """NumericError naming the first step, first+1 on (1-based), of the
+    (B, S, ...) states with a non-finite amplitude, or, failing that,
+    step stop if x, the rows after it, has one."""
+    finite = np.isfinite(states).all(axis=(0, 2))
+    if not finite.all():
+        raise NumericError(f"non-finite amplitudes at timestep {first + 1 + int(np.argmin(finite))}")
+    if not np.isfinite(x).all():
+        raise NumericError(f"non-finite amplitudes by timestep {stop}")
 
 
 def times_ry(u: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -228,6 +242,41 @@ def derivative_weights(width: int) -> np.ndarray:
     return weights.reshape(2 * d * d, 2 * width)
 
 
+def real_form(w: np.ndarray) -> np.ndarray:
+    """The real (2k, 2m) form of a complex (k, m) matrix w on the float64
+    view of interleaved complex rows: for complex rows x, the float64 view
+    of x @ w is x's float64 view times real_form(w)."""
+    k, m = w.shape
+    out = np.empty((k, 2, m, 2))
+    out[:, 0, :, 0] = out[:, 1, :, 1] = w.real
+    out[:, 0, :, 1] = w.imag
+    out[:, 1, :, 0] = -w.imag
+    return out.reshape(2 * k, 2 * m)
+
+
+def polar(w: np.ndarray) -> np.ndarray:
+    """One Newton-Schulz step from a nearly unitary w toward its unitary
+    polar factor: w (3 - w^H w) / 2."""
+    return 1.5 * w - 0.5 * w @ (w.conj().T @ w)
+
+
+@functools.cache
+def y_basis(n_qubits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only, built once per register size: the complex
+    (2**n, 2**n) V = v (x) ... (x) v, v = [[1, 1], [i, -i]] / sqrt(2),
+    whose column k is the product of Y eigenstates with eigenvalue +1 on
+    the qubits whose bit of k is 0, so that any layer of RY gates is
+    V diag(phases) V^H; and the real forms (`real_form`) of the changes of
+    interleaved complex rows into that basis, conj(V), and out of it, V^T.
+    The 1/sqrt(2) factors are one scale, exact at even n."""
+    v = np.array([[1.0, 1.0], [1j, -1j]])
+    basis = kron_qubits(np.broadcast_to(v, (n_qubits, 2, 2))) * 2.0 ** (-0.5 * n_qubits)
+    out = basis, real_form(basis.conj()), real_form(basis.T)
+    for m in out:
+        m.setflags(write=False)
+    return out
+
+
 class Steps:
     """The recurrence steps of a stack of B equal-length sequences: swept
     forward from |0...0>, and walked back by the adjoint, a run of
@@ -251,25 +300,32 @@ class Steps:
     taken through the same gather.  An inverse layer mirrors it: the
     scatter and the conjugate phase (`unentangle`), then each factor's
     transpose (`inverse`) through `rotate`.  The B rows advance together
-    as one (height, d_0, 2**n / d_0) stack, height = padded(B) up to
-    FOLD_QUBITS qubits and B above: every stack walked has rows past B
-    zero, from zero embeddings, and only outputs are cut to the B rows.
-    Layer 0 also carries the encoding, as the per-qubit products RY(a)
-    RY(e_t[j]); its factors differ per row and step (`layer0`), its phase
-    does not.  The other layers' factors are built once, from the one
-    angle set theta, and shared by every row and step.  Up to FOLD_QUBITS qubits, `tail` is
-    the rest of the step after layer 0's RY gates, layer 0's gather and
-    phase and every later layer, as one real (2 * 2**n, 2 * 2**n) matrix
-    from `rotate`'s planar rows to interleaved complex ones (`fold`), and
-    `step` applies it as one product per block of READ_ROWS rows; above
-    FOLD_QUBITS `tail` is None and `step` runs `advance` per layer.
-    The adjoint reads each layer between its RY and RZ gates.  Up to
-    FOLD_QUBITS qubits `reads`, built on the adjoint's first run, takes
-    a planar row to every layer's read point in one real product, which
-    `rewind` (each ket and adjoint row the walk takes back a step) and
-    `points` (the kets of a kept window) run in blocks of READ_ROWS rows
-    (`block_matmul`); above it both go layer by layer (`unwind`).  At
-    every size `cross` reads each qubit's two angle derivatives there.
+    as one (height, 2**n) stack, height = padded(B) up to FOLD_QUBITS
+    qubits and B above: every stack walked has rows past B zero, from
+    zero embeddings, and only outputs are cut to the B rows.  Layer 0
+    also carries the encoding, as the per-qubit products RY(a) RY(e_t[j]),
+    which differ per row and step (`layer0`); its phase does not.  The
+    other layers' factors are built once, from the one angle set theta,
+    and shared by every row and step.  Above FOLD_QUBITS qubits the rows
+    are computational, `tail` is None and `step` runs `advance` per layer,
+    layer 0's RY factors as per-row GEMMs.  Up to FOLD_QUBITS qubits the
+    rows `step` takes and returns are in the Y eigenbasis (`y_basis`),
+    where layer 0's RY gates are (height, 2**n) phases per step, and
+    `tail` is the rest of the step, layer 0's gather and phase and every
+    later layer, in that basis, as the real form of one unitary complex
+    matrix on interleaved rows (`fold`): `step` is one multiply by the
+    phases and one product per block of READ_ROWS rows.  `basis` and
+    `computational` change rows into the basis and out of it, one product
+    per block of READ_ROWS rows (`change`), once per window or walk
+    sub-block.  The adjoint reads each layer between its RY and RZ gates.
+    Up to FOLD_QUBITS qubits `reads`, built on the adjoint's first run,
+    takes an eigenbasis row to every layer's computational read point and
+    to layer 0's read point in the eigenbasis in one real product, which
+    `rewind` (each ket and adjoint row the walk takes back a step, then
+    the conjugate phases) runs in blocks of READ_ROWS rows, as `points`
+    (the computational states of a kept window) runs `state_reads`; above
+    it both go layer by layer (`unwind`) on planar rows.  At every size
+    `cross` reads each qubit's two angle derivatives there.
     Non-finite angles or embeddings raise NumericError.
     """
 
@@ -317,6 +373,8 @@ class Steps:
         self.first_layer = ry[0]
         self.later_layers = list(zip(*self.factors(ry[1:])))
         self.later_inverses = [inverse(layer) for layer in self.later_layers]
+        if n <= FOLD_QUBITS:  # the changes of basis, into and out of the Y eigenbasis
+            _, self.into_y, self.from_y = y_basis(n)
         self.tail = self.fold() if n <= FOLD_QUBITS else None
 
     def factors(self, u: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -349,28 +407,40 @@ class Steps:
         return x
 
     def fold(self) -> np.ndarray:
-        """The fixed tail of a step as one real (2 * 2**n, 2 * 2**n)
-        matrix: layer 0's entangler and phase, then every later layer.
-        Row k is the float64 view of the interleaved complex image of
-        planar basis row k, so a planar row p, as `rotate` returns layer
-        0's RY gates, steps to the float64 view of ``p @ tail``."""
-        x = self.entangle(0, np.eye(2 << self.n))
+        """The fixed tail of a step in the Y eigenbasis (`y_basis`), as the
+        real form (`real_form`) of one unitary complex (2**n, 2**n) matrix
+        V^T T conj(V) on interleaved rows, T layer 0's entangler and phase,
+        then every later layer: the Y basis rows' computational rows
+        (V^T) run through T, changed back into the basis and made unitary
+        to rounding by one `polar` step."""
+        v = y_basis(self.n)[0]
+        x = self.entangle(0, planar(np.ascontiguousarray(v.T)))
         for layer, factors in enumerate(self.later_layers, 1):
             x = self.advance(layer, factors, x)
-        return x.reshape(len(x), -1).view(np.float64)
+        return real_form(polar(x.reshape(len(v), -1) @ v.conj()))
 
-    def step(self, first: Sequence[np.ndarray], x: np.ndarray) -> np.ndarray:
-        """The (height, d_0, 2**n / d_0) states x through one step, given
-        its layer-0 factors (height, d_g, d_g): layer 0's RY GEMMs, then,
-        on registers of at most FOLD_QUBITS qubits, the folded tail as one
-        product per block of READ_ROWS rows (not through `block_matmul`,
-        which cost 1.2 us more per step at n = 4), and layer by layer above."""
+    def step(self, first, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The (height, 2**n) rows x through one step, given its layer 0
+        (`per_step`), into out if given.  On registers of at most
+        FOLD_QUBITS qubits x and the result are Y-eigenbasis rows, and a
+        step is one multiply by layer 0's phases and one product with the
+        folded tail per block of READ_ROWS rows (not through `block_matmul`,
+        which cost 1.2 us more per step at n = 4); above them x holds
+        computational rows, and each layer runs in turn (`advance`), its RY
+        gates as GEMMs with the held factors, layer 0's per row."""
         if self.tail is None:
+            x = x.reshape((len(x),) + self.shape)
             for layer, factors in enumerate([first] + self.later_layers):
                 x = self.advance(layer, factors, x)
+            x = x.reshape(len(x), -1)
+            if out is not None:
+                out[...] = x
             return x
-        x = self.rotate(first, x).reshape(-1, READ_ROWS, 2 << self.n) @ self.tail
-        return x.view(np.complex128).reshape((self.height,) + self.shape)
+        y = (x * first).view(np.float64).reshape(-1, READ_ROWS, 2 << self.n)
+        if out is None:
+            out = np.empty(x.shape, dtype=np.complex128)
+        np.matmul(y, self.tail, out=out.view(np.float64).reshape(y.shape))
+        return out
 
     def unentangle(self, layer: int, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The inverse of `entangle` for ansatz layer `layer`: the complex
@@ -384,88 +454,155 @@ class Steps:
         out *= self.inverse_phases[layer]
         return out
 
-    def layer0(self, start: int, stop: int) -> tuple[np.ndarray, ...]:
-        """Held layer-0 factors (height, S, d_g, d_g) of steps start+1..stop.
-        The encoding is multiplied in as a matrix, not added to the RY
-        angle: a finite theta + e_t can overflow."""
+    def layer0(self, start: int, stop: int):
+        """Layer 0 of steps start+1..stop, the encoding folded in, per row
+        and step.  On registers of at most FOLD_QUBITS qubits its RY gates
+        are diagonal in the Y eigenbasis: (height, S, 2**n) phases, the
+        Kronecker products over the qubits of diag(z, conj(z)), z =
+        exp(-i a / 2) exp(-i e_t / 2).  Above them, the held factors
+        (height, S, d_g, d_g) of the per-qubit products RY(a) RY(e_t).  The
+        encoding is multiplied in either way, not added to the RY angle: a
+        finite theta + e_t can overflow."""
         e = self.embeddings[:, start:stop]
-        c, s = np.cos(0.5 * e), np.sin(0.5 * e)
-        return self.factors(times_ry(self.first_layer, c, s))
+        if self.tail is None:
+            return self.factors(times_ry(self.first_layer, np.cos(0.5 * e), np.sin(0.5 * e)))
+        z = np.exp(-0.5j * self.angles[0, :, 0]) * np.exp(-0.5j * e)
+        return kron_qubits(np.stack([z, z.conj()], -1)[..., None, :])[..., 0, :]
+
+    def per_step(self, f0, start: int = 0, stop: int | None = None, back: bool = False) -> list:
+        """Each step's layer 0, for `step`, or with back its inverse, for
+        `rewind`, of steps start+1..stop of the `layer0` of a window:
+        folded, (height, 2**n) phases, conjugated back; layered, tuples of
+        (height, d_g, d_g) held factors, each one's transpose back
+        (`inverse`)."""
+        if self.tail is not None:
+            f = f0[:, start:stop]
+            return list((f.conj() if back else f).swapaxes(0, 1))
+        factors = [f[:, start:stop] for f in f0]
+        return list(zip(*(f.swapaxes(0, 1) for f in (inverse(factors) if back else factors))))
+
+    def change(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """The complex rows x (..., 2**n) times the real form w of a
+        change of basis, one product per block of READ_ROWS rows."""
+        rows = np.ascontiguousarray(x).reshape(-1, x.shape[-1]).view(np.float64)
+        return block_matmul(rows, w, READ_ROWS)[:len(rows)].view(np.complex128).reshape(x.shape)
+
+    def basis(self, x: np.ndarray) -> np.ndarray:
+        """The complex computational rows x (..., 2**n) as `step` takes
+        them: their Y-eigenbasis rows on registers of at most FOLD_QUBITS
+        qubits (`change`), x itself above them."""
+        return x if self.tail is None else self.change(x, self.into_y)
+
+    def walk(self, x: np.ndarray) -> np.ndarray:
+        """The complex computational rows x (..., 2**n) as `rewind` takes
+        them: their Y-eigenbasis rows up to FOLD_QUBITS qubits, planar
+        rows (..., 2 * 2**n) above them."""
+        return planar(x) if self.tail is None else self.change(x, self.into_y)
+
+    def computational(self, x: np.ndarray) -> np.ndarray:
+        """The complex computational rows (..., 2**n) of rows x as `step`
+        or `rewind` returns them: Y-eigenbasis rows up to FOLD_QUBITS
+        qubits (`change`); above them x itself, or, for the planar rows
+        (..., 2 * 2**n) of the walk, their parts joined."""
+        if self.tail is not None:
+            return self.change(x, self.from_y)
+        if x.dtype == np.complex128:
+            return x
+        out = np.empty(x.shape[:-1] + (x.shape[-1] // 2,), dtype=np.complex128)
+        out.real, out.imag = x[..., :out.shape[-1]], x[..., out.shape[-1]:]
+        return out
+
+    def window(self, x: np.ndarray, start: int, stop: int, first: int) -> tuple[np.ndarray, object]:
+        """Advance the (height, 2**n) rows x in place, as `step` takes
+        them, through steps start+1..stop (1-based) of one window, and
+        return the (height, stop - first, 2**n) rows after steps
+        first+1..stop and layer 0 of steps start+1..stop, built in one
+        call (`layer0`), which the adjoint walk reuses when the sweep keeps
+        the window.  Layer 0 takes at most 1.25x the memory of its steps'
+        rows (at most 0.15x from n = 11, and half of it folded).  It is
+        built after the rows are allocated: the other order splits the
+        block the last window's rows freed, and at n = 12 the heap grew by
+        a window (2 MB).  x is written back, not replaced by the last
+        step's rows, which may view the window: a train step at n = 12
+        peaked 0.4 MB higher carrying them from window to window."""
+        states = np.empty((self.height, stop - first, x.shape[-1]), dtype=np.complex128)
+        f0 = self.layer0(start, stop)
+        y = x
+        for t, own in enumerate(self.per_step(f0), start + 1):
+            y = self.step(own, y, states[:, t - first - 1] if t > first else None)
+        check_finite(states[:self.rows], y, first, stop)
+        x[...] = y
+        return states, f0
 
     def evolve(self, psi: np.ndarray, start: int, stop: int,
-               first: int | None = None) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+               first: int | None = None) -> tuple[np.ndarray, object]:
         """Advance the (B, 2**n) states psi in place through steps
         start+1..stop (1-based) and return the (B, stop - first, 2**n)
-        states after steps first+1..stop (first defaults to start) and the
-        layer-0 factors of steps start+1..stop, built in one call
-        (`layer0`), which the adjoint walk reuses when the sweep keeps
-        the window.  A call spans at most one window, and its factors
-        take at most 1.25x the memory of its steps' states (at most 0.15x
-        from n = 11).  The factors are built after the states are
-        allocated: the other order splits the block the last window's
-        states freed, and at n = 12 the heap grew by a window (2 MB)."""
+        states after steps first+1..stop (first defaults to start) and
+        layer 0 of steps start+1..stop (`layer0`).  Each step starts and
+        ends on computational rows, so steps split over calls round as in
+        one call; on folded registers that is a change into the Y
+        eigenbasis and out of it per step, where `sweep`, which carries
+        the basis from step to step, changes out once per window."""
         first = start if first is None else first
         rows = self.rows
         states = np.empty((rows, stop - first, psi.shape[-1]), dtype=np.complex128)
+        x = np.zeros((self.height, psi.shape[-1]), dtype=np.complex128)
+        x[:rows] = psi
         f0 = self.layer0(start, stop)
-        views = states.reshape((rows, -1) + self.shape)
-        x = np.zeros((self.height,) + self.shape, dtype=np.complex128)
-        x[:rows] = psi.reshape((rows,) + self.shape)
-        for t, own in enumerate(per_step(f0), start + 1):
-            x = self.step(own, x)
+        for t, own in enumerate(self.per_step(f0), start + 1):
+            x = self.computational(self.step(own, self.basis(x)))
             if t > first:
-                views[:, t - first - 1] = x[:rows]
-        psi[:] = x[:rows].reshape(rows, -1)
-        finite = np.isfinite(states).all(axis=(0, 2))
-        if not finite.all():
-            raise NumericError(
-                f"non-finite amplitudes at timestep {first + 1 + int(np.argmin(finite))}"
-            )
-        if not np.isfinite(psi).all():
-            raise NumericError(f"non-finite amplitudes by timestep {stop}")
+                states[:, t - first - 1] = x[:rows]
+        psi[:] = x[:rows]
+        check_finite(states, psi, first, stop)
         return states, f0
 
     def sweep(self, first: int, read, backward: bool = False) -> np.ndarray:
         """Evolve every row from |0...0> one window of
-        CHECKPOINT_INTERVAL steps at a time and return the (B, 2**n) final
-        states.  A window holding kept steps (first..T, 1-based, recorded
-        as `first`) calls read(lo, states) with the (B, S, 2**n) states
-        after its steps lo+1..lo+S.  With backward, for a pass the adjoint
-        follows, `kept` holds the last window's states and layer-0 factors
-        when every one of its steps is kept (else None), which `adjoint`
-        starts from, and `checkpoints` maps the end step (K, 2K, ..., T)
-        of every window the walk uncomputes, every other one, to its end
-        state as the planar (height, 2 * 2**n) rows the walk starts from;
-        a forward-only pass stores neither.  Storing the rest of a last
-        window that is read out only in part cost memory: at n = 12,
-        T = 256, t_keep = 16 it raised a training run's peak RSS by
-        0.9-1.0 MB."""
+        CHECKPOINT_INTERVAL steps at a time (`window`) and return the
+        (B, 2**n) final states.  A window holding kept steps (first..T,
+        1-based, recorded as `first`) calls read(lo, states) with the
+        (B, S, 2**n) computational states after its steps lo+1..lo+S,
+        changed out of the Y eigenbasis once per window on folded
+        registers (`computational`).  With backward, for a pass the
+        adjoint follows, `kept` holds the last window's states, as read
+        took them, and layer 0 when every one of its steps is kept
+        (else None), which `adjoint` starts from, and `checkpoints` maps
+        the end step (K, 2K, ..., T) of every window the walk uncomputes,
+        every other one, to its end state as the (height, ...) rows the
+        walk starts from (`rewind`); a forward-only pass stores neither.
+        Storing the rest of a last window that is read out only in part
+        cost memory: at n = 12, T = 256, t_keep = 16 it raised a training
+        run's peak RSS by 0.9-1.0 MB."""
         T = self.embeddings.shape[1]
-        psi = np.zeros((self.height, 1 << self.n), dtype=np.complex128)
-        psi[:self.rows, 0] = 1.0
+        x = np.zeros((self.height, 1 << self.n), dtype=np.complex128)
+        x[:self.rows, 0] = 1.0
+        x = self.basis(x)
         self.first, self.checkpoints, self.kept = first, {}, None
         for start in range(0, T, CHECKPOINT_INTERVAL):
             stop = min(start + CHECKPOINT_INTERVAL, T)
             lo = min(max(start, first - 1), stop)  # 0-based index of the window's first kept step
-            states, f0 = self.evolve(psi[:self.rows], start, stop, lo)
+            states, f0 = self.window(x, start, stop, lo)
             keep = backward and stop == T and lo == start  # only a last window read out whole
             if not keep:
-                del f0  # release the factors before the readout allocates
+                del f0  # release layer 0 before the readout allocates
             if lo < stop:
+                states = self.computational(states[:self.rows])
                 read(lo, states)
             if keep:
                 self.kept = states, f0
             elif backward:  # the walk uncomputes this window from its end state
-                self.checkpoints[stop] = planar(psi)
+                self.checkpoints[stop] = planar(x) if self.tail is None else x.copy()
             del states  # release the window before the next one is allocated
-        return psi[:self.rows]
+        return self.computational(x[:self.rows])
 
     def adjoint(self, inject) -> tuple[np.ndarray, np.ndarray]:
         """Per-row dJ/dtheta (B, n_layers, n, 2) and dJ/de (B, T, n) of a
         readout objective J, after a backward `sweep`.  inject(lo, kets)
         returns the (B, S, 2**n) injections sum_i c_i P_i |psi_t> of the
         kept steps lo+1..lo+S (`first`..T, 1-based), given their
-        (B, S, 2**n) kets.
+        (B, S, 2**n) computational kets.
 
         Windows are walked back last first, each in sub-blocks of
         walk_rows(n) // B steps (at least one), last first.  A sub-block's
@@ -473,18 +610,21 @@ class Steps:
         read point, between its RY and RZ gates, by `points`; in every other
         window they are uncomputed: the ket starts at the window's end state,
         taken out of `checkpoints`, and `rewind` takes it back a step at a
-        time, writing its read points.  One `inject` call takes the
-        sub-block's B-row kets; its injections are padded once to `height`.
-        The adjoint recurrence lam <- M_t^H (lam + inj_t), with lam
-        (height, 2 * 2**n) planar rows, as the ket is, then runs once per
-        step (`rewind`) and keeps the adjoint rows L at the same points, and
-        one `cross` call reads, on the B real rows, the derivative
-        Im <L| P |K> = Im tr(P rho_j) of every angle a of a gate
+        time, writing its read points, and its rows change back to
+        computational ones once per sub-block (`computational`).  One
+        `inject` call takes the sub-block's B computational kets, and its
+        injections are changed once to the walk's rows (`walk`), padded to
+        `height`.  The adjoint recurrence lam <- M_t^H (lam + inj_t), with
+        lam the walk's rows, as the ket is (Y-eigenbasis rows up to
+        FOLD_QUBITS qubits, planar computational ones above), then runs
+        once per step (`rewind`) and keeps the adjoint rows L at the same
+        points, and one `cross` call reads, on the B real rows, the
+        derivative Im <L| P |K> = Im tr(P rho_j) of every angle a of a gate
         exp(-i a P/2) on qubit j, for every layer and step (the layer's
         other gates commute with P), in the axis order `slots` gives.  A
-        window's layer-0 factors are built once (`layer0`), or kept by the
-        sweep.  The ket restarts at each window, so inverse-gate drift
-        crosses at most CHECKPOINT_INTERVAL steps: 32 inverse steps moved an
+        window's layer 0 is built once (`layer0`), or kept by the sweep.
+        The ket restarts at each window, so inverse-gate drift crosses at
+        most CHECKPOINT_INTERVAL steps: 32 inverse steps moved an
         amplitude by at most 3.1e-14 (n = 1-12, ring and linear, three
         random circuits each).  A window's angle derivatives are summed in
         one reduction over its steps.
@@ -493,7 +633,7 @@ class Steps:
         dim = 1 << self.n
         dtheta = np.zeros((rows,) + self.angles.shape)
         denc = np.empty((rows, T, self.n))
-        lam = np.zeros((self.height, 2 * dim))
+        lam = self.walk(np.zeros((self.height, dim), dtype=np.complex128))
         block = max(1, walk_rows(self.n) // rows)
         kept, self.kept = self.kept, None
         for win_start in reversed(range(0, T, CHECKPOINT_INTERVAL)):
@@ -507,23 +647,23 @@ class Steps:
             dwin = np.empty((rows, win_end - win_start) + self.angles.shape)
             for stop in range(win_end, win_start, -block):
                 start = max(win_start, stop - block)
-                inv0 = per_step(inverse([f[:, start - win_start:stop - win_start] for f in f0]))
+                inv0 = self.per_step(f0, start - win_start, stop - win_start, back=True)
                 lo = min(max(start, self.first - 1), stop)  # steps lo+1..stop inject readouts
                 ket_slots, ket_points, _ = self.slots(stop - start)
                 if seg is None:
-                    kets = np.empty((rows, stop - lo, dim), dtype=np.complex128)
+                    walked = np.empty((rows, stop - lo) + ket.shape[1:], dtype=ket.dtype)
                     for t in range(stop, start, -1):
                         if t > lo:
-                            kets.real[:, t - lo - 1] = ket[:rows, :dim]
-                            kets.imag[:, t - lo - 1] = ket[:rows, dim:]
+                            walked[:, t - lo - 1] = ket[:rows]
                         ket = self.rewind(ket, inv0[t - start - 1], ket_slots[t - start - 1])
+                    kets = self.computational(walked)
                 else:
                     kets = seg[:, start - win_start:stop - win_start]
                     self.points(kets, ket_slots)
                     kets = kets[:, lo - start:]
                 if lo < stop:
-                    inj = np.zeros((stop - lo,) + lam.shape)
-                    inj[:, :rows] = planar(inject(lo, kets)).swapaxes(0, 1)
+                    inj = np.zeros((stop - lo,) + lam.shape, dtype=lam.dtype)
+                    inj[:, :rows] = self.walk(inject(lo, kets)).swapaxes(0, 1)
                 slots, points, order = self.slots(stop - start)
                 for t in range(stop, start, -1):
                     if t > lo:
@@ -536,7 +676,7 @@ class Steps:
                 dwin[:, start - win_start:stop - win_start] = derivs
                 denc[:, start:stop] = derivs[:, :, 0, :, 0]
             dtheta += dwin.sum(axis=1)
-            # release the window before the next one's factors are built
+            # release the window before the next one's layer 0 is built
             del seg, f0, kets, ket_slots, ket_points, slots, points, derivs
         return dtheta, denc
 
@@ -546,16 +686,18 @@ class Steps:
         numpy's `take(out=)` copies through a temporary; one complex view
         of the B real rows of all of them for `cross`; and the axes of
         that view in (B, steps, n_layers) order.  Folded, a slot is a
-        float64 (height, n_layers * 2 * 2**n) block, and the view (steps,
-        B, n_layers, 2**n); layered, one complex (B, d_0, 2**n / d_0)
-        block per layer, and the view (n_layers, steps, B, 2**n)."""
+        float64 (height, (n_layers + 1) * 2 * 2**n) block, every layer's
+        read point and then layer 0's in the Y eigenbasis, and the view
+        (steps, B, n_layers, 2**n); layered, one complex
+        (B, d_0, 2**n / d_0) block per layer, and the view
+        (n_layers, steps, B, 2**n)."""
         n_layers = len(self.angles)
         if self.reads is None:
             points = np.empty((n_layers, steps, self.rows) + self.shape, dtype=np.complex128)
             return points.swapaxes(0, 1), points.reshape(n_layers, steps, self.rows, -1), (2, 1, 0)
-        slots = np.empty((steps, self.height, n_layers << (self.n + 1)))
-        points = slots.view(np.complex128).reshape(steps, -1, n_layers, 1 << self.n)
-        return slots, points[:, :self.rows], (1, 0, 2)
+        slots = np.empty((steps, self.height, (n_layers + 1) << (self.n + 1)))
+        points = slots.view(np.complex128).reshape(steps, self.height, n_layers + 1, 1 << self.n)
+        return slots, points[:, :self.rows, :n_layers], (1, 0, 2)
 
     def unwind(self, x: np.ndarray, out: np.ndarray | None = None) -> list[np.ndarray]:
         """Every layer's read point, between its RY and RZ gates, of the
@@ -572,48 +714,71 @@ class Steps:
         return points[::-1]
 
     @functools.cached_property
-    def reads(self) -> np.ndarray | None:
+    def state_reads(self) -> np.ndarray | None:
         """`unwind` as one real (2 * 2**n, n_layers * 2 * 2**n) matrix on
-        registers of at most FOLD_QUBITS qubits, None above them: row k
-        holds the float64 views of the read points of planar basis row k,
-        layer 0's first, as `fold` builds `tail`.  Built the first time
-        the adjoint runs, so a forward pass never pays for it."""
+        registers of at most FOLD_QUBITS qubits, None above them: the real
+        forms (`real_form`) of the maps from computational rows to every
+        layer's read point, layer 0's first, which `points` takes a kept
+        window's states through.  Built the first time the adjoint runs,
+        as `reads` is."""
         if self.tail is None:
             return None
-        eye = np.eye(2 << self.n)
-        return np.concatenate([p.reshape(len(eye), -1).view(np.float64) for p in self.unwind(eye)],
+        eye = np.eye(1 << self.n, dtype=np.complex128)
+        return np.concatenate([real_form(p.reshape(len(eye), -1)) for p in self.unwind(planar(eye))],
                               axis=1)
 
+    @functools.cached_property
+    def reads(self) -> np.ndarray | None:
+        """The rewind's fixed product on registers of at most FOLD_QUBITS
+        qubits, None above them: one real (2 * 2**n, (n_layers + 1) *
+        2 * 2**n) matrix from Y-eigenbasis rows after a step to every
+        layer's computational read point (`state_reads` after the change
+        out of the basis), then to layer 0's read point back in the
+        eigenbasis, made unitary by one `polar` step, which layer 0's
+        conjugate phases take to the rows before the step.  Built the first
+        time the adjoint runs, so a forward pass never pays for it."""
+        if self.tail is None:
+            return None
+        points = self.from_y @ self.state_reads
+        return np.concatenate([points, polar(points[:, :2 << self.n] @ self.into_y)], axis=1)
+
     def points(self, kets: np.ndarray, slots: np.ndarray) -> None:
-        """`unwind` of the complex states kets (B, S, 2**n), as planar
-        rows of `height`, into the slots of S steps (`slots`): one product
-        with `reads` per block of READ_ROWS rows up to FOLD_QUBITS qubits,
-        and layer by layer above them."""
-        x = np.zeros((kets.shape[1], self.height, 2 << self.n))
-        x[:, :self.rows] = planar(kets.swapaxes(0, 1))
+        """`unwind` of the complex states kets (B, S, 2**n), padded to
+        `height`, into the slots of S steps (`slots`): one product with
+        `state_reads` per block of READ_ROWS rows up to FOLD_QUBITS qubits,
+        filling each slot's read points, and `unwind` of their planar rows
+        above them."""
         if self.reads is None:
+            x = np.zeros((kets.shape[1], self.height, 2 << self.n))
+            x[:, :self.rows] = planar(kets.swapaxes(0, 1))
             self.unwind(x, slots.swapaxes(0, 1))
         else:
-            block_matmul(x.reshape(-1, x.shape[-1]), self.reads, READ_ROWS,
-                         slots.reshape(-1, slots.shape[-1]))
+            x = np.zeros((kets.shape[1], self.height, kets.shape[-1]), dtype=np.complex128)
+            x[:, :self.rows] = kets.swapaxes(0, 1)
+            rows = slots.reshape(-1, slots.shape[-1])[:, :self.state_reads.shape[-1]]
+            block_matmul(x.reshape(-1, x.shape[-1]).view(np.float64), self.state_reads, READ_ROWS, rows)
 
-    def rewind(self, x: np.ndarray, first: Sequence[np.ndarray],
-               out: np.ndarray | None = None) -> np.ndarray:
-        """M_t^H x for the (height, 2 * 2**n) planar rows x, as `rotate`
-        returns them, given the (height, d_g, d_g) inverse factors of step
-        t's layer 0 (`inverse`): every layer's read point, into out if
-        given, then layer 0's inverse RY factors; returns planar rows of
-        the same height.  Up to FOLD_QUBITS qubits out is a float64
-        (height, n_layers * 2 * 2**n) array of interleaved complex rows,
-        filled by one product with `reads` per block of READ_ROWS rows;
-        above them a complex (n_layers, height, d_0, 2**n / d_0) array,
-        filled by `unwind`.  `slots` makes out either way."""
+    def rewind(self, x: np.ndarray, first, out: np.ndarray | None = None) -> np.ndarray:
+        """M_t^H x for the (height, ...) rows x of the walk (`walk`), given
+        step t's inverse layer 0 (`per_step` with back): every layer's read
+        point, into out if given, then layer 0's inverse; returns rows of
+        the same form.  Up to FOLD_QUBITS qubits x holds Y-eigenbasis rows
+        and out is a float64 (height, (n_layers + 1) * 2 * 2**n) array of
+        interleaved complex rows, filled by one product with `reads` per
+        block of READ_ROWS rows, whose last block, layer 0's read point in
+        the Y eigenbasis, times the conjugate phases is the result.  Above
+        them x holds planar rows, out is a complex (n_layers, height,
+        d_0, 2**n / d_0) array, filled by `unwind`, and layer 0's inverse
+        is its transposed factors through `rotate`.  `slots` makes out
+        either way."""
         if self.reads is None:
             points = self.unwind(x, out)[0]
-        else:
-            points = block_matmul(x, self.reads, READ_ROWS, out)[:, :2 << self.n]
-            points = points.view(np.complex128).reshape((len(x),) + self.shape)
-        return self.rotate(first, points).reshape(len(x), -1)
+            return self.rotate(first, points).reshape(len(x), -1)
+        if out is None:
+            out = np.empty((len(x), self.reads.shape[-1]))
+        np.matmul(x.view(np.float64).reshape(-1, READ_ROWS, 2 << self.n), self.reads,
+                  out=out.reshape(-1, READ_ROWS, out.shape[-1]))
+        return out[:, -(2 << self.n):].view(np.complex128) * first
 
     def cross(self, kets: np.ndarray, adjoints: np.ndarray) -> np.ndarray:
         """(..., n, 2) angle derivatives [Re(rho01 - rho10), Im(rho00 -

@@ -249,10 +249,15 @@ def default_pauli_pool(n_qubits: int) -> tuple[str, ...]:
     ``label[j]`` acts on qubit j.  Ordering: Z_0..Z_{n-1}, X_0..X_{n-1},
     then Z_j Z_{j+1} around the ring.  On two qubits the ring closes on
     itself, so the single pair appears once; one qubit has no pairs.
-    Pool size is 2n plus the number of distinct adjacent pairs.
+    Pool size is 2n plus the number of distinct adjacent pairs.  Built
+    once per register size, after `check_register`, so a bad n_qubits
+    raises ConfigError, not a cache's TypeError.
     """
-    n_qubits = check_register(n_qubits)
+    return _pool(check_register(n_qubits))
 
+
+@functools.cache
+def _pool(n_qubits: int) -> tuple[str, ...]:
     def single(label: str, j: int) -> str:
         chars = ["I"] * n_qubits
         chars[j] = label

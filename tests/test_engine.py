@@ -41,6 +41,7 @@ from qlam.circuits import (
     inverse,
     new_zero_state,
     planar,
+    times_ry,
     walk_rows,
 )
 from qlam.data import SequenceSample
@@ -105,11 +106,12 @@ def test_dense_steps_match_dense_step_matrix(n_qubits, entangler):
         basis = np.eye(dim, dtype=np.complex128)
         steps.evolve(basis, t - 1, t)
         assert_allclose(basis.T, want, atol=1e-12)
-        first = inverse([f[:, 0] for f in steps.layer0(t - 1, t)])
-        # a stack of the engine's height: folded, n = 1 pads 2 rows to 4
-        x = np.zeros((steps.height, 2 * dim))
-        x[:dim] = planar(np.eye(dim, dtype=np.complex128))
-        rewound = complex_rows(steps.rewind(x, first)[:dim])
+        first = steps.per_step(steps.layer0(t - 1, t), back=True)[0]
+        # the walk's rows of a stack of the engine's height: folded, n = 1
+        # pads 2 rows to 4
+        x = np.zeros((steps.height, dim), dtype=np.complex128)
+        x[:dim] = np.eye(dim)
+        rewound = steps.computational(steps.rewind(steps.walk(x), first)[:dim])
         assert_allclose(rewound.T, want.conj().T, atol=1e-12)
 
 
@@ -124,20 +126,34 @@ def test_folded_tail_is_orthogonal(n_qubits, n_layers):
     assert_allclose(tail @ tail.T, np.eye(2 << n_qubits), rtol=0, atol=1e-14)
 
 
+@pytest.mark.parametrize("n_qubits", range(1, FOLD_QUBITS + 1))
+def test_long_sweeps_stay_unit_norm_on_folded_registers(n_qubits):
+    # the sweep carries each row in the Y eigenbasis through T = 3072
+    # random steps: the folded tail is unitary to rounding (`polar`), so
+    # no norm drifts (5.3e-13 at most here, 7.8e-13 with no polar step)
+    rng = np.random.default_rng(220 + n_qubits)
+    T = 96 * CHECKPOINT_INTERVAL
+    steps = Steps(rng.uniform(-np.pi, np.pi, 4 * n_qubits), rng.uniform(-2.0, 2.0, (3, T, n_qubits)), "ring")
+    psi = steps.sweep(T, lambda lo, states: None)
+    assert_allclose(np.linalg.norm(psi, axis=1), 1.0, rtol=0, atol=1e-11)
+
+
 @pytest.mark.parametrize("n_layers", [1, 3])
 @pytest.mark.parametrize("n_qubits", range(1, FOLD_QUBITS + 1))
 def test_read_points_are_orthogonal(n_qubits, n_layers):
-    # each layer's block of `reads` is the real form of a unitary, from
-    # planar rows into interleaved ones; built on first use, None above
-    # the fold
+    # each layer's block of `state_reads` and of `reads`, and the last
+    # block of `reads`, layer 0's read point in the Y eigenbasis, is the
+    # real form of a unitary, from interleaved rows into interleaved ones;
+    # built on first use, None above the fold
     rng = np.random.default_rng(165 + n_qubits)
     theta = rng.uniform(-np.pi, np.pi, 2 * n_layers * n_qubits)
-    reads = Steps(theta, np.zeros((1, 1, n_qubits)), "ring").reads
-    assert reads.shape == (2 << n_qubits, n_layers * (2 << n_qubits))
-    for block in np.split(reads, n_layers, axis=1):
-        assert_allclose(block @ block.T, np.eye(2 << n_qubits), rtol=0, atol=1e-14)
-    wide = FOLD_QUBITS + 1
-    assert Steps(np.zeros(2 * wide), np.zeros((1, 1, wide)), "ring").reads is None
+    steps = Steps(theta, np.zeros((1, 1, n_qubits)), "ring")
+    for reads, blocks in ((steps.state_reads, n_layers), (steps.reads, n_layers + 1)):
+        assert reads.shape == (2 << n_qubits, blocks * (2 << n_qubits))
+        for block in np.split(reads, blocks, axis=1):
+            assert_allclose(block @ block.T, np.eye(2 << n_qubits), rtol=0, atol=1e-14)
+    wide = Steps(np.zeros(2 * (FOLD_QUBITS + 1)), np.zeros((1, 1, FOLD_QUBITS + 1)), "ring")
+    assert wide.reads is None and wide.state_reads is None
 
 
 @pytest.mark.parametrize("entangler", ["ring", "linear"])
@@ -290,7 +306,9 @@ def test_walk_uncomputes_the_swept_kets(monkeypatch, n_qubits, rows, entangler):
     order = (1, 0, 2, 3) if n_qubits <= FOLD_QUBITS else (2, 1, 0, 3)
     points = np.concatenate([c.transpose(order) for c in reversed(crossed)], axis=1)
     assert points.shape == (rows, T, 2, dim)
-    f0 = [f[:rows] for f in steps.layer0(0, T)]  # the real rows of a padded stack
+    # layer 0's held factors, of RY(a) RY(e_t) per qubit, as the layered
+    # engine builds them
+    f0 = steps.factors(times_ry(steps.first_layer, np.cos(0.5 * emb), np.sin(0.5 * emb)))
     for t in range(T):
         x = before[:, t].reshape((rows,) + steps.shape)
         for layer, factors in enumerate([tuple(f[:, t] for f in f0)] + steps.later_layers):
@@ -495,12 +513,16 @@ def test_batch_outputs_match_single_sequence_views_bitwise(n_qubits, batch, chun
 @pytest.mark.parametrize("rows", [1, READ_ROWS - 1, READ_ROWS + 1, 2 * READ_ROWS])
 @pytest.mark.parametrize("n_qubits", [1, FOLD_QUBITS])
 def test_every_product_with_reads_runs_on_read_rows(n_qubits, rows):
-    # the products with `Steps.tail` of every forward step, and with
-    # `Steps.reads` of the adjoint rewind, of the ket rewind of the
-    # uncomputed window and of the kept window's read points, each take
-    # exactly READ_ROWS rows, whatever the stack's height: with some BLAS
-    # builds one GEMM over every padded row passes the bitwise tests too
-    heights = {"tail": [], "reads": []}
+    # the products with `Steps.tail` of every forward step, with
+    # `Steps.reads` of the adjoint rewind and of the ket rewind of the
+    # uncomputed window, with `Steps.state_reads` of the kept window's
+    # read points, and the changes of basis, out of the Y eigenbasis
+    # (`from_y`: each window's readout states, the uncomputed kets handed
+    # to `inject`, the final states) and into it (`into_y`: the first
+    # state, the injections), each take exactly READ_ROWS rows, whatever
+    # the stack's height: with some BLAS builds one GEMM over every padded
+    # row passes the bitwise tests too
+    heights = {"tail": [], "reads": [], "state_reads": [], "into_y": [], "from_y": []}
 
     def recorded(name, matrix):
         class Recorded(np.ndarray):
@@ -524,6 +546,7 @@ def test_every_product_with_reads_runs_on_read_rows(n_qubits, rows):
     steps.sweep(1, lambda lo, states: None, backward=True)
     steps.adjoint(lambda lo, kets: kets)
     assert len(heights["tail"]) == T and len(heights["reads"]) > T
+    assert heights["state_reads"] and heights["into_y"] and heights["from_y"]
     for name, seen in heights.items():
         assert set(seen) == {READ_ROWS}, name
 
@@ -589,10 +612,10 @@ def test_only_a_gradient_pass_keeps_the_last_window():
                          ids=["folded", "layered", "folded-last-window-whole", "layered-last-window-whole"])
 def test_a_pass_stores_only_the_end_states_its_walk_reads(n_qubits, t_keep):
     # a forward-only pass stores no walk state; a gradient's pass stores
-    # the end state of each window the walk uncomputes, as the planar rows
-    # of the stack the walk starts from (padding rows zero), and no start
-    # state: none for a last window read out whole, which the sweep keeps.
-    # The walk reads every end state stored
+    # the end state of each window the walk uncomputes, as the rows of the
+    # stack the walk starts from (padding rows zero), and no start state:
+    # none for a last window read out whole, which the sweep keeps.  The
+    # walk reads every end state stored
     cfg = small_cfg(n_qubits, t_keep=t_keep)
     params = init_qlam_params(np.random.default_rng(154), cfg)
     K = CHECKPOINT_INTERVAL
@@ -604,12 +627,16 @@ def test_a_pass_stores_only_the_end_states_its_walk_reads(n_qubits, t_keep):
     whole = t_keep == T - 2 * K
     assert (r.steps.kept is not None) == whole
     assert sorted(r.steps.checkpoints) == ([K, 2 * K] if whole else [K, 2 * K, T])
-    psi = np.zeros((2, 1 << n_qubits), dtype=np.complex128)
-    psi[:, 0] = 1.0
-    swept = Steps(params.theta, r.embeddings, cfg.entangler).evolve(psi, 0, T)[0]
+    swept = np.empty((2, T, 1 << n_qubits), dtype=np.complex128)
+
+    def read(lo, states):
+        swept[:, lo:lo + states.shape[1]] = states
+
+    Steps(params.theta, r.embeddings, cfg.entangler).sweep(1, read)
     for t, rows in r.steps.checkpoints.items():
-        assert rows.dtype == np.float64 and rows.shape == (r.steps.height, 2 << n_qubits), t
-        assert_array_equal(rows[:2], planar(swept[:, t - 1]), err_msg=f"step {t}")
+        walked = r.steps.walk(swept[:, t - 1])  # the form `rewind` takes
+        assert rows.dtype == walked.dtype and rows.shape == (r.steps.height,) + walked.shape[1:], t
+        assert_array_equal(r.steps.computational(rows[:2]), swept[:, t - 1], err_msg=f"step {t}")
         assert not rows[2:].any(), t
     r.steps.adjoint(lambda lo, kets: np.zeros_like(kets))
     assert r.steps.checkpoints == {} and r.steps.kept is None

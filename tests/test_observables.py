@@ -2,6 +2,7 @@
 shot estimator of `cell.measure`.  An observable's value is its weights
 dotted with the pool expectations."""
 
+import functools
 import warnings
 
 import numpy as np
@@ -107,6 +108,30 @@ def test_pool_is_label_strings_with_one_cached_table(n_qubits):
     pool = default_pauli_pool(n_qubits)
     assert type(pool) is tuple and all(type(label) is str for label in pool)
     assert pauli_table(CellConfig(n_qubits=n_qubits).pool) is pauli_table(pool)
+
+
+def test_pool_is_built_once_per_register(monkeypatch):
+    # every `CellConfig.pool` and `pool_size` access reads the same tuple;
+    # the register is checked before the cache, so an unhashable or bad
+    # n_qubits raises ConfigError
+    from qlam import observables
+
+    built = []
+    pool = observables._pool.__wrapped__
+
+    def counted(n_qubits):
+        built.append(n_qubits)
+        return pool(n_qubits)
+
+    monkeypatch.setattr(observables, "_pool", functools.cache(counted))
+    cfg = CellConfig(n_qubits=4)
+    assert cfg.pool is default_pauli_pool(4) is CellConfig(n_qubits=4).pool
+    assert cfg.pool_size == 12 and default_pauli_pool(2) == ("ZI", "IZ", "XI", "IX", "ZZ")
+    assert built == [4, 2]
+    for bad in ([4], 0, 13):
+        with pytest.raises(ConfigError):
+            default_pauli_pool(bad)
+    assert built == [4, 2]
 
 
 def test_pool_expectations_match_loop():

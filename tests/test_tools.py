@@ -54,8 +54,8 @@ def test_engine_timing_prints_every_register_and_stack(capsys):
     assert tool.main(["--qubits", "1", "2", "--rounds", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
     # a header, one line per register and stack height (the default
-    # training chunk of 128 among them), a legend
-    rows = [line.split() for line in lines[1:-1]]
+    # training chunk of 128 among them), one of build times, a legend
+    rows = [line.split() for line in lines[1:-2]]
     assert [(int(r[0].rstrip("*")), int(r[1])) for r in rows] == [
         (n, b) for n in (1, 2) for b in (1, 4, 16, 128, 4096 >> n)]
     for row in rows:
@@ -64,12 +64,18 @@ def test_engine_timing_prints_every_register_and_stack(capsys):
         # adjoint and the uncomputed adjoint
         times = np.array(row[2:], dtype=float)
         assert times.shape == (9,) and np.all(np.isfinite(times)) and np.all(times > 0), row
+    # each register's Steps and `reads` build, layered and folded
+    label, builds = lines[-2].split(": ")
+    assert label == "build us, layered/folded"
+    assert [b.split()[0] for b in builds.split(", ")] == ["n=1", "n=2"]
+    for b in builds.split(", "):
+        assert all(float(t) > 0 for t in b.split()[1].split("/")), b
 
 
 @pytest.mark.parametrize("argv", [["--qubits", "0"], ["--qubits", "2", "9"], ["--rounds", "0"]])
 def test_engine_timing_refuses_what_it_cannot_time(argv, capsys, monkeypatch):
     # a usage error (exit 2) before any engine is built: at n = 12 the
-    # folded engine's matrices alone take 1.5 GiB
+    # folded engine's matrices alone take 3 GiB
     tool = load_tool("time_engine")
     monkeypatch.setattr(tool, "engine", lambda *args: pytest.fail("built an engine"))
     with pytest.raises(SystemExit) as info:

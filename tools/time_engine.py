@@ -8,26 +8,33 @@
 For each register size n and stack of B rows (1, 4, 16, the chunk
 `qlam train` runs by default, min(TrainConfig().batch_size, walk_rows(n)),
 and walk_rows(n)), each pass runs on both engines: layered, every layer
-of a step one by one, and folded, a step's fixed part as one real matrix
-(`Steps.tail` forward, `Steps.reads` back).  `circuits.FOLD_QUBITS`
-picks the engine when a `Steps` is built, so the timing sets it to 0 or
-MAX_QUBITS; the package folds up to its own FOLD_QUBITS, marked "*" in
-the output.
+of a step one by one on computational rows, and folded, each row carried
+in the Y eigenbasis, where layer 0 is one multiply by its phases and the
+rest of a step one product with a fixed real matrix (`Steps.tail`, the
+real form of V^H T V), and a rewind one product with every layer's read
+point and layer 0's in the eigenbasis (`Steps.reads`), then the
+conjugate phases.  `circuits.FOLD_QUBITS` picks the engine when a
+`Steps` is built, so the timing sets it to 0 or MAX_QUBITS; the package
+folds up to its own FOLD_QUBITS, marked "*" in the output.
 
-A forward step is `Steps.evolve` over one window of CHECKPOINT_INTERVAL
-steps of the default 2-layer ring cell, divided by the window's steps.
-An adjoint step is `Steps.adjoint` after a gradient's `sweep` of the
-same window, timed twice: "kept", after a sweep that reads out every
-step, so the sweep keeps the window and the walk reads its states; and
-"uncomputed", after one that reads out every step but the first, so the
-sweep keeps no window and the walk takes every ket back from the
-window's end state.  Each times the rewinds, the read points, the angle
-derivatives and the injections (the kets themselves) of every step it
-reads out.  The one-time builds of `tail` and `reads` are not timed.
+A forward step is a forward `Steps.sweep` over one window of
+CHECKPOINT_INTERVAL steps of the default 2-layer ring cell that reads
+out every step, divided by the window's steps; folded, it changes the
+window's states out of the eigenbasis once for the readout.  An adjoint
+step is `Steps.adjoint` after a gradient's `sweep` of the same window,
+timed twice: "kept", after a sweep that reads out every step, so the
+sweep keeps the window and the walk reads its states; and "uncomputed",
+after one that reads out every step but the first, so the sweep keeps no
+window and the walk takes every ket back from the window's end state.
+Each times the rewinds, the read points, the angle derivatives and the
+injections (the kets themselves) of every step it reads out, with the
+changes of basis of the kets and injections.  The one-time builds, of a
+`Steps` (with `tail` when folded) and of `reads` (with `state_reads`),
+are timed apart, once per register size and engine, on their own line.
 Each round times every cell once per engine, alternating which engine
-runs first, and keeps the best of REPEAT calls; the output is the
-median over rounds of those minima.  One BLAS
-thread is pinned before numpy loads.
+runs first, and keeps the best of REPEAT calls; the output is the median
+over rounds of those minima.  One BLAS thread is pinned before numpy
+loads.
 """
 
 from __future__ import annotations
@@ -49,8 +56,8 @@ PASSES = ("forward", "kept adjoint", "uncomputed adjoint")
 LAYERS = 2  # the default cell's ansatz layers
 REPEAT = 3  # calls per cell and round
 # The largest register timed.  Both engines run at every n, and the
-# folded one holds real (2 * 2**n)-wide matrices: at n = 8 `tail` and
-# `reads` take 6 MiB together, at n = 12 1.5 GiB.
+# folded one holds real (2 * 2**n)-wide matrices: at n = 8 `tail`,
+# `reads` and `state_reads` take 12 MiB together, at n = 12 3 GiB.
 MOST_QUBITS = 8
 
 
@@ -83,19 +90,27 @@ def engine(n: int, rows: int, folded: bool):
         circuits.FOLD_QUBITS = saved
 
 
+def time_build(n: int, folded: bool) -> float:
+    """Best of REPEAT builds, in microseconds, of a one-row `Steps` and
+    of its `reads`."""
+    best = np.inf
+    for _ in range(REPEAT):
+        begin = time.perf_counter()
+        _ = engine(n, 1, folded).reads
+        best = min(best, time.perf_counter() - begin)
+    return best * 1e6
+
+
 def time_cell(n: int, rows: int, folded: bool) -> tuple[float, float, float]:
     """Best of REPEAT calls, in microseconds per step, of one forward
     window and of one adjoint over it, kept and uncomputed."""
     steps = engine(n, rows, folded)
-    if folded:
-        _ = steps.reads  # built here, outside the timing
+    _ = steps.reads  # built here, outside the timing
     T = steps.embeddings.shape[1]
     best = [np.inf] * len(PASSES)
     for _ in range(REPEAT):
-        psi = np.zeros((rows, 1 << n), dtype=np.complex128)
-        psi[:, 0] = 1.0
         begin = time.perf_counter()
-        steps.evolve(psi, 0, T)
+        steps.sweep(1, lambda lo, states: None)
         best[0] = min(best[0], time.perf_counter() - begin)
         for i in (1, 2):  # read out from step 1, kept, or from step 2, uncomputed
             steps.sweep(i, lambda lo, states: None, backward=True)
@@ -106,16 +121,19 @@ def time_cell(n: int, rows: int, folded: bool) -> tuple[float, float, float]:
 
 
 def measure(qubits, rounds: int) -> dict:
-    """{(n, B, engine): a time per pass} medians of per-round minima."""
-    cells = [(n, rows) for n in qubits for rows in stacks(n)]
+    """{(n, B, engine): a time per pass} and {(n, engine): a build time}
+    medians of per-round minima."""
+    cells = [(n, rows) for n in qubits for rows in stacks(n)] + [(n, None) for n in qubits]
     seen: dict = {}
     for r in range(rounds):
         for n, rows in cells:
             # alternate which engine runs first, round by round
             for name in ENGINES[::1 if r % 2 == 0 else -1]:
-                seen.setdefault((n, rows, name), []).append(
-                    time_cell(n, rows, name == "folded"))
-    return {key: tuple(np.median(np.array(values), axis=0)) for key, values in seen.items()}
+                folded = name == "folded"
+                key, timed = ((n, name), time_build(n, folded)) if rows is None else (
+                    (n, rows, name), time_cell(n, rows, folded))
+                seen.setdefault(key, []).append(timed)
+    return {key: np.median(np.array(values), axis=0) for key, values in seen.items()}
 
 
 def report(times: dict, qubits) -> list[str]:
@@ -129,6 +147,8 @@ def report(times: dict, qubits) -> list[str]:
             mark = "*" if n <= FOLD_QUBITS else " "
             lines.append(f"{n:3d}{mark} {rows:5d}" + "".join(
                 f"  {lay:32.2f} {fold:7.2f} {lay / fold:6.2f}" for lay, fold in zip(layered, folded)))
+    lines.append("build us, layered/folded: " + ", ".join(
+        f"n={n} {times[n, 'layered']:.0f}/{times[n, 'folded']:.0f}" for n in qubits))
     return lines
 
 
