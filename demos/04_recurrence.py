@@ -9,7 +9,7 @@ token t changes readouts at steps >= t only.
 import numpy as np
 
 from qlam.cell import CellConfig, embed_token, forward, init_qlam_params
-from qlam.circuits import Steps, new_zero_state
+from qlam.circuits import Steps
 
 
 def main():
@@ -25,12 +25,11 @@ def main():
         print("  ", np.round(row, 4))
     print("logits:", np.round(result.logits, 4))
 
-    # Unitarity at depth: drive one register for 3000 steps through the
-    # step engine of the recurrence.
-    # The engine advances a stack of sequences; this one is a stack of one.
-    state = new_zero_state(cfg.n_qubits)
+    # Unitarity at depth: sweep one register from |0...0> through 3000
+    # steps of the step engine of the recurrence.  The engine advances a
+    # stack of sequences; this one is a stack of one.
     embeddings = embed_token(rng.uniform(0.0, 1.0, 3000), params)
-    Steps(params.theta, embeddings[None], cfg.entangler).evolve(state[None], 0, 3000, 3000)
+    state = Steps(params.theta, embeddings[None], cfg.entangler).sweep(3001, None)[0]
     print(f"norm drift after 3000 recurrent steps: "
           f"{abs(np.linalg.norm(state) - 1.0):.2e}")
 

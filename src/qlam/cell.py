@@ -252,10 +252,9 @@ class Run:
     sequence, the kept 1-based steps first..T; `features` are its last
     t_keep readouts, oldest first.  `steps` is the swept engine, which
     the adjoint walks back after a backward pass.  The decoder's
-    activations are not kept: they are B times one sequence's, so the
-    backward pass recomputes them one sequence at a time.  Keeping them
-    saves one `decoder` call per sequence, a few percent of a training
-    batch at n = 4, and measured no faster end to end."""
+    activations are not kept, since they are B times one sequence's: the
+    backward pass recomputes them one sequence at a time, one more
+    `decoder` call per sequence."""
 
     tokens: np.ndarray      # (B, T), validated
     embeddings: np.ndarray  # (B, T, n_qubits)
@@ -377,11 +376,9 @@ def final_logits(
     """Logits only, skipping readouts at steps the classifier never sees.
 
     Identical result to `forward(...).logits`, bit for bit; the batched
-    evaluation path `batch_logits` gives it too.  Readouts run batched
-    per block, so in exact mode skipping them saves 27-29% of a forward
-    pass at n = 4 and 69% at n = 12 (default cell, T = 256, medians of
-    best-of-30 and best-of-3 calls, one BLAS thread on a 2-vCPU Xeon
-    VM); in sampled mode each skipped step also saves its shot draws.
+    evaluation path `batch_logits` gives it too.  The skipped readouts
+    are a large share of a forward pass, and in sampled mode each skipped
+    step also saves its shot draws.
     """
     return batch_logits([tokens], params, cfg, shot, sample_index=sample_index)[0]
 

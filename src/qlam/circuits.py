@@ -15,11 +15,12 @@ set; the shift oracle in `gradients` moves an angle at every step.
 
 `Steps` is the step engine at every register size, and it owns the whole
 sweep over a stack of B equal-length sequences, advanced together as one
-(B, 2**n) array; a single sequence is B = 1.  `Steps.sweep` evolves
-|0...0> one window of K = `CHECKPOINT_INTERVAL` steps at a time and
-hands each window's states to a readout callback; for a gradient it also
-keeps the last window when all of it is read out, and stores the end
-state of every other window.  `Steps.adjoint` walks back from step T,
+(B, 2**n) array; a single sequence is B = 1.  `Steps.sweep`, the one
+loop that runs the steps, evolves |0...0> (or a given start state) one
+window of K = `CHECKPOINT_INTERVAL` steps at a time and hands each
+window's states to a readout callback; for a gradient it also keeps the
+last window when all of it is read out, and stores the end state of
+every other window.  `Steps.adjoint` walks back from step T,
 starting from the kept window, and takes the kets of every other one
 back from its end state by the inverse steps, in the same backward sweep
 as the adjoint rows (Jones & Gacon, arXiv:2009.02823), reading two angle
@@ -48,10 +49,11 @@ tail, V^H T V, built per `Steps` (`Steps.fold`).  The adjoint folds the
 same way: one matrix built on its first run gives every layer's read
 point and layer 0's in the eigenbasis, so a rewind step, of a ket or of
 an adjoint row, is one product and one conjugate-phase multiply
-(`Steps.reads`).  The basis stays inside `Steps`: the readout, the
-kets handed to the injection callback and the read points `cross`
-takes are computational, changed out of the basis once per window or
-walk sub-block, and the injections changed into it.  Larger registers
+(`Steps.reads`).  The basis stays inside `Steps`: the start state, the
+readout, the final states, the kets handed to the injection callback
+and the read points `cross` takes are computational, changed out of the
+basis once per window or walk sub-block, and the start state and the
+injections changed into it.  Larger registers
 run the layers one by one.  Folded, every stack a `Steps` walks is
 zero-padded to whole blocks of READ_ROWS rows (`Steps.height`).  Every
 reduction runs on one row of the stack, in an order that does not depend
@@ -146,8 +148,7 @@ def factor_widths(n_qubits: int) -> tuple[int, ...]:
     """Qubits in each factor group of a rotation layer, most significant
     first: two halves up to 10 qubits, and from 11 three groups, whose
     smaller Kronecker factors cost fewer multiply-adds per real or
-    imaginary part of an amplitude (48 against 128 at n = 12).  At
-    n = 11, (3, 4, 4) timed a little faster than (4, 4, 3) and (5, 3, 3)."""
+    imaginary part of an amplitude."""
     if n_qubits <= 10:
         return n_qubits - n_qubits // 2, n_qubits // 2
     return n_qubits - 8, 4, 4
@@ -158,14 +159,9 @@ def factor_widths(n_qubits: int) -> tuple[int, ...]:
 # phases and one product with the step's fixed tail (`Steps.fold`), a
 # real (2 * 2**n)**2 matrix, and rewind it as one product with every
 # layer's read points (`Steps.reads`) and one conjugate-phase multiply;
-# larger ones run both passes layer by layer.  Timed with
-# tools/time_engine.py (default 2-layer ring cell, one BLAS thread,
-# median of 3 runs of 5 rounds), the fold ran, per forward step, per
-# adjoint step over a kept window and per adjoint step over an
-# uncomputed one, 2.1-3.0x, 1.5-2.8x and 1.7-2.8x as fast at B <= 4 for
-# n <= 5, and 1.5-1.9x, 1.0-2.2x and 1.2-2.4x at B = walk_rows(n); at
-# n = 6 it ran 0.92x, 0.67x and 0.77x as fast at B = walk_rows(6) = 64,
-# and at n = 7, B = 1, 0.78x, 0.27x and 0.35x.
+# larger ones run both passes layer by layer.  The bound is the largest
+# register where the dense products time faster than the layered passes
+# (tools/time_engine.py times both).
 FOLD_QUBITS = 5
 # Rows per product of a folded stack with `Steps.tail`, `Steps.reads` or
 # a change of basis (`Steps.change`, through `block_matmul`).
@@ -314,9 +310,9 @@ class Steps:
     `tail` is the rest of the step, layer 0's gather and phase and every
     later layer, in that basis, as the real form of one unitary complex
     matrix on interleaved rows (`fold`): `step` is one multiply by the
-    phases and one product per block of READ_ROWS rows.  `basis` and
-    `computational` change rows into the basis and out of it, one product
-    per block of READ_ROWS rows (`change`), once per window or walk
+    phases and one product per block of READ_ROWS rows.  `change` takes
+    rows into the basis and out of it (`walk`, `computational`), one
+    product per block of READ_ROWS rows, once per sweep, window or walk
     sub-block.  The adjoint reads each layer between its RY and RZ gates.
     Up to FOLD_QUBITS qubits `reads`, built on the adjoint's first run,
     takes an eigenbasis row to every layer's computational read point and
@@ -424,8 +420,9 @@ class Steps:
         (`per_step`), into out if given.  On registers of at most
         FOLD_QUBITS qubits x and the result are Y-eigenbasis rows, and a
         step is one multiply by layer 0's phases and one product with the
-        folded tail per block of READ_ROWS rows (not through `block_matmul`,
-        which cost 1.2 us more per step at n = 4); above them x holds
+        folded tail per block of READ_ROWS rows (one stacked matmul on
+        rows already whole blocks high, without `block_matmul`'s per-call
+        work, which every step would pay); above them x holds
         computational rows, and each layer runs in turn (`advance`), its RY
         gates as GEMMs with the held factors, layer 0's per row."""
         if self.tail is None:
@@ -487,12 +484,6 @@ class Steps:
         rows = np.ascontiguousarray(x).reshape(-1, x.shape[-1]).view(np.float64)
         return block_matmul(rows, w, READ_ROWS)[:len(rows)].view(np.complex128).reshape(x.shape)
 
-    def basis(self, x: np.ndarray) -> np.ndarray:
-        """The complex computational rows x (..., 2**n) as `step` takes
-        them: their Y-eigenbasis rows on registers of at most FOLD_QUBITS
-        qubits (`change`), x itself above them."""
-        return x if self.tail is None else self.change(x, self.into_y)
-
     def walk(self, x: np.ndarray) -> np.ndarray:
         """The complex computational rows x (..., 2**n) as `rewind` takes
         them: their Y-eigenbasis rows up to FOLD_QUBITS qubits, planar
@@ -518,13 +509,10 @@ class Steps:
         return the (height, stop - first, 2**n) rows after steps
         first+1..stop and layer 0 of steps start+1..stop, built in one
         call (`layer0`), which the adjoint walk reuses when the sweep keeps
-        the window.  Layer 0 takes at most 1.25x the memory of its steps'
-        rows (at most 0.15x from n = 11, and half of it folded).  It is
-        built after the rows are allocated: the other order splits the
-        block the last window's rows freed, and at n = 12 the heap grew by
-        a window (2 MB).  x is written back, not replaced by the last
-        step's rows, which may view the window: a train step at n = 12
-        peaked 0.4 MB higher carrying them from window to window."""
+        the window.  Layer 0 is built after the rows are allocated, so it
+        does not split the block the last window's rows freed; and x is
+        written back rather than replaced by the last step's rows, which
+        may view the window and would keep it alive."""
         states = np.empty((self.height, stop - first, x.shape[-1]), dtype=np.complex128)
         f0 = self.layer0(start, stop)
         y = x
@@ -534,57 +522,34 @@ class Steps:
         x[...] = y
         return states, f0
 
-    def evolve(self, psi: np.ndarray, start: int, stop: int,
-               first: int | None = None) -> tuple[np.ndarray, object]:
-        """Advance the (B, 2**n) states psi in place through steps
-        start+1..stop (1-based) and return the (B, stop - first, 2**n)
-        states after steps first+1..stop (first defaults to start) and
-        layer 0 of steps start+1..stop (`layer0`).  Each step starts and
-        ends on computational rows, so steps split over calls round as in
-        one call; on folded registers that is a change into the Y
-        eigenbasis and out of it per step, where `sweep`, which carries
-        the basis from step to step, changes out once per window."""
-        first = start if first is None else first
-        rows = self.rows
-        states = np.empty((rows, stop - first, psi.shape[-1]), dtype=np.complex128)
-        x = np.zeros((self.height, psi.shape[-1]), dtype=np.complex128)
-        x[:rows] = psi
-        f0 = self.layer0(start, stop)
-        for t, own in enumerate(self.per_step(f0), start + 1):
-            x = self.computational(self.step(own, self.basis(x)))
-            if t > first:
-                states[:, t - first - 1] = x[:rows]
-        psi[:] = x[:rows]
-        check_finite(states, psi, first, stop)
-        return states, f0
-
-    def sweep(self, first: int, read, backward: bool = False) -> np.ndarray:
-        """Evolve every row from |0...0> one window of
-        CHECKPOINT_INTERVAL steps at a time (`window`) and return the
-        (B, 2**n) final states.  A window holding kept steps (first..T,
-        1-based, recorded as `first`) calls read(lo, states) with the
-        (B, S, 2**n) computational states after its steps lo+1..lo+S,
-        changed out of the Y eigenbasis once per window on folded
-        registers (`computational`).  With backward, for a pass the
-        adjoint follows, `kept` holds the last window's states, as read
-        took them, and layer 0 when every one of its steps is kept
-        (else None), which `adjoint` starts from, and `checkpoints` maps
-        the end step (K, 2K, ..., T) of every window the walk uncomputes,
-        every other one, to its end state as the (height, ...) rows the
-        walk starts from (`rewind`); a forward-only pass stores neither.
-        Storing the rest of a last window that is read out only in part
-        cost memory: at n = 12, T = 256, t_keep = 16 it raised a training
-        run's peak RSS by 0.9-1.0 MB."""
+    def sweep(self, first: int, read, backward: bool = False,
+              start: np.ndarray | None = None) -> np.ndarray:
+        """Evolve every row from the (B, 2**n) computational rows start
+        (|0...0> when None) one window of CHECKPOINT_INTERVAL steps at a
+        time (`window`) and return the (B, 2**n) final states.  A window
+        holding kept steps (first..T, 1-based, recorded as `first`) calls
+        read(lo, states) with the (B, S, 2**n) computational states after
+        its steps lo+1..lo+S, changed out of the Y eigenbasis once per
+        window on folded registers (`computational`); with first > T, read
+        is never called.  With backward, for a pass the adjoint follows,
+        `kept` holds the last window's states, as read took them, and
+        layer 0 when every one of its steps is kept (else None, rather
+        than hold its unread steps), which `adjoint` starts from, and
+        `checkpoints` maps the end step (K, 2K, ..., T) of every window the
+        walk uncomputes, every other one, to its end state as the
+        (height, ...) rows the walk starts from (`rewind`); a forward-only
+        pass stores neither."""
         T = self.embeddings.shape[1]
         x = np.zeros((self.height, 1 << self.n), dtype=np.complex128)
-        x[:self.rows, 0] = 1.0
-        x = self.basis(x)
+        x[:self.rows] = new_zero_state(self.n) if start is None else start
+        if self.tail is not None:  # into the Y eigenbasis, as `step` takes rows
+            x = self.change(x, self.into_y)
         self.first, self.checkpoints, self.kept = first, {}, None
-        for start in range(0, T, CHECKPOINT_INTERVAL):
-            stop = min(start + CHECKPOINT_INTERVAL, T)
-            lo = min(max(start, first - 1), stop)  # 0-based index of the window's first kept step
-            states, f0 = self.window(x, start, stop, lo)
-            keep = backward and stop == T and lo == start  # only a last window read out whole
+        for begin in range(0, T, CHECKPOINT_INTERVAL):
+            stop = min(begin + CHECKPOINT_INTERVAL, T)
+            lo = min(max(begin, first - 1), stop)  # 0-based index of the window's first kept step
+            states, f0 = self.window(x, begin, stop, lo)
+            keep = backward and stop == T and lo == begin  # only a last window read out whole
             if not keep:
                 del f0  # release layer 0 before the readout allocates
             if lo < stop:
@@ -624,10 +589,9 @@ class Steps:
         other gates commute with P), in the axis order `slots` gives.  A
         window's layer 0 is built once (`layer0`), or kept by the sweep.
         The ket restarts at each window, so inverse-gate drift crosses at
-        most CHECKPOINT_INTERVAL steps: 32 inverse steps moved an
-        amplitude by at most 3.1e-14 (n = 1-12, ring and linear, three
-        random circuits each).  A window's angle derivatives are summed in
-        one reduction over its steps.
+        most CHECKPOINT_INTERVAL steps, which move an amplitude by at most
+        about 3e-14.  A window's angle derivatives are summed in one
+        reduction over its steps.
         """
         rows, T = self.rows, self.embeddings.shape[1]
         dim = 1 << self.n

@@ -89,8 +89,7 @@ def test_criterion_02_unitarity_at_depth():
     rng = np.random.default_rng(2)
     theta = rng.uniform(-np.pi, np.pi, 2 * cfg.n_layers * cfg.n_qubits)
     for depth in (10_000, 3072):
-        state = new_zero_state(4)[None]
-        Steps(theta, rng.uniform(0.0, 1.0, (1, depth, 4)), cfg.entangler).evolve(state, 0, depth, depth)
+        state = Steps(theta, rng.uniform(0.0, 1.0, (1, depth, 4)), cfg.entangler).sweep(depth + 1, None)
         assert abs(np.linalg.norm(state) - 1.0) < 1e-9
 
 
@@ -132,7 +131,7 @@ def test_criterion_04_dense_oracle_100_instances():
         embedding = rng.uniform(-np.pi, np.pi, n)
         state = random_state(rng, n)
         before = state.copy()
-        Steps(theta, embedding[None, None], cfg.entangler).evolve(state[None], 0, 1)
+        state = Steps(theta, embedding[None, None], cfg.entangler).sweep(2, None, start=state[None])[0]
         dense = dense_step_matrix(cfg, theta, embedding)
         assert np.abs(state - dense @ before).max() < 1e-10
 

@@ -7,10 +7,11 @@ which `test_engine` checks against the same oracle at every size."""
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from oracles import central_diff, dense_step_matrix
 
+from qlam import circuits
 from qlam.cell import CellConfig, init_qlam_params, run
 from qlam.circuits import (
     Steps,
@@ -49,13 +50,11 @@ def encoding(embedding):
     return kron_qubits(times_ry(eye, np.cos(0.5 * embedding), np.sin(0.5 * embedding)))
 
 
-def evolve(cfg, theta, embeddings, state):
-    """The (2**n,) state after the steps of `embeddings` (T, n), run by
-    `Steps` as a one-row stack."""
-    psi = np.array(state, dtype=np.complex128)[None]
+def swept(cfg, theta, embeddings, state):
+    """The (2**n,) state after the steps of `embeddings` (T, n), swept by
+    `Steps` from `state` as a one-row stack."""
     steps = Steps(theta, np.asarray(embeddings, dtype=np.float64)[None], cfg.entangler)
-    steps.evolve(psi, 0, len(embeddings))
-    return psi[0]
+    return steps.sweep(len(embeddings) + 1, None, start=np.asarray(state)[None])[0]
 
 
 def test_ansatz_config_validation():
@@ -122,7 +121,7 @@ def test_encoding_length_mismatch():
 
 def test_ansatz_zero_angles_fix_all_zeros():
     cfg = CellConfig(2, 1)
-    state = evolve(cfg, np.zeros(4), np.zeros((1, 2)), new_zero_state(2))
+    state = swept(cfg, np.zeros(4), np.zeros((1, 2)), new_zero_state(2))
     expected = np.zeros(4, dtype=np.complex128)
     expected[0] = 1.0
     assert_allclose(state, expected, atol=1e-15)
@@ -130,7 +129,7 @@ def test_ansatz_zero_angles_fix_all_zeros():
 
 def test_ansatz_single_qubit_no_entangler():
     cfg = CellConfig(1, 1)
-    state = evolve(cfg, np.array([np.pi, 0.0]), np.zeros((1, 1)), new_zero_state(1))
+    state = swept(cfg, np.array([np.pi, 0.0]), np.zeros((1, 1)), new_zero_state(1))
     assert_allclose(state, [0.0, 1.0], atol=1e-15)
 
 
@@ -156,7 +155,7 @@ def test_step_matches_dense_oracle(n_qubits, entangler):
         embedding = rng.uniform(-2, 2, n_qubits)
         state = random_state(n_qubits, 300 + trial)
         expected = dense_step_matrix(cfg, theta, embedding) @ state
-        state = evolve(cfg, theta, embedding[None], state)
+        state = swept(cfg, theta, embedding[None], state)
         assert_allclose(state, expected, atol=1e-12)
 
 
@@ -172,9 +171,9 @@ def test_step_order_encoding_first():
     cfg = CellConfig(2, 1)
     theta = random_theta(cfg, 8)
     embedding = np.array([0.7, -0.4])
-    enc_first = evolve(cfg, theta, embedding[None], new_zero_state(2))
+    enc_first = swept(cfg, theta, embedding[None], new_zero_state(2))
     # the ansatz alone is a step with a zero embedding
-    var_first = encoding(embedding) @ evolve(cfg, theta, np.zeros((1, 2)), new_zero_state(2))
+    var_first = encoding(embedding) @ swept(cfg, theta, np.zeros((1, 2)), new_zero_state(2))
     assert np.abs(enc_first - var_first).max() > 1e-3
 
 
@@ -182,7 +181,7 @@ def test_norm_preserved_over_784_steps():
     cfg = CellConfig(4, 2)
     theta = random_theta(cfg, 10)
     rng = np.random.default_rng(11)
-    state = evolve(cfg, theta, rng.uniform(0, 1, (784, 4)), new_zero_state(4))
+    state = swept(cfg, theta, rng.uniform(0, 1, (784, 4)), new_zero_state(4))
     assert abs(np.linalg.norm(state) - 1.0) < 1e-9
 
 
@@ -190,8 +189,8 @@ def test_step_deterministic_bitwise():
     cfg = CellConfig(3, 2)
     theta = random_theta(cfg, 20)
     embedding = np.array([0.2, 0.5, -0.3])
-    a = evolve(cfg, theta, embedding[None], random_state(3, 21))
-    b = evolve(cfg, theta, embedding[None], random_state(3, 21))
+    a = swept(cfg, theta, embedding[None], random_state(3, 21))
+    b = swept(cfg, theta, embedding[None], random_state(3, 21))
     assert np.array_equal(a, b)
 
 
@@ -226,14 +225,37 @@ def test_plan_covers_every_parameter_once():
     assert 1 + len(steps.later_layers) == cfg.n_layers
 
 
-def test_plan_kernel_equals_step():
-    # steps run in two calls equal the same steps in one call, bit for bit
-    cfg = CellConfig(3, 2)
+@pytest.mark.parametrize("n_qubits", [3, 6])
+def test_sweep_is_bitwise_whatever_the_window_length(monkeypatch, n_qubits):
+    # windows hand each other the rows `Steps` carries (Y-eigenbasis rows
+    # on folded registers), so a sweep in windows of 1 or 7 steps reads
+    # out and ends bit for bit as in windows of CHECKPOINT_INTERVAL; and
+    # an explicit |0...0> start is bit for bit the default sweep
+    cfg = CellConfig(n_qubits, 2)
     theta = random_theta(cfg, 30)
-    embeddings = np.array([[0.4, -0.9, 1.3], [1.1, 0.2, -0.6], [-0.3, 0.8, 0.5]])
-    two_calls = evolve(cfg, theta, embeddings[1:], evolve(cfg, theta, embeddings[:1], random_state(3, 31)))
-    one_call = evolve(cfg, theta, embeddings, random_state(3, 31))
-    assert np.array_equal(two_calls, one_call)
+    T = circuits.CHECKPOINT_INTERVAL + 9
+    embeddings = np.random.default_rng(31).uniform(-2.0, 2.0, (2, T, n_qubits))
+    start = np.stack([random_state(n_qubits, 32), random_state(n_qubits, 33)])
+
+    def sweep(start):
+        states = np.empty((2, T, 1 << n_qubits), dtype=np.complex128)
+
+        def read(lo, window):
+            states[:, lo:lo + window.shape[1]] = window
+
+        final = Steps(theta, embeddings, cfg.entangler).sweep(1, read, start=start)
+        return states, final
+
+    want = sweep(start)
+    for interval in (1, 7):
+        monkeypatch.setattr(circuits, "CHECKPOINT_INTERVAL", interval)
+        for got, expected in zip(sweep(start), want):
+            assert_array_equal(got, expected)
+    monkeypatch.undo()
+    zero = np.zeros_like(start)
+    zero[:, 0] = 1.0
+    for got, expected in zip(sweep(zero), sweep(None)):
+        assert_array_equal(got, expected)
 
 
 def test_parameter_shift_identity_single_angle():
@@ -246,7 +268,7 @@ def test_parameter_shift_identity_single_angle():
     def expectation(theta_value, index=1):
         theta = base.copy()
         theta[index] = theta_value
-        state = evolve(cfg, theta, embedding[None], new_zero_state(2))
+        state = swept(cfg, theta, embedding[None], new_zero_state(2))
         return observable.expectations(state[None])[0, 0]
 
     for index in range(base.size):

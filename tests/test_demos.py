@@ -1,8 +1,8 @@
 """The demos that need no dataset run to completion as scripts.
 
-They call the engine directly (`circuits.new_zero_state`, `circuits.Steps`
-built from a cell's angles, embeddings and entangler,
-`observables.pauli_table`, `cell.decoder`, `cell.measure`,
+They call the engine directly (`circuits.new_zero_state`, `Steps.sweep`
+of a `circuits.Steps` built from a cell's angles, embeddings and
+entangler, `observables.pauli_table`, `cell.decoder`, `cell.measure`,
 `cell.embed_token`), so running them guards that API outside the tests.
 Demo 06 trains on the digits preset, which needs scikit-learn, and is
 left out.

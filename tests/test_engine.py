@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from oracles import (
@@ -21,6 +23,7 @@ from oracles import (
     rel_err,
 )
 
+from qlam import circuits
 from qlam.cell import (
     CellConfig,
     batch_logits,
@@ -98,15 +101,14 @@ def test_dense_steps_match_dense_step_matrix(n_qubits, entangler):
     theta_2 = rng.uniform(-np.pi, np.pi, 2 * cfg.n_layers * n_qubits)
     emb = rng.uniform(-2.0, 2.0, (2, n_qubits))
     dim = 1 << n_qubits
-    # one row per basis vector: row i of the advanced stack is column i
-    # of the step matrix; step 2 runs on an engine of its own angles
+    # one row per basis vector: row i of the swept stack is column i of
+    # the step matrix; step 2 runs on an engine of its own angles
     for t, angles in ((1, theta), (2, theta_2)):
-        steps = Steps(angles, np.broadcast_to(emb, (dim, 2, n_qubits)), entangler)
+        steps = Steps(angles, np.broadcast_to(emb[t - 1], (dim, 1, n_qubits)), entangler)
         want = dense_step_matrix(cfg, angles, emb[t - 1])
-        basis = np.eye(dim, dtype=np.complex128)
-        steps.evolve(basis, t - 1, t)
-        assert_allclose(basis.T, want, atol=1e-12)
-        first = steps.per_step(steps.layer0(t - 1, t), back=True)[0]
+        swept = steps.sweep(2, None, start=np.eye(dim))
+        assert_allclose(swept.T, want, atol=1e-12)
+        first = steps.per_step(steps.layer0(0, 1), back=True)[0]
         # the walk's rows of a stack of the engine's height: folded, n = 1
         # pads 2 rows to 4
         x = np.zeros((steps.height, dim), dtype=np.complex128)
@@ -225,8 +227,13 @@ def test_evolve_matches_dense_steps_at_the_fold_crossover(n_qubits, n_layers, en
     psi /= np.linalg.norm(psi, axis=1, keepdims=True)
     steps = Steps(theta, emb, entangler)
     assert (steps.tail is None) == (n_qubits > FOLD_QUBITS)
-    want = psi.copy()
-    states, _ = steps.evolve(psi, 0, 5)
+    want = psi
+    states = np.empty((3, 5, dim), dtype=np.complex128)
+
+    def read(lo, window):
+        states[:, lo:lo + window.shape[1]] = window
+
+    psi = steps.sweep(1, read, start=psi)
     for t in range(5):
         want = np.stack([dense_step_matrix(cfg, theta, emb[b, t]) @ want[b] for b in range(3)])
         assert_allclose(states[:, t], want, rtol=0, atol=1e-12)
@@ -258,8 +265,8 @@ def test_steps_match_dense_step_on_large_registers(n_qubits, entangler):
         for b in range(3):
             assert_allclose(np.vdot(rewound[b], want[:, b]), np.vdot(phi[b], stepped[:, b]), atol=1e-12)
         want = stepped
-    Steps(theta, emb, entangler).evolve(psi, 0, 1)
-    Steps(theta_2, emb, entangler).evolve(psi, 1, 2)
+    for t, angles in ((1, theta), (2, theta_2)):
+        psi = Steps(angles, emb[:, t - 1:t], entangler).sweep(2, None, start=psi)
     assert_allclose(psi.T, want, atol=1e-12)
 
 
@@ -279,7 +286,11 @@ def test_walk_uncomputes_the_swept_kets(monkeypatch, n_qubits, rows, entangler):
     emb = rng.uniform(-2.0, 2.0, (rows, T, n_qubits))
     before = np.zeros((rows, T + 1, dim), dtype=np.complex128)  # the state before each step
     before[:, 0, 0] = 1.0
-    before[:, 1:] = Steps(theta, emb, entangler).evolve(before[:, 0].copy(), 0, T)[0]
+
+    def read(lo, states):
+        before[:, lo + 1:lo + 1 + states.shape[1]] = states
+
+    Steps(theta, emb, entangler).sweep(1, read)
 
     crossed, injected = [], {}
     cross = Steps.cross
@@ -508,6 +519,41 @@ def test_batch_outputs_match_single_sequence_views_bitwise(n_qubits, batch, chun
             assert_array_equal(row, final_logits(samples[i].tokens, params, cfg))
             assert_array_equal(shot_row, final_logits(samples[i].tokens, params, cfg, shot,
                                                       sample_index=int(i)))
+
+
+def close_to(got, want, err_msg=""):
+    # relative to the array's largest entry
+    assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max(), err_msg=err_msg)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_qubits=st.integers(1, FOLD_QUBITS), n_layers=st.integers(1, 3),
+       entangler=st.sampled_from(["ring", "linear"]), rows=st.integers(1, 2 * READ_ROWS + 1),
+       T=st.sampled_from([1, CHECKPOINT_INTERVAL - 1, CHECKPOINT_INTERVAL, CHECKPOINT_INTERVAL + 1,
+                          2 * CHECKPOINT_INTERVAL + 3]),
+       data=st.data())
+def test_layered_engine_is_the_folded_engines_oracle(n_qubits, n_layers, entangler, rows, T, data):
+    # FOLD_QUBITS = 0 runs the same register layer by layer, on computational
+    # rows B high: every output of a folded pass, its padded rows, Y
+    # eigenbasis, kept window and walk sub-blocks, agrees with it
+    t_keep = data.draw(st.integers(1, T), label="t_keep")
+    cfg = small_cfg(n_qubits, n_layers=n_layers, entangler=entangler, t_keep=t_keep)
+    seed = data.draw(st.integers(0, 2**31), label="seed")
+    rng = np.random.default_rng(seed)
+    params = init_qlam_params(rng, cfg)
+    params.theta[:] = rng.uniform(-np.pi, np.pi, params.theta.shape)
+    samples = [SequenceSample(rng.uniform(0.0, 1.0, T), b % 3) for b in range(rows)]
+    tokens = [s.tokens for s in samples]
+    folded = batch_loss_and_grad(samples, params, cfg), batch_logits(tokens, params, cfg)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(circuits, "FOLD_QUBITS", 0)
+        layered = batch_loss_and_grad(samples, params, cfg), batch_logits(tokens, params, cfg)
+    for got, want in zip(folded[0], layered[0]):
+        close_to(got.loss, want.loss, "loss")
+        close_to(got.logits, want.logits, "logits")
+        for key, g in want.grads.items():
+            close_to(got.grads[key], g, key)
+    close_to(folded[1], layered[1], "batch_logits")
 
 
 @pytest.mark.parametrize("rows", [1, READ_ROWS - 1, READ_ROWS + 1, 2 * READ_ROWS])

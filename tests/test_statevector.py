@@ -124,9 +124,9 @@ def test_kernels_broadcast_over_leading_axes():
     emb = rng.uniform(-2.0, 2.0, (2, 3, 3))
     stack = rng.normal(size=(2, 8)) + 1j * rng.normal(size=(2, 8))
     separate = stack.copy()
-    Steps(theta, emb, "ring").evolve(stack, 0, 3)
+    stack = Steps(theta, emb, "ring").sweep(4, None, start=stack)
     for b in range(2):
-        Steps(theta, emb[b:b + 1], "ring").evolve(separate[b:b + 1], 0, 3)
+        separate[b] = Steps(theta, emb[b:b + 1], "ring").sweep(4, None, start=separate[b:b + 1])[0]
     assert np.array_equal(stack, separate)
 
 
@@ -146,8 +146,6 @@ def test_rotations_preserve_norm(n_qubits, target, angle, seed):
 def test_gate_application_is_deterministic():
     theta = np.array([0.3, 0.0, 0.0, 0.0, 0.0, -1.2])
     emb = np.zeros((1, 1, 3))
-    a = random_state(3, 11)[None]
-    b = a.copy()
-    for amps in (a, b):
-        Steps(theta, emb, "ring").evolve(amps, 0, 1)
+    amps = random_state(3, 11)[None]
+    a, b = (Steps(theta, emb, "ring").sweep(2, None, start=amps) for _ in range(2))
     assert np.array_equal(a, b)
