@@ -48,18 +48,19 @@ a forward step is one multiply by it and one product with the fixed
 tail, V^H T V, built per `Steps` (`Steps.fold`).  The adjoint folds the
 same way: one matrix built on its first run gives every layer's read
 point and layer 0's in the eigenbasis, so a rewind step, of a ket or of
-an adjoint row, is one product and one conjugate-phase multiply
-(`Steps.reads`).  The basis stays inside `Steps`: the start state, the
-readout, the final states, the kets handed to the injection callback
-and the read points `cross` takes are computational, changed out of the
-basis once per window or walk sub-block, and the start state and the
-injections changed into it.  Larger registers
-run the layers one by one.  Folded, every stack a `Steps` walks is
-zero-padded to whole blocks of READ_ROWS rows (`Steps.height`).  Every
-reduction runs on one row of the stack, in an order that does not depend
-on B, and every product over rows runs on blocks of a fixed row count
-(`block_matmul`, which `cell.decoder` shares), so a sequence's states
-and derivatives are bit for bit those of a B = 1 sweep.
+an adjoint row, is one product and one conjugate-phase multiply, and the
+kept window's rows take the same product (`Steps.reads`).  The basis
+stays inside `Steps`: the start state, the readout, the final states,
+the kets handed to the injection callback and the read points `cross`
+takes are computational, changed out of the basis once per window or
+walk sub-block, and the start state and the injections changed into
+it.  Larger registers run the layers one by one.  Folded, every stack a
+`Steps` walks is zero-padded to whole blocks of READ_ROWS rows
+(`Steps.height`).  Every reduction runs on one row of the stack, in an
+order that does not depend on B, and every product over rows runs on
+blocks of a fixed row count (`block_matmul`, which `cell.decoder`
+shares), so a sequence's states and derivatives are bit for bit those of
+a B = 1 sweep.
 """
 
 from __future__ import annotations
@@ -318,10 +319,10 @@ class Steps:
     takes an eigenbasis row to every layer's computational read point and
     to layer 0's read point in the eigenbasis in one real product, which
     `rewind` (each ket and adjoint row the walk takes back a step, then
-    the conjugate phases) runs in blocks of READ_ROWS rows, as `points`
-    (the computational states of a kept window) runs `state_reads`; above
-    it both go layer by layer (`unwind`) on planar rows.  At every size
-    `cross` reads each qubit's two angle derivatives there.
+    the conjugate phases) and `points` (the rows of a kept window) run in
+    blocks of READ_ROWS rows; above it both go layer by layer (`unwind`)
+    on planar rows.  At every size `cross` reads each qubit's two angle
+    derivatives there.
     Non-finite angles or embeddings raise NumericError.
     """
 
@@ -532,7 +533,8 @@ class Steps:
         its steps lo+1..lo+S, changed out of the Y eigenbasis once per
         window on folded registers (`computational`); with first > T, read
         is never called.  With backward, for a pass the adjoint follows,
-        `kept` holds the last window's states, as read took them, and
+        `kept` holds the last window's (height, S, 2**n) rows, as `window`
+        returned them (Y-eigenbasis rows up to FOLD_QUBITS qubits), and
         layer 0 when every one of its steps is kept (else None, rather
         than hold its unread steps), which `adjoint` starts from, and
         `checkpoints` maps the end step (K, 2K, ..., T) of every window the
@@ -549,16 +551,14 @@ class Steps:
             stop = min(begin + CHECKPOINT_INTERVAL, T)
             lo = min(max(begin, first - 1), stop)  # 0-based index of the window's first kept step
             states, f0 = self.window(x, begin, stop, lo)
-            keep = backward and stop == T and lo == begin  # only a last window read out whole
-            if not keep:
-                del f0  # release layer 0 before the readout allocates
-            if lo < stop:
-                states = self.computational(states[:self.rows])
-                read(lo, states)
-            if keep:
+            if backward and stop == T and lo == begin:  # only a last window read out whole
                 self.kept = states, f0
             elif backward:  # the walk uncomputes this window from its end state
                 self.checkpoints[stop] = planar(x) if self.tail is None else x.copy()
+            del f0  # release layer 0, unless kept, before the readout allocates
+            if lo < stop:
+                states = self.computational(states[:self.rows])
+                read(lo, states)
             del states  # release the window before the next one is allocated
         return self.computational(x[:self.rows])
 
@@ -571,16 +571,16 @@ class Steps:
 
         Windows are walked back last first, each in sub-blocks of
         walk_rows(n) // B steps (at least one), last first.  A sub-block's
-        kets are the states the sweep kept (`kept`), taken to each layer's
+        kets are the rows the sweep kept (`kept`), taken to each layer's
         read point, between its RY and RZ gates, by `points`; in every other
         window they are uncomputed: the ket starts at the window's end state,
         taken out of `checkpoints`, and `rewind` takes it back a step at a
-        time, writing its read points, and its rows change back to
-        computational ones once per sub-block (`computational`).  One
-        `inject` call takes the sub-block's B computational kets, and its
-        injections are changed once to the walk's rows (`walk`), padded to
-        `height`.  The adjoint recurrence lam <- M_t^H (lam + inj_t), with
-        lam the walk's rows, as the ket is (Y-eigenbasis rows up to
+        time, writing its read points.  Either way the sub-block's rows
+        change to computational ones once (`computational`); one `inject`
+        call takes its B computational kets, and its injections are
+        changed once to the walk's rows (`walk`), padded to `height`.
+        The adjoint recurrence lam <- M_t^H (lam + inj_t), with lam the
+        walk's rows, as the ket is (Y-eigenbasis rows up to
         FOLD_QUBITS qubits, planar computational ones above), then runs
         once per step (`rewind`) and keeps the adjoint rows L at the same
         points, and one `cross` call reads, on the B real rows, the
@@ -620,11 +620,10 @@ class Steps:
                         if t > lo:
                             walked[:, t - lo - 1] = ket[:rows]
                         ket = self.rewind(ket, inv0[t - start - 1], ket_slots[t - start - 1])
-                    kets = self.computational(walked)
                 else:
-                    kets = seg[:, start - win_start:stop - win_start]
-                    self.points(kets, ket_slots)
-                    kets = kets[:, lo - start:]
+                    self.points(seg[:, start - win_start:stop - win_start], ket_slots)
+                    walked = seg[:rows, lo - win_start:stop - win_start]
+                kets = self.computational(walked)
                 if lo < stop:
                     inj = np.zeros((stop - lo,) + lam.shape, dtype=lam.dtype)
                     inj[:, :rows] = self.walk(inject(lo, kets)).swapaxes(0, 1)
@@ -678,49 +677,34 @@ class Steps:
         return points[::-1]
 
     @functools.cached_property
-    def state_reads(self) -> np.ndarray | None:
-        """`unwind` as one real (2 * 2**n, n_layers * 2 * 2**n) matrix on
-        registers of at most FOLD_QUBITS qubits, None above them: the real
-        forms (`real_form`) of the maps from computational rows to every
-        layer's read point, layer 0's first, which `points` takes a kept
-        window's states through.  Built the first time the adjoint runs,
-        as `reads` is."""
-        if self.tail is None:
-            return None
-        eye = np.eye(1 << self.n, dtype=np.complex128)
-        return np.concatenate([real_form(p.reshape(len(eye), -1)) for p in self.unwind(planar(eye))],
-                              axis=1)
-
-    @functools.cached_property
     def reads(self) -> np.ndarray | None:
         """The rewind's fixed product on registers of at most FOLD_QUBITS
         qubits, None above them: one real (2 * 2**n, (n_layers + 1) *
         2 * 2**n) matrix from Y-eigenbasis rows after a step to every
-        layer's computational read point (`state_reads` after the change
-        out of the basis), then to layer 0's read point back in the
-        eigenbasis, made unitary by one `polar` step, which layer 0's
+        layer's computational read point, layer 0's first, the real forms
+        (`real_form`) of `unwind` of the Y basis rows' computational rows
+        (V^T), then to layer 0's read point back in the eigenbasis, the
+        inverse of the step's tail, `tail` transposed, which layer 0's
         conjugate phases take to the rows before the step.  Built the first
         time the adjoint runs, so a forward pass never pays for it."""
         if self.tail is None:
             return None
-        points = self.from_y @ self.state_reads
-        return np.concatenate([points, polar(points[:, :2 << self.n] @ self.into_y)], axis=1)
+        v = y_basis(self.n)[0]
+        points = self.unwind(planar(np.ascontiguousarray(v.T)))
+        return np.concatenate([real_form(p.reshape(len(v), -1)) for p in points] + [self.tail.T], axis=1)
 
-    def points(self, kets: np.ndarray, slots: np.ndarray) -> None:
-        """`unwind` of the complex states kets (B, S, 2**n), padded to
-        `height`, into the slots of S steps (`slots`): one product with
-        `state_reads` per block of READ_ROWS rows up to FOLD_QUBITS qubits,
-        filling each slot's read points, and `unwind` of their planar rows
+    def points(self, x: np.ndarray, slots: np.ndarray) -> None:
+        """The read points of the (height, S, 2**n) rows x, as `step`
+        returns them, into the slots of S steps (`slots`), as `rewind`
+        reads its rows: one product with `reads` per block of READ_ROWS
+        rows up to FOLD_QUBITS qubits, and `unwind` of their planar rows
         above them."""
+        x = x.swapaxes(0, 1)
         if self.reads is None:
-            x = np.zeros((kets.shape[1], self.height, 2 << self.n))
-            x[:, :self.rows] = planar(kets.swapaxes(0, 1))
-            self.unwind(x, slots.swapaxes(0, 1))
+            self.unwind(planar(x), slots.swapaxes(0, 1))
         else:
-            x = np.zeros((kets.shape[1], self.height, kets.shape[-1]), dtype=np.complex128)
-            x[:, :self.rows] = kets.swapaxes(0, 1)
-            rows = slots.reshape(-1, slots.shape[-1])[:, :self.state_reads.shape[-1]]
-            block_matmul(x.reshape(-1, x.shape[-1]).view(np.float64), self.state_reads, READ_ROWS, rows)
+            rows = x.reshape(-1, x.shape[-1]).view(np.float64)
+            block_matmul(rows, self.reads, READ_ROWS, slots.reshape(-1, slots.shape[-1]))
 
     def rewind(self, x: np.ndarray, first, out: np.ndarray | None = None) -> np.ndarray:
         """M_t^H x for the (height, ...) rows x of the walk (`walk`), given

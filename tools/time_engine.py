@@ -23,18 +23,17 @@ out every step, divided by the window's steps; folded, it changes the
 window's states out of the eigenbasis once for the readout.  An adjoint
 step is `Steps.adjoint` after a gradient's `sweep` of the same window,
 timed twice: "kept", after a sweep that reads out every step, so the
-sweep keeps the window and the walk reads its states; and "uncomputed",
+sweep keeps the window's rows and the walk reads them; and "uncomputed",
 after one that reads out every step but the first, so the sweep keeps no
 window and the walk takes every ket back from the window's end state.
 Each times the rewinds, the read points, the angle derivatives and the
 injections (the kets themselves) of every step it reads out, with the
 changes of basis of the kets and injections.  The one-time builds, of a
-`Steps` (with `tail` when folded) and of `reads` (with `state_reads`),
-are timed apart, once per register size and engine, on their own line.
-Each round times every cell once per engine, alternating which engine
-runs first, and keeps the best of REPEAT calls; the output is the median
-over rounds of those minima.  One BLAS thread is pinned before numpy
-loads.
+`Steps` (with `tail` when folded) and of `reads`, are timed apart, once
+per register size and engine, on their own line.  Each round times every
+cell once per engine, alternating which engine runs first, and keeps the
+best of REPEAT calls; the output is the median over rounds of those
+minima.  One BLAS thread is pinned before numpy loads.
 """
 
 from __future__ import annotations
@@ -56,8 +55,8 @@ PASSES = ("forward", "kept adjoint", "uncomputed adjoint")
 LAYERS = 2  # the default cell's ansatz layers
 REPEAT = 3  # calls per cell and round
 # The largest register timed.  Both engines run at every n, and the
-# folded one holds real (2 * 2**n)-wide matrices: at n = 8 `tail`,
-# `reads` and `state_reads` take 12 MiB together, at n = 12 3 GiB.
+# folded one holds real (2 * 2**n)-wide matrices: at n = 8 `tail` and
+# `reads` take 8 MiB together, at n = 12 2 GiB.
 MOST_QUBITS = 8
 
 
