@@ -47,7 +47,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .circuits import Steps, block_matmul, check_register, entangler_pairs
-from .data import validate_tokens
+from .data import validate_token_stack
 from .errors import ConfigError, NumericError, ShapeError, check_fields
 from .observables import (
     MAX_SEED,
@@ -188,23 +188,32 @@ def embed_token(tokens, params: QlamParams) -> np.ndarray:
 DECODER_ROWS = 16
 
 
+def decoder_tanh(q: np.ndarray, params: QlamParams) -> np.ndarray:
+    """The (padded(S, DECODER_ROWS), n_heads * decoder_hidden) tanh layer
+    of the S query rows q (..., d_query), and past them of zero queries:
+    one (DECODER_ROWS, d_query) @ (d_query, heads*hidden) GEMM per block
+    of DECODER_ROWS rows (`block_matmul`), the bias and the tanh, in
+    place."""
+    heads, width, d_query = params.dec_w1.shape
+    hidden = block_matmul(q.reshape(-1, d_query), params.dec_w1.reshape(heads * width, d_query).T,
+                          DECODER_ROWS)
+    hidden += params.dec_b1.reshape(-1)
+    np.tanh(hidden, out=hidden)
+    return hidden
+
+
 def decoder(q: np.ndarray, params: QlamParams) -> tuple[np.ndarray, np.ndarray]:
     """Every head's tanh layer (..., n_heads, decoder_hidden) and observable
     weights (..., n_heads, pool_size) for queries of shape (..., d_query).
 
     The S query rows go through BLAS in blocks of DECODER_ROWS, the last
-    one zero-padded: one (DECODER_ROWS, d_query) @ (d_query, heads*hidden)
-    GEMM per block (`block_matmul`), the tanh, and one (heads,
+    one zero-padded: the tanh layer (`decoder_tanh`), then one (heads,
     DECODER_ROWS, hidden) @ (heads, hidden, pool) stacked matmul per
     block.  Every call has the same shape, so a row's bits do not depend
     on S or on the other rows."""
-    heads, width, d_query = params.dec_w1.shape
-    rows = q.reshape(-1, d_query)
-    count = rows.shape[0]
-    hidden = block_matmul(rows, params.dec_w1.reshape(heads * width, d_query).T, DECODER_ROWS)
-    hidden += params.dec_b1.reshape(-1)
-    np.tanh(hidden, out=hidden)
-    hidden = hidden.reshape(-1, DECODER_ROWS, heads, width)
+    heads, width, _ = params.dec_w1.shape
+    count = q.size // q.shape[-1]
+    hidden = decoder_tanh(q, params).reshape(-1, DECODER_ROWS, heads, width)
     gammas = np.matmul(hidden.transpose(0, 2, 1, 3), params.dec_w2.transpose(0, 2, 1))
     gammas = gammas.transpose(0, 2, 1, 3).reshape(-1, heads, gammas.shape[-1])[:count] + params.dec_b2
     lead = q.shape[:-1]
@@ -253,8 +262,8 @@ class Run:
     t_keep readouts, oldest first.  `steps` is the swept engine, which
     the adjoint walks back after a backward pass.  The decoder's
     activations are not kept, since they are B times one sequence's: the
-    backward pass recomputes them one sequence at a time, one more
-    `decoder` call per sequence."""
+    backward pass recomputes the tanh layer one sequence at a time, one
+    more `decoder_tanh` call per sequence."""
 
     tokens: np.ndarray      # (B, T), validated
     embeddings: np.ndarray  # (B, T, n_qubits)
@@ -296,11 +305,7 @@ def run(
     depend on `keep`, on the window that computed it, or on the other
     rows of the stack.
     """
-    rows = [validate_tokens(row) for row in tokens]
-    lengths = sorted({row.shape[0] for row in rows})
-    if len(lengths) != 1:
-        raise ShapeError(f"a token stack needs one or more rows of one length, got lengths {lengths}")
-    x = np.stack(rows)
+    x = validate_token_stack(tokens)
     if np.ndim(sample_index) and np.shape(sample_index) != (x.shape[0],):
         raise ShapeError(f"sample_index has shape {np.shape(sample_index)} for {x.shape[0]} token rows")
     # each is one word of its shot streams' key (`observables.stream_key`)

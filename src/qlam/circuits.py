@@ -54,7 +54,16 @@ stays inside `Steps`: the start state, the readout, the final states,
 the kets handed to the injection callback and the read points `cross`
 takes are computational, changed out of the basis once per window or
 walk sub-block, and the start state and the injections changed into
-it.  Larger registers run the layers one by one.  Folded, every stack a
+it.  Folded, a step or a rewind is two numpy calls into buffers built
+once per window or walk sub-block, and allocates nothing: a step's
+multiply overwrites one scratch block and its product writes the step's
+slot of the window's rows (the sweep's own rows for a step not read
+out), and a rewind's product writes the step's slot of read points and
+its multiply overwrites the walk's own rows, the adjoint rows or the ket
+taken out of `checkpoints`.  Every array handed to the readout or the
+injection callback, the final states, and the kept window the walk reads
+are allocated for that use and never written again.  Larger registers
+run the layers one by one.  Folded, every stack a
 `Steps` walks is zero-padded to whole blocks of READ_ROWS rows
 (`Steps.height`).  Every reduction runs on one row of the stack, in an
 order that does not depend on B, and every product over rows runs on
@@ -274,6 +283,28 @@ def y_basis(n_qubits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return out
 
 
+@functools.cache
+def wiring(n_qubits: int, pairs: tuple[tuple[int, int], ...]) -> tuple[np.ndarray, ...]:
+    """Built once per register size and CNOT pattern (the
+    `entangler_pairs` of one sublayer) and shared by every `Steps` of
+    that shape, which never writes them: the entangler as a gather on a
+    flattened row, shaped (d_0, 2**n / d_0) like a `Steps` state, and as
+    (d_0, 2**n / d_0, 2) indices into a planar row, [..., c] part c (re,
+    im) of an amplitude, so that a take on a stack of planar rows writes
+    each row's next (gather) or previous (scatter) state as complex rows.
+    They are not flagged read-only: numpy's take copies a read-only index
+    array at every call (64 KiB per layer and step at n = 12)."""
+    # CNOT(c, t) flips bit t of the index where bit c is set; after the
+    # entangler, amplitude i is the one at i put through its CNOTs last first
+    gather = np.arange(1 << n_qubits)
+    for control, target in reversed(pairs):
+        gather ^= ((gather >> control) & 1) << target
+    shape = (1 << factor_widths(n_qubits)[0], -1)
+    parts = np.arange(2) << n_qubits
+    return (gather.reshape(shape), gather.reshape(shape)[..., None] + parts,
+            np.argsort(gather).reshape(shape)[..., None] + parts)
+
+
 class Steps:
     """The recurrence steps of a stack of B equal-length sequences: swept
     forward from |0...0>, and walked back by the adjoint, a run of
@@ -348,22 +379,12 @@ class Steps:
         self.embeddings = np.zeros((self.height,) + embeddings.shape[1:], dtype=embeddings.dtype)
         self.embeddings[:self.rows] = embeddings
         self.angles = np.reshape(theta, (n_layers, n, 2))
-        # CNOT(c, t) flips bit t of the index where bit c is set; after the
-        # entangler, amplitude i is the one at i put through its CNOTs last first
-        gather = np.arange(1 << n)
-        for control, target in reversed(entangler_pairs(n, entangler)):
-            gather ^= ((gather >> control) & 1) << target
-        self.gather = gather.reshape(self.shape)
-        # (d_0, 2**n / d_0, 2) indices into a planar row, [..., c] part c
-        # (re, im) of an amplitude: a take on a stack of planar rows writes
-        # each row's next (gather) or previous (scatter) state as complex rows
-        parts = np.arange(2) << n
-        self.planar_gather = self.gather[..., None] + parts
-        self.planar_scatter = np.argsort(gather).reshape(self.shape)[..., None] + parts
+        self.gather, self.planar_gather, self.planar_scatter = wiring(
+            n, tuple(entangler_pairs(n, entangler)))
         ry, rz = layer_rotations(theta, n)
         # the diagonal of a layer's RZ gates is their Kronecker product
         phases = kron_qubits(rz[..., None, :])[..., 0, :]
-        self.phases = phases[:, gather].reshape((-1,) + self.shape)
+        self.phases = phases[:, self.gather]
         self.inverse_phases = phases.conj().reshape((-1,) + self.shape)
         # layer 0's RY matrices and the held factors of the later layers,
         # and their inverses
@@ -416,16 +437,20 @@ class Steps:
             x = self.advance(layer, factors, x)
         return real_form(polar(x.reshape(len(v), -1) @ v.conj()))
 
-    def step(self, first, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def step(self, first, x: np.ndarray, out, scratch) -> np.ndarray:
         """The (height, 2**n) rows x through one step, given its layer 0
-        (`per_step`), into out if given.  On registers of at most
-        FOLD_QUBITS qubits x and the result are Y-eigenbasis rows, and a
-        step is one multiply by layer 0's phases and one product with the
-        folded tail per block of READ_ROWS rows (one stacked matmul on
-        rows already whole blocks high, without `block_matmul`'s per-call
-        work, which every step would pay); above them x holds
-        computational rows, and each layer runs in turn (`advance`), its RY
-        gates as GEMMs with the held factors, layer 0's per row."""
+        (`per_step`), into out.  On registers of at most FOLD_QUBITS
+        qubits x and the result are Y-eigenbasis rows, and out and scratch
+        are pairs of complex (height, 2**n) rows and their float64
+        `blocks`, built once per window: a step is one multiply by layer
+        0's phases, which overwrites scratch, and one stacked product of
+        its blocks with the folded tail, one per block of READ_ROWS rows
+        (without `block_matmul`'s per-call work, which every step would
+        pay), which overwrites out and allocates nothing; the result is
+        out's rows, and out may be x.  Above them x holds computational
+        rows, each layer runs in turn (`advance`), its RY gates as GEMMs
+        with the held factors, layer 0's per row, into new rows, copied
+        into out unless it is None; scratch is unused."""
         if self.tail is None:
             x = x.reshape((len(x),) + self.shape)
             for layer, factors in enumerate([first] + self.later_layers):
@@ -434,11 +459,16 @@ class Steps:
             if out is not None:
                 out[...] = x
             return x
-        y = (x * first).view(np.float64).reshape(-1, READ_ROWS, 2 << self.n)
-        if out is None:
-            out = np.empty(x.shape, dtype=np.complex128)
-        np.matmul(y, self.tail, out=out.view(np.float64).reshape(y.shape))
-        return out
+        np.multiply(x, first, out=scratch[0])
+        np.matmul(scratch[1], self.tail, out=out[1])
+        return out[0]
+
+    def blocks(self, x: np.ndarray) -> np.ndarray:
+        """The float64 view of the complex rows x (..., height, 2**n) as
+        (..., height / READ_ROWS, READ_ROWS, 2 * 2**n) blocks, the operand
+        of one folded product per block."""
+        blocks = (x.shape[-2] // READ_ROWS, READ_ROWS, 2 << self.n)
+        return x.view(np.float64).reshape(x.shape[:-2] + blocks)
 
     def unentangle(self, layer: int, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The inverse of `entangle` for ansatz layer `layer`: the complex
@@ -510,17 +540,28 @@ class Steps:
         return the (height, stop - first, 2**n) rows after steps
         first+1..stop and layer 0 of steps start+1..stop, built in one
         call (`layer0`), which the adjoint walk reuses when the sweep keeps
-        the window.  Layer 0 is built after the rows are allocated, so it
-        does not split the block the last window's rows freed; and x is
-        written back rather than replaced by the last step's rows, which
-        may view the window and would keep it alive."""
+        the window.  Each step writes its rows into its slot of the
+        returned array, allocated here per window, so rows returned are
+        never written again; folded, every buffer a step uses is built once
+        per window, one scratch block for the phase multiply, and x itself
+        takes the rows of a step not returned.  Layer 0 is built after the
+        rows are allocated, so it does not split the block the last
+        window's rows freed; and x is written back rather than replaced by
+        the last step's rows, which view the window and would keep it
+        alive."""
         states = np.empty((self.height, stop - first, x.shape[-1]), dtype=np.complex128)
         f0 = self.layer0(start, stop)
+        slots, spare, scratch = states.swapaxes(0, 1), None, None
+        if self.tail is not None:
+            buffer = np.empty(x.shape, dtype=np.complex128)
+            slots, spare = list(zip(slots, self.blocks(slots))), (x, self.blocks(x))
+            scratch = buffer, self.blocks(buffer)
         y = x
-        for t, own in enumerate(self.per_step(f0), start + 1):
-            y = self.step(own, y, states[:, t - first - 1] if t > first else None)
+        for j, own in enumerate(self.per_step(f0), start - first):
+            y = self.step(own, y, slots[j] if j >= 0 else spare, scratch)
         check_finite(states[:self.rows], y, first, stop)
-        x[...] = y
+        if y is not x:
+            x[...] = y
         return states, f0
 
     def sweep(self, first: int, read, backward: bool = False,
@@ -588,6 +629,10 @@ class Steps:
         exp(-i a P/2) on qubit j, for every layer and step (the layer's
         other gates commute with P), in the axis order `slots` gives.  A
         window's layer 0 is built once (`layer0`), or kept by the sweep.
+        Folded, the walk rewinds its ket and adjoint rows in place, through
+        block views built once per window or pass and per-step slots built
+        once per sub-block (`outputs`); the kets handed to `inject` are
+        new arrays, and the kept rows are read, never written.
         The ket restarts at each window, so inverse-gate drift crosses at
         most CHECKPOINT_INTERVAL steps, which move an amplitude by at most
         about 3e-14.  A window's angle derivatives are summed in one
@@ -598,6 +643,8 @@ class Steps:
         dtheta = np.zeros((rows,) + self.angles.shape)
         denc = np.empty((rows, T, self.n))
         lam = self.walk(np.zeros((self.height, dim), dtype=np.complex128))
+        folded = self.reads is not None
+        lam_blocks = self.blocks(lam) if folded else None
         block = max(1, walk_rows(self.n) // rows)
         kept, self.kept = self.kept, None
         for win_start in reversed(range(0, T, CHECKPOINT_INTERVAL)):
@@ -605,6 +652,7 @@ class Steps:
             if kept is None:
                 seg, f0 = None, self.layer0(win_start, win_end)
                 ket = self.checkpoints.pop(win_end)
+                ket_blocks = self.blocks(ket) if folded else None
             else:
                 (seg, f0), kept = kept, None
             # every angle derivative of every step of the window
@@ -616,10 +664,11 @@ class Steps:
                 ket_slots, ket_points, _ = self.slots(stop - start)
                 if seg is None:
                     walked = np.empty((rows, stop - lo) + ket.shape[1:], dtype=ket.dtype)
+                    outs = self.outputs(ket_slots)
                     for t in range(stop, start, -1):
                         if t > lo:
                             walked[:, t - lo - 1] = ket[:rows]
-                        ket = self.rewind(ket, inv0[t - start - 1], ket_slots[t - start - 1])
+                        ket = self.rewind(ket, inv0[t - start - 1], outs[t - start - 1], ket_blocks)
                 else:
                     self.points(seg[:, start - win_start:stop - win_start], ket_slots)
                     walked = seg[:rows, lo - win_start:stop - win_start]
@@ -628,10 +677,11 @@ class Steps:
                     inj = np.zeros((stop - lo,) + lam.shape, dtype=lam.dtype)
                     inj[:, :rows] = self.walk(inject(lo, kets)).swapaxes(0, 1)
                 slots, points, order = self.slots(stop - start)
+                outs = self.outputs(slots)
                 for t in range(stop, start, -1):
                     if t > lo:
                         lam += inj[t - lo - 1]
-                    lam = self.rewind(lam, inv0[t - start - 1], slots[t - start - 1])
+                    lam = self.rewind(lam, inv0[t - start - 1], outs[t - start - 1], lam_blocks)
                 # read between the gates of U_j = RZ(b) RY(a): dJ/da =
                 # Im tr(Y rho_j), dJ/db = Im tr(Z rho_j); layer 0's encoding
                 # RY(e_t) shares the RY axis, so dJ/de_t = dJ/da at step t
@@ -640,7 +690,7 @@ class Steps:
                 denc[:, start:stop] = derivs[:, :, 0, :, 0]
             dtheta += dwin.sum(axis=1)
             # release the window before the next one's layer 0 is built
-            del seg, f0, kets, ket_slots, ket_points, slots, points, derivs
+            del seg, f0, kets, ket_slots, ket_points, slots, points, outs, derivs
         return dtheta, denc
 
     def slots(self, steps: int) -> tuple[np.ndarray, np.ndarray, tuple[int, int, int]]:
@@ -706,27 +756,39 @@ class Steps:
             rows = x.reshape(-1, x.shape[-1]).view(np.float64)
             block_matmul(rows, self.reads, READ_ROWS, slots.reshape(-1, slots.shape[-1]))
 
-    def rewind(self, x: np.ndarray, first, out: np.ndarray | None = None) -> np.ndarray:
+    def rewind(self, x: np.ndarray, first, out=None, blocks: np.ndarray | None = None) -> np.ndarray:
         """M_t^H x for the (height, ...) rows x of the walk (`walk`), given
         step t's inverse layer 0 (`per_step` with back): every layer's read
         point, into out if given, then layer 0's inverse; returns rows of
         the same form.  Up to FOLD_QUBITS qubits x holds Y-eigenbasis rows
-        and out is a float64 (height, (n_layers + 1) * 2 * 2**n) array of
-        interleaved complex rows, filled by one product with `reads` per
-        block of READ_ROWS rows, whose last block, layer 0's read point in
-        the Y eigenbasis, times the conjugate phases is the result.  Above
-        them x holds planar rows, out is a complex (n_layers, height,
+        and is overwritten by the result, and out is one step's slot as
+        `outputs` gives it (a slot of its own when None): one product of
+        x's `blocks` (built here when None) with `reads` per block of
+        READ_ROWS rows writes every read point into the slot, and its last
+        block, layer 0's read point in the Y eigenbasis, times the
+        conjugate phases is written back into x; nothing is allocated.
+        Above them x holds planar rows, out is a complex (n_layers, height,
         d_0, 2**n / d_0) array, filled by `unwind`, and layer 0's inverse
-        is its transposed factors through `rotate`.  `slots` makes out
-        either way."""
+        is its transposed factors through `rotate`, into new rows."""
         if self.reads is None:
             points = self.unwind(x, out)[0]
             return self.rotate(first, points).reshape(len(x), -1)
         if out is None:
-            out = np.empty((len(x), self.reads.shape[-1]))
-        np.matmul(x.view(np.float64).reshape(-1, READ_ROWS, 2 << self.n), self.reads,
-                  out=out.reshape(-1, READ_ROWS, out.shape[-1]))
-        return out[:, -(2 << self.n):].view(np.complex128) * first
+            out = self.outputs(np.empty((1, len(x), self.reads.shape[-1])))[0]
+        np.matmul(self.blocks(x) if blocks is None else blocks, self.reads, out=out[0])
+        np.multiply(out[1], first, out=x)
+        return x
+
+    def outputs(self, slots):
+        """The per-step `out` of `rewind` into `slots` (S steps): the slots
+        themselves above FOLD_QUBITS qubits; folded, per step its float64
+        (height / READ_ROWS, READ_ROWS, width) blocks, the product's
+        output, and the complex (height, 2**n) rows of its last block,
+        built once per walk sub-block."""
+        if self.reads is None:
+            return slots
+        return list(zip(slots.reshape(len(slots), -1, READ_ROWS, slots.shape[-1]),
+                        slots[..., -(2 << self.n):].view(np.complex128)))
 
     def cross(self, kets: np.ndarray, adjoints: np.ndarray) -> np.ndarray:
         """(..., n, 2) angle derivatives [Re(rho01 - rho10), Im(rho00 -

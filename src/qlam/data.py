@@ -205,6 +205,25 @@ def validate_tokens(tokens) -> np.ndarray:
     return x
 
 
+def validate_token_stack(tokens) -> np.ndarray:
+    """A new (B, T) float64 array of B >= 1 equal-length token rows, each
+    as `validate_tokens` takes a sequence, in one check of the whole
+    stack; only a stack that fails it is checked row by row, so that it
+    raises what the first failing row's `validate_tokens` raises, or, if
+    every row passes, a ShapeError naming the rows' lengths."""
+    try:
+        x = np.array(tokens, dtype=np.float64)
+    except (TypeError, ValueError):  # ragged rows, or a row that is no vector
+        x = None
+    if x is not None and x.ndim == 2 and x.size and x.min() >= 0.0 and x.max() <= 1.0:
+        return x  # NaN fails both comparisons
+    rows = [validate_tokens(row) for row in tokens]
+    lengths = sorted({row.shape[0] for row in rows})
+    if len(lengths) != 1:
+        raise ShapeError(f"a token stack needs one or more rows of one length, got lengths {lengths}")
+    return np.stack(rows)
+
+
 def downsample(image: np.ndarray, factor: int) -> np.ndarray:
     """Non-overlapping average pooling; dimensions must divide by factor."""
     img = np.asarray(image, dtype=np.float64)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cell import CellConfig, QlamParams, Run, decoder, run
+from .cell import CellConfig, QlamParams, Run, decoder_tanh, run
 from .circuits import CHECKPOINT_INTERVAL  # noqa: F401 (perfbench reads it from here)
 from .data import SequenceSample
 from .errors import NumericError, ShapeError
@@ -51,8 +51,9 @@ def _decoder_backward(w: np.ndarray, r: Run, params, grads) -> np.ndarray:
     kept step of a sequence at once; grads hold one (B, ...) gradient per
     parameter.  Every contraction is a GEMM over one sequence's S rows,
     with the heads and hidden units flattened to one heads*hidden axis.
-    Sequences go one at a time, recomputing their tanh layer with
-    `decoder`, so the temporaries stay the size of one sequence's.
+    Sequences go one at a time, recomputing only their tanh layer
+    (`decoder_tanh`, the calls `decoder` makes), so the temporaries stay
+    the size of one sequence's.
 
     Returns the injection coefficients c[b, t, i] = sum_h w[b, t, h]
     gamma_bt[h, i] for the quantum half of the backward pass, as
@@ -65,7 +66,7 @@ def _decoder_backward(w: np.ndarray, r: Run, params, grads) -> np.ndarray:
     for b, wb in enumerate(w):
         x, e = r.tokens[b, r.first - 1:], r.embeddings[b, r.first - 1:]
         q, exps = r.queries[b], r.exps[b]
-        hidden = decoder(q, params)[0]
+        hidden = decoder_tanh(q, params)[:len(q)].reshape(len(q), heads, width)
         wh = (wb[:, :, None] * hidden).reshape(wb.shape[0], -1)
         grads["dec_w2"][b] += (exps.T @ wh).reshape(-1, heads, width).transpose(1, 0, 2)
         grads["dec_b2"][b] += wb.T @ exps

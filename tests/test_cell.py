@@ -430,6 +430,40 @@ def test_token_validation():
         forward(np.array([np.nan]), params, cfg)
 
 
+@pytest.mark.parametrize("stack, error, message", [
+    ([[0.1, 0.2], [0.3]], ShapeError,
+     "a token stack needs one or more rows of one length, got lengths [1, 2]"),
+    ([], ShapeError, "a token stack needs one or more rows of one length, got lengths []"),
+    ([[0.1], []], ShapeError, "tokens must be a non-empty vector, got shape (0,)"),
+    (np.array([0.1, 0.2]), ShapeError, "tokens must be a non-empty vector, got shape ()"),
+    ([[0.1, 0.2], [np.nan, 0.2]], NumericError, "tokens must be finite"),
+    ([[0.1, 0.2], [0.2, np.inf]], NumericError, "tokens must be finite"),
+    # the range of the first failing row, not of the stack
+    ([[0.1, 0.2], [0.3, 1.5], [-0.5, 0.5]], ValidationError,
+     "tokens must lie in [0, 1], got range [0.3, 1.5]"),
+    # a row fails its own checks before the lengths are compared
+    ([[0.1, 0.2], [np.nan]], NumericError, "tokens must be finite"),
+], ids=["ragged", "no rows", "empty row", "vector", "nan", "inf", "range", "ragged nan"])
+def test_token_stack_is_refused_as_its_first_failing_row(stack, error, message):
+    # the stack is checked in one go; one that fails raises what the row
+    # by row checks raise
+    cfg = small_cfg()
+    params = make_params(cfg)
+    with pytest.raises(error) as info:
+        batch_logits(stack, params, cfg)
+    assert str(info.value) == message
+
+
+def test_token_stack_as_array_or_rows_gives_the_same_logits():
+    cfg = small_cfg(t_keep=2)
+    params = make_params(cfg)
+    stack = np.random.default_rng(44).uniform(0.0, 1.0, (3, 7))
+    stack[0, 0], stack[1, 1] = 0.0, 1.0  # both ends of the domain pass
+    assert np.array_equal(batch_logits(stack, params, cfg), batch_logits(list(stack), params, cfg))
+    assert np.array_equal(batch_logits(stack.astype(np.float32), params, cfg),
+                          batch_logits([list(row.astype(np.float32)) for row in stack], params, cfg))
+
+
 def test_short_sequence_vs_t_keep():
     # `run` classifies the last t_keep readouts, so every view of it,
     # the readout-only oracles included, refuses a shorter sequence

@@ -668,6 +668,42 @@ def test_layer0_is_built_once_per_step_and_pass(monkeypatch, n_qubits):
     assert rewound == []
 
 
+@pytest.mark.parametrize("n_qubits", list(range(1, FOLD_QUBITS + 2)))
+def test_buffer_reuse_never_overwrites_rows_handed_out(n_qubits):
+    # folded steps write into buffers built once per window, and folded
+    # rewinds take the walk's rows back in place; every array handed to
+    # the readout or to the injection callback, and the sweep's final
+    # states, must hold at the end of the pass what they held when handed
+    # out.  Kept readouts start inside a window, so the walk uncomputes
+    # the window they start in and, past one window, keeps the last one.
+    # n = FOLD_QUBITS + 1 is the layered engine, as a control
+    K = CHECKPOINT_INTERVAL
+    rng = np.random.default_rng(180 + n_qubits)
+    theta = rng.uniform(-np.pi, np.pi, 4 * n_qubits)
+    for rows in (1, 3, 4, 5):
+        for T in (K - 1, K, K + 1, 2 * K + 3):
+            embeddings = rng.uniform(-1.0, 1.0, (rows, T, n_qubits))
+            for first in (1, T - K // 2):
+                steps = Steps(theta, embeddings, "ring")
+                reads, injects = [], []
+
+                def read(lo, states):
+                    reads.append((states, states.copy()))
+
+                def inject(lo, kets):
+                    injects.append((kets, kets.copy()))
+                    return 0.5 * kets[..., ::-1]
+
+                final = steps.sweep(first, read, backward=True)
+                swept = final.copy()
+                steps.adjoint(inject)
+                assert reads and injects
+                for got, when_handed in reads + injects + [(final, swept)]:
+                    assert_array_equal(got, when_handed)
+                # a sweep that reads nothing writes every step into its rows
+                assert_array_equal(Steps(theta, embeddings, "ring").sweep(T + 1, None), final)
+
+
 def test_only_a_gradient_pass_keeps_the_last_window(monkeypatch):
     # the adjoint starts from the sweep's last window, kept as the rows
     # `step` returns, `height` high, whose first B rows are, out of the Y

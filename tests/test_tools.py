@@ -56,14 +56,19 @@ def test_engine_timing_prints_every_register_and_stack(capsys):
     # a header, one line per register and stack height (the default
     # training chunk of 128 among them), one of build times, a legend
     rows = [line.split() for line in lines[1:-2]]
+    assert lines[0].count("faults") == 3 and "minor page faults per pass" in lines[-1]
     assert [(int(r[0].rstrip("*")), int(r[1])) for r in rows] == [
         (n, b) for n in (1, 2) for b in (1, 4, 16, 128, 4096 >> n)]
     for row in rows:
         assert row[0].endswith("*")  # both registers fold
         # layered, folded and their ratio for the forward, the kept
-        # adjoint and the uncomputed adjoint
-        times = np.array(row[2:], dtype=float)
-        assert times.shape == (9,) and np.all(np.isfinite(times)) and np.all(times > 0), row
+        # adjoint and the uncomputed adjoint, each beside its minor page
+        # faults per pass, layered/folded
+        passes = np.array(row[2:]).reshape(3, 4)
+        times = passes[:, :3].astype(float)
+        assert times.shape == (3, 3) and np.all(np.isfinite(times)) and np.all(times > 0), row
+        faults = np.array([f.split("/") for f in passes[:, 3]], dtype=float)
+        assert faults.shape == (3, 2) and np.all(np.isfinite(faults)) and np.all(faults >= 0), row
     # each register's Steps and `reads` build, layered and folded
     label, builds = lines[-2].split(": ")
     assert label == "build us, layered/folded"

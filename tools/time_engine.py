@@ -33,7 +33,10 @@ changes of basis of the kets and injections.  The one-time builds, of a
 per register size and engine, on their own line.  Each round times every
 cell once per engine, alternating which engine runs first, and keeps the
 best of REPEAT calls; the output is the median over rounds of those
-minima.  One BLAS thread is pinned before numpy loads.
+minima.  Beside each pass's times, "faults" gives the minor page faults
+(`getrusage` ru_minflt) per call of that pass, layered/folded, over the
+same timed calls: pages the heap takes back from the system while the
+pass runs.  One BLAS thread is pinned before numpy loads.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ if __name__ == "__main__":  # one BLAS thread, set before numpy loads
         os.environ[var] = "1"
 
 import argparse
+import resource
 import sys
 import time
 
@@ -100,23 +104,31 @@ def time_build(n: int, folded: bool) -> float:
     return best * 1e6
 
 
-def time_cell(n: int, rows: int, folded: bool) -> tuple[float, float, float]:
+def minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def time_cell(n: int, rows: int, folded: bool) -> np.ndarray:
     """Best of REPEAT calls, in microseconds per step, of one forward
-    window and of one adjoint over it, kept and uncomputed."""
+    window and of one adjoint over it, kept and uncomputed; then the
+    minor page faults per call of each pass, over the same timed calls."""
     steps = engine(n, rows, folded)
     _ = steps.reads  # built here, outside the timing
     T = steps.embeddings.shape[1]
     best = [np.inf] * len(PASSES)
+    faults = [0] * len(PASSES)
     for _ in range(REPEAT):
-        begin = time.perf_counter()
+        flt, begin = minor_faults(), time.perf_counter()
         steps.sweep(1, lambda lo, states: None)
         best[0] = min(best[0], time.perf_counter() - begin)
+        faults[0] += minor_faults() - flt
         for i in (1, 2):  # read out from step 1, kept, or from step 2, uncomputed
             steps.sweep(i, lambda lo, states: None, backward=True)
-            begin = time.perf_counter()
+            flt, begin = minor_faults(), time.perf_counter()
             steps.adjoint(lambda lo, kets: kets)
             best[i] = min(best[i], time.perf_counter() - begin)
-    return tuple(b * 1e6 / T for b in best)
+            faults[i] += minor_faults() - flt
+    return np.array([b * 1e6 / T for b in best] + [f / REPEAT for f in faults])
 
 
 def measure(qubits, rounds: int) -> dict:
@@ -138,14 +150,17 @@ def measure(qubits, rounds: int) -> dict:
 def report(times: dict, qubits) -> list[str]:
     from qlam.circuits import FOLD_QUBITS
 
-    lines = ["  n     B" + "".join(f"  {name + ' us/step:':>24} layered  folded  ratio"
+    lines = ["  n     B" + "".join(f"  {name + ' us/step:':>24} layered  folded  ratio  faults"
                                     for name in PASSES)]
+    count = len(PASSES)  # each cell holds count times, then count fault counts
     for n in qubits:
         for rows in stacks(n):
             layered, folded = (times[n, rows, name] for name in ENGINES)
             mark = "*" if n <= FOLD_QUBITS else " "
             lines.append(f"{n:3d}{mark} {rows:5d}" + "".join(
-                f"  {lay:32.2f} {fold:7.2f} {lay / fold:6.2f}" for lay, fold in zip(layered, folded)))
+                f"  {lay:32.2f} {fold:7.2f} {lay / fold:6.2f} {lay_flt:3.0f}/{fold_flt:<3.0f}"
+                for lay, fold, lay_flt, fold_flt in zip(layered[:count], folded[:count],
+                                                        layered[count:], folded[count:])))
     lines.append("build us, layered/folded: " + ", ".join(
         f"n={n} {times[n, 'layered']:.0f}/{times[n, 'folded']:.0f}" for n in qubits))
     return lines
@@ -159,7 +174,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     times = measure(args.qubits, args.rounds)
     print("\n".join(report(times, args.qubits)))
-    print("ratio: layered over folded time; * the engine folds this register")
+    print("ratio: layered over folded time; faults: minor page faults per pass, "
+          "layered/folded; * the engine folds this register")
     return 0
 
 
